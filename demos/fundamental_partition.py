@@ -1,12 +1,21 @@
 """Partition connectivity, its weighted sibling, and the finest minimizer.
 
-Both functionals scan every proper partition of the vertex set and divide
-the cross-block surplus by one less than the block count; they differ only
-in whether an edge counts one unit or its weight.  The minimum is attained
-on a unique finest partition, recovered as the meet of all minimizers.
+Both functionals minimize, over every proper partition of the vertex set,
+the cross-block surplus divided by one less than the block count; they differ
+only in whether an edge counts one unit or its weight.  The minimum is
+attained on a unique finest partition.  On a minimally connected source it is
+read off the incidence graph's cycles in linear time; the enumeration oracle
+sweeps every partition and recovers it as the meet of all minimizers.
 """
 
-from hyperkey import Hypergraph, Partition, crossing_count, mmi, partition_connectivity
+from hyperkey import (
+    Hypergraph,
+    Partition,
+    crossing_count,
+    enumerate_minimizers,
+    mmi,
+    partition_connectivity,
+)
 
 h = Hypergraph(
     "123456",
@@ -17,7 +26,12 @@ h = Hypergraph(
 unit = partition_connectivity(h)
 print("unit connectivity:", unit.value)
 print("unit fundamental:", unit.fundamental.to_sorted_lists())
-print("number of minimizers:", len(unit.optimizers))
+print("cyclic cores:", [sorted(c) for c in h.cyclic_cores()])
+
+# the enumeration oracle finds the same answer and every other minimizer
+sweep = enumerate_minimizers(h)
+assert (sweep.value, sweep.fundamental) == (unit.value, unit.fundamental)
+print("number of minimizers:", len(sweep.minimizers))
 
 # weighted counting drives the secrecy capacity
 weighted = mmi(h)

@@ -163,7 +163,7 @@ def _cmd_analyze(args) -> dict:
         "vertices": sorted(h.vertices),
         "edges": _edge_documents(h),
         "component_count": h.component_count(),
-        "is_mch": h.is_mch(),
+        "is_mch": h.is_mch() if len(h.vertices) >= 2 else False,
         "is_connected_and_cycle_free": h.is_connected_and_cycle_free(),
     }
     doc["is_hypertree"] = h.is_hypertree() if len(h.vertices) >= 2 else False

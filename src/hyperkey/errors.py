@@ -63,7 +63,9 @@ class NotCycleFree(HyperkeyError):
 
 
 class SemiLatticeViolation(HyperkeyError):
-    """Internal consistency failure: the minimizer set is not meet-closed.
+    """Internal consistency failure of the finest-minimizer selection: an
+    enumerated minimizer set is not meet-closed, or the partition found by
+    the MCH fast path fails its certificate.
 
     This is never expected on valid inputs; it exists so the finest-minimizer
     selection fails loudly instead of guessing.

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
+    DuplicateEdgeId,
     EmptyResult,
     EmptyVertexSet,
     InvalidPartition,
@@ -103,10 +104,10 @@ class Hypergraph:
                 members = frozenset(str(m) for m in raw_members)
             eid = str(eid)
             if eid in seen_ids:
-                raise ValueError(f"duplicate edge id {eid!r}")
+                raise DuplicateEdgeId(f"duplicate edge id {eid!r}")
             seen_ids.add(eid)
             if not members:
-                raise ValueError(f"edge {eid!r} has an empty member set")
+                raise EmptyVertexSet(f"edge {eid!r} has an empty member set")
             foreign = members - vset
             if foreign:
                 raise UnknownVertex(
@@ -226,16 +227,20 @@ class Hypergraph:
     def merge(self, blocks) -> "Hypergraph":
         """Contract each block of a partition of the vertex set to one vertex.
 
-        The new vertex for a block is the comma-join of its sorted members, so
-        labels are deterministic and distinct.  Edge ids, weights, and the
-        number of edges are unchanged; member sets become sets of block labels.
+        The new vertex for a block is the comma-join of its sorted members,
+        each with backslashes and commas escaped by a backslash, so labels are
+        deterministic and distinct even when vertex ids contain commas.  Edge
+        ids, weights, and the number of edges are unchanged; member sets
+        become sets of block labels.
         """
         block_list = _as_blocks(blocks)
         _check_partition(block_list, self.vertices)
         label: dict[str, str] = {}
         labels: list[str] = []
         for blk in block_list:
-            name = ",".join(sorted(blk))
+            name = ",".join(
+                v.replace("\\", "\\\\").replace(",", "\\,") for v in sorted(blk)
+            )
             labels.append(name)
             for v in blk:
                 label[v] = name
@@ -335,7 +340,119 @@ class Hypergraph:
             return [("e", e.id) for e in incident[name]]
         return [("v", v) for v in sorted(by_id[name].members)]
 
+    # -- incidence-graph structure ---------------------------------------------
+
+    def _incidence_scan(self) -> "_IncidenceScan":
+        """One iterative Hopcroft-Tarjan DFS of the vertex-edge incidence graph.
+
+        Node i < n is the i-th vertex in sorted order, node n + j is the j-th
+        edge.  The node stack pops one biconnected component each time a child
+        u of p finishes with low[u] >= disc[p]; that also makes p an
+        articulation point, since an edge node is never a DFS root.  A
+        component of two nodes is a bridge; the vertex nodes of every other
+        component lie on a common cycle and are united.  Cost
+        O(|V| + |E| + sum of |e|); the result is cached on the value.
+        """
+        cache = self._cache
+        if "scan" in cache:
+            return cache["scan"]
+        names = sorted(self.vertices)
+        n = len(names)
+        index = {v: i for i, v in enumerate(names)}
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for j, e in enumerate(self.edges):
+            members = [index[v] for v in e.members]
+            adj.append(members)
+            for i in members:
+                adj[i].append(n + j)
+        total = len(adj)
+        disc = [0] * total  # discovery time, 0 while unvisited
+        low = [0] * total
+        parent = [-1] * total
+        cursor = [0] * total
+        cut = [False] * total
+        core = list(range(n))  # union-find over vertex nodes
+
+        def find(x: int) -> int:
+            while core[x] != x:
+                core[x] = core[core[x]]
+                x = core[x]
+            return x
+
+        clock = 0
+        roots = 0
+        for root in range(n):
+            if disc[root]:
+                continue
+            roots += 1
+            clock += 1
+            disc[root] = low[root] = clock
+            path = [root]
+            nodes = [root]
+            while path:
+                u = path[-1]
+                k = cursor[u]
+                if k < len(adj[u]):
+                    cursor[u] = k + 1
+                    w = adj[u][k]
+                    if not disc[w]:
+                        clock += 1
+                        disc[w] = low[w] = clock
+                        parent[w] = u
+                        path.append(w)
+                        nodes.append(w)
+                    elif w != parent[u] and disc[w] < low[u]:
+                        low[u] = disc[w]
+                    continue
+                path.pop()
+                p = parent[u]
+                if p < 0:
+                    continue
+                if low[u] < low[p]:
+                    low[p] = low[u]
+                if low[u] >= disc[p]:
+                    cut[p] = True
+                    component = [p]
+                    while True:
+                        x = nodes.pop()
+                        component.append(x)
+                        if x == u:
+                            break
+                    if len(component) > 2:
+                        verts = [x for x in component if x < n]
+                        head = find(verts[0])
+                        for x in verts[1:]:
+                            rx = find(x)
+                            if rx != head:
+                                core[rx] = head
+        groups: dict[int, list[str]] = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(names[i])
+        scan = _IncidenceScan(
+            connected=roots == 1,
+            every_edge_cuts=all(cut[n:]),
+            cores=tuple(frozenset(g) for g in groups.values() if len(g) > 1),
+        )
+        cache["scan"] = scan
+        return scan
+
+    def cyclic_cores(self) -> tuple[frozenset[str], ...]:
+        """Vertex sets of the biconnected components of the incidence graph
+        that are not bridges, merged where they share a vertex; sorted by
+        their smallest member.
+
+        Two vertices share a core exactly when a chain of Berge cycles, each
+        meeting the next in a vertex, leads from one to the other, so the
+        cores plus singletons form the finest partition whose merge has no
+        Berge cycle.
+        """
+        return self._incidence_scan().cores
+
     # -- shape predicates -----------------------------------------------------
+
+    def _require_two_vertices(self) -> None:
+        if len(self.vertices) < 2:
+            raise EmptyVertexSet("shape predicates need at least two vertices")
 
     def is_connected_and_cycle_free(self) -> bool:
         """Connected with no cycle; loops are permitted."""
@@ -343,8 +460,7 @@ class Hypergraph:
 
     def is_hypertree(self) -> bool:
         """Connected, loopless, and cycle-free."""
-        if len(self.vertices) < 2:
-            raise ValueError("shape predicates need at least two vertices")
+        self._require_two_vertices()
         return (
             self.is_connected()
             and not self.loop_edges()
@@ -353,19 +469,22 @@ class Hypergraph:
 
     def is_mch(self) -> bool:
         """Connected, and removing any single edge (keeping all vertices)
-        disconnects the hypergraph."""
-        if len(self.vertices) < 2:
-            raise ValueError("shape predicates need at least two vertices")
-        if not self.is_connected():
-            return False
-        for skip in range(len(self.edges)):
-            slim = Hypergraph(
-                self.vertices,
-                [e for k, e in enumerate(self.edges) if k != skip],
-            )
-            if slim.is_connected():
-                return False
-        return True
+        disconnects the hypergraph.
+
+        Removing edge e keeps the vertices connected exactly when the edge
+        node e does not separate the incidence graph, so this is one DFS:
+        connected, and every edge node an articulation point.
+        """
+        self._require_two_vertices()
+        scan = self._incidence_scan()
+        return scan.connected and scan.every_edge_cuts
+
+
+@dataclass(frozen=True)
+class _IncidenceScan:
+    connected: bool
+    every_edge_cuts: bool
+    cores: tuple[frozenset[str], ...]
 
 
 def _as_blocks(blocks) -> tuple[frozenset[str], ...]:

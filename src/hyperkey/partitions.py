@@ -1,11 +1,19 @@
 """Partitions of vertex sets and partition-based connectivity functionals.
 
-Two functionals share one minimization core: the unit-count version (crossing
-count over proper partitions, normalized by block count minus one) and the
-weighted version driven by the coverage entropy of the source (an edge
-contributes its weight to every vertex set its members meet).  Both attain
-their minimum on a unique finest partition; that partition is computed as the
-meet of all minimizers and the meet-closure is checked, not assumed.
+Two functionals are minimized over proper partitions: the unit-count version
+(crossing count normalized by block count minus one) and the weighted version
+driven by the coverage entropy of the source (an edge contributes its weight
+to every vertex set its members meet).  Both attain their minimum on a unique
+finest partition, the fundamental partition.
+
+Minimally connected hypergraphs (MCHs) take a linear path at any size: one
+DFS of the vertex-edge incidence graph gives the fundamental partition, and
+the minimum is 1 (unit) or the least edge weight (weighted); see _mch_report
+for the proof and the run-time check of the value.  Every other input is enumerated
+over all Bell(|V|) partitions, up to 12 vertices.  The same enumeration,
+enumerate_minimizers, also returns every minimizer and serves as the test
+oracle for the fast path; it computes the finest minimizer as the meet of all
+minimizers and checks the meet-closure instead of assuming it.
 """
 
 from __future__ import annotations
@@ -30,7 +38,9 @@ from .hypergraph import Hypergraph
 __all__ = [
     "Partition",
     "ConnectivityReport",
+    "MinimizerSweep",
     "enumerate_partitions",
+    "enumerate_minimizers",
     "crossing_count",
     "entropy",
     "partition_connectivity",
@@ -187,21 +197,40 @@ class ConnectivityReport:
     """Minimum of a partition functional plus where it is attained.
 
     value       -- the minimum over proper partitions (exact rational)
-    optimizers  -- every proper partition attaining it, in enumeration order
-    fundamental -- the unique finest optimizer (meet of all optimizers)
+    fundamental -- the unique finest proper partition attaining it
     """
 
     value: Fraction
-    optimizers: tuple[Partition, ...]
     fundamental: Partition
 
 
-def _minimize_partition_functional(
-    h: Hypergraph,
-    edge_weights: tuple[Fraction, ...],
-    *,
-    max_ground: int,
-) -> ConnectivityReport:
+@dataclass(frozen=True)
+class MinimizerSweep(ConnectivityReport):
+    """An enumeration oracle's report: also every minimizer.
+
+    minimizers -- every proper partition attaining value, in enumeration
+                  order; fundamental is their meet
+    """
+
+    minimizers: tuple[Partition, ...]
+
+
+def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerSweep:
+    """Test oracle: minimize a functional by sweeping all Bell(|V|) partitions.
+
+    The unit functional (weighted=False) counts each edge once, the weighted
+    one counts it with its weight.  Refuses ground sets above 12 vertices.
+    Cached per (hypergraph, weights): a hypergraph whose weights are all one
+    shares one sweep between the two functionals.
+    """
+    weights = tuple(e.weight if weighted else Fraction(1) for e in h.edges)
+    return _minimizer_sweep(h, weights, 12)
+
+
+@lru_cache(maxsize=1024)
+def _minimizer_sweep(
+    h: Hypergraph, edge_weights: tuple[Fraction, ...], max_ground: int
+) -> MinimizerSweep:
     """Minimize (sum of block coverage sums - total) / (|P| - 1) over proper
     partitions, where a block's coverage sum adds the weight of every edge
     meeting it.  Equivalently the numerator is sum_e w_e * (blocks met - 1).
@@ -288,32 +317,78 @@ def _minimize_partition_functional(
             raise SemiLatticeViolation(
                 "minimizer set is not closed under common refinement"
             )
-    return ConnectivityReport(value=best, optimizers=tuple(opts), fundamental=meet)
+    return MinimizerSweep(value=best, fundamental=meet, minimizers=tuple(opts))
 
 
-@lru_cache(maxsize=2048)
-def _unit_connectivity(h: Hypergraph, max_ground: int) -> ConnectivityReport:
-    return _minimize_partition_functional(
-        h, tuple(Fraction(1) for _ in h.edges), max_ground=max_ground
+def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> ConnectivityReport:
+    """Both functionals on an MCH, in O(|V| + sum of |e|) with no enumeration.
+
+    Let c_e be the number of blocks of P that edge e meets and w_min the
+    least weight.  The quotient h/P is connected because h is, so
+    sum_e (c_e - 1) >= |P| - 1, and
+
+        f(P) = sum_e w_e (c_e - 1) / (|P| - 1)
+             >= w_min * sum_e (c_e - 1) / (|P| - 1) >= w_min.
+
+    Equality needs both steps tight: the quotient has no Berge cycle (the
+    second), and no edge heavier than w_min crosses blocks (the first).
+    h/P has no Berge cycle exactly when every cycle of the incidence graph
+    keeps its vertices inside one block, i.e. when P is coarser than the
+    cyclic cores; contracting a heavy edge's members in a forest leaves a
+    forest.  So the finest minimizer is the cyclic cores joined with the
+    member set of every heavy edge, and the minimum is w_min (1 for the unit
+    functional).  It is proper: an MCH edge of weight w_min separates the
+    incidence graph, and neither a core nor another edge spans two sides.
+
+    A run-time certificate checks that the partition is proper and that the
+    functional evaluated exactly on it equals the bound, which proves the
+    value and that P is a minimizer.  Since h/P is connected and every
+    w_e >= w_min > 0, meeting the bound forces sum_e (c_e - 1) = |P| - 1, so
+    h/P is a hypertree and has no Berge cycle; that needs no separate check.
+    That P is the finest minimizer rests on the argument above and on the
+    enumeration oracle tests, not on the certificate.
+    """
+    bound = min(edge_weights)
+    groups = list(h.cyclic_cores())
+    groups.extend(e.members for e, w in zip(h.edges, edge_weights) if w > bound)
+    joined = Hypergraph(h.vertices, [(str(k), g, 1) for k, g in enumerate(groups)])
+    p = Partition.from_blocks(joined.components())
+
+    block_of = {v: k for k, b in enumerate(p.blocks) for v in b}
+    crossings = sum(
+        w * (len({block_of[v] for v in e.members}) - 1)
+        for e, w in zip(h.edges, edge_weights)
     )
+    if len(p) < 2:
+        raise SemiLatticeViolation("MCH fast path produced the one-block partition")
+    if crossings != bound * (len(p) - 1):
+        raise SemiLatticeViolation(
+            f"MCH fast path partition has value {crossings / (len(p) - 1)}, "
+            f"not the lower bound {bound}"
+        )
+    return ConnectivityReport(value=bound, fundamental=p)
 
 
-@lru_cache(maxsize=2048)
-def _weighted_connectivity(h: Hypergraph, max_ground: int) -> ConnectivityReport:
-    return _minimize_partition_functional(
-        h, tuple(e.weight for e in h.edges), max_ground=max_ground
-    )
+def _connectivity(
+    h: Hypergraph, edge_weights: tuple[Fraction, ...], max_ground: int
+) -> ConnectivityReport:
+    if len(h.vertices) >= 2 and h.is_mch():
+        return _mch_report(h, edge_weights)
+    sweep = _minimizer_sweep(h, edge_weights, max_ground)
+    return ConnectivityReport(value=sweep.value, fundamental=sweep.fundamental)
 
 
 def partition_connectivity(h: Hypergraph, *, max_ground: int = 12) -> ConnectivityReport:
     """Unit-count connectivity: min over proper partitions of
     crossing_count / (|P| - 1).
 
-    Zero exactly when h is disconnected, in which case the fundamental
-    partition is the partition into connected components.  Reports are
-    cached per hypergraph value (everything involved is immutable).
+    On an MCH the value is 1 and the fundamental partition is the cyclic
+    cores plus singletons, found in linear time at any size.  Other inputs
+    are enumerated, up to max_ground vertices; there the value is zero
+    exactly when h is disconnected, and the fundamental partition is then
+    the partition into connected components.
     """
-    return _unit_connectivity(h, max_ground)
+    return _connectivity(h, tuple(Fraction(1) for _ in h.edges), max_ground)
 
 
 def mmi(
@@ -326,7 +401,9 @@ def mmi(
 
     For each proper partition P of the ground set, the value is
     (sum of block coverage entropies - total entropy) / (|P| - 1); the report
-    carries the minimum, all minimizers, and the finest minimizer.  With
+    carries the minimum and the finest minimizer.  On an MCH the minimum is
+    the least edge weight and the finest minimizer is found in linear time;
+    other inputs are enumerated, up to max_ground vertices.  With
     restrict_to, the hypergraph is first restricted to that vertex set.
     """
     if restrict_to is not None:
@@ -336,7 +413,7 @@ def mmi(
         hh = h.induced(target)
     else:
         hh = h
-    return _weighted_connectivity(hh, max_ground)
+    return _connectivity(hh, tuple(e.weight for e in hh.edges), max_ground)
 
 
 def chain_order(

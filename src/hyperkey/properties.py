@@ -19,7 +19,7 @@ from .capacity import (
     unconstrained_capacity,
 )
 from .hypergraph import Hypergraph
-from .partitions import Partition, mmi, partition_connectivity
+from .partitions import Partition, enumerate_minimizers, mmi, partition_connectivity
 from .polymatroid import RankFunction, extreme_point_for_order, verify_contra_polymatroid
 from .scheme import rates_of, synthesize, verify
 from .simkit import brute_force_secrecy, quantize, run, secrecy_by_rank
@@ -40,22 +40,24 @@ def lemma_violations(
     hypertree shape of the merged hypergraph, the incident-restriction degree
     laws, per-block supermodularity, redundancy of constraints on arbitrary
     vertex sets (sampled), entropy monotonicity/submodularity, and agreement
-    of the weighted capacity formula with the brute-force partition minimum.
-    check_prop2 additionally brute-forces the maximal-subset characterization
-    of non-singleton fundamental blocks (expensive; small grounds only).
+    of the weighted capacity formula with the brute-force partition minimum,
+    plus the fast-path law of _fast_path_violations.  check_prop2
+    additionally brute-forces the maximal-subset characterization of
+    non-singleton fundamental blocks (expensive; small grounds only).
     """
     require_mch(h)
     rng = rng or random.Random(0)
-    bad: list[str] = []
+    bad = _fast_path_violations(h)
     report = partition_connectivity(h)
+    unit_sweep = enumerate_minimizers(h)
     fundamental = report.fundamental
     edge_count = len(h.edges)
 
     if report.value <= 0:
         bad.append(f"I(H) = {report.value} is not positive on a connected MCH")
-    for p in report.optimizers:
+    for p in unit_sweep.minimizers:
         if not fundamental.refines(p):
-            bad.append(f"fundamental does not refine optimizer {p.to_sorted_lists()}")
+            bad.append(f"fundamental does not refine minimizer {p.to_sorted_lists()}")
 
     degree_sum = 0
     for block in fundamental.blocks:
@@ -110,21 +112,36 @@ def lemma_violations(
     bad.extend(_entropy_shape_violations(h))
 
     cap = unconstrained_capacity(h)
-    weighted = mmi(h)
-    if cap != weighted.value:
-        bad.append(
-            f"minimum edge weight {cap} != brute-force weighted minimum {weighted.value}"
-        )
+    brute = enumerate_minimizers(h, weighted=True).value
+    if cap != brute:
+        bad.append(f"minimum edge weight {cap} != brute-force weighted minimum {brute}")
 
     unit = Hypergraph(h.vertices, [(e.id, e.members, 1) for e in h.edges])
     unit_mmi = mmi(unit)
-    if unit_mmi.value != report.value or set(unit_mmi.optimizers) != set(
-        report.optimizers
-    ):
+    if (unit_mmi.value, unit_mmi.fundamental) != (report.value, fundamental):
         bad.append("unit-weight weighted minimum disagrees with partition connectivity")
 
     if check_prop2:
         bad.extend(_prop2_violations(h, report.value, fundamental))
+    return bad
+
+
+def _fast_path_violations(h: Hypergraph) -> list[str]:
+    """Both functionals' value and fundamental partition equal what the
+    enumeration oracle finds.  The sweeps are cached per hypergraph, so the
+    suites share at most two per instance (one when every weight is one)."""
+    bad: list[str] = []
+    for name, fast, weighted in (
+        ("partition connectivity", partition_connectivity(h), False),
+        ("weighted minimum", mmi(h), True),
+    ):
+        sweep = enumerate_minimizers(h, weighted=weighted)
+        if (fast.value, fast.fundamental) != (sweep.value, sweep.fundamental):
+            bad.append(
+                f"{name}: fast path gives {fast.value} at "
+                f"{fast.fundamental.to_sorted_lists()}, enumeration gives "
+                f"{sweep.value} at {sweep.fundamental.to_sorted_lists()}"
+            )
     return bad
 
 
@@ -222,15 +239,16 @@ def scheme_round_trip_violations(
     Covers: verification, per-block rate telescoping against the extreme
     points, region membership, nonnegative outer-bound deficits on the tight
     (B, component-partition) family, the per-block spanning-tree shape of the
-    pairing rows, and — when the quantized state space fits under the cap —
-    exhaustive zero-error simulation plus agreement of both secrecy oracles.
+    pairing rows, the fast-path law of _fast_path_violations, and — when the
+    quantized state space fits under the cap — exhaustive zero-error
+    simulation plus agreement of both secrecy oracles.
     """
     rate = Fraction(key_rate)
-    bad: list[str] = []
+    bad = _fast_path_violations(h)
     scheme, traces = synthesize(h, orders)
     report = verify(scheme)
     if not report.ok:
-        return [f"synthesized scheme failed verification: {report}"]
+        return bad + [f"synthesized scheme failed verification: {report}"]
 
     rates = rates_of(scheme, rate)
     fundamental = partition_connectivity(h).fundamental

@@ -348,8 +348,10 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
         if gf2.rank_with(scheme.rows, 1 << i) != mu
     )
     recovery_ok = not unrecoverable
-    key_bit = 1 << scheme.edge_order.index(scheme.key_edge)
-    secrecy_ok = gf2.rank_with(scheme.rows, key_bit) == matrix_rank + 1
+    secrecy_ok = scheme.key_edge in scheme.edge_order and (
+        gf2.rank_with(scheme.rows, 1 << scheme.edge_order.index(scheme.key_edge))
+        == matrix_rank + 1
+    )
     ok = row_count_ok and row_weights_ok and rank_ok and recovery_ok and secrecy_ok
     return VerificationReport(
         ok=ok,

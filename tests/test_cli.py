@@ -78,6 +78,15 @@ class TestAnalyze:
         assert "berge_cycle = none" in out
 
 
+    def test_one_vertex_file_analyzes(self, tmp_path, capsys):
+        path = tmp_path / "one.hg"
+        path.write_text("vertices: 1\n")
+        assert main(["analyze", str(path)]) == 0
+        out = lines(capsys)
+        assert "is_mch = false" in out
+        assert "is_hypertree = false" in out
+
+
 class TestCapacity:
     def test_with_total_rate(self, h1_path, capsys):
         assert main(["capacity", h1_path, "--total-rate", "1"]) == 0

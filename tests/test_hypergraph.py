@@ -6,6 +6,7 @@ import pytest
 
 from hyperkey import (
     BergeCycle,
+    DuplicateEdgeId,
     EmptyResult,
     EmptyVertexSet,
     Hypergraph,
@@ -27,11 +28,11 @@ class TestConstruction:
             Hypergraph("12", [("a", "17", 1)])
 
     def test_rejects_duplicate_edge_id(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateEdgeId):
             Hypergraph("12", [("a", "12", 1), ("a", "1", 1)])
 
     def test_rejects_empty_member_set(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyVertexSet):
             Hypergraph("12", [("a", [], 1)])
 
     @pytest.mark.parametrize("w", [0, -2, Fraction(-1, 3)])
@@ -121,6 +122,15 @@ class TestOperations:
         ]
         assert merged.is_hypertree()
 
+    def test_merge_labels_survive_comma_ids(self):
+        # a plain comma-join names {1, 2} and {"1,2"} alike; escaping commas
+        # alone would name {"1\\", 2} and {"1,2"} alike
+        h = Hypergraph(["1", "2", "1,2", "1\\"], [("a", ["1", "2", "1,2", "1\\"], 1)])
+        for blocks in ([{"1", "2"}, {"1,2"}, {"1\\"}], [{"1\\", "2"}, {"1,2"}, {"1"}]):
+            merged = h.merge(blocks)
+            assert len(merged.vertices) == 3
+            assert len(merged.edge("a").members) == 3
+
     def test_removal_component_counts_enumerates_subsets(self, h3):
         names, counts = removal_component_counts(h3, "348")
         assert names == ("3", "4", "8")
@@ -186,6 +196,17 @@ class TestPredicates:
         h = Hypergraph("1234", [("a", "12", 1), ("b", "34", 1)])
         assert not h.is_connected()
         assert not h.is_mch()
+
+    def test_shape_predicates_need_two_vertices(self):
+        point = Hypergraph("1", [("a", "1", 1)])
+        for predicate in (point.is_mch, point.is_hypertree):
+            with pytest.raises(EmptyVertexSet):
+                predicate()
+
+    def test_cyclic_cores(self, h1, h2, h5):
+        assert h1.cyclic_cores() == (frozenset("123"),)
+        assert h2.cyclic_cores() == ()
+        assert h5.cyclic_cores() == (frozenset("12345"),)
 
     def test_parallel_edges_are_not_mch(self):
         dbl = Hypergraph("12", [("x", "12", 1), ("y", "12", 1)])

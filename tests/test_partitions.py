@@ -1,6 +1,8 @@
 """Partition machinery: enumeration, the two functionals, chain orders."""
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,11 +14,13 @@ from hyperkey import (
     Partition,
     chain_order,
     crossing_count,
+    enumerate_minimizers,
     enumerate_partitions,
     mmi,
     partition_connectivity,
 )
-from hyperkey.errors import GroundTooLarge
+from hyperkey.errors import GroundTooLarge, SemiLatticeViolation
+from hyperkey.simkit import _propose
 
 
 def blocks(partition):
@@ -81,7 +85,7 @@ class TestPartitionConnectivity:
         rep = partition_connectivity(h1)
         assert rep.value == 1
         assert blocks(rep.fundamental) == [("1", "2", "3"), ("4",), ("5",), ("6",)]
-        assert rep.fundamental in rep.optimizers
+        assert rep.fundamental in enumerate_minimizers(h1).minimizers
 
     def test_h1_induced_triangle(self, h1):
         rep = partition_connectivity(h1.induced("123"))
@@ -111,7 +115,8 @@ class TestPartitionConnectivity:
     def test_every_optimizer_is_coarser_than_fundamental(self, h1, h3):
         for h in (h1, h3):
             rep = partition_connectivity(h)
-            assert all(rep.fundamental.refines(p) for p in rep.optimizers)
+            sweep = enumerate_minimizers(h)
+            assert all(rep.fundamental.refines(p) for p in sweep.minimizers)
 
     def test_disconnected_value_zero_components_fundamental(self):
         h = Hypergraph("1234", [("a", "12", 1), ("b", "34", 1)])
@@ -144,6 +149,168 @@ class TestMMI:
             a, b = mmi(h), partition_connectivity(h)
             assert a.value == b.value
             assert blocks(a.fundamental) == blocks(b.fundamental)
+
+
+def _is_mch_by_rebuild(h):
+    """The definition: connected, and deleting any one edge disconnects."""
+    if not h.is_connected():
+        return False
+    return not any(
+        Hypergraph(h.vertices, [e for e in h.edges if e.id != skip.id]).is_connected()
+        for skip in h.edges
+    )
+
+
+def _assert_fast_path_matches_oracle(h):
+    for fast, weighted in ((partition_connectivity(h), False), (mmi(h), True)):
+        sweep = enumerate_minimizers(h, weighted=weighted)
+        assert (fast.value, fast.fundamental) == (sweep.value, sweep.fundamental), (
+            sorted((e.id, sorted(e.members), e.weight) for e in h.edges),
+            weighted,
+        )
+
+
+def _random_mch(rng, n, max_weight):
+    """A random hypertree with extra members added to about half its edges,
+    kept once it is an MCH by the rebuild definition."""
+    names = [f"v{i}" for i in range(n)]
+    while True:
+        order = names[:]
+        rng.shuffle(order)
+        edges, placed, i = [], [order[0]], 1
+        while i < n:
+            k = rng.randint(1, min(3, n - i))
+            edges.append({rng.choice(placed), *order[i:i + k]})
+            placed += order[i:i + k]
+            i += k
+        for members in edges:
+            if rng.random() < 0.5:
+                members.add(rng.choice(names))
+        h = Hypergraph(
+            names,
+            [(f"e{j}", members, rng.randint(1, max_weight)) for j, members in enumerate(edges)],
+        )
+        if _is_mch_by_rebuild(h):
+            return h
+
+
+def _family(name, n):
+    """Edges of an n-vertex path, star or cyclic-core MCH over vertices
+    0..n-1, and its fundamental partition, for unit weights and for weights
+    that are 2 except on edge 0, which weighs 1."""
+    if name == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+        unit = [{i} for i in range(n)]
+        weighted = [{0}, set(range(1, n))]
+    elif name == "star":
+        edges = [(0, i, i + 1) for i in range(1, n - 1, 2)]
+        if n % 2 == 0:
+            edges.append((0, n - 1))
+        unit = [{i} for i in range(n)]
+        weighted = [{1}, {2}, {0} | set(range(3, n))]
+    else:
+        # five 3-vertex edges around a 5-cycle, pendant i + 5 on edge i, and
+        # a path of 2-vertex edges hung off pendant 9
+        edges = [(i, (i + 1) % 5, 5 + i) for i in range(5)]
+        edges += [(v - 1, v) for v in range(10, n)]
+        unit = [set(range(5))] + [{i} for i in range(5, n)]
+        weighted = [{5}, set(range(n)) - {5}]
+    return edges, unit, weighted
+
+
+def _family_hypergraph(edges, n, heavy):
+    return Hypergraph(
+        [str(i) for i in range(n)],
+        [
+            (f"e{j}", [str(v) for v in e], 2 if heavy and j else 1)
+            for j, e in enumerate(edges)
+        ],
+    )
+
+
+def _as_partition(blocks):
+    return Partition.from_blocks([{str(v) for v in b} for b in blocks])
+
+
+class TestMchFastPath:
+    def test_census_mchs_match_the_oracle(self):
+        """Every instance of the criterion-9 census (|V| <= 5, |E| <= 4, unit
+        weights): linear is_mch equals the rebuild definition, and on MCHs
+        both functionals equal the enumeration, also with weights 1 and 2."""
+        mchs = 0
+        for n in (2, 3, 4, 5):
+            names = [str(i + 1) for i in range(n)]
+            member_sets = [
+                [names[v] for v in range(n) if mask >> v & 1] for mask in range(1 << n)
+            ]
+            for m in range(5):
+                for combo in combinations_with_replacement(range(1, 1 << n), m):
+                    h = Hypergraph(
+                        names,
+                        [(f"e{j}", member_sets[mask], 1) for j, mask in enumerate(combo)],
+                    )
+                    assert h.is_mch() == _is_mch_by_rebuild(h), (n, combo)
+                    if h.is_mch():
+                        mchs += 1
+                        _assert_fast_path_matches_oracle(h)
+                        _assert_fast_path_matches_oracle(Hypergraph(
+                            names,
+                            [(e.id, e.members, 1 + j % 2) for j, e in enumerate(h.edges)],
+                        ))
+        assert mchs == 521
+
+    def test_random_mchs_match_the_oracle(self):
+        rng = random.Random(11)
+        cyclic = 0
+        for n, count in [(n, 30) for n in range(2, 9)] + [(9, 8), (10, 3)]:
+            for _ in range(count):
+                h = _random_mch(rng, n, 3)
+                cyclic += bool(h.cyclic_cores())
+                _assert_fast_path_matches_oracle(h)
+        assert cyclic >= 60  # the cyclic-core branch is exercised
+
+    def test_is_mch_matches_rebuild_on_random_mch_proposals(self):
+        rng = random.Random(5)
+        accepted = 0
+        for n, m in [(3, 2), (5, 3), (6, 4), (7, 5), (8, 5), (8, 6)] * 300:
+            h = _propose(rng, [str(i + 1) for i in range(n)], m, 3)
+            if h is not None:
+                assert h.is_mch() == _is_mch_by_rebuild(h)
+                accepted += h.is_mch()
+        assert accepted >= 50
+
+    @pytest.mark.parametrize("n", [13, 100, 10**4])
+    @pytest.mark.parametrize("name", ["path", "star", "core"])
+    def test_closed_form_families_at_any_size(self, name, n):
+        edges, unit, weighted = _family(name, n)
+        flat = _family_hypergraph(edges, n, heavy=False)
+        assert flat.is_mch()
+        for report in (partition_connectivity(flat), mmi(flat)):
+            assert report.value == 1
+            assert report.fundamental == _as_partition(unit)
+        heavy = _family_hypergraph(edges, n, heavy=True)
+        assert partition_connectivity(heavy).fundamental == _as_partition(unit)
+        report = mmi(heavy)
+        assert report.value == 1
+        assert report.fundamental == _as_partition(weighted)
+
+    def test_large_non_mch_is_still_refused(self):
+        cycle = Hypergraph(
+            [str(i) for i in range(13)],
+            [(f"e{i}", [str(i), str((i + 1) % 13)], 1) for i in range(13)],
+        )
+        assert not cycle.is_mch()
+        with pytest.raises(GroundTooLarge):
+            partition_connectivity(cycle)
+        with pytest.raises(GroundTooLarge):
+            mmi(cycle)
+
+    def test_failed_certificate_raises(self, h1, monkeypatch):
+        # without its cyclic core, h1's singleton partition leaves the
+        # triangle 1-2-3 uncontracted and misses the lower bound
+        monkeypatch.setattr(Hypergraph, "cyclic_cores", lambda self: ())
+        with pytest.raises(SemiLatticeViolation):
+            partition_connectivity(h1)
 
 
 class TestChainOrder:

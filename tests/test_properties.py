@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hyperkey import (
+    ConnectivityReport,
     NotMCH,
+    Partition,
     lemma_violations,
     random_mch,
     require_mch,
@@ -42,6 +44,17 @@ class TestLemmaViolations:
     def test_non_mch_is_rejected(self, h4):
         with pytest.raises(NotMCH):
             lemma_violations(h4)
+
+    def test_fast_path_disagreeing_with_the_oracle_is_reported(self, h1, monkeypatch):
+        import hyperkey.properties as properties
+
+        wrong = ConnectivityReport(Fraction(2), Partition.singletons(h1.vertices))
+        monkeypatch.setattr(properties, "mmi", lambda h: wrong)
+        for found in (
+            lemma_violations(h1, rng=random.Random(0)),
+            scheme_round_trip_violations(h1, Fraction(1)),
+        ):
+            assert any(v.startswith("weighted minimum: fast path gives 2") for v in found)
 
     def test_generated_instances_are_clean(self):
         for seed, (n, m, w) in enumerate([(4, 3, 2), (5, 4, 1), (6, 4, 3), (7, 5, 2)]):

@@ -145,6 +145,12 @@ class TestVerify:
         report = verify(leak)
         assert not report.ok and not report.secrecy_ok
 
+    def test_unknown_key_edge_fails_secrecy_without_raising(self, h1):
+        scheme, _ = synthesize(h1)
+        report = verify(dataclasses.replace(scheme, key_edge="zz"))
+        assert not report.ok and not report.secrecy_ok
+        assert report.rank_ok and report.recovery_ok
+
 
 class TestRates:
     def test_h1_per_user_rates(self, h1):
