@@ -1,10 +1,10 @@
 """Running the protocol on concrete bits, then hammering the pipeline.
 
 First half: quantize the weighted source at a fractional key rate, run a
-few seeded trials, then enumerate the full state space and tabulate the
-(message pattern, key) cells that certify perfect secrecy.  Second half:
-generate random minimally connected instances and let the structural and
-end-to-end checkers loose on them.
+few seeded trials, then check every realization of the state space and
+tabulate the (message pattern, key) cells that certify perfect secrecy.
+Second half: generate random minimally connected instances and let the
+structural and end-to-end checkers loose on them.
 """
 
 import random
@@ -39,11 +39,13 @@ for seed in (0, 1, 2):
     print(f"seed {seed}: messages = {outcome.messages} key = {outcome.key}",
           "zero error:", outcome.zero_error)
 
-# exhaustive enumeration over all realizations, cell by cell
+# exhaustive check over all realizations at once: each source bit becomes a
+# bit plane (one bit per realization), so the decoders run on whole planes
 outcome = run(h, scheme, Fraction(1, 2), exhaustive=True)
 print("exhaustive over", outcome.realizations_checked, "realizations:",
       "zero error =", outcome.zero_error)
 
+# the exact (message pattern, key) table, built one source bit at a time
 report = brute_force_secrecy(h, scheme, Fraction(1))
 print("perfect secrecy:", report.perfect)
 print("realizations:", report.realizations, "message patterns:", report.message_patterns)

@@ -43,7 +43,8 @@ class EmptyVertexSet(HyperkeyError):
 
 
 class EmptyResult(HyperkeyError):
-    """An operation would have produced a hypergraph with no vertices."""
+    """An operation would have produced a hypergraph with no vertices, or
+    asked for the minimum edge weight of a hypergraph with no edges."""
 
 
 class InvalidPartition(HyperkeyError):
@@ -97,11 +98,14 @@ class VertexNotInBlock(HyperkeyError):
 
 
 class RankDefect(HyperkeyError):
-    """An internally synthesized matrix failed its rank invariant."""
+    """An internally synthesized matrix failed its rank invariant, or a GF(2)
+    system handed to the payload solver is inconsistent."""
 
 
 class SchemeUnverified(HyperkeyError):
-    """A scheme failed verification where a verified scheme is required."""
+    """A scheme failed verification where a verified scheme is required, or
+    does not fit its use: an edge id that is not one of its columns, or a
+    hypergraph other than its own."""
 
 
 class WeightsNotConvex(HyperkeyError):

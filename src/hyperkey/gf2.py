@@ -7,9 +7,11 @@ alongside the mask, which is all Gaussian elimination needs here.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["rank", "rank_with", "solve_square", "solve_with_payload"]
+from .errors import RankDefect
+
+__all__ = ["rank", "rank_with", "solve_with_payload"]
 
 
 def rank(rows: Iterable[int]) -> int:
@@ -30,35 +32,6 @@ def rank_with(rows: Sequence[int], extra: int) -> int:
     return rank(list(rows) + [extra])
 
 
-def solve_square(rows: Sequence[int], ncols: int) -> Optional[list[int]]:
-    """Combination table for an invertible ncols x ncols system.
-
-    Returns selectors with x_j = XOR of the right-hand-side entries whose bits
-    are set in selectors[j], or None when the rows are not invertible.
-    """
-    if len(rows) != ncols:
-        return None
-    work = [(mask, 1 << i) for i, mask in enumerate(rows)]
-    used = [False] * ncols
-    where: list[Optional[int]] = [None] * ncols
-    for col in range(ncols):
-        pivot = None
-        for i in range(ncols):
-            if not used[i] and work[i][0] >> col & 1:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        used[pivot] = True
-        where[col] = pivot
-        pmask, psel = work[pivot]
-        for i in range(ncols):
-            if i != pivot and work[i][0] >> col & 1:
-                mask, sel = work[i]
-                work[i] = (mask ^ pmask, sel ^ psel)
-    return [work[where[col]][1] for col in range(ncols)]
-
-
 def solve_with_payload(
     rows: Sequence[tuple[int, int]], ncols: int
 ) -> tuple[list[int], bool]:
@@ -66,8 +39,8 @@ def solve_with_payload(
 
     rows are (mask, payload) pairs.  Returns (values, unique): values[j] is
     the payload assigned to column j, with free columns forced to zero, and
-    unique is True exactly when there were no free columns.  Raises on an
-    inconsistent system.
+    unique is True exactly when there were no free columns.  Raises
+    RankDefect on an inconsistent system.
     """
     work = [list(r) for r in rows]
     used = [False] * len(work)
@@ -89,7 +62,7 @@ def solve_with_payload(
                 work[i][1] = pay ^ ppay
     for mask, pay in work:
         if mask == 0 and pay != 0:
-            raise ValueError("inconsistent linear system")
+            raise RankDefect("inconsistent linear system")
     values = [0] * ncols
     for col, i in pivot_of.items():
         # remaining non-pivot bits in the row belong to free columns (zeroed)

@@ -168,7 +168,7 @@ class Hypergraph:
 
     def min_weight(self) -> Fraction:
         if not self.edges:
-            raise ValueError("hypergraph has no edges")
+            raise EmptyResult("the minimum weight of no edges is undefined")
         return min(e.weight for e in self.edges)
 
     def _check_subset(self, c: Iterable[str]) -> frozenset[str]:

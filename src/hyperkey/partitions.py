@@ -28,6 +28,7 @@ from .errors import (
     Disconnected,
     EmptyVertexSet,
     GroundTooLarge,
+    HyperkeyError,
     InvalidPartition,
     NotCycleFree,
     SemiLatticeViolation,
@@ -432,7 +433,11 @@ def chain_order(
     block rule.  Achievable precisely when the block-merged hypergraph is
     connected and cycle-free, so that is what is checked (for the singleton
     partition this is cycle-freeness of h itself).
+
+    Any other mode raises HyperkeyError.
     """
+    if mode not in ("at-least-one", "exactly-one"):
+        raise HyperkeyError(f"unknown chain mode {mode!r}")
     _require_partition_of(h, p)
     if not h.is_connected():
         raise Disconnected("chain orders require a connected hypergraph")
@@ -463,7 +468,7 @@ def chain_order(
             placed.insert(0, pick)
             covered |= pick
         order = placed
-    elif mode == "exactly-one":
+    else:  # exactly-one
         if h.merge(p).find_berge_cycle() is not None:
             raise NotCycleFree(
                 "exactly-one chaining needs a cycle-free block structure"
@@ -483,8 +488,6 @@ def chain_order(
             remaining.remove(pick)
             order.append(pick)
             covered |= pick
-    else:
-        raise ValueError(f"unknown chain mode {mode!r}")
 
     _verify_chain(h, order, mode)
     return order

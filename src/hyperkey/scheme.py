@@ -24,6 +24,7 @@ from .capacity import RateTuple, require_mch
 from .errors import (
     NotFundamentalBlock,
     RankDefect,
+    SchemeUnverified,
     SubsetOutsideBlock,
     VertexNotInBlock,
     WeightsNotConvex,
@@ -96,6 +97,8 @@ class DiscussionScheme:
         return len(self.edge_order)
 
     def column(self, eid: str) -> int:
+        if eid not in self.edge_order:
+            raise SchemeUnverified(f"edge {eid!r} is not a scheme column")
         return self.edge_order.index(eid)
 
     def row_pairs(self) -> tuple[tuple[str, str], ...]:

@@ -7,10 +7,19 @@ significant bits of the block integer) of the key edge's block.  Every
 broadcast message is the XOR of two truncated blocks, so each message is
 exactly the key length.
 
+Exhaustive checks cover all 2^total realizations without a loop over them.
+The zero-error sweep is bit-sliced: bit plane b is a 2^total-bit int whose
+bit w is source bit b of realization w, so for each key bit one broadcast
+and one payload elimination per pivot edge, on planes, decide every word at
+once.  The secrecy table is a per-bit convolution: the (message pattern,
+key) observation is XOR-linear in the realization, so the table follows
+from the observations of the single-bit words.
+
 Two secrecy oracles are kept deliberately separate: the rank oracle (the key
 indicator stays outside the row space over GF(2)) and the exhaustive oracle
-(cell counts of the joint message/key table are flat).  Tests compare them;
-nothing in this module derives one from the other.
+(cell counts of the joint message/key table are flat).  The convolution
+counts cells and never takes a rank.  Tests compare them; nothing in this
+module derives one from the other.
 """
 
 from __future__ import annotations
@@ -86,7 +95,8 @@ class ProtocolRun:
     The recorded realization, messages, per-vertex recoveries, and key always
     come from the seeded sample; with exhaustive=True the zero_error verdict
     quantifies over every realization of the quantized source instead of just
-    the recorded one.
+    the recorded one, and realizations_checked is 2^total (the bit-sliced
+    sweep decides them together, not one by one).
     """
 
     seed: int
@@ -108,6 +118,39 @@ def _check_scheme_matches(h: Hypergraph, scheme: DiscussionScheme) -> None:
         raise SchemeUnverified("scheme edge order does not match the hypergraph")
     if set(scheme.vertices()) != h.vertices:
         raise SchemeUnverified("scheme recovery map does not cover the vertices")
+    if scheme.key_edge not in scheme.edge_order:
+        raise SchemeUnverified(f"key edge {scheme.key_edge!r} is not a scheme column")
+    if any(mask >> scheme.mu for mask in scheme.rows):  # also catches mask < 0
+        raise SchemeUnverified("a scheme row names a column outside the edge order")
+
+
+def _bit_plane(bit: int, total: int) -> int:
+    """The 2^total-bit int whose bit w is bit `bit` of the word w.
+
+    One period (2^bit zeros, then 2^bit ones) is doubled by shift-and-OR
+    until it spans every word, so the cost is linear in the plane length.
+    """
+    half = 1 << bit
+    plane = ((1 << half) - 1) << half
+    span = half << 1
+    while span < 1 << total:
+        plane |= plane << span
+        span <<= 1
+    return plane
+
+
+def _broadcast(rows: tuple[int, ...], trunc: list[int]) -> list[int]:
+    """One message per row: the XOR of the truncations its mask selects."""
+    out = []
+    for mask in rows:
+        acc = 0
+        m = mask
+        while m:
+            low = m & -m
+            acc ^= trunc[low.bit_length() - 1]
+            m ^= low
+        out.append(acc)
+    return out
 
 
 def run(
@@ -126,6 +169,13 @@ def run(
     A scheme failing verification is refused unless allow_unverified is set
     (useful to demonstrate how defective schemes fail); underdetermined
     recoveries then zero their free coordinates.
+
+    With exhaustive=True every realization is checked at once on bit planes,
+    one truncation bit t at a time: bit w of plane t of an edge is bit t of
+    that edge's truncation in realization w.  One broadcast plus one payload
+    elimination per distinct pivot edge then decides bit t of the recovered
+    key for all 2^total words.  The elimination only looks at the row masks,
+    so this is exactly the per-word check, rank-deficient schemes included.
     """
     _check_scheme_matches(h, scheme)
     if not allow_unverified and not verify(scheme).ok:
@@ -134,42 +184,23 @@ def run(
     mu = scheme.mu
     lengths = [n for _, n in shape.edge_lengths]
     key_len = shape.key_length
-    key_mask = (1 << key_len) - 1
     # truncation keeps the leading key_len bits of each edge block
     shifts = [n - key_len for n in lengths]
-    key_idx = scheme.edge_order.index(scheme.key_edge)
-    pivot_idx = {v: scheme.edge_order.index(e) for v, e in scheme.recovery}
+    key_idx = scheme.column(scheme.key_edge)
+    pivot_idx = {v: scheme.column(e) for v, e in scheme.recovery}
+
+    def recover(idx: int, trunc: list[int], msgs: list[int]) -> int:
+        """The key a vertex holding edge column idx solves for."""
+        stacked = list(zip(scheme.rows, msgs))
+        stacked.append((1 << idx, trunc[idx]))
+        values, _ = gf2.solve_with_payload(stacked, mu)
+        return values[key_idx]
 
     rng = random.Random(seed)
     sample = [rng.getrandbits(n) if n else 0 for n in lengths]
-
-    def truncations(blocks: list[int]) -> list[int]:
-        return [b >> s for b, s in zip(blocks, shifts)]
-
-    def broadcast(trunc: list[int]) -> list[int]:
-        out = []
-        for mask in scheme.rows:
-            acc = 0
-            m = mask
-            while m:
-                low = m & -m
-                acc ^= trunc[low.bit_length() - 1]
-                m ^= low
-            out.append(acc)
-        return out
-
-    def recover_all(trunc: list[int], msgs: list[int]) -> dict[str, int]:
-        got: dict[str, int] = {}
-        for v, idx in pivot_idx.items():
-            stacked = [(m, p) for m, p in zip(scheme.rows, msgs)]
-            stacked.append((1 << idx, trunc[idx]))
-            values, _ = gf2.solve_with_payload(stacked, mu)
-            got[v] = values[key_idx]
-        return got
-
-    trunc0 = truncations(sample)
-    msgs0 = broadcast(trunc0)
-    recovered0 = recover_all(trunc0, msgs0)
+    trunc0 = [b >> s for b, s in zip(sample, shifts)]
+    msgs0 = _broadcast(scheme.rows, trunc0)
+    recovered0 = {v: recover(idx, trunc0, msgs0) for v, idx in pivot_idx.items()}
     true_key0 = trunc0[key_idx]
     zero_error = all(k == true_key0 for k in recovered0.values())
     checked = 1
@@ -180,44 +211,20 @@ def run(
             raise StateSpaceTooLarge(
                 f"{total} source bits exceed the exhaustive cap {max_state_bits}"
             )
-        # one selector table per distinct pivot edge; falls back to the
-        # generic solver when the scheme is rank-deficient
-        selector_cache: dict[int, Optional[list[int]]] = {}
-        for idx in set(pivot_idx.values()):
-            stacked = list(scheme.rows) + [1 << idx]
-            selector_cache[idx] = gf2.solve_square(stacked, mu)
-        offsets = []
-        at = 0
-        for n in lengths:
-            offsets.append(at)
-            at += n
-        zero_error = True
         checked = 1 << total
-        for word in range(checked):
-            trunc = [(word >> (offsets[j] + shifts[j])) & key_mask for j in range(mu)]
-            msgs = broadcast(trunc)
-            true_key = trunc[key_idx]
-            for idx in set(pivot_idx.values()):
-                selectors = selector_cache[idx]
-                if selectors is None:
-                    stacked = [(m, p) for m, p in zip(scheme.rows, msgs)]
-                    stacked.append((1 << idx, trunc[idx]))
-                    values, _ = gf2.solve_with_payload(stacked, mu)
-                    got = values[key_idx]
-                else:
-                    rhs = msgs + [trunc[idx]]
-                    sel = selectors[key_idx]
-                    got = 0
-                    s = sel
-                    while s:
-                        low = s & -s
-                        got ^= rhs[low.bit_length() - 1]
-                        s ^= low
-                    got &= key_mask
-                if got != true_key:
-                    zero_error = False
-                    break
-            if not zero_error:
+        # source bit index of each edge's leading (truncated) block
+        starts = []
+        at = 0
+        for n, s in zip(lengths, shifts):
+            starts.append(at + s)
+            at += n
+        pivots = set(pivot_idx.values())
+        zero_error = True
+        for t in range(key_len):
+            planes = [_bit_plane(start + t, total) for start in starts]
+            msgs = _broadcast(scheme.rows, planes)
+            if any(recover(idx, planes, msgs) != planes[key_idx] for idx in pivots):
+                zero_error = False
                 break
 
     return ProtocolRun(
@@ -237,20 +244,27 @@ def run(
 
 
 def secrecy_by_rank(scheme: DiscussionScheme) -> bool:
-    """Perfect secrecy iff the key edge's indicator is outside the row space."""
-    key_bit = 1 << scheme.edge_order.index(scheme.key_edge)
+    """Perfect secrecy iff the key edge's indicator is outside the row space.
+
+    A key edge that is not a scheme column cannot be secret: False.
+    """
+    if scheme.key_edge not in scheme.edge_order:
+        return False
+    key_bit = 1 << scheme.column(scheme.key_edge)
     return gf2.rank_with(scheme.rows, key_bit) == gf2.rank(scheme.rows) + 1
 
 
 @dataclass(frozen=True)
 class SecrecyReport:
-    """Exhaustive joint tabulation of (messages, key) over all realizations.
+    """Exact joint tabulation of (messages, key) over all realizations.
 
     perfect means every message pattern splits the realizations evenly across
     all possible key values, which makes the conditional key entropy equal the
     key length with no logarithms of non-powers-of-two involved.  Entropies
     are in bits; conditional_entropy_bits is None when the slices are not
-    uniform (then no exact rational value exists in general).
+    uniform (then no exact rational value exists in general).  cells lists
+    every nonzero (message pattern, key) count in order when there are at
+    most keep_cells_up_to of them, else it is None.
     """
 
     perfect: bool
@@ -271,7 +285,14 @@ def brute_force_secrecy(
     max_state_bits: int = 20,
     keep_cells_up_to: int = 4096,
 ) -> SecrecyReport:
-    """Enumerate every realization and tabulate (message pattern, key) counts."""
+    """Count every (message pattern, key) cell over all 2^total realizations.
+
+    A realization's observation, packed as fpack << key_len | key, is the
+    XOR of the observations of its set source bits.  So the table starts as
+    {0: 1} and each source bit merges it with its copy XOR-shifted by that
+    bit's flip (or doubles every count when the flip is zero): O(total *
+    cells) dict operations instead of one pass per realization.
+    """
     _check_scheme_matches(h, scheme)
     shape = quantize(h, key_rate)
     total = shape.total_bits()
@@ -282,7 +303,7 @@ def brute_force_secrecy(
     mu = scheme.mu
     key_len = shape.key_length
     key_mask = (1 << key_len) - 1
-    key_idx = scheme.edge_order.index(scheme.key_edge)
+    key_idx = scheme.column(scheme.key_edge)
     lengths = [n for _, n in shape.edge_lengths]
     shifts = [n - key_len for n in lengths]
     offsets = []
@@ -291,33 +312,37 @@ def brute_force_secrecy(
         offsets.append(at)
         at += n
 
-    counts: dict[tuple[int, int], int] = {}
-    key_marginal: dict[int, int] = {}
-    for word in range(1 << total):
+    def observe(word: int) -> int:
         trunc = [(word >> (offsets[j] + shifts[j])) & key_mask for j in range(mu)]
         fpack = 0
-        for r, mask in enumerate(scheme.rows):
-            acc = 0
-            m = mask
-            while m:
-                low = m & -m
-                acc ^= trunc[low.bit_length() - 1]
-                m ^= low
+        for r, acc in enumerate(_broadcast(scheme.rows, trunc)):
             fpack |= acc << (r * key_len)
-        key = trunc[key_idx]
-        counts[(fpack, key)] = counts.get((fpack, key), 0) + 1
-        key_marginal[key] = key_marginal.get(key, 0) + 1
+        return fpack << key_len | trunc[key_idx]
+
+    counts = {0: 1}
+    for bit in range(total):
+        flip = observe(1 << bit)
+        if flip:
+            merged = {x ^ flip: n for x, n in counts.items()}
+            for x, n in counts.items():
+                merged[x] = merged.get(x, 0) + n
+            counts = merged
+        else:
+            counts = {x: 2 * n for x, n in counts.items()}
 
     realizations = 1 << total
     key_values = 1 << key_len
     slices: dict[int, dict[int, int]] = {}
-    for (fpack, key), n in counts.items():
-        slices.setdefault(fpack, {})[key] = n
+    key_marginal: dict[int, int] = {}
+    for packed, n in counts.items():
+        key = packed & key_mask
+        slices.setdefault(packed >> key_len, {})[key] = n
+        key_marginal[key] = key_marginal.get(key, 0) + n
 
     perfect = True
     uniform_support: Optional[int] = None
     regular = True
-    for fpack, table in slices.items():
+    for table in slices.values():
         values = set(table.values())
         if len(values) != 1:
             regular = False
@@ -349,8 +374,12 @@ def brute_force_secrecy(
     cell_list: Optional[tuple[tuple[str, int], ...]] = None
     if len(counts) <= keep_cells_up_to:
         cell_list = tuple(
-            (f"messages={fpack:0{max(1, (mu - 1) * key_len)}b} key={key:0{max(1, key_len)}b}", n)
-            for (fpack, key), n in sorted(counts.items())
+            (
+                f"messages={packed >> key_len:0{max(1, (mu - 1) * key_len)}b} "
+                f"key={packed & key_mask:0{max(1, key_len)}b}",
+                n,
+            )
+            for packed, n in sorted(counts.items())
         )
     return SecrecyReport(
         perfect=perfect,

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperkey import gf2
+from hyperkey import RankDefect, gf2
 
 
 class TestRank:
@@ -37,33 +37,6 @@ class TestRank:
         assert gf2.rank(rows) == gf2.rank(shuffled)
 
 
-class TestSolveSquare:
-    def test_selector_table_inverts_the_system(self):
-        rows = [0b011, 0b110, 0b100]
-        sel = gf2.solve_square(rows, 3)
-        assert sel is not None
-        # for any rhs, x_j = XOR of rhs entries selected by sel[j] solves the system
-        for rhs in range(8):
-            bits = [(rhs >> i) & 1 for i in range(3)]
-            x = [0, 0, 0]
-            for j in range(3):
-                acc = 0
-                for i in range(3):
-                    if sel[j] >> i & 1:
-                        acc ^= bits[i]
-                x[j] = acc
-            for i, mask in enumerate(rows):
-                lhs = 0
-                for j in range(3):
-                    if mask >> j & 1:
-                        lhs ^= x[j]
-                assert lhs == bits[i]
-
-    def test_singular_returns_none(self):
-        assert gf2.solve_square([0b011, 0b011, 0b100], 3) is None
-        assert gf2.solve_square([0b011, 0b110], 3) is None  # not square
-
-
 class TestSolveWithPayload:
     def test_unique_solution_round_trip(self):
         # x0=5, x1=9, x2=12 encoded through three independent equations
@@ -79,7 +52,7 @@ class TestSolveWithPayload:
         assert values == [7, 0]  # column 1 is free, pivot column absorbs the payload
 
     def test_inconsistent_system_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RankDefect):
             gf2.solve_with_payload([(0b01, 1), (0b01, 2)], 2)
 
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))

@@ -65,6 +65,10 @@ class TestAccessors:
         assert h1.min_weight() == 1
         assert h2.min_weight() == 1
 
+    def test_min_weight_of_no_edges_is_a_domain_error(self):
+        with pytest.raises(EmptyResult):
+            Hypergraph("12", []).min_weight()
+
     def test_coverage_entropy(self, h1):
         # H(Z_B) sums the weights of edges meeting B
         assert entropy(h1, "1") == 3  # a and c

@@ -9,6 +9,7 @@ import pytest
 from hyperkey import (
     EmptyVertexSet,
     Hypergraph,
+    HyperkeyError,
     InvalidPartition,
     NotCycleFree,
     Partition,
@@ -343,3 +344,9 @@ class TestChainOrder:
         p = partition_connectivity(h1).fundamental
         chain = chain_order(h1, p, "exactly-one")
         assert set(map(frozenset, chain)) == set(p.blocks)
+
+    def test_unknown_mode_is_a_domain_error(self, h1):
+        # checked up front, so a one-block partition cannot slip past it
+        for p in (Partition.singletons(h1.vertices), Partition.from_blocks([h1.vertices])):
+            with pytest.raises(HyperkeyError):
+                chain_order(h1, p, "at-most-one")

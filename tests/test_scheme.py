@@ -10,6 +10,7 @@ from hyperkey import (
     NotFundamentalBlock,
     NotMCH,
     RowAttribution,
+    SchemeUnverified,
     VertexNotInBlock,
     WeightsNotConvex,
     compose_time_shared,
@@ -150,6 +151,12 @@ class TestVerify:
         report = verify(dataclasses.replace(scheme, key_edge="zz"))
         assert not report.ok and not report.secrecy_ok
         assert report.rank_ok and report.recovery_ok
+
+    def test_column_of_an_unknown_edge_is_a_domain_error(self, h1):
+        scheme, _ = synthesize(h1)
+        assert scheme.column("b") == 1
+        with pytest.raises(SchemeUnverified):
+            scheme.column("zz")
 
 
 class TestRates:

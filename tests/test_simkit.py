@@ -1,19 +1,27 @@
 """Quantization, protocol simulation, the two secrecy oracles, and the
-seed-pinned MCH generator."""
+seed-pinned MCH generator.
+
+The exhaustive sweeps in hyperkey.simkit are bit-sliced; the per-word loops
+below are their test oracles and must give equal results."""
 
 import dataclasses
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hyperkey import (
+    EmptyResult,
     GenerationBudgetExhausted,
+    Hypergraph,
     KeyRateExceedsCapacity,
     NegativeRate,
     SchemeUnverified,
+    SecrecyReport,
     StateSpaceTooLarge,
     brute_force_secrecy,
+    gf2,
     quantize,
     random_mch,
     random_mch_with_stats,
@@ -22,6 +30,147 @@ from hyperkey import (
     synthesize,
 )
 from hyperkey.errors import GroundTooLarge
+
+
+def _layout(h, scheme, key_rate):
+    """Per-edge (offset, shift) of the truncated block, key length, total bits."""
+    shape = quantize(h, key_rate)
+    lengths = [n for _, n in shape.edge_lengths]
+    key_len = shape.key_length
+    offsets = [sum(lengths[:j]) for j in range(len(lengths))]
+    shifts = [n - key_len for n in lengths]
+    return list(zip(offsets, shifts)), key_len, shape.total_bits()
+
+
+def _xor_selected(mask, values):
+    acc = 0
+    for j, value in enumerate(values):
+        if mask >> j & 1:
+            acc ^= value
+    return acc
+
+
+def per_word_zero_error(h, scheme, key_rate):
+    """Oracle for run(exhaustive=True): decode every realization on its own.
+
+    Returns (zero_error, realizations_checked).
+    """
+    layout, key_len, total = _layout(h, scheme, key_rate)
+    key_mask = (1 << key_len) - 1
+    key_idx = scheme.edge_order.index(scheme.key_edge)
+    pivots = {scheme.edge_order.index(e) for _, e in scheme.recovery}
+    for word in range(1 << total):
+        trunc = [(word >> (o + s)) & key_mask for o, s in layout]
+        msgs = [_xor_selected(mask, trunc) for mask in scheme.rows]
+        for idx in pivots:
+            stacked = list(zip(scheme.rows, msgs)) + [(1 << idx, trunc[idx])]
+            values, _ = gf2.solve_with_payload(stacked, scheme.mu)
+            if values[key_idx] != trunc[key_idx]:
+                return False, 1 << total
+    return True, 1 << total
+
+
+def per_word_secrecy(h, scheme, key_rate, keep_cells_up_to=4096):
+    """Oracle for brute_force_secrecy: tabulate every realization on its own."""
+    layout, key_len, total = _layout(h, scheme, key_rate)
+    key_mask = (1 << key_len) - 1
+    key_idx = scheme.edge_order.index(scheme.key_edge)
+    counts: dict[tuple[int, int], int] = {}
+    for word in range(1 << total):
+        trunc = [(word >> (o + s)) & key_mask for o, s in layout]
+        fpack = 0
+        for r, mask in enumerate(scheme.rows):
+            fpack |= _xor_selected(mask, trunc) << (r * key_len)
+        cell = (fpack, trunc[key_idx])
+        counts[cell] = counts.get(cell, 0) + 1
+    slices: dict[int, dict[int, int]] = {}
+    for (fpack, key), n in counts.items():
+        slices.setdefault(fpack, {})[key] = n
+
+    perfect = True
+    regular = True
+    uniform_support: Optional[int] = None
+    for table in slices.values():
+        if len(set(table.values())) != 1:
+            regular = perfect = False
+            break
+        if uniform_support is None:
+            uniform_support = len(table)
+        elif uniform_support != len(table):
+            regular = perfect = False
+            break
+        if len(table) != 1 << key_len:
+            perfect = False
+    conditional = None
+    if regular and uniform_support is not None:
+        bits = uniform_support.bit_length() - 1
+        if 1 << bits == uniform_support:
+            conditional = Fraction(bits)
+    elif key_len == 0:
+        conditional = Fraction(0)
+
+    cells = None
+    if len(counts) <= keep_cells_up_to:
+        width = max(1, (scheme.mu - 1) * key_len)
+        cells = tuple(
+            (f"messages={fpack:0{width}b} key={key:0{max(1, key_len)}b}", n)
+            for (fpack, key), n in sorted(counts.items())
+        )
+    return SecrecyReport(
+        perfect=perfect,
+        key_entropy_bits=Fraction(key_len),
+        conditional_entropy_bits=conditional,
+        realizations=1 << total,
+        message_patterns=len(slices),
+        min_cell=min(counts.values()),
+        max_cell=max(counts.values()),
+        cells=cells,
+    )
+
+
+def leaky(scheme):
+    """The scheme plus one row that broadcasts the key edge itself."""
+    return dataclasses.replace(
+        scheme,
+        rows=scheme.rows + (1 << scheme.column(scheme.key_edge),),
+        attributions=scheme.attributions + scheme.attributions[:1],
+    )
+
+
+def row_dropped(scheme, keep=slice(0, 1)):
+    """The scheme with only the rows in keep (default: the first): rank
+    deficient, and with keep=slice(-1, None) on H1 two source bits share one
+    nonzero observation, which the secrecy convolution must merge."""
+    return dataclasses.replace(
+        scheme, rows=scheme.rows[keep], attributions=scheme.attributions[keep]
+    )
+
+
+def assert_sweeps_match_oracles(h, scheme, key_rate, keep_cells_up_to=4096):
+    r = run(h, scheme, key_rate, seed=7, exhaustive=True, allow_unverified=True)
+    assert (r.zero_error, r.realizations_checked) == per_word_zero_error(
+        h, scheme, key_rate
+    )
+    assert brute_force_secrecy(
+        h, scheme, key_rate, keep_cells_up_to=keep_cells_up_to
+    ) == per_word_secrecy(h, scheme, key_rate, keep_cells_up_to)
+
+
+# random MCHs whose quantized sources stay small enough for the per-word oracles
+ORACLE_BITS = 12
+RANDOM_SHAPES = [(2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 3), (6, 4), (7, 4)]
+
+
+def _random_cases():
+    cases = []
+    for n, m in RANDOM_SHAPES:
+        for seed in range(3):
+            g = random_mch(n, m, 3, seed=seed)
+            cap = g.min_weight()
+            for rate in sorted({Fraction(0), cap / 2, Fraction(1), cap}):
+                if quantize(g, rate).total_bits() <= ORACLE_BITS:
+                    cases.append(pytest.param(g, rate, id=f"{n}v{m}e-s{seed}-r{rate}"))
+    return cases
 
 
 class TestQuantize:
@@ -53,6 +202,10 @@ class TestQuantize:
             quantize(h1, Fraction(-1))
         with pytest.raises(KeyRateExceedsCapacity):
             quantize(h1, Fraction(3, 2))
+
+    def test_edgeless_source_is_a_domain_error(self):
+        with pytest.raises(EmptyResult):
+            quantize(Hypergraph("12", []), Fraction(1))
 
 
 class TestRun:
@@ -161,6 +314,90 @@ class TestSecrecyOracles:
         rep = brute_force_secrecy(h1, leak, Fraction(1))
         assert not rep.perfect
         assert rep.conditional_entropy_bits == 0  # the extra row reveals the key
+
+
+class TestSweepsMatchPerWordOracles:
+    @pytest.mark.parametrize("name", ["h1", "h2", "h3", "h5", "single_edge"])
+    @pytest.mark.parametrize("key_rate", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    def test_fixtures(self, request, name, key_rate):
+        h = request.getfixturevalue(name)
+        scheme, _ = synthesize(h)
+        assert_sweeps_match_oracles(h, scheme, key_rate)
+
+    @pytest.mark.parametrize("name", ["h1", "h2", "h5"])
+    def test_leaky_and_row_dropped_schemes(self, request, name):
+        h = request.getfixturevalue(name)
+        scheme, _ = synthesize(h)
+        for bad in (leaky(scheme), row_dropped(scheme), row_dropped(scheme, slice(-1, None))):
+            for key_rate in (Fraction(0), Fraction(1)):
+                assert_sweeps_match_oracles(h, bad, key_rate)
+
+    @pytest.mark.parametrize("h, key_rate", _random_cases())
+    def test_random_mchs(self, h, key_rate):
+        scheme, _ = synthesize(h)
+        assert_sweeps_match_oracles(h, scheme, key_rate)
+        assert_sweeps_match_oracles(h, scheme, key_rate, keep_cells_up_to=3)
+
+    @pytest.mark.parametrize("weight, key_rate", [(1, 1), (3, 2), (3, 0), (4, 3)])
+    def test_one_edge_source(self, weight, key_rate):
+        h = Hypergraph("12", [("a", "12", weight)])
+        scheme, _ = synthesize(h)
+        assert scheme.rows == ()
+        assert_sweeps_match_oracles(h, scheme, Fraction(key_rate))
+
+
+class TestTwentyBitCap:
+    def test_two_edge_path_at_rate_ten(self):
+        h = Hypergraph("123", [("a", "12", 10), ("b", "23", 10)])
+        scheme, _ = synthesize(h)
+        r = run(h, scheme, Fraction(10), exhaustive=True)
+        assert r.zero_error and r.realizations_checked == 2**20
+        rep = brute_force_secrecy(h, scheme, Fraction(10))
+        assert rep.perfect and rep.realizations == 2**20
+        assert rep.message_patterns == 1024
+        assert (rep.min_cell, rep.max_cell) == (1, 1)
+        assert rep.conditional_entropy_bits == 10
+        assert rep.cells is None  # 2^20 cells exceed keep_cells_up_to
+
+    def test_four_edge_path_at_rate_one(self):
+        h = Hypergraph("12345", [(e, m, 5) for e, m in zip("abcd", ["12", "23", "34", "45"])])
+        scheme, _ = synthesize(h)
+        r = run(h, scheme, Fraction(1), exhaustive=True)
+        assert r.zero_error and r.realizations_checked == 2**20
+        rep = brute_force_secrecy(h, scheme, Fraction(1))
+        assert rep.perfect and rep.realizations == 2**20
+        assert rep.message_patterns == 8
+        assert (rep.min_cell, rep.max_cell) == (65536, 65536)
+        assert rep.conditional_entropy_bits == 1
+        assert len(rep.cells) == 16
+
+
+class TestSchemeMismatch:
+    def test_unknown_key_edge(self, h1):
+        scheme, _ = synthesize(h1)
+        stray = dataclasses.replace(scheme, key_edge="zz")
+        with pytest.raises(SchemeUnverified):
+            run(h1, stray, Fraction(1), allow_unverified=True)
+        with pytest.raises(SchemeUnverified):
+            brute_force_secrecy(h1, stray, Fraction(1))
+        assert secrecy_by_rank(stray) is False
+
+    def test_unknown_pivot_edge(self, h1):
+        scheme, _ = synthesize(h1)
+        stray = dataclasses.replace(
+            scheme, recovery=tuple((v, "zz") for v, _ in scheme.recovery)
+        )
+        with pytest.raises(SchemeUnverified):
+            run(h1, stray, Fraction(1), allow_unverified=True)
+
+    def test_row_outside_the_edge_order(self, h1):
+        scheme, _ = synthesize(h1)
+        for mask in (0b1001, -1):
+            wide = dataclasses.replace(scheme, rows=scheme.rows[:1] + (mask,))
+            with pytest.raises(SchemeUnverified):
+                run(h1, wide, Fraction(1), exhaustive=True, allow_unverified=True)
+            with pytest.raises(SchemeUnverified):
+                brute_force_secrecy(h1, wide, Fraction(1))
 
 
 class TestRandomMCH:
