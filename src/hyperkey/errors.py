@@ -35,7 +35,8 @@ class HyperkeyError(Exception):
 
 
 class UnknownVertex(HyperkeyError):
-    """A vertex id was used that is not part of the hypergraph."""
+    """A vertex or edge id was used that is not part of the hypergraph (or of
+    the partition or rate vector) it was looked up in."""
 
 
 class EmptyVertexSet(HyperkeyError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DuplicateEdgeId,
@@ -74,9 +74,12 @@ class BergeCycle:
         interior = vs[:-1]
         if len(set(interior)) != len(interior) or len(set(es)) != len(es):
             return False
+        by_id = h._by_id
         for j, eid in enumerate(es):
-            members = h.edge(eid).members
-            if vs[j] not in members or vs[j + 1] not in members:
+            edge = by_id.get(eid)
+            if edge is None:
+                return False
+            if vs[j] not in edge.members or vs[j + 1] not in edge.members:
                 return False
         return True
 
@@ -145,7 +148,7 @@ class Hypergraph:
         try:
             return self._by_id[eid]
         except KeyError:
-            raise KeyError(f"no edge with id {eid!r}") from None
+            raise UnknownVertex(f"no edge with id {eid!r}") from None
 
     @property
     def _by_id(self) -> dict[str, Edge]:
@@ -186,6 +189,17 @@ class Hypergraph:
         if not cset:
             return 0
         return sum(1 for e in self.edges if not e.members.isdisjoint(cset))
+
+    def removal_component_count(self, c: Iterable[str]) -> int:
+        """remove_vertices(c).component_count(), without building the
+        remainder (one _search with c removed).  Raises what remove_vertices
+        raises."""
+        cset = self._check_subset(c)
+        if not cset:
+            return self.component_count()
+        if len(cset) == len(self.vertices):
+            raise EmptyResult("removing every vertex leaves no hypergraph")
+        return sum(1 for _ in self._search(cset))
 
     def remove_vertices(self, c: Iterable[str]) -> "Hypergraph":
         """Drop the vertices in c, intersect member sets, drop emptied edges."""
@@ -255,28 +269,33 @@ class Hypergraph:
     def components(self) -> tuple[frozenset[str], ...]:
         """Connected components, sorted by their smallest member."""
         cache = self._cache
-        if "components" in cache:
-            return cache["components"]
+        if "components" not in cache:
+            cache["components"] = tuple(
+                frozenset(comp) for comp in self._search(frozenset())
+            )
+        return cache["components"]
+
+    def _search(self, removed: frozenset[str]) -> Iterator[set[str]]:
+        """Components of h minus removed, by smallest member: one search over
+        the cached incidence table, with removed marked as seen in advance
+        so its vertices neither start nor relay a component."""
         incident = self._incident
-        seen: set[str] = set()
-        out: list[frozenset[str]] = []
+        seen = set(removed)
         for start in sorted(self.vertices):
             if start in seen:
                 continue
-            comp: set[str] = {start}
+            comp = {start}
+            seen.add(start)
             queue = [start]
             while queue:
                 v = queue.pop()
                 for e in incident[v]:
                     for u in e.members:
-                        if u not in comp:
+                        if u not in seen:
+                            seen.add(u)
                             comp.add(u)
                             queue.append(u)
-            seen |= comp
-            out.append(frozenset(comp))
-        result = tuple(out)
-        cache["components"] = result
-        return result
+            yield comp
 
     def component_count(self) -> int:
         return len(self.components())
@@ -524,7 +543,8 @@ def removal_component_counts(
     Returns (order, counts) where order is the sorted tuple of base vertices
     and counts[mask] is the number of components of h after removing the
     subset selected by mask's bits over that order; counts[0] is the
-    component count of h itself.  Requires base != vertices.
+    component count of h itself.  Requires base != vertices.  Each count is
+    one Hypergraph.removal_component_count search; nothing is rebuilt.
     """
     from .errors import GroundTooLarge
 
@@ -538,5 +558,5 @@ def removal_component_counts(
     counts: list[int] = []
     for mask in range(1 << len(order)):
         drop = frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
-        counts.append(h.remove_vertices(drop).component_count())
+        counts.append(h.removal_component_count(drop))
     return order, counts

@@ -105,7 +105,7 @@ class Partition:
         for b in self.blocks:
             if v in b:
                 return b
-        raise KeyError(v)
+        raise UnknownVertex(f"vertex {v!r} is in no block")
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self sits inside a block of other."""
@@ -228,6 +228,23 @@ def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerS
     return _minimizer_sweep(h, weights, 12)
 
 
+def _scaled_edge_masks(
+    h: Hypergraph, elems: list[str], edge_weights: Iterable[Fraction]
+) -> tuple[list[tuple[int, int]], int]:
+    """([(member bitmask over elems, weight * L) per edge], L), with L the lcm
+    of the weights' denominators, so every scaled weight is an exact int."""
+    weights = tuple(edge_weights)
+    scale = 1
+    for w in weights:
+        scale = scale * w.denominator // gcd(scale, w.denominator)
+    index = {v: i for i, v in enumerate(elems)}
+    masks = [
+        (sum(1 << index[v] for v in e.members), int(w * scale))
+        for e, w in zip(h.edges, weights)
+    ]
+    return masks, scale
+
+
 @lru_cache(maxsize=1024)
 def _minimizer_sweep(
     h: Hypergraph, edge_weights: tuple[Fraction, ...], max_ground: int
@@ -248,14 +265,7 @@ def _minimizer_sweep(
         raise GroundTooLarge(
             f"partition enumeration over {n} elements exceeds cap {max_ground}"
         )
-    index = {v: i for i, v in enumerate(elems)}
-    scale = 1
-    for w in edge_weights:
-        scale = scale * w.denominator // gcd(scale, w.denominator)
-    weighted_masks = [
-        (sum(1 << index[v] for v in e.members), int(w * scale))
-        for e, w in zip(h.edges, edge_weights)
-    ]
+    weighted_masks, scale = _scaled_edge_masks(h, elems, edge_weights)
 
     best_num: Optional[int] = None
     best_den = 1

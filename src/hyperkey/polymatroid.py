@@ -66,7 +66,7 @@ def rank(fn: RankFunction, b: Iterable[str]) -> Fraction:
             f"{sorted(bset - fn.block)} lies outside the block {sorted(fn.block)}"
         )
     h = fn.hypergraph
-    return (h.remove_vertices(bset).component_count() - 1) * fn.key_rate
+    return (h.removal_component_count(bset) - 1) * fn.key_rate
 
 
 def _subset_table(fn: RankFunction, *, max_block: int) -> tuple[tuple[str, ...], list[Fraction]]:
@@ -162,7 +162,7 @@ class ExtremePoint:
         for name, r in self.rates:
             if name == v:
                 return r
-        raise KeyError(v)
+        raise UnknownVertex(f"extreme point has no rate for vertex {v!r}")
 
     def rates_map(self) -> dict[str, Fraction]:
         return dict(self.rates)
@@ -181,7 +181,7 @@ def extreme_point_for_order(
     prev = Fraction(0)
     for v in seq:
         prefix.add(v)
-        value = (h.remove_vertices(prefix).component_count() - 1) * fn.key_rate
+        value = (h.removal_component_count(prefix) - 1) * fn.key_rate
         rates[v] = value - prev
         prev = value
     return ExtremePoint(order=seq, rates=tuple(sorted(rates.items())))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .capacity import (
     in_region,
@@ -19,7 +19,13 @@ from .capacity import (
     unconstrained_capacity,
 )
 from .hypergraph import Hypergraph
-from .partitions import Partition, enumerate_minimizers, mmi, partition_connectivity
+from .partitions import (
+    Partition,
+    _scaled_edge_masks,
+    enumerate_minimizers,
+    mmi,
+    partition_connectivity,
+)
 from .polymatroid import RankFunction, extreme_point_for_order, verify_contra_polymatroid
 from .scheme import rates_of, synthesize, verify
 from .simkit import brute_force_secrecy, quantize, run, secrecy_by_rank
@@ -39,7 +45,8 @@ def lemma_violations(
     Covers: the component/degree identities over fundamental blocks, the
     hypertree shape of the merged hypergraph, the incident-restriction degree
     laws, per-block supermodularity, redundancy of constraints on arbitrary
-    vertex sets (sampled), entropy monotonicity/submodularity, and agreement
+    vertex sets (sampled), entropy monotonicity/submodularity (an exact scan
+    of the coverage table over integer-scaled weights), and agreement
     of the weighted capacity formula with the brute-force partition minimum,
     plus the fast-path law of _fast_path_violations.  check_prop2
     additionally brute-forces the maximal-subset characterization of
@@ -63,7 +70,7 @@ def lemma_violations(
     for block in fundamental.blocks:
         d = h.degree(block)
         degree_sum += d - 1
-        k = h.remove_vertices(block).component_count()
+        k = h.removal_component_count(block)
         if k != d:
             bad.append(
                 f"block {sorted(block)}: component count {k} != degree {d}"
@@ -160,12 +167,12 @@ def _redundancy_violations(
     for _ in range(samples):
         size = rng.randrange(1, len(names))
         b = frozenset(rng.sample(names, size))
-        whole = h.remove_vertices(b).component_count() - 1
+        whole = h.removal_component_count(b) - 1
         parts = 0
         for block in fundamental.blocks:
             trace = b & block
             if trace:
-                parts += h.remove_vertices(trace).component_count() - 1
+                parts += h.removal_component_count(trace) - 1
         if whole > parts:
             bad.append(
                 f"defect {whole} of {sorted(b)} exceeds blockwise sum {parts}"
@@ -174,30 +181,42 @@ def _redundancy_violations(
 
 
 def _entropy_shape_violations(h: Hypergraph) -> list[str]:
-    """Coverage entropy is monotone and submodular; checked exhaustively."""
-    order = sorted(h.vertices)
-    n = len(order)
-    if n > 10:
+    """Coverage entropy is monotone and submodular; checked exhaustively.
+
+    The scan runs over integer-scaled weights (see _coverage_table), so
+    every comparison is exact and no Fraction is built per subset.
+    """
+    if len(h.vertices) > 10:
         return []
-    masks = []
-    for e in h.edges:
-        m = 0
-        for i, v in enumerate(order):
-            if v in e.members:
-                m |= 1 << i
-        masks.append((m, e.weight))
-    values = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        values[mask] = sum(
-            (w for m, w in masks if m & mask), Fraction(0)
-        )
-    for mask in range(1 << n):
+    return _table_shape_violations(*_coverage_table(h))
+
+
+def _coverage_table(h: Hypergraph) -> tuple[list[str], list[int]]:
+    """(order, values) with values[mask] = L times the coverage entropy of the
+    vertices selected by mask over order, L being the lcm of the weights'
+    denominators.  A positive scale keeps both laws and every comparison."""
+    order = sorted(h.vertices)
+    masks, _ = _scaled_edge_masks(h, order, (e.weight for e in h.edges))
+    values = [0] * (1 << len(order))
+    for mask in range(1, 1 << len(order)):
+        values[mask] = sum(w for m, w in masks if m & mask)
+    return order, values
+
+
+def _table_shape_violations(order: Sequence[str], values: Sequence[int]) -> list[str]:
+    """First monotonicity violation (masks ascending, then elements), else
+    first submodularity violation over pairs s <= t, of a set function given
+    as a 2^len(order) table; [] when both laws hold."""
+    n = len(order)
+    full = 1 << n
+    for mask in range(full):
         for i in range(n):
             if not mask >> i & 1 and values[mask | 1 << i] < values[mask]:
                 return [f"entropy not monotone at mask {mask} plus {order[i]!r}"]
-    for s in range(1 << n):
-        for t in range(s, 1 << n):
-            if values[s] + values[t] < values[s | t] + values[s & t]:
+    for s in range(full):
+        vs = values[s]
+        for t in range(s, full):
+            if vs + values[t] < values[s | t] + values[s & t]:
                 return [f"entropy not submodular at masks {s}, {t}"]
     return []
 
@@ -275,10 +294,9 @@ def scheme_round_trip_violations(
                 b = frozenset(combo)
                 if len(b) >= len(h.vertices) - 1:
                     continue
-                remainder = h.remove_vertices(b)
-                if remainder.component_count() < 2:
+                if h.removal_component_count(b) < 2:
                     continue
-                p = Partition.from_blocks(remainder.components())
+                p = Partition.from_blocks(h.remove_vertices(b).components())
                 deficit = outer_bound_deficit(h, rates, b, p)
                 if deficit < 0:
                     bad.append(

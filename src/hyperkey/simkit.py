@@ -289,9 +289,11 @@ def brute_force_secrecy(
 
     A realization's observation, packed as fpack << key_len | key, is the
     XOR of the observations of its set source bits.  So the table starts as
-    {0: 1} and each source bit merges it with its copy XOR-shifted by that
-    bit's flip (or doubles every count when the flip is zero): O(total *
-    cells) dict operations instead of one pass per realization.
+    {0: 1} and each source bit adds to it, in place, its copy XOR-shifted by
+    that bit's flip (or doubles every count when the flip is zero): O(total *
+    cells) dict operations instead of one pass per realization, with one
+    table alive.  One more pass keeps, per message pattern, the number of
+    keys it occurs with and its smallest and largest cell.
     """
     _check_scheme_matches(h, scheme)
     shape = quantize(h, key_rate)
@@ -323,40 +325,43 @@ def brute_force_secrecy(
     for bit in range(total):
         flip = observe(1 << bit)
         if flip:
-            merged = {x ^ flip: n for x, n in counts.items()}
-            for x, n in counts.items():
-                merged[x] = merged.get(x, 0) + n
-            counts = merged
+            # each pair {x, x ^ flip} ends with the sum of its two old
+            # counts; a partner missing before the pass is added only here
+            for x in tuple(counts):
+                y = x ^ flip
+                n = counts.get(y)
+                if n is None:
+                    counts[y] = counts[x]
+                elif x < y:
+                    counts[x] = counts[y] = counts[x] + n
         else:
-            counts = {x: 2 * n for x, n in counts.items()}
+            for x in counts:
+                counts[x] *= 2
 
     realizations = 1 << total
     key_values = 1 << key_len
-    slices: dict[int, dict[int, int]] = {}
+    # message pattern -> [keys it occurs with, smallest cell, largest cell]
+    patterns: dict[int, list[int]] = {}
     key_marginal: dict[int, int] = {}
     for packed, n in counts.items():
         key = packed & key_mask
-        slices.setdefault(packed >> key_len, {})[key] = n
         key_marginal[key] = key_marginal.get(key, 0) + n
+        stats = patterns.get(packed >> key_len)
+        if stats is None:
+            patterns[packed >> key_len] = [1, n, n]
+        else:
+            stats[0] += 1
+            if n < stats[1]:
+                stats[1] = n
+            elif n > stats[2]:
+                stats[2] = n
 
-    perfect = True
-    uniform_support: Optional[int] = None
-    regular = True
-    for table in slices.values():
-        values = set(table.values())
-        if len(values) != 1:
-            regular = False
-            perfect = False
-            break
-        support = len(table)
-        if uniform_support is None:
-            uniform_support = support
-        elif uniform_support != support:
-            regular = False
-            perfect = False
-            break
-        if support != key_values:
-            perfect = False
+    # regular: every pattern's slice is flat over one common number of keys
+    supports = {support for support, _, _ in patterns.values()}
+    regular = len(supports) == 1 and all(
+        lo == hi for _, lo, hi in patterns.values()
+    )
+    perfect = regular and supports == {key_values}
 
     # the key is a truncation of one uniform block, so its marginal is flat
     assert len(key_marginal) == key_values
@@ -364,9 +369,10 @@ def brute_force_secrecy(
     key_entropy = Fraction(key_len)
 
     conditional: Optional[Fraction] = None
-    if regular and uniform_support is not None:
-        bits = uniform_support.bit_length() - 1
-        if 1 << bits == uniform_support:
+    if regular:
+        (support,) = supports
+        bits = support.bit_length() - 1
+        if 1 << bits == support:
             conditional = Fraction(bits)
     elif key_len == 0:
         conditional = Fraction(0)
@@ -386,7 +392,7 @@ def brute_force_secrecy(
         key_entropy_bits=key_entropy,
         conditional_entropy_bits=conditional,
         realizations=realizations,
-        message_patterns=len(slices),
+        message_patterns=len(patterns),
         min_cell=min(counts.values()),
         max_cell=max(counts.values()),
         cells=cell_list,

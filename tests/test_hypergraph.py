@@ -1,6 +1,8 @@
 """Hypergraph construction, predicates, and the vertex/edge operations."""
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -68,6 +70,10 @@ class TestAccessors:
     def test_min_weight_of_no_edges_is_a_domain_error(self):
         with pytest.raises(EmptyResult):
             Hypergraph("12", []).min_weight()
+
+    def test_unknown_edge_id_is_a_domain_error(self, h1):
+        with pytest.raises(UnknownVertex):
+            h1.edge("zz")
 
     def test_coverage_entropy(self, h1):
         # H(Z_B) sums the weights of edges meeting B
@@ -146,6 +152,86 @@ class TestOperations:
             removal_component_counts(h5, h5.vertices, max_base=5)
 
 
+def _subsets(names):
+    return [
+        [names[i] for i in range(len(names)) if mask >> i & 1]
+        for mask in range(1 << len(names))
+    ]
+
+
+def _assert_counts_match_rebuild(h):
+    """removal_component_count equals the rebuilt remainder's count on every
+    proper subset, and raises EmptyResult on the full vertex set."""
+    names = sorted(h.vertices)
+    for c in _subsets(names)[:-1]:
+        assert h.removal_component_count(c) == h.remove_vertices(c).component_count(), (
+            sorted((e.id, sorted(e.members)) for e in h.edges),
+            c,
+        )
+    with pytest.raises(EmptyResult):
+        h.removal_component_count(names)
+
+
+def _random_hypergraph(rng, n, m):
+    """Any shape: loops, parallel edges, isolated vertices, disconnected."""
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for j in range(m):
+        if edges and rng.random() < 0.15:
+            members = set(edges[rng.randrange(len(edges))][1])  # parallel
+        elif rng.random() < 0.2:
+            members = {rng.choice(names)}  # loop
+        else:
+            members = set(rng.sample(names, rng.randint(1, n)))
+        edges.append((f"e{j}", members, 1))
+    return Hypergraph(names, edges)
+
+
+class TestRemovalComponentCount:
+    def test_census_instances_match_the_rebuild(self):
+        """Every census instance (criterion 9: |V| <= 5, |E| <= 4, member
+        sets with repetition) with |V| <= 4, and every 25th with |V| = 5."""
+        checked = 0
+        for n in (2, 3, 4, 5):
+            names = [str(i + 1) for i in range(n)]
+            member_sets = _subsets(names)
+            for m in range(5):
+                for k, combo in enumerate(
+                    combinations_with_replacement(range(1, 1 << n), m)
+                ):
+                    if n == 5 and k % 25:
+                        continue
+                    checked += 1
+                    _assert_counts_match_rebuild(Hypergraph(
+                        names,
+                        [(f"e{j}", member_sets[mask], 1) for j, mask in enumerate(combo)],
+                    ))
+        assert checked == 6339
+
+    def test_random_hypergraphs_of_any_shape_match_the_rebuild(self):
+        rng = random.Random(3)
+        shapes = {"loop": 0, "parallel": 0, "isolated": 0, "not_mch": 0}
+        for _ in range(300):
+            h = _random_hypergraph(rng, rng.randint(1, 8), rng.randint(0, 6))
+            _assert_counts_match_rebuild(h)
+            shapes["loop"] += bool(h.loop_edges())
+            shapes["parallel"] += len({e.members for e in h.edges}) < len(h.edges)
+            shapes["isolated"] += bool(h.vertices - {v for e in h.edges for v in e.members})
+            shapes["not_mch"] += len(h.vertices) > 1 and not h.is_mch()
+        assert min(shapes.values()) >= 30, shapes
+
+    def test_errors_match_remove_vertices(self, h1):
+        for c, error in ((["1", "zz"], UnknownVertex), (h1.vertices, EmptyResult)):
+            for call in (h1.remove_vertices, h1.removal_component_count):
+                with pytest.raises(error):
+                    call(c)
+
+    def test_empty_set_gives_the_component_count(self, h1):
+        split = Hypergraph("1234", [("a", "12", 1)])
+        for h in (h1, split):
+            assert h.removal_component_count([]) == h.component_count()
+
+
 class TestCycles:
     def test_h1_has_a_triangle_cycle(self, h1):
         cyc = h1.find_berge_cycle()
@@ -169,6 +255,9 @@ class TestCycles:
         assert not BergeCycle(("1", "2", "3", "2"), ("a", "b", "b")).is_valid_in(h1)
         # edge 'c' does not contain vertex 2
         assert not BergeCycle(("1", "2", "3", "1"), ("a", "c", "b")).is_valid_in(h1)
+
+    def test_is_valid_in_rejects_an_unknown_edge_id(self, h1):
+        assert not BergeCycle(("1", "2", "3", "1"), ("a", "zz", "c")).is_valid_in(h1)
 
 
 class TestPredicates:

@@ -13,6 +13,7 @@ from hyperkey import (
     InvalidPartition,
     NotCycleFree,
     Partition,
+    UnknownVertex,
     chain_order,
     crossing_count,
     enumerate_minimizers,
@@ -43,6 +44,10 @@ class TestPartition:
         assert s.refines(p)
         assert not p.refines(s)
         assert p.block_of("a") == frozenset("ab")
+
+    def test_block_of_an_unknown_vertex_is_a_domain_error(self):
+        with pytest.raises(UnknownVertex):
+            Partition.from_blocks([{"a", "b"}, {"c"}]).block_of("d")
 
     def test_common_refinement_is_the_meet(self):
         p = Partition.from_blocks([{"1", "2"}, {"3", "4"}])

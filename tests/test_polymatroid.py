@@ -89,6 +89,11 @@ class TestExtremePoints:
         ep = extreme_point_for_order(fn1, "321")
         assert ep.order == ("3", "2", "1")
         assert dict(ep.rates) == {"1": 1, "2": 1, "3": 0}
+        assert ep.rate("2") == 1
+
+    def test_rate_of_a_vertex_outside_the_block_is_a_domain_error(self, fn1):
+        with pytest.raises(UnknownVertex):
+            extreme_point_for_order(fn1, "123").rate("4")
 
     def test_singleton_block(self, h1):
         fn = RankFunction(h1, frozenset("4"), Fraction(1))

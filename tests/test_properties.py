@@ -1,12 +1,15 @@
 """Bundled structure validators: lemma identities and scheme round trips."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from hyperkey import (
     ConnectivityReport,
+    Hypergraph,
     NotMCH,
     Partition,
     lemma_violations,
@@ -14,6 +17,95 @@ from hyperkey import (
     require_mch,
     scheme_round_trip_violations,
 )
+from hyperkey.properties import (
+    _coverage_table,
+    _entropy_shape_violations,
+    _table_shape_violations,
+)
+
+
+def fraction_coverage_table(h):
+    """Coverage entropy of every vertex subset as a Fraction sum, with the
+    subset encoded as a bitmask over the sorted vertices."""
+    order = sorted(h.vertices)
+    n = len(order)
+    masks = []
+    for e in h.edges:
+        m = 0
+        for i, v in enumerate(order):
+            if v in e.members:
+                m |= 1 << i
+        masks.append((m, e.weight))
+    values = [Fraction(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        values[mask] = sum((w for m, w in masks if m & mask), Fraction(0))
+    return order, values
+
+
+def fraction_shape_violations(order, values):
+    """Oracle: the monotone and pairwise submodular scan on Fraction values,
+    as it ran before the table was scaled to integers."""
+    n = len(order)
+    for mask in range(1 << n):
+        for i in range(n):
+            if not mask >> i & 1 and values[mask | 1 << i] < values[mask]:
+                return [f"entropy not monotone at mask {mask} plus {order[i]!r}"]
+    for s in range(1 << n):
+        for t in range(s, 1 << n):
+            if values[s] + values[t] < values[s | t] + values[s & t]:
+                return [f"entropy not submodular at masks {s}, {t}"]
+    return []
+
+
+def _random_weighted_hypergraph(rng, max_vertices):
+    """Any shape, weights with denominators 1-6."""
+    n = rng.randint(1, max_vertices)
+    names = [f"v{i}" for i in range(n)]
+    return Hypergraph(
+        names,
+        [
+            (
+                f"e{j}",
+                rng.sample(names, rng.randint(1, n)),
+                Fraction(rng.randint(1, 12), rng.randint(1, 6)),
+            )
+            for j in range(rng.randint(0, 6))
+        ],
+    )
+
+
+class TestEntropyScan:
+    def test_integer_table_is_the_scaled_fraction_table(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            h = _random_weighted_hypergraph(rng, 8)
+            order, ints = _coverage_table(h)
+            scale = lcm(*(e.weight.denominator for e in h.edges))
+            expected_order, fractions = fraction_coverage_table(h)
+            assert order == expected_order
+            assert [Fraction(v, scale) for v in ints] == fractions
+            assert _entropy_shape_violations(h) == []
+            assert fraction_shape_violations(order, fractions) == []
+
+    def test_broken_tables_give_the_oracle_message(self):
+        """One entry raised or lowered: both scans report the same first
+        violation, and both kinds of message occur."""
+        rng = random.Random(8)
+        kinds = Counter()
+        for _ in range(400):
+            h = _random_weighted_hypergraph(rng, 6)
+            order, ints = _coverage_table(h)
+            _, fractions = fraction_coverage_table(h)
+            scale = lcm(*(e.weight.denominator for e in h.edges))
+            k = rng.randrange(len(ints))
+            delta = rng.choice([-2, -1, 1, 2])
+            ints[k] += delta
+            fractions[k] += Fraction(delta, scale)
+            found = _table_shape_violations(order, ints)
+            assert found == fraction_shape_violations(order, fractions)
+            kinds[found[0].split(" at ")[0] if found else "clean"] += 1
+        assert kinds["entropy not monotone"] >= 25, kinds
+        assert kinds["entropy not submodular"] >= 25, kinds
 
 
 class TestRequireMCH:
