@@ -130,7 +130,8 @@ class NonpositiveWeight(HyperkeyError):
 
 
 class ParseError(HyperkeyError):
-    """A document could not be parsed; carries a 1-based line and column."""
+    """A document could not be parsed (with its 1-based line and column), or
+    a hypergraph has an id that the .hg format cannot write."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line

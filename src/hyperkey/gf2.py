@@ -1,70 +1,53 @@
-"""Tiny exact linear algebra over GF(2) on int bitmasks.
+"""Exact linear algebra over GF(2) on int bitmasks: one reduction.
 
-A row is a Python int whose bit j is the coefficient of column j.  Payload
-variants carry an extra int per row (an opaque bit block) that is XOR-combined
-alongside the mask, which is all Gaussian elimination needs here.
+A row is a (mask, payload) pair: bit j of the int mask is the coefficient of
+column j, and the payload is an opaque bit block (a right-hand side) that is
+XOR-combined alongside the mask.  Every question the package asks of a row
+set (its rank, whether a unit vector lies in its span, the solution of a
+system) is read off the reduced basis that `eliminate` returns.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import RankDefect
 
-__all__ = ["rank", "rank_with", "solve_with_payload"]
+__all__ = ["eliminate"]
 
 
-def rank(rows: Iterable[int]) -> int:
-    """Rank of the span of the given bitmask rows."""
-    pivots: list[int] = []
-    for row in rows:
-        cur = row
-        for p in pivots:
-            if cur & (p & -p):
-                cur ^= p
-        if cur:
-            pivots.append(cur)
-    return len(pivots)
+def eliminate(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """Reduced row echelon basis of the rows: {pivot column: (mask, payload)}.
 
-
-def rank_with(rows: Sequence[int], extra: int) -> int:
-    """Rank of rows plus one extra row."""
-    return rank(list(rows) + [extra])
-
-
-def solve_with_payload(
-    rows: Sequence[tuple[int, int]], ncols: int
-) -> tuple[list[int], bool]:
-    """Solve a linear system whose right-hand sides are opaque bit blocks.
-
-    rows are (mask, payload) pairs.  Returns (values, unique): values[j] is
-    the payload assigned to column j, with free columns forced to zero, and
-    unique is True exactly when there were no free columns.  Raises
-    RankDefect on an inconsistent system.
+    Incremental Gauss-Jordan with the lowest set bit as pivot.  Each basis
+    mask has its pivot as lowest bit and no other pivot bit, so the basis is
+    the unique reduced form of the row span: its size is the rank, the unit
+    vector of column i lies in the span iff basis[i] has mask 1 << i, and a
+    system's solution with free columns set to zero gives column i the
+    payload of basis[i] (zero off the pivots).  A row that reduces to mask 0
+    with a nonzero payload makes the system inconsistent: RankDefect.
     """
-    work = [list(r) for r in rows]
-    used = [False] * len(work)
-    pivot_of: dict[int, int] = {}
-    for col in range(ncols):
-        pivot = None
-        for i, (mask, _) in enumerate(work):
-            if not used[i] and mask >> col & 1:
-                pivot = i
-                break
-        if pivot is None:
+    basis: dict[int, tuple[int, int]] = {}
+    pivots = 0  # bit j set iff column j is a pivot
+    for mask, payload in rows:
+        # basis masks carry no pivot bit but their own, so one pass over the
+        # row's pivot bits clears them all
+        hit = mask & pivots
+        while hit:
+            low = hit & -hit
+            bmask, bpay = basis[low.bit_length() - 1]
+            mask ^= bmask
+            payload ^= bpay
+            hit ^= low
+        if not mask:
+            if payload:
+                raise RankDefect("inconsistent linear system")
             continue
-        used[pivot] = True
-        pivot_of[col] = pivot
-        pmask, ppay = work[pivot]
-        for i, (mask, pay) in enumerate(work):
-            if i != pivot and mask >> col & 1:
-                work[i][0] = mask ^ pmask
-                work[i][1] = pay ^ ppay
-    for mask, pay in work:
-        if mask == 0 and pay != 0:
-            raise RankDefect("inconsistent linear system")
-    values = [0] * ncols
-    for col, i in pivot_of.items():
-        # remaining non-pivot bits in the row belong to free columns (zeroed)
-        values[col] = work[i][1]
-    return values, len(pivot_of) == ncols
+        low = mask & -mask
+        col = low.bit_length() - 1
+        for p, (bmask, bpay) in basis.items():
+            if bmask & low:
+                basis[p] = (bmask ^ mask, bpay ^ payload)
+        basis[col] = (mask, payload)
+        pivots |= low
+    return basis

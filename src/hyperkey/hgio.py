@@ -153,8 +153,24 @@ def parse(text: str) -> Hypergraph:
     return Hypergraph(vertices, edges)
 
 
+def _check_writable(kind: str, name: str) -> None:
+    if not name or any(ch.isspace() for ch in name):
+        raise ParseError(
+            f"{kind} id {name!r} cannot be written: .hg ids are nonempty and "
+            "contain no whitespace"
+        )
+
+
 def serialize(h: Hypergraph) -> str:
-    """Canonical .hg text; parse(serialize(h)) reproduces h exactly."""
+    """Canonical .hg text; parse(serialize(h)) reproduces h exactly.
+
+    The format splits on whitespace, so an empty id or one containing any
+    whitespace character (str.isspace) cannot be written: ParseError.
+    """
+    for v in h.vertices:
+        _check_writable("vertex", v)
+    for e in h.edges:
+        _check_writable("edge", e.id)
     lines = ["format: 1"]
     lines.append("vertices: " + " ".join(sorted(h.vertices)))
     for e in h.edges:

@@ -310,54 +310,14 @@ class Hypergraph:
     def find_berge_cycle(self) -> Optional[BergeCycle]:
         """First cycle witness in canonical depth-first order, if any.
 
-        The search walks the bipartite incidence graph (vertex nodes and edge
-        nodes), starting from vertices in lexicographic order and expanding
-        neighbors in lexicographic order, with the incidence used to reach a
-        node excluded on the way back.  A back edge closes a cycle; alternate
-        node kinds along the stack then spell out the witness.
+        Read off the cached incidence scan (see _incidence_scan): the first
+        back edge of its DFS closes a cycle through the nodes on the stack,
+        whose vertex and edge nodes spell out the witness.
         """
-        incident = self._incident
-        by_id = self._by_id
-        visited: set[tuple[str, str]] = set()
-        for start in sorted(self.vertices):
-            node = ("v", start)
-            if node in visited:
-                continue
-            # Iterative DFS. path holds the current stack of nodes.
-            path: list[tuple[str, str]] = [node]
-            path_pos: dict[tuple[str, str], int] = {node: 0}
-            iters = [iter(self._neighbors(node, incident, by_id))]
-            parents: list[Optional[tuple[str, str]]] = [None]
-            visited.add(node)
-            while path:
-                try:
-                    nxt = next(iters[-1])
-                except StopIteration:
-                    dead = path.pop()
-                    del path_pos[dead]
-                    iters.pop()
-                    parents.pop()
-                    continue
-                if nxt == parents[-1]:
-                    continue
-                if nxt in path_pos:
-                    cycle_nodes = path[path_pos[nxt]:] + [nxt]
-                    return _nodes_to_cycle(cycle_nodes)
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                parents.append(path[-1])
-                path.append(nxt)
-                path_pos[nxt] = len(path) - 1
-                iters.append(iter(self._neighbors(nxt, incident, by_id)))
-        return None
-
-    @staticmethod
-    def _neighbors(node, incident, by_id):
-        kind, name = node
-        if kind == "v":
-            return [("e", e.id) for e in incident[name]]
-        return [("v", v) for v in sorted(by_id[name].members)]
+        walk = self._incidence_scan().walk
+        if walk is None:
+            return None
+        return _walk_to_cycle(walk, sorted(self.vertices), self.edges)
 
     # -- incidence-graph structure ---------------------------------------------
 
@@ -369,8 +329,15 @@ class Hypergraph:
         u of p finishes with low[u] >= disc[p]; that also makes p an
         articulation point, since an edge node is never a DFS root.  A
         component of two nodes is a bridge; the vertex nodes of every other
-        component lie on a common cycle and are united.  Cost
-        O(|V| + |E| + sum of |e|); the result is cached on the value.
+        component lie on a common cycle and are united.
+
+        Roots are taken in vertex order and neighbors in id order (a vertex's
+        edges by edge id, an edge's members by vertex id), so the walk is the
+        canonical one.  The incidence graph is simple, so the first non-tree
+        neighbor the walk meets other than the parent is an ancestor still
+        on the stack; that back edge and the stack above it are the cycle
+        find_berge_cycle reports.  Cost O(|V| + |E| + sum of |e|); the result
+        is cached on the value.
         """
         cache = self._cache
         if "scan" in cache:
@@ -378,12 +345,13 @@ class Hypergraph:
         names = sorted(self.vertices)
         n = len(names)
         index = {v: i for i, v in enumerate(names)}
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for j, e in enumerate(self.edges):
-            members = [index[v] for v in e.members]
-            adj.append(members)
-            for i in members:
-                adj[i].append(n + j)
+        adj: list[list[int]] = [[] for _ in range(n + len(self.edges))]
+        for j, e in enumerate(self.edges, n):
+            for v in e.members:
+                adj[index[v]].append(j)
+        for i in range(n):  # so each edge lists its members in vertex order
+            for j in adj[i]:
+                adj[j].append(i)
         total = len(adj)
         disc = [0] * total  # discovery time, 0 while unvisited
         low = [0] * total
@@ -400,6 +368,7 @@ class Hypergraph:
 
         clock = 0
         roots = 0
+        walk: Optional[tuple[int, ...]] = None  # stack from the first back edge
         for root in range(n):
             if disc[root]:
                 continue
@@ -420,8 +389,11 @@ class Hypergraph:
                         parent[w] = u
                         path.append(w)
                         nodes.append(w)
-                    elif w != parent[u] and disc[w] < low[u]:
-                        low[u] = disc[w]
+                    elif w != parent[u]:
+                        if walk is None:
+                            walk = tuple(path[path.index(w):])
+                        if disc[w] < low[u]:
+                            low[u] = disc[w]
                     continue
                 path.pop()
                 p = parent[u]
@@ -451,6 +423,7 @@ class Hypergraph:
             connected=roots == 1,
             every_edge_cuts=all(cut[n:]),
             cores=tuple(frozenset(g) for g in groups.values() if len(g) > 1),
+            walk=walk,
         )
         cache["scan"] = scan
         return scan
@@ -475,16 +448,14 @@ class Hypergraph:
 
     def is_connected_and_cycle_free(self) -> bool:
         """Connected with no cycle; loops are permitted."""
-        return self.is_connected() and self.find_berge_cycle() is None
+        scan = self._incidence_scan()
+        return scan.connected and scan.walk is None
 
     def is_hypertree(self) -> bool:
         """Connected, loopless, and cycle-free."""
         self._require_two_vertices()
-        return (
-            self.is_connected()
-            and not self.loop_edges()
-            and self.find_berge_cycle() is None
-        )
+        scan = self._incidence_scan()
+        return scan.connected and scan.walk is None and not self.loop_edges()
 
     def is_mch(self) -> bool:
         """Connected, and removing any single edge (keeping all vertices)
@@ -504,6 +475,7 @@ class _IncidenceScan:
     connected: bool
     every_edge_cuts: bool
     cores: tuple[frozenset[str], ...]
+    walk: Optional[tuple[int, ...]]  # see _walk_to_cycle
 
 
 def _as_blocks(blocks) -> tuple[frozenset[str], ...]:
@@ -524,15 +496,21 @@ def _check_partition(block_list: Sequence[frozenset[str]], ground: frozenset[str
         raise InvalidPartition("blocks must be disjoint and cover the vertex set")
 
 
-def _nodes_to_cycle(cycle_nodes: list[tuple[str, str]]) -> BergeCycle:
-    # cycle_nodes is a closed alternating walk; rotate so it starts (and
-    # therefore ends) at a vertex node.
-    if cycle_nodes[0][0] == "e":
-        cycle_nodes = cycle_nodes[1:-1]
-        cycle_nodes = cycle_nodes + [cycle_nodes[0]]
-    vs = tuple(name for kind, name in cycle_nodes if kind == "v")
-    es = tuple(name for kind, name in cycle_nodes if kind == "e")
-    return BergeCycle(vertices=vs, edges=es)
+def _walk_to_cycle(
+    walk: tuple[int, ...], names: list[str], edges: tuple[Edge, ...]
+) -> BergeCycle:
+    """The witness spelled by an incidence-scan walk: walk[0] is the ancestor
+    a back edge returned to from walk[-1], node i < n is names[i] and node
+    n + j is edges[j].  The closed walk is rotated to start (and therefore
+    end) at a vertex node."""
+    n = len(names)
+    if walk[0] >= n:
+        walk = walk[1:] + walk[:1]
+    walk += walk[:1]
+    return BergeCycle(
+        vertices=tuple(names[x] for x in walk if x < n),
+        edges=tuple(edges[x - n].id for x in walk if x >= n),
+    )
 
 
 def removal_component_counts(

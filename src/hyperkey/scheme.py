@@ -9,7 +9,8 @@ one fewer message than classes.  Over the whole hypergraph this emits exactly
 (edge count - 1) weight-two rows whose matrix has full row rank, and adding
 any single edge indicator raises the rank to the edge count, which is at once
 the zero-error recovery condition for every vertex and perfect secrecy of the
-key edge: weight-two rows can never sum to a unit vector.
+key edge: weight-two rows can never sum to a unit vector.  `verify` checks
+all of it on one reduced basis (gf2.eliminate) of the rows.
 """
 
 from __future__ import annotations
@@ -331,7 +332,14 @@ def synthesize(
 
 
 def verify(scheme: DiscussionScheme) -> VerificationReport:
-    """Check every scheme property by exact GF(2) rank; never raises."""
+    """Check every scheme property on one GF(2) elimination; never raises.
+
+    The rank is the size of the reduced basis.  Appending the unit vector of
+    column i raises the rank by one exactly when it lies outside the span,
+    that is unless basis[i] has mask 1 << i; so edge i is recoverable iff
+    rank + (e_i outside the span) is the edge count, and the key is secret
+    iff its unit vector is outside the span.
+    """
     mu = scheme.mu
     valid = (1 << mu) - 1
     row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.attributions) == len(
@@ -343,17 +351,21 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
         if mask & ~valid or bin(mask & valid).count("1") != 2
     )
     row_weights_ok = not bad_rows
-    matrix_rank = gf2.rank(scheme.rows)
+    basis = gf2.eliminate((mask, 0) for mask in scheme.rows)
+    matrix_rank = len(basis)
     rank_ok = matrix_rank == mu - 1
+
+    def outside_span(i: int) -> bool:
+        return basis.get(i, (0, 0))[0] != 1 << i
+
     unrecoverable = tuple(
         scheme.edge_order[i]
         for i in range(mu)
-        if gf2.rank_with(scheme.rows, 1 << i) != mu
+        if matrix_rank + outside_span(i) != mu
     )
     recovery_ok = not unrecoverable
-    secrecy_ok = scheme.key_edge in scheme.edge_order and (
-        gf2.rank_with(scheme.rows, 1 << scheme.edge_order.index(scheme.key_edge))
-        == matrix_rank + 1
+    secrecy_ok = scheme.key_edge in scheme.edge_order and outside_span(
+        scheme.edge_order.index(scheme.key_edge)
     )
     ok = row_count_ok and row_weights_ok and rank_ok and recovery_ok and secrecy_ok
     return VerificationReport(

@@ -10,15 +10,16 @@ exactly the key length.
 Exhaustive checks cover all 2^total realizations without a loop over them.
 The zero-error sweep is bit-sliced: bit plane b is a 2^total-bit int whose
 bit w is source bit b of realization w, so for each key bit one broadcast
-and one payload elimination per pivot edge, on planes, decide every word at
-once.  The secrecy table is a per-bit convolution: the (message pattern,
-key) observation is XOR-linear in the realization, so the table follows
-from the observations of the single-bit words.
+and one gf2.eliminate per pivot edge, with planes as payloads, decide every
+word at once.  The secrecy table is a per-bit convolution: the (message
+pattern, key) observation is XOR-linear in the realization, so the table
+follows from the observations of the single-bit words.
 
 Two secrecy oracles are kept deliberately separate: the rank oracle (the key
-indicator stays outside the row space over GF(2)) and the exhaustive oracle
-(cell counts of the joint message/key table are flat).  The convolution
-counts cells and never takes a rank.  Tests compare them; nothing in this
+indicator stays outside the row space over GF(2), read off the reduced basis
+that `verify` builds) and the exhaustive oracle (cell counts of the joint
+message/key table are flat).  The convolution counts cells and never takes
+a rank.  Tests compare them; nothing in this
 module derives one from the other.
 """
 
@@ -164,7 +165,9 @@ def run(
     allow_unverified: bool = False,
 ) -> ProtocolRun:
     """Sample the source, broadcast the scheme rows, and let every vertex
-    solve for the key from the messages plus its own pivot edge.
+    solve for the key from the messages plus its own pivot edge: the key is
+    the key column's payload in the reduced basis (gf2.eliminate) of the
+    rows, with the messages as payloads, plus the pivot edge's unit row.
 
     A scheme failing verification is refused unless allow_unverified is set
     (useful to demonstrate how defective schemes fail); underdetermined
@@ -178,10 +181,10 @@ def run(
     so this is exactly the per-word check, rank-deficient schemes included.
     """
     _check_scheme_matches(h, scheme)
-    if not allow_unverified and not verify(scheme).ok:
+    report = verify(scheme)
+    if not allow_unverified and not report.ok:
         raise SchemeUnverified("scheme failed verification")
     shape = quantize(h, key_rate)
-    mu = scheme.mu
     lengths = [n for _, n in shape.edge_lengths]
     key_len = shape.key_length
     # truncation keeps the leading key_len bits of each edge block
@@ -190,11 +193,10 @@ def run(
     pivot_idx = {v: scheme.column(e) for v, e in scheme.recovery}
 
     def recover(idx: int, trunc: list[int], msgs: list[int]) -> int:
-        """The key a vertex holding edge column idx solves for."""
-        stacked = list(zip(scheme.rows, msgs))
-        stacked.append((1 << idx, trunc[idx]))
-        values, _ = gf2.solve_with_payload(stacked, mu)
-        return values[key_idx]
+        """The key a vertex holding edge column idx solves for: the key
+        column's reduced payload, zero when that column is free."""
+        basis = gf2.eliminate([*zip(scheme.rows, msgs), (1 << idx, trunc[idx])])
+        return basis.get(key_idx, (0, 0))[1]
 
     rng = random.Random(seed)
     sample = [rng.getrandbits(n) if n else 0 for n in lengths]
@@ -237,21 +239,19 @@ def run(
         recovered=tuple(sorted(recovered0.items())),
         key=true_key0,
         zero_error=zero_error,
-        secrecy_rank_ok=secrecy_by_rank(scheme),
+        secrecy_rank_ok=report.secrecy_ok,
         exhaustive=exhaustive,
         realizations_checked=checked,
     )
 
 
 def secrecy_by_rank(scheme: DiscussionScheme) -> bool:
-    """Perfect secrecy iff the key edge's indicator is outside the row space.
+    """Perfect secrecy iff the key edge's indicator is outside the row space,
+    as verify reads it off the reduced basis of the rows.
 
     A key edge that is not a scheme column cannot be secret: False.
     """
-    if scheme.key_edge not in scheme.edge_order:
-        return False
-    key_bit = 1 << scheme.column(scheme.key_edge)
-    return gf2.rank_with(scheme.rows, key_bit) == gf2.rank(scheme.rows) + 1
+    return verify(scheme).secrecy_ok
 
 
 @dataclass(frozen=True)

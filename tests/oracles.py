@@ -1,0 +1,146 @@
+"""Earlier, independent implementations kept as test oracles.
+
+The library answers these questions from one incidence-graph scan and one
+GF(2) reduction; the functions here answer them the long way (a separate
+depth-first search, one elimination per question, column-order elimination)
+and never call the code they check.
+"""
+
+from typing import Optional
+
+from hyperkey import BergeCycle, RankDefect
+
+
+# -- GF(2) -----------------------------------------------------------------------
+
+
+def rank(rows) -> int:
+    """Rank of the span of the given bitmask rows."""
+    pivots: list[int] = []
+    for row in rows:
+        cur = row
+        for p in pivots:
+            if cur & (p & -p):
+                cur ^= p
+        if cur:
+            pivots.append(cur)
+    return len(pivots)
+
+
+def rank_with(rows, extra: int) -> int:
+    """Rank of rows plus one extra row."""
+    return rank(list(rows) + [extra])
+
+
+def solve_with_payload(rows, ncols: int) -> tuple[list[int], bool]:
+    """Column-order elimination of (mask, payload) rows over ncols columns.
+
+    Returns (values, unique): values[j] is the payload assigned to column j,
+    with free columns forced to zero, and unique is True exactly when there
+    were no free columns.  Raises RankDefect on an inconsistent system.
+    """
+    work = [list(r) for r in rows]
+    used = [False] * len(work)
+    pivot_of: dict[int, int] = {}
+    for col in range(ncols):
+        pivot = None
+        for i, (mask, _) in enumerate(work):
+            if not used[i] and mask >> col & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        used[pivot] = True
+        pivot_of[col] = pivot
+        pmask, ppay = work[pivot]
+        for i, (mask, pay) in enumerate(work):
+            if i != pivot and mask >> col & 1:
+                work[i][0] = mask ^ pmask
+                work[i][1] = pay ^ ppay
+    for mask, pay in work:
+        if mask == 0 and pay != 0:
+            raise RankDefect("inconsistent linear system")
+    values = [0] * ncols
+    for col, i in pivot_of.items():
+        values[col] = work[i][1]
+    return values, len(pivot_of) == ncols
+
+
+def rank_verdicts(rows, edge_order, key_edge):
+    """(matrix_rank, unrecoverable_edges, secrecy_ok) of a scheme, with one
+    rank per column: edge i is recoverable iff appending its unit vector
+    reaches rank mu, and the key is secret iff its unit vector adds rank."""
+    mu = len(edge_order)
+    matrix_rank = rank(rows)
+    unrecoverable = tuple(
+        edge_order[i] for i in range(mu) if rank_with(rows, 1 << i) != mu
+    )
+    secrecy_ok = key_edge in edge_order and (
+        rank_with(rows, 1 << edge_order.index(key_edge)) == matrix_rank + 1
+    )
+    return matrix_rank, unrecoverable, secrecy_ok
+
+
+# -- Berge cycles ---------------------------------------------------------------
+
+
+def dfs_berge_cycle(h) -> Optional[BergeCycle]:
+    """First cycle witness of a depth-first search of the incidence graph.
+
+    Starts from vertices in id order and expands a vertex's edges by edge id
+    and an edge's members by vertex id, never going straight back to the
+    parent node; the first back edge to a node on the stack closes the cycle.
+    """
+    incident: dict[str, list[str]] = {v: [] for v in h.vertices}
+    members: dict[str, list[str]] = {}
+    for e in sorted(h.edges, key=lambda e: e.id):
+        members[e.id] = sorted(e.members)
+        for v in e.members:
+            incident[v].append(e.id)
+
+    def neighbors(node):
+        kind, name = node
+        if kind == "v":
+            return [("e", eid) for eid in incident[name]]
+        return [("v", v) for v in members[name]]
+
+    visited: set[tuple[str, str]] = set()
+    for start in sorted(h.vertices):
+        node = ("v", start)
+        if node in visited:
+            continue
+        path = [node]
+        path_pos = {node: 0}
+        iters = [iter(neighbors(node))]
+        parents: list[Optional[tuple[str, str]]] = [None]
+        visited.add(node)
+        while path:
+            try:
+                nxt = next(iters[-1])
+            except StopIteration:
+                del path_pos[path.pop()]
+                iters.pop()
+                parents.pop()
+                continue
+            if nxt == parents[-1]:
+                continue
+            if nxt in path_pos:
+                return _closed_walk_to_cycle(path[path_pos[nxt]:] + [nxt])
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            parents.append(path[-1])
+            path.append(nxt)
+            path_pos[nxt] = len(path) - 1
+            iters.append(iter(neighbors(nxt)))
+    return None
+
+
+def _closed_walk_to_cycle(nodes) -> BergeCycle:
+    # rotate a walk that closes at an edge node to start at the vertex after it
+    if nodes[0][0] == "e":
+        nodes = nodes[1:] + [nodes[1]]
+    return BergeCycle(
+        vertices=tuple(name for kind, name in nodes if kind == "v"),
+        edges=tuple(name for kind, name in nodes if kind == "e"),
+    )

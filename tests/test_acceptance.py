@@ -25,7 +25,6 @@ from hyperkey import (
     communication_complexity,
     constrained_capacity,
     crossing_count,
-    gf2,
     lemma_violations,
     partition_connectivity,
     quantize,
@@ -36,6 +35,8 @@ from hyperkey import (
     synthesize,
     unconstrained_capacity,
 )
+
+import oracles
 
 # (vertex_count, edge_count, max_weight) cycle for the seed-pinned generator;
 # every entry stays inside the generator bounds and admits an MCH quickly
@@ -143,9 +144,9 @@ def test_criterion_07_h5_scheme_replay(h5):
         ("5", (("e4", "e6"),)),
     ]
     assert len(scheme.rows) == 5
-    assert gf2.rank(scheme.rows) == 5
+    assert oracles.rank(scheme.rows) == 5
     # appending any single-edge indicator column reaches full rank 6
-    assert all(gf2.rank_with(scheme.rows, 1 << i) == 6 for i in range(6))
+    assert all(oracles.rank_with(scheme.rows, 1 << i) == 6 for i in range(6))
 
 
 def test_criterion_08_lemma_identities_fuzz(fuzz_pool):

@@ -10,6 +10,7 @@ from hyperkey import (
     NotMCH,
     Partition,
     RateTuple,
+    SubsetTooLarge,
     UnknownVertex,
     communication_complexity,
     constrained_capacity,
@@ -136,3 +137,10 @@ class TestOuterBound:
         b = frozenset("1")
         p = Partition.from_blocks(h2.remove_vertices(b).components())
         assert outer_bound_deficit(h2, rt, b, p) == 0
+
+    def test_subset_leaving_one_vertex_is_refused(self, h2):
+        # |B| = |V| - 1: one vertex is left, too few for a proper partition
+        with pytest.raises(SubsetTooLarge):
+            outer_bound_deficit(
+                h2, rates(h2, 1), frozenset("1234"), Partition.from_blocks([{"5"}])
+            )

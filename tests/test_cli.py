@@ -78,6 +78,12 @@ class TestAnalyze:
         assert "berge_cycle = none" in out
 
 
+    def test_cycle_closing_at_an_edge_names_that_edge(self, tmp_path, capsys):
+        path = tmp_path / "chord.hg"
+        path.write_text("vertices: 1 2 3\nedge a: 1 2 3 weight 1\nedge b: 2 3 weight 1\n")
+        assert main(["analyze", str(path)]) == 0
+        assert "berge_cycle = 2 b 3 a 2" in lines(capsys)
+
     def test_one_vertex_file_analyzes(self, tmp_path, capsys):
         path = tmp_path / "one.hg"
         path.write_text("vertices: 1\n")

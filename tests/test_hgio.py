@@ -48,6 +48,70 @@ class TestRoundTrip:
         assert parse(serialize(h)) == h
 
 
+ADVERSARIAL_IDS = [
+    ":", "a:", ":b", "a:b", ",", "a,b", "#", "#x", "\\", "a\\,b", "weight",
+    "edge", "vertices:", "format:", "1", "3/2", "é", "名前", "\x00",
+]
+writable_ids = st.one_of(
+    st.sampled_from(ADVERSARIAL_IDS),
+    st.text(min_size=1, max_size=4).filter(
+        lambda t: not any(ch.isspace() for ch in t)
+    ),
+)
+refused_ids = st.one_of(
+    st.just(""),
+    st.builds(
+        lambda a, ws, b: a + ws + b,
+        st.text(max_size=2),
+        st.sampled_from(
+            [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"]
+        ),
+        st.text(max_size=2),
+    ),
+)
+
+
+@st.composite
+def hypergraphs(draw):
+    vertices = draw(st.lists(writable_ids, min_size=1, max_size=5, unique=True))
+    edge_ids = draw(st.lists(writable_ids, max_size=4, unique=True))
+    edges = [
+        (
+            eid,
+            draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True)),
+            draw(st.fractions(min_value=Fraction(1, 7), max_value=5)),
+        )
+        for eid in edge_ids
+    ]
+    return Hypergraph(vertices, edges)
+
+
+class TestAdversarialIds:
+    @given(hypergraphs())
+    def test_writable_ids_round_trip(self, h):
+        assert parse(serialize(h)) == h
+
+    @given(hypergraphs(), refused_ids, st.booleans())
+    def test_unwritable_ids_are_refused(self, h, bad, as_edge):
+        if as_edge:
+            h = Hypergraph(h.vertices, [*h.edges, (bad, [min(h.vertices)], 1)])
+        else:
+            h = Hypergraph(h.vertices | {bad}, h.edges)
+        with pytest.raises(ParseError):
+            serialize(h)
+
+    def test_ids_the_format_used_to_garble(self):
+        # "a b" came back as two vertices, "" vanished, and an edge id with
+        # a space gave text that did not parse
+        for h in (
+            Hypergraph(["a b", "c"], [("x", ["a b", "c"], 1)]),
+            Hypergraph(["", "c"], [("x", ["c"], 1)]),
+            Hypergraph(["a", "c"], [("x y", ["a", "c"], 1)]),
+        ):
+            with pytest.raises(ParseError):
+                serialize(h)
+
+
 class TestParsing:
     def test_format_line_is_optional(self):
         bare = "vertices: 1 2\nedge x: 1 2 weight 1\n"

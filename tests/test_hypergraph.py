@@ -19,6 +19,8 @@ from hyperkey import (
 )
 from hyperkey.errors import GroundTooLarge
 
+import oracles
+
 
 class TestConstruction:
     def test_rejects_empty_vertex_set(self):
@@ -249,6 +251,46 @@ class TestCycles:
 
     def test_loops_never_close_a_cycle(self, h4):
         assert h4.find_berge_cycle() is None
+
+    def test_back_edge_to_an_edge_node_keeps_that_edge(self):
+        # the walk a 2 b 3 closes at edge node a; the witness must use a
+        h = Hypergraph("123", [("a", "123", 1), ("b", "23", 1)])
+        cyc = h.find_berge_cycle()
+        assert cyc == BergeCycle(("2", "3", "2"), ("b", "a"))
+        assert cyc.is_valid_in(h)
+
+    def test_scan_witness_matches_the_dfs_oracle(self):
+        """The witness read off the incidence scan is the separate DFS's
+        first cycle, on random hypergraphs with loops, parallel edges,
+        isolated vertices and several components, and is always valid."""
+        rng = random.Random(2026)
+        names = ["1", "2", "10", "b", "a", "a b", "Z", "é"]
+        eids = ["e", "f", "g", "h", "i", "j", "k", "aa", "b0"]
+        shapes = dict.fromkeys(("cyclic", "loop", "parallel", "isolated", "split"), 0)
+        for _ in range(20000):
+            verts = rng.sample(names, rng.randint(1, 7))
+            ids = rng.sample(eids, rng.randint(0, 7))
+            edges = []
+            for eid in ids:
+                if edges and rng.random() < 0.1:
+                    members = edges[rng.randrange(len(edges))][1]
+                else:
+                    size = min(rng.choice([1, 2, 2, 2, 3, 7]), len(verts))
+                    members = rng.sample(verts, size)
+                edges.append((eid, members, 1))
+            h = Hypergraph(verts, edges)
+            cyc = h.find_berge_cycle()
+            assert cyc == oracles.dfs_berge_cycle(h), h
+            assert cyc is None or cyc.is_valid_in(h)
+            assert h.is_connected_and_cycle_free() == (h.is_connected() and cyc is None)
+            shapes["cyclic"] += cyc is not None
+            shapes["loop"] += bool(h.loop_edges())
+            member_sets = [e.members for e in h.edges]
+            shapes["parallel"] += len(set(member_sets)) < len(member_sets)
+            covered = set().union(*member_sets)
+            shapes["isolated"] += len(covered) < len(h.vertices)
+            shapes["split"] += not h.is_connected()
+        assert min(shapes.values()) >= 1000, shapes
 
     def test_is_valid_in_rejects_mangled_cycles(self, h1):
         assert not BergeCycle(("1", "2", "1"), ("a", "a")).is_valid_in(h1)

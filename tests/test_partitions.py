@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from hyperkey import (
+    Disconnected,
     EmptyVertexSet,
     Hypergraph,
     HyperkeyError,
@@ -355,3 +356,9 @@ class TestChainOrder:
         for p in (Partition.singletons(h1.vertices), Partition.from_blocks([h1.vertices])):
             with pytest.raises(HyperkeyError):
                 chain_order(h1, p, "at-most-one")
+
+    def test_disconnected_hypergraph_is_refused(self):
+        split = Hypergraph("1234", [("a", "12", 1), ("b", "34", 1)])
+        for mode in ("at-least-one", "exactly-one"):
+            with pytest.raises(Disconnected):
+                chain_order(split, Partition.singletons(split.vertices), mode)

@@ -2,11 +2,13 @@
 rates, and time sharing."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from hyperkey import (
+    DiscussionScheme,
     NotFundamentalBlock,
     NotMCH,
     RowAttribution,
@@ -20,6 +22,8 @@ from hyperkey import (
     synthesize,
     verify,
 )
+
+import oracles
 
 
 def pairs_and_users(scheme):
@@ -151,6 +155,46 @@ class TestVerify:
         report = verify(dataclasses.replace(scheme, key_edge="zz"))
         assert not report.ok and not report.secrecy_ok
         assert report.rank_ok and report.recovery_ok
+
+    def test_verdicts_match_the_per_column_rank_oracle(self):
+        """One reduced basis gives the verdicts of one rank per column, on
+        row sets with bad weights, columns out of range (high bits and
+        negative masks), dependent rows and unknown key edges."""
+        rng = random.Random(5)
+        seen = dict.fromkeys(("deficient", "bad", "leak", "unknown_key", "ok"), 0)
+        for _ in range(20000):
+            mu = rng.randint(1, 7)
+            edge_order = tuple(f"e{i}" for i in range(mu))
+            rows = []
+            for _ in range(rng.randint(0, mu + 1)):
+                pick = rng.random()
+                if pick < 0.75 and mu >= 2:
+                    i, j = rng.sample(range(mu), 2)
+                    rows.append(1 << i | 1 << j)
+                elif pick < 0.85:
+                    rows.append(rng.getrandbits(mu))
+                elif pick < 0.95:
+                    rows.append(rng.getrandbits(mu + 3))
+                else:
+                    rows.append(-rng.getrandbits(mu + 1))
+            key_edge = rng.choice(edge_order + ("zz",))
+            scheme = DiscussionScheme(
+                edge_order=edge_order,
+                rows=tuple(rows),
+                attributions=(),
+                key_edge=key_edge,
+                recovery=(),
+            )
+            report = verify(scheme)
+            want = oracles.rank_verdicts(rows, edge_order, key_edge)
+            got = (report.matrix_rank, report.unrecoverable_edges, report.secrecy_ok)
+            assert got == want, (rows, key_edge)
+            seen["deficient"] += report.matrix_rank < len(rows)
+            seen["bad"] += not report.row_weights_ok
+            seen["leak"] += key_edge != "zz" and not report.secrecy_ok
+            seen["unknown_key"] += key_edge == "zz"
+            seen["ok"] += report.rank_ok and report.recovery_ok
+        assert min(seen.values()) >= 1000, seen
 
     def test_column_of_an_unknown_edge_is_a_domain_error(self, h1):
         scheme, _ = synthesize(h1)

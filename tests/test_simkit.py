@@ -21,7 +21,6 @@ from hyperkey import (
     SecrecyReport,
     StateSpaceTooLarge,
     brute_force_secrecy,
-    gf2,
     quantize,
     random_mch,
     random_mch_with_stats,
@@ -30,6 +29,8 @@ from hyperkey import (
     synthesize,
 )
 from hyperkey.errors import GroundTooLarge
+
+import oracles
 
 
 def _layout(h, scheme, key_rate):
@@ -64,7 +65,7 @@ def per_word_zero_error(h, scheme, key_rate):
         msgs = [_xor_selected(mask, trunc) for mask in scheme.rows]
         for idx in pivots:
             stacked = list(zip(scheme.rows, msgs)) + [(1 << idx, trunc[idx])]
-            values, _ = gf2.solve_with_payload(stacked, scheme.mu)
+            values, _ = oracles.solve_with_payload(stacked, scheme.mu)
             if values[key_idx] != trunc[key_idx]:
                 return False, 1 << total
     return True, 1 << total
