@@ -5,11 +5,17 @@ prints one structured document: flattened `key = value` lines by default, or
 JSON with sorted keys under --json.  All numbers are exact rational text.
 Exit codes: 0 success, 1 domain error (e.g. the hypergraph is not an MCH),
 2 usage or parse error.
+
+`main` may be called any number of times in one process.  The argparse tree
+is built on the first call and shared by every later one; it keeps no state
+between calls, so each call's output and exit code are those of a fresh
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -102,7 +108,7 @@ def _load(path: str) -> Hypergraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     try:
         return hgio.parse(text)
@@ -409,7 +415,21 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
     return doc, 0 if counterexample is None else 1
 
 
+_HANDLERS = {
+    "analyze": _cmd_analyze,
+    "capacity": _cmd_capacity,
+    "region": _cmd_region,
+    "check": _cmd_check,
+    "scheme": _cmd_scheme,
+    "simulate": _cmd_simulate,
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  parse_args keeps
+    nothing on it, and help and errors go to the sys.stdout and sys.stderr
+    current at each call."""
     parser = argparse.ArgumentParser(
         prog="hyperkey",
         description="Secret-key capacities and XOR discussion schemes for "
@@ -457,25 +477,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    handlers = {
-        "analyze": _cmd_analyze,
-        "capacity": _cmd_capacity,
-        "region": _cmd_region,
-        "check": _cmd_check,
-        "scheme": _cmd_scheme,
-        "simulate": _cmd_simulate,
-    }
     try:
         if args.subcommand == "fuzz":
             doc, code = _cmd_fuzz(args)
         else:
-            doc = handlers[args.subcommand](args)
+            doc = _HANDLERS[args.subcommand](args)
             code = 0
     except (UsageError, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")

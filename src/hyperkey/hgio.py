@@ -17,6 +17,7 @@ rejected; errors carry 1-based line and column positions.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import DuplicateEdgeId, NonpositiveWeight, ParseError
@@ -53,6 +54,7 @@ def _weight_token(token: str, lineno: int, column: int) -> Fraction:
 def parse(text: str) -> Hypergraph:
     """Parse .hg text into a Hypergraph with exact rational weights."""
     vertices: list[str] | None = None
+    known: set[str] = set()
     edges: list[Edge] = []
     seen_ids: set[str] = set()
     saw_statement = False
@@ -89,12 +91,15 @@ def parse(text: str) -> Hypergraph:
                     column=head_col,
                 )
             names = [t for t, _ in toks[1:]]
+            counts = Counter(names)
             for (name, col) in toks[1:]:
-                if names.count(name) > 1:
+                # the first token whose name recurs, not the first repeat
+                if counts[name] > 1:
                     raise ParseError(
                         f"duplicate vertex {name!r}", line=lineno, column=col
                     )
             vertices = names
+            known = set(names)
             continue
 
         if head == "edge":
@@ -128,7 +133,6 @@ def parse(text: str) -> Hypergraph:
                 raise ParseError(
                     f"edge {eid!r} has no members", line=lineno, column=eid_col
                 )
-            known = set(vertices)
             for name, col in members:
                 if name not in known:
                     raise ParseError(

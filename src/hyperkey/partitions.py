@@ -362,8 +362,25 @@ def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> Connectivi
     bound = min(edge_weights)
     groups = list(h.cyclic_cores())
     groups.extend(e.members for e, w in zip(h.edges, edge_weights) if w > bound)
-    joined = Hypergraph(h.vertices, [(str(k), g, 1) for k, g in enumerate(groups)])
-    p = Partition.from_blocks(joined.components())
+    root = {v: v for v in h.vertices}  # union-find joining each group's members
+
+    def find(v: str) -> str:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for g in groups:
+        members = iter(g)
+        head = find(next(members))
+        for v in members:
+            r = find(v)
+            if r != head:
+                root[r] = head
+    blocks: dict[str, list[str]] = {}
+    for v in h.vertices:
+        blocks.setdefault(find(v), []).append(v)
+    p = Partition.from_blocks(blocks.values())
 
     block_of = {v: k for k, b in enumerate(p.blocks) for v in b}
     crossings = sum(

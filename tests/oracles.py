@@ -1,14 +1,24 @@
 """Earlier, independent implementations kept as test oracles.
 
 The library answers these questions from one incidence-graph scan and one
-GF(2) reduction; the functions here answer them the long way (a separate
-depth-first search, one elimination per question, column-order elimination)
-and never call the code they check.
+GF(2) reduction, and parses .hg text with one count of the declared names;
+the functions here answer them the long way (a separate depth-first search,
+one elimination per question, column-order elimination, a rescan of the
+vertex list per name) and never call the code they check.
 """
 
+from fractions import Fraction
 from typing import Optional
 
-from hyperkey import BergeCycle, RankDefect
+from hyperkey import (
+    BergeCycle,
+    DuplicateEdgeId,
+    Edge,
+    Hypergraph,
+    NonpositiveWeight,
+    ParseError,
+    RankDefect,
+)
 
 
 # -- GF(2) -----------------------------------------------------------------------
@@ -144,3 +154,135 @@ def _closed_walk_to_cycle(nodes) -> BergeCycle:
         vertices=tuple(name for kind, name in nodes if kind == "v"),
         edges=tuple(name for kind, name in nodes if kind == "e"),
     )
+
+
+# -- .hg parsing ------------------------------------------------------------------
+
+
+def _tokens(line: str) -> list[tuple[str, int]]:
+    out = []
+    col = 0
+    for piece in line.split():
+        col = line.index(piece, col)
+        out.append((piece, col + 1))
+        col += len(piece)
+    return out
+
+
+def _weight_token(token: str, lineno: int, column: int) -> Fraction:
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(
+            f"invalid weight {token!r}", line=lineno, column=column
+        ) from None
+    if value <= 0:
+        raise NonpositiveWeight(
+            f"edge weight must be positive, got {token!r} (line {lineno})"
+        )
+    return value
+
+
+def parse_hg(text: str) -> Hypergraph:
+    """.hg text to a Hypergraph, quadratic in the vertex count: each declared
+    name is counted over the whole vertex list, and each edge line rebuilds
+    the set of known names."""
+    vertices: Optional[list[str]] = None
+    edges: list[Edge] = []
+    seen_ids: set[str] = set()
+    saw_statement = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = _tokens(raw)
+        head, head_col = toks[0]
+
+        if head == "format:":
+            if saw_statement:
+                raise ParseError(
+                    "format line must come first", line=lineno, column=head_col
+                )
+            if len(toks) != 2 or toks[1][0] != "1":
+                raise ParseError(
+                    "unsupported format version", line=lineno, column=head_col
+                )
+            saw_statement = True
+            continue
+        saw_statement = True
+
+        if head == "vertices:":
+            if vertices is not None:
+                raise ParseError(
+                    "duplicate vertices line", line=lineno, column=head_col
+                )
+            if len(toks) == 1:
+                raise ParseError(
+                    "vertices line declares no vertices",
+                    line=lineno,
+                    column=head_col,
+                )
+            names = [t for t, _ in toks[1:]]
+            for (name, col) in toks[1:]:
+                if names.count(name) > 1:
+                    raise ParseError(
+                        f"duplicate vertex {name!r}", line=lineno, column=col
+                    )
+            vertices = names
+            continue
+
+        if head == "edge":
+            if vertices is None:
+                raise ParseError(
+                    "edge line before vertices line", line=lineno, column=head_col
+                )
+            if len(toks) < 2 or not toks[1][0].endswith(":"):
+                raise ParseError(
+                    "edge line needs an id followed by ':'",
+                    line=lineno,
+                    column=head_col,
+                )
+            eid, eid_col = toks[1][0][:-1], toks[1][1]
+            if not eid:
+                raise ParseError("empty edge id", line=lineno, column=eid_col)
+            if eid in seen_ids:
+                raise DuplicateEdgeId(
+                    f"duplicate edge id {eid!r}", line=lineno, column=eid_col
+                )
+            body = toks[2:]
+            if len(body) < 2 or body[-2][0] != "weight":
+                raise ParseError(
+                    "edge line must end with 'weight <value>'",
+                    line=lineno,
+                    column=head_col,
+                )
+            weight = _weight_token(body[-1][0], lineno, body[-1][1])
+            members = body[:-2]
+            if not members:
+                raise ParseError(
+                    f"edge {eid!r} has no members", line=lineno, column=eid_col
+                )
+            known = set(vertices)
+            for name, col in members:
+                if name not in known:
+                    raise ParseError(
+                        f"unknown member {name!r}", line=lineno, column=col
+                    )
+            seen_ids.add(eid)
+            edges.append(
+                Edge(
+                    id=eid,
+                    members=frozenset(name for name, _ in members),
+                    weight=weight,
+                )
+            )
+            continue
+
+        raise ParseError(
+            f"unknown statement {head!r}", line=lineno, column=head_col
+        )
+
+    if vertices is None:
+        raise ParseError("missing vertices line", line=1, column=1)
+    return Hypergraph(vertices, edges)

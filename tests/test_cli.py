@@ -1,10 +1,18 @@
 """CLI surface: subcommands, rendering, exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hyperkey import cli
 from hyperkey.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -230,3 +238,103 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_non_utf8_file_is_usage(self, tmp_path, capsys):
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["analyze", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
+
+
+def test_parser_is_built_once_per_process(h1_path, monkeypatch, capsys):
+    """Building the argparse tree costs more than most answers; main builds
+    it on its first call and never again."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert main(["analyze", h1_path]) == 0
+    first = len(built)
+    assert first > 0  # the counter sees the one build
+    for argv in 10 * [
+        ["analyze", h1_path],
+        ["--json", "region", h1_path],
+        ["scheme", h1_path, "--order", "1,2,3=3,2,1"],
+        ["nope"],
+        ["--help"],
+    ]:
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == first
+
+
+# One process running main over and over must answer exactly as a fresh
+# `python -m hyperkey.cli` does for each argv.  Every argv runs in process;
+# the ones marked True also run in a fresh subprocess for reference.
+H1_TEXT = "vertices: 1 2 3 4 5 6\nedge a: 1 2 4 weight 1\nedge b: 2 3 5 weight 3\nedge c: 1 3 6 weight 2\n"
+H4_TEXT = "vertices: 1 2 3 4 5\nedge a: 1 2 3 weight 1\nedge b: 3 4 weight 1\nedge c: 1 5 weight 1\nedge d: 2 weight 1\nedge e: 5 weight 1\n"
+BAD_TEXT = "vertices: 1 2\nedge x: 1 7 weight 1\n"
+SEQUENCE = [
+    (["capacity"], True),
+    (["--help"], True),
+    (["analyze", "BAD"], True),
+    (["analyze", "H1"], True),
+    (["--json", "analyze", "H1"], False),
+    (["capacity", "H1", "--total-rate", "1"], False),
+    (["--json", "capacity", "H4"], True),
+    (["region", "H1"], False),
+    (["--json", "region", "H1"], True),
+    (["check", "H1", "--key-rate", "1", "--rates", "3:1"], True),
+    (["--json", "check", "H1", "--key-rate", "1", "--rates", "1:1,2:1"], False),
+    (["--json", "scheme", "H1", "--order", "1,2,3=3,2,1", "--emit-matrix"], False),
+    (["scheme", "H1", "--order", "1,2,3=3,2,1"], False),
+    (["scheme", "H1"], True),
+    (["--json", "scheme", "H1"], True),
+    (["simulate", "H1", "--key-rate", "1", "--order", "1,2,3=2,1,3", "--seed", "3"], False),
+    (["simulate", "H1", "--key-rate", "1", "--seed", "3"], True),
+    (["--json", "simulate", "H1", "--key-rate", "1", "--exhaustive"], False),
+    (["fuzz", "--vertices", "4", "--edges", "2", "--cases", "2"], False),
+    (["--json", "fuzz", "--vertices", "5", "--edges", "3", "--seed", "2", "--cases", "2"], True),
+]
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    files = {"H1": H1_TEXT, "H4": H4_TEXT, "BAD": BAD_TEXT}
+    for name, text in files.items():
+        (tmp_path / f"{name}.hg").write_text(text)
+
+    def resolve(argv):
+        return [str(tmp_path / f"{a}.hg") if a in files else a for a in argv]
+
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the same width
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+
+    in_process = []
+    for argv, _ in SEQUENCE:
+        code = main(resolve(argv))
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process].count(2) == 2
+    assert in_process[0][2].startswith("usage: hyperkey capacity")
+
+    for (argv, fresh), got in zip(SEQUENCE, in_process):
+        if not fresh:
+            continue
+        done = subprocess.run(
+            [sys.executable, "-m", "hyperkey.cli", *resolve(argv)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert got == (done.returncode, done.stdout, done.stderr), argv

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hyperkey import (
     DuplicateEdgeId,
+    HyperkeyError,
     Hypergraph,
     NonpositiveWeight,
     ParseError,
@@ -14,6 +15,7 @@ from hyperkey import (
     random_mch,
     serialize,
 )
+from oracles import parse_hg
 
 
 class TestRoundTrip:
@@ -160,3 +162,119 @@ class TestParseErrors:
             parse("vertices: 1 2\nedge x: 1 2 weight 0")
         with pytest.raises(NonpositiveWeight):
             parse("vertices: 1 2\nedge x: 1 2 weight -3")
+
+
+NAMES = ["1", "2", "3", "a", "b", "x"]
+SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+def _joined(draw, tokens):
+    out = draw(st.sampled_from(["", " "]))
+    for tok in tokens:
+        out += tok + draw(SPACES)
+    return out.rstrip() if draw(st.booleans()) else out
+
+
+@st.composite
+def vertices_lines(draw):
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=6, unique=True))
+    if not draw(st.integers(0, 3)):  # one in four repeats a name or declares none
+        names = draw(st.sampled_from([names + [names[0]], [*names[1:], *names], []]))
+    return _joined(draw, ["vertices:", *names])
+
+
+@st.composite
+def edge_lines(draw):
+    eid = draw(st.sampled_from(["a:", "b:", "c:", "d:", "e:", "w:", ":", "a", "edge:"]))
+    members = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4))
+    if not draw(st.integers(0, 5)):
+        members = draw(st.sampled_from([[], [*members, "z"], ["z", *members]]))
+    weight = ["weight", draw(st.sampled_from(["1", "2", "3/2", "1.5", "0.25"]))]
+    if not draw(st.integers(0, 5)):
+        weight = draw(
+            st.sampled_from(
+                [["weight", "0"], ["weight", "-1"], ["weight", "x/y"],
+                 ["weight", "1/0"], ["weight"], ["mass", "1"], []]
+            )
+        )
+    return _joined(draw, ["edge", eid, *members, *weight])
+
+
+other_lines = st.sampled_from(
+    ["", "# comment", "  # indented", "format: 1", "format: 2", "format:",
+     "format: 1 1", "bogus: 3", "edges: a"]
+)
+
+
+@st.composite
+def hg_texts(draw):
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["format: 1", "format: 1", "format: 2", "# head"])))
+    if draw(st.integers(0, 9)):
+        lines.append(draw(vertices_lines()))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind < 7:
+            lines.append(draw(edge_lines()))
+        elif kind < 8:
+            lines.append(draw(vertices_lines()))
+        else:
+            lines.append(draw(other_lines))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def outcome(parser, text):
+    """The Hypergraph, or the error as (class, message, line, column)."""
+    try:
+        return parser(text)
+    except HyperkeyError as exc:
+        return (
+            type(exc),
+            str(exc),
+            getattr(exc, "line", None),
+            getattr(exc, "column", None),
+        )
+
+
+class TestAgreesWithQuadraticOracle:
+    """parse counts the vertex names once; the oracle rescans them per name.
+    Both give the same Hypergraph or the same first error."""
+
+    @settings(max_examples=200)
+    @given(hg_texts())
+    def test_random_and_malformed_texts(self, text):
+        assert outcome(parse, text) == outcome(parse_hg, text)
+
+    @given(hypergraphs())
+    def test_serialized_texts(self, h):
+        text = serialize(h)
+        assert outcome(parse, text) == outcome(parse_hg, text) == h
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "vertices: x b c b x",
+            "vertices: 1 2\nedge a: 1 z weight 0",
+            "vertices: 1 2\nedge a: 1 2 weight 1\nedge a: 1 weight 1",
+            "vertices: 1 2\nedge : 1 2 weight 1",
+            "vertices: 1 2\nedge a: 1 2 weight 1/0",
+            "vertices: 1 2 1\nedge a: 3 weight 1",
+        ],
+    )
+    def test_fixed_malformed_texts(self, text):
+        assert outcome(parse, text) == outcome(parse_hg, text)
+
+    def test_first_recurring_name_is_reported(self):
+        # the first token whose name occurs twice is x at column 11, not the
+        # first repeated token (b at column 17)
+        assert outcome(parse, "vertices: x b c b x") == (
+            ParseError, "duplicate vertex 'x' (line 1, column 11)", 1, 11
+        )
+
+    def test_long_path(self):
+        n = 2000
+        text = "vertices: " + " ".join(f"v{i}" for i in range(n)) + "\n" + "".join(
+            f"edge e{i}: v{i} v{i + 1} weight {1 + i % 3}\n" for i in range(n - 1)
+        )
+        assert parse(text) == parse_hg(text)
