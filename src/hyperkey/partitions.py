@@ -253,9 +253,13 @@ def _minimizer_sweep(
     partitions, where a block's coverage sum adds the weight of every edge
     meeting it.  Equivalently the numerator is sum_e w_e * (blocks met - 1).
 
-    Runs on restricted-growth codes over bitmasks with the value kept as an
-    integer pair, so the enumeration order matches enumerate_partitions while
-    skipping per-partition set and Fraction allocation.
+    A depth-first walk over restricted-growth codes, block choices ascending,
+    so leaves come in enumerate_partitions order.  Each edge keeps a bitmask
+    of the blocks its placed members meet: placing vertex i in block k
+    updates only the edges at i, adding an edge's scaled weight when k is new
+    to it and it already met another block, and backtracking undoes that.
+    The last vertex is only evaluated, never placed.  The value is kept as
+    an integer pair, so no partition or Fraction is built per leaf.
     """
     elems = sorted(h.vertices)
     n = len(elems)
@@ -266,46 +270,64 @@ def _minimizer_sweep(
             f"partition enumeration over {n} elements exceeds cap {max_ground}"
         )
     weighted_masks, scale = _scaled_edge_masks(h, elems, edge_weights)
-
+    # incident[i]: (edge index, scaled weight) of every edge containing elems[i]
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, (em, w) in enumerate(weighted_masks):
+        for i in range(n):
+            if em >> i & 1:
+                incident[i].append((j, w))
+    met = [0] * len(weighted_masks)
+    for j, _ in incident[0]:
+        met[j] = 1
+    code = [0] * n
+    last = n - 1
+    last_edges = incident[last]
     best_num: Optional[int] = None
     best_den = 1
     opt_codes: list[tuple[int, ...]] = []
-    code = [0] * n
-    prefix_max = [0] * n  # prefix_max[i] = max(code[:i]) for i >= 1
-    masks = [0] * n
-    while True:
-        last = code[n - 1]
-        top = prefix_max[n - 1]
-        nblocks = (top if top >= last else last) + 1
-        if nblocks > 1:
-            for k in range(nblocks):
-                masks[k] = 0
-            for i in range(n):
-                masks[code[i]] |= 1 << i
-            num = 0
-            for em, w in weighted_masks:
-                crossed = -1
-                for k in range(nblocks):
-                    if masks[k] & em:
-                        crossed += 1
-                num += w * crossed
+
+    def leaves(num: int, blocks: int) -> None:
+        # the last vertex joins block k < blocks, or opens block `blocks`
+        nonlocal best_num, best_den, opt_codes
+        for k in range(blocks + 1):
+            bit = 1 << k
+            total = num
+            for j, w in last_edges:
+                if met[j] and not met[j] & bit:
+                    total += w
+            nblocks = blocks + 1 if k == blocks else blocks
+            if nblocks == 1:
+                continue
             den = (nblocks - 1) * scale
-            if best_num is None or num * best_den < best_num * den:
-                best_num, best_den = num, den
+            code[last] = k
+            if best_num is None or total * best_den < best_num * den:
+                best_num, best_den = total, den
                 opt_codes = [tuple(code)]
-            elif num * best_den == best_num * den:
+            elif total * best_den == best_num * den:
                 opt_codes.append(tuple(code))
-        # advance to the next restricted growth string
-        i = n - 1
-        while i > 0 and code[i] > prefix_max[i]:
-            i -= 1
-        if i == 0:
-            break
-        code[i] += 1
-        grown = prefix_max[i] if prefix_max[i] >= code[i] else code[i]
-        for j in range(i + 1, n):
-            code[j] = 0
-            prefix_max[j] = grown
+
+    def place(i: int, num: int, blocks: int) -> None:
+        if i == last:
+            leaves(num, blocks)
+            return
+        edges = incident[i]
+        for k in range(blocks + 1):
+            bit = 1 << k
+            added = 0
+            touched = []
+            for j, w in edges:
+                m = met[j]
+                if not m & bit:
+                    if m:
+                        added += w
+                    met[j] = m | bit
+                    touched.append(j)
+            code[i] = k
+            place(i + 1, num + added, blocks + 1 if k == blocks else blocks)
+            for j in touched:
+                met[j] ^= bit
+
+    place(1, 0, 1)
     assert best_num is not None and opt_codes
 
     def materialize(c: tuple[int, ...]) -> Partition:
@@ -400,10 +422,20 @@ def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> Connectivi
 def _connectivity(
     h: Hypergraph, edge_weights: tuple[Fraction, ...], max_ground: int
 ) -> ConnectivityReport:
-    if len(h.vertices) >= 2 and h.is_mch():
-        return _mch_report(h, edge_weights)
-    sweep = _minimizer_sweep(h, edge_weights, max_ground)
-    return ConnectivityReport(value=sweep.value, fundamental=sweep.fundamental)
+    """The report for one functional, cached on the value per (edge_weights,
+    max_ground); reports are frozen, so callers share one."""
+    key = ("connectivity", edge_weights, max_ground)
+    report = h._cache.get(key)
+    if report is None:
+        if len(h.vertices) >= 2 and h.is_mch():
+            report = _mch_report(h, edge_weights)
+        else:
+            sweep = _minimizer_sweep(h, edge_weights, max_ground)
+            report = ConnectivityReport(
+                value=sweep.value, fundamental=sweep.fundamental
+            )
+        h._cache[key] = report
+    return report
 
 
 def partition_connectivity(h: Hypergraph, *, max_ground: int = 12) -> ConnectivityReport:

@@ -28,7 +28,7 @@ from .partitions import (
 )
 from .polymatroid import RankFunction, extreme_point_for_order, verify_contra_polymatroid
 from .scheme import rates_of, synthesize, verify
-from .simkit import brute_force_secrecy, quantize, run, secrecy_by_rank
+from .simkit import brute_force_secrecy, quantize, run
 
 __all__ = ["lemma_violations", "scheme_round_trip_violations"]
 
@@ -294,9 +294,10 @@ def scheme_round_trip_violations(
                 b = frozenset(combo)
                 if len(b) >= len(h.vertices) - 1:
                     continue
-                if h.removal_component_count(b) < 2:
+                rest = list(h._search(b))
+                if len(rest) < 2:
                     continue
-                p = Partition.from_blocks(h.remove_vertices(b).components())
+                p = Partition.from_blocks(rest)
                 deficit = outer_bound_deficit(h, rates, b, p)
                 if deficit < 0:
                     bad.append(
@@ -311,11 +312,10 @@ def scheme_round_trip_violations(
         if not outcome.zero_error:
             bad.append("exhaustive simulation found a recovery error")
         secrecy = brute_force_secrecy(h, scheme, rate, max_state_bits=simulate_cap)
-        rank_verdict = secrecy_by_rank(scheme)
-        if secrecy.perfect != rank_verdict:
+        if secrecy.perfect != report.secrecy_ok:
             bad.append(
                 f"secrecy oracles disagree: brute force {secrecy.perfect}, "
-                f"rank {rank_verdict}"
+                f"rank {report.secrecy_ok}"
             )
         if secrecy.key_entropy_bits != shape.key_length:
             bad.append(

@@ -164,8 +164,8 @@ def _require_fundamental_block(
 def _representatives_of_restriction(
     restriction: Hypergraph, block: frozenset[str]
 ) -> frozenset[str]:
-    outside = restriction.remove_vertices(block & restriction.vertices)
-    reps = frozenset(min(comp) for comp in outside.components())
+    outside = restriction._search(block & restriction.vertices)
+    reps = frozenset(min(comp) for comp in outside)
     for v in reps:
         if restriction.degree({v}) != 1:  # pragma: no cover - theorem guard
             raise RankDefect(f"representative {v!r} is not degree one")
@@ -215,13 +215,12 @@ def _classes(
     )
     if not shared:
         return ()
-    remaining = restriction.remove_vertices(prefix & restriction.vertices)
-    groups: dict[frozenset[str], set[str]] = {}
-    for comp in remaining.components():
-        hits = shared & comp
-        if hits:
-            groups[comp] = set(hits)
-    classes = [frozenset(g) for g in groups.values()]
+    # components are disjoint, so each one's hits form a class of their own
+    classes = [
+        hits
+        for comp in restriction._search(prefix & restriction.vertices)
+        if (hits := shared & comp)
+    ]
     classes.sort(key=min)
     return tuple(classes)
 

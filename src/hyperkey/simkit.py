@@ -417,8 +417,11 @@ def random_mch_with_stats(
 
     vertex_count and edge_count are exact; proposals are grown connected
     (every edge meets the earlier ones, every vertex enters through an edge)
-    so rejection only has to find minimality.  Some shapes admit no MCH at all
-    and exhaust the attempt budget.
+    so rejection only has to find minimality.  Proposals are vertex bitmasks
+    (see _propose) and are tested by _is_minimal; the one Hypergraph built is
+    the accepted case, over vertices "1".."n" with edge ids "a", "b", ... in
+    proposal order.  attempts counts every proposal, the accepted one
+    included.  Some shapes admit no MCH at all and exhaust the attempt budget.
     """
     if not 2 <= vertex_count <= 8:
         raise GroundTooLarge("vertex count must be between 2 and 8")
@@ -427,11 +430,25 @@ def random_mch_with_stats(
     if max_weight < 1:
         raise NegativeRate("max weight must be at least one")
     rng = random.Random(seed)
-    names = [str(i + 1) for i in range(vertex_count)]
+    full = (1 << vertex_count) - 1
     for attempt in range(1, max_attempts + 1):
-        proposal = _propose(rng, names, edge_count, max_weight)
-        if proposal is not None and proposal.is_mch():
-            return proposal, GenerationStats(attempts=attempt, rejected=attempt - 1)
+        proposal = _propose(rng, vertex_count, edge_count, max_weight)
+        if proposal is None:
+            continue
+        masks, weights = proposal
+        if not _is_minimal(masks, full):
+            continue
+        names = [str(i + 1) for i in range(vertex_count)]
+        edges = [
+            (
+                ascii_lowercase[j],
+                [names[i] for i in range(vertex_count) if masks[j] >> i & 1],
+                weights[j],
+            )
+            for j in range(edge_count)
+        ]
+        stats = GenerationStats(attempts=attempt, rejected=attempt - 1)
+        return Hypergraph(names, edges), stats
     raise GenerationBudgetExhausted(
         f"no MCH with {vertex_count} vertices and {edge_count} edges found "
         f"in {max_attempts} attempts"
@@ -453,19 +470,33 @@ def random_mch(
 
 
 def _propose(
-    rng: random.Random, names: list[str], edge_count: int, max_weight: int
-) -> Optional[Hypergraph]:
-    pool = list(names)
+    rng: random.Random, vertex_count: int, edge_count: int, max_weight: int
+) -> Optional[tuple[list[int], list[int]]]:
+    """One connected proposal as (member bitmask per edge, weight per edge),
+    bit i standing for vertex i + 1, or None when an edge gets fewer than two
+    members (loops never occur in an MCH).
+
+    The rng draws are, in order: one shuffle of the vertices, one randrange
+    per vertex after the first to pick the edge that introduces it, then per
+    edge a random and a randint choosing how many earlier vertices to add
+    and one sample of them (none for the first edge), and one randint
+    weight.  The sample runs over the earlier vertices in introduction
+    order, so its picks depend only on that order.
+    """
+    pool = list(range(vertex_count))
     rng.shuffle(pool)
     # distribute every vertex to the edge that introduces it
-    intro: list[list[str]] = [[] for _ in range(edge_count)]
+    intro: list[list[int]] = [[] for _ in range(edge_count)]
     intro[0].append(pool[0])
     for v in pool[1:]:
         intro[rng.randrange(edge_count)].append(v)
-    existing: list[str] = []
-    edges = []
+    existing: list[int] = []
+    masks: list[int] = []
+    weights: list[int] = []
     for j in range(edge_count):
-        members = set(intro[j])
+        members = 0
+        for v in intro[j]:
+            members |= 1 << v
         if existing:
             span = len(existing)
             if rng.random() < 0.15:
@@ -474,11 +505,29 @@ def _propose(
                 take = min(rng.randint(1, 3), span)
             if not members and take == 1 and span >= 2:
                 take = 2  # avoid proposing loops, which are never minimal
-            members.update(rng.sample(existing, take))
-        if len(members) < 2:
+            for v in rng.sample(existing, take):
+                members |= 1 << v
+        if not members & (members - 1):
             return None  # loops and empty edges never occur in an MCH
-        weight = rng.randint(1, max_weight)
-        edges.append((ascii_lowercase[j], sorted(members), weight))
-        for v in intro[j]:
-            existing.append(v)
-    return Hypergraph(names, edges)
+        masks.append(members)
+        weights.append(rng.randint(1, max_weight))
+        existing.extend(intro[j])
+    return masks, weights
+
+
+def _is_minimal(masks: list[int], full: int) -> bool:
+    """Whether a connected proposal is an MCH: for every edge, a flood fill
+    from vertex bit 0 over the other edges leaves some vertex unreached."""
+    for j in range(len(masks)):
+        others = masks[:j] + masks[j + 1 :]
+        reached = 1
+        grew = True
+        while grew:
+            grew = False
+            for m in others:
+                if m & reached and m & ~reached:
+                    reached |= m
+                    grew = True
+        if reached == full:
+            return False
+    return True

@@ -1,23 +1,33 @@
 """Earlier, independent implementations kept as test oracles.
 
 The library answers these questions from one incidence-graph scan and one
-GF(2) reduction, and parses .hg text with one count of the declared names;
-the functions here answer them the long way (a separate depth-first search,
-one elimination per question, column-order elimination, a rescan of the
-vertex list per name) and never call the code they check.
+GF(2) reduction, parses .hg text with one count of the declared names,
+rejection-samples MCHs on vertex bitmasks and sweeps partitions with an
+incremental per-edge count; the functions here answer them the long way (a
+separate depth-first search, one elimination per question, column-order
+elimination, a rescan of the vertex list per name, a Hypergraph and an
+is_mch scan per proposal, a recount of every edge against every block per
+partition) and never call the code they check.
 """
 
+import random
 from fractions import Fraction
+from math import gcd
+from string import ascii_lowercase
 from typing import Optional
 
 from hyperkey import (
     BergeCycle,
     DuplicateEdgeId,
     Edge,
+    GenerationBudgetExhausted,
     Hypergraph,
+    MinimizerSweep,
     NonpositiveWeight,
     ParseError,
+    Partition,
     RankDefect,
+    SemiLatticeViolation,
 )
 
 
@@ -286,3 +296,131 @@ def parse_hg(text: str) -> Hypergraph:
     if vertices is None:
         raise ParseError("missing vertices line", line=1, column=1)
     return Hypergraph(vertices, edges)
+
+
+# -- random MCH sampling -----------------------------------------------------------
+
+
+def random_mch_with_stats(
+    vertex_count: int,
+    edge_count: int,
+    max_weight: int = 1,
+    seed: int = 0,
+    *,
+    max_attempts: int = 20000,
+) -> tuple[Hypergraph, int]:
+    """(first proposal that is an MCH, attempts taken): a Hypergraph built
+    and scanned by is_mch for every proposal.  Shape bounds are not checked."""
+    rng = random.Random(seed)
+    names = [str(i + 1) for i in range(vertex_count)]
+    for attempt in range(1, max_attempts + 1):
+        proposal = propose(rng, names, edge_count, max_weight)
+        if proposal is not None and proposal.is_mch():
+            return proposal, attempt
+    raise GenerationBudgetExhausted(
+        f"no MCH with {vertex_count} vertices and {edge_count} edges found "
+        f"in {max_attempts} attempts"
+    )
+
+
+def propose(
+    rng: random.Random, names: list[str], edge_count: int, max_weight: int
+) -> Optional[Hypergraph]:
+    """A connected random hypergraph over names, or None when an edge would
+    get fewer than two members."""
+    pool = list(names)
+    rng.shuffle(pool)
+    # distribute every vertex to the edge that introduces it
+    intro: list[list[str]] = [[] for _ in range(edge_count)]
+    intro[0].append(pool[0])
+    for v in pool[1:]:
+        intro[rng.randrange(edge_count)].append(v)
+    existing: list[str] = []
+    edges = []
+    for j in range(edge_count):
+        members = set(intro[j])
+        if existing:
+            span = len(existing)
+            if rng.random() < 0.15:
+                take = rng.randint(1, span)
+            else:
+                take = min(rng.randint(1, 3), span)
+            if not members and take == 1 and span >= 2:
+                take = 2  # avoid proposing loops, which are never minimal
+            members.update(rng.sample(existing, take))
+        if len(members) < 2:
+            return None  # loops and empty edges never occur in an MCH
+        weight = rng.randint(1, max_weight)
+        edges.append((ascii_lowercase[j], sorted(members), weight))
+        for v in intro[j]:
+            existing.append(v)
+    return Hypergraph(names, edges)
+
+
+# -- partition sweep ----------------------------------------------------------------
+
+
+def minimizer_sweep(h: Hypergraph, edge_weights) -> MinimizerSweep:
+    """Every proper partition in restricted-growth order, each one rebuilt
+    as block bitmasks and every edge counted against every block; the
+    minimizers in that order, and their meet as the fundamental partition
+    (SemiLatticeViolation when a partial meet is not a minimizer)."""
+    elems = sorted(h.vertices)
+    n = len(elems)
+    scale = 1
+    for w in edge_weights:
+        scale = scale * w.denominator // gcd(scale, w.denominator)
+    weighted_masks = [
+        (sum(1 << elems.index(v) for v in e.members), int(w * scale))
+        for e, w in zip(h.edges, edge_weights)
+    ]
+    best_num: Optional[int] = None
+    best_den = 1
+    opt_codes: list[tuple[int, ...]] = []
+    code = [0] * n
+    while True:
+        nblocks = max(code) + 1
+        if nblocks > 1:
+            masks = [0] * nblocks
+            for i in range(n):
+                masks[code[i]] |= 1 << i
+            num = 0
+            for em, w in weighted_masks:
+                crossed = -1
+                for k in range(nblocks):
+                    if masks[k] & em:
+                        crossed += 1
+                num += w * crossed
+            den = (nblocks - 1) * scale
+            if best_num is None or num * best_den < best_num * den:
+                best_num, best_den = num, den
+                opt_codes = [tuple(code)]
+            elif num * best_den == best_num * den:
+                opt_codes.append(tuple(code))
+        # advance to the next restricted growth string
+        i = n - 1
+        while i > 0 and code[i] > max(code[:i]):
+            i -= 1
+        if i == 0:
+            break
+        code[i] += 1
+        for j in range(i + 1, n):
+            code[j] = 0
+
+    opts = []
+    for c in opt_codes:
+        blocks: list[set[str]] = [set() for _ in range(max(c) + 1)]
+        for i, b in enumerate(c):
+            blocks[b].add(elems[i])
+        opts.append(Partition.from_blocks(blocks))
+    opt_set = set(opts)
+    meet = opts[0]
+    for p in opts[1:]:
+        meet = meet.common_refinement(p)
+        if meet not in opt_set:
+            raise SemiLatticeViolation(
+                "minimizer set is not closed under common refinement"
+            )
+    return MinimizerSweep(
+        value=Fraction(best_num, best_den), fundamental=meet, minimizers=tuple(opts)
+    )

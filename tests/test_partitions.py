@@ -23,7 +23,8 @@ from hyperkey import (
     partition_connectivity,
 )
 from hyperkey.errors import GroundTooLarge, SemiLatticeViolation
-from hyperkey.simkit import _propose
+import oracles
+from oracles import propose as _propose
 
 
 def blocks(partition):
@@ -318,6 +319,87 @@ class TestMchFastPath:
         monkeypatch.setattr(Hypergraph, "cyclic_cores", lambda self: ())
         with pytest.raises(SemiLatticeViolation):
             partition_connectivity(h1)
+
+
+def _assert_sweep_matches_oracle(h):
+    """Both functionals: value, fundamental partition and every minimizer,
+    in enumeration order, as the per-partition recount gives them."""
+    for weighted in (False, True):
+        weights = tuple(e.weight if weighted else Fraction(1) for e in h.edges)
+        try:
+            expected = oracles.minimizer_sweep(h, weights)
+        except SemiLatticeViolation:
+            with pytest.raises(SemiLatticeViolation):
+                enumerate_minimizers(h, weighted=weighted)
+            continue
+        got = enumerate_minimizers(h, weighted=weighted)
+        assert (got.value, got.fundamental, got.minimizers) == (
+            expected.value,
+            expected.fundamental,
+            expected.minimizers,
+        ), (sorted((e.id, sorted(e.members), e.weight) for e in h.edges), weighted)
+
+
+class TestSweepMatchesRecountOracle:
+    def test_census(self):
+        """Every hypergraph with |V| <= 4 and |E| <= 4, every 100th with
+        |V| = 5 (the whole census takes about 35 s), weights alternating
+        1 and 2: disconnected, loop and parallel-edge shapes included."""
+        checked = 0
+        for n in (2, 3, 4, 5):
+            names = [str(i + 1) for i in range(n)]
+            member_sets = [
+                [names[v] for v in range(n) if mask >> v & 1] for mask in range(1 << n)
+            ]
+            for m in range(5):
+                combos = combinations_with_replacement(range(1, 1 << n), m)
+                for k, combo in enumerate(combos):
+                    if n == 5 and k % 100:
+                        continue
+                    _assert_sweep_matches_oracle(Hypergraph(
+                        names,
+                        [
+                            (f"e{j}", member_sets[mask], 1 + j % 2)
+                            for j, mask in enumerate(combo)
+                        ],
+                    ))
+                    checked += 1
+        assert checked == 4767
+
+    def test_random_weighted_hypergraphs(self):
+        rng = random.Random(23)
+        shapes = {"disconnected": 0, "loop": 0, "parallel": 0, "mch": 0}
+        for n, count in [(n, 16) for n in range(2, 8)] + [(8, 8), (9, 2), (10, 1)]:
+            names = [f"v{i}" for i in range(n)]
+            for _ in range(count):
+                edges = []
+                for j in range(rng.randint(n // 2, n + 1)):
+                    members = rng.sample(names, rng.randint(1, min(n, 4)))
+                    if edges and rng.random() < 0.1:
+                        members = sorted(edges[-1][1])  # a parallel edge
+                    weight = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                    edges.append((f"e{j}", members, weight))
+                h = Hypergraph(names, edges)
+                shapes["disconnected"] += not h.is_connected()
+                shapes["loop"] += bool(h.loop_edges())
+                shapes["parallel"] += len({e.members for e in h.edges}) < len(h.edges)
+                shapes["mch"] += h.is_mch()
+                _assert_sweep_matches_oracle(h)
+            for _ in range(3 if n < 9 else 0):  # fuzz sweeps MCHs
+                shapes["mch"] += 1
+                _assert_sweep_matches_oracle(_random_mch(rng, n, 3))
+        assert min(shapes.values()) >= 5, shapes
+
+    def test_cycle(self):
+        """A cycle is not an MCH, so both functionals take the sweep; the
+        singleton partition is the unique minimizer, at n / (n - 1)."""
+        n = 9
+        cycle = Hypergraph(
+            [str(i) for i in range(n)],
+            [(f"e{i}", [str(i), str((i + 1) % n)], 1) for i in range(n)],
+        )
+        _assert_sweep_matches_oracle(cycle)
+        assert partition_connectivity(cycle).value == Fraction(n, n - 1)
 
 
 class TestChainOrder:

@@ -439,6 +439,39 @@ class TestRandomMCH:
         with pytest.raises(GenerationBudgetExhausted):
             random_mch(2, 2, 1, max_attempts=500)
 
+    def test_matches_the_rebuild_oracle(self):
+        """Same instance and attempts as a Hypergraph plus is_mch per
+        proposal, and a budget exhausted on the same cases: every shape the
+        bounds allow, weights up to 1 and 3, 25 seeds, 60 proposals."""
+        outcomes = {"accepted": 0, "exhausted": 0}
+        for n in range(2, 9):
+            for m in range(1, 7):
+                for w in (1, 3):
+                    for seed in range(25):
+                        try:
+                            expected = oracles.random_mch_with_stats(
+                                n, m, w, seed, max_attempts=60
+                            )
+                        except GenerationBudgetExhausted:
+                            with pytest.raises(GenerationBudgetExhausted):
+                                random_mch_with_stats(n, m, w, seed, max_attempts=60)
+                            outcomes["exhausted"] += 1
+                            continue
+                        g, stats = random_mch_with_stats(n, m, w, seed, max_attempts=60)
+                        assert (g, stats.attempts) == expected, (n, m, w, seed)
+                        assert stats.rejected == stats.attempts - 1
+                        outcomes["accepted"] += 1
+        assert min(outcomes.values()) >= 500, outcomes
+
+    @pytest.mark.parametrize("n, m", [(6, 5), (8, 6)])
+    def test_rare_shapes_match_under_the_default_budget(self, n, m):
+        # thousands of proposals per case: the attempt counts the fuzz
+        # command prints must still agree
+        for seed in range(2):
+            expected = oracles.random_mch_with_stats(n, m, 1, seed)
+            g, stats = random_mch_with_stats(n, m, 1, seed)
+            assert (g, stats.attempts) == expected
+
     @given(st.integers(0, 30))
     def test_generated_instances_are_mch(self, seed):
         menu = [(3, 2, 1), (4, 3, 2), (5, 3, 1), (6, 4, 3)]
