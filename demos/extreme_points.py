@@ -2,8 +2,10 @@
 
 Within one fundamental block, the achievable discussion rates form a
 contra-polymatroid: every vertex ordering yields an extreme point by
-telescoping the rank function, and any feasible point decomposes as a
-convex combination of extreme points with exact rational weights.
+telescoping the rank function, and any feasible point dominates a convex
+combination of at most |block| extreme points with exact rational weights.
+decompose finds one greedily: it lowers the point to a base, then peels off
+the vertex of a chain of tight sets at a time.
 """
 
 from fractions import Fraction
@@ -29,7 +31,7 @@ print("extreme points:")
 for point in extreme_points(fn):
     print("  ", show(point.rates))
 
-# an interior point splits across two orderings with exact weights
+# a point on the sum-tight face splits across two chain orders with exact weights
 interior = {"1": Fraction(1, 2), "2": 1, "3": Fraction(1, 2)}
 cert = decompose(fn, interior)
 print("decomposition of {1: 1/2, 2: 1, 3: 1/2}")

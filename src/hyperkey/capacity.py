@@ -163,13 +163,16 @@ def in_region(
 
     The key-rate cap is checked first, then the subset constraints in the
     spec's canonical order.  The rate tuple must carry an entry for every
-    vertex of h.
+    vertex of h and for no other.
     """
     if spec is None:
         spec = region_spec(h)
     missing = h.vertices - set(rt.per_user)
     if missing:
         raise UnknownVertex(f"rate tuple missing vertices: {sorted(missing)}")
+    foreign = set(rt.per_user) - h.vertices
+    if foreign:
+        raise UnknownVertex(f"rate tuple names unknown vertices: {sorted(foreign)}")
     if rt.key_rate > spec.key_cap:
         return RegionCheck(ok=False, key_cap_violated=True)
     for subset, coeff in spec.constraints:
@@ -199,13 +202,15 @@ def outer_bound_deficit(
         raise SubsetTooLarge(
             "the bound needs at least two vertices outside the subset"
         )
-    rest = h.remove_vertices(bset)
-    if p.ground() != rest.vertices:
+    if p.ground() != h.vertices - bset:
         raise InvalidPartition(
             "partition must cover exactly the vertices outside the subset"
         )
     if len(p) < 2:
         raise InvalidPartition("the bound needs a proper partition")
-    block_sum = sum((entropy(rest, c) for c in p.blocks), Fraction(0))
-    i_p = (block_sum - entropy(rest, rest.vertices)) / (len(p) - 1)
+    # each block misses B, so it meets the same edges in h as in h minus B,
+    # whose entropy is the weight of the edges not inside B
+    block_sum = sum((entropy(h, c) for c in p.blocks), Fraction(0))
+    rest = sum((e.weight for e in h.edges if not e.members <= bset), Fraction(0))
+    i_p = (block_sum - rest) / (len(p) - 1)
     return rt.over(bset) - (len(p) - 1) * (rt.key_rate - i_p)

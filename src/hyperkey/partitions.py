@@ -420,17 +420,17 @@ def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> Connectivi
 
 
 def _connectivity(
-    h: Hypergraph, edge_weights: tuple[Fraction, ...], max_ground: int
+    h: Hypergraph, edge_weights: tuple[Fraction, ...]
 ) -> ConnectivityReport:
-    """The report for one functional, cached on the value per (edge_weights,
-    max_ground); reports are frozen, so callers share one."""
-    key = ("connectivity", edge_weights, max_ground)
+    """The report for one functional, cached on the value per edge_weights;
+    reports are frozen, so callers share one."""
+    key = ("connectivity", edge_weights)
     report = h._cache.get(key)
     if report is None:
         if len(h.vertices) >= 2 and h.is_mch():
             report = _mch_report(h, edge_weights)
         else:
-            sweep = _minimizer_sweep(h, edge_weights, max_ground)
+            sweep = _minimizer_sweep(h, edge_weights, 12)
             report = ConnectivityReport(
                 value=sweep.value, fundamental=sweep.fundamental
             )
@@ -438,24 +438,21 @@ def _connectivity(
     return report
 
 
-def partition_connectivity(h: Hypergraph, *, max_ground: int = 12) -> ConnectivityReport:
+def partition_connectivity(h: Hypergraph) -> ConnectivityReport:
     """Unit-count connectivity: min over proper partitions of
     crossing_count / (|P| - 1).
 
     On an MCH the value is 1 and the fundamental partition is the cyclic
     cores plus singletons, found in linear time at any size.  Other inputs
-    are enumerated, up to max_ground vertices; there the value is zero
+    are enumerated, up to 12 vertices; there the value is zero
     exactly when h is disconnected, and the fundamental partition is then
     the partition into connected components.
     """
-    return _connectivity(h, tuple(Fraction(1) for _ in h.edges), max_ground)
+    return _connectivity(h, tuple(Fraction(1) for _ in h.edges))
 
 
 def mmi(
-    h: Hypergraph,
-    restrict_to: Optional[Iterable[str]] = None,
-    *,
-    max_ground: int = 12,
+    h: Hypergraph, restrict_to: Optional[Iterable[str]] = None
 ) -> ConnectivityReport:
     """Weighted shared-information functional over proper partitions.
 
@@ -463,7 +460,7 @@ def mmi(
     (sum of block coverage entropies - total entropy) / (|P| - 1); the report
     carries the minimum and the finest minimizer.  On an MCH the minimum is
     the least edge weight and the finest minimizer is found in linear time;
-    other inputs are enumerated, up to max_ground vertices.  With
+    other inputs are enumerated, up to 12 vertices.  With
     restrict_to, the hypergraph is first restricted to that vertex set.
     """
     if restrict_to is not None:
@@ -473,7 +470,7 @@ def mmi(
         hh = h.induced(target)
     else:
         hh = h
-    return _connectivity(hh, tuple(e.weight for e in hh.edges), max_ground)
+    return _connectivity(hh, tuple(e.weight for e in hh.edges))
 
 
 def chain_order(

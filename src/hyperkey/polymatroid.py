@@ -5,20 +5,23 @@ function f(B) = (component_count(h minus B) - 1) * r_K over subsets B of C is
 normalized, nondecreasing, and supermodular; the discussion-rate constraints
 over C are exactly r(B) >= f(B).  Every permutation of C telescopes f into a
 vertex of that region, and any feasible vector dominates a convex combination
-of such vertices.  The decomposition certificate is computed with exact
-rational arithmetic only (a phase-1 simplex with Bland's rule); no floats.
+of at most |C| such vertices.  The decomposition certificate is computed on
+the 2^|C| subset table of f with exact rational arithmetic only (the greedy
+contra-polymatroid split: lower to a base, then peel off the vertex of a
+chain of tight sets at a time); no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
     GroundTooLarge,
     NegativeRate,
+    NotFundamentalBlock,
     SubsetOutsideBlock,
     UnknownVertex,
 )
@@ -150,9 +153,11 @@ def verify_contra_polymatroid(
 class ExtremePoint:
     """A region vertex: the telescoped increments of f along one permutation.
 
-    order is the permutation that produced the point (the first such
-    permutation in lexicographic order when several collapse to one vector);
-    rates holds (vertex, rate) pairs sorted by vertex.
+    order is the permutation that produced the point: from extreme_points,
+    the first such permutation in lexicographic order when several collapse
+    to one vector; from decompose, the order of the chain of tight sets the
+    point was telescoped along.  rates holds (vertex, rate) pairs sorted by
+    vertex.
     """
 
     order: tuple[str, ...]
@@ -168,9 +173,7 @@ class ExtremePoint:
         return dict(self.rates)
 
 
-def extreme_point_for_order(
-    fn: RankFunction, order: Iterable[str], *, max_block: int = 8
-) -> ExtremePoint:
+def extreme_point_for_order(fn: RankFunction, order: Iterable[str]) -> ExtremePoint:
     """Telescope f along one permutation of the block."""
     seq = tuple(str(v) for v in order)
     if frozenset(seq) != fn.block or len(seq) != len(fn.block):
@@ -190,29 +193,37 @@ def extreme_point_for_order(
 def extreme_points(fn: RankFunction, *, max_block: int = 8) -> tuple[ExtremePoint, ...]:
     """All distinct extreme points, one per rate vector.
 
-    Permutations are visited in lexicographic order; when several produce the
-    same vector only the first is kept.  Blocks larger than max_block are
-    refused (|block|! permutations).
+    Permutations are visited in lexicographic order, depth first over prefix
+    masks of the subset table; when several produce the same vector only the
+    first is kept.  Blocks larger than max_block are refused (|block|!
+    permutations).
     """
     if len(fn.block) > max_block:
         raise GroundTooLarge(
             f"extreme points over a block of {len(fn.block)} exceeds cap {max_block}"
         )
     order, values = _subset_table(fn, max_block=max_block)
-    index = {v: i for i, v in enumerate(order)}
+    n = len(order)
     seen: dict[tuple[Fraction, ...], ExtremePoint] = {}
-    for perm in permutations(sorted(fn.block)):
-        mask = 0
-        prev = Fraction(0)
-        rates: dict[str, Fraction] = {}
-        for v in perm:
-            mask |= 1 << index[v]
-            value = values[mask]
-            rates[v] = value - prev
-            prev = value
-        key = tuple(r for _, r in sorted(rates.items()))
-        if key not in seen:
-            seen[key] = ExtremePoint(order=perm, rates=tuple(sorted(rates.items())))
+    rates = [Fraction(0)] * n
+    seq: list[int] = []
+
+    def grow(mask: int) -> None:
+        if len(seq) == n:
+            key = tuple(rates)
+            if key not in seen:
+                seen[key] = ExtremePoint(
+                    order=tuple(order[i] for i in seq), rates=tuple(zip(order, key))
+                )
+            return
+        for i in range(n):
+            if not mask >> i & 1:
+                rates[i] = values[mask | 1 << i] - values[mask]
+                seq.append(i)
+                grow(mask | 1 << i)
+                seq.pop()
+
+    grow(0)
     return tuple(seen.values())
 
 
@@ -227,15 +238,23 @@ class DecompositionResult:
 
 
 def decompose(
-    fn: RankFunction, target: Mapping[str, Fraction], *, max_block: int = 8
+    fn: RankFunction, target: Mapping[str, Fraction], *, max_block: int = 12
 ) -> DecompositionResult:
     """Certify membership of a rate vector in the per-block region.
 
     If some subset violates r(B) >= f(B), that inequality is returned (subsets
-    scanned by size then lexicographically).  Otherwise a convex combination
-    of extreme points with combination <= target coordinatewise is found: a
-    single canonical point if one is already dominated, else an exact
-    phase-1 simplex certificate.
+    scanned by size then lexicographically).  Otherwise the target is lowered
+    to a base (each vertex in turn gives up the least slack of a subset
+    containing it) and the base is split into at most |block| greedy vertices
+    (Cunningham, JCTB 1984; Fujishige, Submodular Functions and Optimization,
+    section 3): telescope f along a maximal chain of tight sets (smallest
+    tight superset first, lowest mask on ties), record that vertex, and move
+    the point away from it as far as the subset table allows.  A point's
+    order is its chain order; the mix equals the base, so it is at most the
+    target, and equal to it when the target is a base.
+
+    f must be normalized and supermodular, as on every fundamental block of
+    an MCH; where it is not, NotFundamentalBlock may be raised.
     """
     if len(fn.block) > max_block:
         raise GroundTooLarge(
@@ -261,106 +280,59 @@ def decompose(
                     feasible=False, violated=(frozenset(combo), need)
                 )
 
-    points = extreme_points(fn, max_block=max_block)
-    for pt in points:
-        if all(r <= goal[v] for v, r in pt.rates):
-            return DecompositionResult(feasible=True, weights=((Fraction(1), pt),))
+    n = len(order)
+    full = (1 << n) - 1
+    x = [goal[v] for v in order]
+    slack = [s - f for s, f in zip(_subset_sums(x), values)]
+    for i in range(n):
+        members = [m for m in range(full + 1) if m >> i & 1]
+        cut = min(slack[m] for m in members)
+        x[i] -= cut
+        for m in members:
+            slack[m] -= cut
 
-    lams = _phase_one_feasible(points, goal, tuple(sorted(fn.block)))
-    weights = tuple(
-        (lam, pt) for lam, pt in zip(lams, points) if lam > 0
+    by_size = sorted(range(1, full + 1), key=lambda m: (bin(m).count("1"), m))
+    weights: list[tuple[Fraction, ExtremePoint]] = []
+    mass = Fraction(1)
+    for _ in range(n):
+        sums = _subset_sums(x)
+        chain: list[int] = []
+        top = 0
+        for m in by_size:
+            if m & top == top and m != top and sums[m] == values[m]:
+                chain.extend(i for i in range(n) if (m & ~top) >> i & 1)
+                top = m
+        if top != full or values[0]:
+            break  # f is not a contra-polymatroid: no base, or f(empty) != 0
+        vertex = [Fraction(0)] * n
+        mask = 0
+        for i in chain:
+            vertex[i] = values[mask | 1 << i] - values[mask]
+            mask |= 1 << i
+        point = ExtremePoint(
+            order=tuple(order[i] for i in chain), rates=tuple(zip(order, vertex))
+        )
+        if vertex == x:
+            weights.append((mass, point))
+            return DecompositionResult(feasible=True, weights=tuple(weights))
+        far = _subset_sums(vertex)
+        step = min(
+            (sums[m] - values[m]) / (far[m] - sums[m])
+            for m in range(1, full + 1)
+            if far[m] > sums[m]
+        )
+        weights.append((mass * step / (1 + step), point))
+        mass /= 1 + step
+        x = [a + step * (a - b) for a, b in zip(x, vertex)]
+    raise NotFundamentalBlock(
+        "the rank function is not normalized and supermodular over this block"
     )
-    combo_sum = {v: Fraction(0) for v in fn.block}
-    total = Fraction(0)
-    for lam, pt in weights:
-        total += lam
-        for v, r in pt.rates:
-            combo_sum[v] += lam * r
-    assert total == 1 and all(combo_sum[v] <= goal[v] for v in fn.block)
-    return DecompositionResult(feasible=True, weights=weights)
 
 
-def _phase_one_feasible(
-    points: tuple[ExtremePoint, ...],
-    goal: Mapping[str, Fraction],
-    coords: tuple[str, ...],
-) -> list[Fraction]:
-    """Solve sum(lam_j * p_j) + s = goal, sum(lam_j) = 1, lam, s >= 0.
-
-    Exact phase-1 simplex with Bland's rule: artificial variables carry cost
-    one, everything else cost zero; a zero optimum yields the lambda values.
-    Raises if the optimum is positive, which would contradict the membership
-    scan that already passed.
-    """
-    k = len(points)
-    n = len(coords)
-    rows = n + 1
-    # columns: k lambdas, n slacks, rows artificials, then the rhs
-    width = k + n + rows
-    tableau: list[list[Fraction]] = []
-    for i, v in enumerate(coords):
-        row = [Fraction(0)] * (width + 1)
-        for j, pt in enumerate(points):
-            row[j] = pt.rate(v)
-        row[k + i] = Fraction(1)
-        row[k + n + i] = Fraction(1)
-        row[width] = goal[v]
-        tableau.append(row)
-    convex = [Fraction(0)] * (width + 1)
-    for j in range(k):
-        convex[j] = Fraction(1)
-    convex[k + n + rows - 1] = Fraction(1)
-    convex[width] = Fraction(1)
-    tableau.append(convex)
-
-    basis = [k + n + i for i in range(rows)]
-    cost = [Fraction(0)] * width
-    for i in range(rows):
-        cost[k + n + i] = Fraction(1)
-
-    while True:
-        entering = -1
-        for j in range(width):
-            reduced = cost[j] - sum(
-                cost[basis[i]] * tableau[i][j] for i in range(rows)
-            )
-            if reduced < 0:
-                entering = j
-                break
-        if entering < 0:
-            break
-        leaving = -1
-        best_ratio: Optional[Fraction] = None
-        for i in range(rows):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][width] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:  # pragma: no cover - phase-1 objective is bounded
-            raise RuntimeError("unbounded phase-1 simplex")
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [x / pivot for x in tableau[leaving]]
-        for i in range(rows):
-            if i != leaving and tableau[i][entering]:
-                factor = tableau[i][entering]
-                tableau[i] = [
-                    a - factor * b for a, b in zip(tableau[i], tableau[leaving])
-                ]
-        basis[leaving] = entering
-
-    objective = sum(
-        cost[basis[i]] * tableau[i][width] for i in range(rows)
-    )
-    if objective != 0:  # pragma: no cover - membership scan already passed
-        raise RuntimeError("feasibility contradiction in decomposition")
-    lams = [Fraction(0)] * k
-    for i, col in enumerate(basis):
-        if col < k:
-            lams[col] = tableau[i][width]
-    return lams
+def _subset_sums(x: list[Fraction]) -> list[Fraction]:
+    """sums[mask] = the sum of x[i] over the bits i of mask."""
+    sums = [Fraction(0)] * (1 << len(x))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + x[low.bit_length() - 1]
+    return sums

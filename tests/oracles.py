@@ -2,33 +2,44 @@
 
 The library answers these questions from one incidence-graph scan and one
 GF(2) reduction, parses .hg text with one count of the declared names,
-rejection-samples MCHs on vertex bitmasks and sweeps partitions with an
-incremental per-edge count; the functions here answer them the long way (a
-separate depth-first search, one elimination per question, column-order
-elimination, a rescan of the vertex list per name, a Hypergraph and an
-is_mch scan per proposal, a recount of every edge against every block per
-partition) and never call the code they check.
+rejection-samples MCHs on vertex bitmasks, sweeps partitions with an
+incremental per-edge count and splits a block's rate vector into greedy
+vertices along chains of tight sets; the functions here answer them the long
+way (a separate depth-first search, one elimination per question,
+column-order elimination, a rescan of the vertex list per name, a Hypergraph
+and an is_mch scan per proposal, a recount of every edge against every block
+per partition, all |B|! extreme points and an exact phase-1 simplex) and never
+call the code they check.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
+from itertools import combinations
 from string import ascii_lowercase
-from typing import Optional
+from typing import Mapping, Optional
 
 from hyperkey import (
     BergeCycle,
+    DecompositionResult,
     DuplicateEdgeId,
     Edge,
+    ExtremePoint,
     GenerationBudgetExhausted,
+    GroundTooLarge,
     Hypergraph,
     MinimizerSweep,
+    NegativeRate,
     NonpositiveWeight,
     ParseError,
     Partition,
     RankDefect,
+    RankFunction,
     SemiLatticeViolation,
+    SubsetOutsideBlock,
+    extreme_points,
 )
+from hyperkey.polymatroid import _subset_table
 
 
 # -- GF(2) -----------------------------------------------------------------------
@@ -424,3 +435,146 @@ def minimizer_sweep(h: Hypergraph, edge_weights) -> MinimizerSweep:
     return MinimizerSweep(
         value=Fraction(best_num, best_den), fundamental=meet, minimizers=tuple(opts)
     )
+
+
+# -- block decomposition -------------------------------------------------------------
+
+
+def decompose(
+    fn: RankFunction, target: Mapping[str, Fraction], *, max_block: int = 8
+) -> DecompositionResult:
+    """Certify membership of a rate vector in the per-block region.
+
+    If some subset violates r(B) >= f(B), that inequality is returned (subsets
+    scanned by size then lexicographically).  Otherwise a convex combination
+    of extreme points with combination <= target coordinatewise is found: a
+    single canonical point if one is already dominated, else an exact
+    phase-1 simplex certificate.
+    """
+    if len(fn.block) > max_block:
+        raise GroundTooLarge(
+            f"decomposition over a block of {len(fn.block)} exceeds cap {max_block}"
+        )
+    goal = {str(v): Fraction(r) for v, r in dict(target).items()}
+    if frozenset(goal) != fn.block:
+        raise SubsetOutsideBlock("target must assign a rate to each block vertex")
+    if any(r < 0 for r in goal.values()):
+        raise NegativeRate("target rates must be nonnegative")
+
+    order, values = _subset_table(fn, max_block=max_block)
+    index = {v: i for i, v in enumerate(order)}
+    for size in range(1, len(order) + 1):
+        for combo in combinations(sorted(fn.block), size):
+            mask = 0
+            for v in combo:
+                mask |= 1 << index[v]
+            need = values[mask]
+            have = sum((goal[v] for v in combo), Fraction(0))
+            if have < need:
+                return DecompositionResult(
+                    feasible=False, violated=(frozenset(combo), need)
+                )
+
+    points = extreme_points(fn, max_block=max_block)
+    for pt in points:
+        if all(r <= goal[v] for v, r in pt.rates):
+            return DecompositionResult(feasible=True, weights=((Fraction(1), pt),))
+
+    lams = _phase_one_feasible(points, goal, tuple(sorted(fn.block)))
+    weights = tuple(
+        (lam, pt) for lam, pt in zip(lams, points) if lam > 0
+    )
+    combo_sum = {v: Fraction(0) for v in fn.block}
+    total = Fraction(0)
+    for lam, pt in weights:
+        total += lam
+        for v, r in pt.rates:
+            combo_sum[v] += lam * r
+    assert total == 1 and all(combo_sum[v] <= goal[v] for v in fn.block)
+    return DecompositionResult(feasible=True, weights=weights)
+
+
+def _phase_one_feasible(
+    points: tuple[ExtremePoint, ...],
+    goal: Mapping[str, Fraction],
+    coords: tuple[str, ...],
+) -> list[Fraction]:
+    """Solve sum(lam_j * p_j) + s = goal, sum(lam_j) = 1, lam, s >= 0.
+
+    Exact phase-1 simplex with Bland's rule: artificial variables carry cost
+    one, everything else cost zero; a zero optimum yields the lambda values.
+    Raises if the optimum is positive, which would contradict the membership
+    scan that already passed.
+    """
+    k = len(points)
+    n = len(coords)
+    rows = n + 1
+    # columns: k lambdas, n slacks, rows artificials, then the rhs
+    width = k + n + rows
+    tableau: list[list[Fraction]] = []
+    for i, v in enumerate(coords):
+        row = [Fraction(0)] * (width + 1)
+        for j, pt in enumerate(points):
+            row[j] = pt.rate(v)
+        row[k + i] = Fraction(1)
+        row[k + n + i] = Fraction(1)
+        row[width] = goal[v]
+        tableau.append(row)
+    convex = [Fraction(0)] * (width + 1)
+    for j in range(k):
+        convex[j] = Fraction(1)
+    convex[k + n + rows - 1] = Fraction(1)
+    convex[width] = Fraction(1)
+    tableau.append(convex)
+
+    basis = [k + n + i for i in range(rows)]
+    cost = [Fraction(0)] * width
+    for i in range(rows):
+        cost[k + n + i] = Fraction(1)
+
+    while True:
+        entering = -1
+        for j in range(width):
+            reduced = cost[j] - sum(
+                cost[basis[i]] * tableau[i][j] for i in range(rows)
+            )
+            if reduced < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best_ratio: Optional[Fraction] = None
+        for i in range(rows):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][width] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:  # pragma: no cover - phase-1 objective is bounded
+            raise RuntimeError("unbounded phase-1 simplex")
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [x / pivot for x in tableau[leaving]]
+        for i in range(rows):
+            if i != leaving and tableau[i][entering]:
+                factor = tableau[i][entering]
+                tableau[i] = [
+                    a - factor * b for a, b in zip(tableau[i], tableau[leaving])
+                ]
+        basis[leaving] = entering
+
+    objective = sum(
+        cost[basis[i]] * tableau[i][width] for i in range(rows)
+    )
+    if objective != 0:  # pragma: no cover - membership scan already passed
+        raise RuntimeError("feasibility contradiction in decomposition")
+    lams = [Fraction(0)] * k
+    for i, col in enumerate(basis):
+        if col < k:
+            lams[col] = tableau[i][width]
+    return lams

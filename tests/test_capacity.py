@@ -1,5 +1,6 @@
 """Secret-key capacities, the achievable region, and the outer bound."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,10 @@ from hyperkey import (
     UnknownVertex,
     communication_complexity,
     constrained_capacity,
+    entropy,
     in_region,
     outer_bound_deficit,
+    random_mch,
     region_spec,
     unconstrained_capacity,
 )
@@ -90,6 +93,12 @@ class TestRateTuple:
         with pytest.raises(UnknownVertex):
             in_region(h1, RateTuple(Fraction(1), {"1": 1}))
 
+    def test_rejects_vertices_outside_the_hypergraph(self, h1):
+        per_user = {v: 1 for v in h1.vertices}
+        per_user["zz"] = 5
+        with pytest.raises(UnknownVertex):
+            in_region(h1, RateTuple(Fraction(1), per_user))
+
     def test_rejects_negative_rates(self, h1):
         with pytest.raises(NegativeRate):
             in_region(h1, rates(h1, 1, r1=-1))
@@ -144,3 +153,36 @@ class TestOuterBound:
             outer_bound_deficit(
                 h2, rates(h2, 1), frozenset("1234"), Partition.from_blocks([{"5"}])
             )
+
+    def test_matches_the_rebuilt_remainder(self):
+        """The deficit equals the formula taken on h minus B, rebuilt, for
+        every B leaving two or more vertices and two partitions of the rest
+        (its components, when proper, and a random proper one)."""
+        rng = random.Random(6)
+        checked = 0
+        for seed in range(30):
+            n = rng.randint(3, 7)
+            h = random_mch(n, rng.randint(2, n // 2 + 1), 3, seed)
+            members = sorted(h.vertices)
+            rt = RateTuple(
+                Fraction(rng.randint(0, 3), 2),
+                {v: Fraction(rng.randint(0, 4), 2) for v in members},
+            )
+            for mask in range(1 << n):
+                b = frozenset(v for i, v in enumerate(members) if mask >> i & 1)
+                if len(b) >= n - 1:
+                    continue
+                rest = h.remove_vertices(b)
+                labels = sorted(rest.vertices)
+                split = rng.randint(1, len(labels) - 1)
+                rng.shuffle(labels)
+                candidates = [Partition.from_blocks([labels[:split], labels[split:]])]
+                if len(rest.components()) > 1:
+                    candidates.append(Partition.from_blocks(rest.components()))
+                for p in candidates:
+                    block_sum = sum((entropy(rest, c) for c in p.blocks), Fraction(0))
+                    i_p = (block_sum - entropy(rest, rest.vertices)) / (len(p) - 1)
+                    want = rt.over(b) - (len(p) - 1) * (rt.key_rate - i_p)
+                    assert outer_bound_deficit(h, rt, b, p) == want
+                    checked += 1
+        assert checked > 1000

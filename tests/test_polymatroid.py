@@ -1,22 +1,31 @@
 """Per-block rank functions: values, shape verification, extreme points,
 exact decomposition certificates."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from hyperkey import (
+    Hypergraph,
     NegativeRate,
+    NotFundamentalBlock,
     RankFunction,
     SubsetOutsideBlock,
     UnknownVertex,
+    compose_time_shared,
     decompose,
     extreme_point_for_order,
     extreme_points,
+    partition_connectivity,
+    random_mch,
     rank,
+    verify,
     verify_contra_polymatroid,
 )
 from hyperkey.errors import GroundTooLarge
+import oracles
 
 
 @pytest.fixture
@@ -100,6 +109,20 @@ class TestExtremePoints:
         (pt,) = extreme_points(fn)
         assert dict(pt.rates) == {"4": 0}
 
+    def test_matches_the_permutation_scan(self, h3):
+        """Same points in the same order as telescoping every permutation in
+        lexicographic order and keeping the first of each vector."""
+        fns = [RankFunction(h3, frozenset("348"), Fraction(1))]
+        for k in range(3, 7):
+            h, block = _cyclic_core(k)
+            fns.append(RankFunction(h, block, Fraction(1, 2)))
+        for fn in fns:
+            first = {}
+            for perm in permutations(sorted(fn.block)):
+                pt = extreme_point_for_order(fn, perm)
+                first.setdefault(pt.rates, pt)
+            assert extreme_points(fn) == tuple(first.values())
+
     def test_key_rate_scales_points(self, h1):
         fn = RankFunction(h1, frozenset("123"), Fraction(1, 2))
         assert all(
@@ -147,3 +170,198 @@ class TestDecompose:
         fn = RankFunction(h5, frozenset("12345"), Fraction(1))
         with pytest.raises(GroundTooLarge):
             decompose(fn, {v: 1 for v in "12345"}, max_block=4)
+
+
+KEY_RATES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
+def _census_mchs():
+    """The 521 MCHs of the criterion-9 census (|V| <= 5, |E| <= 4, unit
+    weights); loops and repeated edges are skipped, as no MCH has them."""
+    for n in (2, 3, 4, 5):
+        names = [str(i + 1) for i in range(n)]
+        member_sets = [
+            [names[v] for v in range(n) if mask >> v & 1] for mask in range(1 << n)
+        ]
+        wide = [mask for mask in range(1 << n) if bin(mask).count("1") >= 2]
+        for m in range(1, 5):
+            for combo in combinations(wide, m):
+                h = Hypergraph(
+                    names,
+                    [(f"e{j}", member_sets[mask], 1) for j, mask in enumerate(combo)],
+                )
+                if h.is_mch():
+                    yield h
+
+
+def _random_mchs(count):
+    """MCHs of 4-8 vertices with weights 1-3 whose fundamental partition has
+    a block of two or more vertices."""
+    rng = random.Random(8)
+    found = 0
+    while found < count:
+        n = rng.randint(4, 8)
+        h = random_mch(n, rng.randint(2, min(n - 1, 6)), 3, rng.randrange(10**6))
+        if any(len(b) > 1 for b in partition_connectivity(h).fundamental.blocks):
+            found += 1
+            yield h
+
+
+def _cyclic_core(k):
+    """k edges {c_i, c_i+1, p_i} around a k-cycle; the core is a block."""
+    names = [f"c{i:02d}" for i in range(k)] + [f"p{i:02d}" for i in range(k)]
+    edges = [(f"e{i}", [names[i], names[(i + 1) % k], names[k + i]], 1) for i in range(k)]
+    return Hypergraph(names, edges), frozenset(names[:k])
+
+
+def _targets(fn, rng, count):
+    """Random rational targets, half of them a convex mix of two random
+    vertices (a base), moved up or down on some coordinates."""
+    members = sorted(fn.block)
+    out = []
+    for j in range(count):
+        if j % 2:
+            out.append({v: Fraction(rng.randint(0, 3), rng.randint(1, 3)) for v in members})
+            continue
+        a, b = (extreme_point_for_order(fn, rng.sample(members, len(members))) for _ in "ab")
+        w = Fraction(rng.randint(0, 4), 4)
+        target = {v: w * a.rate(v) + (1 - w) * b.rate(v) for v in members}
+        for v in members:
+            nudge = rng.choice((0, 0, Fraction(1, 3), Fraction(-1, 3)))
+            target[v] = max(Fraction(0), target[v] + nudge * fn.key_rate)
+        out.append(target)
+    return out
+
+
+def _assert_certificate(fn, target, res):
+    """Positive weights summing to one on at most |B| telescoped vertices,
+    whose mix is at or below the target, and equal to it on a base."""
+    assert res.feasible and res.violated is None
+    assert 1 <= len(res.weights) <= len(fn.block)
+    assert all(w > 0 for w, _ in res.weights)
+    assert sum(w for w, _ in res.weights) == 1
+    mix = {v: Fraction(0) for v in fn.block}
+    for w, pt in res.weights:
+        assert pt == extreme_point_for_order(fn, pt.order)
+        for v, r in pt.rates:
+            mix[v] += w * r
+    assert all(mix[v] <= target[v] for v in fn.block)
+    if sum(target.values()) == rank(fn, fn.block):
+        assert mix == target
+
+
+def _assert_matches_oracle(h, rng, per_rate):
+    feasible = 0
+    for block in partition_connectivity(h).fundamental.blocks:
+        if len(block) > 6:
+            continue
+        for key_rate in KEY_RATES:
+            fn = RankFunction(h, block, key_rate)
+            for target in _targets(fn, rng, per_rate):
+                res = decompose(fn, target)
+                ref = oracles.decompose(fn, target)
+                assert (res.feasible, res.violated) == (ref.feasible, ref.violated)
+                if res.feasible:
+                    feasible += 1
+                    _assert_certificate(fn, target, res)
+    return feasible
+
+
+class TestGreedyDecomposition:
+    def test_census_blocks_match_the_simplex_oracle(self):
+        rng = random.Random(1)
+        census = list(_census_mchs())
+        assert len(census) == 521
+        assert sum(_assert_matches_oracle(h, rng, 1) for h in census) > 1000
+
+    def test_random_mch_blocks_match_the_simplex_oracle(self):
+        rng = random.Random(2)
+        assert sum(_assert_matches_oracle(h, rng, 6) for h in _random_mchs(30)) > 500
+
+    def test_cyclic_core_blocks_match_the_simplex_oracle(self):
+        rng = random.Random(3)
+        for k in range(3, 7):
+            assert _assert_matches_oracle(_cyclic_core(k)[0], rng, 6) > 20
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_cyclic_core_blocks_up_to_the_cap(self, k):
+        h, block = _cyclic_core(k)
+        rng = random.Random(k)
+        fn = RankFunction(h, block, Fraction(1, 2))
+        points = [
+            extreme_point_for_order(fn, rng.sample(sorted(block), k)) for _ in range(3)
+        ]
+        base = {v: sum((p.rate(v) for p in points), Fraction(0)) / 3 for v in block}
+        above = {v: r + Fraction(i % 2, 3) for i, (v, r) in enumerate(sorted(base.items()))}
+        for target in (base, above):
+            _assert_certificate(fn, target, decompose(fn, target))
+
+    def test_worked_certificate(self, fn1):
+        """Worked by hand.  Lowering takes 13/60 off vertex 1, giving the
+        base (9/20, 3/4, 4/5), tight only on the block: the chain order is
+        1, 2, 3, the vertex (0, 1, 1), and {2, 3} stops the line search at
+        11/9.  At (1, 4/9, 5/9) the chain is {2, 3}: order 2, 3, 1, vertex
+        (1, 0, 1), step 5/4.  At (1, 1, 0) the chain is {3}, then {1, 3} (the
+        lower mask of the tight {1, 3} and {2, 3}), which ends the split."""
+        res = decompose(fn1, {"1": Fraction(2, 3), "2": Fraction(3, 4), "3": Fraction(4, 5)})
+        got = [(w, p.order, dict(p.rates)) for w, p in res.weights]
+        assert got == [
+            (Fraction(11, 20), ("1", "2", "3"), {"1": 0, "2": 1, "3": 1}),
+            (Fraction(1, 4), ("2", "3", "1"), {"1": 1, "2": 0, "3": 1}),
+            (Fraction(1, 5), ("3", "1", "2"), {"1": 1, "2": 1, "3": 0}),
+        ]
+
+    def test_block_above_the_cap_is_refused(self):
+        h, block = _cyclic_core(13)
+        fn = RankFunction(h, block, Fraction(1))
+        with pytest.raises(GroundTooLarge):
+            decompose(fn, {v: 1 for v in block})
+
+    def test_non_supermodular_block_is_refused(self):
+        # on the path 1-2-3-4, f({2}) + f({3}) = 2 > f({2, 3}) = 1
+        path = Hypergraph("1234", [("a", "12", 1), ("b", "23", 1), ("c", "34", 1)])
+        fn = RankFunction(path, frozenset("23"), Fraction(1))
+        assert not verify_contra_polymatroid(fn).supermodular
+        with pytest.raises(NotFundamentalBlock):
+            decompose(fn, {"2": 1, "3": 1})
+
+    def test_disconnected_source_is_refused(self):
+        # vertex 5 meets no edge, so f(empty) = 1; (1, 1) is then tight on
+        # the block, but no vertex telescoped from f sums to f(block)
+        apart = Hypergraph("12345", [("a", "123", 1), ("b", "124", 1)])
+        fn = RankFunction(apart, frozenset("12"), Fraction(1))
+        with pytest.raises(NotFundamentalBlock):
+            decompose(fn, {"1": 2, "2": 2})
+
+
+class TestTimeSharedRoundTrip:
+    """decompose's weights and chain orders, fed to compose_time_shared,
+    give verified parts whose mixed rates sit at or below the target."""
+
+    def _round_trip(self, h, rng):
+        trips = 0
+        for block in partition_connectivity(h).fundamental.blocks:
+            if len(block) < 2:
+                continue
+            for key_rate in (Fraction(1, 2), Fraction(1)):
+                fn = RankFunction(h, block, key_rate)
+                for target in _targets(fn, rng, 4):
+                    res = decompose(fn, target)
+                    if not res.feasible:
+                        continue
+                    scheme = compose_time_shared(
+                        h, [(w, {block: pt.order}) for w, pt in res.weights]
+                    )
+                    assert all(verify(part).ok for _, part in scheme.parts)
+                    rates = scheme.rates(key_rate).per_user
+                    assert all(rates[v] <= target[v] for v in block)
+                    trips += 1
+        return trips
+
+    def test_h1_and_h3(self, h1, h3):
+        rng = random.Random(4)
+        assert self._round_trip(h1, rng) + self._round_trip(h3, rng) > 4
+
+    def test_random_mch_blocks(self):
+        rng = random.Random(5)
+        assert sum(self._round_trip(h, rng) for h in _random_mchs(10)) > 20
