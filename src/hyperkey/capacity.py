@@ -21,13 +21,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
+    GroundTooLarge,
     InvalidPartition,
     NegativeRate,
     NotMCH,
     SubsetTooLarge,
     UnknownVertex,
 )
-from .hypergraph import Hypergraph, removal_component_counts
+from .hypergraph import Hypergraph
 from .partitions import Partition, entropy, partition_connectivity
 
 __all__ = [
@@ -135,12 +136,27 @@ def _canonical_subsets(block: frozenset[str]):
             yield frozenset(combo)
 
 
-def region_spec(h: Hypergraph, *, max_block: int = 12) -> RegionSpec:
+_MAX_BLOCK = 12  # cyclic cores past this many vertices are refused
+
+
+def region_spec(h: Hypergraph) -> RegionSpec:
+    """The region of an MCH, from the edges meeting each fundamental block;
+    a cyclic core of more than 12 vertices raises GroundTooLarge."""
     require_mch(h)
     fundamental = partition_connectivity(h).fundamental
+    incident = h._incident
     constraints: list[tuple[frozenset[str], int]] = []
     for block in fundamental.blocks:
-        order, counts = removal_component_counts(h, block, max_base=max_block)
+        if len(block) == 1:
+            # every edge at a vertex outside the cores is a bridge of the
+            # incidence graph, so removing the vertex leaves one component
+            # per incident edge
+            (v,) = block
+            kappa = len(incident[v])
+            if kappa > 1:
+                constraints.append((block, kappa - 1))
+            continue
+        order, counts = _core_removal_counts(h, block)
         index = {v: i for i, v in enumerate(order)}
         for subset in _canonical_subsets(block):
             mask = 0
@@ -154,6 +170,63 @@ def region_spec(h: Hypergraph, *, max_block: int = 12) -> RegionSpec:
         constraints=tuple(constraints),
         generator_blocks=fundamental.blocks,
     )
+
+
+def _core_removal_counts(
+    h: Hypergraph, block: frozenset[str]
+) -> tuple[tuple[str, ...], list[int]]:
+    """(order, counts) with counts[mask] the component count of h minus the
+    subset of `block` that mask selects over the sorted order, for a cyclic
+    core of an MCH, read off the edges that meet the core alone.
+
+    An edge with two or more members in the core lies on a cycle through it
+    (a local edge); any other edge at a core vertex is a bridge of the
+    incidence graph, and the side away from the core stays whole.  A local
+    edge also has a member outside the core, as its node must cut the
+    incidence graph.  So removing B leaves the components of the local
+    edges on core minus B, plus one for each local edge whose core members
+    all went, plus one for each bridge at a vertex of B.  Cost 2^|block|
+    times the local edges, whatever the size of h.
+    """
+    order = tuple(sorted(block))
+    k = len(order)
+    if k > _MAX_BLOCK:
+        raise GroundTooLarge(
+            f"subset enumeration over {k} vertices exceeds cap {_MAX_BLOCK}"
+        )
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    hanging = [0] * k  # bridges at each core vertex
+    local: dict[str, int] = {}  # edge id -> mask of its core members
+    for i, v in enumerate(order):
+        for e in h._incident[v]:
+            mask = 0
+            for u in e.members:
+                mask |= bit.get(u, 0)
+            if mask == 1 << i:
+                hanging[i] += 1
+            else:
+                local[e.id] = mask
+    masks = list(local.values())
+    full = (1 << k) - 1
+    counts = [0] * (1 << k)
+    for removed in range(1 << k):
+        kept = full & ~removed
+        count = sum(1 for m in masks if not m & kept)
+        count += sum(hanging[i] for i in range(k) if removed >> i & 1)
+        while kept:
+            comp = kept & -kept
+            while True:
+                grown = comp
+                for m in masks:
+                    if m & grown:
+                        grown |= m & kept
+                if grown == comp:
+                    break
+                comp = grown
+            kept &= ~comp
+            count += 1
+        counts[removed] = count
+    return order, counts
 
 
 def in_region(

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from . import hgio
@@ -52,9 +53,9 @@ def _flatten(value, prefix: str, out: list[tuple[str, str]]) -> None:
             sub = f"{prefix}.{key}" if prefix else str(key)
             _flatten(value[key], sub, out)
     elif isinstance(value, (list, tuple)):
-        plain = all(
-            not isinstance(x, (dict, list, tuple))
-            and not (isinstance(x, str) and any(c.isspace() for c in x))
+        plain = not any(
+            isinstance(x, (dict, list, tuple))
+            or (isinstance(x, str) and _has_space(x))
             for x in value
         )
         if plain:
@@ -64,6 +65,10 @@ def _flatten(value, prefix: str, out: list[tuple[str, str]]) -> None:
                 _flatten(x, f"{prefix}[{i}]", out)
     else:
         out.append((prefix, _scalar(value)))
+
+
+# \s matches exactly the characters for which str.isspace() is true
+_has_space = re.compile(r"\s").search
 
 
 def _scalar(value) -> str:
@@ -80,24 +85,54 @@ def render_text(document: dict) -> str:
     return "\n".join(f"{key} = {val}" for key, val in pairs) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(x) for x in value]
-    if isinstance(value, (set, frozenset)):
-        return [_jsonable(x) for x in sorted(value)]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
-
-
 def render_json(document: dict) -> str:
-    return json.dumps(_jsonable(document), sort_keys=True, indent=2) + "\n"
+    """The text of json.dumps(..., sort_keys=True, indent=2) in one pass:
+    rationals and unknown objects as strings, sets as sorted lists, keys
+    as their str() and strings escaped to ASCII."""
+    out: list[str] = []
+    _write_json(document, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append value's JSON text; newline is a line break plus the indent of
+    the line value starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        if not value:
+            out.append("[]")
+            return
+        if isinstance(value, (set, frozenset)):
+            value = sorted(value)
+        inner = newline + "  "
+        lead = "[" + inner
+        for x in value:
+            out.append(lead)
+            _write_json(x, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        named = {str(k): v for k, v in value.items()}
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(named):
+            out.append(lead + _quote(key) + ": ")
+            _write_json(named[key], inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    else:  # Fraction and anything else render as their text
+        out.append(_quote(str(value)))
 
 
 def _emit(document: dict, as_json: bool) -> None:

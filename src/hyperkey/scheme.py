@@ -10,7 +10,10 @@ one fewer message than classes.  Over the whole hypergraph this emits exactly
 any single edge indicator raises the rank to the edge count, which is at once
 the zero-error recovery condition for every vertex and perfect secrecy of the
 key edge: weight-two rows can never sum to a unit vector.  `verify` checks
-all of it on one reduced basis (gf2.eliminate) of the rows.
+all of it with a union-find over the columns (gf2.eliminate serves row sets
+with any other weight).  `synthesize` reads each block's edges off the
+incidence table, in time linear in the hypergraph when the cyclic cores
+are bounded.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     VertexNotInBlock,
     WeightsNotConvex,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Edge, Hypergraph
 from .partitions import Partition, partition_connectivity
 
 __all__ = [
@@ -104,8 +107,14 @@ class DiscussionScheme:
 
     def row_pairs(self) -> tuple[tuple[str, str], ...]:
         out = []
+        valid = (1 << self.mu) - 1
         for mask in self.rows:
-            ids = [self.edge_order[i] for i in range(self.mu) if mask >> i & 1]
+            ids = []
+            mask &= valid
+            while mask:
+                low = mask & -mask
+                ids.append(self.edge_order[low.bit_length() - 1])
+                mask ^= low
             out.append(tuple(ids))
         return tuple(out)
 
@@ -145,8 +154,7 @@ def representatives(
     with c deleted; the least vertex of each component is chosen."""
     block = frozenset(str(v) for v in c)
     _require_fundamental_block(h, block, fundamental)
-    restriction = h.incident_restriction(block)
-    return _representatives_of_restriction(restriction, block)
+    return frozenset(_BlockEdges(block, _edges_meeting(h, block)).rep_edge)
 
 
 def _require_fundamental_block(
@@ -161,15 +169,83 @@ def _require_fundamental_block(
         )
 
 
-def _representatives_of_restriction(
-    restriction: Hypergraph, block: frozenset[str]
-) -> frozenset[str]:
-    outside = restriction._search(block & restriction.vertices)
-    reps = frozenset(min(comp) for comp in outside)
-    for v in reps:
-        if restriction.degree({v}) != 1:  # pragma: no cover - theorem guard
-            raise RankDefect(f"representative {v!r} is not degree one")
-    return reps
+def _edges_meeting(h: Hypergraph, block: frozenset[str]) -> list[Edge]:
+    """Each edge at a vertex of the block, once: over all the blocks of a
+    partition, one pass over the incidence table."""
+    incident = h._incident
+    return list({e.id: e for v in block for e in incident[v]}.values())
+
+
+class _BlockEdges:
+    """The edges of an MCH that meet one fundamental block, read locally.
+
+    Such an edge has members outside the block (its node cuts the incidence
+    graph), and they form one component of the incident restriction with
+    the block deleted: two edges sharing an outside vertex would close a
+    Berge cycle through it, which would put that vertex in the block.  So
+    the least of them is the edge's representative, and it has degree one.
+    Edges with two or more members in the block (local edges) connect it;
+    every other edge hangs off one block vertex.
+    """
+
+    __slots__ = ("block", "rep_edge", "edge_rep", "local_at")
+
+    def __init__(self, block: frozenset[str], edges: Iterable[Edge]):
+        self.block = block
+        self.rep_edge: dict[str, Edge] = {}  # representative -> its one edge
+        self.edge_rep: dict[str, str] = {}
+        # block vertex -> the block members of each local edge at it
+        self.local_at: dict[str, list[frozenset[str]]] = {v: [] for v in block}
+        claimed: set[str] = set()
+        for e in edges:
+            inside = e.members & block
+            outside = e.members - inside
+            if not outside or not claimed.isdisjoint(outside):  # pragma: no cover
+                raise RankDefect(  # theorem guard
+                    f"edge {e.id!r} has no member outside {sorted(block)} "
+                    "of its own"
+                )
+            claimed |= outside
+            rep = min(outside)
+            self.rep_edge[rep] = e
+            self.edge_rep[e.id] = rep
+            if len(inside) > 1:
+                for v in inside:
+                    self.local_at[v].append(inside)
+
+    def classes(
+        self, incident: Iterable[Edge], prefix: frozenset[str]
+    ) -> tuple[frozenset[str], ...]:
+        """Classes of the representatives on the vertex's edges (`incident`)
+        once the order prefix is deleted, sorted by their least member.
+
+        A representative reaches only its own edge, so two share a class
+        exactly when their edges keep block members that the local edges
+        still connect.  A class is keyed by the first block vertex of its
+        component, or by the representative itself when its edge keeps no
+        block member; the two never clash, as one key lies in the block and
+        the other outside it.
+        """
+        label: dict[str, str] = {}
+        groups: dict[str, set[str]] = {}
+        for e in incident:
+            rep = key = self.edge_rep[e.id]
+            for start in e.members:
+                if start not in self.block or start in prefix:
+                    continue
+                if start not in label:
+                    label[start] = start
+                    stack = [start]
+                    while stack:
+                        for inside in self.local_at[stack.pop()]:
+                            for w in inside - prefix:
+                                if w not in label:
+                                    label[w] = start
+                                    stack.append(w)
+                key = label[start]
+                break
+            groups.setdefault(key, set()).add(rep)
+        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
 
 
 def shared_representatives(
@@ -195,34 +271,8 @@ def shared_representatives(
         raise SubsetOutsideBlock(
             "removed must be a subset of the block containing the vertex"
         )
-    restriction = h.incident_restriction(block)
-    reps = _representatives_of_restriction(restriction, block)
-    return _classes(restriction, reps, vertex, prefix)
-
-
-def _classes(
-    restriction: Hypergraph,
-    reps: frozenset[str],
-    vertex: str,
-    prefix: frozenset[str],
-) -> tuple[frozenset[str], ...]:
-    shared = frozenset(
-        v
-        for v in reps
-        if any(
-            vertex in e.members and v in e.members for e in restriction.edges
-        )
-    )
-    if not shared:
-        return ()
-    # components are disjoint, so each one's hits form a class of their own
-    classes = [
-        hits
-        for comp in restriction._search(prefix & restriction.vertices)
-        if (hits := shared & comp)
-    ]
-    classes.sort(key=min)
-    return tuple(classes)
+    view = _BlockEdges(block, _edges_meeting(h, block))
+    return view.classes(h._incident[vertex], prefix)
 
 
 def _normalize_orders(
@@ -264,27 +314,21 @@ def synthesize(
     edge_order = tuple(sorted(e.id for e in h.edges))
     column = {eid: k for k, eid in enumerate(edge_order)}
 
+    incident = h._incident
     rows: list[int] = []
     attributions: list[RowAttribution] = []
     traces: list[BlockTrace] = []
     for block in fundamental.blocks:
-        restriction = h.incident_restriction(block)
-        reps = _representatives_of_restriction(restriction, block)
+        view = _BlockEdges(block, _edges_meeting(h, block))
         order = table[block]
         records: list[IterationRecord] = []
         prefix: set[str] = set()
         for step, vertex in enumerate(order, start=1):
             prefix.add(vertex)
-            classes = _classes(restriction, reps, vertex, frozenset(prefix))
-            picked: list[str] = []
-            for cls in classes:
-                rep = min(cls)
-                eid = min(
-                    e.id
-                    for e in restriction.edges
-                    if vertex in e.members and rep in e.members
-                )
-                picked.append(eid)
+            classes = view.classes(incident[vertex], frozenset(prefix))
+            # a representative lies on one edge only, which is the least
+            # edge it shares with the vertex
+            picked = [view.rep_edge[min(cls)].id for cls in classes]
             emitted: list[tuple[str, str]] = []
             for a, b in zip(picked, picked[1:]):
                 emitted.append((a, b))
@@ -304,15 +348,13 @@ def synthesize(
             BlockTrace(
                 block=block,
                 order=order,
-                representatives=reps,
+                representatives=frozenset(view.rep_edge),
                 iterations=tuple(records),
             )
         )
 
-    recovery = tuple(
-        (v, min(e.id for e in h.edges if v in e.members))
-        for v in sorted(h.vertices)
-    )
+    # _incident lists each vertex's edges in id order
+    recovery = tuple((v, incident[v][0].id) for v in sorted(h.vertices))
     scheme = DiscussionScheme(
         edge_order=edge_order,
         rows=tuple(rows),
@@ -331,40 +373,44 @@ def synthesize(
 
 
 def verify(scheme: DiscussionScheme) -> VerificationReport:
-    """Check every scheme property on one GF(2) elimination; never raises.
+    """Check every scheme property; never raises.
 
-    The rank is the size of the reduced basis.  Appending the unit vector of
-    column i raises the rank by one exactly when it lies outside the span,
-    that is unless basis[i] has mask 1 << i; so edge i is recoverable iff
-    rank + (e_i outside the span) is the edge count, and the key is secret
-    iff its unit vector is outside the span.
+    When every row has weight two, the rows are the edges of a graph on the
+    columns: the rank is the column count minus the number of components,
+    and no unit vector lies in the span, since every sum of rows has even
+    weight.  So edge i is recoverable iff the graph is connected, and the
+    key is secret iff it names a column.  Other row sets go through one
+    GF(2) elimination: the rank is the size of the reduced basis, and the
+    unit vector of column i lies in the span iff basis[i] has mask 1 << i;
+    edge i is recoverable iff rank + (e_i outside the span) is the edge
+    count.
     """
     mu = scheme.mu
-    valid = (1 << mu) - 1
     row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.attributions) == len(
         scheme.rows
     )
-    bad_rows = tuple(
+    bad_rows = tuple(  # mask >> mu is nonzero iff a bit lies past the columns
         idx
         for idx, mask in enumerate(scheme.rows)
-        if mask & ~valid or bin(mask & valid).count("1") != 2
+        if mask >> mu or mask.bit_count() != 2
     )
     row_weights_ok = not bad_rows
-    basis = gf2.eliminate((mask, 0) for mask in scheme.rows)
-    matrix_rank = len(basis)
+    if row_weights_ok:
+        matrix_rank = mu - _column_components(mu, scheme.rows)
+        spanned = 0  # columns whose unit vector lies in the row space
+    else:
+        basis = gf2.eliminate((mask, 0) for mask in scheme.rows)
+        matrix_rank = len(basis)
+        spanned = sum(1 << i for i, (mask, _) in basis.items() if mask == 1 << i)
     rank_ok = matrix_rank == mu - 1
-
-    def outside_span(i: int) -> bool:
-        return basis.get(i, (0, 0))[0] != 1 << i
-
     unrecoverable = tuple(
-        scheme.edge_order[i]
-        for i in range(mu)
-        if matrix_rank + outside_span(i) != mu
+        eid
+        for i, eid in enumerate(scheme.edge_order)
+        if matrix_rank + (not spanned >> i & 1) != mu
     )
     recovery_ok = not unrecoverable
-    secrecy_ok = scheme.key_edge in scheme.edge_order and outside_span(
-        scheme.edge_order.index(scheme.key_edge)
+    secrecy_ok = scheme.key_edge in scheme.edge_order and not (
+        spanned >> scheme.edge_order.index(scheme.key_edge) & 1
     )
     ok = row_count_ok and row_weights_ok and rank_ok and recovery_ok and secrecy_ok
     return VerificationReport(
@@ -378,6 +424,28 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
         unrecoverable_edges=unrecoverable,
         secrecy_ok=secrecy_ok,
     )
+
+
+def _column_components(mu: int, rows: Iterable[int]) -> int:
+    """Components of the graph on mu columns whose edges are the weight-two
+    rows: a union-find with path halving."""
+    root = list(range(mu))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    components = mu
+    for mask in rows:
+        low = mask & -mask
+        a = find(low.bit_length() - 1)
+        b = find((mask ^ low).bit_length() - 1)
+        if a != b:
+            root[a] = b
+            components -= 1
+    return components
 
 
 def rates_of(scheme: DiscussionScheme, key_rate: Fraction) -> RateTuple:

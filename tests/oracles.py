@@ -1,17 +1,21 @@
 """Earlier, independent implementations kept as test oracles.
 
-The library answers these questions from one incidence-graph scan and one
-GF(2) reduction, parses .hg text with one count of the declared names,
-rejection-samples MCHs on vertex bitmasks, sweeps partitions with an
-incremental per-edge count and splits a block's rate vector into greedy
-vertices along chains of tight sets; the functions here answer them the long
-way (a separate depth-first search, one elimination per question,
-column-order elimination, a rescan of the vertex list per name, a Hypergraph
-and an is_mch scan per proposal, a recount of every edge against every block
-per partition, all |B|! extreme points and an exact phase-1 simplex) and never
-call the code they check.
+The library answers these questions from one incidence-graph scan, one
+GF(2) reduction or a union-find over weight-two rows, parses .hg text with
+one count of the declared names, rejection-samples MCHs on vertex bitmasks,
+sweeps partitions with an incremental per-edge count, splits a block's rate
+vector into greedy vertices along chains of tight sets, reads region
+constraints and scheme classes off the edges meeting each block and renders
+JSON in one pass; the functions here answer them the long way (a separate
+depth-first search, one elimination per question, column-order elimination,
+a rescan of the vertex list per name, a Hypergraph and an is_mch scan per
+proposal, a recount of every edge against every block per partition, all
+|B|! extreme points and an exact phase-1 simplex, one component search of
+the whole hypergraph per removed subset, an incident-restriction Hypergraph
+per block, json.dumps) and never call the code they check.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -39,7 +43,19 @@ from hyperkey import (
     SubsetOutsideBlock,
     extreme_points,
 )
+from hyperkey.capacity import RegionSpec, require_mch
+from hyperkey.gf2 import eliminate
+from hyperkey.hypergraph import removal_component_counts
+from hyperkey.partitions import partition_connectivity
 from hyperkey.polymatroid import _subset_table
+from hyperkey.scheme import (
+    BlockTrace,
+    DiscussionScheme,
+    IterationRecord,
+    RowAttribution,
+    VerificationReport,
+    _normalize_orders,
+)
 
 
 # -- GF(2) -----------------------------------------------------------------------
@@ -578,3 +594,291 @@ def _phase_one_feasible(
         if col < k:
             lams[col] = tableau[i][width]
     return lams
+
+
+# -- inputs ------------------------------------------------------------------------
+
+
+def random_mchs(count: int, seed: int, max_vertices: int = 10) -> list:
+    """MCHs of 2 to max_vertices vertices with weights 1-3, grown from one
+    vertex by hanging either a tree edge (1-3 new members) or a cyclic core
+    (a cycle of 2-5 three-member edges, each with its own new pendant) at a
+    random vertex, so cores of up to 5 vertices merge where they share
+    one.  Vertex and edge ids are shuffled labels, so their sorted order is
+    unrelated to the construction."""
+    rng = random.Random(seed)
+    labels = [*ascii_lowercase[:12], *(str(i) for i in range(4, 14)), "x1", "Z"]
+    out = []
+    while len(out) < count:
+        target = rng.randint(2, max_vertices)
+        size = 1
+        members = []
+
+        def fresh(k):
+            nonlocal size
+            size += k
+            return list(range(size - k, size))
+
+        while size < target:
+            room = target - size
+            at = rng.randrange(size)
+            if room >= 3 and rng.random() < 0.5:
+                k = rng.randint(2, min(5, (room + 1) // 2))
+                cycle = [at, *fresh(k - 1)]
+                for i in range(k):
+                    members.append([cycle[i], cycle[(i + 1) % k], *fresh(1)])
+            else:
+                members.append([at, *fresh(rng.randint(1, min(room, 3)))])
+        names = rng.sample(labels, size)
+        ids = rng.sample(labels, len(members))
+        h = Hypergraph(
+            names,
+            [
+                (eid, [names[v] for v in m], rng.randint(1, 3))
+                for eid, m in zip(ids, members)
+            ],
+        )
+        if not h.is_mch():  # pragma: no cover - the construction guarantees it
+            raise AssertionError(f"random_mchs built a non-MCH: {h}")
+        out.append(h)
+    return out
+
+
+# -- census ------------------------------------------------------------------------
+
+
+def census_mchs():
+    """The 521 MCHs of the criterion-9 census (|V| <= 5, |E| <= 4, unit
+    weights); loops and repeated edges are skipped, as no MCH has them."""
+    for n in (2, 3, 4, 5):
+        names = [str(i + 1) for i in range(n)]
+        member_sets = [
+            [names[v] for v in range(n) if mask >> v & 1] for mask in range(1 << n)
+        ]
+        wide = [mask for mask in range(1 << n) if bin(mask).count("1") >= 2]
+        for m in range(1, 5):
+            for combo in combinations(wide, m):
+                h = Hypergraph(
+                    names,
+                    [(f"e{j}", member_sets[mask], 1) for j, mask in enumerate(combo)],
+                )
+                if h.is_mch():
+                    yield h
+
+
+# -- region ------------------------------------------------------------------------
+
+
+def region_spec(h: Hypergraph) -> RegionSpec:
+    """The region, with one component search of all of h per subset of every
+    fundamental block (removal_component_counts)."""
+    require_mch(h)
+    fundamental = partition_connectivity(h).fundamental
+    constraints = []
+    for block in fundamental.blocks:
+        order, counts = removal_component_counts(h, block, max_base=12)
+        index = {v: i for i, v in enumerate(order)}
+        members = sorted(block)
+        for size in range(1, len(members) + 1):
+            for combo in combinations(members, size):
+                kappa = counts[sum(1 << index[v] for v in combo)]
+                if kappa > 1:
+                    constraints.append((frozenset(combo), kappa - 1))
+    return RegionSpec(
+        key_cap=h.min_weight(),
+        constraints=tuple(constraints),
+        generator_blocks=fundamental.blocks,
+    )
+
+
+# -- scheme ------------------------------------------------------------------------
+
+
+def representatives_of_restriction(restriction: Hypergraph, block) -> frozenset:
+    outside = restriction._search(block & restriction.vertices)
+    reps = frozenset(min(comp) for comp in outside)
+    for v in reps:
+        if restriction.degree({v}) != 1:
+            raise RankDefect(f"representative {v!r} is not degree one")
+    return reps
+
+
+def classes(restriction: Hypergraph, reps, vertex, prefix) -> tuple:
+    shared = frozenset(
+        v
+        for v in reps
+        if any(vertex in e.members and v in e.members for e in restriction.edges)
+    )
+    if not shared:
+        return ()
+    found = [
+        hits
+        for comp in restriction._search(prefix & restriction.vertices)
+        if (hits := shared & comp)
+    ]
+    found.sort(key=min)
+    return tuple(found)
+
+
+def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
+    """The scheme and traces, from an incident-restriction Hypergraph per
+    block, one scan of its edges per class pick and of all edges per
+    recovery entry, checked by the elimination-only `verify` below."""
+    require_mch(h)
+    fundamental = partition_connectivity(h).fundamental
+    table = _normalize_orders(fundamental, orders)
+    edge_order = tuple(sorted(e.id for e in h.edges))
+    column = {eid: k for k, eid in enumerate(edge_order)}
+    rows, attributions, traces = [], [], []
+    for block in fundamental.blocks:
+        restriction = h.incident_restriction(block)
+        reps = representatives_of_restriction(restriction, block)
+        order = table[block]
+        records = []
+        prefix = set()
+        for step, vertex in enumerate(order, start=1):
+            prefix.add(vertex)
+            found = classes(restriction, reps, vertex, frozenset(prefix))
+            picked = [
+                min(
+                    e.id
+                    for e in restriction.edges
+                    if vertex in e.members and min(cls) in e.members
+                )
+                for cls in found
+            ]
+            emitted = []
+            for a, b in zip(picked, picked[1:]):
+                emitted.append((a, b))
+                rows.append(1 << column[a] | 1 << column[b])
+                attributions.append(RowAttribution(vertex=vertex, block=block, step=step))
+            records.append(
+                IterationRecord(
+                    vertex=vertex,
+                    shared=frozenset().union(*found) if found else frozenset(),
+                    classes=found,
+                    emitted=tuple(emitted),
+                )
+            )
+        traces.append(
+            BlockTrace(
+                block=block, order=order, representatives=reps, iterations=tuple(records)
+            )
+        )
+    recovery = tuple(
+        (v, min(e.id for e in h.edges if v in e.members)) for v in sorted(h.vertices)
+    )
+    scheme = DiscussionScheme(
+        edge_order=edge_order,
+        rows=tuple(rows),
+        attributions=tuple(attributions),
+        key_edge=edge_order[0],
+        recovery=recovery,
+    )
+    if len(rows) != len(edge_order) - 1 or not verify(scheme).ok:
+        raise RankDefect("synthesized scheme failed verification")
+    return scheme, tuple(traces)
+
+
+def verify(scheme: DiscussionScheme) -> VerificationReport:
+    """Every verdict read off one GF(2) elimination of all the rows,
+    whatever their weights."""
+    mu = scheme.mu
+    valid = (1 << mu) - 1
+    row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.attributions) == len(
+        scheme.rows
+    )
+    bad_rows = tuple(
+        idx
+        for idx, mask in enumerate(scheme.rows)
+        if mask & ~valid or bin(mask & valid).count("1") != 2
+    )
+    basis = eliminate((mask, 0) for mask in scheme.rows)
+    matrix_rank = len(basis)
+
+    def outside_span(i: int) -> bool:
+        return basis.get(i, (0, 0))[0] != 1 << i
+
+    unrecoverable = tuple(
+        scheme.edge_order[i] for i in range(mu) if matrix_rank + outside_span(i) != mu
+    )
+    secrecy_ok = scheme.key_edge in scheme.edge_order and outside_span(
+        scheme.edge_order.index(scheme.key_edge)
+    )
+    rank_ok = matrix_rank == mu - 1
+    return VerificationReport(
+        ok=row_count_ok and not bad_rows and rank_ok and not unrecoverable and secrecy_ok,
+        row_count_ok=row_count_ok,
+        row_weights_ok=not bad_rows,
+        bad_rows=bad_rows,
+        matrix_rank=matrix_rank,
+        rank_ok=rank_ok,
+        recovery_ok=not unrecoverable,
+        unrecoverable_edges=unrecoverable,
+        secrecy_ok=secrecy_ok,
+    )
+
+
+def row_pairs(scheme: DiscussionScheme) -> tuple:
+    """Each row's column ids, testing every column of every row."""
+    return tuple(
+        tuple(scheme.edge_order[i] for i in range(scheme.mu) if mask >> i & 1)
+        for mask in scheme.rows
+    )
+
+
+# -- rendering ---------------------------------------------------------------------
+
+
+def flatten(value, prefix: str, out: list) -> None:
+    """The text renderer's `key = value` pairs, deciding whether a list fits
+    one line by testing every character of every item."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            sub = f"{prefix}.{key}" if prefix else str(key)
+            flatten(value[key], sub, out)
+    elif isinstance(value, (list, tuple)):
+        plain = all(
+            not isinstance(x, (dict, list, tuple))
+            and not (isinstance(x, str) and any(c.isspace() for c in x))
+            for x in value
+        )
+        if plain:
+            out.append((prefix, " ".join(_scalar(x) for x in value)))
+        else:
+            for i, x in enumerate(value):
+                flatten(x, f"{prefix}[{i}]", out)
+    else:
+        out.append((prefix, _scalar(value)))
+
+
+def _scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def render_text(document: dict) -> str:
+    pairs: list = []
+    flatten(document, "", pairs)
+    return "\n".join(f"{key} = {val}" for key, val in pairs) + "\n"
+
+
+def jsonable(value):
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [jsonable(x) for x in value]
+    if isinstance(value, (set, frozenset)):
+        return [jsonable(x) for x in sorted(value)]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return str(value)
+
+
+def render_json(document: dict) -> str:
+    return json.dumps(jsonable(document), sort_keys=True, indent=2) + "\n"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hyperkey import (
+    GroundTooLarge,
     Hypergraph,
     NegativeRate,
     NotMCH,
@@ -22,6 +23,8 @@ from hyperkey import (
     region_spec,
     unconstrained_capacity,
 )
+
+import oracles
 
 
 def rates(h, key_rate, **named):
@@ -86,6 +89,31 @@ class TestRegionSpec:
         assert spec.key_cap == 1
         got = {(tuple(sorted(s)), c) for s, c in spec.constraints}
         assert got == {(("1",), 1), (("3",), 1)}
+
+
+    def test_matches_the_per_subset_oracle(self, h1, h2, h3, h5, single_edge):
+        """Constraints read off the edges meeting each block equal one
+        component search of all of h per removed subset, in the same order,
+        on the fixtures, the census MCHs and random MCHs of 2-10 vertices."""
+        inputs = [h1, h2, h3, h5, single_edge, *oracles.census_mchs()]
+        inputs += oracles.random_mchs(400, seed=3)
+        cores = 0
+        for h in inputs:
+            assert region_spec(h) == oracles.region_spec(h), h
+            cores += any(len(b) > 1 for b in region_spec(h).generator_blocks)
+        assert cores > 300
+
+    def test_core_over_twelve_vertices_is_refused(self):
+        """A 13-vertex cyclic core: a cycle of 3-member edges, each with a
+        pendant; the refusal is the same as the per-subset search's."""
+        names = [f"c{i}" for i in range(13)] + [f"p{i}" for i in range(13)]
+        h = Hypergraph(
+            names,
+            [(f"e{i}", (f"c{i}", f"c{(i + 1) % 13}", f"p{i}"), 1) for i in range(13)],
+        )
+        for spec in (region_spec, oracles.region_spec):
+            with pytest.raises(GroundTooLarge, match="13 vertices exceeds cap 12"):
+                spec(h)
 
 
 class TestRateTuple:

@@ -3,14 +3,21 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperkey import cli
+from hyperkey import HyperkeyError, cli, hgio
 from hyperkey.cli import main
+
+import oracles
+import scale_walls
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -338,3 +345,158 @@ def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch, capsys):
             timeout=60,
         )
         assert got == (done.returncode, done.stdout, done.stderr), argv
+
+
+# -- renderers ---------------------------------------------------------------------
+
+
+def fixture_documents(tmp_path, fixtures):
+    """The document of every subcommand on every fixture that answers it,
+    plus two fuzz documents."""
+    parser = cli._build_parser()
+    docs = []
+    for name, h in fixtures.items():
+        path = tmp_path / f"{name}.hg"
+        path.write_text(hgio.serialize(h))
+        p = str(path)
+        rates = ",".join(f"{v}:1/2" for v in sorted(h.vertices)[:3])
+        for argv in (
+            ["analyze", p],
+            ["capacity", p, "--total-rate", "3/2"],
+            ["region", p],
+            ["check", p, "--key-rate", "1", "--rates", rates],
+            ["check", p, "--key-rate", "1/3", "--rates", rates],
+            ["scheme", p, "--emit-matrix"],
+            ["simulate", p, "--seed", "3", "--trials", "2"],
+            ["simulate", p, "--exhaustive"],
+        ):
+            args = parser.parse_args(argv)
+            try:
+                docs.append(cli._HANDLERS[args.subcommand](args))
+            except HyperkeyError:
+                pass  # not an MCH, or over a simulation cap
+    for argv in (["fuzz", "--cases", "3"], ["fuzz", "--vertices", "7", "--edges", "5"]):
+        docs.append(cli._cmd_fuzz(parser.parse_args(argv))[0])
+    return docs
+
+
+def test_renderers_match_the_oracles_on_fixture_documents(
+    tmp_path, h1, h2, h3, h4, h5, triangle, single_edge
+):
+    """One-pass JSON is json.dumps of the converted document; the text
+    renderer's whole-string space test gives the per-character test's
+    lines."""
+    fixtures = dict(
+        h1=h1, h2=h2, h3=h3, h4=h4, h5=h5, triangle=triangle, single_edge=single_edge
+    )
+    docs = fixture_documents(tmp_path, fixtures)
+    assert len(docs) > 35
+    for doc in docs:
+        assert cli.render_json(doc) == oracles.render_json(doc)
+        assert cli.render_text(doc) == oracles.render_text(doc)
+
+
+ODD_TEXT = st.sampled_from(
+    ["", " ", "a b", '"', "\\", "\x00", "\x1f", "\x7f", "é", "\u2028", "\u3000",
+     "\U0001f600", "\ud800", "tab\there", "line\nbreak", "\x1c"]
+)
+SCALARS = st.one_of(
+    st.text(), ODD_TEXT, st.integers(), st.booleans(), st.none(), st.fractions(),
+    st.floats(allow_nan=False),
+)
+
+
+def documents(keys):
+    return st.dictionaries(
+        keys,
+        st.recursive(
+            SCALARS,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4),
+                st.tuples(inner, inner),
+                st.dictionaries(keys, inner, max_size=4),
+                st.frozensets(st.text() | ODD_TEXT, max_size=4),
+            ),
+            max_leaves=25,
+        ),
+        max_size=5,
+    )
+
+
+@settings(max_examples=400)
+@given(documents(st.text() | ODD_TEXT | st.integers()))
+def test_json_renderer_is_json_dumps(doc):
+    assert cli.render_json(doc) == oracles.render_json(doc)
+
+
+@settings(max_examples=400)
+@given(documents(st.text() | ODD_TEXT))
+def test_text_renderer_matches_the_per_character_oracle(doc):
+    assert cli.render_text(doc) == oracles.render_text(doc)
+
+
+def test_space_test_agrees_with_isspace_on_every_code_point():
+    for code in range(0x110000):
+        c = chr(code)
+        assert bool(cli._has_space(c)) == c.isspace(), hex(code)
+
+
+# -- scale -------------------------------------------------------------------------
+
+
+def run_json(argv, capsys):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestScale:
+    """region and scheme through the CLI at 10^4 vertices, against closed
+    forms (no timing asserts)."""
+
+    @staticmethod
+    def written(tmp_path, name, text):
+        path = tmp_path / f"{name}.hg"
+        path.write_text(text)
+        least = min(
+            Fraction(line.split()[-1]) for line in text.splitlines()
+            if line.startswith("edge")
+        )
+        return str(path), least
+
+    def check(self, path, least, constraints, coefficients, edges, capsys):
+        region = run_json(["--json", "region", path], capsys)
+        assert Fraction(region["key_cap"]) == least
+        assert len(region["constraints"]) == constraints
+        assert sorted(c["coefficient"] for c in region["constraints"]) == coefficients
+        scheme = run_json(["--json", "scheme", path], capsys)
+        assert scheme["row_count"] == edges - 1
+        assert Fraction(scheme["key_rate"]) == least
+        assert Fraction(scheme["total_rate"]) == (edges - 1) * least
+        assert scheme["verified"] is True
+
+    def test_path(self, tmp_path, capsys):
+        """Every inner vertex of a path cuts it in two: n - 2 constraints of
+        coefficient 1."""
+        n = 10**4
+        path, least = self.written(
+            tmp_path, "path", scale_walls.path_text(n, random.Random(2))
+        )
+        self.check(path, least, n - 2, [1] * (n - 2), n - 1, capsys)
+
+    def test_core_chain(self, tmp_path, capsys):
+        """Each triangle core gives H1's four constraints (three pairs of
+        coefficient 1, the triangle with 2); a core entered by a link edge
+        at c_0 has one more component whenever c_0 is removed: {c_0} with 1,
+        the pairs through c_0 with 2, the triangle with 3.  Each p_2 with a
+        link is a singleton constraint of coefficient 1."""
+        units = 10**4 // 6
+        path, least = self.written(
+            tmp_path, "cores", scale_walls.core_chain_text(units, random.Random(3))
+        )
+        linked = units - 1
+        coefficients = sorted(
+            [1, 1, 1, 2] + [1, 2, 2, 1, 3] * linked + [1] * linked
+        )
+        self.check(
+            path, least, 4 + 6 * linked, coefficients, 4 * units - 1, capsys
+        )

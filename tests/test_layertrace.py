@@ -47,6 +47,9 @@ def test_tracer_installs_traces_and_uninstalls(tmp_path, capsys):
         tracer.begin_op(0)
         assert main(["--json", "analyze", str(path)]) == 0
         assert main(["--json", "scheme", str(path)]) == 0
+        # scheme verifies weight-two rows without gf2; a seeded run solves
+        # each vertex's system with gf2.eliminate
+        assert main(["--json", "simulate", str(path), "--seed", "1"]) == 0
         tracer.end_op()
     finally:
         tracer.uninstall()

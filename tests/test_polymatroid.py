@@ -3,7 +3,7 @@ exact decomposition certificates."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
@@ -175,25 +175,6 @@ class TestDecompose:
 KEY_RATES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
 
 
-def _census_mchs():
-    """The 521 MCHs of the criterion-9 census (|V| <= 5, |E| <= 4, unit
-    weights); loops and repeated edges are skipped, as no MCH has them."""
-    for n in (2, 3, 4, 5):
-        names = [str(i + 1) for i in range(n)]
-        member_sets = [
-            [names[v] for v in range(n) if mask >> v & 1] for mask in range(1 << n)
-        ]
-        wide = [mask for mask in range(1 << n) if bin(mask).count("1") >= 2]
-        for m in range(1, 5):
-            for combo in combinations(wide, m):
-                h = Hypergraph(
-                    names,
-                    [(f"e{j}", member_sets[mask], 1) for j, mask in enumerate(combo)],
-                )
-                if h.is_mch():
-                    yield h
-
-
 def _random_mchs(count):
     """MCHs of 4-8 vertices with weights 1-3 whose fundamental partition has
     a block of two or more vertices."""
@@ -270,7 +251,7 @@ def _assert_matches_oracle(h, rng, per_rate):
 class TestGreedyDecomposition:
     def test_census_blocks_match_the_simplex_oracle(self):
         rng = random.Random(1)
-        census = list(_census_mchs())
+        census = list(oracles.census_mchs())
         assert len(census) == 521
         assert sum(_assert_matches_oracle(h, rng, 1) for h in census) > 1000
 

@@ -16,6 +16,7 @@ from hyperkey import (
     VertexNotInBlock,
     WeightsNotConvex,
     compose_time_shared,
+    partition_connectivity,
     rates_of,
     representatives,
     shared_representatives,
@@ -24,6 +25,38 @@ from hyperkey import (
 )
 
 import oracles
+
+
+def weight_two_rows(rng, mu):
+    """Weight-two rows on mu columns: a random spanning tree, a tree plus one
+    more row (a cycle), a tree minus some rows (a forest) or a tree with a
+    row repeated, in random row order."""
+    if mu < 2:
+        return []
+    perm = rng.sample(range(mu), mu)
+    rows = [1 << perm[i] | 1 << perm[rng.randrange(i)] for i in range(1, mu)]
+    shape = rng.choice(("tree", "cycle", "forest", "duplicate"))
+    if shape == "cycle":
+        i, j = rng.sample(range(mu), 2)
+        rows.append(1 << i | 1 << j)
+    elif shape == "forest":
+        rows = rng.sample(rows, rng.randrange(len(rows)))
+    elif shape == "duplicate":
+        rows.append(rng.choice(rows))
+    rng.shuffle(rows)
+    return rows
+
+
+def scheme_inputs(fixtures):
+    """The fixtures, the census MCHs and random MCHs of 2-10 vertices, with
+    default and random per-block orders."""
+    rng = random.Random(12)
+    for h in [*fixtures, *oracles.census_mchs(), *oracles.random_mchs(400, seed=4)]:
+        yield h, None
+        orders = {}
+        for block in partition_connectivity(h).fundamental.blocks:
+            orders[block] = tuple(rng.sample(sorted(block), len(block)))
+        yield h, orders
 
 
 def pairs_and_users(scheme):
@@ -157,16 +190,23 @@ class TestVerify:
         assert report.rank_ok and report.recovery_ok
 
     def test_verdicts_match_the_per_column_rank_oracle(self):
-        """One reduced basis gives the verdicts of one rank per column, on
-        row sets with bad weights, columns out of range (high bits and
-        negative masks), dependent rows and unknown key edges."""
+        """The union-find (weight-two rows) and the reduced basis (any
+        other rows) give the verdicts of one rank per column and the whole
+        report of the elimination-only verify, on row sets with bad
+        weights, columns out of range (high bits and negative masks),
+        dependent rows, unknown key edges, and weight-two trees, cycles,
+        forests and repeated rows."""
         rng = random.Random(5)
-        seen = dict.fromkeys(("deficient", "bad", "leak", "unknown_key", "ok"), 0)
+        seen = dict.fromkeys(
+            ("deficient", "bad", "leak", "unknown_key", "ok", "weight_two"), 0
+        )
         for _ in range(20000):
             mu = rng.randint(1, 7)
             edge_order = tuple(f"e{i}" for i in range(mu))
             rows = []
-            for _ in range(rng.randint(0, mu + 1)):
+            if rng.random() < 0.4:
+                rows = weight_two_rows(rng, mu)
+            for _ in range(0 if rows else rng.randint(0, mu + 1)):
                 pick = rng.random()
                 if pick < 0.75 and mu >= 2:
                     i, j = rng.sample(range(mu), 2)
@@ -189,6 +229,9 @@ class TestVerify:
             want = oracles.rank_verdicts(rows, edge_order, key_edge)
             got = (report.matrix_rank, report.unrecoverable_edges, report.secrecy_ok)
             assert got == want, (rows, key_edge)
+            assert report == oracles.verify(scheme), (rows, key_edge)
+            assert scheme.row_pairs() == oracles.row_pairs(scheme), rows
+            seen["weight_two"] += report.row_weights_ok
             seen["deficient"] += report.matrix_rank < len(rows)
             seen["bad"] += not report.row_weights_ok
             seen["leak"] += key_edge != "zz" and not report.secrecy_ok
@@ -201,6 +244,39 @@ class TestVerify:
         assert scheme.column("b") == 1
         with pytest.raises(SchemeUnverified):
             scheme.column("zz")
+
+
+class TestAgainstOracles:
+    def test_synthesize_matches_the_restriction_oracle(
+        self, h1, h2, h3, h5, single_edge
+    ):
+        """Rows, attributions, recovery and every BlockTrace equal the ones
+        built from an incident-restriction Hypergraph per block; verify and
+        row_pairs equal the elimination-only and per-column oracles."""
+        cores = 0
+        for h, orders in scheme_inputs((h1, h2, h3, h5, single_edge)):
+            scheme, traces = synthesize(h, orders)
+            assert (scheme, traces) == oracles.synthesize(h, orders), (h, orders)
+            assert verify(scheme) == oracles.verify(scheme)
+            assert scheme.row_pairs() == oracles.row_pairs(scheme)
+            cores += any(len(t.block) > 1 for t in traces)
+        assert cores > 600
+
+    def test_representatives_and_classes_match_the_oracle(
+        self, h1, h2, h3, h5, single_edge
+    ):
+        rng = random.Random(13)
+        for h, _ in scheme_inputs((h1, h2, h3, h5, single_edge)):
+            for block in partition_connectivity(h).fundamental.blocks:
+                restriction = h.incident_restriction(block)
+                reps = oracles.representatives_of_restriction(restriction, block)
+                assert representatives(h, block) == reps
+                order = rng.sample(sorted(block), len(block))
+                for k in range(1, len(order) + 1):
+                    prefix = frozenset(order[:k])
+                    want = oracles.classes(restriction, reps, order[k - 1], prefix)
+                    got = shared_representatives(h, block, order[k - 1], prefix)
+                    assert got == want, (h, block, order[:k])
 
 
 class TestRates:
