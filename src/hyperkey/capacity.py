@@ -16,19 +16,20 @@ materialized.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
-    GroundTooLarge,
     InvalidPartition,
     NegativeRate,
     NotMCH,
     SubsetTooLarge,
     UnknownVertex,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, block_removal_counts
 from .partitions import Partition, entropy, partition_connectivity
 
 __all__ = [
@@ -126,107 +127,38 @@ def communication_complexity(h: Hypergraph) -> Fraction:
     return (len(h.edges) - 1) * h.min_weight()
 
 
-def _canonical_subsets(block: frozenset[str]):
-    """Nonempty subsets of a block, by size then lexicographic member order."""
-    from itertools import combinations
-
-    members = sorted(block)
-    for size in range(1, len(members) + 1):
-        for combo in combinations(members, size):
-            yield frozenset(combo)
-
-
-_MAX_BLOCK = 12  # cyclic cores past this many vertices are refused
+@functools.cache
+def _canonical_masks(k: int) -> tuple[int, ...]:
+    """Nonempty subsets of k sorted members as bitmasks, by size then
+    lexicographic member order."""
+    return tuple(
+        sum(1 << i for i in combo)
+        for size in range(1, k + 1)
+        for combo in itertools.combinations(range(k), size)
+    )
 
 
 def region_spec(h: Hypergraph) -> RegionSpec:
     """The region of an MCH, from the edges meeting each fundamental block;
-    a cyclic core of more than 12 vertices raises GroundTooLarge."""
+    a block of more than 12 vertices raises GroundTooLarge."""
     require_mch(h)
     fundamental = partition_connectivity(h).fundamental
-    incident = h._incident
     constraints: list[tuple[frozenset[str], int]] = []
     for block in fundamental.blocks:
-        if len(block) == 1:
-            # every edge at a vertex outside the cores is a bridge of the
-            # incidence graph, so removing the vertex leaves one component
-            # per incident edge
-            (v,) = block
-            kappa = len(incident[v])
-            if kappa > 1:
-                constraints.append((block, kappa - 1))
-            continue
-        order, counts = _core_removal_counts(h, block)
-        index = {v: i for i, v in enumerate(order)}
-        for subset in _canonical_subsets(block):
-            mask = 0
-            for v in subset:
-                mask |= 1 << index[v]
+        order, counts = block_removal_counts(h, block)
+        full = len(counts) - 1
+        for mask in _canonical_masks(len(order)):
             kappa = counts[mask]
             if kappa > 1:
+                subset = block
+                if mask != full:
+                    subset = frozenset(v for i, v in enumerate(order) if mask >> i & 1)
                 constraints.append((subset, kappa - 1))
     return RegionSpec(
         key_cap=h.min_weight(),
         constraints=tuple(constraints),
         generator_blocks=fundamental.blocks,
     )
-
-
-def _core_removal_counts(
-    h: Hypergraph, block: frozenset[str]
-) -> tuple[tuple[str, ...], list[int]]:
-    """(order, counts) with counts[mask] the component count of h minus the
-    subset of `block` that mask selects over the sorted order, for a cyclic
-    core of an MCH, read off the edges that meet the core alone.
-
-    An edge with two or more members in the core lies on a cycle through it
-    (a local edge); any other edge at a core vertex is a bridge of the
-    incidence graph, and the side away from the core stays whole.  A local
-    edge also has a member outside the core, as its node must cut the
-    incidence graph.  So removing B leaves the components of the local
-    edges on core minus B, plus one for each local edge whose core members
-    all went, plus one for each bridge at a vertex of B.  Cost 2^|block|
-    times the local edges, whatever the size of h.
-    """
-    order = tuple(sorted(block))
-    k = len(order)
-    if k > _MAX_BLOCK:
-        raise GroundTooLarge(
-            f"subset enumeration over {k} vertices exceeds cap {_MAX_BLOCK}"
-        )
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    hanging = [0] * k  # bridges at each core vertex
-    local: dict[str, int] = {}  # edge id -> mask of its core members
-    for i, v in enumerate(order):
-        for e in h._incident[v]:
-            mask = 0
-            for u in e.members:
-                mask |= bit.get(u, 0)
-            if mask == 1 << i:
-                hanging[i] += 1
-            else:
-                local[e.id] = mask
-    masks = list(local.values())
-    full = (1 << k) - 1
-    counts = [0] * (1 << k)
-    for removed in range(1 << k):
-        kept = full & ~removed
-        count = sum(1 for m in masks if not m & kept)
-        count += sum(hanging[i] for i in range(k) if removed >> i & 1)
-        while kept:
-            comp = kept & -kept
-            while True:
-                grown = comp
-                for m in masks:
-                    if m & grown:
-                        grown |= m & kept
-                if grown == comp:
-                    break
-                comp = grown
-            kept &= ~comp
-            count += 1
-        counts[removed] = count
-    return order, counts
 
 
 def in_region(

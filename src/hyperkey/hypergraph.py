@@ -21,6 +21,7 @@ from .errors import (
     DuplicateEdgeId,
     EmptyResult,
     EmptyVertexSet,
+    GroundTooLarge,
     InvalidPartition,
     NonpositiveWeight,
     UnknownVertex,
@@ -31,6 +32,7 @@ __all__ = [
     "Hypergraph",
     "BergeCycle",
     "removal_component_counts",
+    "block_removal_counts",
 ]
 
 WeightLike = Union[Fraction, int, str]
@@ -524,8 +526,6 @@ def removal_component_counts(
     component count of h itself.  Requires base != vertices.  Each count is
     one Hypergraph.removal_component_count search; nothing is rebuilt.
     """
-    from .errors import GroundTooLarge
-
     order = tuple(sorted(h._check_subset(base)))
     if len(order) > max_base:
         raise GroundTooLarge(
@@ -537,4 +537,64 @@ def removal_component_counts(
     for mask in range(1 << len(order)):
         drop = frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
         counts.append(h.removal_component_count(drop))
+    return order, counts
+
+
+def block_removal_counts(
+    h: Hypergraph, block: frozenset[str]
+) -> tuple[tuple[str, ...], list[int]]:
+    """The counts of removal_component_counts(h, block) for a fundamental
+    block of an MCH, read off the edges that meet the block alone.
+
+    Returns (order, counts) as removal_component_counts does.  An edge with
+    two or more members in the block lies on a cycle through it (a local
+    edge); any other edge at a block vertex is a bridge of the incidence
+    graph, and the side away from the block stays whole.  A singleton block
+    has only bridges.  A local edge also has a member outside the block, as
+    its node must cut the incidence graph.  So removing B leaves the
+    components of the local edges on block minus B, plus one for each local
+    edge whose block members all went, plus one for each bridge at a vertex
+    of B.  Cost 2^|block| times the local edges, whatever the size of h; a
+    block of more than 12 vertices raises GroundTooLarge.
+    """
+    order = tuple(sorted(block))
+    k = len(order)
+    if k > 12:
+        raise GroundTooLarge(f"subset enumeration over {k} vertices exceeds cap 12")
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    hanging = [0] * (1 << k)  # bridges at the vertices of each removed set
+    masks = []  # block members of each local edge, taken at its lowest one
+    for v in order:
+        b = bit[v]
+        for e in h._incident[v]:
+            mask = 0
+            for u in e.members:
+                mask |= bit.get(u, 0)
+            if mask == b:
+                hanging[b] += 1
+            elif mask & -mask == b:
+                masks.append(mask)
+    full = (1 << k) - 1
+    counts = [0] * (1 << k)
+    for removed in range(1 << k):
+        low = removed & -removed
+        hanging[removed] = hanging[removed ^ low] + hanging[low]
+        kept = full ^ removed
+        count = hanging[removed]
+        for m in masks:
+            if not m & kept:
+                count += 1
+        while kept:
+            comp = kept & -kept
+            while True:
+                grown = comp
+                for m in masks:
+                    if m & grown:
+                        grown |= m & kept
+                if grown == comp:
+                    break
+                comp = grown
+            kept &= ~comp
+            count += 1
+        counts[removed] = count
     return order, counts

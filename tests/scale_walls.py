@@ -6,12 +6,13 @@ parse and rendering included) on a path and on a chain of triangle cores at
 10^3, 10^4 and 10^5 vertices, and of a seeded `simulate` on paths of up to
 400 vertices.  Run from the repository root:
 
-    PYTHONPATH=src python tests/scale_walls.py [--max-exponent 5]
+    PYTHONPATH=src python tests/scale_walls.py
+
+Edit EXPONENTS for a shorter run.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import random
@@ -21,6 +22,8 @@ from pathlib import Path
 from time import perf_counter
 
 from hyperkey.cli import main
+
+EXPONENTS = (3, 4, 5)  # |V| = 10^3, 10^4, 10^5
 
 
 def path_text(n: int, rng: random.Random) -> str:
@@ -67,14 +70,11 @@ def timed(argv: list[str]) -> float:
 
 
 def main_script() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-exponent", type=int, default=5)
-    args = parser.parse_args()
     rng = random.Random(1)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         print(f"{'family':<6} {'|V|':>7}  {'analyze':>8} {'region':>8} {'scheme':>8}")
-        for exponent in range(3, args.max_exponent + 1):
+        for exponent in EXPONENTS:
             n = 10**exponent
             for family, text in (
                 ("path", path_text(n, rng)),

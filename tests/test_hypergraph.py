@@ -15,9 +15,11 @@ from hyperkey import (
     NonpositiveWeight,
     UnknownVertex,
     entropy,
+    partition_connectivity,
     removal_component_counts,
 )
 from hyperkey.errors import GroundTooLarge
+from hyperkey.hypergraph import block_removal_counts
 
 import oracles
 
@@ -152,6 +154,23 @@ class TestOperations:
     def test_removal_component_counts_guard(self, h5):
         with pytest.raises(GroundTooLarge):
             removal_component_counts(h5, h5.vertices, max_base=5)
+
+    def test_block_removal_counts_match_the_search(
+        self, h1, h2, h3, h5, single_edge
+    ):
+        """The local count on each fundamental block of an MCH (singletons
+        and cyclic cores) equals one removal_component_count per subset, on
+        the fixtures, the census MCHs and random MCHs."""
+        inputs = [h1, h2, h3, h5, single_edge, *oracles.census_mchs()]
+        kinds = {"singleton": 0, "core": 0}
+        for h in inputs + oracles.random_mchs(200, seed=7):
+            for block in partition_connectivity(h).fundamental.blocks:
+                if block == h.vertices:
+                    continue
+                want = removal_component_counts(h, block)
+                assert block_removal_counts(h, block) == want, (h, block)
+                kinds["singleton" if len(block) == 1 else "core"] += 1
+        assert min(kinds.values()) >= 100, kinds
 
 
 def _subsets(names):

@@ -194,19 +194,14 @@ class TestVerify:
         other rows) give the verdicts of one rank per column and the whole
         report of the elimination-only verify, on row sets with bad
         weights, columns out of range (high bits and negative masks),
-        dependent rows, unknown key edges, and weight-two trees, cycles,
-        forests and repeated rows."""
+        dependent rows and unknown key edges."""
         rng = random.Random(5)
-        seen = dict.fromkeys(
-            ("deficient", "bad", "leak", "unknown_key", "ok", "weight_two"), 0
-        )
+        seen = dict.fromkeys(("deficient", "bad", "leak", "unknown_key", "ok"), 0)
         for _ in range(20000):
             mu = rng.randint(1, 7)
             edge_order = tuple(f"e{i}" for i in range(mu))
             rows = []
-            if rng.random() < 0.4:
-                rows = weight_two_rows(rng, mu)
-            for _ in range(0 if rows else rng.randint(0, mu + 1)):
+            for _ in range(rng.randint(0, mu + 1)):
                 pick = rng.random()
                 if pick < 0.75 and mu >= 2:
                     i, j = rng.sample(range(mu), 2)
@@ -218,26 +213,51 @@ class TestVerify:
                 else:
                     rows.append(-rng.getrandbits(mu + 1))
             key_edge = rng.choice(edge_order + ("zz",))
-            scheme = DiscussionScheme(
-                edge_order=edge_order,
-                rows=tuple(rows),
-                attributions=(),
-                key_edge=key_edge,
-                recovery=(),
-            )
-            report = verify(scheme)
-            want = oracles.rank_verdicts(rows, edge_order, key_edge)
-            got = (report.matrix_rank, report.unrecoverable_edges, report.secrecy_ok)
-            assert got == want, (rows, key_edge)
-            assert report == oracles.verify(scheme), (rows, key_edge)
-            assert scheme.row_pairs() == oracles.row_pairs(scheme), rows
-            seen["weight_two"] += report.row_weights_ok
+            report = self.check_against_oracles(edge_order, rows, key_edge)
             seen["deficient"] += report.matrix_rank < len(rows)
             seen["bad"] += not report.row_weights_ok
             seen["leak"] += key_edge != "zz" and not report.secrecy_ok
             seen["unknown_key"] += key_edge == "zz"
             seen["ok"] += report.rank_ok and report.recovery_ok
         assert min(seen.values()) >= 1000, seen
+
+    def test_weight_two_verdicts_match_the_per_column_rank_oracle(self):
+        """The same oracles on weight-two-only row sets: spanning trees,
+        trees plus a row (cycles), forests and trees with a repeated row,
+        with known and unknown key edges.  No such set puts a unit vector
+        in the span, so a known key edge always stays secret."""
+        rng = random.Random(6)
+        seen = dict.fromkeys(("deficient", "unrecoverable", "unknown_key", "ok"), 0)
+        for _ in range(8000):
+            mu = rng.randint(1, 9)
+            edge_order = tuple(f"e{i}" for i in range(mu))
+            rows = weight_two_rows(rng, mu)
+            key_edge = rng.choice(edge_order + ("zz",))
+            report = self.check_against_oracles(edge_order, rows, key_edge)
+            assert report.row_weights_ok
+            assert report.secrecy_ok == (key_edge != "zz")
+            seen["deficient"] += report.matrix_rank < len(rows)
+            seen["unrecoverable"] += bool(report.unrecoverable_edges)
+            seen["unknown_key"] += key_edge == "zz"
+            seen["ok"] += report.rank_ok and report.recovery_ok
+        assert min(seen.values()) >= 500, seen
+
+    @staticmethod
+    def check_against_oracles(edge_order, rows, key_edge):
+        scheme = DiscussionScheme(
+            edge_order=edge_order,
+            rows=tuple(rows),
+            attributions=(),
+            key_edge=key_edge,
+            recovery=(),
+        )
+        report = verify(scheme)
+        want = oracles.rank_verdicts(rows, edge_order, key_edge)
+        got = (report.matrix_rank, report.unrecoverable_edges, report.secrecy_ok)
+        assert got == want, (rows, key_edge)
+        assert report == oracles.verify(scheme), (rows, key_edge)
+        assert scheme.row_pairs() == oracles.row_pairs(scheme), rows
+        return report
 
     def test_column_of_an_unknown_edge_is_a_domain_error(self, h1):
         scheme, _ = synthesize(h1)
