@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Optional
 from .errors import (
     InvalidPartition,
     NegativeRate,
+    NotFundamentalBlock,
     NotMCH,
     SubsetTooLarge,
     UnknownVertex,
@@ -49,6 +50,16 @@ __all__ = [
 def require_mch(h: Hypergraph) -> None:
     if not h.is_mch():
         raise NotMCH("hypergraph is not minimally connected")
+
+
+def _require_fundamental_block(h: Hypergraph, block: frozenset[str]) -> None:
+    """NotMCH unless h is an MCH, then NotFundamentalBlock unless block is a
+    block of its (cached) fundamental partition."""
+    require_mch(h)
+    if block not in partition_connectivity(h).fundamental.blocks:
+        raise NotFundamentalBlock(
+            f"{sorted(block)} is not a block of the fundamental partition"
+        )
 
 
 @dataclass(frozen=True)

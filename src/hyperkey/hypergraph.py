@@ -31,7 +31,6 @@ __all__ = [
     "Edge",
     "Hypergraph",
     "BergeCycle",
-    "removal_component_counts",
     "block_removal_counts",
 ]
 
@@ -515,47 +514,24 @@ def _walk_to_cycle(
     )
 
 
-def removal_component_counts(
-    h: Hypergraph, base: Iterable[str], *, max_base: int = 12
-) -> tuple[tuple[str, ...], list[int]]:
-    """Component counts of h with every subset of `base` removed.
-
-    Returns (order, counts) where order is the sorted tuple of base vertices
-    and counts[mask] is the number of components of h after removing the
-    subset selected by mask's bits over that order; counts[0] is the
-    component count of h itself.  Requires base != vertices.  Each count is
-    one Hypergraph.removal_component_count search; nothing is rebuilt.
-    """
-    order = tuple(sorted(h._check_subset(base)))
-    if len(order) > max_base:
-        raise GroundTooLarge(
-            f"subset enumeration over {len(order)} vertices exceeds cap {max_base}"
-        )
-    if frozenset(order) == h.vertices:
-        raise EmptyResult("cannot enumerate removals of the whole vertex set")
-    counts: list[int] = []
-    for mask in range(1 << len(order)):
-        drop = frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
-        counts.append(h.removal_component_count(drop))
-    return order, counts
-
-
 def block_removal_counts(
     h: Hypergraph, block: frozenset[str]
 ) -> tuple[tuple[str, ...], list[int]]:
-    """The counts of removal_component_counts(h, block) for a fundamental
-    block of an MCH, read off the edges that meet the block alone.
+    """Component counts of h with each subset of a fundamental block of an
+    MCH removed, read off the edges that meet the block alone.
 
-    Returns (order, counts) as removal_component_counts does.  An edge with
-    two or more members in the block lies on a cycle through it (a local
-    edge); any other edge at a block vertex is a bridge of the incidence
-    graph, and the side away from the block stays whole.  A singleton block
-    has only bridges.  A local edge also has a member outside the block, as
-    its node must cut the incidence graph.  So removing B leaves the
-    components of the local edges on block minus B, plus one for each local
-    edge whose block members all went, plus one for each bridge at a vertex
-    of B.  Cost 2^|block| times the local edges, whatever the size of h; a
-    block of more than 12 vertices raises GroundTooLarge.
+    Returns (order, counts): order is the sorted tuple of block vertices and
+    counts[mask] is Hypergraph.removal_component_count of the subset that
+    mask's bits select over order, so counts[0] is 1.  An edge with two or
+    more members in the block lies on a cycle through it (a local edge); any
+    other edge at a block vertex is a bridge of the incidence graph, and the
+    side away from the block stays whole.  A singleton block has only
+    bridges.  A local edge also has a member outside the block, as its node
+    must cut the incidence graph.  So removing B leaves the components of the
+    local edges on block minus B, plus one for each local edge whose block
+    members all went, plus one for each bridge at a vertex of B.  Cost
+    2^|block| times the local edges, whatever the size of h; a block of more
+    than 12 vertices raises GroundTooLarge.
     """
     order = tuple(sorted(block))
     k = len(order)

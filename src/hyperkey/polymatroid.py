@@ -3,21 +3,24 @@
 For a fundamental-partition block C of an MCH source at key rate r_K, the
 function f(B) = (component_count(h minus B) - 1) * r_K over subsets B of C is
 normalized, nondecreasing, and supermodular; the discussion-rate constraints
-over C are exactly r(B) >= f(B).  Every permutation of C telescopes f into a
-vertex of that region, and any feasible vector dominates a convex combination
-of at most |C| such vertices.  The decomposition certificate is computed on
-the 2^|C| subset table of f with exact rational arithmetic only (the greedy
-contra-polymatroid split: lower to a base, then peel off the vertex of a
-chain of tight sets at a time); no floats.
+over C are exactly r(B) >= f(B).  Those blocks are the only ones a
+RankFunction accepts: on other blocks f need not be a contra-polymatroid.
+Every permutation of C telescopes f into a vertex of that region, and any
+feasible vector dominates a convex combination of at most |C| such vertices.
+The 2^|C| subset table of f is the one region_spec reads
+(hypergraph.block_removal_counts); the decomposition certificate is computed
+on it with exact rational arithmetic only (the greedy contra-polymatroid
+split: lower to a base, then peel off the vertex of a chain of tight sets at
+a time); no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
+from .capacity import _canonical_masks, _require_fundamental_block
 from .errors import (
     GroundTooLarge,
     NegativeRate,
@@ -25,7 +28,7 @@ from .errors import (
     SubsetOutsideBlock,
     UnknownVertex,
 )
-from .hypergraph import Hypergraph, removal_component_counts
+from .hypergraph import Hypergraph, block_removal_counts
 
 __all__ = [
     "RankFunction",
@@ -39,10 +42,15 @@ __all__ = [
     "decompose",
 ]
 
+VERIFY_CAP = 10  # the supermodularity scan visits 4^|block| / 2 pairs
+EXTREME_POINTS_CAP = 8  # extreme_points walks |block|! permutations
+
 
 @dataclass(frozen=True)
 class RankFunction:
-    """f(B) = (component_count(h minus B) - 1) * key_rate for B inside block."""
+    """f(B) = (component_count(h minus B) - 1) * key_rate for B inside block,
+    a fundamental-partition block of an MCH: any other hypergraph raises
+    NotMCH, and any other block NotFundamentalBlock."""
 
     hypergraph: Hypergraph
     block: frozenset[str]
@@ -60,6 +68,7 @@ class RankFunction:
             raise SubsetOutsideBlock("the block must be a proper vertex subset")
         if self.key_rate < 0:
             raise NegativeRate("key rate must be nonnegative")
+        _require_fundamental_block(self.hypergraph, self.block)
 
 
 def rank(fn: RankFunction, b: Iterable[str]) -> Fraction:
@@ -72,13 +81,15 @@ def rank(fn: RankFunction, b: Iterable[str]) -> Fraction:
     return (h.removal_component_count(bset) - 1) * fn.key_rate
 
 
-def _subset_table(fn: RankFunction, *, max_block: int) -> tuple[tuple[str, ...], list[Fraction]]:
-    """(order, values) with values[mask] = f(subset of block selected by mask)."""
-    order, counts = removal_component_counts(
-        fn.hypergraph, fn.block, max_base=max_block
-    )
-    values = [(c - 1) * fn.key_rate for c in counts]
-    return order, values
+def _subset_table(fn: RankFunction) -> tuple[tuple[str, ...], list[Fraction]]:
+    """(order, values) with values[mask] = f(subset of block selected by mask),
+    over the sorted block; a block of more than 12 raises GroundTooLarge."""
+    order, counts = block_removal_counts(fn.hypergraph, fn.block)
+    return order, [(c - 1) * fn.key_rate for c in counts]
+
+
+def _members(order: Sequence[str], mask: int) -> frozenset[str]:
+    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -93,57 +104,47 @@ class ContraPolymatroidReport:
     counterexample: Optional[tuple[frozenset[str], frozenset[str]]] = None
 
 
-def verify_contra_polymatroid(
-    fn: RankFunction, *, max_block: int = 10
-) -> ContraPolymatroidReport:
+def verify_contra_polymatroid(fn: RankFunction) -> ContraPolymatroidReport:
     """Exhaustively check f(empty)=0, monotonicity, and supermodularity.
 
     Works through bitmask-indexed subset tables, so the cost is 4^|block|
-    cheap integer operations rather than 4^|block| component searches.
+    cheap integer operations rather than 4^|block| component searches.  A
+    block of more than VERIFY_CAP vertices raises GroundTooLarge.
     """
-    if len(fn.block) > max_block:
-        raise GroundTooLarge(
-            f"verification over a block of {len(fn.block)} exceeds cap {max_block}"
-        )
-    order, values = _subset_table(fn, max_block=max_block)
+    return _contra_polymatroid_report(*_subset_table(fn))
+
+
+def _contra_polymatroid_report(
+    order: Sequence[str], values: Sequence[Fraction]
+) -> ContraPolymatroidReport:
+    """The verdict on a set function given as a 2^len(order) table: the
+    first counterexample of normalization, then of monotonicity (masks
+    ascending, then elements), then of supermodularity (pairs s <= t)."""
     n = len(order)
+    if n > VERIFY_CAP:
+        raise GroundTooLarge(
+            f"verification over a block of {n} exceeds cap {VERIFY_CAP}"
+        )
     full = 1 << n
 
-    def subset_of(mask: int) -> frozenset[str]:
-        return frozenset(order[i] for i in range(n) if mask >> i & 1)
+    def failed(law: str, s: int, t: int) -> ContraPolymatroidReport:
+        laws = {"normalized": True, "nondecreasing": True, "supermodular": True}
+        laws[law] = False
+        pair = (_members(order, s), _members(order, t))
+        return ContraPolymatroidReport(ok=False, counterexample=pair, **laws)
 
-    normalized = values[0] == 0
-    if not normalized:
-        return ContraPolymatroidReport(
-            ok=False,
-            normalized=False,
-            nondecreasing=True,
-            supermodular=True,
-            counterexample=(frozenset(), frozenset()),
-        )
+    if values[0] != 0:
+        return failed("normalized", 0, 0)
     # monotone: adding one element never decreases the value
     for mask in range(full):
         for i in range(n):
-            if not mask >> i & 1:
-                bigger = mask | (1 << i)
-                if values[bigger] < values[mask]:
-                    return ContraPolymatroidReport(
-                        ok=False,
-                        normalized=True,
-                        nondecreasing=False,
-                        supermodular=True,
-                        counterexample=(subset_of(mask), subset_of(bigger)),
-                    )
+            bigger = mask | 1 << i
+            if bigger != mask and values[bigger] < values[mask]:
+                return failed("nondecreasing", mask, bigger)
     for s in range(full):
         for t in range(s, full):
             if values[s] + values[t] > values[s | t] + values[s & t]:
-                return ContraPolymatroidReport(
-                    ok=False,
-                    normalized=True,
-                    nondecreasing=True,
-                    supermodular=False,
-                    counterexample=(subset_of(s), subset_of(t)),
-                )
+                return failed("supermodular", s, t)
     return ContraPolymatroidReport(
         ok=True, normalized=True, nondecreasing=True, supermodular=True
     )
@@ -190,19 +191,20 @@ def extreme_point_for_order(fn: RankFunction, order: Iterable[str]) -> ExtremePo
     return ExtremePoint(order=seq, rates=tuple(sorted(rates.items())))
 
 
-def extreme_points(fn: RankFunction, *, max_block: int = 8) -> tuple[ExtremePoint, ...]:
+def extreme_points(fn: RankFunction) -> tuple[ExtremePoint, ...]:
     """All distinct extreme points, one per rate vector.
 
     Permutations are visited in lexicographic order, depth first over prefix
     masks of the subset table; when several produce the same vector only the
-    first is kept.  Blocks larger than max_block are refused (|block|!
-    permutations).
+    first is kept.  Blocks larger than EXTREME_POINTS_CAP are refused
+    (|block|! permutations).
     """
-    if len(fn.block) > max_block:
+    if len(fn.block) > EXTREME_POINTS_CAP:
         raise GroundTooLarge(
-            f"extreme points over a block of {len(fn.block)} exceeds cap {max_block}"
+            f"extreme points over a block of {len(fn.block)} exceeds cap "
+            f"{EXTREME_POINTS_CAP}"
         )
-    order, values = _subset_table(fn, max_block=max_block)
+    order, values = _subset_table(fn)
     n = len(order)
     seen: dict[tuple[Fraction, ...], ExtremePoint] = {}
     rates = [Fraction(0)] * n
@@ -237,9 +239,7 @@ class DecompositionResult:
     violated: Optional[tuple[frozenset[str], Fraction]] = None
 
 
-def decompose(
-    fn: RankFunction, target: Mapping[str, Fraction], *, max_block: int = 12
-) -> DecompositionResult:
+def decompose(fn: RankFunction, target: Mapping[str, Fraction]) -> DecompositionResult:
     """Certify membership of a rate vector in the per-block region.
 
     If some subset violates r(B) >= f(B), that inequality is returned (subsets
@@ -253,37 +253,28 @@ def decompose(
     order is its chain order; the mix equals the base, so it is at most the
     target, and equal to it when the target is a base.
 
-    f must be normalized and supermodular, as on every fundamental block of
-    an MCH; where it is not, NotFundamentalBlock may be raised.
+    f is normalized and supermodular on every block a RankFunction accepts,
+    so the split always ends; a block of more than 12 vertices raises
+    GroundTooLarge.
     """
-    if len(fn.block) > max_block:
-        raise GroundTooLarge(
-            f"decomposition over a block of {len(fn.block)} exceeds cap {max_block}"
-        )
     goal = {str(v): Fraction(r) for v, r in dict(target).items()}
     if frozenset(goal) != fn.block:
         raise SubsetOutsideBlock("target must assign a rate to each block vertex")
     if any(r < 0 for r in goal.values()):
         raise NegativeRate("target rates must be nonnegative")
 
-    order, values = _subset_table(fn, max_block=max_block)
-    index = {v: i for i, v in enumerate(order)}
-    for size in range(1, len(order) + 1):
-        for combo in combinations(sorted(fn.block), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << index[v]
-            need = values[mask]
-            have = sum((goal[v] for v in combo), Fraction(0))
-            if have < need:
-                return DecompositionResult(
-                    feasible=False, violated=(frozenset(combo), need)
-                )
-
+    order, values = _subset_table(fn)
     n = len(order)
-    full = (1 << n) - 1
     x = [goal[v] for v in order]
-    slack = [s - f for s, f in zip(_subset_sums(x), values)]
+    sums = _subset_sums(x)
+    for mask in _canonical_masks(n):
+        if sums[mask] < values[mask]:
+            return DecompositionResult(
+                feasible=False, violated=(_members(order, mask), values[mask])
+            )
+
+    full = (1 << n) - 1
+    slack = [s - f for s, f in zip(sums, values)]
     for i in range(n):
         members = [m for m in range(full + 1) if m >> i & 1]
         cut = min(slack[m] for m in members)
@@ -302,8 +293,8 @@ def decompose(
             if m & top == top and m != top and sums[m] == values[m]:
                 chain.extend(i for i in range(n) if (m & ~top) >> i & 1)
                 top = m
-        if top != full or values[0]:
-            break  # f is not a contra-polymatroid: no base, or f(empty) != 0
+        if top != full:  # pragma: no cover
+            break  # theorem guard: a base of f has a maximal tight chain
         vertex = [Fraction(0)] * n
         mask = 0
         for i in chain:
@@ -324,7 +315,7 @@ def decompose(
         weights.append((mass * step / (1 + step), point))
         mass /= 1 + step
         x = [a + step * (a - b) for a, b in zip(x, vertex)]
-    raise NotFundamentalBlock(
+    raise NotFundamentalBlock(  # pragma: no cover - theorem guard
         "the rank function is not normalized and supermodular over this block"
     )
 

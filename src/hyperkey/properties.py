@@ -26,7 +26,13 @@ from .partitions import (
     mmi,
     partition_connectivity,
 )
-from .polymatroid import RankFunction, extreme_point_for_order, verify_contra_polymatroid
+from .polymatroid import (
+    RankFunction,
+    _contra_polymatroid_report,
+    _members,
+    _subset_table,
+    extreme_point_for_order,
+)
 from .scheme import rates_of, synthesize, verify
 from .simkit import brute_force_secrecy, quantize, run
 
@@ -44,7 +50,8 @@ def lemma_violations(
 
     Covers: the component/degree identities over fundamental blocks, the
     hypertree shape of the merged hypergraph, the incident-restriction degree
-    laws, per-block supermodularity, redundancy of constraints on arbitrary
+    laws, per-block rank tables (each entry against its component search)
+    and their contra-polymatroid shape, redundancy of constraints on arbitrary
     vertex sets (sampled), entropy monotonicity/submodularity (an exact scan
     of the coverage table over integer-scaled weights), and agreement
     of the weighted capacity formula with the brute-force partition minimum,
@@ -109,7 +116,15 @@ def lemma_violations(
                     )
 
     for block in fundamental.blocks:
-        result = verify_contra_polymatroid(RankFunction(h, block, Fraction(1)))
+        order, values = _subset_table(RankFunction(h, block, Fraction(1)))
+        for mask, value in enumerate(values):
+            removed = _members(order, mask)
+            if value != h.removal_component_count(removed) - 1:
+                bad.append(
+                    f"block {sorted(block)}: rank table says {value} at "
+                    f"{sorted(removed)}, the component search disagrees"
+                )
+        result = _contra_polymatroid_report(order, values)
         if not result.ok:
             bad.append(
                 f"rank function on block {sorted(block)} failed: {result}"

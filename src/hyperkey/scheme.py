@@ -24,7 +24,7 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import gf2
-from .capacity import RateTuple, require_mch
+from .capacity import RateTuple, _require_fundamental_block, require_mch
 from .errors import (
     NotFundamentalBlock,
     RankDefect,
@@ -147,26 +147,12 @@ class VerificationReport:
     secrecy_ok: bool
 
 
-def representatives(
-    h: Hypergraph, c: Iterable[str], *, fundamental: Optional[Partition] = None
-) -> frozenset[str]:
+def representatives(h: Hypergraph, c: Iterable[str]) -> frozenset[str]:
     """One degree-one vertex per component of the incident restriction of c
     with c deleted; the least vertex of each component is chosen."""
     block = frozenset(str(v) for v in c)
-    _require_fundamental_block(h, block, fundamental)
+    _require_fundamental_block(h, block)
     return frozenset(_BlockEdges(block, _edges_meeting(h, block)).rep_edge)
-
-
-def _require_fundamental_block(
-    h: Hypergraph, block: frozenset[str], fundamental: Optional[Partition]
-) -> None:
-    require_mch(h)
-    if fundamental is None:
-        fundamental = partition_connectivity(h).fundamental
-    if block not in set(fundamental.blocks):
-        raise NotFundamentalBlock(
-            f"{sorted(block)} is not a block of the fundamental partition"
-        )
 
 
 def _edges_meeting(h: Hypergraph, block: frozenset[str]) -> list[Edge]:
@@ -253,8 +239,6 @@ def shared_representatives(
     c: Iterable[str],
     i: str,
     removed: Iterable[str],
-    *,
-    fundamental: Optional[Partition] = None,
 ) -> tuple[frozenset[str], ...]:
     """Classes of the representatives sharing an edge with i, grouped by
     reachability once `removed` (an order prefix containing i) is deleted.
@@ -264,7 +248,7 @@ def shared_representatives(
     block = frozenset(str(v) for v in c)
     vertex = str(i)
     prefix = frozenset(str(v) for v in removed)
-    _require_fundamental_block(h, block, fundamental)
+    _require_fundamental_block(h, block)
     if vertex not in block:
         raise VertexNotInBlock(f"{vertex!r} is not in block {sorted(block)}")
     if not prefix <= block or vertex not in prefix:

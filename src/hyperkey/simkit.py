@@ -16,8 +16,9 @@ pattern, key) observation is XOR-linear in the realization, so the table
 follows from the observations of the single-bit words.
 
 Two secrecy oracles are kept deliberately separate: the rank oracle (the key
-indicator stays outside the row space over GF(2), read off the reduced basis
-that `verify` builds) and the exhaustive oracle (cell counts of the joint
+indicator stays outside the row space over GF(2), as `verify` decides it:
+by a union-find over the edge columns for weight-two rows, by one reduced
+basis otherwise) and the exhaustive oracle (cell counts of the joint
 message/key table are flat).  The convolution counts cells and never takes
 a rank.  Tests compare them; nothing in this
 module derives one from the other.
@@ -247,7 +248,8 @@ def run(
 
 def secrecy_by_rank(scheme: DiscussionScheme) -> bool:
     """Perfect secrecy iff the key edge's indicator is outside the row space,
-    as verify reads it off the reduced basis of the rows.
+    as verify decides it (a union-find over the columns for weight-two rows,
+    one reduced basis of the rows otherwise).
 
     A key edge that is not a scheme column cannot be secret: False.
     """

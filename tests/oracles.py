@@ -45,9 +45,7 @@ from hyperkey import (
 )
 from hyperkey.capacity import RegionSpec, require_mch
 from hyperkey.gf2 import eliminate
-from hyperkey.hypergraph import removal_component_counts
 from hyperkey.partitions import partition_connectivity
-from hyperkey.polymatroid import _subset_table
 from hyperkey.scheme import (
     BlockTrace,
     DiscussionScheme,
@@ -456,28 +454,24 @@ def minimizer_sweep(h: Hypergraph, edge_weights) -> MinimizerSweep:
 # -- block decomposition -------------------------------------------------------------
 
 
-def decompose(
-    fn: RankFunction, target: Mapping[str, Fraction], *, max_block: int = 8
-) -> DecompositionResult:
+def decompose(fn: RankFunction, target: Mapping[str, Fraction]) -> DecompositionResult:
     """Certify membership of a rate vector in the per-block region.
 
     If some subset violates r(B) >= f(B), that inequality is returned (subsets
     scanned by size then lexicographically).  Otherwise a convex combination
     of extreme points with combination <= target coordinatewise is found: a
     single canonical point if one is already dominated, else an exact
-    phase-1 simplex certificate.
+    phase-1 simplex certificate.  The rank table is the per-subset search
+    (removal_component_counts).
     """
-    if len(fn.block) > max_block:
-        raise GroundTooLarge(
-            f"decomposition over a block of {len(fn.block)} exceeds cap {max_block}"
-        )
     goal = {str(v): Fraction(r) for v, r in dict(target).items()}
     if frozenset(goal) != fn.block:
         raise SubsetOutsideBlock("target must assign a rate to each block vertex")
     if any(r < 0 for r in goal.values()):
         raise NegativeRate("target rates must be nonnegative")
 
-    order, values = _subset_table(fn, max_block=max_block)
+    order, counts = removal_component_counts(fn.hypergraph, fn.block)
+    values = [(c - 1) * fn.key_rate for c in counts]
     index = {v: i for i, v in enumerate(order)}
     for size in range(1, len(order) + 1):
         for combo in combinations(sorted(fn.block), size):
@@ -491,7 +485,7 @@ def decompose(
                     feasible=False, violated=(frozenset(combo), need)
                 )
 
-    points = extreme_points(fn, max_block=max_block)
+    points = extreme_points(fn)
     for pt in points:
         if all(r <= goal[v] for v, r in pt.rates):
             return DecompositionResult(feasible=True, weights=((Fraction(1), pt),))
@@ -669,6 +663,23 @@ def census_mchs():
 # -- region ------------------------------------------------------------------------
 
 
+def removal_component_counts(h: Hypergraph, base) -> tuple[tuple[str, ...], list[int]]:
+    """(order, counts): order is the sorted tuple of base vertices and
+    counts[mask] the component count of h with the subset that mask selects
+    over order removed, one Hypergraph.removal_component_count search of all
+    of h per subset.  Like the library's table, it refuses more than 12."""
+    order = tuple(sorted(base))
+    if len(order) > 12:
+        raise GroundTooLarge(
+            f"subset enumeration over {len(order)} vertices exceeds cap 12"
+        )
+    counts = []
+    for mask in range(1 << len(order)):
+        drop = frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+        counts.append(h.removal_component_count(drop))
+    return order, counts
+
+
 def region_spec(h: Hypergraph) -> RegionSpec:
     """The region, with one component search of all of h per subset of every
     fundamental block (removal_component_counts)."""
@@ -676,7 +687,7 @@ def region_spec(h: Hypergraph) -> RegionSpec:
     fundamental = partition_connectivity(h).fundamental
     constraints = []
     for block in fundamental.blocks:
-        order, counts = removal_component_counts(h, block, max_base=12)
+        order, counts = removal_component_counts(h, block)
         index = {v: i for i, v in enumerate(order)}
         members = sorted(block)
         for size in range(1, len(members) + 1):

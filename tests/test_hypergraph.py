@@ -16,7 +16,6 @@ from hyperkey import (
     UnknownVertex,
     entropy,
     partition_connectivity,
-    removal_component_counts,
 )
 from hyperkey.errors import GroundTooLarge
 from hyperkey.hypergraph import block_removal_counts
@@ -146,28 +145,38 @@ class TestOperations:
             assert len(merged.edge("a").members) == 3
 
     def test_removal_component_counts_enumerates_subsets(self, h3):
-        names, counts = removal_component_counts(h3, "348")
+        names, counts = block_removal_counts(h3, frozenset("348"))
         assert names == ("3", "4", "8")
         # index is the subset bitmask over names; counted by hand
         assert counts == [1, 2, 1, 2, 1, 2, 1, 3]
 
-    def test_removal_component_counts_guard(self, h5):
+    def test_removal_component_counts_guard(self):
+        """The removal counts of a block are taken over 2^|block| subsets,
+        so a block of more than 12 vertices is refused."""
+        names = [f"c{i:02d}" for i in range(13)] + [f"p{i:02d}" for i in range(13)]
+        core = names[:13]
+        h = Hypergraph(
+            names,
+            [(f"e{i}", [core[i], core[(i + 1) % 13], names[13 + i]], 1) for i in range(13)],
+        )
+        assert frozenset(core) in partition_connectivity(h).fundamental.blocks
         with pytest.raises(GroundTooLarge):
-            removal_component_counts(h5, h5.vertices, max_base=5)
+            block_removal_counts(h, frozenset(core))
 
     def test_block_removal_counts_match_the_search(
         self, h1, h2, h3, h5, single_edge
     ):
         """The local count on each fundamental block of an MCH (singletons
-        and cyclic cores) equals one removal_component_count per subset, on
-        the fixtures, the census MCHs and random MCHs."""
+        and cyclic cores) equals one removal_component_count per subset
+        (oracles.removal_component_counts), on the fixtures, the census MCHs
+        and random MCHs."""
         inputs = [h1, h2, h3, h5, single_edge, *oracles.census_mchs()]
         kinds = {"singleton": 0, "core": 0}
         for h in inputs + oracles.random_mchs(200, seed=7):
             for block in partition_connectivity(h).fundamental.blocks:
                 if block == h.vertices:
                     continue
-                want = removal_component_counts(h, block)
+                want = oracles.removal_component_counts(h, block)
                 assert block_removal_counts(h, block) == want, (h, block)
                 kinds["singleton" if len(block) == 1 else "core"] += 1
         assert min(kinds.values()) >= 100, kinds

@@ -11,6 +11,7 @@ from hyperkey import (
     Hypergraph,
     NegativeRate,
     NotFundamentalBlock,
+    NotMCH,
     RankFunction,
     SubsetOutsideBlock,
     UnknownVertex,
@@ -25,6 +26,7 @@ from hyperkey import (
     verify_contra_polymatroid,
 )
 from hyperkey.errors import GroundTooLarge
+from hyperkey.polymatroid import ContraPolymatroidReport, _contra_polymatroid_report
 import oracles
 
 
@@ -76,10 +78,40 @@ class TestContraPolymatroid:
         for block in ("12", "348"):
             assert verify_contra_polymatroid(RankFunction(h3, frozenset(block), Fraction(1))).ok
 
-    def test_block_size_guard(self, h5):
-        fn = RankFunction(h5, frozenset("12345"), Fraction(1))
+    def test_block_size_guard(self):
+        h, block = _cyclic_core(11)
+        fn = RankFunction(h, block, Fraction(1))
         with pytest.raises(GroundTooLarge):
-            verify_contra_polymatroid(fn, max_block=4)
+            verify_contra_polymatroid(fn)
+
+    def test_verdicts_on_tables_outside_the_domain(self):
+        """The scan names the first failing law and its counterexample on
+        tables no RankFunction yields: a non-fundamental block, a
+        disconnected source and a hand-made decreasing table."""
+        # on the path 1-2-3-4 the block {2, 3} has f({2}) + f({3}) = 2 > f({2, 3}) = 1
+        path = Hypergraph("1234", [("a", "12", 1), ("b", "23", 1), ("c", "34", 1)])
+        # vertex 5 meets no edge, so f(empty) = 1
+        apart = Hypergraph("12345", [("a", "123", 1), ("b", "124", 1)])
+        tables = []
+        for h, block in ((path, "23"), (apart, "12")):
+            order, counts = oracles.removal_component_counts(h, block)
+            tables.append((order, [Fraction(c - 1) for c in counts]))
+        tables.append((("x", "y"), [Fraction(v) for v in (0, 2, 1, 1)]))
+        got = [_contra_polymatroid_report(order, values) for order, values in tables]
+        assert got == [
+            ContraPolymatroidReport(
+                ok=False, normalized=True, nondecreasing=True, supermodular=False,
+                counterexample=(frozenset("2"), frozenset("3")),
+            ),
+            ContraPolymatroidReport(
+                ok=False, normalized=False, nondecreasing=True, supermodular=True,
+                counterexample=(frozenset(), frozenset()),
+            ),
+            ContraPolymatroidReport(
+                ok=False, normalized=True, nondecreasing=False, supermodular=True,
+                counterexample=(frozenset("x"), frozenset("xy")),
+            ),
+        ]
 
 
 class TestExtremePoints:
@@ -123,6 +155,12 @@ class TestExtremePoints:
                 first.setdefault(pt.rates, pt)
             assert extreme_points(fn) == tuple(first.values())
 
+    def test_block_size_guard(self):
+        h, block = _cyclic_core(9)
+        fn = RankFunction(h, block, Fraction(1))
+        with pytest.raises(GroundTooLarge):
+            extreme_points(fn)
+
     def test_key_rate_scales_points(self, h1):
         fn = RankFunction(h1, frozenset("123"), Fraction(1, 2))
         assert all(
@@ -165,11 +203,6 @@ class TestDecompose:
         subset, required = res.violated
         assert sorted(subset) == ["1", "2"]
         assert required == 1
-
-    def test_block_size_guard(self, h5):
-        fn = RankFunction(h5, frozenset("12345"), Fraction(1))
-        with pytest.raises(GroundTooLarge):
-            decompose(fn, {v: 1 for v in "12345"}, max_block=4)
 
 
 KEY_RATES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
@@ -299,20 +332,17 @@ class TestGreedyDecomposition:
             decompose(fn, {v: 1 for v in block})
 
     def test_non_supermodular_block_is_refused(self):
-        # on the path 1-2-3-4, f({2}) + f({3}) = 2 > f({2, 3}) = 1
+        # on the path 1-2-3-4, f({2}) + f({3}) = 2 > f({2, 3}) = 1, and
+        # {2, 3} is not a fundamental block (those are the singletons)
         path = Hypergraph("1234", [("a", "12", 1), ("b", "23", 1), ("c", "34", 1)])
-        fn = RankFunction(path, frozenset("23"), Fraction(1))
-        assert not verify_contra_polymatroid(fn).supermodular
         with pytest.raises(NotFundamentalBlock):
-            decompose(fn, {"2": 1, "3": 1})
+            RankFunction(path, frozenset("23"), Fraction(1))
 
     def test_disconnected_source_is_refused(self):
-        # vertex 5 meets no edge, so f(empty) = 1; (1, 1) is then tight on
-        # the block, but no vertex telescoped from f sums to f(block)
+        # vertex 5 meets no edge, so f(empty) = 1; the source is no MCH
         apart = Hypergraph("12345", [("a", "123", 1), ("b", "124", 1)])
-        fn = RankFunction(apart, frozenset("12"), Fraction(1))
-        with pytest.raises(NotFundamentalBlock):
-            decompose(fn, {"1": 2, "2": 2})
+        with pytest.raises(NotMCH):
+            RankFunction(apart, frozenset("12"), Fraction(1))
 
 
 class TestTimeSharedRoundTrip:
