@@ -225,7 +225,19 @@ def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerS
     shares one sweep between the two functionals.
     """
     weights = tuple(e.weight if weighted else Fraction(1) for e in h.edges)
-    return _minimizer_sweep(h, weights, 12)
+    return _enumerated(h, weights)
+
+
+@lru_cache(maxsize=1024)
+def _enumerated(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> MinimizerSweep:
+    """The sweep's report with every minimizer built as a Partition."""
+    value, fundamental, codes = _minimizer_sweep(h, edge_weights, 12)
+    elems = sorted(h.vertices)
+    return MinimizerSweep(
+        value=value,
+        fundamental=fundamental,
+        minimizers=tuple(_partition_of_code(elems, c) for c in codes),
+    )
 
 
 def _scaled_edge_masks(
@@ -245,13 +257,13 @@ def _scaled_edge_masks(
     return masks, scale
 
 
-@lru_cache(maxsize=1024)
 def _minimizer_sweep(
     h: Hypergraph, edge_weights: tuple[Fraction, ...], max_ground: int
-) -> MinimizerSweep:
-    """Minimize (sum of block coverage sums - total) / (|P| - 1) over proper
-    partitions, where a block's coverage sum adds the weight of every edge
-    meeting it.  Equivalently the numerator is sum_e w_e * (blocks met - 1).
+) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
+    """(value, fundamental, codes): minimize (sum of block coverage sums -
+    total) / (|P| - 1) over proper partitions, where a block's coverage sum
+    adds the weight of every edge meeting it.  Equivalently the numerator
+    is sum_e w_e * (blocks met - 1).
 
     A depth-first walk over restricted-growth codes, block choices ascending,
     so leaves come in enumerate_partitions order.  Each edge keeps a bitmask
@@ -259,7 +271,9 @@ def _minimizer_sweep(
     updates only the edges at i, adding an edge's scaled weight when k is new
     to it and it already met another block, and backtracking undoes that.
     The last vertex is only evaluated, never placed.  The value is kept as
-    an integer pair, so no partition or Fraction is built per leaf.
+    an integer pair, so no partition or Fraction is built per leaf.  codes
+    lists every minimizer's restricted-growth code over the sorted vertices,
+    in enumeration order; only the fundamental partition is built.
     """
     elems = sorted(h.vertices)
     n = len(elems)
@@ -330,27 +344,42 @@ def _minimizer_sweep(
     place(1, 0, 1)
     assert best_num is not None and opt_codes
 
-    def materialize(c: tuple[int, ...]) -> Partition:
-        blocks: list[set[str]] = [set() for _ in range(max(c) + 1)]
-        for i, b in enumerate(c):
-            blocks[b].add(elems[i])
-        return Partition.from_blocks(blocks)
+    return (
+        Fraction(best_num, best_den),
+        _partition_of_code(elems, _meet_of_codes(opt_codes)),
+        opt_codes,
+    )
 
-    best = Fraction(best_num, best_den)
-    opts = [materialize(c) for c in opt_codes]
-    # The minimizers form a lower semi-lattice under refinement.  Fold the
-    # meet across all of them and insist every intermediate meet is itself a
-    # minimizer; a violation means the assumption broke, and that must fail
-    # loudly rather than return a guess.
-    opt_set = set(opts)
-    meet = opts[0]
-    for p in opts[1:]:
-        meet = meet.common_refinement(p)
-        if meet not in opt_set:
+
+def _meet_of_codes(codes: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The common refinement of partitions given as restricted-growth codes.
+
+    The minimizers form a lower semi-lattice under refinement.  Fold the
+    meet across all of them and insist every intermediate meet is itself a
+    minimizer; a violation means the assumption broke, and that must fail
+    loudly rather than return a guess.  The meet of two codes labels each
+    element by its pair of labels, numbered in order of first occurrence:
+    that is again a restricted-growth code, and codes are equal exactly
+    when their partitions are.
+    """
+    members = set(codes)
+    meet = codes[0]
+    for c in codes[1:]:
+        labels: dict[tuple[int, int], int] = {}
+        meet = tuple([labels.setdefault(pair, len(labels)) for pair in zip(meet, c)])
+        if meet not in members:
             raise SemiLatticeViolation(
                 "minimizer set is not closed under common refinement"
             )
-    return MinimizerSweep(value=best, fundamental=meet, minimizers=tuple(opts))
+    return meet
+
+
+def _partition_of_code(elems: list[str], code: tuple[int, ...]) -> Partition:
+    """The partition whose restricted-growth code over elems is code."""
+    blocks: list[set[str]] = [set() for _ in range(max(code) + 1)]
+    for v, b in zip(elems, code):
+        blocks[b].add(v)
+    return Partition.from_blocks(blocks)
 
 
 def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> ConnectivityReport:
@@ -420,20 +449,21 @@ def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> Connectivi
 
 
 def _connectivity(
-    h: Hypergraph, edge_weights: tuple[Fraction, ...]
+    h: Hypergraph, edge_weights: Optional[tuple[Fraction, ...]]
 ) -> ConnectivityReport:
     """The report for one functional, cached on the value per edge_weights;
-    reports are frozen, so callers share one."""
+    reports are frozen, so callers share one.  None stands for unit weights,
+    so a cache hit on the unit report builds and hashes no tuple."""
     key = ("connectivity", edge_weights)
     report = h._cache.get(key)
     if report is None:
+        if edge_weights is None:
+            edge_weights = (Fraction(1),) * len(h.edges)
         if len(h.vertices) >= 2 and h.is_mch():
             report = _mch_report(h, edge_weights)
         else:
-            sweep = _minimizer_sweep(h, edge_weights, 12)
-            report = ConnectivityReport(
-                value=sweep.value, fundamental=sweep.fundamental
-            )
+            value, fundamental, _ = _minimizer_sweep(h, edge_weights, 12)
+            report = ConnectivityReport(value=value, fundamental=fundamental)
         h._cache[key] = report
     return report
 
@@ -448,7 +478,7 @@ def partition_connectivity(h: Hypergraph) -> ConnectivityReport:
     exactly when h is disconnected, and the fundamental partition is then
     the partition into connected components.
     """
-    return _connectivity(h, tuple(Fraction(1) for _ in h.edges))
+    return _connectivity(h, None)
 
 
 def mmi(

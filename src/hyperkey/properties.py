@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .capacity import (
     in_region,
@@ -53,15 +53,20 @@ def lemma_violations(
     laws, per-block rank tables (each entry against its component search)
     and their contra-polymatroid shape, redundancy of constraints on arbitrary
     vertex sets (sampled), entropy monotonicity/submodularity (an exact scan
-    of the coverage table over integer-scaled weights), and agreement
-    of the weighted capacity formula with the brute-force partition minimum,
-    plus the fast-path law of _fast_path_violations.  check_prop2
-    additionally brute-forces the maximal-subset characterization of
-    non-singleton fundamental blocks (expensive; small grounds only).
+    of the coverage table over integer-scaled weights, on every ground this
+    function accepts), and agreement of the weighted capacity formula with
+    the brute-force partition minimum, plus the fast-path law of
+    _fast_path_violations.  Every component count comes from one
+    _removal_counter, a generic search independent of the rank tables.
+    The enumeration oracle refuses grounds over 12 vertices, and so does
+    this function.  check_prop2 additionally brute-forces the
+    maximal-subset characterization of non-singleton fundamental blocks
+    (expensive; small grounds only).
     """
     require_mch(h)
     rng = rng or random.Random(0)
     bad = _fast_path_violations(h)
+    count = _removal_counter(h)
     report = partition_connectivity(h)
     unit_sweep = enumerate_minimizers(h)
     fundamental = report.fundamental
@@ -77,7 +82,7 @@ def lemma_violations(
     for block in fundamental.blocks:
         d = h.degree(block)
         degree_sum += d - 1
-        k = h.removal_component_count(block)
+        k = count(block)
         if k != d:
             bad.append(
                 f"block {sorted(block)}: component count {k} != degree {d}"
@@ -119,7 +124,7 @@ def lemma_violations(
         order, values = _subset_table(RankFunction(h, block, Fraction(1)))
         for mask, value in enumerate(values):
             removed = _members(order, mask)
-            if value != h.removal_component_count(removed) - 1:
+            if value != count(removed) - 1:
                 bad.append(
                     f"block {sorted(block)}: rank table says {value} at "
                     f"{sorted(removed)}, the component search disagrees"
@@ -130,7 +135,9 @@ def lemma_violations(
                 f"rank function on block {sorted(block)} failed: {result}"
             )
 
-    bad.extend(_redundancy_violations(h, fundamental, rng, subadditivity_samples))
+    bad.extend(
+        _redundancy_violations(h, fundamental, rng, subadditivity_samples, count)
+    )
     bad.extend(_entropy_shape_violations(h))
 
     cap = unconstrained_capacity(h)
@@ -172,9 +179,11 @@ def _redundancy_violations(
     fundamental: Partition,
     rng: random.Random,
     samples: int,
+    count: Callable[[Iterable[str]], int],
 ) -> list[str]:
     """r(B) >= (k(H/B)-1) r_K is implied blockwise: the component defect of an
-    arbitrary B never exceeds the sum over blocks of the defects of B's traces."""
+    arbitrary B never exceeds the sum over blocks of the defects of B's traces.
+    count is h's component count with a proper vertex subset removed."""
     bad: list[str] = []
     names = sorted(h.vertices)
     if len(names) < 2:
@@ -182,12 +191,12 @@ def _redundancy_violations(
     for _ in range(samples):
         size = rng.randrange(1, len(names))
         b = frozenset(rng.sample(names, size))
-        whole = h.removal_component_count(b) - 1
+        whole = count(b) - 1
         parts = 0
         for block in fundamental.blocks:
             trace = b & block
             if trace:
-                parts += h.removal_component_count(trace) - 1
+                parts += count(trace) - 1
         if whole > parts:
             bad.append(
                 f"defect {whole} of {sorted(b)} exceeds blockwise sum {parts}"
@@ -195,14 +204,54 @@ def _redundancy_violations(
     return bad
 
 
+def _removal_counter(h: Hypergraph) -> Callable[[Iterable[str]], int]:
+    """h.removal_component_count for proper vertex subsets, memoized per
+    removed set.  Each count merges the edges' vertex bitmasks, cut to the
+    kept vertices, into components; kept vertices no edge reaches count
+    one each.  A generic search over all of h: it reads no block structure,
+    so it stays an independent check of block_removal_counts."""
+    order = sorted(h.vertices)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    weighted, _ = _scaled_edge_masks(h, order, (e.weight for e in h.edges))
+    masks = [m for m, _ in weighted]
+    full = (1 << len(order)) - 1
+    memo: dict[int, int] = {}
+
+    def count(c: Iterable[str]) -> int:
+        removed = 0
+        for v in c:
+            removed |= bit[v]
+        k = memo.get(removed)
+        if k is None:
+            kept = full ^ removed
+            comps: list[int] = []
+            reached = 0
+            for m in masks:
+                m &= kept
+                if not m:
+                    continue
+                reached |= m
+                apart = []
+                for comp in comps:
+                    if comp & m:
+                        m |= comp
+                    else:
+                        apart.append(comp)
+                apart.append(m)
+                comps = apart
+            k = memo[removed] = len(comps) + (kept & ~reached).bit_count()
+        return k
+
+    return count
+
+
 def _entropy_shape_violations(h: Hypergraph) -> list[str]:
-    """Coverage entropy is monotone and submodular; checked exhaustively.
+    """Coverage entropy is monotone and submodular; checked exhaustively on
+    any ground (lemma_violations passes at most 12 vertices).
 
     The scan runs over integer-scaled weights (see _coverage_table), so
     every comparison is exact and no Fraction is built per subset.
     """
-    if len(h.vertices) > 10:
-        return []
     return _table_shape_violations(*_coverage_table(h))
 
 
@@ -221,19 +270,42 @@ def _coverage_table(h: Hypergraph) -> tuple[list[str], list[int]]:
 def _table_shape_violations(order: Sequence[str], values: Sequence[int]) -> list[str]:
     """First monotonicity violation (masks ascending, then elements), else
     first submodularity violation over pairs s <= t, of a set function given
-    as a 2^len(order) table; [] when both laws hold."""
+    as a 2^len(order) table; [] when both laws hold.
+
+    A set function is submodular iff f(S+i) + f(S+j) >= f(S+i+j) + f(S) for
+    every S and every pair i, j outside S (Schrijver, Combinatorial
+    Optimization, Thm 44.1).  That local form takes n^2 2^n comparisons
+    against 4^n for the pairs, so it gates the pairwise scan: the scan runs
+    only when some local inequality fails, which is itself a pair violation,
+    and then reports the same first pair as it would alone.
+    """
     n = len(order)
     full = 1 << n
     for mask in range(full):
         for i in range(n):
             if not mask >> i & 1 and values[mask | 1 << i] < values[mask]:
                 return [f"entropy not monotone at mask {mask} plus {order[i]!r}"]
+    if _locally_submodular(values, n):
+        return []
     for s in range(full):
         vs = values[s]
         for t in range(s, full):
             if vs + values[t] < values[s | t] + values[s & t]:
                 return [f"entropy not submodular at masks {s}, {t}"]
     return []
+
+
+def _locally_submodular(values: Sequence[int], n: int) -> bool:
+    """f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and i < j outside S."""
+    for s in range(1 << n):
+        vs = values[s]
+        grown = [s | 1 << i for i in range(n) if not s >> i & 1]
+        for a, si in enumerate(grown):
+            gain = values[si] - vs
+            for sj in grown[a + 1 :]:
+                if gain + values[sj] < values[si | sj]:
+                    return False
+    return True
 
 
 def _prop2_violations(

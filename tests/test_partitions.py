@@ -23,6 +23,7 @@ from hyperkey import (
     partition_connectivity,
 )
 from hyperkey.errors import GroundTooLarge, SemiLatticeViolation
+from hyperkey.partitions import _meet_of_codes
 import oracles
 from oracles import propose as _propose
 
@@ -400,6 +401,29 @@ class TestSweepMatchesRecountOracle:
         )
         _assert_sweep_matches_oracle(cycle)
         assert partition_connectivity(cycle).value == Fraction(n, n - 1)
+
+    def test_edgeless(self):
+        """Every proper partition is a minimizer, at 0, so the meet folds
+        over Bell(n) - 1 of them down to the singletons."""
+        h = Hypergraph([f"v{i}" for i in range(7)], [])
+        _assert_sweep_matches_oracle(h)
+        assert len(enumerate_minimizers(h).minimizers) == 876
+        report = partition_connectivity(h)
+        assert (report.value, report.fundamental) == (0, Partition.singletons(h.vertices))
+
+
+class TestMeetOfCodes:
+    def test_folds_to_the_common_refinement(self):
+        # {0,1 | 2}, {0 | 1,2} and their meet, the singletons
+        assert _meet_of_codes([(0, 0, 1), (0, 1, 1), (0, 1, 2)]) == (0, 1, 2)
+        # {0,2 | 1,3} and {0,1 | 2,3} meet in {0 | 1 | 2 | 3}; {0,2 | 1 | 3} is coarser
+        codes = [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 2, 3)]
+        assert _meet_of_codes(codes) == (0, 1, 2, 3)
+        assert _meet_of_codes([(0, 1, 1, 0)]) == (0, 1, 1, 0)
+
+    def test_a_meet_outside_the_set_raises(self):
+        with pytest.raises(SemiLatticeViolation):
+            _meet_of_codes([(0, 0, 1), (0, 1, 1)])
 
 
 class TestChainOrder:

@@ -1,25 +1,35 @@
 """Bundled structure validators: lemma identities and scheme round trips."""
 
+import contextlib
+import io
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
 
+import hyperkey.properties as properties
+import oracles
 from hyperkey import (
     ConnectivityReport,
     Hypergraph,
     NotMCH,
     Partition,
     lemma_violations,
+    partition_connectivity,
     random_mch,
     require_mch,
     scheme_round_trip_violations,
 )
+from hyperkey.cli import main
 from hyperkey.properties import (
     _coverage_table,
     _entropy_shape_violations,
+    _redundancy_violations,
+    _removal_counter,
     _table_shape_violations,
 )
 
@@ -107,6 +117,78 @@ class TestEntropyScan:
         assert kinds["entropy not monotone"] >= 25, kinds
         assert kinds["entropy not submodular"] >= 25, kinds
 
+    def test_two_broken_entries_give_the_oracle_message(self):
+        """Two entries moved: the gated scan still reports the oracle's
+        first violation, and tables that are monotone but not submodular
+        occur."""
+        rng = random.Random(9)
+        kinds = Counter()
+        for _ in range(400):
+            h = _random_weighted_hypergraph(rng, 6)
+            order, ints = _coverage_table(h)
+            _, fractions = fraction_coverage_table(h)
+            scale = lcm(*(e.weight.denominator for e in h.edges))
+            for k in rng.sample(range(len(ints)), min(2, len(ints))):
+                delta = rng.choice([-2, -1, 1, 2])
+                ints[k] += delta
+                fractions[k] += Fraction(delta, scale)
+            found = _table_shape_violations(order, ints)
+            assert found == fraction_shape_violations(order, fractions)
+            kinds[found[0].split(" at ")[0] if found else "clean"] += 1
+        assert kinds["entropy not monotone"] >= 25, kinds
+        assert kinds["entropy not submodular"] >= 10, kinds
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_every_accepted_ground_is_scanned(self, n, monkeypatch):
+        """lemma_violations accepts up to 12 vertices, and the scan covers
+        them: a clean table passes, a broken one is reported."""
+        h = next(g for g in oracles.random_mchs(40, n, max_vertices=12)
+                 if len(g.vertices) == n)
+        assert _entropy_shape_violations(h) == []
+        real = properties._coverage_table
+
+        def broken(g):
+            order, values = real(g)
+            values[-1] -= 1  # the full set now lies below its subsets
+            return order, values
+
+        monkeypatch.setattr(properties, "_coverage_table", broken)
+        found = _entropy_shape_violations(h)
+        assert found and found[0].startswith("entropy not monotone"), found
+
+
+class TestRemovalCounter:
+    @staticmethod
+    def _assert_matches_the_search(h):
+        count = _removal_counter(h)
+        names = sorted(h.vertices)
+        for size in range(len(names)):
+            for c in combinations(names, size):
+                assert count(c) == h.removal_component_count(c), (h, c)
+                assert count(frozenset(c)) == h.removal_component_count(c)
+
+    def test_census(self):
+        checked = 0
+        for h in oracles.census_mchs():
+            self._assert_matches_the_search(h)
+            checked += 1
+        assert checked == 521
+
+    def test_random_mchs(self):
+        for h in oracles.random_mchs(200, 31):
+            self._assert_matches_the_search(h)
+
+    def test_any_hypergraph(self):
+        """The counter is generic: loops, isolated vertices, disconnected
+        and cyclic shapes count as the search does."""
+        rng = random.Random(32)
+        isolated = 0
+        for _ in range(100):
+            h = _random_weighted_hypergraph(rng, 7)
+            isolated += any(not h._incident[v] for v in h.vertices)
+            self._assert_matches_the_search(h)
+        assert isolated >= 10
+
 
 class TestRequireMCH:
     def test_accepts_fixtures(self, h1, h2, h3, h5):
@@ -152,6 +234,79 @@ class TestLemmaViolations:
         for seed, (n, m, w) in enumerate([(4, 3, 2), (5, 4, 1), (6, 4, 3), (7, 5, 2)]):
             g = random_mch(n, m, w, seed=seed)
             assert lemma_violations(g, rng=random.Random(seed)) == []
+
+    def test_a_wrong_rank_table_entry_is_reported(self, h1, monkeypatch):
+        real = properties._subset_table
+
+        def corrupted(fn):
+            order, values = real(fn)
+            values[-1] += 1
+            return order, values
+
+        monkeypatch.setattr(properties, "_subset_table", corrupted)
+        found = lemma_violations(h1, rng=random.Random(0))
+        assert (
+            "block ['1', '2', '3']: rank table says 3 at ['1', '2', '3'], "
+            "the component search disagrees"
+        ) in found, found
+
+    def test_a_wrong_component_count_is_reported(self, h1, monkeypatch):
+        real = properties._removal_counter
+
+        def off_by_one(h):
+            count = real(h)
+            return lambda c: count(c) + 1
+
+        monkeypatch.setattr(properties, "_removal_counter", off_by_one)
+        found = lemma_violations(h1, rng=random.Random(0))
+        assert "block ['1', '2', '3']: component count 4 != degree 3" in found
+        assert "block ['4']: component count 2 != degree 1" in found, found
+
+    def test_redundancy_needs_the_fundamental_blocks(self, h1):
+        """On singleton blocks the blockwise sum undercounts: removing two
+        of h1's core vertices splits off more than each does alone."""
+        found = _redundancy_violations(
+            h1, Partition.singletons(h1.vertices), random.Random(0), 50,
+            _removal_counter(h1),
+        )
+        assert found and all(
+            re.fullmatch(r"defect \d+ of \[.*\] exceeds blockwise sum \d+", v)
+            for v in found
+        ), found
+        clean = _redundancy_violations(
+            h1, partition_connectivity(h1).fundamental, random.Random(0), 50,
+            _removal_counter(h1),
+        )
+        assert clean == []
+
+
+class TestFuzzOutputUnchanged:
+    MENU = (
+        (2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 3),
+        (6, 4), (7, 4), (7, 5), (8, 4), (8, 5),
+    )
+
+    def _stdout(self):
+        out = []
+        for n, m in self.MENU:
+            for seed in (3, 50, 901):
+                argv = ["--json", "fuzz", "--cases", "1", "--max-weight", "1",
+                        "--seed", str(seed), "--vertices", str(n), "--edges", str(m)]
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    main(argv)
+                out.append(buf.getvalue())
+        return out
+
+    def test_same_bytes_as_the_whole_graph_search_and_pairwise_scan(self, monkeypatch):
+        fast = self._stdout()
+        monkeypatch.setattr(
+            properties, "_removal_counter", lambda h: h.removal_component_count
+        )
+        monkeypatch.setattr(
+            properties, "_table_shape_violations", fraction_shape_violations
+        )
+        assert self._stdout() == fast
 
 
 class TestSchemeRoundTrips:
