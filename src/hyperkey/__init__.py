@@ -9,10 +9,12 @@ one component-count table per fundamental block, schemes of weight-two rows
 are verified by a union-find over the edge columns (other row sets by one
 reduced GF(2) basis, gf2.eliminate), and the simulation kit can
 exhaustively sweep small state spaces.
+
+__all__ is the public surface; internal helpers that the checks also use
+live in their own modules and are imported from there.
 """
 
 from .errors import (
-    Disconnected,
     DuplicateEdgeId,
     EmptyResult,
     EmptyVertexSet,
@@ -23,7 +25,6 @@ from .errors import (
     KeyRateExceedsCapacity,
     NegativeRate,
     NonpositiveWeight,
-    NotCycleFree,
     NotFundamentalBlock,
     NotMCH,
     ParseError,
@@ -42,11 +43,9 @@ from .partitions import (
     ConnectivityReport,
     MinimizerSweep,
     Partition,
-    chain_order,
     crossing_count,
     entropy,
     enumerate_minimizers,
-    enumerate_partitions,
     mmi,
     partition_connectivity,
 )
@@ -57,9 +56,7 @@ from .capacity import (
     communication_complexity,
     constrained_capacity,
     in_region,
-    outer_bound_deficit,
     region_spec,
-    require_mch,
     unconstrained_capacity,
 )
 from .polymatroid import (
@@ -68,10 +65,8 @@ from .polymatroid import (
     ExtremePoint,
     RankFunction,
     decompose,
-    extreme_point_for_order,
     extreme_points,
     rank,
-    verify_contra_polymatroid,
 )
 from .scheme import (
     BlockTrace,
@@ -83,7 +78,6 @@ from .scheme import (
     compose_time_shared,
     rates_of,
     representatives,
-    shared_representatives,
     synthesize,
     verify,
 )
@@ -97,7 +91,6 @@ from .simkit import (
     random_mch,
     random_mch_with_stats,
     run,
-    secrecy_by_rank,
 )
 from .properties import lemma_violations, scheme_round_trip_violations
 from .hgio import parse, serialize
@@ -111,7 +104,6 @@ __all__ = [
     "ConnectivityReport",
     "ContraPolymatroidReport",
     "DecompositionResult",
-    "Disconnected",
     "DiscussionScheme",
     "DuplicateEdgeId",
     "Edge",
@@ -129,7 +121,6 @@ __all__ = [
     "MinimizerSweep",
     "NegativeRate",
     "NonpositiveWeight",
-    "NotCycleFree",
     "NotFundamentalBlock",
     "NotMCH",
     "ParseError",
@@ -153,7 +144,6 @@ __all__ = [
     "VertexNotInBlock",
     "WeightsNotConvex",
     "brute_force_secrecy",
-    "chain_order",
     "communication_complexity",
     "compose_time_shared",
     "constrained_capacity",
@@ -161,13 +151,10 @@ __all__ = [
     "decompose",
     "entropy",
     "enumerate_minimizers",
-    "enumerate_partitions",
-    "extreme_point_for_order",
     "extreme_points",
     "in_region",
     "lemma_violations",
     "mmi",
-    "outer_bound_deficit",
     "parse",
     "partition_connectivity",
     "quantize",
@@ -177,14 +164,10 @@ __all__ = [
     "rates_of",
     "region_spec",
     "representatives",
-    "require_mch",
     "run",
     "scheme_round_trip_violations",
-    "secrecy_by_rank",
     "serialize",
-    "shared_representatives",
     "synthesize",
     "unconstrained_capacity",
     "verify",
-    "verify_contra_polymatroid",
 ]

@@ -172,17 +172,14 @@ def region_spec(h: Hypergraph) -> RegionSpec:
     )
 
 
-def in_region(
-    h: Hypergraph, rt: RateTuple, *, spec: Optional[RegionSpec] = None
-) -> RegionCheck:
+def in_region(h: Hypergraph, rt: RateTuple) -> RegionCheck:
     """Membership test; reports the first violated constraint if any.
 
-    The key-rate cap is checked first, then the subset constraints in the
-    spec's canonical order.  The rate tuple must carry an entry for every
-    vertex of h and for no other.
+    The key-rate cap is checked first, then the subset constraints in
+    region_spec's canonical order.  The rate tuple must carry an entry for
+    every vertex of h and for no other.
     """
-    if spec is None:
-        spec = region_spec(h)
+    spec = region_spec(h)
     missing = h.vertices - set(rt.per_user)
     if missing:
         raise UnknownVertex(f"rate tuple missing vertices: {sorted(missing)}")

@@ -74,8 +74,6 @@ _has_space = re.compile(r"\s").search
 def _scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

@@ -9,8 +9,6 @@ __all__ = [
     "EmptyResult",
     "InvalidPartition",
     "GroundTooLarge",
-    "Disconnected",
-    "NotCycleFree",
     "SemiLatticeViolation",
     "NotMCH",
     "NegativeRate",
@@ -54,14 +52,6 @@ class InvalidPartition(HyperkeyError):
 
 class GroundTooLarge(HyperkeyError):
     """Explicit enumeration was requested over a ground set above the cap."""
-
-
-class Disconnected(HyperkeyError):
-    """The hypergraph (or a required restriction of it) is not connected."""
-
-
-class NotCycleFree(HyperkeyError):
-    """A cycle-free structure was required but a cycle exists."""
 
 
 class SemiLatticeViolation(HyperkeyError):

@@ -9,13 +9,17 @@ mutates its inputs.
 A vertex may belong to no edge (it is then an isolated component).  Member
 sets are nonempty subsets of the vertex set; distinct edges may have identical
 member sets (parallel edges) and single-vertex edges (loops) are allowed.
+
+The library counts the components left by removing part of a fundamental
+block of an MCH from the edges that meet the block (_block_counter);
+removal_component_count, a search of all of h, is the independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DuplicateEdgeId,
@@ -38,8 +42,15 @@ WeightLike = Union[Fraction, int, str]
 
 
 def as_weight(value: WeightLike) -> Fraction:
-    """Coerce an int / string / Fraction to a positive exact rational."""
-    w = Fraction(value)
+    """Coerce an int / string / Fraction to a positive exact rational; any
+    value that is not one (a malformed string, a zero denominator, None)
+    raises NonpositiveWeight."""
+    try:
+        w = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise NonpositiveWeight(
+            f"edge weight must be a positive rational, got {value!r}"
+        ) from None
     if w <= 0:
         raise NonpositiveWeight(f"edge weight must be positive, got {value!r}")
     return w
@@ -517,49 +528,62 @@ def _walk_to_cycle(
 def block_removal_counts(
     h: Hypergraph, block: frozenset[str]
 ) -> tuple[tuple[str, ...], list[int]]:
-    """Component counts of h with each subset of a fundamental block of an
-    MCH removed, read off the edges that meet the block alone.
+    """(order, counts) with counts[mask] = _block_counter's count for every
+    mask, so counts[0] is 1; a block of more than 12 vertices raises
+    GroundTooLarge."""
+    if len(block) > 12:
+        raise GroundTooLarge(
+            f"subset enumeration over {len(block)} vertices exceeds cap 12"
+        )
+    order, count = _block_counter(h, block)
+    return order, [count(removed) for removed in range(1 << len(order))]
 
-    Returns (order, counts): order is the sorted tuple of block vertices and
-    counts[mask] is Hypergraph.removal_component_count of the subset that
-    mask's bits select over order, so counts[0] is 1.  An edge with two or
-    more members in the block lies on a cycle through it (a local edge); any
-    other edge at a block vertex is a bridge of the incidence graph, and the
-    side away from the block stays whole.  A singleton block has only
-    bridges.  A local edge also has a member outside the block, as its node
-    must cut the incidence graph.  So removing B leaves the components of the
-    local edges on block minus B, plus one for each local edge whose block
-    members all went, plus one for each bridge at a vertex of B.  Cost
-    2^|block| times the local edges, whatever the size of h; a block of more
-    than 12 vertices raises GroundTooLarge.
+
+def _block_counter(
+    h: Hypergraph, block: frozenset[str]
+) -> tuple[tuple[str, ...], Callable[[int], int]]:
+    """(order, count): order is the sorted tuple of block vertices, and
+    count(mask) is Hypergraph.removal_component_count of the subset of a
+    fundamental block of an MCH that mask's bits select over order, read off
+    the edges that meet the block alone.
+
+    An edge with two or more members in the block lies on a cycle through
+    it (a local edge); any other edge at a block vertex is a bridge of the
+    incidence graph, and the side away from the block stays whole.  A
+    singleton block has only bridges.  A local edge also has a member
+    outside the block, as its node must cut the incidence graph.  So
+    removing B leaves the components of the local edges on block minus B,
+    plus one for each local edge whose block members all went, plus one for
+    each bridge at a vertex of B.  A count costs |B| plus the local edges
+    times the merges, whatever the size of h or of the block.
     """
     order = tuple(sorted(block))
-    k = len(order)
-    if k > 12:
-        raise GroundTooLarge(f"subset enumeration over {k} vertices exceeds cap 12")
     bit = {v: 1 << i for i, v in enumerate(order)}
-    hanging = [0] * (1 << k)  # bridges at the vertices of each removed set
+    hanging = [0] * len(order)  # bridges at each block vertex
     masks = []  # block members of each local edge, taken at its lowest one
-    for v in order:
+    for i, v in enumerate(order):
         b = bit[v]
         for e in h._incident[v]:
             mask = 0
             for u in e.members:
                 mask |= bit.get(u, 0)
             if mask == b:
-                hanging[b] += 1
+                hanging[i] += 1
             elif mask & -mask == b:
                 masks.append(mask)
-    full = (1 << k) - 1
-    counts = [0] * (1 << k)
-    for removed in range(1 << k):
-        low = removed & -removed
-        hanging[removed] = hanging[removed ^ low] + hanging[low]
+    full = (1 << len(order)) - 1
+
+    def count(removed: int) -> int:
+        total = 0
+        rest = removed
+        while rest:
+            low = rest & -rest
+            total += hanging[low.bit_length() - 1]
+            rest ^= low
         kept = full ^ removed
-        count = hanging[removed]
         for m in masks:
             if not m & kept:
-                count += 1
+                total += 1
         while kept:
             comp = kept & -kept
             while True:
@@ -571,6 +595,7 @@ def block_removal_counts(
                     break
                 comp = grown
             kept &= ~comp
-            count += 1
-        counts[removed] = count
-    return order, counts
+            total += 1
+        return total
+
+    return order, count

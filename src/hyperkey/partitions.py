@@ -9,28 +9,27 @@ finest partition, the fundamental partition.
 Minimally connected hypergraphs (MCHs) take a linear path at any size: one
 DFS of the vertex-edge incidence graph gives the fundamental partition, and
 the minimum is 1 (unit) or the least edge weight (weighted); see _mch_report
-for the proof and the run-time check of the value.  Every other input is enumerated
-over all Bell(|V|) partitions, up to 12 vertices.  The same enumeration,
-enumerate_minimizers, also returns every minimizer and serves as the test
-oracle for the fast path; it computes the finest minimizer as the meet of all
-minimizers and checks the meet-closure instead of assuming it.
+for the proof and the run-time check of the value.  Every other input is
+swept over all Bell(|V|) partitions, up to SWEEP_CAP vertices, by one
+depth-first walk over restricted-growth codes (_minimizer_sweep); no
+partition is built per leaf.  The same sweep, enumerate_minimizers, also
+returns every minimizer and serves as the test oracle for the fast path; it
+computes the finest minimizer as the meet of all minimizers and checks the
+meet-closure instead of assuming it.  Reports and sweeps are cached on the
+hypergraph they describe, so they go when it goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
-    Disconnected,
     EmptyVertexSet,
     GroundTooLarge,
-    HyperkeyError,
     InvalidPartition,
-    NotCycleFree,
     SemiLatticeViolation,
     UnknownVertex,
 )
@@ -40,14 +39,14 @@ __all__ = [
     "Partition",
     "ConnectivityReport",
     "MinimizerSweep",
-    "enumerate_partitions",
     "enumerate_minimizers",
     "crossing_count",
     "entropy",
     "partition_connectivity",
     "mmi",
-    "chain_order",
 ]
+
+SWEEP_CAP = 12  # the Bell(|V|) partition sweep refuses larger ground sets
 
 
 @dataclass(frozen=True)
@@ -121,46 +120,6 @@ class Partition:
         return [sorted(b) for b in self.blocks]
 
 
-def enumerate_partitions(
-    ground: Iterable[str], proper_only: bool = False, *, max_ground: int = 12
-) -> Iterator[Partition]:
-    """Yield every partition of ground exactly once, in restricted-growth
-    order over the lexicographically sorted elements.
-
-    With proper_only, the one-block partition is skipped.  Ground sets larger
-    than max_ground are refused (the count grows as the Bell numbers).
-    """
-    elems = sorted(frozenset(str(v) for v in ground))
-    n = len(elems)
-    if n == 0:
-        raise EmptyVertexSet("cannot partition an empty ground set")
-    if n > max_ground:
-        raise GroundTooLarge(
-            f"partition enumeration over {n} elements exceeds cap {max_ground}"
-        )
-    # Restricted growth strings: a[0] = 0, a[i] <= max(a[:i]) + 1.
-    code = [0] * n
-    while True:
-        nblocks = max(code) + 1
-        if not (proper_only and nblocks == 1):
-            blocks: list[set[str]] = [set() for _ in range(nblocks)]
-            for i, b in enumerate(code):
-                blocks[b].add(elems[i])
-            yield Partition.from_blocks(blocks)
-        # advance to the next restricted growth string
-        i = n - 1
-        while i > 0:
-            prefix_max = max(code[:i])
-            if code[i] <= prefix_max:
-                code[i] += 1
-                for j in range(i + 1, n):
-                    code[j] = 0
-                break
-            i -= 1
-        else:
-            return
-
-
 def _require_partition_of(h: Hypergraph, p: Partition) -> None:
     if p.ground() != h.vertices:
         raise InvalidPartition(
@@ -220,24 +179,23 @@ def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerS
     """Test oracle: minimize a functional by sweeping all Bell(|V|) partitions.
 
     The unit functional (weighted=False) counts each edge once, the weighted
-    one counts it with its weight.  Refuses ground sets above 12 vertices.
-    Cached per (hypergraph, weights): a hypergraph whose weights are all one
-    shares one sweep between the two functionals.
+    one counts it with its weight.  Refuses ground sets above SWEEP_CAP
+    vertices.  Cached on the hypergraph per weight tuple, so a hypergraph
+    whose weights are all one shares one sweep between the two functionals,
+    and the sweep is freed with its hypergraph.
     """
     weights = tuple(e.weight if weighted else Fraction(1) for e in h.edges)
-    return _enumerated(h, weights)
-
-
-@lru_cache(maxsize=1024)
-def _enumerated(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> MinimizerSweep:
-    """The sweep's report with every minimizer built as a Partition."""
-    value, fundamental, codes = _minimizer_sweep(h, edge_weights, 12)
-    elems = sorted(h.vertices)
-    return MinimizerSweep(
-        value=value,
-        fundamental=fundamental,
-        minimizers=tuple(_partition_of_code(elems, c) for c in codes),
-    )
+    key = ("sweep", weights)
+    sweep = h._cache.get(key)
+    if sweep is None:
+        value, fundamental, codes = _minimizer_sweep(h, weights)
+        elems = sorted(h.vertices)
+        sweep = h._cache[key] = MinimizerSweep(
+            value=value,
+            fundamental=fundamental,
+            minimizers=tuple(_partition_of_code(elems, c) for c in codes),
+        )
+    return sweep
 
 
 def _scaled_edge_masks(
@@ -258,7 +216,7 @@ def _scaled_edge_masks(
 
 
 def _minimizer_sweep(
-    h: Hypergraph, edge_weights: tuple[Fraction, ...], max_ground: int
+    h: Hypergraph, edge_weights: tuple[Fraction, ...]
 ) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
     """(value, fundamental, codes): minimize (sum of block coverage sums -
     total) / (|P| - 1) over proper partitions, where a block's coverage sum
@@ -266,7 +224,7 @@ def _minimizer_sweep(
     is sum_e w_e * (blocks met - 1).
 
     A depth-first walk over restricted-growth codes, block choices ascending,
-    so leaves come in enumerate_partitions order.  Each edge keeps a bitmask
+    so leaves come in restricted-growth order.  Each edge keeps a bitmask
     of the blocks its placed members meet: placing vertex i in block k
     updates only the edges at i, adding an edge's scaled weight when k is new
     to it and it already met another block, and backtracking undoes that.
@@ -279,9 +237,9 @@ def _minimizer_sweep(
     n = len(elems)
     if n < 2:
         raise EmptyVertexSet("connectivity functionals need at least two vertices")
-    if n > max_ground:
+    if n > SWEEP_CAP:
         raise GroundTooLarge(
-            f"partition enumeration over {n} elements exceeds cap {max_ground}"
+            f"partition enumeration over {n} elements exceeds cap {SWEEP_CAP}"
         )
     weighted_masks, scale = _scaled_edge_masks(h, elems, edge_weights)
     # incident[i]: (edge index, scaled weight) of every edge containing elems[i]
@@ -462,7 +420,7 @@ def _connectivity(
         if len(h.vertices) >= 2 and h.is_mch():
             report = _mch_report(h, edge_weights)
         else:
-            value, fundamental, _ = _minimizer_sweep(h, edge_weights, 12)
+            value, fundamental, _ = _minimizer_sweep(h, edge_weights)
             report = ConnectivityReport(value=value, fundamental=fundamental)
         h._cache[key] = report
     return report
@@ -502,109 +460,3 @@ def mmi(
         hh = h
     return _connectivity(hh, tuple(e.weight for e in hh.edges))
 
-
-def chain_order(
-    h: Hypergraph, p: Partition, mode: str = "at-least-one"
-) -> list[frozenset[str]]:
-    """Order the blocks of p into a chain over shared edges.
-
-    mode="at-least-one": returns C_1..C_q where each C_i shares at least one
-    edge with the union of C_{i+1}..C_q.  Built back to front: the
-    lexicographically least block is placed last, then each step prepends the
-    least remaining block sharing an edge with what is already placed.
-    Requires h connected.
-
-    mode="exactly-one": returns C_1..C_q where each C_{i+1} shares exactly one
-    edge with the union of C_1..C_i, built front to back with the same least-
-    block rule.  Achievable precisely when the block-merged hypergraph is
-    connected and cycle-free, so that is what is checked (for the singleton
-    partition this is cycle-freeness of h itself).
-
-    Any other mode raises HyperkeyError.
-    """
-    if mode not in ("at-least-one", "exactly-one"):
-        raise HyperkeyError(f"unknown chain mode {mode!r}")
-    _require_partition_of(h, p)
-    if not h.is_connected():
-        raise Disconnected("chain orders require a connected hypergraph")
-    blocks = list(p.blocks)
-    if len(blocks) == 1:
-        return [blocks[0]]
-
-    def shared_edges(block: frozenset[str], union: set[str]) -> list[str]:
-        return [
-            e.id
-            for e in h.edges
-            if not e.members.isdisjoint(block) and not e.members.isdisjoint(union)
-        ]
-
-    if mode == "at-least-one":
-        placed = [blocks[0]]  # canonical least block goes last
-        covered = set(blocks[0])
-        remaining = blocks[1:]
-        while remaining:
-            pick = None
-            for cand in remaining:
-                if shared_edges(cand, covered):
-                    pick = cand
-                    break
-            if pick is None:  # pragma: no cover - h is connected
-                raise Disconnected("no remaining block shares an edge")
-            remaining.remove(pick)
-            placed.insert(0, pick)
-            covered |= pick
-        order = placed
-    else:  # exactly-one
-        if h.merge(p).find_berge_cycle() is not None:
-            raise NotCycleFree(
-                "exactly-one chaining needs a cycle-free block structure"
-            )
-        order = [blocks[0]]
-        covered = set(blocks[0])
-        remaining = blocks[1:]
-        while remaining:
-            pick = None
-            for cand in remaining:
-                cnt = len(shared_edges(cand, covered))
-                if cnt:
-                    pick = cand
-                    break
-            if pick is None:  # pragma: no cover - h is connected
-                raise Disconnected("no remaining block shares an edge")
-            remaining.remove(pick)
-            order.append(pick)
-            covered |= pick
-
-    _verify_chain(h, order, mode)
-    return order
-
-
-def _verify_chain(h: Hypergraph, order: list[frozenset[str]], mode: str) -> None:
-    """Post-check the sharing condition the construction promises."""
-    for i in range(len(order) - 1):
-        if mode == "at-least-one":
-            block = order[i]
-            rest: set[str] = set()
-            for b in order[i + 1 :]:
-                rest |= b
-            count = sum(
-                1
-                for e in h.edges
-                if not e.members.isdisjoint(block) and not e.members.isdisjoint(rest)
-            )
-            ok = count >= 1
-        else:
-            block = order[i + 1]
-            prefix: set[str] = set()
-            for b in order[: i + 1]:
-                prefix |= b
-            count = sum(
-                1
-                for e in h.edges
-                if not e.members.isdisjoint(block) and not e.members.isdisjoint(prefix)
-            )
-            ok = count == 1
-        if not ok:  # pragma: no cover - construction guarantees this
-            raise NotCycleFree(
-                f"chain condition failed at position {i} (shared edges: {count})"
-            )

@@ -2,7 +2,10 @@
 
 Each function returns a list of human-readable violation strings; an empty
 list means every law held.  The checks are deterministic given the rng, so a
-seed plus an instance reproduces any reported counterexample exactly.
+seed plus an instance reproduces any reported counterexample exactly.  Fast
+answers are checked against slower computations that share no code with
+them: a whole-graph component count, the Bell partition sweep, exhaustive
+simulation and the brute-force secrecy table.
 """
 
 from __future__ import annotations
@@ -38,30 +41,29 @@ from .simkit import brute_force_secrecy, quantize, run
 
 __all__ = ["lemma_violations", "scheme_round_trip_violations"]
 
+SUBADDITIVITY_SAMPLES = 50  # random vertex sets per redundancy check
+
 
 def lemma_violations(
-    h: Hypergraph,
-    *,
-    rng: Optional[random.Random] = None,
-    subadditivity_samples: int = 50,
-    check_prop2: bool = False,
+    h: Hypergraph, *, rng: Optional[random.Random] = None
 ) -> list[str]:
     """Check the structural laws an MCH and its fundamental partition obey.
 
     Covers: the component/degree identities over fundamental blocks, the
     hypertree shape of the merged hypergraph, the incident-restriction degree
     laws, per-block rank tables (each entry against its component search)
-    and their contra-polymatroid shape, redundancy of constraints on arbitrary
-    vertex sets (sampled), entropy monotonicity/submodularity (an exact scan
-    of the coverage table over integer-scaled weights, on every ground this
-    function accepts), and agreement of the weighted capacity formula with
-    the brute-force partition minimum, plus the fast-path law of
-    _fast_path_violations.  Every component count comes from one
-    _removal_counter, a generic search independent of the rank tables.
-    The enumeration oracle refuses grounds over 12 vertices, and so does
-    this function.  check_prop2 additionally brute-forces the
+    and their contra-polymatroid shape, redundancy of constraints on
+    SUBADDITIVITY_SAMPLES vertex sets drawn from rng, entropy
+    monotonicity/submodularity (an exact scan of the coverage table over
+    integer-scaled weights, on every ground this function accepts), and
+    agreement of the weighted capacity formula with the brute-force
+    partition minimum, plus the fast-path law of _fast_path_violations.
+    Every component count comes from one _removal_counter, a generic search
+    independent of the rank tables.  The enumeration oracle refuses grounds
+    over 12 vertices, and so does this function.  The brute-force
     maximal-subset characterization of non-singleton fundamental blocks
-    (expensive; small grounds only).
+    (_prop2_violations) is too slow for every case and is left to the
+    tests.
     """
     require_mch(h)
     rng = rng or random.Random(0)
@@ -136,7 +138,7 @@ def lemma_violations(
             )
 
     bad.extend(
-        _redundancy_violations(h, fundamental, rng, subadditivity_samples, count)
+        _redundancy_violations(h, fundamental, rng, SUBADDITIVITY_SAMPLES, count)
     )
     bad.extend(_entropy_shape_violations(h))
 
@@ -149,9 +151,6 @@ def lemma_violations(
     unit_mmi = mmi(unit)
     if (unit_mmi.value, unit_mmi.fundamental) != (report.value, fundamental):
         bad.append("unit-weight weighted minimum disagrees with partition connectivity")
-
-    if check_prop2:
-        bad.extend(_prop2_violations(h, report.value, fundamental))
     return bad
 
 
@@ -311,6 +310,9 @@ def _locally_submodular(values: Sequence[int], n: int) -> bool:
 def _prop2_violations(
     h: Hypergraph, value: Fraction, fundamental: Partition
 ) -> list[str]:
+    """The non-singleton fundamental blocks are exactly the maximal vertex
+    sets, of two or more, whose induced connectivity exceeds value; checked
+    by brute force over every subset of at most 9 vertices."""
     names = sorted(h.vertices)
     if len(names) > 9:
         return ["prop2 brute force skipped: ground too large"]

@@ -118,9 +118,6 @@ class DiscussionScheme:
             out.append(tuple(ids))
         return tuple(out)
 
-    def recovery_map(self) -> dict[str, str]:
-        return dict(self.recovery)
-
     def vertices(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.recovery)
 

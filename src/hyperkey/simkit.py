@@ -15,13 +15,14 @@ word at once.  The secrecy table is a per-bit convolution: the (message
 pattern, key) observation is XOR-linear in the realization, so the table
 follows from the observations of the single-bit words.
 
-Two secrecy oracles are kept deliberately separate: the rank oracle (the key
-indicator stays outside the row space over GF(2), as `verify` decides it:
-by a union-find over the edge columns for weight-two rows, by one reduced
-basis otherwise) and the exhaustive oracle (cell counts of the joint
+Two secrecy oracles are kept deliberately separate: the rank oracle,
+`verify(scheme).secrecy_ok` (the key indicator stays outside the row space
+over GF(2): a union-find over the edge columns for weight-two rows, one
+reduced basis otherwise; `run` reports it as secrecy_rank_ok), and the
+exhaustive oracle, `brute_force_secrecy` (cell counts of the joint
 message/key table are flat).  The convolution counts cells and never takes
-a rank.  Tests compare them; nothing in this
-module derives one from the other.
+a rank.  Tests compare them; nothing in this module derives one from the
+other.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from string import ascii_lowercase
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from . import gf2
 from .errors import (
@@ -52,7 +53,6 @@ __all__ = [
     "GenerationStats",
     "quantize",
     "run",
-    "secrecy_by_rank",
     "brute_force_secrecy",
     "random_mch",
     "random_mch_with_stats",
@@ -244,16 +244,6 @@ def run(
         exhaustive=exhaustive,
         realizations_checked=checked,
     )
-
-
-def secrecy_by_rank(scheme: DiscussionScheme) -> bool:
-    """Perfect secrecy iff the key edge's indicator is outside the row space,
-    as verify decides it (a union-find over the columns for weight-two rows,
-    one reduced basis of the rows otherwise).
-
-    A key edge that is not a scheme column cannot be secret: False.
-    """
-    return verify(scheme).secrecy_ok
 
 
 @dataclass(frozen=True)

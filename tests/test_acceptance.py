@@ -31,9 +31,9 @@ from hyperkey import (
     random_mch,
     region_spec,
     scheme_round_trip_violations,
-    secrecy_by_rank,
     synthesize,
     unconstrained_capacity,
+    verify,
 )
 
 import oracles
@@ -153,7 +153,7 @@ def test_criterion_08_lemma_identities_fuzz(fuzz_pool):
     assert len(fuzz_pool) == 200
     failures = []
     for seed, h in fuzz_pool:
-        found = lemma_violations(h, rng=random.Random(seed), subadditivity_samples=50)
+        found = lemma_violations(h, rng=random.Random(seed))
         if found:
             failures.append((seed, found))
     assert failures == []
@@ -305,7 +305,7 @@ def test_criterion_11_secrecy_oracle_cross_check(h1, theorem_pool):
             if bits > 14:
                 continue
             scheme, _ = synthesize(h)
-            by_rank = secrecy_by_rank(scheme)
+            by_rank = verify(scheme).secrecy_ok
             by_table = brute_force_secrecy(h, scheme, key_rate).perfect
             assert by_rank is True and by_table is True
             agreements += 1
@@ -320,5 +320,5 @@ def test_criterion_11_secrecy_oracle_cross_check(h1, theorem_pool):
         rows=scheme.rows + (1 << scheme.column(scheme.key_edge),),
         attributions=scheme.attributions + (scheme.attributions[0],),
     )
-    assert secrecy_by_rank(leak) is False
+    assert verify(leak).secrecy_ok is False
     assert brute_force_secrecy(h1, leak, Fraction(1)).perfect is False

@@ -1,13 +1,19 @@
-"""The public surface: the names in hyperkey.__all__ and the parameters with
-defaults over its functions.
+"""The public surface: the names in hyperkey.__all__, the parameters with
+defaults over its functions, and the error classes it exports.
 
 A new public name or a new knob shows up here as a test diff, so widening
-the API is a decision someone makes on purpose.
+the API is a decision someone makes on purpose.  An exported error class
+that nothing in the library raises fails the scan below.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import hyperkey
+
+SOURCE = Path(hyperkey.__file__).resolve().parent
+BASE_ERRORS = {"HyperkeyError", "ParseError"}  # raised only as subclasses
 
 PUBLIC_NAMES = [
     "BergeCycle",
@@ -16,7 +22,6 @@ PUBLIC_NAMES = [
     "ConnectivityReport",
     "ContraPolymatroidReport",
     "DecompositionResult",
-    "Disconnected",
     "DiscussionScheme",
     "DuplicateEdgeId",
     "Edge",
@@ -34,7 +39,6 @@ PUBLIC_NAMES = [
     "MinimizerSweep",
     "NegativeRate",
     "NonpositiveWeight",
-    "NotCycleFree",
     "NotFundamentalBlock",
     "NotMCH",
     "ParseError",
@@ -58,7 +62,6 @@ PUBLIC_NAMES = [
     "VertexNotInBlock",
     "WeightsNotConvex",
     "brute_force_secrecy",
-    "chain_order",
     "communication_complexity",
     "compose_time_shared",
     "constrained_capacity",
@@ -66,13 +69,10 @@ PUBLIC_NAMES = [
     "decompose",
     "entropy",
     "enumerate_minimizers",
-    "enumerate_partitions",
-    "extreme_point_for_order",
     "extreme_points",
     "in_region",
     "lemma_violations",
     "mmi",
-    "outer_bound_deficit",
     "parse",
     "partition_connectivity",
     "quantize",
@@ -82,26 +82,19 @@ PUBLIC_NAMES = [
     "rates_of",
     "region_spec",
     "representatives",
-    "require_mch",
     "run",
     "scheme_round_trip_violations",
-    "secrecy_by_rank",
     "serialize",
-    "shared_representatives",
     "synthesize",
     "unconstrained_capacity",
     "verify",
-    "verify_contra_polymatroid",
 ]
 
 # function name -> its parameters that have a default value
 KNOBS = {
     "brute_force_secrecy": ["max_state_bits", "keep_cells_up_to"],
-    "chain_order": ["mode"],
     "enumerate_minimizers": ["weighted"],
-    "enumerate_partitions": ["proper_only", "max_ground"],
-    "in_region": ["spec"],
-    "lemma_violations": ["rng", "subadditivity_samples", "check_prop2"],
+    "lemma_violations": ["rng"],
     "mmi": ["restrict_to"],
     "random_mch": ["max_weight", "seed", "max_attempts"],
     "random_mch_with_stats": ["max_weight", "seed", "max_attempts"],
@@ -123,12 +116,45 @@ def _knobs():
     return out
 
 
+def _error_classes():
+    return [
+        name
+        for name in hyperkey.__all__
+        if isinstance(getattr(hyperkey, name), type)
+        and issubclass(getattr(hyperkey, name), hyperkey.HyperkeyError)
+    ]
+
+
+def _raised_names():
+    """Names of the classes some raise statement under the package raises."""
+    raised = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return raised
+
+
 def test_public_names_are_pinned():
     assert sorted(hyperkey.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 82
+    assert len(PUBLIC_NAMES) == 72
     assert all(hasattr(hyperkey, name) for name in PUBLIC_NAMES)
+    assert len(_error_classes()) == 22
 
 
 def test_parameters_with_defaults_are_pinned():
     assert _knobs() == KNOBS
-    assert sum(len(names) for names in KNOBS.values()) == 24
+    assert sum(len(names) for names in KNOBS.values()) == 18
+
+
+def test_every_exported_error_is_raised():
+    raised = _raised_names()
+    assert "NotMCH" in raised  # the scan sees the package's raise statements
+    unraised = [
+        name for name in _error_classes() if name not in BASE_ERRORS | raised
+    ]
+    assert unraised == []

@@ -18,11 +18,11 @@ from hyperkey import (
     constrained_capacity,
     entropy,
     in_region,
-    outer_bound_deficit,
     random_mch,
     region_spec,
     unconstrained_capacity,
 )
+from hyperkey.capacity import outer_bound_deficit
 
 import oracles
 

@@ -45,6 +45,13 @@ class TestConstruction:
         with pytest.raises(NonpositiveWeight):
             Hypergraph("12", [("a", "12", w)])
 
+    @pytest.mark.parametrize("w", ["x", "1/0", None, float("inf"), float("nan")])
+    def test_rejects_a_weight_that_is_no_rational(self, w):
+        # Fraction() raises ValueError, ZeroDivisionError, TypeError or
+        # OverflowError here; each is the one domain error
+        with pytest.raises(NonpositiveWeight):
+            Hypergraph("12", [("a", "12", w)])
+
     def test_weight_forms_normalize_to_fraction(self):
         h = Hypergraph("12", [("a", "12", "3/2"), ("b", "12", Fraction(3, 2))])
         assert h.edge("a").weight == h.edge("b").weight == Fraction(3, 2)

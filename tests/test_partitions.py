@@ -1,4 +1,4 @@
-"""Partition machinery: enumeration, the two functionals, chain orders."""
+"""Partition machinery: the Bell sweep and the two functionals."""
 
 import random
 from fractions import Fraction
@@ -7,18 +7,13 @@ from itertools import combinations_with_replacement
 import pytest
 
 from hyperkey import (
-    Disconnected,
     EmptyVertexSet,
     Hypergraph,
-    HyperkeyError,
     InvalidPartition,
-    NotCycleFree,
     Partition,
     UnknownVertex,
-    chain_order,
     crossing_count,
     enumerate_minimizers,
-    enumerate_partitions,
     mmi,
     partition_connectivity,
 )
@@ -63,15 +58,23 @@ class TestPartition:
 
 
 class TestEnumeration:
+    """The Bell sweep behind enumerate_minimizers visits every partition
+    once: on an edgeless ground every proper partition has value zero, so
+    each one is a minimizer."""
+
     @pytest.mark.parametrize("n,total,proper", [(1, 1, 0), (3, 5, 4), (4, 15, 14), (5, 52, 51)])
     def test_counts_match_bell_numbers(self, n, total, proper):
-        ground = [str(i) for i in range(n)]
-        assert sum(1 for _ in enumerate_partitions(ground)) == total
-        assert sum(1 for _ in enumerate_partitions(ground, proper_only=True)) == proper
+        edgeless = Hypergraph([str(i) for i in range(n)])
+        if proper == 0:  # one vertex has no proper partition to sweep
+            with pytest.raises(EmptyVertexSet):
+                enumerate_minimizers(edgeless)
+            return
+        minimizers = enumerate_minimizers(edgeless).minimizers
+        assert len(set(minimizers)) == len(minimizers) == proper == total - 1
 
     def test_ground_guard(self):
         with pytest.raises(GroundTooLarge):
-            list(enumerate_partitions([str(i) for i in range(13)]))
+            enumerate_minimizers(Hypergraph([str(i) for i in range(13)]))
 
 
 class TestCrossingCount:
@@ -424,47 +427,3 @@ class TestMeetOfCodes:
     def test_a_meet_outside_the_set_raises(self):
         with pytest.raises(SemiLatticeViolation):
             _meet_of_codes([(0, 0, 1), (0, 1, 1)])
-
-
-class TestChainOrder:
-    def test_at_least_one_builds_a_suffix_chain(self, h1):
-        p = Partition.from_blocks([{"1", "2", "3"}, {"4", "5"}, {"6"}])
-        chain = chain_order(h1, p)
-        assert [sorted(b) for b in chain] == [["6"], ["4", "5"], ["1", "2", "3"]]
-        # every block but the last shares an edge with the union of later blocks
-        for i, block in enumerate(chain[:-1]):
-            rest = set().union(*chain[i + 1:])
-            assert any(e.members & block and e.members & rest for e in h1.edges)
-
-    def test_exactly_one_on_a_hypertree(self, h2):
-        chain = chain_order(h2, Partition.singletons(h2.vertices), "exactly-one")
-        assert [sorted(b) for b in chain] == [["1"], ["2"], ["3"], ["4"], ["5"]]
-        # each later block touches exactly one edge meeting the prefix union
-        for i in range(1, len(chain)):
-            prefix = set().union(*chain[:i])
-            touching = [
-                e.id for e in h2.edges if e.members & chain[i] and e.members & prefix
-            ]
-            assert len(touching) == 1
-
-    def test_exactly_one_rejects_cycles(self, h1):
-        with pytest.raises(NotCycleFree):
-            chain_order(h1, Partition.singletons(h1.vertices), "exactly-one")
-
-    def test_exactly_one_accepts_merged_mch(self, h1):
-        # contracting the fundamental partition of an MCH yields a hypertree
-        p = partition_connectivity(h1).fundamental
-        chain = chain_order(h1, p, "exactly-one")
-        assert set(map(frozenset, chain)) == set(p.blocks)
-
-    def test_unknown_mode_is_a_domain_error(self, h1):
-        # checked up front, so a one-block partition cannot slip past it
-        for p in (Partition.singletons(h1.vertices), Partition.from_blocks([h1.vertices])):
-            with pytest.raises(HyperkeyError):
-                chain_order(h1, p, "at-most-one")
-
-    def test_disconnected_hypergraph_is_refused(self):
-        split = Hypergraph("1234", [("a", "12", 1), ("b", "34", 1)])
-        for mode in ("at-least-one", "exactly-one"):
-            with pytest.raises(Disconnected):
-                chain_order(split, Partition.singletons(split.vertices), mode)

@@ -17,16 +17,20 @@ from hyperkey import (
     UnknownVertex,
     compose_time_shared,
     decompose,
-    extreme_point_for_order,
     extreme_points,
     partition_connectivity,
     random_mch,
     rank,
     verify,
-    verify_contra_polymatroid,
 )
 from hyperkey.errors import GroundTooLarge
-from hyperkey.polymatroid import ContraPolymatroidReport, _contra_polymatroid_report
+from hyperkey.hypergraph import block_removal_counts
+from hyperkey.polymatroid import (
+    ContraPolymatroidReport,
+    _contra_polymatroid_report,
+    extreme_point_for_order,
+    verify_contra_polymatroid,
+)
 import oracles
 
 
@@ -343,6 +347,57 @@ class TestGreedyDecomposition:
         apart = Hypergraph("12345", [("a", "123", 1), ("b", "124", 1)])
         with pytest.raises(NotMCH):
             RankFunction(apart, frozenset("12"), Fraction(1))
+
+
+def _searched(fn, members):
+    """f of a subset by one removal_component_count search of all of h."""
+    return (fn.hypergraph.removal_component_count(members) - 1) * fn.key_rate
+
+
+def _assert_local_queries_match_the_search(fn, orders):
+    for order in orders:
+        want = []
+        for k in range(1, len(order) + 1):
+            want.append(_searched(fn, order[:k]) - _searched(fn, order[: k - 1]))
+        point = extreme_point_for_order(fn, order)
+        assert point.order == tuple(order)
+        assert point.rates_map() == dict(zip(order, want)), (fn, order)
+
+
+class TestLocalQueries:
+    """rank and extreme_point_for_order read only the edges that meet the
+    block; every answer equals the telescoping of
+    Hypergraph.removal_component_count, a search of all of h."""
+
+    def test_census_and_random_blocks_match_the_search(self):
+        rng = random.Random(12)
+        cores = 0
+        for h in [*oracles.census_mchs(), *oracles.random_mchs(200, seed=7)]:
+            for block in partition_connectivity(h).fundamental.blocks:
+                fn = RankFunction(h, block, Fraction(3, 2))
+                members = sorted(block)
+                for mask in range(1 << len(members)):
+                    b = [v for i, v in enumerate(members) if mask >> i & 1]
+                    assert rank(fn, b) == _searched(fn, b), (h, b)
+                orders = [members, rng.sample(members, len(members))]
+                _assert_local_queries_match_the_search(fn, orders)
+                cores += len(block) > 1
+        assert cores >= 200
+
+    @pytest.mark.parametrize("k", [13, 14])
+    def test_cyclic_cores_above_the_table_cap(self, k):
+        h, block = _cyclic_core(k)
+        with pytest.raises(GroundTooLarge):
+            block_removal_counts(h, block)
+        fn = RankFunction(h, block, Fraction(1, 2))
+        rng = random.Random(k)
+        orders = [sorted(block), *(rng.sample(sorted(block), k) for _ in range(3))]
+        _assert_local_queries_match_the_search(fn, orders)
+        # removing the whole core strands each of the k pendants
+        assert rank(fn, block) == Fraction(k - 1, 2)
+        for size in (1, 2, k // 2, k - 1):
+            b = rng.sample(sorted(block), size)
+            assert rank(fn, b) == _searched(fn, b)
 
 
 class TestTimeSharedRoundTrip:

@@ -21,13 +21,14 @@ from hyperkey import (
     lemma_violations,
     partition_connectivity,
     random_mch,
-    require_mch,
     scheme_round_trip_violations,
 )
+from hyperkey.capacity import require_mch
 from hyperkey.cli import main
 from hyperkey.properties import (
     _coverage_table,
     _entropy_shape_violations,
+    _prop2_violations,
     _redundancy_violations,
     _removal_counter,
     _table_shape_violations,
@@ -208,11 +209,13 @@ class TestLemmaViolations:
 
     def test_prop2_brute_force_on_small_grounds(self, h1, h2, h3):
         for h in (h1, h2, h3):
-            assert lemma_violations(h, rng=random.Random(0), check_prop2=True) == []
+            report = partition_connectivity(h)
+            assert _prop2_violations(h, report.value, report.fundamental) == []
 
     def test_prop2_reports_a_skip_instead_of_passing_silently(self, h5):
         # 11 vertices exceed the exhaustive-subfamily cap
-        out = lemma_violations(h5, rng=random.Random(0), check_prop2=True)
+        report = partition_connectivity(h5)
+        out = _prop2_violations(h5, report.value, report.fundamental)
         assert out == ["prop2 brute force skipped: ground too large"]
 
     def test_non_mch_is_rejected(self, h4):

@@ -19,10 +19,10 @@ from hyperkey import (
     partition_connectivity,
     rates_of,
     representatives,
-    shared_representatives,
     synthesize,
     verify,
 )
+from hyperkey.scheme import shared_representatives
 
 import oracles
 

@@ -25,8 +25,8 @@ from hyperkey import (
     random_mch,
     random_mch_with_stats,
     run,
-    secrecy_by_rank,
     synthesize,
+    verify,
 )
 from hyperkey.errors import GroundTooLarge
 
@@ -277,13 +277,13 @@ class TestSecrecyOracles:
     def test_rank_oracle_accepts_synthesized_schemes(self, h1, h2, h5):
         for h in (h1, h2, h5):
             scheme, _ = synthesize(h)
-            assert secrecy_by_rank(scheme)
+            assert verify(scheme).secrecy_ok
 
     def test_rank_oracle_rejects_key_leak(self, h1):
         scheme, _ = synthesize(h1)
         key_column = 1 << scheme.column(scheme.key_edge)
         leak = dataclasses.replace(scheme, rows=scheme.rows + (key_column,))
-        assert not secrecy_by_rank(leak)
+        assert not verify(leak).secrecy_ok
 
     def test_brute_force_h1(self, h1):
         scheme, _ = synthesize(h1)
@@ -381,7 +381,7 @@ class TestSchemeMismatch:
             run(h1, stray, Fraction(1), allow_unverified=True)
         with pytest.raises(SchemeUnverified):
             brute_force_secrecy(h1, stray, Fraction(1))
-        assert secrecy_by_rank(stray) is False
+        assert verify(stray).secrecy_ok is False
 
     def test_unknown_pivot_edge(self, h1):
         scheme, _ = synthesize(h1)
