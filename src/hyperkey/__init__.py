@@ -4,8 +4,9 @@ minimally connected hypergraphical sources.
 Everything is exact: weights and rates are rationals, partition functionals
 are minimized in linear time on minimally connected inputs and by enumeration
 otherwise, shape predicates and Berge-cycle witnesses come from one cached
-DFS of the incidence graph, rate regions and per-block rank functions share
-one component-count table per fundamental block, schemes of weight-two rows
+DFS of the incidence graph, rate regions, per-block rank functions and
+schemes read each fundamental block through one cached view of the edges
+that meet it (hypergraph._BlockView), schemes of weight-two rows
 are verified by a union-find over the edge columns (other row sets by one
 reduced GF(2) basis, gf2.eliminate), and the simulation kit can
 exhaustively sweep small state spaces.

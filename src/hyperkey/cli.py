@@ -32,7 +32,7 @@ from .capacity import (
     unconstrained_capacity,
 )
 from .errors import HyperkeyError, ParseError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _read_rational
 from .partitions import mmi, partition_connectivity
 from .properties import lemma_violations, scheme_round_trip_violations
 from .scheme import rates_of, synthesize, verify
@@ -154,7 +154,7 @@ def _load(path: str) -> Hypergraph:
 
 def _rational_flag(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _read_rational(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{flag} expects a rational like 3 or 3/2, got {text!r}")
 

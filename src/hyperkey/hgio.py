@@ -10,7 +10,8 @@ The format is strict and whitespace-tokenized, one statement per line:
 
 The `format:` line is optional and must come first if present.  Exactly one
 `vertices:` line must appear before any edge.  Weights accept integers,
-rationals ("3/2"), and decimals ("1.5"), all stored exactly.  Unknown
+rationals ("3/2"), and decimals ("1.5"), all stored exactly; exponent
+notation ("1e3") is refused like any other malformed weight.  Unknown
 statements, unknown members, duplicate edge ids, and nonpositive weights are
 rejected; errors carry 1-based line and column positions.
 """
@@ -21,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import DuplicateEdgeId, NonpositiveWeight, ParseError
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Edge, Hypergraph, _read_rational
 
 __all__ = ["parse", "serialize"]
 
@@ -39,7 +40,7 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 
 def _weight_token(token: str, lineno: int, column: int) -> Fraction:
     try:
-        value = Fraction(token)
+        value = _read_rational(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(
             f"invalid weight {token!r}", line=lineno, column=column

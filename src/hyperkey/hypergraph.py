@@ -10,8 +10,9 @@ A vertex may belong to no edge (it is then an isolated component).  Member
 sets are nonempty subsets of the vertex set; distinct edges may have identical
 member sets (parallel edges) and single-vertex edges (loops) are allowed.
 
-The library counts the components left by removing part of a fundamental
-block of an MCH from the edges that meet the block (_block_counter);
+What the library reads off a fundamental block of an MCH (the components
+left by removing part of it, its representatives and their classes) comes
+from one view of the edges meeting it, _BlockView, cached on the hypergraph;
 removal_component_count, a search of all of h, is the independent check.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DuplicateEdgeId,
@@ -28,6 +29,7 @@ from .errors import (
     GroundTooLarge,
     InvalidPartition,
     NonpositiveWeight,
+    RankDefect,
     UnknownVertex,
 )
 
@@ -41,12 +43,21 @@ __all__ = [
 WeightLike = Union[Fraction, int, str]
 
 
+def _read_rational(text: str) -> Fraction:
+    """text as a signed integer, p/q or decimal, else ValueError or
+    ZeroDivisionError.  Exponent notation is refused before Fraction() sees
+    it: "1e30000000" would make it build a 30-million-digit integer."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not a rational form: {text!r}")
+    return Fraction(text)
+
+
 def as_weight(value: WeightLike) -> Fraction:
-    """Coerce an int / string / Fraction to a positive exact rational; any
-    value that is not one (a malformed string, a zero denominator, None)
-    raises NonpositiveWeight."""
+    """Coerce an int / string (_read_rational) / Fraction to a positive exact
+    rational; any value that is not one (a malformed string, a zero
+    denominator, None) raises NonpositiveWeight."""
     try:
-        w = Fraction(value)
+        w = _read_rational(value) if isinstance(value, str) else Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise NonpositiveWeight(
             f"edge weight must be a positive rational, got {value!r}"
@@ -371,13 +382,6 @@ class Hypergraph:
         cursor = [0] * total
         cut = [False] * total
         core = list(range(n))  # union-find over vertex nodes
-
-        def find(x: int) -> int:
-            while core[x] != x:
-                core[x] = core[core[x]]
-                x = core[x]
-            return x
-
         clock = 0
         roots = 0
         walk: Optional[tuple[int, ...]] = None  # stack from the first back edge
@@ -423,14 +427,14 @@ class Hypergraph:
                             break
                     if len(component) > 2:
                         verts = [x for x in component if x < n]
-                        head = find(verts[0])
+                        head = _find(core, verts[0])
                         for x in verts[1:]:
-                            rx = find(x)
+                            rx = _find(core, x)
                             if rx != head:
                                 core[rx] = head
         groups: dict[int, list[str]] = {}
         for i in range(n):
-            groups.setdefault(find(i), []).append(names[i])
+            groups.setdefault(_find(core, i), []).append(names[i])
         scan = _IncidenceScan(
             connected=roots == 1,
             every_edge_cuts=all(cut[n:]),
@@ -525,77 +529,156 @@ def _walk_to_cycle(
     )
 
 
+def _find(root, x):
+    """The root of x in a union-find forest kept as root[x] = parent (a list
+    or a dict), halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
 def block_removal_counts(
     h: Hypergraph, block: frozenset[str]
 ) -> tuple[tuple[str, ...], list[int]]:
-    """(order, counts) with counts[mask] = _block_counter's count for every
-    mask, so counts[0] is 1; a block of more than 12 vertices raises
+    """(order, counts) with counts[mask] = the block view's count(mask) for
+    every mask, so counts[0] is 1; a block of more than 12 vertices raises
     GroundTooLarge."""
     if len(block) > 12:
         raise GroundTooLarge(
             f"subset enumeration over {len(block)} vertices exceeds cap 12"
         )
-    order, count = _block_counter(h, block)
-    return order, [count(removed) for removed in range(1 << len(order))]
+    view = _block_view(h, block)
+    return view.order, [view.count(removed) for removed in range(view.full + 1)]
 
 
-def _block_counter(
-    h: Hypergraph, block: frozenset[str]
-) -> tuple[tuple[str, ...], Callable[[int], int]]:
-    """(order, count): order is the sorted tuple of block vertices, and
-    count(mask) is Hypergraph.removal_component_count of the subset of a
-    fundamental block of an MCH that mask's bits select over order, read off
-    the edges that meet the block alone.
+def _block_view(h: Hypergraph, block: frozenset[str]) -> "_BlockView":
+    """The _BlockView of a fundamental block of the MCH h, cached on h."""
+    view = h._cache.get(("block", block))
+    if view is None:
+        view = h._cache[("block", block)] = _BlockView(h, block)
+    return view
+
+
+class _BlockView:
+    """The edges of an MCH that meet one fundamental block, read locally.
 
     An edge with two or more members in the block lies on a cycle through
     it (a local edge); any other edge at a block vertex is a bridge of the
-    incidence graph, and the side away from the block stays whole.  A
-    singleton block has only bridges.  A local edge also has a member
-    outside the block, as its node must cut the incidence graph.  So
-    removing B leaves the components of the local edges on block minus B,
-    plus one for each local edge whose block members all went, plus one for
-    each bridge at a vertex of B.  A count costs |B| plus the local edges
-    times the merges, whatever the size of h or of the block.
-    """
-    order = tuple(sorted(block))
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    hanging = [0] * len(order)  # bridges at each block vertex
-    masks = []  # block members of each local edge, taken at its lowest one
-    for i, v in enumerate(order):
-        b = bit[v]
-        for e in h._incident[v]:
-            mask = 0
-            for u in e.members:
-                mask |= bit.get(u, 0)
-            if mask == b:
-                hanging[i] += 1
-            elif mask & -mask == b:
-                masks.append(mask)
-    full = (1 << len(order)) - 1
+    incidence graph.  Each of these edges has members outside the block, as
+    its node cuts the incidence graph, and they are its own: two edges
+    sharing an outside vertex would close a Berge cycle through it, which
+    would put that vertex in the block.  So with block vertices removed, the
+    side of an edge away from the block stays whole, and the least of its
+    outside members (its representative) has degree one in the incident
+    restriction of the block.
 
-    def count(removed: int) -> int:
+    Subsets of the block are bitmasks over order, the sorted block; one
+    search over the local edges (_component) serves count and classes, at a
+    cost in the block and its local edges whatever the size of h.
+    """
+
+    __slots__ = ("order", "bit", "full", "hanging", "local", "adjacent", "_incident", "_reps")
+
+    def __init__(self, h: Hypergraph, block: frozenset[str]):
+        self.order = order = tuple(sorted(block))
+        self.bit = {v: 1 << i for i, v in enumerate(order)}
+        self.full = (1 << len(order)) - 1
+        self.hanging = hanging = [0] * len(order)  # bridges at each block vertex
+        self.local: list[int] = []  # each local edge once, at its lowest member
+        self.adjacent = adjacent = [0] * len(order)  # local edges at each, joined
+        self._incident = incident = h._incident
+        self._reps: Optional[dict[str, str]] = None
+        for i, v in enumerate(order):
+            b = 1 << i
+            for e in incident[v]:
+                mask = self.mask(e.members)
+                if mask == b:
+                    hanging[i] += 1
+                else:
+                    adjacent[i] |= mask
+                    if mask & -mask == b:
+                        self.local.append(mask)
+
+    def mask(self, members: Iterable[str]) -> int:
+        """The bits of the members that lie in the block."""
+        bit = self.bit
+        m = 0
+        for u in members:
+            m |= bit.get(u, 0)
+        return m
+
+    def _component(self, seed: int, kept: int) -> int:
+        """The vertices of kept that local edges join to seed (one component)."""
+        adjacent = self.adjacent
+        left = kept ^ seed
+        frontier = seed
+        while frontier:
+            low = frontier & -frontier
+            grown = adjacent[low.bit_length() - 1] & left
+            left ^= grown
+            frontier ^= low | grown
+        return kept ^ left
+
+    def count(self, removed: int) -> int:
+        """Hypergraph.removal_component_count of the block vertices removed
+        selects: one per bridge at a removed vertex, one per local edge whose
+        block members all went, plus the local edges' components on the rest."""
         total = 0
         rest = removed
         while rest:
             low = rest & -rest
-            total += hanging[low.bit_length() - 1]
+            total += self.hanging[low.bit_length() - 1]
             rest ^= low
-        kept = full ^ removed
-        for m in masks:
+        kept = self.full ^ removed
+        for m in self.local:
             if not m & kept:
                 total += 1
         while kept:
-            comp = kept & -kept
-            while True:
-                grown = comp
-                for m in masks:
-                    if m & grown:
-                        grown |= m & kept
-                if grown == comp:
-                    break
-                comp = grown
-            kept &= ~comp
+            kept ^= self._component(kept & -kept, kept)
             total += 1
         return total
 
-    return order, count
+    def representatives(self) -> dict[str, str]:
+        """Edge id -> representative of each edge at the block, built on first use."""
+        if self._reps is None:
+            reps: dict[str, str] = {}
+            claimed: set[str] = set()
+            for v in self.order:
+                for e in self._incident[v]:
+                    if e.id in reps:
+                        continue
+                    outside = e.members.difference(self.bit)
+                    if not outside or not claimed.isdisjoint(outside):  # pragma: no cover
+                        raise RankDefect(f"edge {e.id!r} lacks outside members of its own")
+                    claimed |= outside
+                    reps[e.id] = min(outside)
+            self._reps = reps
+        return self._reps
+
+    def classes(self, vertex: str, prefix: int) -> tuple[frozenset[str], ...]:
+        """Classes of the representatives on the edges at vertex once the
+        block vertices in prefix (vertex among them) are deleted, sorted by
+        their least member.  A representative reaches only its own edge, so
+        two share a class exactly when their edges keep block vertices that
+        the local edges still join; an edge that keeps none is a class alone.
+        """
+        reps = self.representatives()
+        kept = self.full ^ prefix
+        near = self.adjacent[self.bit[vertex].bit_length() - 1] & kept
+        label: dict[int, int] = {}  # kept bit on an edge at vertex -> its component
+        groups: dict[Union[int, str], set[str]] = {}
+        for e in self._incident[vertex]:
+            rep = key = reps[e.id]
+            mask = self.mask(e.members) & kept
+            if mask:
+                key = label.get(mask & -mask)
+                if key is None:
+                    key = self._component(mask, kept)
+                    rest = key & near
+                    while rest:
+                        low = rest & -rest
+                        label[low] = key
+                        rest ^= low
+            groups.setdefault(key, set()).add(rep)
+        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))

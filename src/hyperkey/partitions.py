@@ -33,7 +33,7 @@ from .errors import (
     SemiLatticeViolation,
     UnknownVertex,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _find
 
 __all__ = [
     "Partition",
@@ -372,23 +372,16 @@ def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> Connectivi
     groups = list(h.cyclic_cores())
     groups.extend(e.members for e, w in zip(h.edges, edge_weights) if w > bound)
     root = {v: v for v in h.vertices}  # union-find joining each group's members
-
-    def find(v: str) -> str:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
     for g in groups:
         members = iter(g)
-        head = find(next(members))
+        head = _find(root, next(members))
         for v in members:
-            r = find(v)
+            r = _find(root, v)
             if r != head:
                 root[r] = head
     blocks: dict[str, list[str]] = {}
     for v in h.vertices:
-        blocks.setdefault(find(v), []).append(v)
+        blocks.setdefault(_find(root, v), []).append(v)
     p = Partition.from_blocks(blocks.values())
 
     block_of = {v: k for k, b in enumerate(p.blocks) for v in b}

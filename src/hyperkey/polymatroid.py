@@ -9,7 +9,7 @@ Every permutation of C telescopes f into a vertex of that region, and any
 feasible vector dominates a convex combination of at most |C| such vertices.
 The 2^|C| subset table of f is the one region_spec reads
 (hypergraph.block_removal_counts), and rank and extreme_point_for_order
-query the same counter one subset at a time, at any block size; neither
+query the same block view one subset at a time, at any block size; neither
 searches all of h.  The decomposition certificate is computed on the
 table with exact rational arithmetic only (the greedy contra-polymatroid
 split: lower to a base, then peel off the vertex of a chain of tight sets at
@@ -30,7 +30,7 @@ from .errors import (
     SubsetOutsideBlock,
     UnknownVertex,
 )
-from .hypergraph import Hypergraph, _block_counter, block_removal_counts
+from .hypergraph import Hypergraph, _block_view, block_removal_counts
 
 __all__ = [
     "RankFunction",
@@ -74,15 +74,14 @@ class RankFunction:
 
 
 def rank(fn: RankFunction, b: Iterable[str]) -> Fraction:
-    """f(b), counted on the edges that meet the block, at any block size."""
+    """f(b), counted by the block's view, at any block size."""
     bset = frozenset(str(v) for v in b)
     if not bset <= fn.block:
         raise SubsetOutsideBlock(
             f"{sorted(bset - fn.block)} lies outside the block {sorted(fn.block)}"
         )
-    order, count = _block_counter(fn.hypergraph, fn.block)
-    removed = sum(1 << i for i, v in enumerate(order) if v in bset)
-    return (count(removed) - 1) * fn.key_rate
+    view = _block_view(fn.hypergraph, fn.block)
+    return (view.count(view.mask(bset)) - 1) * fn.key_rate
 
 
 def _subset_table(fn: RankFunction) -> tuple[tuple[str, ...], list[Fraction]]:
@@ -180,18 +179,17 @@ class ExtremePoint:
 
 def extreme_point_for_order(fn: RankFunction, order: Iterable[str]) -> ExtremePoint:
     """Telescope f along one permutation of the block: one component count
-    per prefix, read off the block's own edges, at any block size."""
+    per prefix, read off the block's view, at any block size."""
     seq = tuple(str(v) for v in order)
     if frozenset(seq) != fn.block or len(seq) != len(fn.block):
         raise SubsetOutsideBlock("order must be a permutation of the block")
-    names, count = _block_counter(fn.hypergraph, fn.block)
-    index = {v: i for i, v in enumerate(names)}
+    view = _block_view(fn.hypergraph, fn.block)
     rates: dict[str, Fraction] = {}
     prefix = 0
     prev = Fraction(0)
     for v in seq:
-        prefix |= 1 << index[v]
-        value = (count(prefix) - 1) * fn.key_rate
+        prefix |= view.bit[v]
+        value = (view.count(prefix) - 1) * fn.key_rate
         rates[v] = value - prev
         prev = value
     return ExtremePoint(order=seq, rates=tuple(sorted(rates.items())))

@@ -21,7 +21,7 @@ from .capacity import (
     require_mch,
     unconstrained_capacity,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _find
 from .partitions import (
     Partition,
     _scaled_edge_masks,
@@ -204,26 +204,32 @@ def _redundancy_violations(
 
 
 def _removal_counter(h: Hypergraph) -> Callable[[Iterable[str]], int]:
-    """h.removal_component_count for proper vertex subsets, memoized per
-    removed set.  Each count merges the edges' vertex bitmasks, cut to the
-    kept vertices, into components; kept vertices no edge reaches count
-    one each.  A generic search over all of h: it reads no block structure,
-    so it stays an independent check of block_removal_counts."""
+    """h.removal_component_count for proper vertex subsets."""
+    components = _removal_components(h)
+    return lambda c: len(components(c))
+
+
+def _removal_components(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...]]:
+    """The components of h minus a proper vertex subset as bitmasks over the
+    sorted vertices, memoized per removed set: the edges' bitmasks cut to the
+    kept vertices, merged, plus a singleton per kept vertex no edge reaches.
+    It reads no block structure, so it stays an independent check of the
+    block view behind block_removal_counts."""
     order = sorted(h.vertices)
     bit = {v: 1 << i for i, v in enumerate(order)}
     weighted, _ = _scaled_edge_masks(h, order, (e.weight for e in h.edges))
     masks = [m for m, _ in weighted]
     full = (1 << len(order)) - 1
-    memo: dict[int, int] = {}
+    memo: dict[int, tuple[int, ...]] = {}
 
-    def count(c: Iterable[str]) -> int:
+    def components(c: Iterable[str]) -> tuple[int, ...]:
         removed = 0
         for v in c:
             removed |= bit[v]
-        k = memo.get(removed)
-        if k is None:
+        comps = memo.get(removed)
+        if comps is None:
             kept = full ^ removed
-            comps: list[int] = []
+            found: list[int] = []
             reached = 0
             for m in masks:
                 m &= kept
@@ -231,17 +237,19 @@ def _removal_counter(h: Hypergraph) -> Callable[[Iterable[str]], int]:
                     continue
                 reached |= m
                 apart = []
-                for comp in comps:
+                for comp in found:
                     if comp & m:
                         m |= comp
                     else:
                         apart.append(comp)
                 apart.append(m)
-                comps = apart
-            k = memo[removed] = len(comps) + (kept & ~reached).bit_count()
-        return k
+                found = apart
+            lone = kept & ~reached
+            found += [1 << i for i in range(len(order)) if lone >> i & 1]
+            comps = memo[removed] = tuple(found)
+        return comps
 
-    return count
+    return components
 
 
 def _entropy_shape_violations(h: Hypergraph) -> list[str]:
@@ -377,16 +385,18 @@ def scheme_round_trip_violations(
     if not check.ok:
         bad.append(f"synthesized rates fall outside the region: {check}")
 
+    names = sorted(h.vertices)
+    components = _removal_components(h)
     for block in fundamental.blocks:
         for size in range(1, len(block) + 1):
             for combo in combinations(sorted(block), size):
                 b = frozenset(combo)
                 if len(b) >= len(h.vertices) - 1:
                     continue
-                rest = list(h._search(b))
+                rest = components(b)
                 if len(rest) < 2:
                     continue
-                p = Partition.from_blocks(rest)
+                p = Partition.from_blocks(_members(names, m) for m in rest)
                 deficit = outer_bound_deficit(h, rates, b, p)
                 if deficit < 0:
                     bad.append(
@@ -444,20 +454,13 @@ def _pairing_tree_violations(scheme, traces) -> list[str]:
             )
             continue
         parent = {n: n for n in nodes}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         acyclic = True
         for a, b in pairs:
-            ra, rb = find(a), find(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra == rb:
                 acyclic = False
                 break
             parent[ra] = rb
-        if not acyclic or len({find(n) for n in nodes}) != 1:
+        if not acyclic or len({_find(parent, n) for n in nodes}) != 1:
             bad.append(f"block {label} rows do not form a spanning tree")
     return bad

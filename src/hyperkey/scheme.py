@@ -11,9 +11,10 @@ any single edge indicator raises the rank to the edge count, which is at once
 the zero-error recovery condition for every vertex and perfect secrecy of the
 key edge: weight-two rows can never sum to a unit vector.  `verify` checks
 all of it with a union-find over the columns (gf2.eliminate serves row sets
-with any other weight).  `synthesize` reads each block's edges off the
-incidence table, in time linear in the hypergraph when the cyclic cores
-are bounded.
+with any other weight).  Each block is read through its cached view
+(hypergraph._BlockView): one search over its local edges gives the classes
+after each order prefix, in time linear in h when the cyclic cores are
+bounded.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     VertexNotInBlock,
     WeightsNotConvex,
 )
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Hypergraph, _block_view, _find
 from .partitions import Partition, partition_connectivity
 
 __all__ = [
@@ -149,86 +150,7 @@ def representatives(h: Hypergraph, c: Iterable[str]) -> frozenset[str]:
     with c deleted; the least vertex of each component is chosen."""
     block = frozenset(str(v) for v in c)
     _require_fundamental_block(h, block)
-    return frozenset(_BlockEdges(block, _edges_meeting(h, block)).rep_edge)
-
-
-def _edges_meeting(h: Hypergraph, block: frozenset[str]) -> list[Edge]:
-    """Each edge at a vertex of the block, once: over all the blocks of a
-    partition, one pass over the incidence table."""
-    incident = h._incident
-    return list({e.id: e for v in block for e in incident[v]}.values())
-
-
-class _BlockEdges:
-    """The edges of an MCH that meet one fundamental block, read locally.
-
-    Such an edge has members outside the block (its node cuts the incidence
-    graph), and they form one component of the incident restriction with
-    the block deleted: two edges sharing an outside vertex would close a
-    Berge cycle through it, which would put that vertex in the block.  So
-    the least of them is the edge's representative, and it has degree one.
-    Edges with two or more members in the block (local edges) connect it;
-    every other edge hangs off one block vertex.
-    """
-
-    __slots__ = ("block", "rep_edge", "edge_rep", "local_at")
-
-    def __init__(self, block: frozenset[str], edges: Iterable[Edge]):
-        self.block = block
-        self.rep_edge: dict[str, Edge] = {}  # representative -> its one edge
-        self.edge_rep: dict[str, str] = {}
-        # block vertex -> the block members of each local edge at it
-        self.local_at: dict[str, list[frozenset[str]]] = {v: [] for v in block}
-        claimed: set[str] = set()
-        for e in edges:
-            inside = e.members & block
-            outside = e.members - inside
-            if not outside or not claimed.isdisjoint(outside):  # pragma: no cover
-                raise RankDefect(  # theorem guard
-                    f"edge {e.id!r} has no member outside {sorted(block)} "
-                    "of its own"
-                )
-            claimed |= outside
-            rep = min(outside)
-            self.rep_edge[rep] = e
-            self.edge_rep[e.id] = rep
-            if len(inside) > 1:
-                for v in inside:
-                    self.local_at[v].append(inside)
-
-    def classes(
-        self, incident: Iterable[Edge], prefix: frozenset[str]
-    ) -> tuple[frozenset[str], ...]:
-        """Classes of the representatives on the vertex's edges (`incident`)
-        once the order prefix is deleted, sorted by their least member.
-
-        A representative reaches only its own edge, so two share a class
-        exactly when their edges keep block members that the local edges
-        still connect.  A class is keyed by the first block vertex of its
-        component, or by the representative itself when its edge keeps no
-        block member; the two never clash, as one key lies in the block and
-        the other outside it.
-        """
-        label: dict[str, str] = {}
-        groups: dict[str, set[str]] = {}
-        for e in incident:
-            rep = key = self.edge_rep[e.id]
-            for start in e.members:
-                if start not in self.block or start in prefix:
-                    continue
-                if start not in label:
-                    label[start] = start
-                    stack = [start]
-                    while stack:
-                        for inside in self.local_at[stack.pop()]:
-                            for w in inside - prefix:
-                                if w not in label:
-                                    label[w] = start
-                                    stack.append(w)
-                key = label[start]
-                break
-            groups.setdefault(key, set()).add(rep)
-        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    return frozenset(_block_view(h, block).representatives().values())
 
 
 def shared_representatives(
@@ -252,8 +174,8 @@ def shared_representatives(
         raise SubsetOutsideBlock(
             "removed must be a subset of the block containing the vertex"
         )
-    view = _BlockEdges(block, _edges_meeting(h, block))
-    return view.classes(h._incident[vertex], prefix)
+    view = _block_view(h, block)
+    return view.classes(vertex, view.mask(prefix))
 
 
 def _normalize_orders(
@@ -295,21 +217,20 @@ def synthesize(
     edge_order = tuple(sorted(e.id for e in h.edges))
     column = {eid: k for k, eid in enumerate(edge_order)}
 
-    incident = h._incident
     rows: list[int] = []
     attributions: list[RowAttribution] = []
     traces: list[BlockTrace] = []
     for block in fundamental.blocks:
-        view = _BlockEdges(block, _edges_meeting(h, block))
+        view = _block_view(h, block)
+        # a representative lies on one edge only
+        rep_edge = {rep: eid for eid, rep in view.representatives().items()}
         order = table[block]
         records: list[IterationRecord] = []
-        prefix: set[str] = set()
+        prefix = 0
         for step, vertex in enumerate(order, start=1):
-            prefix.add(vertex)
-            classes = view.classes(incident[vertex], frozenset(prefix))
-            # a representative lies on one edge only, which is the least
-            # edge it shares with the vertex
-            picked = [view.rep_edge[min(cls)].id for cls in classes]
+            prefix |= view.bit[vertex]
+            classes = view.classes(vertex, prefix)
+            picked = [rep_edge[min(cls)] for cls in classes]
             emitted: list[tuple[str, str]] = []
             for a, b in zip(picked, picked[1:]):
                 emitted.append((a, b))
@@ -329,13 +250,13 @@ def synthesize(
             BlockTrace(
                 block=block,
                 order=order,
-                representatives=frozenset(view.rep_edge),
+                representatives=frozenset(rep_edge),
                 iterations=tuple(records),
             )
         )
 
     # _incident lists each vertex's edges in id order
-    recovery = tuple((v, incident[v][0].id) for v in sorted(h.vertices))
+    recovery = tuple((v, h._incident[v][0].id) for v in sorted(h.vertices))
     scheme = DiscussionScheme(
         edge_order=edge_order,
         rows=tuple(rows),
@@ -411,18 +332,11 @@ def _column_components(mu: int, rows: Iterable[int]) -> int:
     """Components of the graph on mu columns whose edges are the weight-two
     rows: a union-find with path halving."""
     root = list(range(mu))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
     components = mu
     for mask in rows:
         low = mask & -mask
-        a = find(low.bit_length() - 1)
-        b = find((mask ^ low).bit_length() - 1)
+        a = _find(root, low.bit_length() - 1)
+        b = _find(root, (mask ^ low).bit_length() - 1)
         if a != b:
             root[a] = b
             components -= 1
@@ -430,9 +344,14 @@ def _column_components(mu: int, rows: Iterable[int]) -> int:
 
 
 def rates_of(scheme: DiscussionScheme, key_rate: Fraction) -> RateTuple:
-    """Discussion rate per vertex: its row count times the key rate."""
+    """Discussion rate per vertex: its row count times the key rate.  A row
+    attributed to a vertex the recovery map lacks raises SchemeUnverified."""
     counts: dict[str, int] = {v: 0 for v in scheme.vertices()}
     for att in scheme.attributions:
+        if att.vertex not in counts:
+            raise SchemeUnverified(
+                f"a row is attributed to {att.vertex!r}, which is not a scheme vertex"
+            )
         counts[att.vertex] += 1
     rate = Fraction(key_rate)
     return RateTuple(

@@ -206,6 +206,8 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 
 def _weight_token(token: str, lineno: int, column: int) -> Fraction:
     try:
+        if set(token) & set("eE"):  # the format has no exponent notation
+            raise ValueError(token)
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(

@@ -3,8 +3,10 @@
 Not a test (pytest does not collect it) and not a benchmark: it prints the
 in-process wall time of `analyze`, `region` and `scheme` (each with --json,
 parse and rendering included) on a path and on a chain of triangle cores at
-10^3, 10^4 and 10^5 vertices, and of a seeded `simulate` on paths of up to
-400 vertices.  Run from the repository root:
+10^3, 10^4 and 10^5 vertices, of `analyze` and `scheme` on one cyclic core
+of 10^3 vertices with a pendant each (`region` refuses blocks of more than
+12), and of a seeded `simulate` on paths of up to 400 vertices.  Run from
+the repository root:
 
     PYTHONPATH=src python tests/scale_walls.py
 
@@ -24,6 +26,7 @@ from time import perf_counter
 from hyperkey.cli import main
 
 EXPONENTS = (3, 4, 5)  # |V| = 10^3, 10^4, 10^5
+RING = 10**3  # core vertices of the ring row (|V| is twice that)
 
 
 def path_text(n: int, rng: random.Random) -> str:
@@ -58,6 +61,19 @@ def core_chain_text(units: int, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def ring_text(k: int, rng: random.Random) -> str:
+    """One cyclic core c0..c{k-1}: k edges {c_i, c_i+1, p_i} around the
+    cycle, each with its own pendant p_i, so the core is one fundamental
+    block of k vertices."""
+    names = [f"c{i}" for i in range(k)] + [f"p{i}" for i in range(k)]
+    lines = ["vertices: " + " ".join(names)]
+    for i in range(k):
+        lines.append(
+            f"edge e{i}: c{i} c{(i + 1) % k} p{i} weight {rng.randint(1, 3)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def timed(argv: list[str]) -> float:
     out = io.StringIO()
     start = perf_counter()
@@ -88,6 +104,10 @@ def main_script() -> None:
                 ]
                 cells = " ".join(f"{t:8.3f}" for t in times)
                 print(f"{family:<6} {n:>7}  {cells}", flush=True)
+        file = work / "ring.hg"
+        file.write_text(ring_text(RING, rng))
+        times = [timed(["--json", cmd, str(file)]) for cmd in ("analyze", "scheme")]
+        print(f"{'ring':<6} {2 * RING:>7}  {times[0]:8.3f} {'-':>8} {times[1]:8.3f}")
         print(f"{'simulate (seeded), path':<24} {'|V|':>5}  {'s':>8}")
         for n in (100, 200, 400):
             file = work / f"sim{n}.hg"

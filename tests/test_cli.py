@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,6 +235,28 @@ class TestExitCodes:
         bad = tmp_path / "bad.hg"
         bad.write_text("vertices: 1 2\nedge x: 1 2 weight 0\n")
         assert main(["analyze", str(bad)]) == 2
+
+    def test_exponent_weight_in_file_is_usage(self, tmp_path, capsys):
+        # it used to parse, then rendering it broke the int-to-str limit
+        bad = tmp_path / "bad.hg"
+        bad.write_text("vertices: 1 2\nedge x: 1 2 weight 1e5000\n")
+        assert main(["analyze", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: invalid weight '1e5000' (line 2, column 20)"
+        ]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--key-rate", "1e30000000"], ["--key-rate", "1", "--rates", "1:1e3"]],
+    )
+    def test_exponent_flag_is_usage(self, h1_path, capsys, flags):
+        start = time.perf_counter()
+        assert main(["check", h1_path, *flags]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and "expects a rational" in err
 
     def test_missing_file_is_usage(self):
         assert main(["analyze", "/nonexistent/nope.hg"]) == 2

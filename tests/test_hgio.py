@@ -1,5 +1,6 @@
 """The .hg line format: parsing, serialization, and positioned errors."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,15 @@ class TestParseErrors:
             parse("vertices: 1 2\nedge x: 1 2 weight 1\nedge x: 1 weight 1")
         assert "line 3, column 6" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["1e3", "2.5E-1", "-1e3", "1e30000000"])
+    def test_exponent_notation_is_refused_at_once(self, token):
+        # Fraction("1e30000000") alone builds a 30-million-digit integer
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(f"vertices: 1 2\nedge x: 1 2 weight {token}")
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == f"invalid weight {token!r} (line 2, column 20)"
+
     def test_nonpositive_weight_is_a_domain_error(self):
         with pytest.raises(NonpositiveWeight):
             parse("vertices: 1 2\nedge x: 1 2 weight 0")
@@ -194,7 +204,8 @@ def edge_lines(draw):
         weight = draw(
             st.sampled_from(
                 [["weight", "0"], ["weight", "-1"], ["weight", "x/y"],
-                 ["weight", "1/0"], ["weight"], ["mass", "1"], []]
+                 ["weight", "1/0"], ["weight", "1e3"], ["weight", "-2E1"],
+                 ["weight"], ["mass", "1"], []]
             )
         )
     return _joined(draw, ["edge", eid, *members, *weight])

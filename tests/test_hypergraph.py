@@ -17,8 +17,11 @@ from hyperkey import (
     entropy,
     partition_connectivity,
 )
+from hyperkey.capacity import region_spec
 from hyperkey.errors import GroundTooLarge
 from hyperkey.hypergraph import block_removal_counts
+from hyperkey.polymatroid import RankFunction, extreme_point_for_order, rank
+from hyperkey.scheme import representatives, shared_representatives, synthesize
 
 import oracles
 
@@ -45,10 +48,14 @@ class TestConstruction:
         with pytest.raises(NonpositiveWeight):
             Hypergraph("12", [("a", "12", w)])
 
-    @pytest.mark.parametrize("w", ["x", "1/0", None, float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "w", ["x", "1/0", None, float("inf"), float("nan"), "1e3", "1e30000000"]
+    )
     def test_rejects_a_weight_that_is_no_rational(self, w):
         # Fraction() raises ValueError, ZeroDivisionError, TypeError or
-        # OverflowError here; each is the one domain error
+        # OverflowError here, and exponent notation is refused before it
+        # (Fraction would build a 30-million-digit integer); each is the one
+        # domain error
         with pytest.raises(NonpositiveWeight):
             Hypergraph("12", [("a", "12", w)])
 
@@ -187,6 +194,29 @@ class TestOperations:
                 assert block_removal_counts(h, block) == want, (h, block)
                 kinds["singleton" if len(block) == 1 else "core"] += 1
         assert min(kinds.values()) >= 100, kinds
+
+    def test_one_cached_view_per_fundamental_block(self, h1, h3, h5):
+        """region_spec, synthesize, the rank queries and the representative
+        queries all read one _BlockView per block, cached on the value."""
+        for h in (h1, h3, h5):
+            blocks = partition_connectivity(h).fundamental.blocks
+            region_spec(h)
+            first = {b: h._cache[("block", b)] for b in blocks}
+            synthesize(h)
+            for block in blocks:
+                fn = RankFunction(h, block, Fraction(1))
+                order = sorted(block, reverse=True)
+                rank(fn, order[:1])
+                extreme_point_for_order(fn, order)
+                representatives(h, block)
+                shared_representatives(h, block, order[0], order[:1])
+            views = {
+                key[1]: view
+                for key, view in h._cache.items()
+                if isinstance(key, tuple) and key[0] == "block"
+            }
+            assert views.keys() == first.keys(), h
+            assert all(views[b] is first[b] for b in blocks), h
 
 
 def _subsets(names):

@@ -384,7 +384,7 @@ class TestLocalQueries:
                 cores += len(block) > 1
         assert cores >= 200
 
-    @pytest.mark.parametrize("k", [13, 14])
+    @pytest.mark.parametrize("k", [13, 14, 64])
     def test_cyclic_cores_above_the_table_cap(self, k):
         h, block = _cyclic_core(k)
         with pytest.raises(GroundTooLarge):

@@ -30,6 +30,7 @@ from hyperkey.properties import (
     _entropy_shape_violations,
     _prop2_violations,
     _redundancy_violations,
+    _removal_components,
     _removal_counter,
     _table_shape_violations,
 )
@@ -162,11 +163,17 @@ class TestRemovalCounter:
     @staticmethod
     def _assert_matches_the_search(h):
         count = _removal_counter(h)
+        components = _removal_components(h)
         names = sorted(h.vertices)
         for size in range(len(names)):
             for c in combinations(names, size):
                 assert count(c) == h.removal_component_count(c), (h, c)
                 assert count(frozenset(c)) == h.removal_component_count(c)
+                got = {
+                    frozenset(v for i, v in enumerate(names) if m >> i & 1)
+                    for m in components(c)
+                }
+                assert got == {frozenset(comp) for comp in h._search(frozenset(c))}
 
     def test_census(self):
         checked = 0

@@ -317,6 +317,18 @@ class TestRates:
         }
         assert sum(rt.per_user.values()) == Fraction(5, 2)
 
+    def test_a_row_of_a_vertex_without_recovery_is_refused(self, h1):
+        scheme, _ = synthesize(h1)
+        stray = dataclasses.replace(
+            scheme,
+            attributions=tuple(
+                dataclasses.replace(att, vertex="zz") for att in scheme.attributions
+            ),
+        )
+        assert verify(stray).ok
+        with pytest.raises(SchemeUnverified, match="'zz'"):
+            rates_of(stray, Fraction(1))
+
 
 class TestTimeSharing:
     def test_even_mix_of_two_orders(self, h1):
