@@ -2,7 +2,8 @@
 
 First half: quantize the weighted source at a fractional key rate, run a
 few seeded trials, then check every realization of the state space and
-tabulate the (message pattern, key) cells that certify perfect secrecy.
+count the (message pattern, key) cells whose flat counts certify perfect
+secrecy.
 Second half: generate random minimally connected instances and let the
 structural and end-to-end checkers loose on them.
 """

@@ -6,10 +6,10 @@ are minimized in linear time on minimally connected inputs and by enumeration
 otherwise, shape predicates and Berge-cycle witnesses come from one cached
 DFS of the incidence graph, rate regions, per-block rank functions and
 schemes read each fundamental block through one cached view of the edges
-that meet it (hypergraph._BlockView), schemes of weight-two rows
-are verified by a union-find over the edge columns (other row sets by one
-reduced GF(2) basis, gf2.eliminate), and the simulation kit can
-exhaustively sweep small state spaces.
+that meet it (hypergraph._BlockView), schemes of column-pair rows are
+verified by a union-find over the edge columns (other row sets by one
+reduced GF(2) basis of their bitmasks, gf2.eliminate), and the simulation
+kit can exhaustively sweep small state spaces.
 
 __all__ is the public surface; internal helpers that the checks also use
 live in their own modules and are imported from there.

@@ -18,6 +18,7 @@ removal_component_count, a search of all of h, is the independent check.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -46,10 +47,17 @@ WeightLike = Union[Fraction, int, str]
 def _read_rational(text: str) -> Fraction:
     """text as a signed integer, p/q or decimal, else ValueError or
     ZeroDivisionError.  Exponent notation is refused before Fraction() sees
-    it: "1e30000000" would make it build a 30-million-digit integer."""
+    it: "1e30000000" would make it build a 30-million-digit integer.  So is
+    a value str() cannot print; neither of its parts has more digits than
+    text has characters."""
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not a rational form: {text!r}")
-    return Fraction(text)
+    value = Fraction(text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    parts = (abs(value.numerator), value.denominator)
+    if 0 < limit < len(text) and max(parts) >= 10**limit:
+        raise ValueError(f"{text!r} has more than {limit} digits")
+    return value
 
 
 def as_weight(value: WeightLike) -> Fraction:

@@ -6,15 +6,15 @@ vertex i the representatives it shares an edge with split into reachability
 classes once the order prefix is deleted; one edge is picked per class (least
 representative, then least edge id) and consecutive picks are XORed, giving
 one fewer message than classes.  Over the whole hypergraph this emits exactly
-(edge count - 1) weight-two rows whose matrix has full row rank, and adding
-any single edge indicator raises the rank to the edge count, which is at once
-the zero-error recovery condition for every vertex and perfect secrecy of the
-key edge: weight-two rows can never sum to a unit vector.  `verify` checks
-all of it with a union-find over the columns (gf2.eliminate serves row sets
-with any other weight).  Each block is read through its cached view
-(hypergraph._BlockView): one search over its local edges gives the classes
-after each order prefix, in time linear in h when the cyclic cores are
-bounded.
+(edge count - 1) rows, each the sorted pair of edge columns it XORs, whose
+matrix has full row rank, and adding any single edge indicator raises the
+rank to the edge count, which is at once the zero-error recovery condition
+for every vertex and perfect secrecy of the key edge: pair rows can never
+sum to a unit vector.  `verify` checks all of it with a union-find over the
+columns (gf2.eliminate serves any other row set).  Each block is read
+through its cached view (hypergraph._BlockView): one search over its local
+edges gives the classes after each order prefix, in time linear in h when
+the cyclic cores are bounded.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ class RowAttribution:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One vertex's turn: the representatives it shares an edge with, their
-    classes after deleting the order prefix, and the XOR pairs emitted."""
+    """One vertex's turn: the classes of the representatives it shares an
+    edge with after deleting the order prefix, and the XOR pairs emitted."""
 
     vertex: str
-    shared: frozenset[str]
     classes: tuple[frozenset[str], ...]
     emitted: tuple[tuple[str, str], ...]
 
@@ -83,16 +82,17 @@ class BlockTrace:
 
 @dataclass(frozen=True)
 class DiscussionScheme:
-    """A linear non-interactive discussion: weight-two XOR rows over edges.
+    """A linear non-interactive discussion: XOR rows over edge columns.
 
     edge_order fixes the column layout (edge ids, lexicographic); rows are
-    bitmasks over those columns; attributions align with rows; key_edge is the
-    edge whose truncated variable is the key; recovery maps every vertex to
-    the incident edge it solves the system with.
+    sorted tuples of the columns they XOR (pairs when synthesized);
+    attributions align with rows; key_edge is the edge whose truncated
+    variable is the key; recovery maps every vertex to the incident edge
+    it solves the system with.
     """
 
     edge_order: tuple[str, ...]
-    rows: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
     attributions: tuple[RowAttribution, ...]
     key_edge: str
     recovery: tuple[tuple[str, str], ...]
@@ -106,18 +106,13 @@ class DiscussionScheme:
             raise SchemeUnverified(f"edge {eid!r} is not a scheme column")
         return self.edge_order.index(eid)
 
-    def row_pairs(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        valid = (1 << self.mu) - 1
-        for mask in self.rows:
-            ids = []
-            mask &= valid
-            while mask:
-                low = mask & -mask
-                ids.append(self.edge_order[low.bit_length() - 1])
-                mask ^= low
-            out.append(tuple(ids))
-        return tuple(out)
+    def row_pairs(self) -> tuple[tuple[str, ...], ...]:
+        """Each row's edge ids; an index outside the columns names none."""
+        mu = self.mu
+        return tuple(
+            tuple(self.edge_order[j] for j in row if 0 <= j < mu)
+            for row in self.rows
+        )
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.recovery)
@@ -128,7 +123,7 @@ class VerificationReport:
     """Outcome of every scheme check; verification never raises.
 
     ok is the conjunction of: the row count is edge count minus one, every row
-    has Hamming weight exactly two over valid columns, the matrix has full row
+    is a pair (i, j) of columns with 0 <= i < j < mu, the matrix has full row
     rank, appending any single-edge indicator reaches full column rank (every
     vertex can recover every edge variable), and the key indicator in
     particular is outside the row space (perfect secrecy of the key).
@@ -217,7 +212,7 @@ def synthesize(
     edge_order = tuple(sorted(e.id for e in h.edges))
     column = {eid: k for k, eid in enumerate(edge_order)}
 
-    rows: list[int] = []
+    rows: list[tuple[int, ...]] = []
     attributions: list[RowAttribution] = []
     traces: list[BlockTrace] = []
     for block in fundamental.blocks:
@@ -234,14 +229,13 @@ def synthesize(
             emitted: list[tuple[str, str]] = []
             for a, b in zip(picked, picked[1:]):
                 emitted.append((a, b))
-                rows.append(1 << column[a] | 1 << column[b])
+                rows.append(tuple(sorted((column[a], column[b]))))
                 attributions.append(
                     RowAttribution(vertex=vertex, block=block, step=step)
                 )
             records.append(
                 IterationRecord(
                     vertex=vertex,
-                    shared=frozenset().union(*classes) if classes else frozenset(),
                     classes=classes,
                     emitted=tuple(emitted),
                 )
@@ -277,31 +271,31 @@ def synthesize(
 def verify(scheme: DiscussionScheme) -> VerificationReport:
     """Check every scheme property; never raises.
 
-    When every row has weight two, the rows are the edges of a graph on the
-    columns: the rank is the column count minus the number of components,
-    and no unit vector lies in the span, since every sum of rows has even
-    weight.  So edge i is recoverable iff the graph is connected, and the
-    key is secret iff it names a column.  Other row sets go through one
-    GF(2) elimination: the rank is the size of the reduced basis, and the
-    unit vector of column i lies in the span iff basis[i] has mask 1 << i;
-    edge i is recoverable iff rank + (e_i outside the span) is the edge
-    count.
+    When every row is a pair (i, j) with 0 <= i < j < mu, the rows are the
+    edges of a graph on the columns: the rank is the column count minus the
+    number of components, and no unit vector lies in the span, since every
+    sum of rows has even weight.  So edge i is recoverable iff the graph is
+    connected, and the key is secret iff it names a column.  Other row sets
+    go through one GF(2) elimination of their masks (_row_mask): the rank is
+    the size of the reduced basis, and the unit vector of column i lies in
+    the span iff basis[i] has mask 1 << i; edge i is recoverable iff rank +
+    (e_i outside the span) is the edge count.
     """
     mu = scheme.mu
     row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.attributions) == len(
         scheme.rows
     )
-    bad_rows = tuple(  # mask >> mu is nonzero iff a bit lies past the columns
+    bad_rows = tuple(
         idx
-        for idx, mask in enumerate(scheme.rows)
-        if mask >> mu or mask.bit_count() != 2
+        for idx, row in enumerate(scheme.rows)
+        if len(row) != 2 or not 0 <= row[0] < row[1] < mu
     )
     row_weights_ok = not bad_rows
     if row_weights_ok:
         matrix_rank = mu - _column_components(mu, scheme.rows)
         spanned = 0  # columns whose unit vector lies in the row space
     else:
-        basis = gf2.eliminate((mask, 0) for mask in scheme.rows)
+        basis = gf2.eliminate((_row_mask(row, mu), 0) for row in scheme.rows)
         matrix_rank = len(basis)
         spanned = sum(1 << i for i, (mask, _) in basis.items() if mask == 1 << i)
     rank_ok = matrix_rank == mu - 1
@@ -328,19 +322,27 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
     )
 
 
-def _column_components(mu: int, rows: Iterable[int]) -> int:
-    """Components of the graph on mu columns whose edges are the weight-two
-    rows: a union-find with path halving."""
+def _column_components(mu: int, rows: Iterable[tuple[int, ...]]) -> int:
+    """Components of the graph on mu columns whose edges are the pair rows:
+    a union-find with path halving."""
     root = list(range(mu))
     components = mu
-    for mask in rows:
-        low = mask & -mask
-        a = _find(root, low.bit_length() - 1)
-        b = _find(root, (mask ^ low).bit_length() - 1)
+    for i, j in rows:
+        a, b = _find(root, i), _find(root, j)
         if a != b:
             root[a] = b
             components -= 1
     return components
+
+
+def _row_mask(row: Iterable[int], mu: int) -> int:
+    """The gf2 mask of a row: the XOR of 1 << j over its indices j in
+    range(mu), so a repeated index cancels and any other adds nothing."""
+    mask = 0
+    for j in row:
+        if 0 <= j < mu:
+            mask ^= 1 << j
+    return mask
 
 
 def rates_of(scheme: DiscussionScheme, key_rate: Fraction) -> RateTuple:

@@ -2,10 +2,10 @@
 
 Quantization picks the least blocklength scale m that turns the key rate and
 every edge weight into whole bit counts; an edge of weight w then carries
-m * w uniform bits, and the key is the first m * key_rate bits (least
-significant bits of the block integer) of the key edge's block.  Every
-broadcast message is the XOR of two truncated blocks, so each message is
-exactly the key length.
+m * w uniform bits.  The edge blocks sit end to end in one source word, in
+edge order; truncation keeps the leading m * key_rate bits of each block
+(_layout), the key is the key edge's truncation, and a row's message is the
+XOR of its columns' truncations, so each message is exactly the key length.
 
 Exhaustive checks cover all 2^total realizations without a loop over them.
 The zero-error sweep is bit-sliced: bit plane b is a 2^total-bit int whose
@@ -13,7 +13,7 @@ bit w is source bit b of realization w, so for each key bit one broadcast
 and one gf2.eliminate per pivot edge, with planes as payloads, decide every
 word at once.  The secrecy table is a per-bit convolution: the (message
 pattern, key) observation is XOR-linear in the realization, so the table
-follows from the observations of the single-bit words.
+(_cell_counts) follows from the observations of the single-bit words.
 
 Two secrecy oracles are kept deliberately separate: the rank oracle,
 `verify(scheme).secrecy_ok` (the key indicator stays outside the row space
@@ -44,7 +44,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .hypergraph import Hypergraph
-from .scheme import DiscussionScheme, verify
+from .scheme import DiscussionScheme, _row_mask, verify
 
 __all__ = [
     "QuantizedShape",
@@ -122,7 +122,7 @@ def _check_scheme_matches(h: Hypergraph, scheme: DiscussionScheme) -> None:
         raise SchemeUnverified("scheme recovery map does not cover the vertices")
     if scheme.key_edge not in scheme.edge_order:
         raise SchemeUnverified(f"key edge {scheme.key_edge!r} is not a scheme column")
-    if any(mask >> scheme.mu for mask in scheme.rows):  # also catches mask < 0
+    if any(not 0 <= j < scheme.mu for row in scheme.rows for j in row):
         raise SchemeUnverified("a scheme row names a column outside the edge order")
 
 
@@ -141,16 +141,25 @@ def _bit_plane(bit: int, total: int) -> int:
     return plane
 
 
-def _broadcast(rows: tuple[int, ...], trunc: list[int]) -> list[int]:
-    """One message per row: the XOR of the truncations its mask selects."""
+def _layout(shape: QuantizedShape) -> list[tuple[int, int]]:
+    """Per edge, the source bit index where its block starts and where its
+    truncation starts: the blocks sit end to end in edge order, and
+    truncation keeps the leading key_length bits of each block."""
     out = []
-    for mask in rows:
+    at = 0
+    for _, n in shape.edge_lengths:
+        out.append((at, at + n - shape.key_length))
+        at += n
+    return out
+
+
+def _broadcast(rows: tuple[tuple[int, ...], ...], trunc: list[int]) -> list[int]:
+    """One message per row: the XOR of the truncations of its columns."""
+    out = []
+    for row in rows:
         acc = 0
-        m = mask
-        while m:
-            low = m & -m
-            acc ^= trunc[low.bit_length() - 1]
-            m ^= low
+        for j in row:
+            acc ^= trunc[j]
         out.append(acc)
     return out
 
@@ -186,22 +195,21 @@ def run(
     if not allow_unverified and not report.ok:
         raise SchemeUnverified("scheme failed verification")
     shape = quantize(h, key_rate)
-    lengths = [n for _, n in shape.edge_lengths]
     key_len = shape.key_length
-    # truncation keeps the leading key_len bits of each edge block
-    shifts = [n - key_len for n in lengths]
+    layout = _layout(shape)
     key_idx = scheme.column(scheme.key_edge)
     pivot_idx = {v: scheme.column(e) for v, e in scheme.recovery}
+    masks = [_row_mask(row, scheme.mu) for row in scheme.rows]
 
     def recover(idx: int, trunc: list[int], msgs: list[int]) -> int:
         """The key a vertex holding edge column idx solves for: the key
         column's reduced payload, zero when that column is free."""
-        basis = gf2.eliminate([*zip(scheme.rows, msgs), (1 << idx, trunc[idx])])
+        basis = gf2.eliminate([*zip(masks, msgs), (1 << idx, trunc[idx])])
         return basis.get(key_idx, (0, 0))[1]
 
     rng = random.Random(seed)
-    sample = [rng.getrandbits(n) if n else 0 for n in lengths]
-    trunc0 = [b >> s for b, s in zip(sample, shifts)]
+    sample = [rng.getrandbits(n) if n else 0 for _, n in shape.edge_lengths]
+    trunc0 = [b >> (start - at) for b, (at, start) in zip(sample, layout)]
     msgs0 = _broadcast(scheme.rows, trunc0)
     recovered0 = {v: recover(idx, trunc0, msgs0) for v, idx in pivot_idx.items()}
     true_key0 = trunc0[key_idx]
@@ -215,16 +223,10 @@ def run(
                 f"{total} source bits exceed the exhaustive cap {max_state_bits}"
             )
         checked = 1 << total
-        # source bit index of each edge's leading (truncated) block
-        starts = []
-        at = 0
-        for n, s in zip(lengths, shifts):
-            starts.append(at + s)
-            at += n
         pivots = set(pivot_idx.values())
         zero_error = True
         for t in range(key_len):
-            planes = [_bit_plane(start + t, total) for start in starts]
+            planes = [_bit_plane(start + t, total) for _, start in layout]
             msgs = _broadcast(scheme.rows, planes)
             if any(recover(idx, planes, msgs) != planes[key_idx] for idx in pivots):
                 zero_error = False
@@ -254,9 +256,7 @@ class SecrecyReport:
     all possible key values, which makes the conditional key entropy equal the
     key length with no logarithms of non-powers-of-two involved.  Entropies
     are in bits; conditional_entropy_bits is None when the slices are not
-    uniform (then no exact rational value exists in general).  cells lists
-    every nonzero (message pattern, key) count in order when there are at
-    most keep_cells_up_to of them, else it is None.
+    uniform (then no exact rational value exists in general).
     """
 
     perfect: bool
@@ -266,7 +266,6 @@ class SecrecyReport:
     message_patterns: int
     min_cell: int
     max_cell: int
-    cells: Optional[tuple[tuple[str, int], ...]]
 
 
 def brute_force_secrecy(
@@ -275,17 +274,10 @@ def brute_force_secrecy(
     key_rate: Fraction,
     *,
     max_state_bits: int = 20,
-    keep_cells_up_to: int = 4096,
 ) -> SecrecyReport:
-    """Count every (message pattern, key) cell over all 2^total realizations.
-
-    A realization's observation, packed as fpack << key_len | key, is the
-    XOR of the observations of its set source bits.  So the table starts as
-    {0: 1} and each source bit adds to it, in place, its copy XOR-shifted by
-    that bit's flip (or doubles every count when the flip is zero): O(total *
-    cells) dict operations instead of one pass per realization, with one
-    table alive.  One more pass keeps, per message pattern, the number of
-    keys it occurs with and its smallest and largest cell.
+    """Count every (message pattern, key) cell over all 2^total realizations
+    (_cell_counts), then keep, per message pattern, the number of keys it
+    occurs with and its smallest and largest cell.
     """
     _check_scheme_matches(h, scheme)
     shape = quantize(h, key_rate)
@@ -294,42 +286,9 @@ def brute_force_secrecy(
         raise StateSpaceTooLarge(
             f"{total} source bits exceed the exhaustive cap {max_state_bits}"
         )
-    mu = scheme.mu
+    counts = _cell_counts(scheme, shape)
     key_len = shape.key_length
     key_mask = (1 << key_len) - 1
-    key_idx = scheme.column(scheme.key_edge)
-    lengths = [n for _, n in shape.edge_lengths]
-    shifts = [n - key_len for n in lengths]
-    offsets = []
-    at = 0
-    for n in lengths:
-        offsets.append(at)
-        at += n
-
-    def observe(word: int) -> int:
-        trunc = [(word >> (offsets[j] + shifts[j])) & key_mask for j in range(mu)]
-        fpack = 0
-        for r, acc in enumerate(_broadcast(scheme.rows, trunc)):
-            fpack |= acc << (r * key_len)
-        return fpack << key_len | trunc[key_idx]
-
-    counts = {0: 1}
-    for bit in range(total):
-        flip = observe(1 << bit)
-        if flip:
-            # each pair {x, x ^ flip} ends with the sum of its two old
-            # counts; a partner missing before the pass is added only here
-            for x in tuple(counts):
-                y = x ^ flip
-                n = counts.get(y)
-                if n is None:
-                    counts[y] = counts[x]
-                elif x < y:
-                    counts[x] = counts[y] = counts[x] + n
-        else:
-            for x in counts:
-                counts[x] *= 2
-
     realizations = 1 << total
     key_values = 1 << key_len
     # message pattern -> [keys it occurs with, smallest cell, largest cell]
@@ -369,16 +328,6 @@ def brute_force_secrecy(
     elif key_len == 0:
         conditional = Fraction(0)
 
-    cell_list: Optional[tuple[tuple[str, int], ...]] = None
-    if len(counts) <= keep_cells_up_to:
-        cell_list = tuple(
-            (
-                f"messages={packed >> key_len:0{max(1, (mu - 1) * key_len)}b} "
-                f"key={packed & key_mask:0{max(1, key_len)}b}",
-                n,
-            )
-            for packed, n in sorted(counts.items())
-        )
     return SecrecyReport(
         perfect=perfect,
         key_entropy_bits=key_entropy,
@@ -387,8 +336,47 @@ def brute_force_secrecy(
         message_patterns=len(patterns),
         min_cell=min(counts.values()),
         max_cell=max(counts.values()),
-        cells=cell_list,
     )
+
+
+def _cell_counts(scheme: DiscussionScheme, shape: QuantizedShape) -> dict[int, int]:
+    """Realizations per (message pattern, key) cell, keyed by the packed
+    observation fpack << key_len | key (row r's message at bit r * key_len
+    of fpack), which is the XOR of the observations of the realization's set
+    source bits.  So the table starts as {0: 1} and each source bit adds to
+    it, in place, its copy XOR-shifted by that bit's flip (or doubles every
+    count when the flip is zero): O(total * cells) dict operations instead
+    of one pass per realization, with one table alive.
+    """
+    key_len = shape.key_length
+    key_mask = (1 << key_len) - 1
+    key_idx = scheme.column(scheme.key_edge)
+    layout = _layout(shape)
+
+    def observe(word: int) -> int:
+        trunc = [word >> start & key_mask for _, start in layout]
+        fpack = 0
+        for r, acc in enumerate(_broadcast(scheme.rows, trunc)):
+            fpack |= acc << (r * key_len)
+        return fpack << key_len | trunc[key_idx]
+
+    counts = {0: 1}
+    for bit in range(shape.total_bits()):
+        flip = observe(1 << bit)
+        if flip:
+            # each pair {x, x ^ flip} ends with the sum of its two old
+            # counts; a partner missing before the pass is added only here
+            for x in tuple(counts):
+                y = x ^ flip
+                n = counts.get(y)
+                if n is None:
+                    counts[y] = counts[x]
+                elif x < y:
+                    counts[x] = counts[y] = counts[x] + n
+        else:
+            for x in counts:
+                counts[x] *= 2
+    return counts
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,19 @@ def solve_with_payload(rows, ncols: int) -> tuple[list[int], bool]:
     return values, len(pivot_of) == ncols
 
 
+def row_masks(rows, mu: int) -> list[int]:
+    """Each scheme row (a tuple of column indices) as a bitmask over mu
+    columns: bit i is set iff i occurs in the row an odd number of times, so
+    an index outside range(mu) sets no bit."""
+    return [sum(1 << i for i in range(mu) if row.count(i) % 2) for row in rows]
+
+
 def rank_verdicts(rows, edge_order, key_edge):
     """(matrix_rank, unrecoverable_edges, secrecy_ok) of a scheme, with one
     rank per column: edge i is recoverable iff appending its unit vector
     reaches rank mu, and the key is secret iff its unit vector adds rank."""
     mu = len(edge_order)
+    rows = row_masks(rows, mu)
     matrix_rank = rank(rows)
     unrecoverable = tuple(
         edge_order[i] for i in range(mu) if rank_with(rows, 1 << i) != mu
@@ -763,12 +771,12 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
             emitted = []
             for a, b in zip(picked, picked[1:]):
                 emitted.append((a, b))
-                rows.append(1 << column[a] | 1 << column[b])
+                i, j = column[a], column[b]
+                rows.append((min(i, j), max(i, j)))
                 attributions.append(RowAttribution(vertex=vertex, block=block, step=step))
             records.append(
                 IterationRecord(
                     vertex=vertex,
-                    shared=frozenset().union(*found) if found else frozenset(),
                     classes=found,
                     emitted=tuple(emitted),
                 )
@@ -795,18 +803,17 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
 
 def verify(scheme: DiscussionScheme) -> VerificationReport:
     """Every verdict read off one GF(2) elimination of all the rows,
-    whatever their weights."""
+    whatever they are; a good row is one of the pairs combinations(range(mu),
+    2) lists."""
     mu = scheme.mu
-    valid = (1 << mu) - 1
     row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.attributions) == len(
         scheme.rows
     )
+    pairs = set(combinations(range(mu), 2))
     bad_rows = tuple(
-        idx
-        for idx, mask in enumerate(scheme.rows)
-        if mask & ~valid or bin(mask & valid).count("1") != 2
+        idx for idx, row in enumerate(scheme.rows) if tuple(row) not in pairs
     )
-    basis = eliminate((mask, 0) for mask in scheme.rows)
+    basis = eliminate((mask, 0) for mask in row_masks(scheme.rows, mu))
     matrix_rank = len(basis)
 
     def outside_span(i: int) -> bool:
@@ -833,10 +840,11 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
 
 
 def row_pairs(scheme: DiscussionScheme) -> tuple:
-    """Each row's column ids, testing every column of every row."""
+    """Each row's column ids in row order, testing every column against
+    every index of every row."""
     return tuple(
-        tuple(scheme.edge_order[i] for i in range(scheme.mu) if mask >> i & 1)
-        for mask in scheme.rows
+        tuple(scheme.edge_order[i] for j in row for i in range(scheme.mu) if i == j)
+        for row in scheme.rows
     )
 
 

@@ -1,12 +1,14 @@
 """Hand-timing of the CLI on large minimally connected hypergraphs.
 
 Not a test (pytest does not collect it) and not a benchmark: it prints the
-in-process wall time of `analyze`, `region` and `scheme` (each with --json,
-parse and rendering included) on a path and on a chain of triangle cores at
-10^3, 10^4 and 10^5 vertices, of `analyze` and `scheme` on one cyclic core
-of 10^3 vertices with a pendant each (`region` refuses blocks of more than
-12), and of a seeded `simulate` on paths of up to 400 vertices.  Run from
-the repository root:
+wall time and the peak RSS of `analyze`, `region` and `scheme` (each with
+--json, parse and rendering included) on a path and on a chain of triangle
+cores at 10^3, 10^4 and 10^5 vertices, of `analyze` and `scheme` on one
+cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
+of more than 12), and of a seeded `simulate` on paths of up to 400
+vertices.  Each call runs in a fresh interpreter, so its peak RSS is its
+own; the time is taken around the `main` call inside it, without the
+interpreter start and the imports.  Run from the repository root:
 
     PYTHONPATH=src python tests/scale_walls.py
 
@@ -15,15 +17,11 @@ Edit EXPONENTS for a shorter run.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
-
-from hyperkey.cli import main
 
 EXPONENTS = (3, 4, 5)  # |V| = 10^3, 10^4, 10^5
 RING = 10**3  # core vertices of the ring row (|V| is twice that)
@@ -74,22 +72,35 @@ def ring_text(k: int, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def timed(argv: list[str]) -> float:
-    out = io.StringIO()
+CALL = """\
+import contextlib, io, resource, sys
+from time import perf_counter
+from hyperkey.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
     start = perf_counter()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    code = main(sys.argv[1:])
     elapsed = perf_counter() - start
-    if code != 0:
+print(code, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def timed(argv: list[str]) -> str:
+    """One CLI call in a fresh interpreter, as "seconds/peak RSS in MiB"."""
+    done = subprocess.run(
+        [sys.executable, "-c", CALL, *argv], capture_output=True, text=True, check=True
+    )
+    code, elapsed, peak_kib = done.stdout.split()
+    if code != "0":
         raise SystemExit(f"{argv} exited {code}")
-    return elapsed
+    return f"{float(elapsed):.3f}/{int(peak_kib) / 1024:.0f}"
 
 
 def main_script() -> None:
     rng = random.Random(1)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        print(f"{'family':<6} {'|V|':>7}  {'analyze':>8} {'region':>8} {'scheme':>8}")
+        print("each cell: seconds/peak RSS in MiB")
+        print(f"{'family':<6} {'|V|':>7}  {'analyze':>12} {'region':>12} {'scheme':>12}")
         for exponent in EXPONENTS:
             n = 10**exponent
             for family, text in (
@@ -98,22 +109,21 @@ def main_script() -> None:
             ):
                 file = work / f"{family}{n}.hg"
                 file.write_text(text)
-                times = [
-                    timed(["--json", cmd, str(file)])
+                cells = " ".join(
+                    f"{timed(['--json', cmd, str(file)]):>12}"
                     for cmd in ("analyze", "region", "scheme")
-                ]
-                cells = " ".join(f"{t:8.3f}" for t in times)
+                )
                 print(f"{family:<6} {n:>7}  {cells}", flush=True)
         file = work / "ring.hg"
         file.write_text(ring_text(RING, rng))
-        times = [timed(["--json", cmd, str(file)]) for cmd in ("analyze", "scheme")]
-        print(f"{'ring':<6} {2 * RING:>7}  {times[0]:8.3f} {'-':>8} {times[1]:8.3f}")
-        print(f"{'simulate (seeded), path':<24} {'|V|':>5}  {'s':>8}")
+        cells = [timed(["--json", cmd, str(file)]) for cmd in ("analyze", "scheme")]
+        print(f"{'ring':<6} {2 * RING:>7}  {cells[0]:>12} {'-':>12} {cells[1]:>12}")
+        print(f"{'simulate (seeded), path':<24} {'|V|':>5}  {'s/MiB':>12}")
         for n in (100, 200, 400):
             file = work / f"sim{n}.hg"
             file.write_text(path_text(n, rng))
-            took = timed(["--json", "simulate", str(file), "--seed", "1"])
-            print(f"{'':<24} {n:>5}  {took:8.3f}", flush=True)
+            cell = timed(["--json", "simulate", str(file), "--seed", "1"])
+            print(f"{'':<24} {n:>5}  {cell:>12}", flush=True)
 
 
 if __name__ == "__main__":

@@ -144,9 +144,10 @@ def test_criterion_07_h5_scheme_replay(h5):
         ("5", (("e4", "e6"),)),
     ]
     assert len(scheme.rows) == 5
-    assert oracles.rank(scheme.rows) == 5
+    masks = oracles.row_masks(scheme.rows, 6)
+    assert oracles.rank(masks) == 5
     # appending any single-edge indicator column reaches full rank 6
-    assert all(oracles.rank_with(scheme.rows, 1 << i) == 6 for i in range(6))
+    assert all(oracles.rank_with(masks, 1 << i) == 6 for i in range(6))
 
 
 def test_criterion_08_lemma_identities_fuzz(fuzz_pool):
@@ -317,7 +318,7 @@ def test_criterion_11_secrecy_oracle_cross_check(h1, theorem_pool):
     scheme, _ = synthesize(h1)
     leak = dataclasses.replace(
         scheme,
-        rows=scheme.rows + (1 << scheme.column(scheme.key_edge),),
+        rows=scheme.rows + ((scheme.column(scheme.key_edge),),),
         attributions=scheme.attributions + (scheme.attributions[0],),
     )
     assert verify(leak).secrecy_ok is False

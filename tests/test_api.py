@@ -92,7 +92,7 @@ PUBLIC_NAMES = [
 
 # function name -> its parameters that have a default value
 KNOBS = {
-    "brute_force_secrecy": ["max_state_bits", "keep_cells_up_to"],
+    "brute_force_secrecy": ["max_state_bits"],
     "enumerate_minimizers": ["weighted"],
     "lemma_violations": ["rng"],
     "mmi": ["restrict_to"],
@@ -148,7 +148,7 @@ def test_public_names_are_pinned():
 
 def test_parameters_with_defaults_are_pinned():
     assert _knobs() == KNOBS
-    assert sum(len(names) for names in KNOBS.values()) == 18
+    assert sum(len(names) for names in KNOBS.values()) == 17
 
 
 def test_every_exported_error_is_raised():

@@ -258,6 +258,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: --") and "expects a rational" in err
 
+    def test_weight_past_the_digit_limit_is_usage(self, tmp_path, capsys):
+        # it used to parse, then rendering it broke the int-to-str limit
+        token = "1" * 3000 + "." + "3" * 3000
+        bad = tmp_path / "bad.hg"
+        bad.write_text(f"vertices: 1 2\nedge x: 1 2 weight {token}\n")
+        assert main(["analyze", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: invalid weight {token!r} (line 2, column 20)"
+        ]
+
+    @pytest.mark.parametrize("command", ["scheme", "simulate"])
+    def test_flag_past_the_digit_limit_is_usage(self, h1_path, capsys, command):
+        rate = "0." + "0" * (sys.get_int_max_str_digits() - 1) + "1"
+        assert main([command, h1_path, "--key-rate", rate]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --key-rate expects a rational like 3 or 3/2, got {rate!r}"
+        ]
+
     def test_missing_file_is_usage(self):
         assert main(["analyze", "/nonexistent/nope.hg"]) == 2
 

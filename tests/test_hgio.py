@@ -1,5 +1,6 @@
 """The .hg line format: parsing, serialization, and positioned errors."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -166,6 +167,25 @@ class TestParseErrors:
             parse(f"vertices: 1 2\nedge x: 1 2 weight {token}")
         assert time.perf_counter() - start < 1
         assert str(err.value) == f"invalid weight {token!r} (line 2, column 20)"
+
+    def test_a_weight_past_the_digit_limit_is_refused(self):
+        # 3000 digits on each side of the point make a 6000-digit numerator;
+        # a denominator of 10^limit has one digit more than str() prints
+        limit = sys.get_int_max_str_digits()
+        for token in ("1" * 3000 + "." + "3" * 3000, "0." + "0" * (limit - 1) + "1"):
+            with pytest.raises(ParseError) as err:
+                parse(f"vertices: 1 2\nedge x: 1 2 weight {token}")
+            assert str(err.value) == f"invalid weight {token!r} (line 2, column 20)"
+
+    def test_weights_within_the_digit_limit_parse(self):
+        limit = sys.get_int_max_str_digits()
+        for token, value in (
+            ("1" * 2000 + "." + "3" * 2000, Fraction("1" * 2000 + "3" * 2000) / 10**2000),
+            ("0." + "0" * (limit - 2) + "1", Fraction(1, 10 ** (limit - 1))),
+            ("1" + "0" * 2500 + "." + "0" * 2500, Fraction(10**2500)),
+        ):
+            h = parse(f"vertices: 1 2\nedge x: 1 2 weight {token}")
+            assert h.edges[0].weight == value
 
     def test_nonpositive_weight_is_a_domain_error(self):
         with pytest.raises(NonpositiveWeight):

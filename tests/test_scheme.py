@@ -28,17 +28,16 @@ import oracles
 
 
 def weight_two_rows(rng, mu):
-    """Weight-two rows on mu columns: a random spanning tree, a tree plus one
-    more row (a cycle), a tree minus some rows (a forest) or a tree with a
-    row repeated, in random row order."""
+    """Pair rows on mu columns: a random spanning tree, a tree plus one more
+    row (a cycle), a tree minus some rows (a forest) or a tree with a row
+    repeated, in random row order."""
     if mu < 2:
         return []
     perm = rng.sample(range(mu), mu)
-    rows = [1 << perm[i] | 1 << perm[rng.randrange(i)] for i in range(1, mu)]
+    rows = [tuple(sorted((perm[i], perm[rng.randrange(i)]))) for i in range(1, mu)]
     shape = rng.choice(("tree", "cycle", "forest", "duplicate"))
     if shape == "cycle":
-        i, j = rng.sample(range(mu), 2)
-        rows.append(1 << i | 1 << j)
+        rows.append(tuple(sorted(rng.sample(range(mu), 2))))
     elif shape == "forest":
         rows = rng.sample(rows, rng.randrange(len(rows)))
     elif shape == "duplicate":
@@ -167,14 +166,14 @@ class TestVerify:
 
     def test_heavy_row_flagged_by_index(self, h1):
         scheme, _ = synthesize(h1)
-        fat = dataclasses.replace(scheme, rows=(scheme.rows[0], 0b111))
+        fat = dataclasses.replace(scheme, rows=(scheme.rows[0], (0, 1, 2)))
         report = verify(fat)
         assert not report.ok and not report.row_weights_ok
         assert report.bad_rows == (1,)
 
     def test_key_leak_breaks_secrecy(self, h1):
         scheme, _ = synthesize(h1)
-        key_column = 1 << scheme.column(scheme.key_edge)
+        key_column = (scheme.column(scheme.key_edge),)
         leak = dataclasses.replace(
             scheme,
             rows=scheme.rows + (key_column,),
@@ -190,13 +189,14 @@ class TestVerify:
         assert report.rank_ok and report.recovery_ok
 
     def test_verdicts_match_the_per_column_rank_oracle(self):
-        """The union-find (weight-two rows) and the reduced basis (any
-        other rows) give the verdicts of one rank per column and the whole
-        report of the elimination-only verify, on row sets with bad
-        weights, columns out of range (high bits and negative masks),
-        dependent rows and unknown key edges."""
+        """The union-find (pair rows) and the reduced basis (any other rows)
+        give the verdicts of one rank per column and the whole report of the
+        elimination-only verify, on row sets with rows of any length,
+        columns out of range (negative and past the edge order), repeated
+        indices, unsorted pairs, dependent rows and unknown key edges."""
         rng = random.Random(5)
         seen = dict.fromkeys(("deficient", "bad", "leak", "unknown_key", "ok"), 0)
+        forms = set()
         for _ in range(20000):
             mu = rng.randint(1, 7)
             edge_order = tuple(f"e{i}" for i in range(mu))
@@ -204,14 +204,14 @@ class TestVerify:
             for _ in range(rng.randint(0, mu + 1)):
                 pick = rng.random()
                 if pick < 0.75 and mu >= 2:
-                    i, j = rng.sample(range(mu), 2)
-                    rows.append(1 << i | 1 << j)
+                    rows.append(tuple(sorted(rng.sample(range(mu), 2))))
                 elif pick < 0.85:
-                    rows.append(rng.getrandbits(mu))
+                    rows.append(tuple(j for j in range(mu) if rng.getrandbits(1)))
                 elif pick < 0.95:
-                    rows.append(rng.getrandbits(mu + 3))
+                    size = rng.randint(0, 4)
+                    rows.append(tuple(rng.randrange(-2, mu + 3) for _ in range(size)))
                 else:
-                    rows.append(-rng.getrandbits(mu + 1))
+                    rows.append(tuple(rng.choices(range(mu), k=2)))
             key_edge = rng.choice(edge_order + ("zz",))
             report = self.check_against_oracles(edge_order, rows, key_edge)
             seen["deficient"] += report.matrix_rank < len(rows)
@@ -219,10 +219,17 @@ class TestVerify:
             seen["leak"] += key_edge != "zz" and not report.secrecy_ok
             seen["unknown_key"] += key_edge == "zz"
             seen["ok"] += report.rank_ok and report.recovery_ok
+            for row in rows:
+                forms.add(min(len(row), 3))
+                forms.add("negative" if min(row, default=0) < 0 else None)
+                forms.add("past mu" if max(row, default=0) >= mu else None)
+                forms.add("repeated" if len(set(row)) < len(row) else None)
+                forms.add("unsorted" if list(row) != sorted(row) else None)
         assert min(seen.values()) >= 1000, seen
+        assert forms == {0, 1, 2, 3, "negative", "past mu", "repeated", "unsorted", None}
 
     def test_weight_two_verdicts_match_the_per_column_rank_oracle(self):
-        """The same oracles on weight-two-only row sets: spanning trees,
+        """The same oracles on pair-only row sets: spanning trees,
         trees plus a row (cycles), forests and trees with a repeated row,
         with known and unknown key edges.  No such set puts a unit vector
         in the span, so a known key edge always stays secret."""

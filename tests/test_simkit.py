@@ -29,6 +29,7 @@ from hyperkey import (
     verify,
 )
 from hyperkey.errors import GroundTooLarge
+from hyperkey.simkit import _cell_counts
 
 import oracles
 
@@ -60,27 +61,32 @@ def per_word_zero_error(h, scheme, key_rate):
     key_mask = (1 << key_len) - 1
     key_idx = scheme.edge_order.index(scheme.key_edge)
     pivots = {scheme.edge_order.index(e) for _, e in scheme.recovery}
+    masks = oracles.row_masks(scheme.rows, scheme.mu)
     for word in range(1 << total):
         trunc = [(word >> (o + s)) & key_mask for o, s in layout]
-        msgs = [_xor_selected(mask, trunc) for mask in scheme.rows]
+        msgs = [_xor_selected(mask, trunc) for mask in masks]
         for idx in pivots:
-            stacked = list(zip(scheme.rows, msgs)) + [(1 << idx, trunc[idx])]
+            stacked = list(zip(masks, msgs)) + [(1 << idx, trunc[idx])]
             values, _ = oracles.solve_with_payload(stacked, scheme.mu)
             if values[key_idx] != trunc[key_idx]:
                 return False, 1 << total
     return True, 1 << total
 
 
-def per_word_secrecy(h, scheme, key_rate, keep_cells_up_to=4096):
-    """Oracle for brute_force_secrecy: tabulate every realization on its own."""
+def per_word_secrecy(h, scheme, key_rate):
+    """Oracle for brute_force_secrecy: tabulate every realization on its own.
+
+    Returns the report and the table {(message pattern, key): count}.
+    """
     layout, key_len, total = _layout(h, scheme, key_rate)
     key_mask = (1 << key_len) - 1
     key_idx = scheme.edge_order.index(scheme.key_edge)
+    masks = oracles.row_masks(scheme.rows, scheme.mu)
     counts: dict[tuple[int, int], int] = {}
     for word in range(1 << total):
         trunc = [(word >> (o + s)) & key_mask for o, s in layout]
         fpack = 0
-        for r, mask in enumerate(scheme.rows):
+        for r, mask in enumerate(masks):
             fpack |= _xor_selected(mask, trunc) << (r * key_len)
         cell = (fpack, trunc[key_idx])
         counts[cell] = counts.get(cell, 0) + 1
@@ -110,14 +116,7 @@ def per_word_secrecy(h, scheme, key_rate, keep_cells_up_to=4096):
     elif key_len == 0:
         conditional = Fraction(0)
 
-    cells = None
-    if len(counts) <= keep_cells_up_to:
-        width = max(1, (scheme.mu - 1) * key_len)
-        cells = tuple(
-            (f"messages={fpack:0{width}b} key={key:0{max(1, key_len)}b}", n)
-            for (fpack, key), n in sorted(counts.items())
-        )
-    return SecrecyReport(
+    report = SecrecyReport(
         perfect=perfect,
         key_entropy_bits=Fraction(key_len),
         conditional_entropy_bits=conditional,
@@ -125,15 +124,15 @@ def per_word_secrecy(h, scheme, key_rate, keep_cells_up_to=4096):
         message_patterns=len(slices),
         min_cell=min(counts.values()),
         max_cell=max(counts.values()),
-        cells=cells,
     )
+    return report, counts
 
 
 def leaky(scheme):
     """The scheme plus one row that broadcasts the key edge itself."""
     return dataclasses.replace(
         scheme,
-        rows=scheme.rows + (1 << scheme.column(scheme.key_edge),),
+        rows=scheme.rows + ((scheme.column(scheme.key_edge),),),
         attributions=scheme.attributions + scheme.attributions[:1],
     )
 
@@ -147,14 +146,24 @@ def row_dropped(scheme, keep=slice(0, 1)):
     )
 
 
-def assert_sweeps_match_oracles(h, scheme, key_rate, keep_cells_up_to=4096):
+def doubled(scheme):
+    """The scheme with its first row's first index written twice: (i, i, j)
+    XORs to the truncation of column j alone."""
+    first = scheme.rows[0]
+    return dataclasses.replace(scheme, rows=(first[:1] + first,) + scheme.rows[1:])
+
+
+def assert_sweeps_match_oracles(h, scheme, key_rate):
     r = run(h, scheme, key_rate, seed=7, exhaustive=True, allow_unverified=True)
     assert (r.zero_error, r.realizations_checked) == per_word_zero_error(
         h, scheme, key_rate
     )
-    assert brute_force_secrecy(
-        h, scheme, key_rate, keep_cells_up_to=keep_cells_up_to
-    ) == per_word_secrecy(h, scheme, key_rate, keep_cells_up_to)
+    report, table = per_word_secrecy(h, scheme, key_rate)
+    assert brute_force_secrecy(h, scheme, key_rate) == report
+    shape = quantize(h, key_rate)
+    assert _cell_counts(scheme, shape) == {
+        fpack << shape.key_length | key: n for (fpack, key), n in table.items()
+    }
 
 
 # random MCHs whose quantized sources stay small enough for the per-word oracles
@@ -281,7 +290,7 @@ class TestSecrecyOracles:
 
     def test_rank_oracle_rejects_key_leak(self, h1):
         scheme, _ = synthesize(h1)
-        key_column = 1 << scheme.column(scheme.key_edge)
+        key_column = (scheme.column(scheme.key_edge),)
         leak = dataclasses.replace(scheme, rows=scheme.rows + (key_column,))
         assert not verify(leak).secrecy_ok
 
@@ -294,7 +303,8 @@ class TestSecrecyOracles:
         assert rep.realizations == 64
         assert rep.message_patterns == 4
         assert (rep.min_cell, rep.max_cell) == (8, 8)
-        assert len(rep.cells) == 8  # 4 patterns x 2 key values
+        # 4 patterns x 2 key values
+        assert len(_cell_counts(scheme, quantize(h1, Fraction(1)))) == 8
 
     def test_brute_force_h5(self, h5):
         scheme, _ = synthesize(h5)
@@ -306,7 +316,7 @@ class TestSecrecyOracles:
 
     def test_brute_force_detects_leak(self, h1):
         scheme, _ = synthesize(h1)
-        key_column = 1 << scheme.column(scheme.key_edge)
+        key_column = (scheme.column(scheme.key_edge),)
         leak = dataclasses.replace(
             scheme,
             rows=scheme.rows + (key_column,),
@@ -329,7 +339,12 @@ class TestSweepsMatchPerWordOracles:
     def test_leaky_and_row_dropped_schemes(self, request, name):
         h = request.getfixturevalue(name)
         scheme, _ = synthesize(h)
-        for bad in (leaky(scheme), row_dropped(scheme), row_dropped(scheme, slice(-1, None))):
+        for bad in (
+            leaky(scheme),
+            row_dropped(scheme),
+            row_dropped(scheme, slice(-1, None)),
+            doubled(scheme),
+        ):
             for key_rate in (Fraction(0), Fraction(1)):
                 assert_sweeps_match_oracles(h, bad, key_rate)
 
@@ -337,7 +352,6 @@ class TestSweepsMatchPerWordOracles:
     def test_random_mchs(self, h, key_rate):
         scheme, _ = synthesize(h)
         assert_sweeps_match_oracles(h, scheme, key_rate)
-        assert_sweeps_match_oracles(h, scheme, key_rate, keep_cells_up_to=3)
 
     @pytest.mark.parametrize("weight, key_rate", [(1, 1), (3, 2), (3, 0), (4, 3)])
     def test_one_edge_source(self, weight, key_rate):
@@ -358,7 +372,6 @@ class TestTwentyBitCap:
         assert rep.message_patterns == 1024
         assert (rep.min_cell, rep.max_cell) == (1, 1)
         assert rep.conditional_entropy_bits == 10
-        assert rep.cells is None  # 2^20 cells exceed keep_cells_up_to
 
     def test_four_edge_path_at_rate_one(self):
         h = Hypergraph("12345", [(e, m, 5) for e, m in zip("abcd", ["12", "23", "34", "45"])])
@@ -370,7 +383,7 @@ class TestTwentyBitCap:
         assert rep.message_patterns == 8
         assert (rep.min_cell, rep.max_cell) == (65536, 65536)
         assert rep.conditional_entropy_bits == 1
-        assert len(rep.cells) == 16
+        assert len(_cell_counts(scheme, quantize(h, Fraction(1)))) == 16
 
 
 class TestSchemeMismatch:
@@ -393,8 +406,8 @@ class TestSchemeMismatch:
 
     def test_row_outside_the_edge_order(self, h1):
         scheme, _ = synthesize(h1)
-        for mask in (0b1001, -1):
-            wide = dataclasses.replace(scheme, rows=scheme.rows[:1] + (mask,))
+        for row in ((0, 3), (-1, 1)):
+            wide = dataclasses.replace(scheme, rows=scheme.rows[:1] + (row,))
             with pytest.raises(SchemeUnverified):
                 run(h1, wide, Fraction(1), exhaustive=True, allow_unverified=True)
             with pytest.raises(SchemeUnverified):
