@@ -15,7 +15,7 @@ from hyperkey import (
     brute_force_secrecy,
     lemma_violations,
     quantize,
-    random_mch,
+    random_mch_with_stats,
     run,
     scheme_round_trip_violations,
     synthesize,
@@ -41,7 +41,8 @@ for seed in (0, 1, 2):
           "zero error:", outcome.zero_error)
 
 # exhaustive check over all realizations at once: each source bit becomes a
-# bit plane (one bit per realization), so the decoders run on whole planes
+# bit plane (one bit per realization), and one walk of the row tree per key
+# bit decodes every vertex on whole planes
 outcome = run(h, scheme, Fraction(1, 2), exhaustive=True)
 print("exhaustive over", outcome.realizations_checked, "realizations:",
       "zero error =", outcome.zero_error)
@@ -54,8 +55,6 @@ print("key entropy:", report.key_entropy_bits, "given all messages:", report.con
 
 # fuzzing: every generated instance is minimally connected by construction
 print()
-from hyperkey import random_mch_with_stats
-
 for seed in range(3):
     g, stats = random_mch_with_stats(5, 3, 2, seed=seed)
     edges = {e.id: "".join(sorted(e.members)) for e in g.edges}

@@ -9,7 +9,8 @@ schemes read each fundamental block through one cached view of the edges
 that meet it (hypergraph._BlockView), schemes of column-pair rows are
 verified by a union-find over the edge columns (other row sets by one
 reduced GF(2) basis of their bitmasks, gf2.eliminate), and the simulation
-kit can exhaustively sweep small state spaces.
+kit decodes verified schemes on their row tree, seeded or exhaustively
+over small state spaces.
 
 __all__ is the public surface; internal helpers that the checks also use
 live in their own modules and are imported from there.
@@ -89,7 +90,6 @@ from .simkit import (
     SecrecyReport,
     brute_force_secrecy,
     quantize,
-    random_mch,
     random_mch_with_stats,
     run,
 )
@@ -159,7 +159,6 @@ __all__ = [
     "parse",
     "partition_connectivity",
     "quantize",
-    "random_mch",
     "random_mch_with_stats",
     "rank",
     "rates_of",

@@ -10,10 +10,10 @@ XOR of its columns' truncations, so each message is exactly the key length.
 Exhaustive checks cover all 2^total realizations without a loop over them.
 The zero-error sweep is bit-sliced: bit plane b is a 2^total-bit int whose
 bit w is source bit b of realization w, so for each key bit one broadcast
-and one gf2.eliminate per pivot edge, with planes as payloads, decide every
-word at once.  The secrecy table is a per-bit convolution: the (message
-pattern, key) observation is XOR-linear in the realization, so the table
-(_cell_counts) follows from the observations of the single-bit words.
+and one walk of the row tree (see `run`), with planes as messages, decide
+every word at once.  The secrecy table is a per-bit convolution: the
+(message pattern, key) observation is XOR-linear in the realization, so the
+table (_cell_counts) follows from the observations of the single-bit words.
 
 Two secrecy oracles are kept deliberately separate: the rank oracle,
 `verify(scheme).secrecy_ok` (the key indicator stays outside the row space
@@ -34,7 +34,6 @@ from math import lcm
 from string import ascii_lowercase
 from typing import Optional
 
-from . import gf2
 from .errors import (
     GenerationBudgetExhausted,
     GroundTooLarge,
@@ -44,7 +43,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .hypergraph import Hypergraph
-from .scheme import DiscussionScheme, _row_mask, verify
+from .scheme import DiscussionScheme, verify
 
 __all__ = [
     "QuantizedShape",
@@ -54,9 +53,10 @@ __all__ = [
     "quantize",
     "run",
     "brute_force_secrecy",
-    "random_mch",
     "random_mch_with_stats",
 ]
+
+MAX_SAMPLE_BITS = 1 << 24  # the most source bits a run draws (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,11 @@ class ProtocolRun:
 def _check_scheme_matches(h: Hypergraph, scheme: DiscussionScheme) -> None:
     if scheme.edge_order != tuple(sorted(e.id for e in h.edges)):
         raise SchemeUnverified("scheme edge order does not match the hypergraph")
-    if set(scheme.vertices()) != h.vertices:
-        raise SchemeUnverified("scheme recovery map does not cover the vertices")
+    if len(scheme.recovery) != len(h.vertices) or set(scheme.vertices()) != h.vertices:
+        raise SchemeUnverified("scheme recovery map does not list each vertex once")
+    edges = h._by_id
+    if any(e not in edges or v not in edges[e].members for v, e in scheme.recovery):
+        raise SchemeUnverified("a recovery edge is not a column its vertex holds")
     if scheme.key_edge not in scheme.edge_order:
         raise SchemeUnverified(f"key edge {scheme.key_edge!r} is not a scheme column")
     if any(not 0 <= j < scheme.mu for row in scheme.rows for j in row):
@@ -164,6 +167,26 @@ def _broadcast(rows: tuple[tuple[int, ...], ...], trunc: list[int]) -> list[int]
     return out
 
 
+def _tree_walk(rows: tuple, mu: int, root: int) -> list[tuple[int, int, int]]:
+    """(column, parent, row) per column but root, parents first (a BFS)."""
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(mu)]
+    for r, (i, j) in enumerate(rows):
+        adjacent[i].append((j, r))
+        adjacent[j].append((i, r))
+    steps = [(root, root, -1)]
+    for c, _, came in steps:
+        steps.extend((d, c, r) for d, r in adjacent[c] if r != came)
+    return steps[1:]
+
+
+def _path_xors(steps: list, mu: int, msgs: list[int]) -> list[int]:
+    """Per column, the XOR of the messages on its tree path to the root."""
+    path = [0] * mu
+    for c, parent, r in steps:
+        path[c] = path[parent] ^ msgs[r]
+    return path
+
+
 def run(
     h: Hypergraph,
     scheme: DiscussionScheme,
@@ -172,63 +195,54 @@ def run(
     *,
     exhaustive: bool = False,
     max_state_bits: int = 20,
-    allow_unverified: bool = False,
 ) -> ProtocolRun:
     """Sample the source, broadcast the scheme rows, and let every vertex
-    solve for the key from the messages plus its own pivot edge: the key is
-    the key column's payload in the reduced basis (gf2.eliminate) of the
-    rows, with the messages as payloads, plus the pivot edge's unit row.
+    recover the key from the messages plus its own pivot edge.  A scheme
+    failing verification raises SchemeUnverified, and a source of more
+    than MAX_SAMPLE_BITS bits StateSpaceTooLarge, before anything is drawn.
 
-    A scheme failing verification is refused unless allow_unverified is set
-    (useful to demonstrate how defective schemes fail); underdetermined
-    recoveries then zero their free coordinates.
+    A verified scheme's pair rows are a spanning tree on the columns, so the
+    messages on the tree path from column c to the key column XOR to
+    trunc[c] ^ key: a vertex with pivot column c recovers trunc[c] ^ path[c],
+    and one walk from the key column (_tree_walk, _path_xors) serves all.
 
-    With exhaustive=True every realization is checked at once on bit planes,
-    one truncation bit t at a time: bit w of plane t of an edge is bit t of
-    that edge's truncation in realization w.  One broadcast plus one payload
-    elimination per distinct pivot edge then decides bit t of the recovered
-    key for all 2^total words.  The elimination only looks at the row masks,
-    so this is exactly the per-word check, rank-deficient schemes included.
+    With exhaustive=True every realization (at most 2^max_state_bits) is
+    checked at once on bit planes, one truncation bit t at a time: bit w of
+    plane t of an edge is bit t of that edge's truncation in realization w,
+    and one broadcast plus one walk decides bit t of the key for all words.
     """
     _check_scheme_matches(h, scheme)
     report = verify(scheme)
-    if not allow_unverified and not report.ok:
+    if not report.ok:
         raise SchemeUnverified("scheme failed verification")
     shape = quantize(h, key_rate)
+    total = shape.total_bits()
+    cap = max_state_bits if exhaustive else MAX_SAMPLE_BITS
+    if total > cap:
+        kind = "exhaustive" if exhaustive else "sampling"
+        raise StateSpaceTooLarge(f"{total} source bits exceed the {kind} cap {cap}")
     key_len = shape.key_length
     layout = _layout(shape)
-    key_idx = scheme.column(scheme.key_edge)
-    pivot_idx = {v: scheme.column(e) for v, e in scheme.recovery}
-    masks = [_row_mask(row, scheme.mu) for row in scheme.rows]
-
-    def recover(idx: int, trunc: list[int], msgs: list[int]) -> int:
-        """The key a vertex holding edge column idx solves for: the key
-        column's reduced payload, zero when that column is free."""
-        basis = gf2.eliminate([*zip(masks, msgs), (1 << idx, trunc[idx])])
-        return basis.get(key_idx, (0, 0))[1]
+    column = {eid: k for k, eid in enumerate(scheme.edge_order)}
+    key_idx = column[scheme.key_edge]
+    pivot_idx = {v: column[e] for v, e in scheme.recovery}
+    steps = _tree_walk(scheme.rows, scheme.mu, key_idx)
 
     rng = random.Random(seed)
     sample = [rng.getrandbits(n) if n else 0 for _, n in shape.edge_lengths]
     trunc0 = [b >> (start - at) for b, (at, start) in zip(sample, layout)]
     msgs0 = _broadcast(scheme.rows, trunc0)
-    recovered0 = {v: recover(idx, trunc0, msgs0) for v, idx in pivot_idx.items()}
+    path0 = _path_xors(steps, scheme.mu, msgs0)
+    recovered0 = {v: trunc0[c] ^ path0[c] for v, c in pivot_idx.items()}
     true_key0 = trunc0[key_idx]
     zero_error = all(k == true_key0 for k in recovered0.values())
-    checked = 1
 
     if exhaustive:
-        total = shape.total_bits()
-        if total > max_state_bits:
-            raise StateSpaceTooLarge(
-                f"{total} source bits exceed the exhaustive cap {max_state_bits}"
-            )
-        checked = 1 << total
         pivots = set(pivot_idx.values())
-        zero_error = True
         for t in range(key_len):
             planes = [_bit_plane(start + t, total) for _, start in layout]
-            msgs = _broadcast(scheme.rows, planes)
-            if any(recover(idx, planes, msgs) != planes[key_idx] for idx in pivots):
+            path = _path_xors(steps, scheme.mu, _broadcast(scheme.rows, planes))
+            if any(planes[c] ^ path[c] != planes[key_idx] for c in pivots):
                 zero_error = False
                 break
 
@@ -244,7 +258,7 @@ def run(
         zero_error=zero_error,
         secrecy_rank_ok=report.secrecy_ok,
         exhaustive=exhaustive,
-        realizations_checked=checked,
+        realizations_checked=1 << total if exhaustive else 1,
     )
 
 
@@ -433,20 +447,6 @@ def random_mch_with_stats(
         f"no MCH with {vertex_count} vertices and {edge_count} edges found "
         f"in {max_attempts} attempts"
     )
-
-
-def random_mch(
-    vertex_count: int,
-    edge_count: int,
-    max_weight: int = 1,
-    seed: int = 0,
-    *,
-    max_attempts: int = 20000,
-) -> Hypergraph:
-    h, _ = random_mch_with_stats(
-        vertex_count, edge_count, max_weight, seed, max_attempts=max_attempts
-    )
-    return h
 
 
 def _propose(

@@ -5,10 +5,10 @@ wall time and the peak RSS of `analyze`, `region` and `scheme` (each with
 --json, parse and rendering included) on a path and on a chain of triangle
 cores at 10^3, 10^4 and 10^5 vertices, of `analyze` and `scheme` on one
 cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
-of more than 12), and of a seeded `simulate` on paths of up to 400
-vertices.  Each call runs in a fresh interpreter, so its peak RSS is its
-own; the time is taken around the `main` call inside it, without the
-interpreter start and the imports.  Run from the repository root:
+of more than 12), and of a seeded `simulate` on a path of each size.  Each
+call runs in a fresh interpreter, so its peak RSS is its own; the time is
+taken around the `main` call inside it, without the interpreter start and
+the imports.  Run from the repository root:
 
     PYTHONPATH=src python tests/scale_walls.py
 
@@ -118,12 +118,13 @@ def main_script() -> None:
         file.write_text(ring_text(RING, rng))
         cells = [timed(["--json", cmd, str(file)]) for cmd in ("analyze", "scheme")]
         print(f"{'ring':<6} {2 * RING:>7}  {cells[0]:>12} {'-':>12} {cells[1]:>12}")
-        print(f"{'simulate (seeded), path':<24} {'|V|':>5}  {'s/MiB':>12}")
-        for n in (100, 200, 400):
+        print(f"{'simulate (seeded), path':<24} {'|V|':>7}  {'s/MiB':>12}")
+        for exponent in EXPONENTS:
+            n = 10**exponent
             file = work / f"sim{n}.hg"
             file.write_text(path_text(n, rng))
             cell = timed(["--json", "simulate", str(file), "--seed", "1"])
-            print(f"{'':<24} {n:>5}  {cell:>12}", flush=True)
+            print(f"{'':<24} {n:>7}  {cell:>12}", flush=True)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from hyperkey import (
     lemma_violations,
     partition_connectivity,
     quantize,
-    random_mch,
+    random_mch_with_stats,
     region_spec,
     scheme_round_trip_violations,
     synthesize,
@@ -56,7 +56,7 @@ def fuzz_pool():
     pool = []
     for seed in range(200):
         n, m, w = FUZZ_MENU[seed % len(FUZZ_MENU)]
-        pool.append((seed, random_mch(n, m, w, seed=seed)))
+        pool.append((seed, random_mch_with_stats(n, m, w, seed=seed)[0]))
     return pool
 
 

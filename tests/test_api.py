@@ -76,7 +76,6 @@ PUBLIC_NAMES = [
     "parse",
     "partition_connectivity",
     "quantize",
-    "random_mch",
     "random_mch_with_stats",
     "rank",
     "rates_of",
@@ -96,9 +95,8 @@ KNOBS = {
     "enumerate_minimizers": ["weighted"],
     "lemma_violations": ["rng"],
     "mmi": ["restrict_to"],
-    "random_mch": ["max_weight", "seed", "max_attempts"],
     "random_mch_with_stats": ["max_weight", "seed", "max_attempts"],
-    "run": ["seed", "exhaustive", "max_state_bits", "allow_unverified"],
+    "run": ["seed", "exhaustive", "max_state_bits"],
     "scheme_round_trip_violations": ["orders", "simulate_cap"],
     "synthesize": ["orders"],
 }
@@ -141,14 +139,14 @@ def _raised_names():
 
 def test_public_names_are_pinned():
     assert sorted(hyperkey.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 71
     assert all(hasattr(hyperkey, name) for name in PUBLIC_NAMES)
     assert len(_error_classes()) == 22
 
 
 def test_parameters_with_defaults_are_pinned():
     assert _knobs() == KNOBS
-    assert sum(len(names) for names in KNOBS.values()) == 17
+    assert sum(len(names) for names in KNOBS.values()) == 13
 
 
 def test_every_exported_error_is_raised():

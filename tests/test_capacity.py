@@ -18,7 +18,7 @@ from hyperkey import (
     constrained_capacity,
     entropy,
     in_region,
-    random_mch,
+    random_mch_with_stats,
     region_spec,
     unconstrained_capacity,
 )
@@ -190,7 +190,7 @@ class TestOuterBound:
         checked = 0
         for seed in range(30):
             n = rng.randint(3, 7)
-            h = random_mch(n, rng.randint(2, n // 2 + 1), 3, seed)
+            h, _ = random_mch_with_stats(n, rng.randint(2, n // 2 + 1), 3, seed)
             members = sorted(h.vertices)
             rt = RateTuple(
                 Fraction(rng.randint(0, 3), 2),

@@ -208,6 +208,20 @@ class TestSimulate:
     def test_exhaustive_above_cap_is_domain_error(self, h1_path):
         assert main(["simulate", h1_path, "--key-rate", "1/64", "--exhaustive"]) == 1
 
+    def test_sample_above_cap_is_domain_error(self, tmp_path, capsys):
+        """A quantization of about 7.8e39 source bits is refused before
+        anything is drawn, seeded or exhaustive."""
+        path = tmp_path / "third.hg"
+        path.write_text("vertices: 1 2\nedge a: 1 2 weight 1/3\n")
+        rate = "1/" + "7" * 40
+        for extra in ([], ["--exhaustive"]):
+            assert main(["simulate", str(path), "--key-rate", rate, *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert "source bits exceed the" in captured.err
+
 
 class TestFuzz:
     def test_clean_run(self, capsys):
@@ -495,8 +509,8 @@ def run_json(argv, capsys):
 
 
 class TestScale:
-    """region and scheme through the CLI at 10^4 vertices, against closed
-    forms (no timing asserts)."""
+    """region, scheme and a seeded simulate through the CLI at 10^4
+    vertices, against closed forms (no timing asserts)."""
 
     @staticmethod
     def written(tmp_path, name, text):
@@ -518,6 +532,12 @@ class TestScale:
         assert Fraction(scheme["key_rate"]) == least
         assert Fraction(scheme["total_rate"]) == (edges - 1) * least
         assert scheme["verified"] is True
+        sim = run_json(["--json", "simulate", path, "--seed", "1"], capsys)
+        assert sim["zero_error"] is True
+        first = sim["first_trial"]
+        assert len(first["messages"]) == edges - 1
+        assert set(first["recovered"].values()) == {first["key"]}
+        assert len(first["realized"]) == edges
 
     def test_path(self, tmp_path, capsys):
         """Every inner vertex of a path cuts it in two: n - 2 constraints of

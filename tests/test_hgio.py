@@ -14,7 +14,7 @@ from hyperkey import (
     NonpositiveWeight,
     ParseError,
     parse,
-    random_mch,
+    random_mch_with_stats,
     serialize,
 )
 from oracles import parse_hg
@@ -48,7 +48,7 @@ class TestRoundTrip:
     def test_random_instances_round_trip(self, seed):
         menu = [(3, 2, 1), (5, 4, 3), (6, 3, 2), (8, 5, 4)]
         n, m, w = menu[seed % len(menu)]
-        h = random_mch(n, m, w, seed=seed)
+        h, _ = random_mch_with_stats(n, m, w, seed=seed)
         assert parse(serialize(h)) == h
 
 

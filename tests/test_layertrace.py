@@ -10,7 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from hyperkey import Hypergraph
+from hyperkey import DiscussionScheme, Hypergraph, verify
 from hyperkey.cli import main
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
@@ -47,9 +47,11 @@ def test_tracer_installs_traces_and_uninstalls(tmp_path, capsys):
         tracer.begin_op(0)
         assert main(["--json", "analyze", str(path)]) == 0
         assert main(["--json", "scheme", str(path)]) == 0
-        # scheme verifies weight-two rows without gf2; a seeded run solves
-        # each vertex's system with gf2.eliminate
         assert main(["--json", "simulate", str(path), "--seed", "1"]) == 0
+        # the CLI verifies pair rows without gf2 and decodes on the row
+        # tree; a row that is not a pair goes through gf2.eliminate
+        single = DiscussionScheme(("a", "b"), ((0,),), (), "a", ())
+        assert not verify(single).ok
         tracer.end_op()
     finally:
         tracer.uninstall()

@@ -19,7 +19,7 @@ from hyperkey import (
     decompose,
     extreme_points,
     partition_connectivity,
-    random_mch,
+    random_mch_with_stats,
     rank,
     verify,
 )
@@ -219,7 +219,9 @@ def _random_mchs(count):
     found = 0
     while found < count:
         n = rng.randint(4, 8)
-        h = random_mch(n, rng.randint(2, min(n - 1, 6)), 3, rng.randrange(10**6))
+        h, _ = random_mch_with_stats(
+            n, rng.randint(2, min(n - 1, 6)), 3, rng.randrange(10**6)
+        )
         if any(len(b) > 1 for b in partition_connectivity(h).fundamental.blocks):
             found += 1
             yield h

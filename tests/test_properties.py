@@ -20,7 +20,7 @@ from hyperkey import (
     Partition,
     lemma_violations,
     partition_connectivity,
-    random_mch,
+    random_mch_with_stats,
     scheme_round_trip_violations,
 )
 from hyperkey.capacity import require_mch
@@ -242,7 +242,7 @@ class TestLemmaViolations:
 
     def test_generated_instances_are_clean(self):
         for seed, (n, m, w) in enumerate([(4, 3, 2), (5, 4, 1), (6, 4, 3), (7, 5, 2)]):
-            g = random_mch(n, m, w, seed=seed)
+            g, _ = random_mch_with_stats(n, m, w, seed=seed)
             assert lemma_violations(g, rng=random.Random(seed)) == []
 
     def test_a_wrong_rank_table_entry_is_reported(self, h1, monkeypatch):

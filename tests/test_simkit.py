@@ -22,14 +22,14 @@ from hyperkey import (
     StateSpaceTooLarge,
     brute_force_secrecy,
     quantize,
-    random_mch,
     random_mch_with_stats,
     run,
     synthesize,
+    unconstrained_capacity,
     verify,
 )
 from hyperkey.errors import GroundTooLarge
-from hyperkey.simkit import _cell_counts
+from hyperkey.simkit import MAX_SAMPLE_BITS, _cell_counts
 
 import oracles
 
@@ -154,10 +154,14 @@ def doubled(scheme):
 
 
 def assert_sweeps_match_oracles(h, scheme, key_rate):
-    r = run(h, scheme, key_rate, seed=7, exhaustive=True, allow_unverified=True)
+    r = run(h, scheme, key_rate, seed=7, exhaustive=True)
     assert (r.zero_error, r.realizations_checked) == per_word_zero_error(
         h, scheme, key_rate
     )
+    assert_secrecy_matches_oracles(h, scheme, key_rate)
+
+
+def assert_secrecy_matches_oracles(h, scheme, key_rate):
     report, table = per_word_secrecy(h, scheme, key_rate)
     assert brute_force_secrecy(h, scheme, key_rate) == report
     shape = quantize(h, key_rate)
@@ -175,7 +179,7 @@ def _random_cases():
     cases = []
     for n, m in RANDOM_SHAPES:
         for seed in range(3):
-            g = random_mch(n, m, 3, seed=seed)
+            g = random_mch_with_stats(n, m, 3, seed=seed)[0]
             cap = g.min_weight()
             for rate in sorted({Fraction(0), cap / 2, Fraction(1), cap}):
                 if quantize(g, rate).total_bits() <= ORACLE_BITS:
@@ -260,6 +264,25 @@ class TestRun:
         with pytest.raises(StateSpaceTooLarge):
             run(h1, scheme, Fraction(1, 64), exhaustive=True)
 
+    def test_sampling_cap_comes_before_the_draw(self):
+        """A quantization of about 7.8e39 bits is refused, not drawn."""
+        h = Hypergraph("12", [("a", "12", Fraction(1, 3))])
+        scheme, _ = synthesize(h)
+        rate = Fraction(1, int("7" * 40))
+        assert quantize(h, rate).total_bits() > MAX_SAMPLE_BITS
+        for exhaustive, kind in ((False, "sampling"), (True, "exhaustive")):
+            with pytest.raises(StateSpaceTooLarge, match=f"the {kind} cap"):
+                run(h, scheme, rate, exhaustive=exhaustive)
+
+    def test_sampling_cap_is_inclusive(self):
+        h = Hypergraph("12", [("a", "12", MAX_SAMPLE_BITS)])
+        scheme, _ = synthesize(h)
+        r = run(h, scheme, Fraction(1), seed=2)
+        assert r.zero_error and r.key == r.realized[0][1] >> (MAX_SAMPLE_BITS - 1)
+        wider = Hypergraph("12", [("a", "12", MAX_SAMPLE_BITS + 1)])
+        with pytest.raises(StateSpaceTooLarge, match="the sampling cap"):
+            run(wider, scheme, Fraction(1), seed=2)
+
     def test_unverified_schemes_are_rejected_by_default(self, h1):
         scheme, _ = synthesize(h1)
         broken = dataclasses.replace(
@@ -268,18 +291,55 @@ class TestRun:
         with pytest.raises(SchemeUnverified):
             run(h1, broken, Fraction(1), exhaustive=True)
 
-    def test_broken_scheme_shows_decoding_errors(self, h1):
-        scheme, _ = synthesize(h1)
-        broken = dataclasses.replace(
-            scheme, rows=scheme.rows[:1], attributions=scheme.attributions[:1]
-        )
-        r = run(h1, broken, Fraction(1), exhaustive=True, allow_unverified=True)
-        assert not r.zero_error
-
     def test_wrong_hypergraph_is_rejected(self, h1, h2):
         scheme, _ = synthesize(h1)
         with pytest.raises(SchemeUnverified):
             run(h2, scheme, Fraction(1))
+
+
+def assert_recoveries_match_oracle(h, key_rate, seed):
+    """Each vertex's seeded recovery is the key column of the column-order
+    solution of the rows plus its pivot edge's unit row, with the messages
+    and the pivot's truncation as payloads."""
+    scheme, _ = synthesize(h)
+    r = run(h, scheme, key_rate, seed=seed)
+    lengths = dict(r.edge_lengths)
+    realized = dict(r.realized)
+    masks = oracles.row_masks(scheme.rows, scheme.mu)
+    key_idx = scheme.edge_order.index(scheme.key_edge)
+    pivots = dict(scheme.recovery)
+    assert [v for v, _ in r.recovered] == sorted(h.vertices)
+    for v, recovered in r.recovered:
+        e = pivots[v]
+        trunc = realized[e] >> (lengths[e] - r.key_length)
+        stacked = [*zip(masks, r.messages), (1 << scheme.edge_order.index(e), trunc)]
+        values, unique = oracles.solve_with_payload(stacked, scheme.mu)
+        assert unique
+        assert recovered == values[key_idx] == r.key
+
+
+class TestSeededRecoveryOracle:
+    """run's tree decoding against a per-vertex elimination, at capacity
+    and at half capacity."""
+
+    @staticmethod
+    def check(h, seed):
+        cap = unconstrained_capacity(h)
+        for key_rate in (cap, cap / 2):
+            assert_recoveries_match_oracle(h, key_rate, seed)
+
+    @pytest.mark.parametrize("name", ["h1", "h2", "h3", "h5", "single_edge"])
+    def test_fixtures(self, request, name):
+        for seed in range(3):
+            self.check(request.getfixturevalue(name), seed)
+
+    def test_census(self):
+        for seed, h in enumerate(oracles.census_mchs()):
+            self.check(h, seed)
+
+    def test_random_mchs(self):
+        for seed, h in enumerate(oracles.random_mchs(200, seed=13)):
+            self.check(h, seed)
 
 
 class TestSecrecyOracles:
@@ -337,6 +397,7 @@ class TestSweepsMatchPerWordOracles:
 
     @pytest.mark.parametrize("name", ["h1", "h2", "h5"])
     def test_leaky_and_row_dropped_schemes(self, request, name):
+        """run refuses these schemes; both secrecy sweeps still tabulate them."""
         h = request.getfixturevalue(name)
         scheme, _ = synthesize(h)
         for bad in (
@@ -346,7 +407,9 @@ class TestSweepsMatchPerWordOracles:
             doubled(scheme),
         ):
             for key_rate in (Fraction(0), Fraction(1)):
-                assert_sweeps_match_oracles(h, bad, key_rate)
+                with pytest.raises(SchemeUnverified):
+                    run(h, bad, key_rate, exhaustive=True)
+                assert_secrecy_matches_oracles(h, bad, key_rate)
 
     @pytest.mark.parametrize("h, key_rate", _random_cases())
     def test_random_mchs(self, h, key_rate):
@@ -391,7 +454,7 @@ class TestSchemeMismatch:
         scheme, _ = synthesize(h1)
         stray = dataclasses.replace(scheme, key_edge="zz")
         with pytest.raises(SchemeUnverified):
-            run(h1, stray, Fraction(1), allow_unverified=True)
+            run(h1, stray, Fraction(1))
         with pytest.raises(SchemeUnverified):
             brute_force_secrecy(h1, stray, Fraction(1))
         assert verify(stray).secrecy_ok is False
@@ -402,21 +465,34 @@ class TestSchemeMismatch:
             scheme, recovery=tuple((v, "zz") for v, _ in scheme.recovery)
         )
         with pytest.raises(SchemeUnverified):
-            run(h1, stray, Fraction(1), allow_unverified=True)
+            run(h1, stray, Fraction(1))
+
+    def test_pivot_edge_not_held_or_vertex_listed_twice(self, h1):
+        """Every vertex recovering through b (1, 4 and 6 are not on b), or
+        vertex 1 listed a second time."""
+        scheme, _ = synthesize(h1)
+        for recovery in (
+            tuple((v, "b") for v, _ in scheme.recovery),
+            scheme.recovery + scheme.recovery[:1],
+        ):
+            stray = dataclasses.replace(scheme, recovery=recovery)
+            for exhaustive in (False, True):
+                with pytest.raises(SchemeUnverified):
+                    run(h1, stray, Fraction(1), exhaustive=exhaustive)
 
     def test_row_outside_the_edge_order(self, h1):
         scheme, _ = synthesize(h1)
         for row in ((0, 3), (-1, 1)):
             wide = dataclasses.replace(scheme, rows=scheme.rows[:1] + (row,))
             with pytest.raises(SchemeUnverified):
-                run(h1, wide, Fraction(1), exhaustive=True, allow_unverified=True)
+                run(h1, wide, Fraction(1), exhaustive=True)
             with pytest.raises(SchemeUnverified):
                 brute_force_secrecy(h1, wide, Fraction(1))
 
 
 class TestRandomMCH:
     def test_two_vertices_give_the_unique_instance(self):
-        g = random_mch(2, 1, 1, seed=9)
+        g, _ = random_mch_with_stats(2, 1, 1, seed=9)
         assert [(e.id, sorted(e.members), e.weight) for e in g.edges] == [
             ("a", ["1", "2"], 1)
         ]
@@ -431,11 +507,13 @@ class TestRandomMCH:
         assert (stats.attempts, stats.rejected) == (2, 1)
 
     def test_generation_is_deterministic(self):
-        assert random_mch(7, 4, 2, seed=13) == random_mch(7, 4, 2, seed=13)
+        assert random_mch_with_stats(7, 4, 2, seed=13) == random_mch_with_stats(
+            7, 4, 2, seed=13
+        )
 
     def test_counts_are_exact(self):
         for n, m, w, seed in [(4, 3, 1, 0), (6, 4, 2, 3), (8, 6, 4, 7)]:
-            g = random_mch(n, m, w, seed=seed)
+            g, _ = random_mch_with_stats(n, m, w, seed=seed)
             assert len(g.vertices) == n
             assert len(g.edges) == m
             assert g.is_mch()
@@ -444,13 +522,13 @@ class TestRandomMCH:
     def test_bounds(self):
         for n, m in [(1, 1), (9, 3), (4, 0), (4, 7)]:
             with pytest.raises(GroundTooLarge):
-                random_mch(n, m)
+                random_mch_with_stats(n, m)
         with pytest.raises(NegativeRate):
-            random_mch(3, 2, 0)
+            random_mch_with_stats(3, 2, 0)
 
     def test_infeasible_counts_exhaust_the_budget(self):
         with pytest.raises(GenerationBudgetExhausted):
-            random_mch(2, 2, 1, max_attempts=500)
+            random_mch_with_stats(2, 2, 1, max_attempts=500)
 
     def test_matches_the_rebuild_oracle(self):
         """Same instance and attempts as a Hypergraph plus is_mch per
@@ -489,6 +567,6 @@ class TestRandomMCH:
     def test_generated_instances_are_mch(self, seed):
         menu = [(3, 2, 1), (4, 3, 2), (5, 3, 1), (6, 4, 3)]
         n, m, w = menu[seed % len(menu)]
-        g = random_mch(n, m, w, seed=seed)
+        g, _ = random_mch_with_stats(n, m, w, seed=seed)
         assert g.is_mch()
         assert len(g.vertices) == n and len(g.edges) == m
