@@ -201,9 +201,12 @@ class Hypergraph:
         return cache["incident"]
 
     def min_weight(self) -> Fraction:
-        if not self.edges:
-            raise EmptyResult("the minimum weight of no edges is undefined")
-        return min(e.weight for e in self.edges)
+        cache = self._cache
+        if "min_weight" not in cache:
+            if not self.edges:
+                raise EmptyResult("the minimum weight of no edges is undefined")
+            cache["min_weight"] = min(e.weight for e in self.edges)
+        return cache["min_weight"]
 
     def _check_subset(self, c: Iterable[str]) -> frozenset[str]:
         cset = frozenset(c)

@@ -23,6 +23,12 @@ exhaustive oracle, `brute_force_secrecy` (cell counts of the joint
 message/key table are flat).  The convolution counts cells and never takes
 a rank.  Tests compare them; nothing in this module derives one from the
 other.
+
+The random MCH sampler (random_mch_with_stats) takes every integer draw
+straight from getrandbits, as the random.Random methods it stands for
+would take it (_proposals lists them), so a seed gives the instance those
+methods would; tests/oracles.propose makes the public calls and the
+TestRandomMCH oracle tests in tests/test_simkit.py compare the two.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from string import ascii_lowercase
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     GenerationBudgetExhausted,
@@ -412,10 +418,20 @@ def random_mch_with_stats(
     vertex_count and edge_count are exact; proposals are grown connected
     (every edge meets the earlier ones, every vertex enters through an edge)
     so rejection only has to find minimality.  Proposals are vertex bitmasks
-    (see _propose) and are tested by _is_minimal; the one Hypergraph built is
-    the accepted case, over vertices "1".."n" with edge ids "a", "b", ... in
-    proposal order.  attempts counts every proposal, the accepted one
-    included.  Some shapes admit no MCH at all and exhaust the attempt budget.
+    drawn from a private random.Random(seed) (see _proposals) and are tested
+    by _is_minimal; the one Hypergraph built is the accepted case, over
+    vertices "1".."n" with edge ids "a", "b", ... in proposal order.
+    attempts counts every proposal, the accepted one included.  Some shapes
+    admit no MCH at all and exhaust the attempt budget.
+
+    Shapes with edge_count >= vertex_count are among them, and raise
+    GenerationBudgetExhausted before any draw: an MCH on n vertices has at
+    most n - 1 edges.  Remove the edges of an MCH h one at a time.  Each
+    removal adds a component: if the members of an edge f were still
+    connected in h - S - f (S the edges removed before f), they would be
+    connected in h - f too, so h - f would be connected, against the
+    minimality of h.  The count starts at one component and ends at n, once
+    no edge is left, so 1 + m <= n.
     """
     if not 2 <= vertex_count <= 8:
         raise GroundTooLarge("vertex count must be between 2 and 8")
@@ -423,10 +439,14 @@ def random_mch_with_stats(
         raise GroundTooLarge("edge count must be between 1 and 6")
     if max_weight < 1:
         raise NegativeRate("max weight must be at least one")
-    rng = random.Random(seed)
+    if edge_count >= vertex_count:
+        raise GenerationBudgetExhausted(
+            f"no MCH with {vertex_count} vertices and {edge_count} edges "
+            f"exists: an MCH on n vertices has at most n - 1 edges"
+        )
     full = (1 << vertex_count) - 1
-    for attempt in range(1, max_attempts + 1):
-        proposal = _propose(rng, vertex_count, edge_count, max_weight)
+    proposals = _proposals(random.Random(seed), vertex_count, edge_count, max_weight)
+    for attempt, proposal in zip(range(1, max_attempts + 1), proposals):
         if proposal is None:
             continue
         masks, weights = proposal
@@ -449,50 +469,97 @@ def random_mch_with_stats(
     )
 
 
-def _propose(
+def _proposals(
     rng: random.Random, vertex_count: int, edge_count: int, max_weight: int
-) -> Optional[tuple[list[int], list[int]]]:
-    """One connected proposal as (member bitmask per edge, weight per edge),
-    bit i standing for vertex i + 1, or None when an edge gets fewer than two
-    members (loops never occur in an MCH).
+) -> Iterator[Optional[tuple[list[int], list[int]]]]:
+    """Endless connected proposals, each as (member bitmask per edge, weight
+    per edge), bit i standing for vertex i + 1, or None when an edge gets
+    fewer than two members (loops never occur in an MCH).
 
-    The rng draws are, in order: one shuffle of the vertices, one randrange
-    per vertex after the first to pick the edge that introduces it, then per
-    edge a random and a randint choosing how many earlier vertices to add
-    and one sample of them (none for the first edge), and one randint
-    weight.  The sample runs over the earlier vertices in introduction
-    order, so its picks depend only on that order.
+    A proposal draws what these random.Random calls would, in order: one
+    shuffle of the vertices, one randrange(edge_count) per vertex after the
+    first to pick the edge that introduces it, then per edge a random() and
+    a randint(1, span) or randint(1, 3) choosing how many earlier vertices
+    to add and one sample of them (none for the first edge), and one
+    randint(1, max_weight) weight.  The sample runs over the earlier
+    vertices in introduction order, so its picks depend only on that order.
+
+    Every draw but random() is taken straight from getrandbits, the way
+    CPython's random.py takes it.  randrange(k) is _randbelow(k), and
+    randint(a, b) is a + _randbelow(b - a + 1); _randbelow(k) draws
+    getrandbits(k.bit_length()) and redraws while the value is k or more.
+    shuffle(x) swaps x[i] with x[_randbelow(i + 1)] for i from len(x) - 1
+    down to 1.  sample(pool, k) of a pool of at most 21 takes
+    pool[j], j = _randbelow(n - i), for i in range(k) and moves the last
+    unpicked item into slot j.  So each seed gives the instance and attempt
+    count of the public calls, which tests/oracles.propose makes;
+    TestRandomMCH in tests/test_simkit.py (test_matches_the_rebuild_oracle,
+    test_rare_shapes_match_under_the_default_budget and
+    test_multi_word_weights_match_the_oracle) compares the two.
     """
-    pool = list(range(vertex_count))
-    rng.shuffle(pool)
-    # distribute every vertex to the edge that introduces it
-    intro: list[list[int]] = [[] for _ in range(edge_count)]
-    intro[0].append(pool[0])
-    for v in pool[1:]:
-        intro[rng.randrange(edge_count)].append(v)
-    existing: list[int] = []
-    masks: list[int] = []
-    weights: list[int] = []
-    for j in range(edge_count):
-        members = 0
-        for v in intro[j]:
-            members |= 1 << v
-        if existing:
-            span = len(existing)
-            if rng.random() < 0.15:
-                take = rng.randint(1, span)
-            else:
-                take = min(rng.randint(1, 3), span)
-            if not members and take == 1 and span >= 2:
-                take = 2  # avoid proposing loops, which are never minimal
-            for v in rng.sample(existing, take):
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    bits = [k.bit_length() for k in range(vertex_count + 1)]
+    edge_bits = edge_count.bit_length()
+    weight_bits = max_weight.bit_length()
+    edges = range(edge_count)
+    while True:
+        pool = list(range(vertex_count))
+        for i in range(vertex_count - 1, 0, -1):
+            k = bits[i + 1]
+            r = getrandbits(k)
+            while r > i:
+                r = getrandbits(k)
+            pool[i], pool[r] = pool[r], pool[i]
+        # distribute every vertex to the edge that introduces it
+        intro: list[list[int]] = [[] for _ in edges]
+        intro[0].append(pool[0])
+        for v in pool[1:]:
+            r = getrandbits(edge_bits)
+            while r >= edge_count:
+                r = getrandbits(edge_bits)
+            intro[r].append(v)
+        existing: list[int] = []
+        masks: list[int] = []
+        weights: list[int] = []
+        for j in edges:
+            members = 0
+            for v in intro[j]:
                 members |= 1 << v
-        if not members & (members - 1):
-            return None  # loops and empty edges never occur in an MCH
-        masks.append(members)
-        weights.append(rng.randint(1, max_weight))
-        existing.extend(intro[j])
-    return masks, weights
+            if existing:
+                span = len(existing)
+                if uniform() < 0.15:
+                    k = bits[span]
+                    r = getrandbits(k)
+                    while r >= span:
+                        r = getrandbits(k)
+                    take = r + 1
+                else:
+                    r = getrandbits(2)
+                    while r >= 3:
+                        r = getrandbits(2)
+                    take = min(r + 1, span)
+                if not members and take == 1 and span >= 2:
+                    take = 2  # avoid proposing loops, which are never minimal
+                unpicked = existing[:]
+                for size in range(span, span - take, -1):
+                    k = bits[size]
+                    r = getrandbits(k)
+                    while r >= size:
+                        r = getrandbits(k)
+                    members |= 1 << unpicked[r]
+                    unpicked[r] = unpicked[size - 1]
+            if not members & (members - 1):
+                yield None  # loops and empty edges never occur in an MCH
+                break
+            r = getrandbits(weight_bits)
+            while r >= max_weight:
+                r = getrandbits(weight_bits)
+            masks.append(members)
+            weights.append(r + 1)
+            existing += intro[j]
+        else:
+            yield masks, weights
 
 
 def _is_minimal(masks: list[int], full: int) -> bool:

@@ -362,7 +362,12 @@ def propose(
     rng: random.Random, names: list[str], edge_count: int, max_weight: int
 ) -> Optional[Hypergraph]:
     """A connected random hypergraph over names, or None when an edge would
-    get fewer than two members."""
+    get fewer than two members.
+
+    The public-API reference for simkit._proposals: it makes the
+    shuffle, randrange, random, randint and sample calls whose draws
+    simkit takes straight from getrandbits, so equal instances and
+    attempt counts pin that reduction to the running Python's random.py."""
     pool = list(names)
     rng.shuffle(pool)
     # distribute every vertex to the edge that introduces it

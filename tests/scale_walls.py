@@ -6,7 +6,8 @@ wall time and the peak RSS of `analyze`, `region` and `scheme` (each with
 cores at 10^3, 10^4 and 10^5 vertices, of `analyze` and `scheme` on one
 cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
 of more than 12), and of a seeded `simulate` on a path of each size.  Each
-call runs in a fresh interpreter, so its peak RSS is its own; the time is
+call runs in a fresh interpreter and reads its peak RSS from VmHWM in
+/proc/self/status (Linux only), so the figure is its own; the time is
 taken around the `main` call inside it, without the interpreter start and
 the imports.  Run from the repository root:
 
@@ -72,15 +73,20 @@ def ring_text(k: int, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The child reports VmHWM, its own peak RSS: on Linux ru_maxrss carries the
+# parent's high-water mark across fork and exec, so a child of a parent that
+# holds the 10^5 texts would report the parent's peak instead of its own.
 CALL = """\
-import contextlib, io, resource, sys
+import contextlib, io, sys
 from time import perf_counter
 from hyperkey.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     start = perf_counter()
     code = main(sys.argv[1:])
     elapsed = perf_counter() - start
-print(code, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    peak_kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, elapsed, peak_kib)
 """
 
 

@@ -85,8 +85,15 @@ class TestAccessors:
         assert h2.min_weight() == 1
 
     def test_min_weight_of_no_edges_is_a_domain_error(self):
-        with pytest.raises(EmptyResult):
-            Hypergraph("12", []).min_weight()
+        h = Hypergraph("12", [])
+        for _ in range(2):
+            with pytest.raises(EmptyResult):
+                h.min_weight()
+
+    def test_min_weight_is_cached_on_the_value(self):
+        h = Hypergraph("123", [("a", "12", Fraction(3, 2)), ("b", "23", Fraction(5, 4))])
+        assert h.min_weight() == Fraction(5, 4)
+        assert h._cache["min_weight"] is h.min_weight()
 
     def test_unknown_edge_id_is_a_domain_error(self, h1):
         with pytest.raises(UnknownVertex):

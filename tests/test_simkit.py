@@ -530,6 +530,28 @@ class TestRandomMCH:
         with pytest.raises(GenerationBudgetExhausted):
             random_mch_with_stats(2, 2, 1, max_attempts=500)
 
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 6), (3, 3), (5, 5), (6, 6)])
+    def test_no_mch_has_as_many_edges_as_vertices(self, n, m):
+        # refused before any draw: a billion proposals would not finish
+        with pytest.raises(GenerationBudgetExhausted, match="at most n - 1 edges"):
+            random_mch_with_stats(n, m, 1, seed=3, max_attempts=10**9)
+
+    def test_census_has_no_mch_with_as_many_edges_as_vertices(self):
+        shapes = {(len(h.vertices), len(h.edges)) for h in oracles.census_mchs()}
+        assert all(m < n for n, m in shapes)
+        # the census reaches m >= n for n <= 4, and m = n - 1 for every n
+        assert {(n, n - 1) for n in (2, 3, 4, 5)} <= shapes
+
+    def test_multi_word_weights_match_the_oracle(self):
+        """Weight bounds past 32 bits, where one getrandbits call takes
+        several words of the generator's output."""
+        for w in (2**32, 2**32 + 1, 2**40 + 3):
+            for n, m in [(3, 2), (5, 3), (6, 4)]:
+                for seed in range(10):
+                    expected = oracles.random_mch_with_stats(n, m, w, seed)
+                    g, stats = random_mch_with_stats(n, m, w, seed)
+                    assert (g, stats.attempts) == expected, (w, n, m, seed)
+
     def test_matches_the_rebuild_oracle(self):
         """Same instance and attempts as a Hypergraph plus is_mch per
         proposal, and a budget exhausted on the same cases: every shape the
