@@ -2,11 +2,13 @@
 minimally connected hypergraphical sources.
 
 Everything is exact: weights and rates are rationals, partition functionals
-are minimized in linear time on minimally connected inputs and by enumeration
-otherwise, shape predicates and Berge-cycle witnesses come from one cached
-DFS of the incidence graph, rate regions, per-block rank functions and
-schemes read each fundamental block through one cached view of the edges
-that meet it (hypergraph._BlockView), schemes of column-pair rows are
+are minimized in linear time on minimally connected inputs (on one cached
+integer index of the hypergraph, weights over a common denominator) and by
+enumeration otherwise, shape predicates and Berge-cycle witnesses come from
+one cached DFS of the incidence graph, rate regions, per-block rank
+functions and schemes read each fundamental block through one cached view
+of the edges that meet it (hypergraph._BlockView; a one-vertex block needs
+none), schemes of column-pair rows are
 verified by a union-find over the edge columns (other row sets by one
 reduced GF(2) basis of their bitmasks, gf2.eliminate), and the simulation
 kit decodes verified schemes on their row tree, seeded or exhaustively

@@ -62,6 +62,10 @@ def _require_fundamental_block(h: Hypergraph, block: frozenset[str]) -> None:
         )
 
 
+def _as_fraction(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class RateTuple:
     """A key rate plus one discussion rate per vertex, all exact rationals."""
@@ -70,10 +74,13 @@ class RateTuple:
     per_user: Mapping[str, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "key_rate", Fraction(self.key_rate))
-        normalized = {str(v): Fraction(r) for v, r in dict(self.per_user).items()}
+        # each rate is coerced once; a Fraction is kept as it is
+        object.__setattr__(self, "key_rate", _as_fraction(self.key_rate))
+        normalized = {str(v): _as_fraction(r) for v, r in dict(self.per_user).items()}
         object.__setattr__(self, "per_user", normalized)
-        if self.key_rate < 0 or any(r < 0 for r in normalized.values()):
+        if self.key_rate.numerator < 0 or any(
+            r.numerator < 0 for r in normalized.values()
+        ):
             raise NegativeRate("rates must be nonnegative")
 
     def total(self) -> Fraction:

@@ -11,9 +11,14 @@ The format is strict and whitespace-tokenized, one statement per line:
 The `format:` line is optional and must come first if present.  Exactly one
 `vertices:` line must appear before any edge.  Weights accept integers,
 rationals ("3/2"), and decimals ("1.5"), all stored exactly; exponent
-notation ("1e3") is refused like any other malformed weight.  Unknown
-statements, unknown members, duplicate edge ids, and nonpositive weights are
-rejected; errors carry 1-based line and column positions.
+notation ("1e3") is refused like any other malformed weight.  The other
+forms are those of fractions.Fraction, so a sign ("+2"), a bare point ("1.",
+".5"), underscores between digits ("1_0") and non-ASCII decimal digits
+("٣/٢", Arabic-Indic 3/2) are accepted too; a plain ASCII digit string is
+read by int(), which gives the same value.  A weight with more digits than
+Python's int-to-str limit is refused.  Unknown statements, unknown members,
+duplicate edge ids, and nonpositive weights are rejected; errors carry
+1-based line and column positions.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ def _weight_token(token: str, lineno: int, column: int) -> Fraction:
         raise ParseError(
             f"invalid weight {token!r}", line=lineno, column=column
         ) from None
-    if value <= 0:
+    if value.numerator <= 0:
         raise NonpositiveWeight(
             f"edge weight must be positive, got {token!r} (line {lineno})"
         )

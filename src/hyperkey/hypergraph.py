@@ -10,10 +10,22 @@ A vertex may belong to no edge (it is then an isolated component).  Member
 sets are nonempty subsets of the vertex set; distinct edges may have identical
 member sets (parallel edges) and single-vertex edges (loops) are allowed.
 
-What the library reads off a fundamental block of an MCH (the components
-left by removing part of it, its representatives and their classes) comes
-from one view of the edges meeting it, _BlockView, cached on the hypergraph;
-removal_component_count, a search of all of h, is the independent check.
+Hypergraph.edges, Edge and the Fraction weights are the public view.  The
+answer path for an MCH reads one integer index instead (_Index, cached on
+the hypergraph): the sorted vertex names and their positions, each edge's
+member positions and each vertex's incident edges, both in id order, and
+the weights as integers over one common denominator.  The incidence scan,
+min_weight, partitions._mch_report, simkit.quantize, the block views and
+scheme.synthesize read it.  What the library reads off a fundamental block
+of an MCH (the components left by removing part of it, its
+representatives and their classes) comes from one view of the edges
+meeting it, _BlockView, cached on the hypergraph; a one-vertex block needs
+no view (_lone_representatives).
+
+The independent checks stay off the index, so a fault in it shows as a
+disagreement instead of being copied into both sides: removal_component_count
+and _search (a search over the Edge objects), properties._removal_components
+and the Bell sweep in partitions (their own bitmasks, _scaled_edge_masks).
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -49,7 +62,10 @@ def _read_rational(text: str) -> Fraction:
     ZeroDivisionError.  Exponent notation is refused before Fraction() sees
     it: "1e30000000" would make it build a 30-million-digit integer.  So is
     a value str() cannot print; neither of its parts has more digits than
-    text has characters."""
+    text has characters.  A plain ASCII digit string is read by int(), which
+    refuses more digits than the same limit just as Fraction() does."""
+    if text.isdigit() and text.isascii():
+        return Fraction(int(text))
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not a rational form: {text!r}")
     value = Fraction(text)
@@ -133,21 +149,31 @@ class Hypergraph:
         for item in edges:
             if isinstance(item, Edge):
                 eid, members, weight = item.id, item.members, item.weight
+                # a well-formed Edge is kept as it is, not rebuilt
+                whole = (
+                    type(item) is Edge
+                    and type(eid) is str
+                    and type(members) is frozenset
+                    and type(weight) is Fraction
+                    and weight.numerator > 0
+                )
             else:
                 eid, raw_members, weight = item
                 members = frozenset(str(m) for m in raw_members)
+                whole = False
             eid = str(eid)
             if eid in seen_ids:
                 raise DuplicateEdgeId(f"duplicate edge id {eid!r}")
             seen_ids.add(eid)
             if not members:
                 raise EmptyVertexSet(f"edge {eid!r} has an empty member set")
-            foreign = members - vset
-            if foreign:
+            if not members <= vset:
                 raise UnknownVertex(
-                    f"edge {eid!r} uses unknown vertices: {sorted(foreign)}"
+                    f"edge {eid!r} uses unknown vertices: {sorted(members - vset)}"
                 )
-            normalized.append(Edge(eid, frozenset(members), as_weight(weight)))
+            normalized.append(
+                item if whole else Edge(eid, frozenset(members), as_weight(weight))
+            )
         normalized.sort(key=lambda e: e.id)
         object.__setattr__(self, "vertices", vset)
         object.__setattr__(self, "edges", tuple(normalized))
@@ -205,8 +231,16 @@ class Hypergraph:
         if "min_weight" not in cache:
             if not self.edges:
                 raise EmptyResult("the minimum weight of no edges is undefined")
-            cache["min_weight"] = min(e.weight for e in self.edges)
+            index = self._index()
+            cache["min_weight"] = Fraction(min(index.weights), index.scale)
         return cache["min_weight"]
+
+    def _index(self) -> "_Index":
+        """The integer index of the value (see _Index), built on first use."""
+        index = self._cache.get("index")
+        if index is None:
+            index = self._cache["index"] = _Index(self)
+        return index
 
     def _check_subset(self, c: Iterable[str]) -> frozenset[str]:
         cset = frozenset(c)
@@ -226,11 +260,11 @@ class Hypergraph:
 
     def removal_component_count(self, c: Iterable[str]) -> int:
         """remove_vertices(c).component_count(), without building the
-        remainder (one _search with c removed).  Raises what remove_vertices
-        raises."""
+        remainder (one _search with c removed), so it shares nothing with
+        the incidence scan.  Raises what remove_vertices raises."""
         cset = self._check_subset(c)
         if not cset:
-            return self.component_count()
+            return len(self.components())
         if len(cset) == len(self.vertices):
             raise EmptyResult("removing every vertex leaves no hypergraph")
         return sum(1 for _ in self._search(cset))
@@ -332,7 +366,8 @@ class Hypergraph:
             yield comp
 
     def component_count(self) -> int:
-        return len(self.components())
+        """The roots of the incidence scan: each starts one component."""
+        return self._incidence_scan().component_count
 
     def is_connected(self) -> bool:
         return self.component_count() == 1
@@ -351,7 +386,7 @@ class Hypergraph:
         walk = self._incidence_scan().walk
         if walk is None:
             return None
-        return _walk_to_cycle(walk, sorted(self.vertices), self.edges)
+        return _walk_to_cycle(walk, self._index().names, self.edges)
 
     # -- incidence-graph structure ---------------------------------------------
 
@@ -370,23 +405,19 @@ class Hypergraph:
         canonical one.  The incidence graph is simple, so the first non-tree
         neighbor the walk meets other than the parent is an ancestor still
         on the stack; that back edge and the stack above it are the cycle
-        find_berge_cycle reports.  Cost O(|V| + |E| + sum of |e|); the result
-        is cached on the value.
+        find_berge_cycle reports.  The neighbors are read off the integer
+        index.  Every edge has a member, so each root starts one component.
+        Cost O(|V| + |E| + sum of |e|); the result is cached on the value.
         """
         cache = self._cache
         if "scan" in cache:
             return cache["scan"]
-        names = sorted(self.vertices)
+        index = self._index()
+        names = index.names
+        incident = index.incident
+        members = index.members
         n = len(names)
-        index = {v: i for i, v in enumerate(names)}
-        adj: list[list[int]] = [[] for _ in range(n + len(self.edges))]
-        for j, e in enumerate(self.edges, n):
-            for v in e.members:
-                adj[index[v]].append(j)
-        for i in range(n):  # so each edge lists its members in vertex order
-            for j in adj[i]:
-                adj[j].append(i)
-        total = len(adj)
+        total = n + len(members)
         disc = [0] * total  # discovery time, 0 while unvisited
         low = [0] * total
         parent = [-1] * total
@@ -407,9 +438,13 @@ class Hypergraph:
             while path:
                 u = path[-1]
                 k = cursor[u]
-                if k < len(adj[u]):
+                if u < n:
+                    near, offset = incident[u], n
+                else:
+                    near, offset = members[u - n], 0
+                if k < len(near):
                     cursor[u] = k + 1
-                    w = adj[u][k]
+                    w = near[k] + offset
                     if not disc[w]:
                         clock += 1
                         disc[w] = low[w] = clock
@@ -447,6 +482,7 @@ class Hypergraph:
         for i in range(n):
             groups.setdefault(_find(core, i), []).append(names[i])
         scan = _IncidenceScan(
+            component_count=roots,
             connected=roots == 1,
             every_edge_cuts=all(cut[n:]),
             cores=tuple(frozenset(g) for g in groups.values() if len(g) > 1),
@@ -499,10 +535,44 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class _IncidenceScan:
+    component_count: int
     connected: bool
     every_edge_cuts: bool
     cores: tuple[frozenset[str], ...]
     walk: Optional[tuple[int, ...]]  # see _walk_to_cycle
+
+
+class _Index:
+    """A hypergraph by integer positions, for the MCH answer path.
+
+    names     -- the vertex names, sorted; a vertex's position is its index
+    position  -- name -> position
+    members   -- per edge, in id order, its member positions, ascending
+    incident  -- per position, the indices of the edges at it, ascending
+    scale     -- L, the lcm of the weights' denominators
+    weights   -- per edge, in id order, its weight times L, an exact int
+    """
+
+    __slots__ = ("names", "position", "members", "incident", "scale", "weights")
+
+    def __init__(self, h: Hypergraph):
+        self.names = names = sorted(h.vertices)
+        self.position = position = {v: i for i, v in enumerate(names)}
+        self.members = members = []
+        self.incident = incident = [[] for _ in names]
+        scale = 1
+        for j, e in enumerate(h.edges):
+            spots = tuple(sorted(map(position.__getitem__, e.members)))
+            members.append(spots)
+            for i in spots:
+                incident[i].append(j)
+            d = e.weight.denominator
+            if scale % d:
+                scale = scale // gcd(scale, d) * d
+        self.scale = scale
+        self.weights = [
+            e.weight.numerator * (scale // e.weight.denominator) for e in h.edges
+        ]
 
 
 def _as_blocks(blocks) -> tuple[frozenset[str], ...]:
@@ -554,11 +624,16 @@ def block_removal_counts(
 ) -> tuple[tuple[str, ...], list[int]]:
     """(order, counts) with counts[mask] = the block view's count(mask) for
     every mask, so counts[0] is 1; a block of more than 12 vertices raises
-    GroundTooLarge."""
+    GroundTooLarge.  A one-vertex block {v} needs no view: removing v leaves
+    one component per edge at v (see _lone_representatives)."""
     if len(block) > 12:
         raise GroundTooLarge(
             f"subset enumeration over {len(block)} vertices exceeds cap 12"
         )
+    if len(block) == 1:
+        (vertex,) = block
+        index = h._index()
+        return (vertex,), [1, len(index.incident[index.position[vertex]])]
     view = _block_view(h, block)
     return view.order, [view.count(removed) for removed in range(view.full + 1)]
 
@@ -569,6 +644,30 @@ def _block_view(h: Hypergraph, block: frozenset[str]) -> "_BlockView":
     if view is None:
         view = h._cache[("block", block)] = _BlockView(h, block)
     return view
+
+
+def _lone_representatives(h: Hypergraph, vertex: str) -> list[tuple[int, int]]:
+    """(representative position, edge index) of each edge at the one-vertex
+    fundamental block {vertex} of the MCH h, sorted.
+
+    Every such edge is a bridge of the incidence graph with outside members
+    of its own (see _BlockView), and its representative is the least of
+    them.  Once vertex is deleted each representative is a class alone, so
+    sorted by representative these are the classes of the block's one step.
+    """
+    index = h._index()
+    at = index.position[vertex]
+    members = index.members
+    out: list[tuple[int, int]] = []
+    claimed: set[int] = set()
+    for j in index.incident[at]:
+        outside = [i for i in members[j] if i != at]
+        if not outside or not claimed.isdisjoint(outside):  # pragma: no cover
+            raise RankDefect(f"edge {h.edges[j].id!r} lacks outside members of its own")
+        claimed.update(outside)
+        out.append((outside[0], j))
+    out.sort()
+    return out
 
 
 class _BlockView:
@@ -584,12 +683,17 @@ class _BlockView:
     outside members (its representative) has degree one in the incident
     restriction of the block.
 
-    Subsets of the block are bitmasks over order, the sorted block; one
-    search over the local edges (_component) serves count and classes, at a
-    cost in the block and its local edges whatever the size of h.
+    Subsets of the block are bitmasks over order, the sorted block; edges
+    are read off the hypergraph's integer index, by edge index and member
+    position.  One search over the local edges (_component) serves count
+    and classes, at a cost in the block and its local edges whatever the
+    size of h.
     """
 
-    __slots__ = ("order", "bit", "full", "hanging", "local", "adjacent", "_incident", "_reps")
+    __slots__ = (
+        "order", "bit", "full", "hanging", "local", "adjacent",
+        "_index", "_edges", "_masks", "_reps",
+    )
 
     def __init__(self, h: Hypergraph, block: frozenset[str]):
         self.order = order = tuple(sorted(block))
@@ -598,12 +702,24 @@ class _BlockView:
         self.hanging = hanging = [0] * len(order)  # bridges at each block vertex
         self.local: list[int] = []  # each local edge once, at its lowest member
         self.adjacent = adjacent = [0] * len(order)  # local edges at each, joined
-        self._incident = incident = h._incident
-        self._reps: Optional[dict[str, str]] = None
+        self._index = index = h._index()
+        self._edges = h.edges
+        self._reps: Optional[dict[int, str]] = None
+        position = index.position
+        spot = {position[v]: 1 << i for i, v in enumerate(order)}
+        members = index.members
+        # edge index -> the bits of its members in the block, for each edge
+        # at the block, in order of first meeting
+        self._masks = masks = {}
         for i, v in enumerate(order):
             b = 1 << i
-            for e in incident[v]:
-                mask = self.mask(e.members)
+            for j in index.incident[position[v]]:
+                mask = masks.get(j)
+                if mask is None:
+                    mask = 0
+                    for p in members[j]:
+                        mask |= spot.get(p, 0)
+                    masks[j] = mask
                 if mask == b:
                     hanging[i] += 1
                 else:
@@ -650,20 +766,23 @@ class _BlockView:
             total += 1
         return total
 
-    def representatives(self) -> dict[str, str]:
-        """Edge id -> representative of each edge at the block, built on first use."""
+    def representatives(self) -> dict[int, str]:
+        """Edge index -> representative of each edge at the block, built on
+        first use."""
         if self._reps is None:
-            reps: dict[str, str] = {}
-            claimed: set[str] = set()
-            for v in self.order:
-                for e in self._incident[v]:
-                    if e.id in reps:
-                        continue
-                    outside = e.members.difference(self.bit)
-                    if not outside or not claimed.isdisjoint(outside):  # pragma: no cover
-                        raise RankDefect(f"edge {e.id!r} lacks outside members of its own")
-                    claimed |= outside
-                    reps[e.id] = min(outside)
+            index = self._index
+            names, members = index.names, index.members
+            block = {index.position[v] for v in self.order}
+            reps: dict[int, str] = {}
+            claimed: set[int] = set()
+            for j in self._masks:
+                outside = [p for p in members[j] if p not in block]
+                if not outside or not claimed.isdisjoint(outside):  # pragma: no cover
+                    raise RankDefect(
+                        f"edge {self._edges[j].id!r} lacks outside members of its own"
+                    )
+                claimed.update(outside)
+                reps[j] = names[outside[0]]
             self._reps = reps
         return self._reps
 
@@ -675,13 +794,14 @@ class _BlockView:
         the local edges still join; an edge that keeps none is a class alone.
         """
         reps = self.representatives()
+        masks = self._masks
         kept = self.full ^ prefix
         near = self.adjacent[self.bit[vertex].bit_length() - 1] & kept
         label: dict[int, int] = {}  # kept bit on an edge at vertex -> its component
         groups: dict[Union[int, str], set[str]] = {}
-        for e in self._incident[vertex]:
-            rep = key = reps[e.id]
-            mask = self.mask(e.members) & kept
+        for j in self._index.incident[self._index.position[vertex]]:
+            rep = key = reps[j]
+            mask = masks[j] & kept
             if mask:
                 key = label.get(mask & -mask)
                 if key is None:

@@ -9,7 +9,8 @@ finest partition, the fundamental partition.
 Minimally connected hypergraphs (MCHs) take a linear path at any size: one
 DFS of the vertex-edge incidence graph gives the fundamental partition, and
 the minimum is 1 (unit) or the least edge weight (weighted); see _mch_report
-for the proof and the run-time check of the value.  Every other input is
+for the proof and the run-time check of the value, which it keeps in integer
+units on the hypergraph's index.  Every other input is
 swept over all Bell(|V|) partitions, up to SWEEP_CAP vertices, by one
 depth-first walk over restricted-growth codes (_minimizer_sweep); no
 partition is built per leaf.  The same sweep, enumerate_minimizers, also
@@ -340,7 +341,7 @@ def _partition_of_code(elems: list[str], code: tuple[int, ...]) -> Partition:
     return Partition.from_blocks(blocks)
 
 
-def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> ConnectivityReport:
+def _mch_report(h: Hypergraph, weighted: bool) -> ConnectivityReport:
     """Both functionals on an MCH, in O(|V| + sum of |e|) with no enumeration.
 
     Let c_e be the number of blocks of P that edge e meets and w_min the
@@ -367,52 +368,73 @@ def _mch_report(h: Hypergraph, edge_weights: tuple[Fraction, ...]) -> Connectivi
     h/P is a hypertree and has no Berge cycle; that needs no separate check.
     That P is the finest minimizer rests on the argument above and on the
     enumeration oracle tests, not on the certificate.
+
+    Everything runs on the hypergraph's integer index: the weights are the
+    index's w_e * L (all 1 for the unit functional), so the bound, the heavy
+    edges and the certificate are integers, and the one Fraction built is
+    the value, w_min.
     """
-    bound = min(edge_weights)
-    groups = list(h.cyclic_cores())
-    groups.extend(e.members for e, w in zip(h.edges, edge_weights) if w > bound)
-    root = {v: v for v in h.vertices}  # union-find joining each group's members
+    index = h._index()
+    names, members = index.names, index.members
+    n = len(names)
+    position = index.position
+    if weighted:
+        weights, scale = index.weights, index.scale
+    else:
+        weights, scale = [1] * len(members), 1
+    bound = min(weights)
+    groups = [[position[v] for v in core] for core in h.cyclic_cores()]
+    groups.extend(members[j] for j, w in enumerate(weights) if w > bound)
+    root = list(range(n))  # union-find joining each group's members
     for g in groups:
-        members = iter(g)
-        head = _find(root, next(members))
-        for v in members:
-            r = _find(root, v)
+        head = _find(root, g[0])
+        for x in g[1:]:
+            r = _find(root, x)
             if r != head:
                 root[r] = head
-    blocks: dict[str, list[str]] = {}
-    for v in h.vertices:
-        blocks.setdefault(_find(root, v), []).append(v)
-    p = Partition.from_blocks(blocks.values())
+    # blocks numbered by their least position, so already in the order
+    # Partition.from_blocks would sort them into (by least member)
+    label = [-1] * n
+    block_of = [0] * n
+    blocks: list[list[str]] = []
+    for i in range(n):
+        r = _find(root, i)
+        k = label[r]
+        if k < 0:
+            k = label[r] = len(blocks)
+            blocks.append([])
+        blocks[k].append(names[i])
+        block_of[i] = k
+    p = Partition(tuple(frozenset(b) for b in blocks))
 
-    block_of = {v: k for k, b in enumerate(p.blocks) for v in b}
     crossings = sum(
-        w * (len({block_of[v] for v in e.members}) - 1)
-        for e, w in zip(h.edges, edge_weights)
+        w * (len({block_of[i] for i in spots}) - 1)
+        for spots, w in zip(members, weights)
     )
     if len(p) < 2:
         raise SemiLatticeViolation("MCH fast path produced the one-block partition")
     if crossings != bound * (len(p) - 1):
         raise SemiLatticeViolation(
-            f"MCH fast path partition has value {crossings / (len(p) - 1)}, "
-            f"not the lower bound {bound}"
+            f"MCH fast path partition has value "
+            f"{Fraction(crossings, scale * (len(p) - 1))}, "
+            f"not the lower bound {Fraction(bound, scale)}"
         )
-    return ConnectivityReport(value=bound, fundamental=p)
+    return ConnectivityReport(value=Fraction(bound, scale), fundamental=p)
 
 
-def _connectivity(
-    h: Hypergraph, edge_weights: Optional[tuple[Fraction, ...]]
-) -> ConnectivityReport:
-    """The report for one functional, cached on the value per edge_weights;
-    reports are frozen, so callers share one.  None stands for unit weights,
-    so a cache hit on the unit report builds and hashes no tuple."""
-    key = ("connectivity", edge_weights)
+def _connectivity(h: Hypergraph, weighted: bool) -> ConnectivityReport:
+    """The report for one functional, cached on the value; reports are
+    frozen, so callers share one."""
+    key = ("connectivity", weighted)
     report = h._cache.get(key)
     if report is None:
-        if edge_weights is None:
-            edge_weights = (Fraction(1),) * len(h.edges)
         if len(h.vertices) >= 2 and h.is_mch():
-            report = _mch_report(h, edge_weights)
+            report = _mch_report(h, weighted)
         else:
+            if weighted:
+                edge_weights = tuple(e.weight for e in h.edges)
+            else:
+                edge_weights = (Fraction(1),) * len(h.edges)
             value, fundamental, _ = _minimizer_sweep(h, edge_weights)
             report = ConnectivityReport(value=value, fundamental=fundamental)
         h._cache[key] = report
@@ -429,7 +451,7 @@ def partition_connectivity(h: Hypergraph) -> ConnectivityReport:
     exactly when h is disconnected, and the fundamental partition is then
     the partition into connected components.
     """
-    return _connectivity(h, None)
+    return _connectivity(h, False)
 
 
 def mmi(
@@ -451,5 +473,5 @@ def mmi(
         hh = h.induced(target)
     else:
         hh = h
-    return _connectivity(hh, tuple(e.weight for e in hh.edges))
+    return _connectivity(hh, True)
 

@@ -14,13 +14,17 @@ sum to a unit vector.  `verify` checks all of it with a union-find over the
 columns (gf2.eliminate serves any other row set).  Each block is read
 through its cached view (hypergraph._BlockView): one search over its local
 edges gives the classes after each order prefix, in time linear in h when
-the cyclic cores are bounded.
+the cyclic cores are bounded; a one-vertex block needs no view, since each
+edge at it is a class alone (hypergraph._lone_representatives).  Columns
+are edge indices of the hypergraph's integer index, which lists the edges
+in id order, as the columns are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -34,7 +38,7 @@ from .errors import (
     VertexNotInBlock,
     WeightsNotConvex,
 )
-from .hypergraph import Hypergraph, _block_view, _find
+from .hypergraph import Hypergraph, _block_view, _find, _lone_representatives
 from .partitions import Partition, partition_connectivity
 
 __all__ = [
@@ -116,6 +120,12 @@ class DiscussionScheme:
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.recovery)
+
+    @cached_property
+    def _report(self) -> "VerificationReport":
+        """verify's report, computed on first use; the scheme is frozen, so
+        it cannot go stale."""
+        return _verification(self)
 
 
 @dataclass(frozen=True)
@@ -209,27 +219,39 @@ def synthesize(
     require_mch(h)
     fundamental = partition_connectivity(h).fundamental
     table = _normalize_orders(fundamental, orders)
-    edge_order = tuple(sorted(e.id for e in h.edges))
-    column = {eid: k for k, eid in enumerate(edge_order)}
+    # h.edges is in id order, so an edge's index is its column
+    edge_order = tuple(e.id for e in h.edges)
+    index = h._index()
+    names = index.names
 
     rows: list[tuple[int, ...]] = []
     attributions: list[RowAttribution] = []
     traces: list[BlockTrace] = []
     for block in fundamental.blocks:
-        view = _block_view(h, block)
-        # a representative lies on one edge only
-        rep_edge = {rep: eid for eid, rep in view.representatives().items()}
         order = table[block]
+        # per step: the vertex, its classes and the edge picked per class
+        if len(block) == 1:
+            lone = _lone_representatives(h, order[0])
+            reps = frozenset(names[i] for i, _ in lone)
+            classes = tuple(frozenset((names[i],)) for i, _ in lone)
+            turns = [(order[0], classes, [j for _, j in lone])]
+        else:
+            view = _block_view(h, block)
+            # a representative lies on one edge only
+            rep_edge = {rep: j for j, rep in view.representatives().items()}
+            reps = frozenset(rep_edge)
+            turns = []
+            prefix = 0
+            for vertex in order:
+                prefix |= view.bit[vertex]
+                classes = view.classes(vertex, prefix)
+                turns.append((vertex, classes, [rep_edge[min(c)] for c in classes]))
         records: list[IterationRecord] = []
-        prefix = 0
-        for step, vertex in enumerate(order, start=1):
-            prefix |= view.bit[vertex]
-            classes = view.classes(vertex, prefix)
-            picked = [rep_edge[min(cls)] for cls in classes]
+        for step, (vertex, classes, picked) in enumerate(turns, start=1):
             emitted: list[tuple[str, str]] = []
             for a, b in zip(picked, picked[1:]):
-                emitted.append((a, b))
-                rows.append(tuple(sorted((column[a], column[b]))))
+                emitted.append((edge_order[a], edge_order[b]))
+                rows.append((a, b) if a < b else (b, a))
                 attributions.append(
                     RowAttribution(vertex=vertex, block=block, step=step)
                 )
@@ -244,13 +266,15 @@ def synthesize(
             BlockTrace(
                 block=block,
                 order=order,
-                representatives=frozenset(rep_edge),
+                representatives=reps,
                 iterations=tuple(records),
             )
         )
 
-    # _incident lists each vertex's edges in id order
-    recovery = tuple((v, h._incident[v][0].id) for v in sorted(h.vertices))
+    # the index lists each vertex's edges in id order
+    recovery = tuple(
+        (v, edge_order[edges[0]]) for v, edges in zip(names, index.incident)
+    )
     scheme = DiscussionScheme(
         edge_order=edge_order,
         rows=tuple(rows),
@@ -280,7 +304,14 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
     the size of the reduced basis, and the unit vector of column i lies in
     the span iff basis[i] has mask 1 << i; edge i is recoverable iff rank +
     (e_i outside the span) is the edge count.
+
+    The report is computed once per scheme and cached on it.
     """
+    return scheme._report
+
+
+def _verification(scheme: DiscussionScheme) -> VerificationReport:
+    """verify's report, computed."""
     mu = scheme.mu
     row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.attributions) == len(
         scheme.rows
@@ -356,9 +387,11 @@ def rates_of(scheme: DiscussionScheme, key_rate: Fraction) -> RateTuple:
             )
         counts[att.vertex] += 1
     rate = Fraction(key_rate)
+    # one Fraction per distinct row count; RateTuple keeps Fractions as they are
+    scaled = {n: n * rate for n in set(counts.values())}
     return RateTuple(
         key_rate=rate,
-        per_user={v: n * rate for v, n in counts.items()},
+        per_user={v: scaled[n] for v, n in counts.items()},
     )
 
 

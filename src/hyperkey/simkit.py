@@ -6,6 +6,10 @@ m * w uniform bits.  The edge blocks sit end to end in one source word, in
 edge order; truncation keeps the leading m * key_rate bits of each block
 (_layout), the key is the key edge's truncation, and a row's message is the
 XOR of its columns' truncations, so each message is exactly the key length.
+The shape is cached on the hypergraph per key rate and verify's report on
+the scheme (both are immutable), so one simulation, which quantizes in the
+CLI, in run and in brute_force_secrecy and verifies in synthesize and in
+run, computes each once.
 
 Exhaustive checks cover all 2^total realizations without a loop over them.
 The zero-error sweep is bit-sliced: bit plane b is a 2^total-bit int whose
@@ -48,6 +52,7 @@ from .errors import (
     SchemeUnverified,
     StateSpaceTooLarge,
 )
+from .capacity import _as_fraction
 from .hypergraph import Hypergraph
 from .scheme import DiscussionScheme, verify
 
@@ -81,19 +86,31 @@ class QuantizedShape:
 
 
 def quantize(h: Hypergraph, key_rate: Fraction) -> QuantizedShape:
-    """Least scale m making m * key_rate and every m * weight integral."""
-    rate = Fraction(key_rate)
+    """Least scale m making m * key_rate and every m * weight integral:
+    the lcm of the rate's denominator and L, the common denominator of the
+    hypergraph's integer index, whose weights w * L give the lengths.
+    Cached on h per rate, so one simulation quantizes once."""
+    rate = _as_fraction(key_rate)
+    key = ("shape", rate.numerator, rate.denominator)
+    shape = h._cache.get(key)
+    if shape is not None:
+        return shape
     if rate < 0:
         raise NegativeRate("key rate must be nonnegative")
     if rate > h.min_weight():
         raise KeyRateExceedsCapacity(
             f"key rate {rate} exceeds the minimum edge weight {h.min_weight()}"
         )
-    scale = lcm(rate.denominator, *(e.weight.denominator for e in h.edges))
-    lengths = tuple((e.id, int(e.weight * scale)) for e in h.edges)
-    return QuantizedShape(
-        scale=scale, edge_lengths=lengths, key_length=int(rate * scale)
+    index = h._index()
+    scale = lcm(rate.denominator, index.scale)
+    factor = scale // index.scale
+    lengths = tuple((e.id, w * factor) for e, w in zip(h.edges, index.weights))
+    shape = h._cache[key] = QuantizedShape(
+        scale=scale,
+        edge_lengths=lengths,
+        key_length=rate.numerator * (scale // rate.denominator),
     )
+    return shape
 
 
 @dataclass(frozen=True)
@@ -122,7 +139,7 @@ class ProtocolRun:
 
 
 def _check_scheme_matches(h: Hypergraph, scheme: DiscussionScheme) -> None:
-    if scheme.edge_order != tuple(sorted(e.id for e in h.edges)):
+    if scheme.edge_order != tuple(e.id for e in h.edges):  # in id order
         raise SchemeUnverified("scheme edge order does not match the hypergraph")
     if len(scheme.recovery) != len(h.vertices) or set(scheme.vertices()) != h.vertices:
         raise SchemeUnverified("scheme recovery map does not list each vertex once")
@@ -206,6 +223,10 @@ def run(
     recover the key from the messages plus its own pivot edge.  A scheme
     failing verification raises SchemeUnverified, and a source of more
     than MAX_SAMPLE_BITS bits StateSpaceTooLarge, before anything is drawn.
+
+    The report of verify is cached on the scheme and the shape of quantize
+    on h, so a simulation that has synthesized and quantized already
+    computes neither again.
 
     A verified scheme's pair rows are a spanning tree on the columns, so the
     messages on the tree path from column c to the key column XOR to
@@ -411,7 +432,7 @@ def random_mch_with_stats(
     max_weight: int = 1,
     seed: int = 0,
     *,
-    max_attempts: int = 20000,
+    max_attempts: int = 200000,
 ) -> tuple[Hypergraph, GenerationStats]:
     """Rejection-sample random hypergraphs until one is minimally connected.
 

@@ -342,7 +342,7 @@ def random_mch_with_stats(
     max_weight: int = 1,
     seed: int = 0,
     *,
-    max_attempts: int = 20000,
+    max_attempts: int = 200000,
 ) -> tuple[Hypergraph, int]:
     """(first proposal that is an MCH, attempts taken): a Hypergraph built
     and scanned by is_mch for every proposal.  Shape bounds are not checked."""

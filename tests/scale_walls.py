@@ -1,9 +1,10 @@
 """Hand-timing of the CLI on large minimally connected hypergraphs.
 
 Not a test (pytest does not collect it) and not a benchmark: it prints the
-wall time and the peak RSS of `analyze`, `region` and `scheme` (each with
---json, parse and rendering included) on a path and on a chain of triangle
-cores at 10^3, 10^4 and 10^5 vertices, of `analyze` and `scheme` on one
+wall time, the peak RSS and the count of generation-2 collections of
+`analyze`, `region` and `scheme` (each with --json, parse and rendering
+included) on a path and on a chain of triangle cores at 10^3, 10^4 and
+10^5 vertices, of `analyze` and `scheme` on one
 cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
 of more than 12), and of a seeded `simulate` on a path of each size.  Each
 call runs in a fresh interpreter and reads its peak RSS from VmHWM in
@@ -76,37 +77,42 @@ def ring_text(k: int, rng: random.Random) -> str:
 # The child reports VmHWM, its own peak RSS: on Linux ru_maxrss carries the
 # parent's high-water mark across fork and exec, so a child of a parent that
 # holds the 10^5 texts would report the parent's peak instead of its own.
+# It also reports how many generation-2 (full) collections the cyclic
+# garbage collector ran during the call, from gc.get_stats().
 CALL = """\
-import contextlib, io, sys
+import contextlib, gc, io, sys
 from time import perf_counter
 from hyperkey.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
+    full = gc.get_stats()[2]["collections"]
     start = perf_counter()
     code = main(sys.argv[1:])
     elapsed = perf_counter() - start
+    full = gc.get_stats()[2]["collections"] - full
 with open("/proc/self/status") as status:
     peak_kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
-print(code, elapsed, peak_kib)
+print(code, elapsed, peak_kib, full)
 """
 
 
 def timed(argv: list[str]) -> str:
-    """One CLI call in a fresh interpreter, as "seconds/peak RSS in MiB"."""
+    """One CLI call in a fresh interpreter, as "seconds/peak RSS in
+    MiB/generation-2 collections"."""
     done = subprocess.run(
         [sys.executable, "-c", CALL, *argv], capture_output=True, text=True, check=True
     )
-    code, elapsed, peak_kib = done.stdout.split()
+    code, elapsed, peak_kib, full = done.stdout.split()
     if code != "0":
         raise SystemExit(f"{argv} exited {code}")
-    return f"{float(elapsed):.3f}/{int(peak_kib) / 1024:.0f}"
+    return f"{float(elapsed):.3f}/{int(peak_kib) / 1024:.0f}/{full}"
 
 
 def main_script() -> None:
     rng = random.Random(1)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        print("each cell: seconds/peak RSS in MiB")
-        print(f"{'family':<6} {'|V|':>7}  {'analyze':>12} {'region':>12} {'scheme':>12}")
+        print("each cell: seconds/peak RSS in MiB/generation-2 collections")
+        print(f"{'family':<6} {'|V|':>7}  {'analyze':>14} {'region':>14} {'scheme':>14}")
         for exponent in EXPONENTS:
             n = 10**exponent
             for family, text in (
@@ -116,21 +122,21 @@ def main_script() -> None:
                 file = work / f"{family}{n}.hg"
                 file.write_text(text)
                 cells = " ".join(
-                    f"{timed(['--json', cmd, str(file)]):>12}"
+                    f"{timed(['--json', cmd, str(file)]):>14}"
                     for cmd in ("analyze", "region", "scheme")
                 )
                 print(f"{family:<6} {n:>7}  {cells}", flush=True)
         file = work / "ring.hg"
         file.write_text(ring_text(RING, rng))
         cells = [timed(["--json", cmd, str(file)]) for cmd in ("analyze", "scheme")]
-        print(f"{'ring':<6} {2 * RING:>7}  {cells[0]:>12} {'-':>12} {cells[1]:>12}")
-        print(f"{'simulate (seeded), path':<24} {'|V|':>7}  {'s/MiB':>12}")
+        print(f"{'ring':<6} {2 * RING:>7}  {cells[0]:>14} {'-':>14} {cells[1]:>14}")
+        print(f"{'simulate (seeded), path':<24} {'|V|':>7}  {'s/MiB/gen2':>14}")
         for exponent in EXPONENTS:
             n = 10**exponent
             file = work / f"sim{n}.hg"
             file.write_text(path_text(n, rng))
             cell = timed(["--json", "simulate", str(file), "--seed", "1"])
-            print(f"{'':<24} {n:>7}  {cell:>12}", flush=True)
+            print(f"{'':<24} {n:>7}  {cell:>14}", flush=True)
 
 
 if __name__ == "__main__":

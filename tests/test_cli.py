@@ -223,6 +223,37 @@ class TestSimulate:
             assert "source bits exceed the" in captured.err
 
 
+def _count_constructions(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records every object built."""
+    real = getattr(module, name)
+    made = []
+
+    def build(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, build)
+    return made
+
+
+class TestSimulateComputesOnce:
+    """The CLI, run and brute_force_secrecy all need the quantized shape,
+    and synthesize and run the verification report: one simulation
+    computes each once."""
+
+    @pytest.mark.parametrize(
+        "extra", [["--exhaustive"], ["--trials", "3"]], ids=["exhaustive", "seeded"]
+    )
+    def test_one_shape_and_one_report(self, extra, h1_path, monkeypatch, capsys):
+        from hyperkey import scheme, simkit
+
+        shapes = _count_constructions(monkeypatch, simkit, "QuantizedShape")
+        reports = _count_constructions(monkeypatch, scheme, "VerificationReport")
+        assert main(["simulate", h1_path, "--key-rate", "1/2", *extra]) == 0
+        assert "zero_error = true" in lines(capsys)
+        assert (len(shapes), len(reports)) == (1, 1)
+
+
 class TestFuzz:
     def test_clean_run(self, capsys):
         code = main(["fuzz", "--vertices", "5", "--edges", "3", "--seed", "2", "--cases", "2"])
@@ -233,6 +264,11 @@ class TestFuzz:
         assert "ok = true" in out
         assert "instances[0].ok = true" in out
         assert "instances[1].ok = true" in out
+
+    def test_seven_vertices_and_six_edges(self, capsys):
+        """Seeds 0-19 of the shape (7, 6) all fit the sampler's budget."""
+        assert main(["fuzz", "--vertices", "7", "--edges", "6", "--max-weight", "1"]) == 0
+        assert "cases_run = 20" in lines(capsys)
 
     def test_bounds_are_usage_errors(self):
         assert main(["fuzz", "--vertices", "12", "--edges", "3"]) == 2

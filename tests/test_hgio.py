@@ -17,6 +17,7 @@ from hyperkey import (
     random_mch_with_stats,
     serialize,
 )
+from hyperkey.cli import main
 from oracles import parse_hg
 
 
@@ -186,6 +187,45 @@ class TestParseErrors:
         ):
             h = parse(f"vertices: 1 2\nedge x: 1 2 weight {token}")
             assert h.edges[0].weight == value
+
+    @pytest.mark.parametrize(
+        "token, want",
+        [
+            ("+2", Fraction(2)),
+            ("1.", Fraction(1)),
+            (".5", Fraction(1, 2)),
+            ("1_0", Fraction(10)),
+            ("\u0661", Fraction(1)),  # ARABIC-INDIC DIGIT ONE
+            ("\u0663/\u0662", Fraction(3, 2)),
+            ("007", Fraction(7)),
+            ("9" * 4300, Fraction(10**4300 - 1)),
+            ("-0", NonpositiveWeight),
+            ("0", NonpositiveWeight),
+            ("0.0", NonpositiveWeight),
+            ("1/0", ParseError),
+            ("nan", ParseError),
+            ("1e3", ParseError),
+            ("1/-2", ParseError),
+            ("1" * 5000, ParseError),
+        ],
+        ids=lambda x: x if isinstance(x, str) and len(x) < 20 else None,
+    )
+    def test_weight_grammar(self, token, want, tmp_path, capsys):
+        """Plain ASCII digit strings are read by int(), every other token by
+        Fraction(); the accepted forms and the refusals stay those of
+        Fraction() alone, and the CLI exits 0 on a weight it accepts and 2
+        on one it refuses."""
+        text = f"vertices: 1 2\nedge x: 1 2 weight {token}\n"
+        if isinstance(want, Fraction):
+            assert parse(text).edges[0].weight == want
+        else:
+            with pytest.raises(HyperkeyError) as err:
+                parse(text)
+            assert type(err.value) is want
+        path = tmp_path / "w.hg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(path)]) == (0 if isinstance(want, Fraction) else 2)
+        capsys.readouterr()
 
     def test_nonpositive_weight_is_a_domain_error(self):
         with pytest.raises(NonpositiveWeight):

@@ -17,13 +17,15 @@ from hyperkey import (
     entropy,
     partition_connectivity,
 )
+from hyperkey import hgio
 from hyperkey.capacity import region_spec
 from hyperkey.errors import GroundTooLarge
-from hyperkey.hypergraph import block_removal_counts
+from hyperkey.hypergraph import Edge, block_removal_counts
 from hyperkey.polymatroid import RankFunction, extreme_point_for_order, rank
 from hyperkey.scheme import representatives, shared_representatives, synthesize
 
 import oracles
+import scale_walls
 
 
 class TestConstruction:
@@ -68,6 +70,32 @@ class TestConstruction:
         same = Hypergraph("123456", [("c", "136", 2), ("b", "235", 3), ("a", "124", 1)])
         assert same == h1
         assert hash(same) == hash(h1)
+
+
+class TestKeptEdges:
+    def test_well_formed_edges_are_kept_as_they_are(self):
+        edge = Edge("a", frozenset({"1", "2"}), Fraction(3, 2))
+        assert Hypergraph("12", [edge]).edges[0] is edge
+
+    def test_other_edges_are_rebuilt(self):
+        """An int or str weight or a plain member set is coerced as before."""
+        for edge in (
+            Edge("a", frozenset({"1", "2"}), 2),
+            Edge("a", {"1", "2"}, Fraction(2)),
+            Edge("a", frozenset({"1", "2"}), "2"),
+        ):
+            kept = Hypergraph("12", [edge]).edges[0]
+            assert kept is not edge
+            assert kept == Edge("a", frozenset({"1", "2"}), Fraction(2))
+            assert type(kept.members) is frozenset
+            assert type(kept.weight) is Fraction
+
+    def test_a_nonpositive_weight_is_still_refused(self):
+        for weight in (Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(NonpositiveWeight):
+                Hypergraph("12", [Edge("a", frozenset({"1", "2"}), weight)])
+        with pytest.raises(UnknownVertex):
+            Hypergraph("12", [Edge("a", frozenset({"1", 2}), Fraction(1))])
 
 
 class TestAccessors:
@@ -119,6 +147,28 @@ class TestConnectivity:
     def test_isolated_vertices_are_components(self):
         h = Hypergraph("123", [("a", "12", 1)])
         assert h.component_count() == 2
+
+    def test_component_count_is_the_scan_root_count(self):
+        """component_count counts the incidence scan's roots; it equals the
+        components the independent _search finds on every hypergraph of at
+        most 4 vertices and 3 edges (connected or not, loops and parallel
+        edges included), on the criterion-9 census MCHs, on random MCHs,
+        and on edgeless inputs."""
+        inputs = [Hypergraph([f"v{i}" for i in range(n)], []) for n in (1, 2, 7)]
+        for n in (1, 2, 3, 4):
+            names = [str(i + 1) for i in range(n)]
+            for m in range(4):
+                for combo in combinations_with_replacement(range(1, 1 << n), m):
+                    inputs.append(Hypergraph(names, [
+                        (f"e{j}", [names[v] for v in range(n) if mask >> v & 1], 1)
+                        for j, mask in enumerate(combo)
+                    ]))
+        inputs += [*oracles.census_mchs(), *oracles.random_mchs(100, seed=5)]
+        counts = set()
+        for h in inputs:
+            assert h.component_count() == len(h.components()), h
+            counts.add(h.component_count())
+        assert counts == {1, 2, 3, 4, 7}
 
     def test_remove_all_vertices_is_an_error(self, h1):
         with pytest.raises(EmptyResult):
@@ -203,13 +253,16 @@ class TestOperations:
         assert min(kinds.values()) >= 100, kinds
 
     def test_one_cached_view_per_fundamental_block(self, h1, h3, h5):
-        """region_spec, synthesize, the rank queries and the representative
-        queries all read one _BlockView per block, cached on the value."""
+        """region_spec and synthesize read one _BlockView per block of two
+        or more vertices and build none for a one-vertex block; the rank and
+        representative queries read one view per block, the same ones,
+        cached on the value."""
         for h in (h1, h3, h5):
             blocks = partition_connectivity(h).fundamental.blocks
             region_spec(h)
-            first = {b: h._cache[("block", b)] for b in blocks}
             synthesize(h)
+            first = _cached_views(h)
+            assert first.keys() == {b for b in blocks if len(b) > 1}, h
             for block in blocks:
                 fn = RankFunction(h, block, Fraction(1))
                 order = sorted(block, reverse=True)
@@ -217,13 +270,33 @@ class TestOperations:
                 extreme_point_for_order(fn, order)
                 representatives(h, block)
                 shared_representatives(h, block, order[0], order[:1])
-            views = {
-                key[1]: view
-                for key, view in h._cache.items()
-                if isinstance(key, tuple) and key[0] == "block"
-            }
-            assert views.keys() == first.keys(), h
-            assert all(views[b] is first[b] for b in blocks), h
+            views = _cached_views(h)
+            assert views.keys() == set(blocks), h
+            assert all(views[b] is first[b] for b in first), h
+
+    def test_one_vertex_blocks_get_no_view(self, h2):
+        """synthesize and region_spec answer a one-vertex block without a
+        _BlockView; a hypertree (a path, H2) has no other kind."""
+        inputs = [
+            h2,
+            hgio.parse(scale_walls.path_text(60, random.Random(1))),
+            hgio.parse(scale_walls.core_chain_text(5, random.Random(1))),
+            *oracles.random_mchs(40, seed=3),
+        ]
+        for h in inputs:
+            blocks = partition_connectivity(h).fundamental.blocks
+            region_spec(h)
+            synthesize(h)
+            assert _cached_views(h).keys() == {b for b in blocks if len(b) > 1}, h
+        assert not _cached_views(inputs[0]) and not _cached_views(inputs[1])
+
+
+def _cached_views(h):
+    return {
+        key[1]: view
+        for key, view in h._cache.items()
+        if isinstance(key, tuple) and key[0] == "block"
+    }
 
 
 def _subsets(names):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 
@@ -16,6 +17,7 @@ from hyperkey import (
     enumerate_minimizers,
     mmi,
     partition_connectivity,
+    quantize,
 )
 from hyperkey.errors import GroundTooLarge, SemiLatticeViolation
 from hyperkey.partitions import _meet_of_codes
@@ -413,6 +415,67 @@ class TestSweepMatchesRecountOracle:
         assert len(enumerate_minimizers(h).minimizers) == 876
         report = partition_connectivity(h)
         assert (report.value, report.fundamental) == (0, Partition.singletons(h.vertices))
+
+
+DENOMINATORS = (2, 3, 7, 10**18 + 9)
+
+
+def _scaled_family(name, n, rng):
+    """An n-vertex path or star of _family, or H1's triangle core with a
+    pendant per edge and a path tail, with weights whose denominators are
+    drawn from DENOMINATORS and whose numerators lie near 2^64; about one
+    edge in three repeats the weight of an earlier one."""
+    if name == "core":
+        edges = [(i, (i + 1) % 3, 3 + i) for i in range(3)]
+        edges += [(v - 1, v) for v in range(6, n)]
+    else:
+        edges, _, _ = _family(name, n)
+    weights = []
+    for _ in edges:
+        if weights and rng.random() < 0.3:
+            weights.append(rng.choice(weights))
+        else:
+            numerator = 2**64 + rng.randrange(-40, 40)
+            weights.append(Fraction(numerator, rng.choice(DENOMINATORS)))
+    return Hypergraph(
+        [f"v{i}" for i in range(n)],
+        [(f"e{j}", [f"v{i}" for i in e], w) for j, (e, w) in enumerate(zip(edges, weights))],
+    )
+
+
+class TestIntegerScaledWeights:
+    """The MCH answer path reads weights as integers over one common
+    denominator; the Bell sweep and Fraction references written here read
+    the Edge weights."""
+
+    @pytest.mark.parametrize("name, n", [("path", 7), ("star", 8), ("core", 8)])
+    def test_functionals_match_the_sweep(self, name, n):
+        rng = random.Random(n)
+        for _ in range(6):
+            h = _scaled_family(name, n, rng)
+            assert h.is_mch()
+            for fast, weighted in ((partition_connectivity(h), False), (mmi(h), True)):
+                sweep = enumerate_minimizers(h, weighted=weighted)
+                assert (fast.value, fast.fundamental) == (sweep.value, sweep.fundamental)
+
+    @pytest.mark.parametrize("name, n", [("path", 40), ("star", 41), ("core", 30)])
+    def test_min_weight_and_quantize_match_fractions(self, name, n):
+        rng = random.Random(n)
+        for _ in range(6):
+            h = _scaled_family(name, n, rng)
+            weights = [e.weight for e in h.edges]
+            assert h.min_weight() == min(weights)
+            assert mmi(h).value == min(weights)
+            for rate in (min(weights), min(weights) / 3, Fraction(1, 10**18 + 9), 0):
+                rate = Fraction(rate)
+                shape = quantize(h, rate)
+                scale = lcm(rate.denominator, *(w.denominator for w in weights))
+                assert shape.scale == scale
+                assert shape.edge_lengths == tuple(
+                    (e.id, int(e.weight * scale)) for e in h.edges
+                )
+                assert all((e.weight * scale).denominator == 1 for e in h.edges)
+                assert shape.key_length == rate * scale
 
 
 class TestMeetOfCodes:

@@ -266,6 +266,15 @@ class TestVerify:
         assert scheme.row_pairs() == oracles.row_pairs(scheme), rows
         return report
 
+    def test_report_is_computed_once_per_scheme(self, h1):
+        scheme, _ = synthesize(h1)
+        assert verify(scheme) is verify(scheme)
+        dropped = dataclasses.replace(
+            scheme, rows=scheme.rows[:1], attributions=scheme.attributions[:1]
+        )
+        assert verify(dropped) is verify(dropped)
+        assert verify(scheme).ok and not verify(dropped).ok
+
     def test_column_of_an_unknown_edge_is_a_domain_error(self, h1):
         scheme, _ = synthesize(h1)
         assert scheme.column("b") == 1

@@ -221,6 +221,15 @@ class TestQuantize:
         with pytest.raises(EmptyResult):
             quantize(Hypergraph("12", []), Fraction(1))
 
+    def test_shape_is_cached_per_rate(self, h1):
+        half = quantize(h1, Fraction(1, 2))
+        assert quantize(h1, Fraction(2, 4)) is half
+        assert quantize(h1, Fraction(1)) is not half
+        # a refused rate is refused on every call
+        for _ in range(2):
+            with pytest.raises(KeyRateExceedsCapacity):
+                quantize(h1, Fraction(3, 2))
+
 
 class TestRun:
     def test_seeded_run_is_deterministic(self, h1):
@@ -575,6 +584,14 @@ class TestRandomMCH:
                         assert stats.rejected == stats.attempts - 1
                         outcomes["accepted"] += 1
         assert min(outcomes.values()) >= 500, outcomes
+
+    def test_seven_vertices_six_edges_fit_the_default_budget(self):
+        """Seed 27 of the shape (7, 6) takes 20303 proposals, more than the
+        20000 the budget once was; both samplers agree on it."""
+        expected = oracles.random_mch_with_stats(7, 6, 1, 27)
+        g, stats = random_mch_with_stats(7, 6, 1, 27)
+        assert (g, stats.attempts) == expected
+        assert stats.attempts == 20303
 
     @pytest.mark.parametrize("n, m", [(6, 5), (8, 6)])
     def test_rare_shapes_match_under_the_default_budget(self, n, m):
