@@ -91,6 +91,18 @@ def as_weight(value: WeightLike) -> Fraction:
     return w
 
 
+def _member_set(eid, members) -> frozenset[str]:
+    """members as a frozenset of vertex ids (each item through str); a
+    member set that is not iterable raises UnknownVertex."""
+    try:
+        items = iter(members)
+    except TypeError:
+        raise UnknownVertex(
+            f"edge {str(eid)!r} has a member set that is not iterable: {members!r}"
+        ) from None
+    return frozenset(str(m) for m in items)
+
+
 @dataclass(frozen=True)
 class Edge:
     """One hyperedge: an id, a nonempty member set, and a positive weight."""
@@ -157,9 +169,11 @@ class Hypergraph:
                     and type(weight) is Fraction
                     and weight.numerator > 0
                 )
+                if type(members) is not frozenset:
+                    members = _member_set(eid, members)
             else:
-                eid, raw_members, weight = item
-                members = frozenset(str(m) for m in raw_members)
+                eid, members, weight = item
+                members = _member_set(eid, members)
                 whole = False
             eid = str(eid)
             if eid in seen_ids:
@@ -168,12 +182,9 @@ class Hypergraph:
             if not members:
                 raise EmptyVertexSet(f"edge {eid!r} has an empty member set")
             if not members <= vset:
-                raise UnknownVertex(
-                    f"edge {eid!r} uses unknown vertices: {sorted(members - vset)}"
-                )
-            normalized.append(
-                item if whole else Edge(eid, frozenset(members), as_weight(weight))
-            )
+                foreign = sorted(members - vset, key=str)
+                raise UnknownVertex(f"edge {eid!r} uses unknown vertices: {foreign}")
+            normalized.append(item if whole else Edge(eid, members, as_weight(weight)))
         normalized.sort(key=lambda e: e.id)
         object.__setattr__(self, "vertices", vset)
         object.__setattr__(self, "edges", tuple(normalized))

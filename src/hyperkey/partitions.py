@@ -13,11 +13,18 @@ for the proof and the run-time check of the value, which it keeps in integer
 units on the hypergraph's index.  Every other input is
 swept over all Bell(|V|) partitions, up to SWEEP_CAP vertices, by one
 depth-first walk over restricted-growth codes (_minimizer_sweep); no
-partition is built per leaf.  The same sweep, enumerate_minimizers, also
-returns every minimizer and serves as the test oracle for the fast path; it
-computes the finest minimizer as the meet of all minimizers and checks the
-meet-closure instead of assuming it.  Reports and sweeps are cached on the
-hypergraph they describe, so they go when it goes.
+partition is built per leaf.  The same sweep also lists every minimizer and
+serves as the test oracle for the fast path; it computes the finest
+minimizer as the meet of all minimizers and checks the meet-closure
+instead of assuming it, on every sweep.
+
+A sweep builds one Partition, the fundamental one, and keeps the
+minimizers as codes (_cached_sweep, cached on the hypergraph under
+("sweep", w), with w false for the unit functional and for a hypergraph
+whose weights are all one, so such a hypergraph sweeps once for both).
+The property suites read the codes.  Only the public oracle,
+enumerate_minimizers, turns each code into a Partition.  Reports and
+sweeps are cached on the hypergraph they describe, so they go when it goes.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     EmptyVertexSet,
@@ -181,15 +188,15 @@ def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerS
 
     The unit functional (weighted=False) counts each edge once, the weighted
     one counts it with its weight.  Refuses ground sets above SWEEP_CAP
-    vertices.  Cached on the hypergraph per weight tuple, so a hypergraph
-    whose weights are all one shares one sweep between the two functionals,
-    and the sweep is freed with its hypergraph.
+    vertices.  The sweep itself is _cached_sweep's; this wraps its codes in
+    Partitions, one per minimizer, and caches the report on the hypergraph
+    under the same key, so it is freed with its hypergraph.
     """
-    weights = tuple(e.weight if weighted else Fraction(1) for e in h.edges)
-    key = ("sweep", weights)
+    weighted = _sweeps_weights(h, weighted)
+    key = ("minimizers", weighted)
     sweep = h._cache.get(key)
     if sweep is None:
-        value, fundamental, codes = _minimizer_sweep(h, weights)
+        value, fundamental, codes = _cached_sweep(h, weighted)
         elems = sorted(h.vertices)
         sweep = h._cache[key] = MinimizerSweep(
             value=value,
@@ -199,8 +206,31 @@ def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerS
     return sweep
 
 
+def _sweeps_weights(h: Hypergraph, weighted: bool) -> bool:
+    """Whether the weighted sweep differs from the unit one: False when
+    weighted is, or when every weight is one."""
+    return weighted and any(e.weight != 1 for e in h.edges)
+
+
+def _cached_sweep(
+    h: Hypergraph, weighted: bool
+) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
+    """_minimizer_sweep's (value, fundamental, codes) for one functional,
+    cached on the hypergraph under ("sweep", w), w being _sweeps_weights:
+    a hypergraph whose weights are all one shares one sweep between the two
+    functionals.  Callers that only read the codes (the property suites)
+    build no Partition per minimizer; do not mutate the list."""
+    weighted = _sweeps_weights(h, weighted)
+    key = ("sweep", weighted)
+    found = h._cache.get(key)
+    if found is None:
+        weights = [e.weight if weighted else 1 for e in h.edges]
+        found = h._cache[key] = _minimizer_sweep(h, weights)
+    return found
+
+
 def _scaled_edge_masks(
-    h: Hypergraph, elems: list[str], edge_weights: Iterable[Fraction]
+    h: Hypergraph, elems: list[str], edge_weights: Iterable[Union[Fraction, int]]
 ) -> tuple[list[tuple[int, int]], int]:
     """([(member bitmask over elems, weight * L) per edge], L), with L the lcm
     of the weights' denominators, so every scaled weight is an exact int."""
@@ -217,7 +247,7 @@ def _scaled_edge_masks(
 
 
 def _minimizer_sweep(
-    h: Hypergraph, edge_weights: tuple[Fraction, ...]
+    h: Hypergraph, edge_weights: Sequence[Union[Fraction, int]]
 ) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
     """(value, fundamental, codes): minimize (sum of block coverage sums -
     total) / (|P| - 1) over proper partitions, where a block's coverage sum

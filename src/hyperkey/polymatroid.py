@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .capacity import _canonical_masks, _require_fundamental_block
@@ -122,13 +123,19 @@ def _contra_polymatroid_report(
 ) -> ContraPolymatroidReport:
     """The verdict on a set function given as a 2^len(order) table: the
     first counterexample of normalization, then of monotonicity (masks
-    ascending, then elements), then of supermodularity (pairs s <= t)."""
+    ascending, then elements), then of supermodularity (pairs s <= t).
+
+    The table is scaled to integers once, by the lcm of its denominators;
+    a positive scale keeps every comparison, so the scans run on ints and
+    give the verdict and counterexample the Fractions would."""
     n = len(order)
     if n > VERIFY_CAP:
         raise GroundTooLarge(
             f"verification over a block of {n} exceeds cap {VERIFY_CAP}"
         )
     full = 1 << n
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
 
     def failed(law: str, s: int, t: int) -> ContraPolymatroidReport:
         laws = {"normalized": True, "nondecreasing": True, "supermodular": True}
@@ -136,17 +143,18 @@ def _contra_polymatroid_report(
         pair = (_members(order, s), _members(order, t))
         return ContraPolymatroidReport(ok=False, counterexample=pair, **laws)
 
-    if values[0] != 0:
+    if ints[0] != 0:
         return failed("normalized", 0, 0)
     # monotone: adding one element never decreases the value
     for mask in range(full):
         for i in range(n):
             bigger = mask | 1 << i
-            if bigger != mask and values[bigger] < values[mask]:
+            if bigger != mask and ints[bigger] < ints[mask]:
                 return failed("nondecreasing", mask, bigger)
     for s in range(full):
+        vs = ints[s]
         for t in range(s, full):
-            if values[s] + values[t] > values[s | t] + values[s & t]:
+            if vs + ints[t] > ints[s | t] + ints[s & t]:
                 return failed("supermodular", s, t)
     return ContraPolymatroidReport(
         ok=True, normalized=True, nondecreasing=True, supermodular=True

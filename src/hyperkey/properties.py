@@ -6,6 +6,13 @@ seed plus an instance reproduces any reported counterexample exactly.  Fast
 answers are checked against slower computations that share no code with
 them: a whole-graph component count, the Bell partition sweep, exhaustive
 simulation and the brute-force secrecy table.
+
+The suites read the Bell sweep's minimizers as restricted-growth codes
+(partitions._cached_sweep) and build a Partition only to word a violation.
+What does not depend on the rate is computed once per instance and kept on
+it (_per_instance): the component counter with its memo, which
+lemma_violations and every scheme_round_trip_violations call share, and
+the default-order synthesize, which the round trips at several rates share.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .capacity import (
     in_region,
@@ -24,8 +31,9 @@ from .capacity import (
 from .hypergraph import Hypergraph, _find
 from .partitions import (
     Partition,
+    _cached_sweep,
+    _partition_of_code,
     _scaled_edge_masks,
-    enumerate_minimizers,
     mmi,
     partition_connectivity,
 )
@@ -43,6 +51,8 @@ __all__ = ["lemma_violations", "scheme_round_trip_violations"]
 
 SUBADDITIVITY_SAMPLES = 50  # random vertex sets per redundancy check
 
+T = TypeVar("T")
+
 
 def lemma_violations(
     h: Hypergraph, *, rng: Optional[random.Random] = None
@@ -58,26 +68,29 @@ def lemma_violations(
     integer-scaled weights, on every ground this function accepts), and
     agreement of the weighted capacity formula with the brute-force
     partition minimum, plus the fast-path law of _fast_path_violations.
-    Every component count comes from one _removal_counter, a generic search
-    independent of the rank tables.  The enumeration oracle refuses grounds
-    over 12 vertices, and so does this function.  The brute-force
-    maximal-subset characterization of non-singleton fundamental blocks
-    (_prop2_violations) is too slow for every case and is left to the
-    tests.
+    That the fundamental partition refines every minimizer is checked on
+    the minimizers' codes (_code_refiner).  Every component count comes
+    from one _removal_counter, a generic search independent of the rank
+    tables.  The enumeration oracle refuses grounds over 12 vertices, and
+    so does this function.  The brute-force maximal-subset characterization
+    of non-singleton fundamental blocks (_prop2_violations) is too slow for
+    every case and is left to the tests.
     """
     require_mch(h)
     rng = rng or random.Random(0)
     bad = _fast_path_violations(h)
     count = _removal_counter(h)
     report = partition_connectivity(h)
-    unit_sweep = enumerate_minimizers(h)
     fundamental = report.fundamental
     edge_count = len(h.edges)
 
     if report.value <= 0:
         bad.append(f"I(H) = {report.value} is not positive on a connected MCH")
-    for p in unit_sweep.minimizers:
-        if not fundamental.refines(p):
+    elems = sorted(h.vertices)
+    refines = _code_refiner(fundamental, elems)
+    for code in _cached_sweep(h, False)[2]:
+        if not refines(code):
+            p = _partition_of_code(elems, code)
             bad.append(f"fundamental does not refine minimizer {p.to_sorted_lists()}")
 
     degree_sum = 0
@@ -143,7 +156,7 @@ def lemma_violations(
     bad.extend(_entropy_shape_violations(h))
 
     cap = unconstrained_capacity(h)
-    brute = enumerate_minimizers(h, weighted=True).value
+    brute = _cached_sweep(h, True)[0]
     if cap != brute:
         bad.append(f"minimum edge weight {cap} != brute-force weighted minimum {brute}")
 
@@ -163,14 +176,28 @@ def _fast_path_violations(h: Hypergraph) -> list[str]:
         ("partition connectivity", partition_connectivity(h), False),
         ("weighted minimum", mmi(h), True),
     ):
-        sweep = enumerate_minimizers(h, weighted=weighted)
-        if (fast.value, fast.fundamental) != (sweep.value, sweep.fundamental):
+        value, fundamental, _ = _cached_sweep(h, weighted)
+        if (fast.value, fast.fundamental) != (value, fundamental):
             bad.append(
                 f"{name}: fast path gives {fast.value} at "
                 f"{fast.fundamental.to_sorted_lists()}, enumeration gives "
-                f"{sweep.value} at {sweep.fundamental.to_sorted_lists()}"
+                f"{value} at {fundamental.to_sorted_lists()}"
             )
     return bad
+
+
+def _code_refiner(
+    fundamental: Partition, elems: Sequence[str]
+) -> Callable[[Sequence[int]], bool]:
+    """A test of fundamental.refines(p) for the p whose restricted-growth
+    code over elems is given: every block of fundamental carries a single
+    label in it."""
+    position = {v: i for i, v in enumerate(elems)}
+    pairs = []
+    for block in fundamental.blocks:
+        first, *rest = [position[v] for v in block]
+        pairs.extend((first, i) for i in rest)
+    return lambda code: all(code[a] == code[b] for a, b in pairs)
 
 
 def _redundancy_violations(
@@ -214,7 +241,13 @@ def _removal_components(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, .
     sorted vertices, memoized per removed set: the edges' bitmasks cut to the
     kept vertices, merged, plus a singleton per kept vertex no edge reaches.
     It reads no block structure, so it stays an independent check of the
-    block view behind block_removal_counts."""
+    block view behind block_removal_counts.  One counter and its memo are
+    kept on h, so every suite run on h shares them."""
+    return _per_instance(h, "components", _component_search)
+
+
+def _component_search(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...]]:
+    """A new _removal_components counter for h, with an empty memo."""
     order = sorted(h.vertices)
     bit = {v: 1 << i for i, v in enumerate(order)}
     weighted, _ = _scaled_edge_masks(h, order, (e.weight for e in h.edges))
@@ -361,7 +394,12 @@ def scheme_round_trip_violations(
     """
     rate = Fraction(key_rate)
     bad = _fast_path_violations(h)
-    scheme, traces = synthesize(h, orders)
+    if orders is None:
+        # the scheme does not depend on the rate, so the round trips at
+        # several rates of one instance share the default-order synthesis
+        scheme, traces = _per_instance(h, "synthesize", synthesize)
+    else:
+        scheme, traces = synthesize(h, orders)
     report = verify(scheme)
     if not report.ok:
         return bad + [f"synthesized scheme failed verification: {report}"]
@@ -426,6 +464,16 @@ def scheme_round_trip_violations(
                 f"{secrecy.conditional_entropy_bits} != key length {shape.key_length}"
             )
     return bad
+
+
+def _per_instance(h: Hypergraph, name: str, build: Callable[[Hypergraph], T]) -> T:
+    """build(h), built once per hypergraph and kept in its cache, so the
+    suites run on one instance share it and it goes with the instance."""
+    key = ("properties", name)
+    found = h._cache.get(key)
+    if found is None:
+        found = h._cache[key] = build(h)
+    return found
 
 
 def _pairing_tree_violations(scheme, traces) -> list[str]:

@@ -97,6 +97,33 @@ class TestKeptEdges:
         with pytest.raises(UnknownVertex):
             Hypergraph("12", [Edge("a", frozenset({"1", 2}), Fraction(1))])
 
+    @pytest.mark.parametrize(
+        "members", [["1", "2"], ("1", "2"), "12", [1, 2]],
+        ids=["list", "tuple", "str", "ints"],
+    )
+    def test_any_member_iterable_is_coerced_as_the_tuple_form_is(self, members):
+        expected = Hypergraph("12", [("a", members, 1)]).edges
+        assert expected == (Edge("a", frozenset({"1", "2"}), Fraction(1)),)
+        for edge in (Edge("a", members, 1), Edge("a", members, Fraction(1))):
+            got = Hypergraph("12", [edge]).edges
+            assert got == expected
+            assert type(got[0].members) is frozenset
+
+    @pytest.mark.parametrize("members", [None, 5, Fraction(1, 2)])
+    def test_a_member_set_that_is_not_iterable_is_a_domain_error(self, members):
+        for edge in (Edge("a", members, 1), ("a", members, 1)):
+            with pytest.raises(UnknownVertex, match="member set that is not iterable"):
+                Hypergraph("12", [edge])
+
+    def test_malformed_members_still_meet_the_member_checks(self):
+        with pytest.raises(EmptyVertexSet):
+            Hypergraph("12", [Edge("a", [], 1)])
+        with pytest.raises(UnknownVertex, match=r"unknown vertices: \['3'\]"):
+            Hypergraph("12", [Edge("a", ["1", "3"], 1)])
+        # a frozenset of mixed item types is kept, and still refused in words
+        with pytest.raises(UnknownVertex, match=r"unknown vertices: \[1, '3'\]"):
+            Hypergraph("12", [Edge("a", frozenset({1, "3"}), Fraction(1))])
+
 
 class TestAccessors:
     def test_degree_counts_incident_edges(self, h1):

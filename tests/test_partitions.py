@@ -20,7 +20,7 @@ from hyperkey import (
     quantize,
 )
 from hyperkey.errors import GroundTooLarge, SemiLatticeViolation
-from hyperkey.partitions import _meet_of_codes
+from hyperkey.partitions import _cached_sweep, _meet_of_codes
 import oracles
 from oracles import propose as _propose
 
@@ -476,6 +476,20 @@ class TestIntegerScaledWeights:
                 )
                 assert all((e.weight * scale).denominator == 1 for e in h.edges)
                 assert shape.key_length == rate * scale
+
+
+class TestSweepCache:
+    def test_unit_weights_share_one_sweep(self, h1):
+        """The sweep is cached per functional, and a hypergraph whose
+        weights are all one sweeps once for both."""
+        unit = Hypergraph(h1.vertices, [(e.id, e.members, 1) for e in h1.edges])
+        assert _cached_sweep(unit, True) is _cached_sweep(unit, False)
+        assert enumerate_minimizers(unit, weighted=True) is enumerate_minimizers(unit)
+        assert _cached_sweep(h1, True) is not _cached_sweep(h1, False)
+        assert _cached_sweep(h1, True) is _cached_sweep(h1, True)
+        weighted = enumerate_minimizers(h1, weighted=True)
+        assert weighted is not enumerate_minimizers(h1)
+        assert weighted.value == _cached_sweep(h1, True)[0] == 1
 
 
 class TestMeetOfCodes:

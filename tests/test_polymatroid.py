@@ -2,6 +2,7 @@
 exact decomposition certificates."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -207,6 +208,109 @@ class TestDecompose:
         subset, required = res.violated
         assert sorted(subset) == ["1", "2"]
         assert required == 1
+
+
+def fraction_contra_polymatroid_report(order, values):
+    """Reference: the verdict scan on Fraction values, as it ran before the
+    table was scaled to integers."""
+    n = len(order)
+
+    def failed(law, s, t):
+        laws = {"normalized": True, "nondecreasing": True, "supermodular": True}
+        laws[law] = False
+        members = [frozenset(v for i, v in enumerate(order) if m >> i & 1) for m in (s, t)]
+        return ContraPolymatroidReport(ok=False, counterexample=tuple(members), **laws)
+
+    if values[0] != 0:
+        return failed("normalized", 0, 0)
+    for mask in range(1 << n):
+        for i in range(n):
+            bigger = mask | 1 << i
+            if bigger != mask and values[bigger] < values[mask]:
+                return failed("nondecreasing", mask, bigger)
+    for s in range(1 << n):
+        for t in range(s, 1 << n):
+            if values[s] + values[t] > values[s | t] + values[s & t]:
+                return failed("supermodular", s, t)
+    return ContraPolymatroidReport(
+        ok=True, normalized=True, nondecreasing=True, supermodular=True
+    )
+
+
+MIXED = (2, 3, 7, 10**18 + 9)  # denominators of the tables below
+
+
+def _mixed_table(h, block, rates):
+    """A block's rank table at key rate 2/3 plus the nonnegative modular
+    term with the given per-vertex rates: normalized, nondecreasing and
+    supermodular, over several denominators."""
+    fn = RankFunction(h, block, Fraction(2, 3))
+    order, counts = block_removal_counts(h, block)
+    values = [
+        (c - 1) * fn.key_rate + sum(r for i, r in enumerate(rates) if m >> i & 1)
+        for m, c in enumerate(counts)
+    ]
+    return order, values
+
+
+class TestIntegerScan:
+    """_contra_polymatroid_report scales its table to integers; on tables
+    with mixed denominators it gives the Fraction scan's report."""
+
+    def test_named_tables(self, h1, h3):
+        # order is 3, 4, 8; f is 2/3 at {3}, {3, 4}, {3, 8} and 0 at {4},
+        # {8}, {4, 8}
+        rates = (Fraction(1, 10**18 + 9), Fraction(5, 7), Fraction(3, 2))
+        order, values = _mixed_table(h3, frozenset("348"), rates)
+        assert order == ("3", "4", "8")
+        cases = {"passes": (order, values)}
+        shifted = list(values)
+        shifted[0] += Fraction(1, 7)
+        cases["non-normalized"] = (order, shifted)
+        lowered = list(values)
+        lowered[-1] = values[-2] - Fraction(1, 10**18 + 9)
+        cases["non-monotone"] = (order, lowered)
+        # raising the {4} entry by 1/2 keeps it below the {3, 4} and {4, 8}
+        # entries but breaks f({4}) + f({8}) <= f({4, 8}) + f(empty)
+        raised = list(values)
+        raised[0b010] += Fraction(1, 2)
+        cases["non-supermodular"] = (order, raised)
+        got = {name: _contra_polymatroid_report(*table) for name, table in cases.items()}
+        assert got == {
+            name: fraction_contra_polymatroid_report(*table)
+            for name, table in cases.items()
+        }
+        assert got["passes"].ok
+        assert not got["non-normalized"].normalized
+        assert got["non-monotone"].normalized and not got["non-monotone"].nondecreasing
+        assert got["non-supermodular"].nondecreasing
+        assert not got["non-supermodular"].supermodular
+
+    def test_perturbed_tables_match_the_fraction_scan(self):
+        """One entry of a clean mixed-denominator table moved by a small
+        mixed-denominator amount; every verdict occurs."""
+        rng = random.Random(6)
+        kinds = Counter()
+        blocks = [
+            (h, b) for h in _random_mchs(12)
+            for b in partition_connectivity(h).fundamental.blocks if len(b) > 1
+        ]
+        blocks += [_cyclic_core(k) for k in (4, 5, 6)]
+        for _ in range(300):
+            h, block = rng.choice(blocks)
+            rates = [Fraction(rng.randint(0, 5), rng.choice(MIXED)) for _ in block]
+            order, values = _mixed_table(h, block, rates)
+            k = rng.randrange(len(values))
+            values[k] += Fraction(rng.choice([-3, -1, 1, 3]), rng.choice(MIXED))
+            got = _contra_polymatroid_report(order, values)
+            assert got == fraction_contra_polymatroid_report(order, values)
+            kinds[
+                "ok" if got.ok else next(
+                    law for law in ("normalized", "nondecreasing", "supermodular")
+                    if not getattr(got, law)
+                )
+            ] += 1
+        assert min(kinds[k] for k in ("ok", "normalized", "nondecreasing", "supermodular")) >= 10, kinds
 
 
 KEY_RATES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
