@@ -46,7 +46,7 @@ p = Partition.from_blocks([{"1", "2", "3"}, {"4", "5"}, {"6"}])
 print("crossings of", p.to_sorted_lists(), "=", crossing_count(h, p))
 
 # restricting to the triangle makes the structure denser than a tree
-triangle = mmi(h, restrict_to="123")
+triangle = mmi(h.induced("123"))
 print("triangle weighted connectivity:", triangle.value)
 print("triangle fundamental:", triangle.fundamental.to_sorted_lists())
 

@@ -30,7 +30,7 @@ from .errors import (
     SubsetTooLarge,
     UnknownVertex,
 )
-from .hypergraph import Hypergraph, block_removal_counts
+from .hypergraph import Hypergraph, _read_rational, block_removal_counts
 from .partitions import Partition, entropy, partition_connectivity
 
 __all__ = [
@@ -63,7 +63,14 @@ def _require_fundamental_block(h: Hypergraph, block: frozenset[str]) -> None:
 
 
 def _as_fraction(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+    """The one reader of rates: a Fraction as it is, a str by _read_rational,
+    anything else by Fraction(); what none of them reads is a NegativeRate."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return _read_rational(value) if isinstance(value, str) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise NegativeRate(f"a rate must be a rational, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ def unconstrained_capacity(h: Hypergraph) -> Fraction:
 def constrained_capacity(h: Hypergraph, total_rate: Fraction) -> Fraction:
     """Key capacity when the total discussion rate is capped at total_rate."""
     require_mch(h)
-    budget = Fraction(total_rate)
+    budget = _as_fraction(total_rate)
     if budget < 0:
         raise NegativeRate("the discussion budget must be nonnegative")
     cap = h.min_weight()

@@ -70,7 +70,7 @@ class NotMCH(HyperkeyError):
 
 
 class NegativeRate(HyperkeyError):
-    """A rate that must be nonnegative was negative."""
+    """A rate was negative, or not a rational at all (None, NaN, "1/0")."""
 
 
 class SubsetTooLarge(HyperkeyError):

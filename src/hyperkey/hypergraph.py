@@ -296,8 +296,9 @@ class Hypergraph:
         return Hypergraph(remaining, kept)
 
     def induced(self, c: Iterable[str]) -> "Hypergraph":
-        """Restrict to the vertices in c (drop everything else)."""
-        cset = frozenset(c)
+        """Restrict to the vertices in c (drop everything else); each id in c
+        goes through str, as vertex ids do when a Hypergraph is built."""
+        cset = frozenset(str(v) for v in c)
         if not cset:
             raise EmptyVertexSet("cannot induce on an empty vertex set")
         self._check_subset(cset)

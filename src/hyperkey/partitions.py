@@ -19,12 +19,12 @@ minimizer as the meet of all minimizers and checks the meet-closure
 instead of assuming it, on every sweep.
 
 A sweep builds one Partition, the fundamental one, and keeps the
-minimizers as codes (_cached_sweep, cached on the hypergraph under
-("sweep", w), with w false for the unit functional and for a hypergraph
-whose weights are all one, so such a hypergraph sweeps once for both).
-The property suites read the codes.  Only the public oracle,
-enumerate_minimizers, turns each code into a Partition.  Reports and
-sweeps are cached on the hypergraph they describe, so they go when it goes.
+minimizers as codes.  Its one entry, _cached_sweep, caches it on the
+hypergraph under ("sweep", w), with w false for the unit functional and for
+a hypergraph whose weights are all one, so such a hypergraph sweeps once
+for both.  _connectivity, the property suites (on the codes) and the public
+oracle enumerate_minimizers, which alone turns each code into a Partition,
+all read that one cached sweep.  Reports and sweeps go with the hypergraph.
 """
 
 from __future__ import annotations
@@ -218,8 +218,7 @@ def _cached_sweep(
     """_minimizer_sweep's (value, fundamental, codes) for one functional,
     cached on the hypergraph under ("sweep", w), w being _sweeps_weights:
     a hypergraph whose weights are all one shares one sweep between the two
-    functionals.  Callers that only read the codes (the property suites)
-    build no Partition per minimizer; do not mutate the list."""
+    functionals.  The sweep has no other caller; do not mutate the codes."""
     weighted = _sweeps_weights(h, weighted)
     key = ("sweep", weighted)
     found = h._cache.get(key)
@@ -461,11 +460,7 @@ def _connectivity(h: Hypergraph, weighted: bool) -> ConnectivityReport:
         if len(h.vertices) >= 2 and h.is_mch():
             report = _mch_report(h, weighted)
         else:
-            if weighted:
-                edge_weights = tuple(e.weight for e in h.edges)
-            else:
-                edge_weights = (Fraction(1),) * len(h.edges)
-            value, fundamental, _ = _minimizer_sweep(h, edge_weights)
+            value, fundamental, _ = _cached_sweep(h, weighted)
             report = ConnectivityReport(value=value, fundamental=fundamental)
         h._cache[key] = report
     return report
@@ -484,24 +479,14 @@ def partition_connectivity(h: Hypergraph) -> ConnectivityReport:
     return _connectivity(h, False)
 
 
-def mmi(
-    h: Hypergraph, restrict_to: Optional[Iterable[str]] = None
-) -> ConnectivityReport:
+def mmi(h: Hypergraph) -> ConnectivityReport:
     """Weighted shared-information functional over proper partitions.
 
     For each proper partition P of the ground set, the value is
     (sum of block coverage entropies - total entropy) / (|P| - 1); the report
     carries the minimum and the finest minimizer.  On an MCH the minimum is
     the least edge weight and the finest minimizer is found in linear time;
-    other inputs are enumerated, up to 12 vertices.  With
-    restrict_to, the hypergraph is first restricted to that vertex set.
+    other inputs are enumerated, up to 12 vertices.  For a vertex subset s,
+    call mmi(h.induced(s)).
     """
-    if restrict_to is not None:
-        target = frozenset(str(v) for v in restrict_to)
-        if not target:
-            raise EmptyVertexSet("cannot restrict to an empty vertex set")
-        hh = h.induced(target)
-    else:
-        hh = h
-    return _connectivity(hh, True)
-
+    return _connectivity(h, True)

@@ -5,7 +5,8 @@ list means every law held.  The checks are deterministic given the rng, so a
 seed plus an instance reproduces any reported counterexample exactly.  Fast
 answers are checked against slower computations that share no code with
 them: a whole-graph component count, the Bell partition sweep, exhaustive
-simulation and the brute-force secrecy table.
+simulation and the brute-force secrecy table (the last two on sources of
+at most simkit.MAX_STATE_BITS bits).
 
 The suites read the Bell sweep's minimizers as restricted-growth codes
 (partitions._cached_sweep) and build a Partition only to word a violation.
@@ -23,6 +24,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .capacity import (
+    _as_fraction,
     in_region,
     outer_bound_deficit,
     require_mch,
@@ -40,12 +42,14 @@ from .partitions import (
 from .polymatroid import (
     RankFunction,
     _contra_polymatroid_report,
+    _first_decrease,
+    _first_submodular_violation,
     _members,
     _subset_table,
     extreme_point_for_order,
 )
 from .scheme import rates_of, synthesize, verify
-from .simkit import brute_force_secrecy, quantize, run
+from .simkit import MAX_STATE_BITS, brute_force_secrecy, quantize, run
 
 __all__ = ["lemma_violations", "scheme_round_trip_violations"]
 
@@ -286,12 +290,8 @@ def _component_search(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...
 
 
 def _entropy_shape_violations(h: Hypergraph) -> list[str]:
-    """Coverage entropy is monotone and submodular; checked exhaustively on
-    any ground (lemma_violations passes at most 12 vertices).
-
-    The scan runs over integer-scaled weights (see _coverage_table), so
-    every comparison is exact and no Fraction is built per subset.
-    """
+    """Coverage entropy is monotone and submodular, checked exhaustively on
+    the integer-scaled table of _coverage_table (at most 12 vertices)."""
     return _table_shape_violations(*_coverage_table(h))
 
 
@@ -310,42 +310,15 @@ def _coverage_table(h: Hypergraph) -> tuple[list[str], list[int]]:
 def _table_shape_violations(order: Sequence[str], values: Sequence[int]) -> list[str]:
     """First monotonicity violation (masks ascending, then elements), else
     first submodularity violation over pairs s <= t, of a set function given
-    as a 2^len(order) table; [] when both laws hold.
-
-    A set function is submodular iff f(S+i) + f(S+j) >= f(S+i+j) + f(S) for
-    every S and every pair i, j outside S (Schrijver, Combinatorial
-    Optimization, Thm 44.1).  That local form takes n^2 2^n comparisons
-    against 4^n for the pairs, so it gates the pairwise scan: the scan runs
-    only when some local inequality fails, which is itself a pair violation,
-    and then reports the same first pair as it would alone.
-    """
-    n = len(order)
-    full = 1 << n
-    for mask in range(full):
-        for i in range(n):
-            if not mask >> i & 1 and values[mask | 1 << i] < values[mask]:
-                return [f"entropy not monotone at mask {mask} plus {order[i]!r}"]
-    if _locally_submodular(values, n):
-        return []
-    for s in range(full):
-        vs = values[s]
-        for t in range(s, full):
-            if vs + values[t] < values[s | t] + values[s & t]:
-                return [f"entropy not submodular at masks {s}, {t}"]
+    as a 2^len(order) table; [] when both laws hold.  The scans are
+    polymatroid's, the pair scan gated by the local form of the law."""
+    drop = _first_decrease(values, len(order))
+    if drop is not None:
+        return [f"entropy not monotone at mask {drop[0]} plus {order[drop[1]]!r}"]
+    pair = _first_submodular_violation(values, len(order))
+    if pair is not None:
+        return ["entropy not submodular at masks {}, {}".format(*pair)]
     return []
-
-
-def _locally_submodular(values: Sequence[int], n: int) -> bool:
-    """f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and i < j outside S."""
-    for s in range(1 << n):
-        vs = values[s]
-        grown = [s | 1 << i for i in range(n) if not s >> i & 1]
-        for a, si in enumerate(grown):
-            gain = values[si] - vs
-            for sj in grown[a + 1 :]:
-                if gain + values[sj] < values[si | sj]:
-                    return False
-    return True
 
 
 def _prop2_violations(
@@ -380,8 +353,6 @@ def scheme_round_trip_violations(
     h: Hypergraph,
     key_rate: Fraction,
     orders: Optional[Mapping] = None,
-    *,
-    simulate_cap: int = 20,
 ) -> list[str]:
     """Synthesize a scheme and check every consequence the theory promises.
 
@@ -389,10 +360,10 @@ def scheme_round_trip_violations(
     points, region membership, nonnegative outer-bound deficits on the tight
     (B, component-partition) family, the per-block spanning-tree shape of the
     pairing rows, the fast-path law of _fast_path_violations, and — when the
-    quantized state space fits under the cap — exhaustive zero-error
-    simulation plus agreement of both secrecy oracles.
+    quantized source has at most simkit.MAX_STATE_BITS bits — exhaustive
+    zero-error simulation plus agreement of both secrecy oracles.
     """
-    rate = Fraction(key_rate)
+    rate = _as_fraction(key_rate)
     bad = _fast_path_violations(h)
     if orders is None:
         # the scheme does not depend on the rate, so the round trips at
@@ -444,11 +415,11 @@ def scheme_round_trip_violations(
     bad.extend(_pairing_tree_violations(scheme, traces))
 
     shape = quantize(h, rate)
-    if shape.total_bits() <= simulate_cap:
-        outcome = run(h, scheme, rate, seed=0, exhaustive=True, max_state_bits=simulate_cap)
+    if shape.total_bits() <= MAX_STATE_BITS:
+        outcome = run(h, scheme, rate, seed=0, exhaustive=True)
         if not outcome.zero_error:
             bad.append("exhaustive simulation found a recovery error")
-        secrecy = brute_force_secrecy(h, scheme, rate, max_state_bits=simulate_cap)
+        secrecy = brute_force_secrecy(h, scheme, rate)
         if secrecy.perfect != report.secrecy_ok:
             bad.append(
                 f"secrecy oracles disagree: brute force {secrecy.perfect}, "

@@ -29,8 +29,9 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import gf2
-from .capacity import RateTuple, _require_fundamental_block, require_mch
+from .capacity import RateTuple, _as_fraction, _require_fundamental_block, require_mch
 from .errors import (
+    NegativeRate,
     NotFundamentalBlock,
     RankDefect,
     SchemeUnverified,
@@ -386,7 +387,7 @@ def rates_of(scheme: DiscussionScheme, key_rate: Fraction) -> RateTuple:
                 f"a row is attributed to {att.vertex!r}, which is not a scheme vertex"
             )
         counts[att.vertex] += 1
-    rate = Fraction(key_rate)
+    rate = _as_fraction(key_rate)
     # one Fraction per distinct row count; RateTuple keeps Fractions as they are
     scaled = {n: n * rate for n in set(counts.values())}
     return RateTuple(
@@ -405,7 +406,7 @@ class CompositeScheme:
     multipliers: tuple[int, ...]
 
     def rates(self, key_rate: Fraction) -> RateTuple:
-        rate = Fraction(key_rate)
+        rate = _as_fraction(key_rate)
         combined: dict[str, Fraction] = {}
         for weight, scheme in self.parts:
             part = rates_of(scheme, rate)
@@ -420,11 +421,13 @@ def compose_time_shared(
     """Time share several order choices with positive weights summing to one."""
     if not plan:
         raise WeightsNotConvex("the plan must contain at least one entry")
-    weights = [Fraction(w) for w, _ in plan]
-    if any(w <= 0 for w in weights) or sum(weights) != 1:
-        raise WeightsNotConvex(
-            "weights must be positive rationals summing to one"
-        )
+    try:
+        weights = [_as_fraction(w) for w, _ in plan]
+        convex = all(w > 0 for w in weights) and sum(weights) == 1
+    except NegativeRate:  # a weight that is not a rational at all
+        convex = False
+    if not convex:
+        raise WeightsNotConvex("weights must be positive rationals summing to one")
     parts = []
     for (weight, orders), w in zip(plan, weights):
         scheme, _ = synthesize(h, orders)

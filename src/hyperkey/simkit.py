@@ -28,11 +28,12 @@ message/key table are flat).  The convolution counts cells and never takes
 a rank.  Tests compare them; nothing in this module derives one from the
 other.
 
-The random MCH sampler (random_mch_with_stats) takes every integer draw
-straight from getrandbits, as the random.Random methods it stands for
-would take it (_proposals lists them), so a seed gives the instance those
-methods would; tests/oracles.propose makes the public calls and the
-TestRandomMCH oracle tests in tests/test_simkit.py compare the two.
+The random MCH sampler (random_mch_with_stats) gives up after MAX_ATTEMPTS
+proposals.  It takes every integer draw straight from getrandbits, as the
+random.Random methods it stands for would take it (_proposals lists them),
+so a seed gives the instance those methods would; tests/oracles.propose
+makes the public calls and the TestRandomMCH oracle tests in
+tests/test_simkit.py compare the two.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ __all__ = [
 ]
 
 MAX_SAMPLE_BITS = 1 << 24  # the most source bits a run draws (2 MiB)
+MAX_STATE_BITS = 20  # the most source bits an exhaustive sweep covers
+MAX_ATTEMPTS = 200000  # proposals random_mch_with_stats draws before giving up
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,6 @@ def run(
     seed: int = 0,
     *,
     exhaustive: bool = False,
-    max_state_bits: int = 20,
 ) -> ProtocolRun:
     """Sample the source, broadcast the scheme rows, and let every vertex
     recover the key from the messages plus its own pivot edge.  A scheme
@@ -233,7 +235,7 @@ def run(
     trunc[c] ^ key: a vertex with pivot column c recovers trunc[c] ^ path[c],
     and one walk from the key column (_tree_walk, _path_xors) serves all.
 
-    With exhaustive=True every realization (at most 2^max_state_bits) is
+    With exhaustive=True every realization (at most 2^MAX_STATE_BITS) is
     checked at once on bit planes, one truncation bit t at a time: bit w of
     plane t of an edge is bit t of that edge's truncation in realization w,
     and one broadcast plus one walk decides bit t of the key for all words.
@@ -244,7 +246,7 @@ def run(
         raise SchemeUnverified("scheme failed verification")
     shape = quantize(h, key_rate)
     total = shape.total_bits()
-    cap = max_state_bits if exhaustive else MAX_SAMPLE_BITS
+    cap = MAX_STATE_BITS if exhaustive else MAX_SAMPLE_BITS
     if total > cap:
         kind = "exhaustive" if exhaustive else "sampling"
         raise StateSpaceTooLarge(f"{total} source bits exceed the {kind} cap {cap}")
@@ -313,19 +315,18 @@ def brute_force_secrecy(
     h: Hypergraph,
     scheme: DiscussionScheme,
     key_rate: Fraction,
-    *,
-    max_state_bits: int = 20,
 ) -> SecrecyReport:
     """Count every (message pattern, key) cell over all 2^total realizations
     (_cell_counts), then keep, per message pattern, the number of keys it
-    occurs with and its smallest and largest cell.
+    occurs with and its smallest and largest cell.  A source of more than
+    MAX_STATE_BITS bits raises StateSpaceTooLarge.
     """
     _check_scheme_matches(h, scheme)
     shape = quantize(h, key_rate)
     total = shape.total_bits()
-    if total > max_state_bits:
+    if total > MAX_STATE_BITS:
         raise StateSpaceTooLarge(
-            f"{total} source bits exceed the exhaustive cap {max_state_bits}"
+            f"{total} source bits exceed the exhaustive cap {MAX_STATE_BITS}"
         )
     counts = _cell_counts(scheme, shape)
     key_len = shape.key_length
@@ -431,8 +432,6 @@ def random_mch_with_stats(
     edge_count: int,
     max_weight: int = 1,
     seed: int = 0,
-    *,
-    max_attempts: int = 200000,
 ) -> tuple[Hypergraph, GenerationStats]:
     """Rejection-sample random hypergraphs until one is minimally connected.
 
@@ -443,7 +442,7 @@ def random_mch_with_stats(
     by _is_minimal; the one Hypergraph built is the accepted case, over
     vertices "1".."n" with edge ids "a", "b", ... in proposal order.
     attempts counts every proposal, the accepted one included.  Some shapes
-    admit no MCH at all and exhaust the attempt budget.
+    admit no MCH at all and exhaust the budget of MAX_ATTEMPTS proposals.
 
     Shapes with edge_count >= vertex_count are among them, and raise
     GenerationBudgetExhausted before any draw: an MCH on n vertices has at
@@ -467,7 +466,7 @@ def random_mch_with_stats(
         )
     full = (1 << vertex_count) - 1
     proposals = _proposals(random.Random(seed), vertex_count, edge_count, max_weight)
-    for attempt, proposal in zip(range(1, max_attempts + 1), proposals):
+    for attempt, proposal in zip(range(1, MAX_ATTEMPTS + 1), proposals):
         if proposal is None:
             continue
         masks, weights = proposal
@@ -486,7 +485,7 @@ def random_mch_with_stats(
         return Hypergraph(names, edges), stats
     raise GenerationBudgetExhausted(
         f"no MCH with {vertex_count} vertices and {edge_count} edges found "
-        f"in {max_attempts} attempts"
+        f"in {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -15,6 +15,7 @@ the whole hypergraph per removed subset, an incident-restriction Hypergraph
 per block, json.dumps) and never call the code they check.
 """
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -658,21 +659,32 @@ def random_mchs(count: int, seed: int, max_vertices: int = 10) -> list:
 
 def census_mchs():
     """The 521 MCHs of the criterion-9 census (|V| <= 5, |E| <= 4, unit
-    weights); loops and repeated edges are skipped, as no MCH has them."""
+    weights); loops and repeated edges are skipped, as no MCH has them.
+    Each call builds new Hypergraphs, so no per-instance cache is shared
+    between callers; only the search for them (_census_specs) runs once."""
+    for names, edges in _census_specs():
+        yield Hypergraph(names, edges)
+
+
+@functools.cache
+def _census_specs() -> tuple:
+    """(vertex names, edge triples) of each census MCH, in census order."""
+    found = []
     for n in (2, 3, 4, 5):
-        names = [str(i + 1) for i in range(n)]
+        names = tuple(str(i + 1) for i in range(n))
         member_sets = [
-            [names[v] for v in range(n) if mask >> v & 1] for mask in range(1 << n)
+            tuple(names[v] for v in range(n) if mask >> v & 1)
+            for mask in range(1 << n)
         ]
         wide = [mask for mask in range(1 << n) if bin(mask).count("1") >= 2]
         for m in range(1, 5):
             for combo in combinations(wide, m):
-                h = Hypergraph(
-                    names,
-                    [(f"e{j}", member_sets[mask], 1) for j, mask in enumerate(combo)],
+                edges = tuple(
+                    (f"e{j}", member_sets[mask], 1) for j, mask in enumerate(combo)
                 )
-                if h.is_mch():
-                    yield h
+                if Hypergraph(names, edges).is_mch():
+                    found.append((names, edges))
+    return tuple(found)
 
 
 # -- region ------------------------------------------------------------------------

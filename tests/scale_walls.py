@@ -6,7 +6,10 @@ wall time, the peak RSS and the count of generation-2 collections of
 included) on a path and on a chain of triangle cores at 10^3, 10^4 and
 10^5 vertices, of `analyze` and `scheme` on one
 cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
-of more than 12), and of a seeded `simulate` on a path of each size.  Each
+of more than 12), of a seeded `simulate` on a path of each size, and of
+`analyze` on a 12-vertex cycle, which is no MCH, so both connectivity
+functionals take the Bell(12) partition sweep: with unit weights one sweep
+serves both, with weights 1-3 each takes its own.  Each
 call runs in a fresh interpreter and reads its peak RSS from VmHWM in
 /proc/self/status (Linux only), so the figure is its own; the time is
 taken around the `main` call inside it, without the interpreter start and
@@ -27,6 +30,8 @@ from pathlib import Path
 
 EXPONENTS = (3, 4, 5)  # |V| = 10^3, 10^4, 10^5
 RING = 10**3  # core vertices of the ring row (|V| is twice that)
+CYCLE = 12  # vertices of the non-MCH cycle rows
+CYCLE_WEIGHTS = {"unit": lambda i: 1, "weights 1-3": lambda i: i % 3 + 1}
 
 
 def path_text(n: int, rng: random.Random) -> str:
@@ -71,6 +76,14 @@ def ring_text(k: int, rng: random.Random) -> str:
         lines.append(
             f"edge e{i}: c{i} c{(i + 1) % k} p{i} weight {rng.randint(1, 3)}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def cycle_text(n: int, weight) -> str:
+    """The cycle v0 e0 v1 ... v{n-1} e{n-1} v0, edge e_i of weight weight(i)."""
+    lines = ["vertices: " + " ".join(f"v{i}" for i in range(n))]
+    for i in range(n):
+        lines.append(f"edge e{i}: v{i} v{(i + 1) % n} weight {weight(i)}")
     return "\n".join(lines) + "\n"
 
 
@@ -137,6 +150,12 @@ def main_script() -> None:
             file.write_text(path_text(n, rng))
             cell = timed(["--json", "simulate", str(file), "--seed", "1"])
             print(f"{'':<24} {n:>7}  {cell:>14}", flush=True)
+        print(f"{'analyze, cycle (no MCH)':<24} {'|V|':>7}  {'s/MiB/gen2':>14}")
+        for label, weight in CYCLE_WEIGHTS.items():
+            file = work / "cycle.hg"
+            file.write_text(cycle_text(CYCLE, weight))
+            cell = timed(["--json", "analyze", str(file)])
+            print(f"{label:<24} {CYCLE:>7}  {cell:>14}", flush=True)
 
 
 if __name__ == "__main__":

@@ -282,14 +282,12 @@ def test_criterion_10_end_to_end(theorem_pool):
     for h in theorem_pool:
         cap = unconstrained_capacity(h)
         for key_rate in (cap, cap / 2):
-            found = scheme_round_trip_violations(h, key_rate, simulate_cap=20)
+            found = scheme_round_trip_violations(h, key_rate)
             if found:
                 failures.append((sorted(h.edge_ids), key_rate, None, found))
             for orders in _per_block_orders(h):
                 sweeps += 1
-                found = scheme_round_trip_violations(
-                    h, key_rate, orders, simulate_cap=12
-                )
+                found = scheme_round_trip_violations(h, key_rate, orders)
                 if found:
                     failures.append((sorted(h.edge_ids), key_rate, orders, found))
     assert failures == []

@@ -91,13 +91,11 @@ PUBLIC_NAMES = [
 
 # function name -> its parameters that have a default value
 KNOBS = {
-    "brute_force_secrecy": ["max_state_bits"],
     "enumerate_minimizers": ["weighted"],
     "lemma_violations": ["rng"],
-    "mmi": ["restrict_to"],
-    "random_mch_with_stats": ["max_weight", "seed", "max_attempts"],
-    "run": ["seed", "exhaustive", "max_state_bits"],
-    "scheme_round_trip_violations": ["orders", "simulate_cap"],
+    "random_mch_with_stats": ["max_weight", "seed"],
+    "run": ["seed", "exhaustive"],
+    "scheme_round_trip_violations": ["orders"],
     "synthesize": ["orders"],
 }
 
@@ -146,7 +144,7 @@ def test_public_names_are_pinned():
 
 def test_parameters_with_defaults_are_pinned():
     assert _knobs() == KNOBS
-    assert sum(len(names) for names in KNOBS.values()) == 13
+    assert sum(len(names) for names in KNOBS.values()) == 8
 
 
 def test_every_exported_error_is_raised():

@@ -11,18 +11,26 @@ from hyperkey import (
     NegativeRate,
     NotMCH,
     Partition,
+    RankFunction,
     RateTuple,
     SubsetTooLarge,
     UnknownVertex,
+    WeightsNotConvex,
     communication_complexity,
+    compose_time_shared,
     constrained_capacity,
+    decompose,
     entropy,
     in_region,
+    quantize,
     random_mch_with_stats,
+    rates_of,
     region_spec,
+    scheme_round_trip_violations,
+    synthesize,
     unconstrained_capacity,
 )
-from hyperkey.capacity import outer_bound_deficit
+from hyperkey.capacity import _as_fraction, outer_bound_deficit
 
 import oracles
 
@@ -135,6 +143,49 @@ class TestRateTuple:
         rt = rates(h1, 1, r2=1)
         assert rt.per_user["2"] == Fraction(1)
         assert rt.key_rate == Fraction(1)
+
+
+def _core(h):
+    return RankFunction(h, frozenset("123"), Fraction(1))
+
+
+# each public entry point that reads a rate, as a call on h1 and one value
+RATE_READERS = {
+    "constrained_capacity": lambda h, v: constrained_capacity(h, v),
+    "RateTuple key_rate": lambda h, v: RateTuple(key_rate=v, per_user={}),
+    "RateTuple per_user": lambda h, v: RateTuple(Fraction(1), {"1": v}),
+    "quantize": lambda h, v: quantize(h, v),
+    "RankFunction": lambda h, v: RankFunction(h, frozenset("123"), v),
+    "rates_of": lambda h, v: rates_of(synthesize(h)[0], v),
+    "decompose": lambda h, v: decompose(_core(h), {"1": v, "2": 1, "3": 1}),
+    "scheme_round_trip_violations": lambda h, v: scheme_round_trip_violations(h, v),
+}
+UNREADABLE_RATES = ["abc", None, "1e3", "1/0", float("nan")]
+
+
+class TestRateReader:
+    """capacity._as_fraction reads every rate: a value that is not a
+    rational is a NegativeRate wherever it is passed, never a stray
+    ValueError or TypeError."""
+
+    @pytest.mark.parametrize("value", UNREADABLE_RATES, ids=repr)
+    @pytest.mark.parametrize("reader", RATE_READERS)
+    def test_an_unreadable_rate_is_a_negative_rate(self, h1, reader, value):
+        with pytest.raises(NegativeRate):
+            RATE_READERS[reader](h1, value)
+
+    @pytest.mark.parametrize("value", UNREADABLE_RATES, ids=repr)
+    def test_an_unreadable_time_sharing_weight_is_not_convex(self, h1, value):
+        with pytest.raises(WeightsNotConvex):
+            compose_time_shared(h1, [(value, None)])
+
+    def test_readable_forms_give_the_same_rate(self, h1):
+        half = Fraction(1, 2)
+        for value in ("1/2", "0.5", 0.5, half):
+            assert constrained_capacity(h1, value) == constrained_capacity(h1, half)
+            assert quantize(h1, value) == quantize(h1, half)
+            assert RateTuple(value, {"1": value}) == RateTuple(half, {"1": half})
+        assert _as_fraction(half) is half
 
 
 class TestInRegion:

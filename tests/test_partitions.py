@@ -1,5 +1,6 @@
 """Partition machinery: the Bell sweep and the two functionals."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -19,9 +20,12 @@ from hyperkey import (
     partition_connectivity,
     quantize,
 )
+from hyperkey import hgio, partitions
+from hyperkey.cli import main
 from hyperkey.errors import GroundTooLarge, SemiLatticeViolation
 from hyperkey.partitions import _cached_sweep, _meet_of_codes
 import oracles
+import scale_walls
 from oracles import propose as _propose
 
 
@@ -156,7 +160,14 @@ class TestMMI:
         assert blocks(rep.fundamental) == [("1", "2", "3"), ("4",), ("5",)]
 
     def test_restrict_to_triangle(self, h1):
-        assert mmi(h1, restrict_to="123").value == 3
+        assert mmi(h1.induced("123")).value == 3
+        assert mmi(h1.induced([1, 2, 3])).value == 3
+
+    def test_induced_refuses_an_empty_or_unknown_set(self, h1):
+        with pytest.raises(EmptyVertexSet):
+            mmi(h1.induced(""))
+        with pytest.raises(UnknownVertex):
+            mmi(h1.induced("19"))
 
     def test_unit_weights_agree_with_partition_connectivity(self, h3, h5):
         for h in (h3, h5):
@@ -490,6 +501,50 @@ class TestSweepCache:
         weighted = enumerate_minimizers(h1, weighted=True)
         assert weighted is not enumerate_minimizers(h1)
         assert weighted.value == _cached_sweep(h1, True)[0] == 1
+
+
+# SHA-256 of `--json analyze` stdout on the 10-vertex scale_walls cycles
+ANALYZE_SHA256 = {
+    "unit": "af615e3e605cba7df0a2400c4832980def4c2e420b55adbae2463ec630fffc47",
+    "weights 1-3": "1e339105da950683aaaae3ee1c29da103c910605c17f002e6c9b08647f9f22eb",
+}
+
+
+class TestOneSweepEntry:
+    """Every reader of the Bell sweep goes through _cached_sweep, so a
+    non-MCH sweeps once per distinct functional."""
+
+    @pytest.mark.parametrize("name, sweeps", [("unit", 1), ("weights 1-3", 2)])
+    def test_a_ten_cycle_sweeps_once_per_functional(self, monkeypatch, name, sweeps):
+        calls = []
+        real = partitions._minimizer_sweep
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(partitions, "_minimizer_sweep", counted)
+        h = hgio.parse(scale_walls.cycle_text(10, scale_walls.CYCLE_WEIGHTS[name]))
+        unit = partition_connectivity(h)
+        weighted = mmi(h)
+        oracle = enumerate_minimizers(h)
+        weighted_oracle = enumerate_minimizers(h, weighted=True)
+        assert len(calls) == sweeps
+        assert (unit.value, unit.fundamental) == (oracle.value, oracle.fundamental)
+        assert (weighted.value, weighted.fundamental) == (
+            weighted_oracle.value, weighted_oracle.fundamental,
+        )
+        assert unit.value == Fraction(10, 9)
+
+    @pytest.mark.parametrize("name", scale_walls.CYCLE_WEIGHTS)
+    def test_analyze_prints_what_two_sweep_callers_printed(self, tmp_path, capsys, name):
+        """`--json analyze` stdout on each cycle is pinned byte for byte: the
+        shared sweep prints what a sweep per functional printed."""
+        path = tmp_path / "cycle.hg"
+        path.write_text(scale_walls.cycle_text(10, scale_walls.CYCLE_WEIGHTS[name]))
+        assert main(["--json", "analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[name], out
 
 
 class TestMeetOfCodes:

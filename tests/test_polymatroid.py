@@ -103,6 +103,8 @@ class TestContraPolymatroid:
             tables.append((order, [Fraction(c - 1) for c in counts]))
         tables.append((("x", "y"), [Fraction(v) for v in (0, 2, 1, 1)]))
         got = [_contra_polymatroid_report(order, values) for order, values in tables]
+        # the gated pair scan reports what the full 4^n scan reports
+        assert got == [fraction_contra_polymatroid_report(*table) for table in tables]
         assert got == [
             ContraPolymatroidReport(
                 ok=False, normalized=True, nondecreasing=True, supermodular=False,

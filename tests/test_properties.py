@@ -449,4 +449,4 @@ class TestSchemeRoundTrips:
     def test_simulation_cap_skips_gracefully(self, h1):
         # 1/8 rate needs 48 state bits; everything except the exhaustive
         # simulation still runs and must stay clean
-        assert scheme_round_trip_violations(h1, Fraction(1, 8), simulate_cap=10) == []
+        assert scheme_round_trip_violations(h1, Fraction(1, 8)) == []

@@ -28,6 +28,7 @@ from hyperkey import (
     unconstrained_capacity,
     verify,
 )
+from hyperkey import simkit
 from hyperkey.errors import GroundTooLarge
 from hyperkey.simkit import MAX_SAMPLE_BITS, _cell_counts
 
@@ -537,13 +538,14 @@ class TestRandomMCH:
 
     def test_infeasible_counts_exhaust_the_budget(self):
         with pytest.raises(GenerationBudgetExhausted):
-            random_mch_with_stats(2, 2, 1, max_attempts=500)
+            random_mch_with_stats(2, 2, 1)
 
     @pytest.mark.parametrize("n, m", [(2, 2), (2, 6), (3, 3), (5, 5), (6, 6)])
-    def test_no_mch_has_as_many_edges_as_vertices(self, n, m):
+    def test_no_mch_has_as_many_edges_as_vertices(self, n, m, monkeypatch):
         # refused before any draw: a billion proposals would not finish
+        monkeypatch.setattr(simkit, "MAX_ATTEMPTS", 10**9)
         with pytest.raises(GenerationBudgetExhausted, match="at most n - 1 edges"):
-            random_mch_with_stats(n, m, 1, seed=3, max_attempts=10**9)
+            random_mch_with_stats(n, m, 1, seed=3)
 
     def test_census_has_no_mch_with_as_many_edges_as_vertices(self):
         shapes = {(len(h.vertices), len(h.edges)) for h in oracles.census_mchs()}
@@ -561,10 +563,11 @@ class TestRandomMCH:
                     g, stats = random_mch_with_stats(n, m, w, seed)
                     assert (g, stats.attempts) == expected, (w, n, m, seed)
 
-    def test_matches_the_rebuild_oracle(self):
+    def test_matches_the_rebuild_oracle(self, monkeypatch):
         """Same instance and attempts as a Hypergraph plus is_mch per
         proposal, and a budget exhausted on the same cases: every shape the
         bounds allow, weights up to 1 and 3, 25 seeds, 60 proposals."""
+        monkeypatch.setattr(simkit, "MAX_ATTEMPTS", 60)
         outcomes = {"accepted": 0, "exhausted": 0}
         for n in range(2, 9):
             for m in range(1, 7):
@@ -576,10 +579,10 @@ class TestRandomMCH:
                             )
                         except GenerationBudgetExhausted:
                             with pytest.raises(GenerationBudgetExhausted):
-                                random_mch_with_stats(n, m, w, seed, max_attempts=60)
+                                random_mch_with_stats(n, m, w, seed)
                             outcomes["exhausted"] += 1
                             continue
-                        g, stats = random_mch_with_stats(n, m, w, seed, max_attempts=60)
+                        g, stats = random_mch_with_stats(n, m, w, seed)
                         assert (g, stats.attempts) == expected, (n, m, w, seed)
                         assert stats.rejected == stats.attempts - 1
                         outcomes["accepted"] += 1
