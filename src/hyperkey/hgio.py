@@ -19,12 +19,16 @@ read by int(), which gives the same value.  A weight with more digits than
 Python's int-to-str limit is refused.  Unknown statements, unknown members,
 duplicate edge ids, and nonpositive weights are rejected; errors carry
 1-based line and column positions.
+
+Each line is split on whitespace once (str.split), and the checks read the
+tokens alone: one set of the declared names against their count, one
+subset test of an edge's members.  A token's column is computed only for
+the error that is raised.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .errors import DuplicateEdgeId, NonpositiveWeight, ParseError
 from .hypergraph import Edge, Hypergraph, _read_rational
@@ -32,29 +36,21 @@ from .hypergraph import Edge, Hypergraph, _read_rational
 __all__ = ["parse", "serialize"]
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    """Whitespace-split with 1-based column of each token's first character."""
-    out = []
+def _error(
+    raw: str,
+    toks: list[str],
+    lineno: int,
+    message: str,
+    i: int = 0,
+    kind: type[ParseError] = ParseError,
+) -> ParseError:
+    """kind(message) positioned at toks[i], toks being raw.split().  Only an
+    error needs a column, so it is found here: each token is looked up from
+    the end of the one before it."""
     col = 0
-    for piece in line.split():
-        col = line.index(piece, col)
-        out.append((piece, col + 1))
-        col += len(piece)
-    return out
-
-
-def _weight_token(token: str, lineno: int, column: int) -> Fraction:
-    try:
-        value = _read_rational(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"invalid weight {token!r}", line=lineno, column=column
-        ) from None
-    if value.numerator <= 0:
-        raise NonpositiveWeight(
-            f"edge weight must be positive, got {token!r} (line {lineno})"
-        )
-    return value
+    for piece in toks[:i]:
+        col = raw.index(piece, col) + len(piece)
+    return kind(message, line=lineno, column=raw.index(toks[i], col) + 1)
 
 
 def parse(text: str) -> Hypergraph:
@@ -66,97 +62,80 @@ def parse(text: str) -> Hypergraph:
     saw_statement = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        toks = _tokens(raw)
-        head, head_col = toks[0]
+        head = toks[0]
 
         if head == "format:":
             if saw_statement:
-                raise ParseError(
-                    "format line must come first", line=lineno, column=head_col
-                )
-            if len(toks) != 2 or toks[1][0] != "1":
-                raise ParseError(
-                    "unsupported format version", line=lineno, column=head_col
-                )
+                raise _error(raw, toks, lineno, "format line must come first")
+            if len(toks) != 2 or toks[1] != "1":
+                raise _error(raw, toks, lineno, "unsupported format version")
             saw_statement = True
             continue
         saw_statement = True
 
         if head == "vertices:":
             if vertices is not None:
-                raise ParseError(
-                    "duplicate vertices line", line=lineno, column=head_col
-                )
+                raise _error(raw, toks, lineno, "duplicate vertices line")
             if len(toks) == 1:
-                raise ParseError(
-                    "vertices line declares no vertices",
-                    line=lineno,
-                    column=head_col,
+                raise _error(
+                    raw, toks, lineno, "vertices line declares no vertices"
                 )
-            names = [t for t, _ in toks[1:]]
-            counts = Counter(names)
-            for (name, col) in toks[1:]:
-                # the first token whose name recurs, not the first repeat
-                if counts[name] > 1:
-                    raise ParseError(
-                        f"duplicate vertex {name!r}", line=lineno, column=col
-                    )
-            vertices = names
+            names = toks[1:]
             known = set(names)
+            if len(known) != len(names):
+                # the first token whose name recurs, not the first repeat
+                counts = Counter(names)
+                i = next(i for i in range(1, len(toks)) if counts[toks[i]] > 1)
+                raise _error(
+                    raw, toks, lineno, f"duplicate vertex {toks[i]!r}", i
+                )
+            vertices = names
             continue
 
         if head == "edge":
             if vertices is None:
-                raise ParseError(
-                    "edge line before vertices line", line=lineno, column=head_col
+                raise _error(raw, toks, lineno, "edge line before vertices line")
+            if len(toks) < 2 or not toks[1].endswith(":"):
+                raise _error(
+                    raw, toks, lineno, "edge line needs an id followed by ':'"
                 )
-            if len(toks) < 2 or not toks[1][0].endswith(":"):
-                raise ParseError(
-                    "edge line needs an id followed by ':'",
-                    line=lineno,
-                    column=head_col,
-                )
-            eid, eid_col = toks[1][0][:-1], toks[1][1]
+            eid = toks[1][:-1]
             if not eid:
-                raise ParseError("empty edge id", line=lineno, column=eid_col)
+                raise _error(raw, toks, lineno, "empty edge id", 1)
             if eid in seen_ids:
-                raise DuplicateEdgeId(
-                    f"duplicate edge id {eid!r}", line=lineno, column=eid_col
+                raise _error(
+                    raw, toks, lineno, f"duplicate edge id {eid!r}", 1,
+                    DuplicateEdgeId,
                 )
-            body = toks[2:]
-            if len(body) < 2 or body[-2][0] != "weight":
-                raise ParseError(
-                    "edge line must end with 'weight <value>'",
-                    line=lineno,
-                    column=head_col,
+            if len(toks) < 4 or toks[-2] != "weight":
+                raise _error(
+                    raw, toks, lineno, "edge line must end with 'weight <value>'"
                 )
-            weight = _weight_token(body[-1][0], lineno, body[-1][1])
-            members = body[:-2]
-            if not members:
-                raise ParseError(
-                    f"edge {eid!r} has no members", line=lineno, column=eid_col
+            token = toks[-1]
+            try:
+                weight = _read_rational(token)
+            except (ValueError, ZeroDivisionError):
+                raise _error(
+                    raw, toks, lineno, f"invalid weight {token!r}", len(toks) - 1
+                ) from None
+            if weight.numerator <= 0:
+                raise NonpositiveWeight(
+                    f"edge weight must be positive, got {token!r} (line {lineno})"
                 )
-            for name, col in members:
-                if name not in known:
-                    raise ParseError(
-                        f"unknown member {name!r}", line=lineno, column=col
-                    )
+            if len(toks) == 4:
+                raise _error(raw, toks, lineno, f"edge {eid!r} has no members", 1)
+            members = frozenset(toks[2:-2])
+            if not members <= known:
+                i = next(i for i in range(2, len(toks) - 2) if toks[i] not in known)
+                raise _error(raw, toks, lineno, f"unknown member {toks[i]!r}", i)
             seen_ids.add(eid)
-            edges.append(
-                Edge(
-                    id=eid,
-                    members=frozenset(name for name, _ in members),
-                    weight=weight,
-                )
-            )
+            edges.append(Edge(id=eid, members=members, weight=weight))
             continue
 
-        raise ParseError(
-            f"unknown statement {head!r}", line=lineno, column=head_col
-        )
+        raise _error(raw, toks, lineno, f"unknown statement {head!r}")
 
     if vertices is None:
         raise ParseError("missing vertices line", line=1, column=1)

@@ -19,12 +19,15 @@ minimizer as the meet of all minimizers and checks the meet-closure
 instead of assuming it, on every sweep.
 
 A sweep builds one Partition, the fundamental one, and keeps the
-minimizers as codes.  Its one entry, _cached_sweep, caches it on the
-hypergraph under ("sweep", w), with w false for the unit functional and for
-a hypergraph whose weights are all one, so such a hypergraph sweeps once
-for both.  _connectivity, the property suites (on the codes) and the public
-oracle enumerate_minimizers, which alone turns each code into a Partition,
-all read that one cached sweep.  Reports and sweeps go with the hypergraph.
+minimizers as codes.  _cached_sweep caches it on the hypergraph under
+("sweep", w), with w false for the unit functional and for a hypergraph
+whose weights are all one, so such a hypergraph sweeps once for both.  The
+property suites (on the codes) and the public oracle enumerate_minimizers,
+which alone turns each code into a Partition, read that cached sweep.
+_connectivity reads it too when it is there, but otherwise sweeps and keeps
+only the value and the fundamental partition: the codes can run to
+millions, and partition_connectivity and mmi need neither.  Reports and
+sweeps go with the hypergraph.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     EmptyVertexSet,
@@ -218,13 +221,12 @@ def _cached_sweep(
     """_minimizer_sweep's (value, fundamental, codes) for one functional,
     cached on the hypergraph under ("sweep", w), w being _sweeps_weights:
     a hypergraph whose weights are all one shares one sweep between the two
-    functionals.  The sweep has no other caller; do not mutate the codes."""
+    functionals.  Do not mutate the codes."""
     weighted = _sweeps_weights(h, weighted)
     key = ("sweep", weighted)
     found = h._cache.get(key)
     if found is None:
-        weights = [e.weight if weighted else 1 for e in h.edges]
-        found = h._cache[key] = _minimizer_sweep(h, weights)
+        found = h._cache[key] = _minimizer_sweep(h, weighted)
     return found
 
 
@@ -246,22 +248,25 @@ def _scaled_edge_masks(
 
 
 def _minimizer_sweep(
-    h: Hypergraph, edge_weights: Sequence[Union[Fraction, int]]
+    h: Hypergraph, weighted: bool
 ) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
     """(value, fundamental, codes): minimize (sum of block coverage sums -
     total) / (|P| - 1) over proper partitions, where a block's coverage sum
-    adds the weight of every edge meeting it.  Equivalently the numerator
-    is sum_e w_e * (blocks met - 1).
+    adds the weight of every edge meeting it (1 per edge unless weighted).
+    Equivalently the numerator is sum_e w_e * (blocks met - 1).
 
     A depth-first walk over restricted-growth codes, block choices ascending,
     so leaves come in restricted-growth order.  Each edge keeps a bitmask
     of the blocks its placed members meet: placing vertex i in block k
     updates only the edges at i, adding an edge's scaled weight when k is new
     to it and it already met another block, and backtracking undoes that.
-    The last vertex is only evaluated, never placed.  The value is kept as
-    an integer pair, so no partition or Fraction is built per leaf.  codes
-    lists every minimizer's restricted-growth code over the sorted vertices,
-    in enumeration order; only the fundamental partition is built.
+    The last vertex is only evaluated, never placed: one pass over its edges
+    gives the total for each of its blocks, and a partition of the others
+    whose every leaf would lose to the best so far is skipped whole.  The
+    value is kept as an integer pair, so no partition or Fraction is built
+    per leaf.  codes lists every minimizer's restricted-growth code over the
+    sorted vertices, in enumeration order; only the fundamental partition is
+    built.
     """
     elems = sorted(h.vertices)
     n = len(elems)
@@ -271,7 +276,9 @@ def _minimizer_sweep(
         raise GroundTooLarge(
             f"partition enumeration over {n} elements exceeds cap {SWEEP_CAP}"
         )
-    weighted_masks, scale = _scaled_edge_masks(h, elems, edge_weights)
+    weighted_masks, scale = _scaled_edge_masks(
+        h, elems, (e.weight if weighted else 1 for e in h.edges)
+    )
     # incident[i]: (edge index, scaled weight) of every edge containing elems[i]
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for j, (em, w) in enumerate(weighted_masks):
@@ -291,16 +298,37 @@ def _minimizer_sweep(
     def leaves(num: int, blocks: int) -> None:
         # the last vertex joins block k < blocks, or opens block `blocks`
         nonlocal best_num, best_den, opt_codes
+        # one pass over its edges: opening a block adds the weight of every
+        # edge already met (base); joining block k saves saving[k] of that
+        base = num
+        saving = [0] * blocks
+        for j, w in last_edges:
+            m = met[j]
+            if m:
+                base += w
+                while m:
+                    low = m & -m
+                    saving[low.bit_length() - 1] += w
+                    m ^= low
+        # no leaf here can tie or beat the best: the new block gives
+        # base / blocks, the best old block (base - max saving) / (blocks - 1)
+        if (
+            best_num is not None
+            and base * best_den > best_num * blocks * scale
+            and (
+                blocks == 1
+                or (base - max(saving)) * best_den
+                > best_num * (blocks - 1) * scale
+            )
+        ):
+            return
         for k in range(blocks + 1):
-            bit = 1 << k
-            total = num
-            for j, w in last_edges:
-                if met[j] and not met[j] & bit:
-                    total += w
-            nblocks = blocks + 1 if k == blocks else blocks
-            if nblocks == 1:
-                continue
-            den = (nblocks - 1) * scale
+            if k < blocks:
+                if blocks == 1:
+                    continue
+                total, den = base - saving[k], (blocks - 1) * scale
+            else:
+                total, den = base, blocks * scale
             code[last] = k
             if best_num is None or total * best_den < best_num * den:
                 best_num, best_den = total, den
@@ -330,6 +358,9 @@ def _minimizer_sweep(
                 met[j] ^= bit
 
     place(1, 0, 1)
+    # place holds itself through its closure, and with it the codes: a
+    # cycle that only a full collection would free once this returns
+    del place
     assert best_num is not None and opt_codes
 
     return (
@@ -453,15 +484,22 @@ def _mch_report(h: Hypergraph, weighted: bool) -> ConnectivityReport:
 
 def _connectivity(h: Hypergraph, weighted: bool) -> ConnectivityReport:
     """The report for one functional, cached on the value; reports are
-    frozen, so callers share one."""
+    frozen, so callers share one.  A non-MCH's report is also cached under
+    _sweeps_weights's w, so a hypergraph whose weights are all one sweeps
+    once for both functionals; it reads a cached sweep when there is one,
+    and otherwise sweeps without caching the sweep's codes."""
     key = ("connectivity", weighted)
     report = h._cache.get(key)
     if report is None:
         if len(h.vertices) >= 2 and h.is_mch():
             report = _mch_report(h, weighted)
         else:
-            value, fundamental, _ = _cached_sweep(h, weighted)
-            report = ConnectivityReport(value=value, fundamental=fundamental)
+            w = _sweeps_weights(h, weighted)
+            report = h._cache.get(("connectivity", w))
+            if report is None:
+                sweep = h._cache.get(("sweep", w)) or _minimizer_sweep(h, w)
+                report = ConnectivityReport(value=sweep[0], fundamental=sweep[1])
+                h._cache[("connectivity", w)] = report
         h._cache[key] = report
     return report
 

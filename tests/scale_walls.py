@@ -4,7 +4,8 @@ Not a test (pytest does not collect it) and not a benchmark: it prints the
 wall time, the peak RSS and the count of generation-2 collections of
 `analyze`, `region` and `scheme` (each with --json, parse and rendering
 included) on a path and on a chain of triangle cores at 10^3, 10^4 and
-10^5 vertices, of `analyze` and `scheme` on one
+10^5 vertices, of `hgio.parse` alone on the same texts (the reader's share
+of each of those calls), of `analyze` and `scheme` on one
 cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
 of more than 12), of a seeded `simulate` on a path of each size, and of
 `analyze` on a 12-vertex cycle, which is no MCH, so both connectivity
@@ -12,8 +13,8 @@ functionals take the Bell(12) partition sweep: with unit weights one sweep
 serves both, with weights 1-3 each takes its own.  Each
 call runs in a fresh interpreter and reads its peak RSS from VmHWM in
 /proc/self/status (Linux only), so the figure is its own; the time is
-taken around the `main` call inside it, without the interpreter start and
-the imports.  Run from the repository root:
+taken around the `main` (or `hgio.parse`) call inside it, without the
+interpreter start and the imports.  Run from the repository root:
 
     PYTHONPATH=src python tests/scale_walls.py
 
@@ -92,14 +93,25 @@ def cycle_text(n: int, weight) -> str:
 # holds the 10^5 texts would report the parent's peak instead of its own.
 # It also reports how many generation-2 (full) collections the cyclic
 # garbage collector ran during the call, from gc.get_stats().
+# With "parse FILE" as its arguments it times hgio.parse alone on the text,
+# read before the clock starts.
 CALL = """\
 import contextlib, gc, io, sys
 from time import perf_counter
+from hyperkey import hgio
 from hyperkey.cli import main
+argv = sys.argv[1:]
+if argv[0] == "parse":
+    with open(argv[1], encoding="utf-8") as file:
+        text = file.read()
 with contextlib.redirect_stdout(io.StringIO()):
     full = gc.get_stats()[2]["collections"]
     start = perf_counter()
-    code = main(sys.argv[1:])
+    if argv[0] == "parse":
+        hgio.parse(text)
+        code = 0
+    else:
+        code = main(argv)
     elapsed = perf_counter() - start
     full = gc.get_stats()[2]["collections"] - full
 with open("/proc/self/status") as status:
@@ -109,8 +121,8 @@ print(code, elapsed, peak_kib, full)
 
 
 def timed(argv: list[str]) -> str:
-    """One CLI call in a fresh interpreter, as "seconds/peak RSS in
-    MiB/generation-2 collections"."""
+    """One CLI call, or hgio.parse alone for ["parse", file], in a fresh
+    interpreter, as "seconds/peak RSS in MiB/generation-2 collections"."""
     done = subprocess.run(
         [sys.executable, "-c", CALL, *argv], capture_output=True, text=True, check=True
     )
@@ -139,6 +151,14 @@ def main_script() -> None:
                     for cmd in ("analyze", "region", "scheme")
                 )
                 print(f"{family:<6} {n:>7}  {cells}", flush=True)
+        print(f"{'hgio.parse alone':<24} {'|V|':>7}  {'path':>14} {'cores':>14}")
+        for exponent in EXPONENTS:
+            n = 10**exponent
+            cells = " ".join(
+                f"{timed(['parse', str(work / f'{family}{n}.hg')]):>14}"
+                for family in ("path", "cores")
+            )
+            print(f"{'':<24} {n:>7}  {cells}", flush=True)
         file = work / "ring.hg"
         file.write_text(ring_text(RING, rng))
         cells = [timed(["--json", cmd, str(file)]) for cmd in ("analyze", "scheme")]

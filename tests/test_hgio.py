@@ -235,11 +235,17 @@ class TestParseErrors:
 
 
 NAMES = ["1", "2", "3", "a", "b", "x"]
-SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+# str.split() separates tokens at each of these, and str.splitlines() breaks
+# no line at any of them, so they move columns without moving line numbers
+SPACES = st.sampled_from(
+    [" ", "  ", "\t", " \t ", "\xa0", "\u2003", "\u3000", "\x1f", " \u3000\x1f"]
+)
+# every one of these ends a line for str.splitlines()
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 
 
 def _joined(draw, tokens):
-    out = draw(st.sampled_from(["", " "]))
+    out = draw(st.one_of(st.just(""), SPACES))
     for tok in tokens:
         out += tok + draw(SPACES)
     return out.rstrip() if draw(st.booleans()) else out
@@ -292,7 +298,7 @@ def hg_texts(draw):
             lines.append(draw(vertices_lines()))
         else:
             lines.append(draw(other_lines))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    return draw(st.sampled_from(LINE_BREAKS)).join(lines)
 
 
 def outcome(parser, text):
@@ -331,6 +337,12 @@ class TestAgreesWithQuadraticOracle:
             "vertices: 1 2\nedge : 1 2 weight 1",
             "vertices: 1 2\nedge a: 1 2 weight 1/0",
             "vertices: 1 2 1\nedge a: 3 weight 1",
+            # the erring token's text also occurs earlier on its line
+            "vertices: ab a b a",
+            "vertices: 1 2\nedge a: 1 e weight 1",
+            "vertices: 1 2\nedge e1: 1 2 weight e",
+            "vertices:\u3000ab\xa0a\x1fb a",
+            "# x\x85vertices: 1 2\u2028edge a:\u2003e 1 weight 1",
         ],
     )
     def test_fixed_malformed_texts(self, text):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -511,8 +512,9 @@ ANALYZE_SHA256 = {
 
 
 class TestOneSweepEntry:
-    """Every reader of the Bell sweep goes through _cached_sweep, so a
-    non-MCH sweeps once per distinct functional."""
+    """A non-MCH sweeps once per distinct functional for partition_connectivity
+    and mmi, which keep no minimizer codes; the oracle enumerate_minimizers
+    then sweeps once more per functional to get them."""
 
     @pytest.mark.parametrize("name, sweeps", [("unit", 1), ("weights 1-3", 2)])
     def test_a_ten_cycle_sweeps_once_per_functional(self, monkeypatch, name, sweeps):
@@ -527,14 +529,44 @@ class TestOneSweepEntry:
         h = hgio.parse(scale_walls.cycle_text(10, scale_walls.CYCLE_WEIGHTS[name]))
         unit = partition_connectivity(h)
         weighted = mmi(h)
+        assert len(calls) == sweeps
         oracle = enumerate_minimizers(h)
         weighted_oracle = enumerate_minimizers(h, weighted=True)
-        assert len(calls) == sweeps
+        assert len(calls) == 2 * sweeps
         assert (unit.value, unit.fundamental) == (oracle.value, oracle.fundamental)
         assert (weighted.value, weighted.fundamental) == (
             weighted_oracle.value, weighted_oracle.fundamental,
         )
         assert unit.value == Fraction(10, 9)
+
+    def test_connectivity_keeps_no_codes_and_reads_a_cached_sweep(self, monkeypatch):
+        # value 0 on one edge {0, 1}: every partition keeping 0 and 1
+        # together is a minimizer, Bell(9) - 1 = 21146 codes (2.6 MiB) at
+        # 10 vertices, and Bell(7) - 1 = 876 at 8
+        big = Hypergraph([str(i) for i in range(10)], [("a", ["0", "1"], 1)])
+        tracemalloc.start()
+        try:
+            assert partition_connectivity(big).value == mmi(big).value == 0
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+        assert not [key for key in big._cache if key[0] == "sweep"]
+
+        calls = []
+        real = partitions._minimizer_sweep
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(partitions, "_minimizer_sweep", counted)
+        h = Hypergraph([str(i) for i in range(8)], [("a", ["0", "1"], 1)])
+        oracle = enumerate_minimizers(h)
+        assert len(oracle.minimizers) == 876
+        assert partition_connectivity(h).fundamental == oracle.fundamental
+        assert mmi(h) is partition_connectivity(h)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", scale_walls.CYCLE_WEIGHTS)
     def test_analyze_prints_what_two_sweep_callers_printed(self, tmp_path, capsys, name):
