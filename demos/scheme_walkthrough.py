@@ -30,12 +30,17 @@ print("rows (edge pair @ speaking user):")
 for (left, right), attribution in zip(scheme.row_pairs(), scheme.attributions):
     print(f"  {left} ^ {right}   spoken by user {attribution.vertex}")
 
-# the per-vertex iteration record shows who pairs what and when
+# each row's attribution names its block and speaker: replay the core block
+# user by user, in the order the trace records
 core = next(t for t in trace if len(t.block) > 1)
 print("iteration over block", sorted(core.block), ":")
-for step in core.iterations:
-    said = ", ".join(f"{a}^{b}" for a, b in step.emitted) or "nothing"
-    print(f"  user {step.vertex} says {said}")
+for user in core.order:
+    said = ", ".join(
+        f"{a}^{b}"
+        for (a, b), attribution in zip(scheme.row_pairs(), scheme.attributions)
+        if attribution.block == core.block and attribution.vertex == user
+    )
+    print(f"  user {user} says {said or 'nothing'}")
 
 # verification covers row count, row shape, rank, recovery, and secrecy
 report = verify(scheme)

@@ -76,7 +76,6 @@ from .scheme import (
     BlockTrace,
     CompositeScheme,
     DiscussionScheme,
-    IterationRecord,
     RowAttribution,
     VerificationReport,
     compose_time_shared,
@@ -119,7 +118,6 @@ __all__ = [
     "Hypergraph",
     "HyperkeyError",
     "InvalidPartition",
-    "IterationRecord",
     "KeyRateExceedsCapacity",
     "MinimizerSweep",
     "NegativeRate",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
-from . import hgio
+from . import hgio, simkit
 from .capacity import (
     RateTuple,
     communication_complexity,
@@ -31,7 +31,7 @@ from .capacity import (
     region_spec,
     unconstrained_capacity,
 )
-from .errors import HyperkeyError, ParseError
+from .errors import HyperkeyError, ParseError, StateSpaceTooLarge
 from .hypergraph import Hypergraph, _read_rational
 from .partitions import mmi, partition_connectivity
 from .properties import lemma_violations, scheme_round_trip_violations
@@ -169,7 +169,10 @@ def _parse_orders(pairs: Sequence[str]) -> dict:
         perm = tuple(v for v in right.split(",") if v)
         if not block or not perm:
             raise UsageError(f"--order expects BLOCK=perm, got {text!r}")
-        orders[frozenset(block)] = perm
+        key = frozenset(block)
+        if key in orders:
+            raise UsageError(f"--order names block {' '.join(sorted(key))} twice")
+        orders[key] = perm
     return orders
 
 
@@ -181,6 +184,8 @@ def _parse_rates(text: str) -> dict[str, Fraction]:
         if ":" not in item:
             raise UsageError(f"--rates expects v:r pairs, got {item!r}")
         vertex, value = item.split(":", 1)
+        if vertex in rates:
+            raise UsageError(f"--rates names vertex {vertex!r} twice")
         rates[vertex] = _rational_flag(value, "--rates")
     return rates
 
@@ -293,13 +298,14 @@ def _cmd_check(args) -> dict:
 def _scheme_document(h: Hypergraph, scheme, traces, key_rate: Fraction) -> dict:
     rates = rates_of(scheme, key_rate)
     report = verify(scheme)
+    labels = {t.block: " ".join(sorted(t.block)) for t in traces}
     rows = []
     for (a, b), att in zip(scheme.row_pairs(), scheme.attributions):
         rows.append(
             {
                 "pair": f"{a}^{b}",
                 "user": att.vertex,
-                "block": " ".join(sorted(att.block)),
+                "block": labels[att.block],
                 "step": att.step,
             }
         )
@@ -315,7 +321,7 @@ def _scheme_document(h: Hypergraph, scheme, traces, key_rate: Fraction) -> dict:
         "verified": report.ok,
         "blocks": [
             {
-                "block": " ".join(sorted(t.block)),
+                "block": labels[t.block],
                 "order": list(t.order),
                 "representatives": sorted(t.representatives),
             }
@@ -343,6 +349,30 @@ def _cmd_scheme(args) -> dict:
     return doc
 
 
+@functools.cache
+def _ten_to(limit: int) -> int:
+    """10**limit, computed once per int-to-str limit."""
+    return 10**limit
+
+
+def _require_printable(shape, exhaustive: bool) -> None:
+    """Refuse before any draw a simulation whose scale, or (seeded) whose
+    words of L bits, could pass the int-to-str limit: a word reaches
+    2**L - 1, so L must satisfy 2**L <= 10**limit.  A source over run's cap
+    in source bits is left to run, which names that cap."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    cap = simkit.MAX_STATE_BITS if exhaustive else simkit.MAX_SAMPLE_BITS
+    if not limit or shape.total_bits() > cap:
+        return
+    if shape.scale >= _ten_to(limit):
+        raise StateSpaceTooLarge(f"the quantization scale has over {limit} digits")
+    longest = max(n for _, n in shape.edge_lengths)
+    if not exhaustive and longest >= _ten_to(limit).bit_length():
+        raise StateSpaceTooLarge(
+            f"{longest}-bit edge words may have over {limit} digits"
+        )
+
+
 def _cmd_simulate(args) -> dict:
     h = _load(args.file)
     key_rate = (
@@ -353,6 +383,7 @@ def _cmd_simulate(args) -> dict:
     orders = _parse_orders(args.order or [])
     scheme, _ = synthesize(h, orders or None)
     shape = quantize(h, key_rate)
+    _require_printable(shape, args.exhaustive)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",

@@ -109,7 +109,7 @@ class KeyRateExceedsCapacity(HyperkeyError):
 
 
 class StateSpaceTooLarge(HyperkeyError):
-    """Exhaustive enumeration would exceed the state-space cap."""
+    """A simulation's source is too large to sweep, sample or print."""
 
 
 class GenerationBudgetExhausted(HyperkeyError):

@@ -449,15 +449,13 @@ def _per_instance(h: Hypergraph, name: str, build: Callable[[Hypergraph], T]) ->
 
 def _pairing_tree_violations(scheme, traces) -> list[str]:
     """Rows of one block pair that block's representative edges into a tree."""
+    by_block: dict[frozenset[str], list[tuple[str, ...]]] = {}
+    for pair, att in zip(scheme.row_pairs(), scheme.attributions):
+        by_block.setdefault(att.block, []).append(pair)
     bad: list[str] = []
     for trace in traces:
-        nodes: set[str] = set()
-        pairs: list[tuple[str, str]] = []
-        for record in trace.iterations:
-            pairs.extend(record.emitted)
-            for a, b in record.emitted:
-                nodes.add(a)
-                nodes.add(b)
+        pairs = by_block.get(trace.block, [])
+        nodes = {n for pair in pairs for n in pair}
         expected = len(trace.representatives)
         label = sorted(trace.block)
         if len(pairs) != expected - 1:

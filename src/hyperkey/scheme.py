@@ -44,7 +44,6 @@ from .partitions import Partition, partition_connectivity
 
 __all__ = [
     "RowAttribution",
-    "IterationRecord",
     "BlockTrace",
     "DiscussionScheme",
     "VerificationReport",
@@ -68,21 +67,12 @@ class RowAttribution:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """One vertex's turn: the classes of the representatives it shares an
-    edge with after deleting the order prefix, and the XOR pairs emitted."""
-
-    vertex: str
-    classes: tuple[frozenset[str], ...]
-    emitted: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class BlockTrace:
+    """A fundamental block, the order its vertices spoke in, its representatives."""
+
     block: frozenset[str]
     order: tuple[str, ...]
     representatives: frozenset[str]
-    iterations: tuple[IterationRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -216,6 +206,10 @@ def synthesize(
     orders maps a block (any iterable of its vertices) to a permutation of it;
     blocks not mentioned use ascending order.  Rows appear block by block in
     canonical block order and, within a block, in the order's sequence.
+
+    Returns the scheme and one BlockTrace per block, in the rows' block
+    order: the block, its order and its representatives.  A block's rows are
+    those whose RowAttribution names it, and a vertex's are those naming it.
     """
     require_mch(h)
     fundamental = partition_connectivity(h).fundamental
@@ -227,50 +221,33 @@ def synthesize(
 
     rows: list[tuple[int, ...]] = []
     attributions: list[RowAttribution] = []
+
+    # one row per pair of consecutive picks; a step's rows share one attribution
+    def say(vertex: str, block: frozenset[str], step: int, picked: list[int]):
+        if len(picked) > 1:
+            said = RowAttribution(vertex=vertex, block=block, step=step)
+            for a, b in zip(picked, picked[1:]):
+                rows.append((a, b) if a < b else (b, a))
+                attributions.append(said)
+
     traces: list[BlockTrace] = []
     for block in fundamental.blocks:
         order = table[block]
-        # per step: the vertex, its classes and the edge picked per class
         if len(block) == 1:
             lone = _lone_representatives(h, order[0])
             reps = frozenset(names[i] for i, _ in lone)
-            classes = tuple(frozenset((names[i],)) for i, _ in lone)
-            turns = [(order[0], classes, [j for _, j in lone])]
+            say(order[0], block, 1, [j for _, j in lone])
         else:
             view = _block_view(h, block)
             # a representative lies on one edge only
             rep_edge = {rep: j for j, rep in view.representatives().items()}
             reps = frozenset(rep_edge)
-            turns = []
             prefix = 0
-            for vertex in order:
+            for step, vertex in enumerate(order, start=1):
                 prefix |= view.bit[vertex]
                 classes = view.classes(vertex, prefix)
-                turns.append((vertex, classes, [rep_edge[min(c)] for c in classes]))
-        records: list[IterationRecord] = []
-        for step, (vertex, classes, picked) in enumerate(turns, start=1):
-            emitted: list[tuple[str, str]] = []
-            for a, b in zip(picked, picked[1:]):
-                emitted.append((edge_order[a], edge_order[b]))
-                rows.append((a, b) if a < b else (b, a))
-                attributions.append(
-                    RowAttribution(vertex=vertex, block=block, step=step)
-                )
-            records.append(
-                IterationRecord(
-                    vertex=vertex,
-                    classes=classes,
-                    emitted=tuple(emitted),
-                )
-            )
-        traces.append(
-            BlockTrace(
-                block=block,
-                order=order,
-                representatives=reps,
-                iterations=tuple(records),
-            )
-        )
+                say(vertex, block, step, [rep_edge[min(c)] for c in classes])
+        traces.append(BlockTrace(block=block, order=order, representatives=reps))
 
     # the index lists each vertex's edges in id order
     recovery = tuple(

@@ -50,7 +50,6 @@ from hyperkey.partitions import partition_connectivity
 from hyperkey.scheme import (
     BlockTrace,
     DiscussionScheme,
-    IterationRecord,
     RowAttribution,
     VerificationReport,
     _normalize_orders,
@@ -772,7 +771,6 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
         restriction = h.incident_restriction(block)
         reps = representatives_of_restriction(restriction, block)
         order = table[block]
-        records = []
         prefix = set()
         for step, vertex in enumerate(order, start=1):
             prefix.add(vertex)
@@ -785,24 +783,11 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
                 )
                 for cls in found
             ]
-            emitted = []
             for a, b in zip(picked, picked[1:]):
-                emitted.append((a, b))
                 i, j = column[a], column[b]
                 rows.append((min(i, j), max(i, j)))
                 attributions.append(RowAttribution(vertex=vertex, block=block, step=step))
-            records.append(
-                IterationRecord(
-                    vertex=vertex,
-                    classes=found,
-                    emitted=tuple(emitted),
-                )
-            )
-        traces.append(
-            BlockTrace(
-                block=block, order=order, representatives=reps, iterations=tuple(records)
-            )
-        )
+        traces.append(BlockTrace(block=block, order=order, representatives=reps))
     recovery = tuple(
         (v, min(e.id for e in h.edges if v in e.members)) for v in sorted(h.vertices)
     )
@@ -816,6 +801,16 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
     if len(rows) != len(edge_order) - 1 or not verify(scheme).ok:
         raise RankDefect("synthesized scheme failed verification")
     return scheme, tuple(traces)
+
+
+def spoken(scheme: DiscussionScheme, trace: BlockTrace) -> list:
+    """Each vertex of the trace's order with the edge pairs of the rows it
+    spoke in the trace's block, in row order."""
+    said = list(zip(scheme.row_pairs(), scheme.attributions))
+    return [
+        (v, tuple(p for p, a in said if a.block == trace.block and a.vertex == v))
+        for v in trace.order
+    ]
 
 
 def verify(scheme: DiscussionScheme) -> VerificationReport:

@@ -10,7 +10,11 @@ cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
 of more than 12), of a seeded `simulate` on a path of each size, and of
 `analyze` on a 12-vertex cycle, which is no MCH, so both connectivity
 functionals take the Bell(12) partition sweep: with unit weights one sweep
-serves both, with weights 1-3 each takes its own.  Each
+serves both, with weights 1-3 each takes its own.  A last row counts, on
+a path of each size, the objects the cyclic garbage collector tracks per
+vertex: those the parsed hypergraph holds, and those `synthesize` adds
+and keeps (its result and what it caches on the hypergraph), each the
+growth of len(gc.get_objects()) after a full collection.  Each
 call runs in a fresh interpreter and reads its peak RSS from VmHWM in
 /proc/self/status (Linux only), so the figure is its own; the time is
 taken around the `main` (or `hgio.parse`) call inside it, without the
@@ -120,6 +124,39 @@ print(code, elapsed, peak_kib, full)
 """
 
 
+# With a file as its argument: the gc-tracked objects per vertex that
+# hgio.parse leaves, then those synthesize adds on top and keeps alive.
+OBJECTS = """\
+import gc, sys
+from hyperkey import hgio, synthesize
+with open(sys.argv[1], encoding="utf-8") as file:
+    text = file.read()
+gc.collect()
+base = len(gc.get_objects())
+h = hgio.parse(text)
+gc.collect()
+parsed = len(gc.get_objects())
+result = synthesize(h)
+gc.collect()
+kept = len(gc.get_objects())
+n = len(h.vertices)
+print(f"{(parsed - base) / n:.2f} {(kept - parsed) / n:.2f}")
+"""
+
+
+def objects_per_vertex(file: Path) -> tuple[str, str]:
+    """gc-tracked objects per vertex held after hgio.parse, and added by
+    synthesize, counted in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", OBJECTS, str(file)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    parsed, synthesized = done.stdout.split()
+    return parsed, synthesized
+
+
 def timed(argv: list[str]) -> str:
     """One CLI call, or hgio.parse alone for ["parse", file], in a fresh
     interpreter, as "seconds/peak RSS in MiB/generation-2 collections"."""
@@ -176,6 +213,11 @@ def main_script() -> None:
             file.write_text(cycle_text(CYCLE, weight))
             cell = timed(["--json", "analyze", str(file)])
             print(f"{label:<24} {CYCLE:>7}  {cell:>14}", flush=True)
+        print(f"{'tracked objects / vertex':<24} {'|V|':>7}  {'parse':>14} {'synthesize':>14}")
+        for exponent in EXPONENTS:
+            n = 10**exponent
+            parsed, synthesized = objects_per_vertex(work / f"path{n}.hg")
+            print(f"{'path':<24} {n:>7}  {parsed:>14} {synthesized:>14}", flush=True)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "Hypergraph",
     "HyperkeyError",
     "InvalidPartition",
-    "IterationRecord",
     "KeyRateExceedsCapacity",
     "MinimizerSweep",
     "NegativeRate",
@@ -137,7 +136,7 @@ def _raised_names():
 
 def test_public_names_are_pinned():
     assert sorted(hyperkey.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 71
+    assert len(PUBLIC_NAMES) == 70
     assert all(hasattr(hyperkey, name) for name in PUBLIC_NAMES)
     assert len(_error_classes()) == 22
 

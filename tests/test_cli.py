@@ -159,6 +159,14 @@ class TestCheck:
     def test_bad_rational_is_usage_error(self, h1_path, capsys):
         assert main(["check", h1_path, "--key-rate", "x"]) == 2
 
+    def test_repeated_rate_vertex_is_usage_error(self, h1_path, capsys):
+        # the later 2:0 used to replace the earlier 2:1 without a word
+        argv = ["check", h1_path, "--key-rate", "1", "--rates", "2:1,3:1,2:0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --rates names vertex '2' twice"]
+
 
 class TestScheme:
     def test_default_scheme(self, h1_path, capsys):
@@ -182,6 +190,15 @@ class TestScheme:
 
     def test_bad_order_is_usage_error(self, h1_path):
         assert main(["scheme", h1_path, "--order", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("command", ["scheme", "simulate"])
+    def test_repeated_order_block_is_usage_error(self, h1_path, capsys, command):
+        # the later order used to replace the earlier one without a word
+        argv = [command, h1_path, "--order", "1,2,3=1,2,3", "--order", "3,2,1=3,2,1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --order names block 1 2 3 twice"]
 
     def test_non_mch_is_domain_error(self, h4_path):
         assert main(["scheme", h4_path]) == 1
@@ -221,6 +238,53 @@ class TestSimulate:
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
             assert "source bits exceed the" in captured.err
+
+
+class TestSimulatePrintsEveryNumber:
+    """A simulation whose document would hold an integer past the int-to-str
+    limit is refused before anything is drawn: a sampled word of L bits
+    reaches 2**L - 1, which prints exactly while 2**L <= 10**limit."""
+
+    @staticmethod
+    def _refused(argv, capsys, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_longest_printable_word(self, tmp_path, capsys, json_flag):
+        bits = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+        path = tmp_path / "long.hg"
+        path.write_text(f"vertices: a b\nedge e0: a b weight {bits}\n")
+        assert main([*json_flag, "simulate", str(path), "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"{bits}" in captured.out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_one_bit_longer_is_refused(self, tmp_path, capsys, json_flag):
+        limit = sys.get_int_max_str_digits()
+        bits = (10**limit).bit_length()
+        path = tmp_path / "long.hg"
+        path.write_text(f"vertices: a b\nedge e0: a b weight {bits}\n")
+        message = f"{bits}-bit edge words may have over {limit} digits"
+        self._refused([*json_flag, "simulate", str(path), "--seed", "1"], capsys, message)
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("extra", [[], ["--exhaustive"]], ids=["seeded", "exhaustive"])
+    def test_scale_past_the_limit_is_refused(self, tmp_path, capsys, json_flag, extra):
+        """Denominators 2M and 3M, each under the limit, give the scale 6M,
+        over it, while the edge words are 3 and 2 bits long."""
+        limit = sys.get_int_max_str_digits()
+        m = 2 * 10 ** (limit - 1)
+        path = tmp_path / "scale.hg"
+        path.write_text(
+            f"vertices: a b c\nedge e0: a b weight 1/{2 * m}\n"
+            f"edge e1: b c weight 1/{3 * m}\n"
+        )
+        message = f"the quantization scale has over {limit} digits"
+        self._refused([*json_flag, "simulate", str(path), *extra], capsys, message)
 
 
 def _count_constructions(monkeypatch, module, name):

@@ -1,6 +1,7 @@
 """Bundled structure validators: lemma identities and scheme round trips."""
 
 import contextlib
+import dataclasses
 import io
 import random
 import re
@@ -24,6 +25,7 @@ from hyperkey import (
     partition_connectivity,
     random_mch_with_stats,
     scheme_round_trip_violations,
+    synthesize,
     unconstrained_capacity,
 )
 from hyperkey.capacity import require_mch
@@ -33,6 +35,7 @@ from hyperkey.properties import (
     _code_refiner,
     _coverage_table,
     _entropy_shape_violations,
+    _pairing_tree_violations,
     _prop2_violations,
     _redundancy_violations,
     _removal_components,
@@ -450,3 +453,49 @@ class TestSchemeRoundTrips:
         # 1/8 rate needs 48 state bits; everything except the exhaustive
         # simulation still runs and must stay clean
         assert scheme_round_trip_violations(h1, Fraction(1, 8)) == []
+
+
+class TestPairingTreeLaw:
+    """The H5 core block {1..5} speaks the rows e1^e2, e2^e3, e3^e4, e5^e6,
+    e4^e6 (columns 0-5), a tree on its six representative edges; each
+    tampering below breaks one clause of the law and gets its message."""
+
+    CORE = "block ['1', '2', '3', '4', '5']"
+
+    @staticmethod
+    def _scheme(h5):
+        scheme, traces = synthesize(h5, {frozenset("12345"): tuple("12345")})
+        assert scheme.rows == ((0, 1), (1, 2), (2, 3), (4, 5), (3, 5))
+        return scheme, traces
+
+    def test_synthesized_rows_pass(self, h5):
+        assert _pairing_tree_violations(*self._scheme(h5)) == []
+
+    def test_a_missing_row(self, h5):
+        scheme, traces = self._scheme(h5)
+        cut = dataclasses.replace(
+            scheme, rows=scheme.rows[:-1], attributions=scheme.attributions[:-1]
+        )
+        assert _pairing_tree_violations(cut, traces) == [
+            f"{self.CORE} emitted 4 rows, expected 5"
+        ]
+
+    def test_rows_closing_a_cycle(self, h5):
+        # e1^e3 in place of e3^e4: e1 e2 e3 close a cycle, all six edges named
+        scheme, traces = self._scheme(h5)
+        rows = list(scheme.rows)
+        rows[2] = (0, 2)
+        cycle = dataclasses.replace(scheme, rows=tuple(rows))
+        assert _pairing_tree_violations(cycle, traces) == [
+            f"{self.CORE} rows do not form a spanning tree"
+        ]
+
+    def test_rows_touching_too_few_edges(self, h5):
+        # e1^e3 in place of e5^e6: no row names e5
+        scheme, traces = self._scheme(h5)
+        rows = list(scheme.rows)
+        rows[3] = (0, 2)
+        short = dataclasses.replace(scheme, rows=tuple(rows))
+        assert _pairing_tree_violations(short, traces) == [
+            f"{self.CORE} rows touch 5 edges, expected 6"
+        ]
