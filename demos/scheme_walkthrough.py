@@ -27,18 +27,18 @@ scheme, trace = synthesize(h, {frozenset("12345"): tuple("12345")})
 
 print("key edge:", scheme.key_edge)
 print("rows (edge pair @ speaking user):")
-for (left, right), attribution in zip(scheme.row_pairs(), scheme.attributions):
-    print(f"  {left} ^ {right}   spoken by user {attribution.vertex}")
+for (left, right), speaker in zip(scheme.row_pairs(), scheme.speakers):
+    print(f"  {left} ^ {right}   spoken by user {speaker}")
 
-# each row's attribution names its block and speaker: replay the core block
-# user by user, in the order the trace records
+# each row names its speaker, who speaks only at its own turn in its block:
+# replay the core block user by user, in the order the trace records
 core = next(t for t in trace if len(t.block) > 1)
 print("iteration over block", sorted(core.block), ":")
 for user in core.order:
     said = ", ".join(
         f"{a}^{b}"
-        for (a, b), attribution in zip(scheme.row_pairs(), scheme.attributions)
-        if attribution.block == core.block and attribution.vertex == user
+        for (a, b), speaker in zip(scheme.row_pairs(), scheme.speakers)
+        if speaker == user
     )
     print(f"  user {user} says {said or 'nothing'}")
 

@@ -76,7 +76,6 @@ from .scheme import (
     BlockTrace,
     CompositeScheme,
     DiscussionScheme,
-    RowAttribution,
     VerificationReport,
     compose_time_shared,
     rates_of,
@@ -133,7 +132,6 @@ __all__ = [
     "RateTuple",
     "RegionCheck",
     "RegionSpec",
-    "RowAttribution",
     "SchemeUnverified",
     "SecrecyReport",
     "SemiLatticeViolation",

@@ -299,16 +299,12 @@ def _scheme_document(h: Hypergraph, scheme, traces, key_rate: Fraction) -> dict:
     rates = rates_of(scheme, key_rate)
     report = verify(scheme)
     labels = {t.block: " ".join(sorted(t.block)) for t in traces}
-    rows = []
-    for (a, b), att in zip(scheme.row_pairs(), scheme.attributions):
-        rows.append(
-            {
-                "pair": f"{a}^{b}",
-                "user": att.vertex,
-                "block": labels[att.block],
-                "step": att.step,
-            }
-        )
+    # a row's block and step are where its speaker sits in the traces
+    seat = {v: (labels[t.block], k) for t in traces for k, v in enumerate(t.order, 1)}
+    rows = [
+        {"pair": f"{a}^{b}", "user": v, "block": seat[v][0], "step": seat[v][1]}
+        for (a, b), v in zip(scheme.row_pairs(), scheme.speakers)
+    ]
     return {
         "edge_order": list(scheme.edge_order),
         "key_edge": scheme.key_edge,
@@ -343,8 +339,8 @@ def _cmd_scheme(args) -> dict:
     doc.update(_scheme_document(h, scheme, traces, key_rate))
     if args.emit_matrix:
         doc["matrix"] = [
-            f"{a}^{b} @user={att.vertex}"
-            for (a, b), att in zip(scheme.row_pairs(), scheme.attributions)
+            f"{a}^{b} @user={speaker}"
+            for (a, b), speaker in zip(scheme.row_pairs(), scheme.speakers)
         ]
     return doc
 
@@ -374,6 +370,10 @@ def _require_printable(shape, exhaustive: bool) -> None:
 
 
 def _cmd_simulate(args) -> dict:
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
+    if args.exhaustive and args.trials != 1:
+        raise UsageError("--exhaustive runs one trial; --trials must be 1")
     h = _load(args.file)
     key_rate = (
         _rational_flag(args.key_rate, "--key-rate")
@@ -405,11 +405,10 @@ def _cmd_simulate(args) -> dict:
         if secrecy.conditional_entropy_bits is not None:
             doc["conditional_entropy_bits"] = secrecy.conditional_entropy_bits
     else:
-        trials = max(1, args.trials)
         all_zero = True
         first: Optional[dict] = None
         checked = 0
-        for t in range(trials):
+        for t in range(args.trials):
             outcome = run(h, scheme, key_rate, seed=args.seed + t)
             checked += outcome.realizations_checked
             all_zero = all_zero and outcome.zero_error
@@ -421,7 +420,7 @@ def _cmd_simulate(args) -> dict:
                     "recovered": {v: k for v, k in outcome.recovered},
                     "key": outcome.key,
                 }
-        doc["trials"] = trials
+        doc["trials"] = args.trials
         doc["realizations_checked"] = checked
         doc["zero_error"] = all_zero
         doc["secrecy_rank_ok"] = outcome.secrecy_rank_ok
@@ -436,10 +435,11 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
         raise UsageError("--edges must be between 1 and 6")
     if args.max_weight < 1:
         raise UsageError("--max-weight must be at least 1")
-    cases = max(1, args.cases)
+    if args.cases < 1:
+        raise UsageError("--cases must be at least 1")
     instances = []
     counterexample = None
-    for k in range(cases):
+    for k in range(args.cases):
         h, stats = random_mch_with_stats(
             args.vertices, args.edges, args.max_weight, args.seed + k
         )
@@ -469,7 +469,7 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "fuzz",
-        "cases_requested": cases,
+        "cases_requested": args.cases,
         "cases_run": len(instances),
         "instances": instances,
         "ok": counterexample is None,

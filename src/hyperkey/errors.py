@@ -34,8 +34,8 @@ class HyperkeyError(Exception):
 
 class UnknownVertex(HyperkeyError):
     """A vertex or edge id was used that is not part of the hypergraph (or of
-    the partition or rate vector) it was looked up in, or an edge's member
-    set is not an iterable of vertex ids."""
+    the partition or rate vector) it was looked up in, or an edge item is no
+    Edge or (id, members, weight) triple with an iterable member set."""
 
 
 class EmptyVertexSet(HyperkeyError):

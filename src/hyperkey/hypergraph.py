@@ -172,7 +172,12 @@ class Hypergraph:
                 if type(members) is not frozenset:
                     members = _member_set(eid, members)
             else:
-                eid, members, weight = item
+                try:
+                    eid, members, weight = item
+                except (TypeError, ValueError):
+                    raise UnknownVertex(
+                        f"edge item {item!r} is no Edge or (id, members, weight)"
+                    ) from None
                 members = _member_set(eid, members)
                 whole = False
             eid = str(eid)

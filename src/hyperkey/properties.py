@@ -448,10 +448,11 @@ def _per_instance(h: Hypergraph, name: str, build: Callable[[Hypergraph], T]) ->
 
 
 def _pairing_tree_violations(scheme, traces) -> list[str]:
-    """Rows of one block pair that block's representative edges into a tree."""
+    """Rows spoken in one block pair its representative edges into a tree."""
+    block_of = {v: t.block for t in traces for v in t.order}
     by_block: dict[frozenset[str], list[tuple[str, ...]]] = {}
-    for pair, att in zip(scheme.row_pairs(), scheme.attributions):
-        by_block.setdefault(att.block, []).append(pair)
+    for pair, speaker in zip(scheme.row_pairs(), scheme.speakers):
+        by_block.setdefault(block_of.get(speaker), []).append(pair)
     bad: list[str] = []
     for trace in traces:
         pairs = by_block.get(trace.block, [])

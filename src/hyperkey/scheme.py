@@ -43,7 +43,6 @@ from .hypergraph import Hypergraph, _block_view, _find, _lone_representatives
 from .partitions import Partition, partition_connectivity
 
 __all__ = [
-    "RowAttribution",
     "BlockTrace",
     "DiscussionScheme",
     "VerificationReport",
@@ -55,15 +54,6 @@ __all__ = [
     "rates_of",
     "compose_time_shared",
 ]
-
-
-@dataclass(frozen=True)
-class RowAttribution:
-    """Which vertex broadcast a row, in which block, at which step (1-based)."""
-
-    vertex: str
-    block: frozenset[str]
-    step: int
 
 
 @dataclass(frozen=True)
@@ -80,15 +70,15 @@ class DiscussionScheme:
     """A linear non-interactive discussion: XOR rows over edge columns.
 
     edge_order fixes the column layout (edge ids, lexicographic); rows are
-    sorted tuples of the columns they XOR (pairs when synthesized);
-    attributions align with rows; key_edge is the edge whose truncated
-    variable is the key; recovery maps every vertex to the incident edge
-    it solves the system with.
+    sorted tuples of the columns they XOR (pairs when synthesized); speakers
+    name the vertex that broadcasts each row; key_edge is the edge whose
+    truncated variable is the key; recovery maps every vertex to the
+    incident edge it solves the system with.
     """
 
     edge_order: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
-    attributions: tuple[RowAttribution, ...]
+    speakers: tuple[str, ...]
     key_edge: str
     recovery: tuple[tuple[str, str], ...]
 
@@ -182,14 +172,21 @@ def _normalize_orders(
         block: tuple(sorted(block)) for block in fundamental.blocks
     }
     if orders:
-        known = set(table)
         for key, seq in orders.items():
-            block = frozenset(str(v) for v in key)
-            if block not in known:
+            try:
+                block = frozenset(str(v) for v in iter(key))
+            except TypeError:
+                raise NotFundamentalBlock(
+                    f"order key {key!r} is not iterable"
+                ) from None
+            if block not in table:
                 raise NotFundamentalBlock(
                     f"{sorted(block)} is not a block of the fundamental partition"
                 )
-            perm = tuple(str(v) for v in seq)
+            try:
+                perm = tuple(str(v) for v in iter(seq))
+            except TypeError:
+                raise VertexNotInBlock(f"order {seq!r} is not iterable") from None
             if frozenset(perm) != block or len(perm) != len(block):
                 raise VertexNotInBlock(
                     f"order {perm!r} is not a permutation of {sorted(block)}"
@@ -208,8 +205,9 @@ def synthesize(
     canonical block order and, within a block, in the order's sequence.
 
     Returns the scheme and one BlockTrace per block, in the rows' block
-    order: the block, its order and its representatives.  A block's rows are
-    those whose RowAttribution names it, and a vertex's are those naming it.
+    order: the block, its order and its representatives.  A vertex speaks
+    only at its own turn in its own block's order, so a row's block and
+    (1-based) step are those of its speaker in the traces.
     """
     require_mch(h)
     fundamental = partition_connectivity(h).fundamental
@@ -220,15 +218,13 @@ def synthesize(
     names = index.names
 
     rows: list[tuple[int, ...]] = []
-    attributions: list[RowAttribution] = []
+    speakers: list[str] = []
 
-    # one row per pair of consecutive picks; a step's rows share one attribution
-    def say(vertex: str, block: frozenset[str], step: int, picked: list[int]):
-        if len(picked) > 1:
-            said = RowAttribution(vertex=vertex, block=block, step=step)
-            for a, b in zip(picked, picked[1:]):
-                rows.append((a, b) if a < b else (b, a))
-                attributions.append(said)
+    # one row per pair of consecutive picks, each spoken by the vertex
+    def say(vertex: str, picked: list[int]):
+        for a, b in zip(picked, picked[1:]):
+            rows.append((a, b) if a < b else (b, a))
+            speakers.append(vertex)
 
     traces: list[BlockTrace] = []
     for block in fundamental.blocks:
@@ -236,17 +232,17 @@ def synthesize(
         if len(block) == 1:
             lone = _lone_representatives(h, order[0])
             reps = frozenset(names[i] for i, _ in lone)
-            say(order[0], block, 1, [j for _, j in lone])
+            say(order[0], [j for _, j in lone])
         else:
             view = _block_view(h, block)
             # a representative lies on one edge only
             rep_edge = {rep: j for j, rep in view.representatives().items()}
             reps = frozenset(rep_edge)
             prefix = 0
-            for step, vertex in enumerate(order, start=1):
+            for vertex in order:
                 prefix |= view.bit[vertex]
                 classes = view.classes(vertex, prefix)
-                say(vertex, block, step, [rep_edge[min(c)] for c in classes])
+                say(vertex, [rep_edge[min(c)] for c in classes])
         traces.append(BlockTrace(block=block, order=order, representatives=reps))
 
     # the index lists each vertex's edges in id order
@@ -256,7 +252,7 @@ def synthesize(
     scheme = DiscussionScheme(
         edge_order=edge_order,
         rows=tuple(rows),
-        attributions=tuple(attributions),
+        speakers=tuple(speakers),
         key_edge=edge_order[0],
         recovery=recovery,
     )
@@ -291,9 +287,7 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
 def _verification(scheme: DiscussionScheme) -> VerificationReport:
     """verify's report, computed."""
     mu = scheme.mu
-    row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.attributions) == len(
-        scheme.rows
-    )
+    row_count_ok = len(scheme.rows) == len(scheme.speakers) == mu - 1
     bad_rows = tuple(
         idx
         for idx, row in enumerate(scheme.rows)
@@ -355,15 +349,15 @@ def _row_mask(row: Iterable[int], mu: int) -> int:
 
 
 def rates_of(scheme: DiscussionScheme, key_rate: Fraction) -> RateTuple:
-    """Discussion rate per vertex: its row count times the key rate.  A row
-    attributed to a vertex the recovery map lacks raises SchemeUnverified."""
+    """Discussion rate per vertex: the rows naming it as speaker times the
+    key rate.  A speaker the recovery map lacks raises SchemeUnverified."""
     counts: dict[str, int] = {v: 0 for v in scheme.vertices()}
-    for att in scheme.attributions:
-        if att.vertex not in counts:
+    for speaker in scheme.speakers:
+        if speaker not in counts:
             raise SchemeUnverified(
-                f"a row is attributed to {att.vertex!r}, which is not a scheme vertex"
+                f"a row is attributed to {speaker!r}, which is not a scheme vertex"
             )
-        counts[att.vertex] += 1
+        counts[speaker] += 1
     rate = _as_fraction(key_rate)
     # one Fraction per distinct row count; RateTuple keeps Fractions as they are
     scaled = {n: n * rate for n in set(counts.values())}

@@ -50,7 +50,6 @@ from hyperkey.partitions import partition_connectivity
 from hyperkey.scheme import (
     BlockTrace,
     DiscussionScheme,
-    RowAttribution,
     VerificationReport,
     _normalize_orders,
 )
@@ -760,13 +759,15 @@ def classes(restriction: Hypergraph, reps, vertex, prefix) -> tuple:
 def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
     """The scheme and traces, from an incident-restriction Hypergraph per
     block, one scan of its edges per class pick and of all edges per
-    recovery entry, checked by the elimination-only `verify` below."""
+    recovery entry, checked by the elimination-only `verify` below; and per
+    row, the (vertex, block, 1-based step) that spoke it, counted here
+    rather than read off the traces."""
     require_mch(h)
     fundamental = partition_connectivity(h).fundamental
     table = _normalize_orders(fundamental, orders)
     edge_order = tuple(sorted(e.id for e in h.edges))
     column = {eid: k for k, eid in enumerate(edge_order)}
-    rows, attributions, traces = [], [], []
+    rows, said, traces = [], [], []
     for block in fundamental.blocks:
         restriction = h.incident_restriction(block)
         reps = representatives_of_restriction(restriction, block)
@@ -786,7 +787,7 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
             for a, b in zip(picked, picked[1:]):
                 i, j = column[a], column[b]
                 rows.append((min(i, j), max(i, j)))
-                attributions.append(RowAttribution(vertex=vertex, block=block, step=step))
+                said.append((vertex, block, step))
         traces.append(BlockTrace(block=block, order=order, representatives=reps))
     recovery = tuple(
         (v, min(e.id for e in h.edges if v in e.members)) for v in sorted(h.vertices)
@@ -794,23 +795,20 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
     scheme = DiscussionScheme(
         edge_order=edge_order,
         rows=tuple(rows),
-        attributions=tuple(attributions),
+        speakers=tuple(vertex for vertex, _, _ in said),
         key_edge=edge_order[0],
         recovery=recovery,
     )
     if len(rows) != len(edge_order) - 1 or not verify(scheme).ok:
         raise RankDefect("synthesized scheme failed verification")
-    return scheme, tuple(traces)
+    return scheme, tuple(traces), tuple(said)
 
 
 def spoken(scheme: DiscussionScheme, trace: BlockTrace) -> list:
     """Each vertex of the trace's order with the edge pairs of the rows it
-    spoke in the trace's block, in row order."""
-    said = list(zip(scheme.row_pairs(), scheme.attributions))
-    return [
-        (v, tuple(p for p, a in said if a.block == trace.block and a.vertex == v))
-        for v in trace.order
-    ]
+    spoke, in row order."""
+    said = list(zip(scheme.row_pairs(), scheme.speakers))
+    return [(v, tuple(p for p, s in said if s == v)) for v in trace.order]
 
 
 def verify(scheme: DiscussionScheme) -> VerificationReport:
@@ -818,7 +816,7 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
     whatever they are; a good row is one of the pairs combinations(range(mu),
     2) lists."""
     mu = scheme.mu
-    row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.attributions) == len(
+    row_count_ok = len(scheme.rows) == mu - 1 and len(scheme.speakers) == len(
         scheme.rows
     )
     pairs = set(combinations(range(mu), 2))

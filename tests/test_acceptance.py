@@ -316,7 +316,7 @@ def test_criterion_11_secrecy_oracle_cross_check(h1, theorem_pool):
     leak = dataclasses.replace(
         scheme,
         rows=scheme.rows + ((scheme.column(scheme.key_edge),),),
-        attributions=scheme.attributions + (scheme.attributions[0],),
+        speakers=scheme.speakers + (scheme.speakers[0],),
     )
     assert verify(leak).secrecy_ok is False
     assert brute_force_secrecy(h1, leak, Fraction(1)).perfect is False

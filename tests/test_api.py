@@ -49,7 +49,6 @@ PUBLIC_NAMES = [
     "RateTuple",
     "RegionCheck",
     "RegionSpec",
-    "RowAttribution",
     "SchemeUnverified",
     "SecrecyReport",
     "SemiLatticeViolation",
@@ -136,7 +135,7 @@ def _raised_names():
 
 def test_public_names_are_pinned():
     assert sorted(hyperkey.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 70
+    assert len(PUBLIC_NAMES) == 69
     assert all(hasattr(hyperkey, name) for name in PUBLIC_NAMES)
     assert len(_error_classes()) == 22
 

@@ -185,6 +185,11 @@ class TestScheme:
         out = lines(capsys)
         assert "matrix[0] = a^b @user=2" in out
         assert "matrix[1] = a^c @user=1" in out
+        # in the order 3 2 1, user 2 speaks at step 2 and user 1 at step 3
+        assert "rows[0].block = 1 2 3" in out
+        assert "rows[0].step = 2" in out
+        assert "rows[1].block = 1 2 3" in out
+        assert "rows[1].step = 3" in out
         assert "rates.1 = 1" in out
         assert "rates.3 = 0" in out
 
@@ -221,6 +226,30 @@ class TestSimulate:
         assert doc["realizations_checked"] == 64
         assert doc["key_entropy_bits"] == "1"
         assert doc["conditional_entropy_bits"] == "1"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "--trials must be at least 1"),
+            (["--trials", "-2"], "--trials must be at least 1"),
+            (
+                ["--exhaustive", "--trials", "3"],
+                "--exhaustive runs one trial; --trials must be 1",
+            ),
+            (["--exhaustive", "--trials", "0"], "--trials must be at least 1"),
+        ],
+    )
+    def test_trial_counts_are_not_rewritten(self, h1_path, capsys, flags, message):
+        # these used to run one trial without a word
+        assert main(["simulate", h1_path, "--key-rate", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_exhaustive_takes_one_trial(self, h1_path, capsys):
+        argv = ["simulate", h1_path, "--key-rate", "1", "--exhaustive", "--trials", "1"]
+        assert main(argv) == 0
+        assert "trials = 1" in lines(capsys)
 
     def test_exhaustive_above_cap_is_domain_error(self, h1_path):
         assert main(["simulate", h1_path, "--key-rate", "1/64", "--exhaustive"]) == 1
@@ -336,6 +365,14 @@ class TestFuzz:
 
     def test_bounds_are_usage_errors(self):
         assert main(["fuzz", "--vertices", "12", "--edges", "3"]) == 2
+
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_case_counts_below_one_are_usage_errors(self, capsys, cases):
+        # these used to run one case and report cases_requested = 1
+        assert main(["fuzz", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --cases must be at least 1"]
 
 
 class TestExitCodes:

@@ -115,6 +115,14 @@ class TestKeptEdges:
             with pytest.raises(UnknownVertex, match="member set that is not iterable"):
                 Hypergraph("12", [edge])
 
+    @pytest.mark.parametrize(
+        "item", [("a", "12"), ("a", "12", 1, 2), (), 5, None],
+        ids=["pair", "quadruple", "empty", "int", "none"],
+    )
+    def test_an_edge_item_that_is_no_triple_is_a_domain_error(self, item):
+        with pytest.raises(UnknownVertex, match="is no Edge or"):
+            Hypergraph("12", [item])
+
     def test_malformed_members_still_meet_the_member_checks(self):
         with pytest.raises(EmptyVertexSet):
             Hypergraph("12", [Edge("a", [], 1)])

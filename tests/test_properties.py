@@ -474,7 +474,7 @@ class TestPairingTreeLaw:
     def test_a_missing_row(self, h5):
         scheme, traces = self._scheme(h5)
         cut = dataclasses.replace(
-            scheme, rows=scheme.rows[:-1], attributions=scheme.attributions[:-1]
+            scheme, rows=scheme.rows[:-1], speakers=scheme.speakers[:-1]
         )
         assert _pairing_tree_violations(cut, traces) == [
             f"{self.CORE} emitted 4 rows, expected 5"

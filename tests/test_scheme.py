@@ -11,10 +11,10 @@ from hyperkey import (
     DiscussionScheme,
     NotFundamentalBlock,
     NotMCH,
-    RowAttribution,
     SchemeUnverified,
     VertexNotInBlock,
     WeightsNotConvex,
+    cli,
     compose_time_shared,
     partition_connectivity,
     rates_of,
@@ -59,7 +59,7 @@ def scheme_inputs(fixtures):
 
 
 def pairs_and_users(scheme):
-    return list(zip(scheme.row_pairs(), (a.vertex for a in scheme.attributions)))
+    return list(zip(scheme.row_pairs(), scheme.speakers))
 
 
 class TestRepresentatives:
@@ -143,12 +143,18 @@ class TestSynthesize:
         with pytest.raises(VertexNotInBlock):
             synthesize(h1, {frozenset("123"): ("1", "2")})
 
+    def test_orders_that_are_not_iterable_are_domain_errors(self, h1):
+        with pytest.raises(NotFundamentalBlock, match="order key 5 is not iterable"):
+            synthesize(h1, {5: (5,)})
+        with pytest.raises(VertexNotInBlock, match="order 5 is not iterable"):
+            synthesize(h1, {"123": 5})
+
 
 class TestVerify:
     def test_dropped_row(self, h1):
         scheme, _ = synthesize(h1)
         dropped = dataclasses.replace(
-            scheme, rows=scheme.rows[:1], attributions=scheme.attributions[:1]
+            scheme, rows=scheme.rows[:1], speakers=scheme.speakers[:1]
         )
         report = verify(dropped)
         assert not report.ok
@@ -176,7 +182,7 @@ class TestVerify:
         leak = dataclasses.replace(
             scheme,
             rows=scheme.rows + (key_column,),
-            attributions=scheme.attributions + (RowAttribution("2", frozenset("123"), 3),),
+            speakers=scheme.speakers + ("2",),
         )
         report = verify(leak)
         assert not report.ok and not report.secrecy_ok
@@ -253,7 +259,7 @@ class TestVerify:
         scheme = DiscussionScheme(
             edge_order=edge_order,
             rows=tuple(rows),
-            attributions=(),
+            speakers=(),
             key_edge=key_edge,
             recovery=(),
         )
@@ -269,7 +275,7 @@ class TestVerify:
         scheme, _ = synthesize(h1)
         assert verify(scheme) is verify(scheme)
         dropped = dataclasses.replace(
-            scheme, rows=scheme.rows[:1], attributions=scheme.attributions[:1]
+            scheme, rows=scheme.rows[:1], speakers=scheme.speakers[:1]
         )
         assert verify(dropped) is verify(dropped)
         assert verify(scheme).ok and not verify(dropped).ok
@@ -285,17 +291,35 @@ class TestAgainstOracles:
     def test_synthesize_matches_the_restriction_oracle(
         self, h1, h2, h3, h5, single_edge
     ):
-        """Rows, attributions, recovery and every BlockTrace equal the ones
+        """Rows, speakers, recovery and every BlockTrace equal the ones
         built from an incident-restriction Hypergraph per block; verify and
         row_pairs equal the elimination-only and per-column oracles."""
         cores = 0
         for h, orders in scheme_inputs((h1, h2, h3, h5, single_edge)):
             scheme, traces = synthesize(h, orders)
-            assert (scheme, traces) == oracles.synthesize(h, orders), (h, orders)
+            assert (scheme, traces) == oracles.synthesize(h, orders)[:2], (h, orders)
             assert verify(scheme) == oracles.verify(scheme)
             assert scheme.row_pairs() == oracles.row_pairs(scheme)
             cores += any(len(t.block) > 1 for t in traces)
         assert cores > 600
+
+    def test_rendered_rows_name_the_oracles_speaker_block_and_step(
+        self, h1, h2, h3, h5, single_edge
+    ):
+        """The CLI derives each row's block and step from where its speaker
+        sits in the traces; the oracle counts them while it speaks."""
+        later = 0  # rows spoken after a block's first turn
+        for h, orders in scheme_inputs((h1, h2, h3, h5, single_edge)):
+            scheme, traces = synthesize(h, orders)
+            doc = cli._scheme_document(h, scheme, traces, Fraction(1))
+            _, _, said = oracles.synthesize(h, orders)
+            want = [
+                (vertex, " ".join(sorted(block)), step) for vertex, block, step in said
+            ]
+            got = [(row["user"], row["block"], row["step"]) for row in doc["rows"]]
+            assert got == want, (h, orders)
+            later += sum(step > 1 for _, _, step in said)
+        assert later > 1000
 
     def test_representatives_and_classes_match_the_oracle(
         self, h1, h2, h3, h5, single_edge
@@ -339,9 +363,7 @@ class TestRates:
         scheme, _ = synthesize(h1)
         stray = dataclasses.replace(
             scheme,
-            attributions=tuple(
-                dataclasses.replace(att, vertex="zz") for att in scheme.attributions
-            ),
+            speakers=tuple("zz" for _ in scheme.speakers),
         )
         assert verify(stray).ok
         with pytest.raises(SchemeUnverified, match="'zz'"):

@@ -134,7 +134,7 @@ def leaky(scheme):
     return dataclasses.replace(
         scheme,
         rows=scheme.rows + ((scheme.column(scheme.key_edge),),),
-        attributions=scheme.attributions + scheme.attributions[:1],
+        speakers=scheme.speakers + scheme.speakers[:1],
     )
 
 
@@ -143,7 +143,7 @@ def row_dropped(scheme, keep=slice(0, 1)):
     deficient, and with keep=slice(-1, None) on H1 two source bits share one
     nonzero observation, which the secrecy convolution must merge."""
     return dataclasses.replace(
-        scheme, rows=scheme.rows[keep], attributions=scheme.attributions[keep]
+        scheme, rows=scheme.rows[keep], speakers=scheme.speakers[keep]
     )
 
 
@@ -296,7 +296,7 @@ class TestRun:
     def test_unverified_schemes_are_rejected_by_default(self, h1):
         scheme, _ = synthesize(h1)
         broken = dataclasses.replace(
-            scheme, rows=scheme.rows[:1], attributions=scheme.attributions[:1]
+            scheme, rows=scheme.rows[:1], speakers=scheme.speakers[:1]
         )
         with pytest.raises(SchemeUnverified):
             run(h1, broken, Fraction(1), exhaustive=True)
@@ -390,7 +390,7 @@ class TestSecrecyOracles:
         leak = dataclasses.replace(
             scheme,
             rows=scheme.rows + (key_column,),
-            attributions=scheme.attributions + (scheme.attributions[0],),
+            speakers=scheme.speakers + (scheme.speakers[0],),
         )
         rep = brute_force_secrecy(h1, leak, Fraction(1))
         assert not rep.perfect
