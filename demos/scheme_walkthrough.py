@@ -23,7 +23,7 @@ h = Hypergraph(
     ],
 )
 
-scheme, trace = synthesize(h, {frozenset("12345"): tuple("12345")})
+scheme, used = synthesize(h, {frozenset("12345"): tuple("12345")})
 
 print("key edge:", scheme.key_edge)
 print("rows (edge pair @ speaking user):")
@@ -31,10 +31,10 @@ for (left, right), speaker in zip(scheme.row_pairs(), scheme.speakers):
     print(f"  {left} ^ {right}   spoken by user {speaker}")
 
 # each row names its speaker, who speaks only at its own turn in its block:
-# replay the core block user by user, in the order the trace records
-core = next(t for t in trace if len(t.block) > 1)
-print("iteration over block", sorted(core.block), ":")
-for user in core.order:
+# replay the core block user by user, in the order synthesize used for it
+block, order = next((b, o) for b, o in used.items() if len(b) > 1)
+print("iteration over block", sorted(block), ":")
+for user in order:
     said = ", ".join(
         f"{a}^{b}"
         for (a, b), speaker in zip(scheme.row_pairs(), scheme.speakers)

@@ -73,7 +73,6 @@ from .polymatroid import (
     rank,
 )
 from .scheme import (
-    BlockTrace,
     CompositeScheme,
     DiscussionScheme,
     VerificationReport,
@@ -100,7 +99,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BergeCycle",
-    "BlockTrace",
     "CompositeScheme",
     "ConnectivityReport",
     "ContraPolymatroidReport",

@@ -54,9 +54,15 @@ def require_mch(h: Hypergraph) -> None:
 
 def _require_fundamental_block(h: Hypergraph, block: frozenset[str]) -> None:
     """NotMCH unless h is an MCH, then NotFundamentalBlock unless block is a
-    block of its (cached) fundamental partition."""
+    block of its (cached) fundamental partition: one lookup, in time
+    O(|block|), in the set of those blocks, cached on h."""
     require_mch(h)
-    if block not in partition_connectivity(h).fundamental.blocks:
+    blocks = h._cache.get("fundamental blocks")
+    if blocks is None:
+        blocks = h._cache["fundamental blocks"] = frozenset(
+            partition_connectivity(h).fundamental.blocks
+        )
+    if block not in blocks:
         raise NotFundamentalBlock(
             f"{sorted(block)} is not a block of the fundamental partition"
         )

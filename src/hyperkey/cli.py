@@ -32,7 +32,7 @@ from .capacity import (
     unconstrained_capacity,
 )
 from .errors import HyperkeyError, ParseError, StateSpaceTooLarge
-from .hypergraph import Hypergraph, _read_rational
+from .hypergraph import Hypergraph, _read_rational, _representatives
 from .partitions import mmi, partition_connectivity
 from .properties import lemma_violations, scheme_round_trip_violations
 from .scheme import rates_of, synthesize, verify
@@ -295,12 +295,17 @@ def _cmd_check(args) -> dict:
     return doc
 
 
-def _scheme_document(h: Hypergraph, scheme, traces, key_rate: Fraction) -> dict:
+def _scheme_document(h: Hypergraph, scheme, used, key_rate: Fraction) -> dict:
     rates = rates_of(scheme, key_rate)
     report = verify(scheme)
-    labels = {t.block: " ".join(sorted(t.block)) for t in traces}
-    # a row's block and step are where its speaker sits in the traces
-    seat = {v: (labels[t.block], k) for t in traces for k, v in enumerate(t.order, 1)}
+    labels = {block: " ".join(sorted(block)) for block in used}
+    # a row's block and step are where its speaker sits in the used orders
+    seat = {
+        v: (labels[block], k)
+        for block, order in used.items()
+        for k, v in enumerate(order, 1)
+    }
+    names = h._index().names
     rows = [
         {"pair": f"{a}^{b}", "user": v, "block": seat[v][0], "step": seat[v][1]}
         for (a, b), v in zip(scheme.row_pairs(), scheme.speakers)
@@ -317,11 +322,12 @@ def _scheme_document(h: Hypergraph, scheme, traces, key_rate: Fraction) -> dict:
         "verified": report.ok,
         "blocks": [
             {
-                "block": labels[t.block],
-                "order": list(t.order),
-                "representatives": sorted(t.representatives),
+                "block": labels[block],
+                "order": list(order),
+                # positions ascend, so the names come sorted
+                "representatives": [names[p] for p, _ in _representatives(h, block)],
             }
-            for t in traces
+            for block, order in used.items()
         ],
     }
 
@@ -334,9 +340,9 @@ def _cmd_scheme(args) -> dict:
         else unconstrained_capacity(h)
     )
     orders = _parse_orders(args.order or [])
-    scheme, traces = synthesize(h, orders or None)
+    scheme, used = synthesize(h, orders or None)
     doc = {"schema_version": SCHEMA_VERSION, "command": "scheme"}
-    doc.update(_scheme_document(h, scheme, traces, key_rate))
+    doc.update(_scheme_document(h, scheme, used, key_rate))
     if args.emit_matrix:
         doc["matrix"] = [
             f"{a}^{b} @user={speaker}"
@@ -398,7 +404,7 @@ def _cmd_simulate(args) -> dict:
         doc["trials"] = 1
         doc["realizations_checked"] = outcome.realizations_checked
         doc["zero_error"] = outcome.zero_error
-        doc["secrecy_rank_ok"] = outcome.secrecy_rank_ok
+        doc["secrecy_rank_ok"] = verify(scheme).secrecy_ok
         secrecy = brute_force_secrecy(h, scheme, key_rate)
         doc["perfect_secrecy"] = secrecy.perfect
         doc["key_entropy_bits"] = secrecy.key_entropy_bits
@@ -423,7 +429,7 @@ def _cmd_simulate(args) -> dict:
         doc["trials"] = args.trials
         doc["realizations_checked"] = checked
         doc["zero_error"] = all_zero
-        doc["secrecy_rank_ok"] = outcome.secrecy_rank_ok
+        doc["secrecy_rank_ok"] = verify(scheme).secrecy_ok
         doc["first_trial"] = first
     return doc
 

@@ -19,8 +19,8 @@ min_weight, partitions._mch_report, simkit.quantize, the block views and
 scheme.synthesize read it.  What the library reads off a fundamental block
 of an MCH (the components left by removing part of it, its
 representatives and their classes) comes from one view of the edges
-meeting it, _BlockView, cached on the hypergraph; a one-vertex block needs
-no view (_lone_representatives).
+meeting it, _BlockView, cached on the hypergraph; the representatives
+come from one rule, _representatives, and a one-vertex block needs no view.
 
 The independent checks stay off the index, so a fault in it shows as a
 disagreement instead of being copied into both sides: removal_component_count
@@ -642,7 +642,7 @@ def block_removal_counts(
     """(order, counts) with counts[mask] = the block view's count(mask) for
     every mask, so counts[0] is 1; a block of more than 12 vertices raises
     GroundTooLarge.  A one-vertex block {v} needs no view: removing v leaves
-    one component per edge at v (see _lone_representatives)."""
+    one component per edge at v (see _representatives)."""
     if len(block) > 12:
         raise GroundTooLarge(
             f"subset enumeration over {len(block)} vertices exceeds cap 12"
@@ -663,22 +663,28 @@ def _block_view(h: Hypergraph, block: frozenset[str]) -> "_BlockView":
     return view
 
 
-def _lone_representatives(h: Hypergraph, vertex: str) -> list[tuple[int, int]]:
-    """(representative position, edge index) of each edge at the one-vertex
-    fundamental block {vertex} of the MCH h, sorted.
+def _representatives(h: Hypergraph, block) -> list[tuple[int, int]]:
+    """(representative position, edge index) of each edge meeting the
+    fundamental block (any iterable of its vertices) of the MCH h, sorted.
 
-    Every such edge is a bridge of the incidence graph with outside members
-    of its own (see _BlockView), and its representative is the least of
-    them.  Once vertex is deleted each representative is a class alone, so
+    Every such edge has outside members of its own (see _BlockView), and
+    its representative is the least of them.  A one-vertex block {v} needs
+    no view: once v is deleted each representative is a class alone, so
     sorted by representative these are the classes of the block's one step.
     """
     index = h._index()
-    at = index.position[vertex]
-    members = index.members
+    members, incident, position = index.members, index.incident, index.position
+    if len(block) == 1:  # one position: no set, and no edge met twice
+        (vertex,) = block
+        spots = (position[vertex],)
+        edges = incident[spots[0]]
+    else:
+        spots = {position[v] for v in block}
+        edges = dict.fromkeys(j for p in spots for j in incident[p])
     out: list[tuple[int, int]] = []
     claimed: set[int] = set()
-    for j in index.incident[at]:
-        outside = [i for i in members[j] if i != at]
+    for j in edges:
+        outside = [i for i in members[j] if i not in spots]
         if not outside or not claimed.isdisjoint(outside):  # pragma: no cover
             raise RankDefect(f"edge {h.edges[j].id!r} lacks outside members of its own")
         claimed.update(outside)
@@ -702,14 +708,15 @@ class _BlockView:
 
     Subsets of the block are bitmasks over order, the sorted block; edges
     are read off the hypergraph's integer index, by edge index and member
-    position.  One search over the local edges (_component) serves count
-    and classes, at a cost in the block and its local edges whatever the
-    size of h.
+    position, and reps maps each edge at the block to its representative
+    (_representatives).  One search over the local edges (_component)
+    serves count and classes, at a cost in the block and its local edges
+    whatever the size of h.
     """
 
     __slots__ = (
-        "order", "bit", "full", "hanging", "local", "adjacent",
-        "_index", "_edges", "_masks", "_reps",
+        "order", "bit", "full", "hanging", "local", "adjacent", "reps",
+        "_index", "_masks",
     )
 
     def __init__(self, h: Hypergraph, block: frozenset[str]):
@@ -720,8 +727,8 @@ class _BlockView:
         self.local: list[int] = []  # each local edge once, at its lowest member
         self.adjacent = adjacent = [0] * len(order)  # local edges at each, joined
         self._index = index = h._index()
-        self._edges = h.edges
-        self._reps: Optional[dict[int, str]] = None
+        names = index.names
+        self.reps = {j: names[p] for p, j in _representatives(h, block)}
         position = index.position
         spot = {position[v]: 1 << i for i, v in enumerate(order)}
         members = index.members
@@ -783,26 +790,6 @@ class _BlockView:
             total += 1
         return total
 
-    def representatives(self) -> dict[int, str]:
-        """Edge index -> representative of each edge at the block, built on
-        first use."""
-        if self._reps is None:
-            index = self._index
-            names, members = index.names, index.members
-            block = {index.position[v] for v in self.order}
-            reps: dict[int, str] = {}
-            claimed: set[int] = set()
-            for j in self._masks:
-                outside = [p for p in members[j] if p not in block]
-                if not outside or not claimed.isdisjoint(outside):  # pragma: no cover
-                    raise RankDefect(
-                        f"edge {self._edges[j].id!r} lacks outside members of its own"
-                    )
-                claimed.update(outside)
-                reps[j] = names[outside[0]]
-            self._reps = reps
-        return self._reps
-
     def classes(self, vertex: str, prefix: int) -> tuple[frozenset[str], ...]:
         """Classes of the representatives on the edges at vertex once the
         block vertices in prefix (vertex among them) are deleted, sorted by
@@ -810,7 +797,7 @@ class _BlockView:
         two share a class exactly when their edges keep block vertices that
         the local edges still join; an edge that keeps none is a class alone.
         """
-        reps = self.representatives()
+        reps = self.reps
         masks = self._masks
         kept = self.full ^ prefix
         near = self.adjacent[self.bit[vertex].bit_length() - 1] & kept

@@ -77,8 +77,8 @@ def lemma_violations(
     from one _removal_counter, a generic search independent of the rank
     tables.  The enumeration oracle refuses grounds over 12 vertices, and
     so does this function.  The brute-force maximal-subset characterization
-    of non-singleton fundamental blocks (_prop2_violations) is too slow for
-    every case and is left to the tests.
+    of non-singleton fundamental blocks is too slow for every case; the
+    tests check it (oracles.prop2_violations).
     """
     require_mch(h)
     rng = rng or random.Random(0)
@@ -321,34 +321,6 @@ def _table_shape_violations(order: Sequence[str], values: Sequence[int]) -> list
     return []
 
 
-def _prop2_violations(
-    h: Hypergraph, value: Fraction, fundamental: Partition
-) -> list[str]:
-    """The non-singleton fundamental blocks are exactly the maximal vertex
-    sets, of two or more, whose induced connectivity exceeds value; checked
-    by brute force over every subset of at most 9 vertices."""
-    names = sorted(h.vertices)
-    if len(names) > 9:
-        return ["prop2 brute force skipped: ground too large"]
-    family: list[frozenset[str]] = []
-    for size in range(2, len(names) + 1):
-        for combo in combinations(names, size):
-            sub = frozenset(combo)
-            if partition_connectivity(h.induced(sub)).value > value:
-                family.append(sub)
-    maximal = {
-        c for c in family if not any(c < other for other in family)
-    }
-    expected = {block for block in fundamental.blocks if len(block) > 1}
-    if maximal != expected:
-        return [
-            "maximal subsets with larger connectivity "
-            f"{sorted(sorted(c) for c in maximal)} != non-singleton blocks "
-            f"{sorted(sorted(c) for c in expected)}"
-        ]
-    return []
-
-
 def scheme_round_trip_violations(
     h: Hypergraph,
     key_rate: Fraction,
@@ -368,9 +340,9 @@ def scheme_round_trip_violations(
     if orders is None:
         # the scheme does not depend on the rate, so the round trips at
         # several rates of one instance share the default-order synthesis
-        scheme, traces = _per_instance(h, "synthesize", synthesize)
+        scheme, used = _per_instance(h, "synthesize", synthesize)
     else:
-        scheme, traces = synthesize(h, orders)
+        scheme, used = synthesize(h, orders)
     report = verify(scheme)
     if not report.ok:
         return bad + [f"synthesized scheme failed verification: {report}"]
@@ -381,9 +353,9 @@ def scheme_round_trip_violations(
         bad.append(
             f"total rate {rates.total()} != (edge count - 1) * key rate"
         )
-    for trace in traces:
-        fn = RankFunction(h, trace.block, rate)
-        point = extreme_point_for_order(fn, trace.order)
+    for block, order in used.items():
+        fn = RankFunction(h, block, rate)
+        point = extreme_point_for_order(fn, order)
         for v, r in point.rates:
             if rates.per_user[v] != r:
                 bad.append(
@@ -412,7 +384,7 @@ def scheme_round_trip_violations(
                         f"outer bound violated by {deficit} at B={sorted(b)}"
                     )
 
-    bad.extend(_pairing_tree_violations(scheme, traces))
+    bad.extend(_pairing_tree_violations(h, scheme, used))
 
     shape = quantize(h, rate)
     if shape.total_bits() <= MAX_STATE_BITS:
@@ -447,18 +419,22 @@ def _per_instance(h: Hypergraph, name: str, build: Callable[[Hypergraph], T]) ->
     return found
 
 
-def _pairing_tree_violations(scheme, traces) -> list[str]:
-    """Rows spoken in one block pair its representative edges into a tree."""
-    block_of = {v: t.block for t in traces for v in t.order}
+def _pairing_tree_violations(h: Hypergraph, scheme, used) -> list[str]:
+    """Rows spoken in one block pair its representative edges into a tree.
+
+    A block has one representative per edge that meets it, so its rows
+    number h.degree(block) - 1, a count from a scan of the Edge objects.
+    """
+    block_of = {v: block for block, order in used.items() for v in order}
     by_block: dict[frozenset[str], list[tuple[str, ...]]] = {}
     for pair, speaker in zip(scheme.row_pairs(), scheme.speakers):
         by_block.setdefault(block_of.get(speaker), []).append(pair)
     bad: list[str] = []
-    for trace in traces:
-        pairs = by_block.get(trace.block, [])
+    for block in used:
+        pairs = by_block.get(block, [])
         nodes = {n for pair in pairs for n in pair}
-        expected = len(trace.representatives)
-        label = sorted(trace.block)
+        expected = h.degree(block)
+        label = sorted(block)
         if len(pairs) != expected - 1:
             bad.append(
                 f"block {label} emitted {len(pairs)} rows, expected {expected - 1}"

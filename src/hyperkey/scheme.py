@@ -11,13 +11,15 @@ matrix has full row rank, and adding any single edge indicator raises the
 rank to the edge count, which is at once the zero-error recovery condition
 for every vertex and perfect secrecy of the key edge: pair rows can never
 sum to a unit vector.  `verify` checks all of it with a union-find over the
-columns (gf2.eliminate serves any other row set).  Each block is read
-through its cached view (hypergraph._BlockView): one search over its local
-edges gives the classes after each order prefix, in time linear in h when
-the cyclic cores are bounded; a one-vertex block needs no view, since each
-edge at it is a class alone (hypergraph._lone_representatives).  Columns
-are edge indices of the hypergraph's integer index, which lists the edges
-in id order, as the columns are.
+columns (gf2.eliminate serves any other row set).  A block's
+representatives, one per edge meeting it, come from one rule
+(hypergraph._representatives); they depend on the block, not on its order.
+A block of two or more vertices is read through its cached view
+(hypergraph._BlockView): one search over its local edges gives the classes
+after each order prefix, in time linear in h when the cyclic cores are
+bounded; a one-vertex block needs no view, since each edge at it is a
+class alone.  Columns are edge indices of the hypergraph's integer index,
+which lists the edges in id order, as the columns are.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from .errors import (
     VertexNotInBlock,
     WeightsNotConvex,
 )
-from .hypergraph import Hypergraph, _block_view, _find, _lone_representatives
+from .hypergraph import Hypergraph, _block_view, _find, _representatives
 from .partitions import Partition, partition_connectivity
 
 __all__ = [
-    "BlockTrace",
     "DiscussionScheme",
     "VerificationReport",
     "CompositeScheme",
@@ -54,15 +55,6 @@ __all__ = [
     "rates_of",
     "compose_time_shared",
 ]
-
-
-@dataclass(frozen=True)
-class BlockTrace:
-    """A fundamental block, the order its vertices spoke in, its representatives."""
-
-    block: frozenset[str]
-    order: tuple[str, ...]
-    representatives: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,8 @@ def representatives(h: Hypergraph, c: Iterable[str]) -> frozenset[str]:
     with c deleted; the least vertex of each component is chosen."""
     block = frozenset(str(v) for v in c)
     _require_fundamental_block(h, block)
-    return frozenset(_block_view(h, block).representatives().values())
+    names = h._index().names
+    return frozenset(names[p] for p, _ in _representatives(h, block))
 
 
 def shared_representatives(
@@ -197,17 +190,19 @@ def _normalize_orders(
 
 def synthesize(
     h: Hypergraph, orders: Optional[Mapping] = None
-) -> tuple[DiscussionScheme, tuple[BlockTrace, ...]]:
+) -> tuple[DiscussionScheme, dict[frozenset[str], tuple[str, ...]]]:
     """Build the scheme for an MCH source with the given per-block orders.
 
     orders maps a block (any iterable of its vertices) to a permutation of it;
     blocks not mentioned use ascending order.  Rows appear block by block in
     canonical block order and, within a block, in the order's sequence.
 
-    Returns the scheme and one BlockTrace per block, in the rows' block
-    order: the block, its order and its representatives.  A vertex speaks
-    only at its own turn in its own block's order, so a row's block and
-    (1-based) step are those of its speaker in the traces.
+    Returns the scheme and the orders it used: a dict from every
+    fundamental block to its order, in the rows' block order, so passing it
+    back as orders gives the same scheme.  A vertex speaks only at its own
+    turn in its own block's order, so a row's block and (1-based) step are
+    those of its speaker there; a block's representatives are
+    representatives(h, block).
     """
     require_mch(h)
     fundamental = partition_connectivity(h).fundamental
@@ -226,24 +221,18 @@ def synthesize(
             rows.append((a, b) if a < b else (b, a))
             speakers.append(vertex)
 
-    traces: list[BlockTrace] = []
-    for block in fundamental.blocks:
-        order = table[block]
-        if len(block) == 1:
-            lone = _lone_representatives(h, order[0])
-            reps = frozenset(names[i] for i, _ in lone)
-            say(order[0], [j for _, j in lone])
+    for block, order in table.items():
+        if len(order) == 1:
+            say(order[0], [j for _, j in _representatives(h, order)])
         else:
             view = _block_view(h, block)
             # a representative lies on one edge only
-            rep_edge = {rep: j for j, rep in view.representatives().items()}
-            reps = frozenset(rep_edge)
+            rep_edge = {rep: j for j, rep in view.reps.items()}
             prefix = 0
             for vertex in order:
                 prefix |= view.bit[vertex]
                 classes = view.classes(vertex, prefix)
                 say(vertex, [rep_edge[min(c)] for c in classes])
-        traces.append(BlockTrace(block=block, order=order, representatives=reps))
 
     # the index lists each vertex's edges in id order
     recovery = tuple(
@@ -263,7 +252,7 @@ def synthesize(
     report = verify(scheme)
     if not report.ok:
         raise RankDefect(f"synthesized scheme failed verification: {report}")
-    return scheme, tuple(traces)
+    return scheme, table
 
 
 def verify(scheme: DiscussionScheme) -> VerificationReport:

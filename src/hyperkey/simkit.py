@@ -22,7 +22,7 @@ table (_cell_counts) follows from the observations of the single-bit words.
 Two secrecy oracles are kept deliberately separate: the rank oracle,
 `verify(scheme).secrecy_ok` (the key indicator stays outside the row space
 over GF(2): a union-find over the edge columns for weight-two rows, one
-reduced basis otherwise; `run` reports it as secrecy_rank_ok), and the
+reduced basis otherwise; the CLI prints it as secrecy_rank_ok), and the
 exhaustive oracle, `brute_force_secrecy` (cell counts of the joint
 message/key table are flat).  The convolution counts cells and never takes
 a rank.  Tests compare them; nothing in this module derives one from the
@@ -136,7 +136,6 @@ class ProtocolRun:
     recovered: tuple[tuple[str, int], ...]
     key: int
     zero_error: bool
-    secrecy_rank_ok: bool
     exhaustive: bool
     realizations_checked: int
 
@@ -241,8 +240,7 @@ def run(
     and one broadcast plus one walk decides bit t of the key for all words.
     """
     _check_scheme_matches(h, scheme)
-    report = verify(scheme)
-    if not report.ok:
+    if not verify(scheme).ok:
         raise SchemeUnverified("scheme failed verification")
     shape = quantize(h, key_rate)
     total = shape.total_bits()
@@ -285,7 +283,6 @@ def run(
         recovered=tuple(sorted(recovered0.items())),
         key=true_key0,
         zero_error=zero_error,
-        secrecy_rank_ok=report.secrecy_ok,
         exhaustive=exhaustive,
         realizations_checked=1 << total if exhaustive else 1,
     )
@@ -424,7 +421,6 @@ def _cell_counts(scheme: DiscussionScheme, shape: QuantizedShape) -> dict[int, i
 @dataclass(frozen=True)
 class GenerationStats:
     attempts: int
-    rejected: int
 
 
 def random_mch_with_stats(
@@ -481,7 +477,7 @@ def random_mch_with_stats(
             )
             for j in range(edge_count)
         ]
-        stats = GenerationStats(attempts=attempt, rejected=attempt - 1)
+        stats = GenerationStats(attempts=attempt)
         return Hypergraph(names, edges), stats
     raise GenerationBudgetExhausted(
         f"no MCH with {vertex_count} vertices and {edge_count} edges found "

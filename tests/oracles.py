@@ -48,10 +48,8 @@ from hyperkey.capacity import RegionSpec, require_mch
 from hyperkey.gf2 import eliminate
 from hyperkey.partitions import partition_connectivity
 from hyperkey.scheme import (
-    BlockTrace,
     DiscussionScheme,
     VerificationReport,
-    _normalize_orders,
 )
 
 
@@ -465,6 +463,34 @@ def minimizer_sweep(h: Hypergraph, edge_weights) -> MinimizerSweep:
     )
 
 
+def prop2_violations(
+    h: Hypergraph, value: Fraction, fundamental: Partition
+) -> list[str]:
+    """The non-singleton fundamental blocks are exactly the maximal vertex
+    sets, of two or more, whose induced connectivity exceeds value; checked
+    by brute force over every subset of at most 9 vertices."""
+    names = sorted(h.vertices)
+    if len(names) > 9:
+        return ["prop2 brute force skipped: ground too large"]
+    family: list[frozenset[str]] = []
+    for size in range(2, len(names) + 1):
+        for combo in combinations(names, size):
+            sub = frozenset(combo)
+            if partition_connectivity(h.induced(sub)).value > value:
+                family.append(sub)
+    maximal = {
+        c for c in family if not any(c < other for other in family)
+    }
+    expected = {block for block in fundamental.blocks if len(block) > 1}
+    if maximal != expected:
+        return [
+            "maximal subsets with larger connectivity "
+            f"{sorted(sorted(c) for c in maximal)} != non-singleton blocks "
+            f"{sorted(sorted(c) for c in expected)}"
+        ]
+    return []
+
+
 # -- block decomposition -------------------------------------------------------------
 
 
@@ -757,17 +783,22 @@ def classes(restriction: Hypergraph, reps, vertex, prefix) -> tuple:
 
 
 def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
-    """The scheme and traces, from an incident-restriction Hypergraph per
-    block, one scan of its edges per class pick and of all edges per
-    recovery entry, checked by the elimination-only `verify` below; and per
-    row, the (vertex, block, 1-based step) that spoke it, counted here
-    rather than read off the traces."""
+    """The scheme and the per-block order table it used, from an
+    incident-restriction Hypergraph per block, one scan of its edges per
+    class pick and of all edges per recovery entry, checked by the
+    elimination-only `verify` below; and per row, the (vertex, block,
+    1-based step) that spoke it, counted here rather than read off the
+    table."""
     require_mch(h)
     fundamental = partition_connectivity(h).fundamental
-    table = _normalize_orders(fundamental, orders)
+    given = {
+        frozenset(str(v) for v in key): tuple(str(v) for v in seq)
+        for key, seq in (orders or {}).items()
+    }
+    table = {b: given.get(b, tuple(sorted(b))) for b in fundamental.blocks}
     edge_order = tuple(sorted(e.id for e in h.edges))
     column = {eid: k for k, eid in enumerate(edge_order)}
-    rows, said, traces = [], [], []
+    rows, said = [], []
     for block in fundamental.blocks:
         restriction = h.incident_restriction(block)
         reps = representatives_of_restriction(restriction, block)
@@ -788,7 +819,6 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
                 i, j = column[a], column[b]
                 rows.append((min(i, j), max(i, j)))
                 said.append((vertex, block, step))
-        traces.append(BlockTrace(block=block, order=order, representatives=reps))
     recovery = tuple(
         (v, min(e.id for e in h.edges if v in e.members)) for v in sorted(h.vertices)
     )
@@ -801,14 +831,14 @@ def synthesize(h: Hypergraph, orders: Optional[Mapping] = None):
     )
     if len(rows) != len(edge_order) - 1 or not verify(scheme).ok:
         raise RankDefect("synthesized scheme failed verification")
-    return scheme, tuple(traces), tuple(said)
+    return scheme, table, tuple(said)
 
 
-def spoken(scheme: DiscussionScheme, trace: BlockTrace) -> list:
-    """Each vertex of the trace's order with the edge pairs of the rows it
+def spoken(scheme: DiscussionScheme, order) -> list:
+    """Each vertex of a block's order with the edge pairs of the rows it
     spoke, in row order."""
     said = list(zip(scheme.row_pairs(), scheme.speakers))
-    return [(v, tuple(p for p, s in said if s == v)) for v in trace.order]
+    return [(v, tuple(p for p, s in said if s == v)) for v in order]
 
 
 def verify(scheme: DiscussionScheme) -> VerificationReport:

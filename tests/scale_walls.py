@@ -14,7 +14,11 @@ serves both, with weights 1-3 each takes its own.  A last row counts, on
 a path of each size, the objects the cyclic garbage collector tracks per
 vertex: those the parsed hypergraph holds, and those `synthesize` adds
 and keeps (its result and what it caches on the hypergraph), each the
-growth of len(gc.get_objects()) after a full collection.  Each
+growth of len(gc.get_objects()) after a full collection.  Another times,
+on a path of each size, `representatives` on every fundamental block and
+`RankFunction` plus `rank` of the whole block on every block, in
+microseconds per block: the fundamental-block guard both pass is one set
+lookup, so the figure should not grow with the path.  Each
 call runs in a fresh interpreter and reads its peak RSS from VmHWM in
 /proc/self/status (Linux only), so the figure is its own; the time is
 taken around the `main` (or `hgio.parse`) call inside it, without the
@@ -144,6 +148,41 @@ print(f"{(parsed - base) / n:.2f} {(kept - parsed) / n:.2f}")
 """
 
 
+# With a file as its argument: microseconds per fundamental block of
+# representatives, then of RankFunction plus rank, over every block, after
+# one partition_connectivity call outside the clock.
+PER_BLOCK = """\
+import sys
+from time import perf_counter
+from hyperkey import RankFunction, hgio, partition_connectivity, rank, representatives
+with open(sys.argv[1], encoding="utf-8") as file:
+    h = hgio.parse(file.read())
+blocks = partition_connectivity(h).fundamental.blocks
+start = perf_counter()
+for block in blocks:
+    representatives(h, block)
+middle = perf_counter()
+for block in blocks:
+    rank(RankFunction(h, block, 1), block)
+end = perf_counter()
+scale = 1e6 / len(blocks)
+print(f"{(middle - start) * scale:.1f} {(end - middle) * scale:.1f}")
+"""
+
+
+def per_block_micros(file: Path) -> tuple[str, str]:
+    """Microseconds per fundamental block of representatives, and of
+    RankFunction plus rank, counted in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", PER_BLOCK, str(file)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    reps, ranks = done.stdout.split()
+    return reps, ranks
+
+
 def objects_per_vertex(file: Path) -> tuple[str, str]:
     """gc-tracked objects per vertex held after hgio.parse, and added by
     synthesize, counted in a fresh interpreter."""
@@ -218,6 +257,11 @@ def main_script() -> None:
             n = 10**exponent
             parsed, synthesized = objects_per_vertex(work / f"path{n}.hg")
             print(f"{'path':<24} {n:>7}  {parsed:>14} {synthesized:>14}", flush=True)
+        print(f"{'us / block, path':<24} {'|V|':>7}  {'representatives':>15} {'rank':>14}")
+        for exponent in EXPONENTS:
+            n = 10**exponent
+            reps, ranks = per_block_micros(work / f"path{n}.hg")
+            print(f"{'':<24} {n:>7}  {reps:>15} {ranks:>14}", flush=True)
 
 
 if __name__ == "__main__":

@@ -133,8 +133,8 @@ def test_criterion_06_h4_loops(h4):
 
 
 def test_criterion_07_h5_scheme_replay(h5):
-    scheme, trace = synthesize(h5, {frozenset("12345"): tuple("12345")})
-    core = next(t for t in trace if len(t.block) > 1)
+    scheme, used = synthesize(h5, {frozenset("12345"): tuple("12345")})
+    core = next(order for block, order in used.items() if len(block) > 1)
     assert oracles.spoken(scheme, core) == [
         ("1", ()),
         ("2", (("e1", "e2"),)),

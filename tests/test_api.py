@@ -17,7 +17,6 @@ BASE_ERRORS = {"HyperkeyError", "ParseError"}  # raised only as subclasses
 
 PUBLIC_NAMES = [
     "BergeCycle",
-    "BlockTrace",
     "CompositeScheme",
     "ConnectivityReport",
     "ContraPolymatroidReport",
@@ -135,7 +134,7 @@ def _raised_names():
 
 def test_public_names_are_pinned():
     assert sorted(hyperkey.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 69
+    assert len(PUBLIC_NAMES) == 68
     assert all(hasattr(hyperkey, name) for name in PUBLIC_NAMES)
     assert len(_error_classes()) == 22
 

@@ -36,7 +36,6 @@ from hyperkey.properties import (
     _coverage_table,
     _entropy_shape_violations,
     _pairing_tree_violations,
-    _prop2_violations,
     _redundancy_violations,
     _removal_components,
     _removal_counter,
@@ -320,12 +319,12 @@ class TestLemmaViolations:
     def test_prop2_brute_force_on_small_grounds(self, h1, h2, h3):
         for h in (h1, h2, h3):
             report = partition_connectivity(h)
-            assert _prop2_violations(h, report.value, report.fundamental) == []
+            assert oracles.prop2_violations(h, report.value, report.fundamental) == []
 
     def test_prop2_reports_a_skip_instead_of_passing_silently(self, h5):
         # 11 vertices exceed the exhaustive-subfamily cap
         report = partition_connectivity(h5)
-        out = _prop2_violations(h5, report.value, report.fundamental)
+        out = oracles.prop2_violations(h5, report.value, report.fundamental)
         assert out == ["prop2 brute force skipped: ground too large"]
 
     def test_non_mch_is_rejected(self, h4):
@@ -464,38 +463,38 @@ class TestPairingTreeLaw:
 
     @staticmethod
     def _scheme(h5):
-        scheme, traces = synthesize(h5, {frozenset("12345"): tuple("12345")})
+        scheme, used = synthesize(h5, {frozenset("12345"): tuple("12345")})
         assert scheme.rows == ((0, 1), (1, 2), (2, 3), (4, 5), (3, 5))
-        return scheme, traces
+        return scheme, used
 
     def test_synthesized_rows_pass(self, h5):
-        assert _pairing_tree_violations(*self._scheme(h5)) == []
+        assert _pairing_tree_violations(h5, *self._scheme(h5)) == []
 
     def test_a_missing_row(self, h5):
-        scheme, traces = self._scheme(h5)
+        scheme, used = self._scheme(h5)
         cut = dataclasses.replace(
             scheme, rows=scheme.rows[:-1], speakers=scheme.speakers[:-1]
         )
-        assert _pairing_tree_violations(cut, traces) == [
+        assert _pairing_tree_violations(h5, cut, used) == [
             f"{self.CORE} emitted 4 rows, expected 5"
         ]
 
     def test_rows_closing_a_cycle(self, h5):
         # e1^e3 in place of e3^e4: e1 e2 e3 close a cycle, all six edges named
-        scheme, traces = self._scheme(h5)
+        scheme, used = self._scheme(h5)
         rows = list(scheme.rows)
         rows[2] = (0, 2)
         cycle = dataclasses.replace(scheme, rows=tuple(rows))
-        assert _pairing_tree_violations(cycle, traces) == [
+        assert _pairing_tree_violations(h5, cycle, used) == [
             f"{self.CORE} rows do not form a spanning tree"
         ]
 
     def test_rows_touching_too_few_edges(self, h5):
         # e1^e3 in place of e5^e6: no row names e5
-        scheme, traces = self._scheme(h5)
+        scheme, used = self._scheme(h5)
         rows = list(scheme.rows)
         rows[3] = (0, 2)
         short = dataclasses.replace(scheme, rows=tuple(rows))
-        assert _pairing_tree_violations(short, traces) == [
+        assert _pairing_tree_violations(h5, short, used) == [
             f"{self.CORE} rows touch 5 edges, expected 6"
         ]

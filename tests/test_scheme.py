@@ -11,6 +11,7 @@ from hyperkey import (
     DiscussionScheme,
     NotFundamentalBlock,
     NotMCH,
+    RankFunction,
     SchemeUnverified,
     VertexNotInBlock,
     WeightsNotConvex,
@@ -62,6 +63,11 @@ def pairs_and_users(scheme):
     return list(zip(scheme.row_pairs(), scheme.speakers))
 
 
+def block_views(h):
+    """The block views cached on h, by their cache keys."""
+    return {key for key in h._cache if isinstance(key, tuple) and key[0] == "block"}
+
+
 class TestRepresentatives:
     def test_h1_core_block(self, h1):
         reps = representatives(h1, "123")
@@ -72,6 +78,7 @@ class TestRepresentatives:
 
     def test_h2_singleton_block(self, h2):
         assert sorted(representatives(h2, "1")) == ["2", "5"]
+        assert not block_views(h2)
 
     def test_h5_core_block(self, h5):
         assert sorted(representatives(h5, "12345")) == [f"v{i}" for i in range(1, 7)]
@@ -83,6 +90,30 @@ class TestRepresentatives:
     def test_shared_classes_after_prefix(self, h1):
         classes = shared_representatives(h1, "123", "2", "12")
         assert [sorted(c) for c in classes] == [["4"], ["5"]]
+
+    def test_the_guard_takes_exactly_the_fundamental_blocks(self):
+        """Every fundamental block passes the guard of representatives and
+        RankFunction; a union of two blocks and a core less one vertex are
+        refused."""
+        unions = parts = 0
+        for h in [*oracles.census_mchs(), *oracles.random_mchs(200, seed=9)]:
+            blocks = partition_connectivity(h).fundamental.blocks
+            for block in blocks:
+                representatives(h, block)
+                RankFunction(h, block, 1)
+            refused = [blocks[0] | blocks[-1]]
+            unions += 1
+            for block in blocks:
+                if len(block) > 1:
+                    refused.append(block - {min(block)})
+                    parts += 1
+            for c in refused:
+                with pytest.raises(NotFundamentalBlock):
+                    representatives(h, c)
+                if c != h.vertices:  # the whole vertex set is refused earlier
+                    with pytest.raises(NotFundamentalBlock):
+                        RankFunction(h, c, 1)
+        assert unions > 200 and parts > 100
 
 
 class TestSynthesize:
@@ -105,7 +136,7 @@ class TestSynthesize:
         assert pairs_and_users(scheme) == [(("a", "c"), "1"), (("a", "b"), "3")]
 
     def test_h5_replay(self, h5):
-        scheme, trace = synthesize(h5, {frozenset("12345"): tuple("12345")})
+        scheme, used = synthesize(h5, {frozenset("12345"): tuple("12345")})
         assert pairs_and_users(scheme) == [
             (("e1", "e2"), "2"),
             (("e2", "e3"), "3"),
@@ -113,7 +144,7 @@ class TestSynthesize:
             (("e5", "e6"), "4"),
             (("e4", "e6"), "5"),
         ]
-        core = [t for t in trace if len(t.block) > 1]
+        core = [order for block, order in used.items() if len(block) > 1]
         assert len(core) == 1
         assert oracles.spoken(scheme, core[0]) == [
             ("1", ()),
@@ -291,33 +322,55 @@ class TestAgainstOracles:
     def test_synthesize_matches_the_restriction_oracle(
         self, h1, h2, h3, h5, single_edge
     ):
-        """Rows, speakers, recovery and every BlockTrace equal the ones
-        built from an incident-restriction Hypergraph per block; verify and
+        """Rows, speakers, recovery and the order of every block, in row
+        order, equal the ones built from an incident-restriction Hypergraph
+        per block; the orders used give the same scheme again; verify and
         row_pairs equal the elimination-only and per-column oracles."""
         cores = 0
         for h, orders in scheme_inputs((h1, h2, h3, h5, single_edge)):
-            scheme, traces = synthesize(h, orders)
-            assert (scheme, traces) == oracles.synthesize(h, orders)[:2], (h, orders)
+            scheme, used = synthesize(h, orders)
+            want, table, _ = oracles.synthesize(h, orders)
+            assert scheme == want, (h, orders)
+            assert list(used.items()) == list(table.items()), (h, orders)
+            assert synthesize(h, used)[0] == scheme, (h, orders)
             assert verify(scheme) == oracles.verify(scheme)
             assert scheme.row_pairs() == oracles.row_pairs(scheme)
-            cores += any(len(t.block) > 1 for t in traces)
+            cores += any(len(block) > 1 for block in used)
         assert cores > 600
 
     def test_rendered_rows_name_the_oracles_speaker_block_and_step(
         self, h1, h2, h3, h5, single_edge
     ):
         """The CLI derives each row's block and step from where its speaker
-        sits in the traces; the oracle counts them while it speaks."""
+        sits in the orders used; the oracle counts them while it speaks.
+        Each rendered block lists the representatives of its incident
+        restriction, sorted."""
         later = 0  # rows spoken after a block's first turn
         for h, orders in scheme_inputs((h1, h2, h3, h5, single_edge)):
-            scheme, traces = synthesize(h, orders)
-            doc = cli._scheme_document(h, scheme, traces, Fraction(1))
-            _, _, said = oracles.synthesize(h, orders)
+            scheme, used = synthesize(h, orders)
+            doc = cli._scheme_document(h, scheme, used, Fraction(1))
+            _, table, said = oracles.synthesize(h, orders)
             want = [
                 (vertex, " ".join(sorted(block)), step) for vertex, block, step in said
             ]
             got = [(row["user"], row["block"], row["step"]) for row in doc["rows"]]
             assert got == want, (h, orders)
+            blocks = [
+                (
+                    " ".join(sorted(block)),
+                    list(order),
+                    sorted(
+                        oracles.representatives_of_restriction(
+                            h.incident_restriction(block), block
+                        )
+                    ),
+                )
+                for block, order in table.items()
+            ]
+            rendered = [
+                (b["block"], b["order"], b["representatives"]) for b in doc["blocks"]
+            ]
+            assert rendered == blocks, (h, orders)
             later += sum(step > 1 for _, _, step in said)
         assert later > 1000
 
@@ -325,14 +378,17 @@ class TestAgainstOracles:
         self, h1, h2, h3, h5, single_edge
     ):
         """Every block of every scheme input, walked in the order synthesize
-        takes for it there."""
+        takes for it there; representatives caches no block view, so a
+        one-vertex block never gets one from it."""
         for h, orders in scheme_inputs((h1, h2, h3, h5, single_edge)):
             fundamental = partition_connectivity(h).fundamental
             table = _normalize_orders(fundamental, orders)
             for block in fundamental.blocks:
                 restriction = h.incident_restriction(block)
                 reps = oracles.representatives_of_restriction(restriction, block)
+                views = block_views(h)
                 assert representatives(h, block) == reps
+                assert block_views(h) == views, (h, block)  # it builds none
                 order = table[block]
                 for k in range(1, len(order) + 1):
                     prefix = frozenset(order[:k])

