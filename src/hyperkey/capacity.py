@@ -57,11 +57,10 @@ def _require_fundamental_block(h: Hypergraph, block: frozenset[str]) -> None:
     block of its (cached) fundamental partition: one lookup, in time
     O(|block|), in the set of those blocks, cached on h."""
     require_mch(h)
-    blocks = h._cache.get("fundamental blocks")
-    if blocks is None:
-        blocks = h._cache["fundamental blocks"] = frozenset(
-            partition_connectivity(h).fundamental.blocks
-        )
+    blocks = h._memo(
+        "fundamental blocks",
+        lambda: frozenset(partition_connectivity(h).fundamental.blocks),
+    )
     if block not in blocks:
         raise NotFundamentalBlock(
             f"{sorted(block)} is not a block of the fundamental partition"

@@ -341,6 +341,7 @@ def _cmd_scheme(args) -> dict:
     )
     orders = _parse_orders(args.order or [])
     scheme, used = synthesize(h, orders or None)
+    simkit._require_rate_within_capacity(h, key_rate)
     doc = {"schema_version": SCHEMA_VERSION, "command": "scheme"}
     doc.update(_scheme_document(h, scheme, used, key_rate))
     if args.emit_matrix:

@@ -19,8 +19,20 @@ min_weight, partitions._mch_report, simkit.quantize, the block views and
 scheme.synthesize read it.  What the library reads off a fundamental block
 of an MCH (the components left by removing part of it, its
 representatives and their classes) comes from one view of the edges
-meeting it, _BlockView, cached on the hypergraph; the representatives
-come from one rule, _representatives, and a one-vertex block needs no view.
+meeting it, _BlockView, cached on the hypergraph for a block of two or
+more vertices; the representatives come from one rule, _representatives,
+and a one-vertex block's view is built afresh when one is asked for.
+
+What is derived from a value is kept on it, in _cache, and stored only
+through Hypergraph._memo(key, build).  The keys, by the module that owns
+them:
+
+  hypergraph  "by_id", "incident", "min_weight", "index", "components",
+              "scan" (the incidence scan), ("block", block) (a _BlockView)
+  partitions  ("sweep", w), ("minimizers", w), ("connectivity", weighted)
+  capacity    "fundamental blocks"
+  simkit      ("shape", numerator, denominator) (quantize, per key rate)
+  properties  ("properties", "components"), ("properties", "synthesize")
 
 The independent checks stay off the index, so a fault in it shows as a
 disagreement instead of being copied into both sides: removal_component_count
@@ -34,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import (
     DuplicateEdgeId,
@@ -55,6 +67,7 @@ __all__ = [
 ]
 
 WeightLike = Union[Fraction, int, str]
+T = TypeVar("T")
 
 
 def _read_rational(text: str) -> Fraction:
@@ -223,40 +236,43 @@ class Hypergraph:
         except KeyError:
             raise UnknownVertex(f"no edge with id {eid!r}") from None
 
+    def _memo(self, key, build: Callable[[], T]) -> T:
+        """build(), built on first use and kept in the value's cache under
+        key; build must not return None.  The only store into _cache."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
     @property
     def _by_id(self) -> dict[str, Edge]:
-        cache = self._cache
-        if "by_id" not in cache:
-            cache["by_id"] = {e.id: e for e in self.edges}
-        return cache["by_id"]
+        return self._memo("by_id", lambda: {e.id: e for e in self.edges})
 
     @property
     def _incident(self) -> dict[str, tuple[Edge, ...]]:
         """Vertex id -> incident edges, in edge id order."""
-        cache = self._cache
-        if "incident" not in cache:
+
+        def build():
             table: dict[str, list[Edge]] = {v: [] for v in self.vertices}
             for e in self.edges:
                 for v in e.members:
                     table[v].append(e)
-            cache["incident"] = {v: tuple(es) for v, es in table.items()}
-        return cache["incident"]
+            return {v: tuple(es) for v, es in table.items()}
+
+        return self._memo("incident", build)
 
     def min_weight(self) -> Fraction:
-        cache = self._cache
-        if "min_weight" not in cache:
+        def build():
             if not self.edges:
                 raise EmptyResult("the minimum weight of no edges is undefined")
             index = self._index()
-            cache["min_weight"] = Fraction(min(index.weights), index.scale)
-        return cache["min_weight"]
+            return Fraction(min(index.weights), index.scale)
+
+        return self._memo("min_weight", build)
 
     def _index(self) -> "_Index":
         """The integer index of the value (see _Index), built on first use."""
-        index = self._cache.get("index")
-        if index is None:
-            index = self._cache["index"] = _Index(self)
-        return index
+        return self._memo("index", lambda: _Index(self))
 
     def _check_subset(self, c: Iterable[str]) -> frozenset[str]:
         cset = frozenset(c)
@@ -353,12 +369,10 @@ class Hypergraph:
 
     def components(self) -> tuple[frozenset[str], ...]:
         """Connected components, sorted by their smallest member."""
-        cache = self._cache
-        if "components" not in cache:
-            cache["components"] = tuple(
-                frozenset(comp) for comp in self._search(frozenset())
-            )
-        return cache["components"]
+        return self._memo(
+            "components",
+            lambda: tuple(frozenset(comp) for comp in self._search(frozenset())),
+        )
 
     def _search(self, removed: frozenset[str]) -> Iterator[set[str]]:
         """Components of h minus removed, by smallest member: one search over
@@ -408,6 +422,10 @@ class Hypergraph:
     # -- incidence-graph structure ---------------------------------------------
 
     def _incidence_scan(self) -> "_IncidenceScan":
+        """_scan_incidence's result, cached on the value."""
+        return self._memo("scan", self._scan_incidence)
+
+    def _scan_incidence(self) -> "_IncidenceScan":
         """One iterative Hopcroft-Tarjan DFS of the vertex-edge incidence graph.
 
         Node i < n is the i-th vertex in sorted order, node n + j is the j-th
@@ -424,11 +442,9 @@ class Hypergraph:
         on the stack; that back edge and the stack above it are the cycle
         find_berge_cycle reports.  The neighbors are read off the integer
         index.  Every edge has a member, so each root starts one component.
-        Cost O(|V| + |E| + sum of |e|); the result is cached on the value.
+        Cost O(|V| + |E| + sum of |e|); _incidence_scan caches the result on
+        the value.
         """
-        cache = self._cache
-        if "scan" in cache:
-            return cache["scan"]
         index = self._index()
         names = index.names
         incident = index.incident
@@ -498,15 +514,13 @@ class Hypergraph:
         groups: dict[int, list[str]] = {}
         for i in range(n):
             groups.setdefault(_find(core, i), []).append(names[i])
-        scan = _IncidenceScan(
+        return _IncidenceScan(
             component_count=roots,
             connected=roots == 1,
             every_edge_cuts=all(cut[n:]),
             cores=tuple(frozenset(g) for g in groups.values() if len(g) > 1),
             walk=walk,
         )
-        cache["scan"] = scan
-        return scan
 
     def cyclic_cores(self) -> tuple[frozenset[str], ...]:
         """Vertex sets of the biconnected components of the incidence graph
@@ -656,11 +670,13 @@ def block_removal_counts(
 
 
 def _block_view(h: Hypergraph, block: frozenset[str]) -> "_BlockView":
-    """The _BlockView of a fundamental block of the MCH h, cached on h."""
-    view = h._cache.get(("block", block))
-    if view is None:
-        view = h._cache[("block", block)] = _BlockView(h, block)
-    return view
+    """The _BlockView of a fundamental block of the MCH h, cached on h when
+    the block has two or more vertices.  A one-vertex block's view is built
+    afresh: a path has one such block per vertex, and keeping a view for
+    each would grow the cache and the collector's walk with the path."""
+    if len(block) == 1:
+        return _BlockView(h, block)
+    return h._memo(("block", block), lambda: _BlockView(h, block))
 
 
 def _representatives(h: Hypergraph, block) -> list[tuple[int, int]]:

@@ -196,17 +196,17 @@ def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerS
     under the same key, so it is freed with its hypergraph.
     """
     weighted = _sweeps_weights(h, weighted)
-    key = ("minimizers", weighted)
-    sweep = h._cache.get(key)
-    if sweep is None:
+
+    def build():
         value, fundamental, codes = _cached_sweep(h, weighted)
         elems = sorted(h.vertices)
-        sweep = h._cache[key] = MinimizerSweep(
+        return MinimizerSweep(
             value=value,
             fundamental=fundamental,
             minimizers=tuple(_partition_of_code(elems, c) for c in codes),
         )
-    return sweep
+
+    return h._memo(("minimizers", weighted), build)
 
 
 def _sweeps_weights(h: Hypergraph, weighted: bool) -> bool:
@@ -219,15 +219,11 @@ def _cached_sweep(
     h: Hypergraph, weighted: bool
 ) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
     """_minimizer_sweep's (value, fundamental, codes) for one functional,
-    cached on the hypergraph under ("sweep", w), w being _sweeps_weights:
-    a hypergraph whose weights are all one shares one sweep between the two
-    functionals.  Do not mutate the codes."""
+    kept on the hypergraph by Hypergraph._memo under ("sweep", w), w being
+    _sweeps_weights: a hypergraph whose weights are all one shares one sweep
+    between the two functionals.  Do not mutate the codes."""
     weighted = _sweeps_weights(h, weighted)
-    key = ("sweep", weighted)
-    found = h._cache.get(key)
-    if found is None:
-        found = h._cache[key] = _minimizer_sweep(h, weighted)
-    return found
+    return h._memo(("sweep", weighted), lambda: _minimizer_sweep(h, weighted))
 
 
 def _scaled_edge_masks(
@@ -484,24 +480,21 @@ def _mch_report(h: Hypergraph, weighted: bool) -> ConnectivityReport:
 
 def _connectivity(h: Hypergraph, weighted: bool) -> ConnectivityReport:
     """The report for one functional, cached on the value; reports are
-    frozen, so callers share one.  A non-MCH's report is also cached under
-    _sweeps_weights's w, so a hypergraph whose weights are all one sweeps
-    once for both functionals; it reads a cached sweep when there is one,
-    and otherwise sweeps without caching the sweep's codes."""
-    key = ("connectivity", weighted)
-    report = h._cache.get(key)
-    if report is None:
+    frozen, so callers share one.  A non-MCH's weighted report is its unit
+    report when _sweeps_weights says the sweeps agree, so a hypergraph whose
+    weights are all one sweeps once for both functionals; it reads a cached
+    sweep when there is one, and otherwise sweeps without caching the
+    sweep's codes."""
+
+    def build():
         if len(h.vertices) >= 2 and h.is_mch():
-            report = _mch_report(h, weighted)
-        else:
-            w = _sweeps_weights(h, weighted)
-            report = h._cache.get(("connectivity", w))
-            if report is None:
-                sweep = h._cache.get(("sweep", w)) or _minimizer_sweep(h, w)
-                report = ConnectivityReport(value=sweep[0], fundamental=sweep[1])
-                h._cache[("connectivity", w)] = report
-        h._cache[key] = report
-    return report
+            return _mch_report(h, weighted)
+        if _sweeps_weights(h, weighted) != weighted:
+            return _connectivity(h, False)
+        sweep = h._cache.get(("sweep", weighted)) or _minimizer_sweep(h, weighted)
+        return ConnectivityReport(value=sweep[0], fundamental=sweep[1])
+
+    return h._memo(("connectivity", weighted), build)
 
 
 def partition_connectivity(h: Hypergraph) -> ConnectivityReport:

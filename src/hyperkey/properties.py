@@ -11,9 +11,10 @@ at most simkit.MAX_STATE_BITS bits).
 The suites read the Bell sweep's minimizers as restricted-growth codes
 (partitions._cached_sweep) and build a Partition only to word a violation.
 What does not depend on the rate is computed once per instance and kept on
-it (_per_instance): the component counter with its memo, which
-lemma_violations and every scheme_round_trip_violations call share, and
-the default-order synthesize, which the round trips at several rates share.
+it by Hypergraph._memo, under ("properties", name): the component counter
+with its memo, which lemma_violations and every
+scheme_round_trip_violations call share, and the default-order synthesize,
+which the round trips at several rates share.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .capacity import (
     _as_fraction,
@@ -54,8 +55,6 @@ from .simkit import MAX_STATE_BITS, brute_force_secrecy, quantize, run
 __all__ = ["lemma_violations", "scheme_round_trip_violations"]
 
 SUBADDITIVITY_SAMPLES = 50  # random vertex sets per redundancy check
-
-T = TypeVar("T")
 
 
 def lemma_violations(
@@ -247,7 +246,7 @@ def _removal_components(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, .
     It reads no block structure, so it stays an independent check of the
     block view behind block_removal_counts.  One counter and its memo are
     kept on h, so every suite run on h shares them."""
-    return _per_instance(h, "components", _component_search)
+    return h._memo(("properties", "components"), lambda: _component_search(h))
 
 
 def _component_search(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...]]:
@@ -340,7 +339,7 @@ def scheme_round_trip_violations(
     if orders is None:
         # the scheme does not depend on the rate, so the round trips at
         # several rates of one instance share the default-order synthesis
-        scheme, used = _per_instance(h, "synthesize", synthesize)
+        scheme, used = h._memo(("properties", "synthesize"), lambda: synthesize(h))
     else:
         scheme, used = synthesize(h, orders)
     report = verify(scheme)
@@ -407,16 +406,6 @@ def scheme_round_trip_violations(
                 f"{secrecy.conditional_entropy_bits} != key length {shape.key_length}"
             )
     return bad
-
-
-def _per_instance(h: Hypergraph, name: str, build: Callable[[Hypergraph], T]) -> T:
-    """build(h), built once per hypergraph and kept in its cache, so the
-    suites run on one instance share it and it goes with the instance."""
-    key = ("properties", name)
-    found = h._cache.get(key)
-    if found is None:
-        found = h._cache[key] = build(h)
-    return found
 
 
 def _pairing_tree_violations(h: Hypergraph, scheme, used) -> list[str]:

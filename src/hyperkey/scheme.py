@@ -106,10 +106,11 @@ class VerificationReport:
     """Outcome of every scheme check; verification never raises.
 
     ok is the conjunction of: the row count is edge count minus one, every row
-    is a pair (i, j) of columns with 0 <= i < j < mu, the matrix has full row
-    rank, appending any single-edge indicator reaches full column rank (every
-    vertex can recover every edge variable), and the key indicator in
-    particular is outside the row space (perfect secrecy of the key).
+    is a tuple (i, j) of two int columns with 0 <= i < j < mu (bad_rows lists
+    the others, whatever they hold), the matrix has full row rank, appending
+    any single-edge indicator reaches full column rank (every vertex can
+    recover every edge variable), and the key indicator in particular is
+    outside the row space (perfect secrecy of the key).
     """
 
     ok: bool
@@ -280,7 +281,13 @@ def _verification(scheme: DiscussionScheme) -> VerificationReport:
     bad_rows = tuple(
         idx
         for idx, row in enumerate(scheme.rows)
-        if len(row) != 2 or not 0 <= row[0] < row[1] < mu
+        if not (
+            isinstance(row, tuple)
+            and len(row) == 2
+            and isinstance(row[0], int)
+            and isinstance(row[1], int)
+            and 0 <= row[0] < row[1] < mu
+        )
     )
     row_weights_ok = not bad_rows
     if row_weights_ok:
@@ -327,13 +334,15 @@ def _column_components(mu: int, rows: Iterable[tuple[int, ...]]) -> int:
     return components
 
 
-def _row_mask(row: Iterable[int], mu: int) -> int:
-    """The gf2 mask of a row: the XOR of 1 << j over its indices j in
-    range(mu), so a repeated index cancels and any other adds nothing."""
+def _row_mask(row: tuple[int, ...], mu: int) -> int:
+    """The gf2 mask of a row: the XOR of 1 << j over its int entries j in
+    range(mu), so a repeated index cancels and any other entry names no
+    column; a row that is not a tuple names none."""
     mask = 0
-    for j in row:
-        if 0 <= j < mu:
-            mask ^= 1 << j
+    if isinstance(row, tuple):
+        for j in row:
+            if isinstance(j, int) and 0 <= j < mu:
+                mask ^= 1 << j
     return mask
 
 

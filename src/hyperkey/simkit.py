@@ -94,26 +94,31 @@ def quantize(h: Hypergraph, key_rate: Fraction) -> QuantizedShape:
     hypergraph's integer index, whose weights w * L give the lengths.
     Cached on h per rate, so one simulation quantizes once."""
     rate = _as_fraction(key_rate)
-    key = ("shape", rate.numerator, rate.denominator)
-    shape = h._cache.get(key)
-    if shape is not None:
-        return shape
-    if rate < 0:
-        raise NegativeRate("key rate must be nonnegative")
+
+    def build():
+        if rate < 0:
+            raise NegativeRate("key rate must be nonnegative")
+        _require_rate_within_capacity(h, rate)
+        index = h._index()
+        scale = lcm(rate.denominator, index.scale)
+        factor = scale // index.scale
+        lengths = tuple((e.id, w * factor) for e, w in zip(h.edges, index.weights))
+        return QuantizedShape(
+            scale=scale,
+            edge_lengths=lengths,
+            key_length=rate.numerator * (scale // rate.denominator),
+        )
+
+    return h._memo(("shape", rate.numerator, rate.denominator), build)
+
+
+def _require_rate_within_capacity(h: Hypergraph, rate: Fraction) -> None:
+    """KeyRateExceedsCapacity if rate is above the least edge weight of h,
+    which is the secret-key capacity of an MCH."""
     if rate > h.min_weight():
         raise KeyRateExceedsCapacity(
             f"key rate {rate} exceeds the minimum edge weight {h.min_weight()}"
         )
-    index = h._index()
-    scale = lcm(rate.denominator, index.scale)
-    factor = scale // index.scale
-    lengths = tuple((e.id, w * factor) for e, w in zip(h.edges, index.weights))
-    shape = h._cache[key] = QuantizedShape(
-        scale=scale,
-        edge_lengths=lengths,
-        key_length=rate.numerator * (scale // rate.denominator),
-    )
-    return shape
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,12 @@ def _check_scheme_matches(h: Hypergraph, scheme: DiscussionScheme) -> None:
         raise SchemeUnverified("a recovery edge is not a column its vertex holds")
     if scheme.key_edge not in scheme.edge_order:
         raise SchemeUnverified(f"key edge {scheme.key_edge!r} is not a scheme column")
-    if any(not 0 <= j < scheme.mu for row in scheme.rows for j in row):
+    rows = scheme.rows
+    if not all(isinstance(row, tuple) for row in rows) or not all(
+        isinstance(j, int) for row in rows for j in row
+    ):
+        raise SchemeUnverified("a scheme row is not a tuple of column indices")
+    if any(not 0 <= j < scheme.mu for row in rows for j in row):
         raise SchemeUnverified("a scheme row names a column outside the edge order")
 
 

@@ -132,6 +132,45 @@ def _raised_names():
     return raised
 
 
+def _cache_writers():
+    """(module, enclosing qualified name) of every subscript store or delete
+    into a `_cache` attribute, and of every mutating method called on one,
+    under the package; reads such as `_cache.get(key)` are not listed."""
+    mutators = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+    found = []
+
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Subscript)
+                and isinstance(child.ctx, (ast.Store, ast.Del))
+                and is_cache(child.value)
+            ) or (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in mutators
+                and is_cache(child.func.value)
+            ):
+                found.append((path.stem, ".".join(scope)))
+            visit(child, scope)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_only_the_memo_stores_into_a_hypergraph_cache():
+    """Hypergraph._memo is the one place a derived value is kept on a
+    hypergraph, so every cache key goes through it."""
+    assert _cache_writers() == [("hypergraph", "Hypergraph._memo")]
+
+
 def test_public_names_are_pinned():
     assert sorted(hyperkey.__all__) == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 68

@@ -208,6 +208,18 @@ class TestScheme:
     def test_non_mch_is_domain_error(self, h4_path):
         assert main(["scheme", h4_path]) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_key_rate_above_the_capacity_is_domain_error(self, h1_path, capsys, flags):
+        """H1's capacity is its least weight, 1; simulate refuses rate 2 too."""
+        for command in ("scheme", "simulate"):
+            assert main([*flags, command, h1_path, "--key-rate", "2"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: key rate 2 exceeds the minimum edge weight 1"
+            ]
+        assert main([*flags, "scheme", h1_path, "--key-rate", "1"]) == 0
+
 
 class TestSimulate:
     def test_trials(self, h1_path, capsys):

@@ -290,8 +290,8 @@ class TestOperations:
     def test_one_cached_view_per_fundamental_block(self, h1, h3, h5):
         """region_spec and synthesize read one _BlockView per block of two
         or more vertices and build none for a one-vertex block; the rank and
-        representative queries read one view per block, the same ones,
-        cached on the value."""
+        representative queries read the same views, cached on the value,
+        and keep none for a one-vertex block."""
         for h in (h1, h3, h5):
             blocks = partition_connectivity(h).fundamental.blocks
             region_spec(h)
@@ -306,7 +306,7 @@ class TestOperations:
                 representatives(h, block)
                 shared_representatives(h, block, order[0], order[:1])
             views = _cached_views(h)
-            assert views.keys() == set(blocks), h
+            assert views.keys() == {b for b in blocks if len(b) > 1}, h
             assert all(views[b] is first[b] for b in first), h
 
     def test_one_vertex_blocks_get_no_view(self, h2):
@@ -324,6 +324,29 @@ class TestOperations:
             synthesize(h)
             assert _cached_views(h).keys() == {b for b in blocks if len(b) > 1}, h
         assert not _cached_views(inputs[0]) and not _cached_views(inputs[1])
+
+    def test_block_queries_keep_no_view_for_a_one_vertex_block(self, h2):
+        """rank, extreme_point_for_order and shared_representatives answer
+        every block of a hypertree (H2, a 60-vertex path), each of one
+        vertex, with the values of the component search, and keep no view
+        on the value."""
+        rate = Fraction(3, 2)
+        for h in (h2, hgio.parse(scale_walls.path_text(60, random.Random(1)))):
+            for block in partition_connectivity(h).fundamental.blocks:
+                assert len(block) == 1
+                (vertex,) = block
+                want = oracles.removal_component_counts(h, block)
+                assert block_removal_counts(h, block) == want
+                fn = RankFunction(h, block, rate)
+                assert rank(fn, ()) == 0
+                assert rank(fn, block) == (want[1][1] - 1) * rate
+                point = extreme_point_for_order(fn, (vertex,))
+                assert point.rates == ((vertex, (want[1][1] - 1) * rate),)
+                restriction = h.incident_restriction(block)
+                reps = oracles.representatives_of_restriction(restriction, block)
+                got = shared_representatives(h, block, vertex, block)
+                assert got == oracles.classes(restriction, reps, vertex, block)
+            assert not _cached_views(h), h
 
 
 def _cached_views(h):

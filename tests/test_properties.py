@@ -430,7 +430,12 @@ class TestFuzzOutputUnchanged:
             "_code_refiner",
             lambda f, elems: lambda code: f.refines(_partition_of_code(elems, code)),
         )
-        monkeypatch.setattr(properties, "_per_instance", lambda h, name, build: build(h))
+        memo = Hypergraph._memo
+
+        def unshared(h, key, build):
+            return build() if key[0] == "properties" else memo(h, key, build)
+
+        monkeypatch.setattr(Hypergraph, "_memo", unshared)
         assert self._stdout() == fast
 
 

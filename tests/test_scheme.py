@@ -23,7 +23,7 @@ from hyperkey import (
     synthesize,
     verify,
 )
-from hyperkey.scheme import _normalize_orders, shared_representatives
+from hyperkey.scheme import _normalize_orders, _row_mask, shared_representatives
 
 import oracles
 
@@ -206,6 +206,26 @@ class TestVerify:
         report = verify(fat)
         assert not report.ok and not report.row_weights_ok
         assert report.bad_rows == (1,)
+
+    def test_row_that_is_no_tuple_of_ints_is_a_bad_row(self):
+        """verify never raises: an entry that is not an int, and a row that
+        is no tuple, make a bad row, and _row_mask reads them as naming no
+        column."""
+        cases = [
+            ((0, "x"), 0b01),
+            ((0, 1.0), 0b01),
+            (("a", "b"), 0),
+            (5, 0),
+            ([0, 1], 0),
+        ]
+        for row, mask in cases:
+            assert _row_mask(row, 2) == mask, row
+            report = verify(DiscussionScheme(("a", "b"), (row,), ("1",), "a", ()))
+            assert not report.ok and not report.row_weights_ok, row
+            assert report.bad_rows == (0,), row
+            assert report.matrix_rank == (mask != 0), row
+        report = verify(DiscussionScheme(("a",), ((0, "x"),), ("1",), "a", ()))
+        assert report.bad_rows == (0,) and not report.ok
 
     def test_key_leak_breaks_secrecy(self, h1):
         scheme, _ = synthesize(h1)

@@ -499,6 +499,15 @@ class TestSchemeMismatch:
             with pytest.raises(SchemeUnverified):
                 brute_force_secrecy(h1, wide, Fraction(1))
 
+    @pytest.mark.parametrize("row", [(0, "x"), (0, 1.0), 5, [0, 1]])
+    def test_row_that_is_no_tuple_of_ints(self, h1, row):
+        scheme, _ = synthesize(h1)
+        odd = dataclasses.replace(scheme, rows=scheme.rows[:1] + (row,))
+        with pytest.raises(SchemeUnverified, match="not a tuple of column indices"):
+            run(h1, odd, Fraction(1))
+        with pytest.raises(SchemeUnverified, match="not a tuple of column indices"):
+            brute_force_secrecy(h1, odd, Fraction(1))
+
 
 class TestRandomMCH:
     def test_two_vertices_give_the_unique_instance(self):
