@@ -9,7 +9,10 @@ Exit codes: 0 success, 1 domain error (e.g. the hypergraph is not an MCH),
 `main` may be called any number of times in one process.  The argparse tree
 is built on the first call and shared by every later one; it keeps no state
 between calls, so each call's output and exit code are those of a fresh
-process.
+process.  The tree is the only grammar, but a well-formed argv (exact option
+strings, every value present and of its type) is read off tables taken from
+it (_flag_tables, _quick_args) without running parse_args; anything else,
+help and every usage error included, goes to argparse, which answers it.
 """
 
 from __future__ import annotations
@@ -547,9 +550,78 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _flag_tables(parser: argparse.ArgumentParser) -> dict:
+    """parser's grammar as tables, by subcommand name and None for the top
+    level: (positional dests, exact option string -> action, the defaults
+    parse_args starts from).  The top level's one positional names the
+    subcommand.  Actions with no default (help) are left out.  Keyed on
+    the parser, so the tables always come from the tree _build_parser holds."""
+
+    def table(p: argparse.ArgumentParser) -> tuple:
+        actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]
+        return (
+            [a.dest for a in actions if not a.option_strings],
+            {s: a for a in actions for s in a.option_strings},
+            {a.dest: a.default for a in actions},
+        )
+
+    (subparsers,) = parser._subparsers._group_actions
+    tables = {name: table(p) for name, p in subparsers.choices.items()}
+    tables[None] = table(parser)
+    return tables
+
+
+def _quick_args(argv: Sequence) -> Optional[argparse.Namespace]:
+    """The Namespace _build_parser().parse_args(argv) returns, read off
+    _flag_tables; None for any argv outside the plain form (exact option
+    strings, each value a str not starting with "-" that its type accepts,
+    every positional and required option present, nothing extra), which
+    is left to argparse with its help, errors and exit codes."""
+    tables = _flag_tables(_build_parser())
+    positionals, options, defaults = tables[None]
+    namespace = argparse.Namespace(**defaults)
+    missing = {a for a in options.values() if a.required}
+    top = True
+    tokens = iter(argv)
+    for token in tokens:
+        if not isinstance(token, str):
+            return None
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            setattr(namespace, positionals[0], token)
+            positionals = positionals[1:]
+            if top:  # token names the subcommand, which reads the rest
+                if missing or token not in tables:
+                    return None
+                positionals, options, defaults = tables[token]
+                vars(namespace).update(defaults)
+                missing = {a for a in options.values() if a.required}
+                top = False
+            continue
+        action = options.get(token)
+        if action is None:
+            return None
+        values = []
+        if action.nargs != 0:
+            values = next(tokens, None)
+            if not isinstance(values, str) or values.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    values = action.type(values)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+        action(None, namespace, values, token)
+        missing.discard(action)
+    return None if top or positionals or missing else namespace
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _quick_args(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

@@ -75,12 +75,16 @@ class RankFunction:
 
 
 def rank(fn: RankFunction, b: Iterable[str]) -> Fraction:
-    """f(b), counted by the block's view, at any block size."""
+    """f(b), counted by the block's view, at any block size.  A one-vertex
+    block {v} needs no view: removing v leaves one component per edge at v."""
     bset = frozenset(str(v) for v in b)
     if not bset <= fn.block:
         raise SubsetOutsideBlock(
             f"{sorted(bset - fn.block)} lies outside the block {sorted(fn.block)}"
         )
+    if len(fn.block) == 1:  # no view: the counts of block_removal_counts
+        _, counts = block_removal_counts(fn.hypergraph, fn.block)
+        return (counts[len(bset)] - 1) * fn.key_rate
     view = _block_view(fn.hypergraph, fn.block)
     return (view.count(view.mask(bset)) - 1) * fn.key_rate
 
@@ -224,6 +228,8 @@ def extreme_point_for_order(fn: RankFunction, order: Iterable[str]) -> ExtremePo
     seq = tuple(str(v) for v in order)
     if frozenset(seq) != fn.block or len(seq) != len(fn.block):
         raise SubsetOutsideBlock("order must be a permutation of the block")
+    if len(seq) == 1:  # one step, to f of the whole block
+        return ExtremePoint(order=seq, rates=((seq[0], rank(fn, seq)),))
     view = _block_view(fn.hypergraph, fn.block)
     rates: dict[str, Fraction] = {}
     prefix = 0

@@ -84,10 +84,15 @@ class DiscussionScheme:
         return self.edge_order.index(eid)
 
     def row_pairs(self) -> tuple[tuple[str, ...], ...]:
-        """Each row's edge ids; an index outside the columns names none."""
+        """Each row's edge ids.  As in _row_mask, an entry that is no int in
+        range(mu) names none, and neither does a row that is not a tuple."""
         mu = self.mu
         return tuple(
-            tuple(self.edge_order[j] for j in row if 0 <= j < mu)
+            tuple(
+                self.edge_order[j] for j in row if isinstance(j, int) and 0 <= j < mu
+            )
+            if isinstance(row, tuple)
+            else ()
             for row in self.rows
         )
 

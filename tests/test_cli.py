@@ -1,6 +1,8 @@
 """CLI surface: subcommands, rendering, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -520,6 +522,14 @@ SEQUENCE = [
 ]
 
 
+def source_env() -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
 def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch, capsys):
     files = {"H1": H1_TEXT, "H4": H4_TEXT, "BAD": BAD_TEXT}
     for name, text in files.items():
@@ -529,9 +539,7 @@ def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch, capsys):
         return [str(tmp_path / f"{a}.hg") if a in files else a for a in argv]
 
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the same width
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    env = source_env()
 
     in_process = []
     for argv, _ in SEQUENCE:
@@ -553,6 +561,154 @@ def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch, capsys):
             timeout=60,
         )
         assert got == (done.returncode, done.stdout, done.stderr), argv
+
+
+# argvs the table reading declines, each answered by argparse: an
+# abbreviation, an `=` value, a value starting with "-", help, a flag of the
+# top level after the subcommand, and a file named "-"
+FALLBACK = [
+    ["simulate", "H1", "--exh"],
+    ["check", "H1", "--key-rate=1"],
+    ["simulate", "H1", "--seed", "-3"],
+    ["scheme", "-h"],
+    ["analyze", "H1", "--json"],
+    ["analyze", "-"],
+]
+
+
+def test_declined_argvs_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    (tmp_path / "H1.hg").write_text(H1_TEXT)
+    (tmp_path / "-").write_text(H1_TEXT)
+    monkeypatch.chdir(tmp_path)  # "-" names the file in the working directory
+    monkeypatch.setenv("COLUMNS", "80")
+    env = source_env()
+    codes = []
+    for argv in FALLBACK:
+        argv = [str(tmp_path / "H1.hg") if a == "H1" else a for a in argv]
+        assert cli._quick_args(argv) is None, argv
+        code = main(argv)
+        captured = capsys.readouterr()
+        done = subprocess.run(
+            [sys.executable, "-m", "hyperkey.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (code, captured.out, captured.err) == (
+            done.returncode, done.stdout, done.stderr
+        ), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 0]
+
+
+def test_import_builds_no_parser():
+    """Importing the CLI builds neither the argparse tree nor its tables;
+    the first main call does."""
+    probe = (
+        "import hyperkey.cli as c; "
+        "print(c._build_parser.cache_info().currsize, "
+        "c._flag_tables.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=source_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "0 0\n"), done.stderr
+
+
+def parsed_or_none(argv):
+    """vars of parse_args(argv), or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+SUBCOMMANDS = ["analyze", "capacity", "region", "check", "scheme", "simulate", "fuzz"]
+OPTIONS = [
+    "--json", "--total-rate", "--key-rate", "--rates", "--order", "--emit-matrix",
+    "--seed", "--exhaustive", "--trials", "--vertices", "--edges", "--cases",
+    "--max-weight",
+]
+VALUES = ["", "0x1", " 4", "\u0663", "2", "3/2", "F", "1,2=2,1", "-3"]
+ALPHABET = SUBCOMMANDS + OPTIONS + VALUES + [
+    "--exh", "--js", "--key", "--ord", "--se",  # abbreviations
+    "--key-rate=1", "--seed=2", "--json=1",
+    "-h", "--help", "--", "-",
+]
+
+
+def test_alphabet_names_every_option_and_subcommand():
+    tables = cli._flag_tables(cli._build_parser())
+    assert sorted(name for name in tables if name) == sorted(SUBCOMMANDS)
+    assert {s for _, options, _ in tables.values() for s in options} == set(OPTIONS)
+
+
+@settings(max_examples=1000)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(ALPHABET), max_size=8),
+        # a subcommand, maybe a file, then tokens and option-value pairs
+        st.builds(
+            lambda head, name, file, tail: head + [name] + file + sum(tail, []),
+            st.lists(st.sampled_from(["--json", "--js", "-h"]), max_size=2),
+            st.sampled_from(SUBCOMMANDS),
+            st.sampled_from([[], ["F"]]),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(ALPHABET).map(lambda t: [t]),
+                    st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES)).map(list),
+                ),
+                max_size=5,
+            ),
+        ),
+    )
+)
+def test_table_reading_agrees_with_parse_args(argv):
+    """Where the tables read argv at all, they give parse_args' Namespace."""
+    quick = cli._quick_args(argv)
+    if quick is not None:
+        assert vars(quick) == parsed_or_none(argv)
+
+
+# every argv shape the benchmark sends, then each subcommand's common form
+ACCEPTED = [
+    ["--json", "analyze", "F"],
+    ["--json", "region", "F"],
+    ["--json", "scheme", "F"],
+    ["--json", "simulate", "F", "--key-rate", "3/2", "--exhaustive"],
+    ["--json", "fuzz", "--cases", "1", "--max-weight", "1", "--seed", "7",
+     "--vertices", "5", "--edges", "3"],
+    ["analyze", "F"],
+    ["capacity", "F", "--total-rate", "1"],
+    ["region", "F"],
+    ["check", "F", "--key-rate", "1", "--rates", "1:1,2:1"],
+    ["scheme", "F", "--key-rate", "1", "--order", "1,2=2,1", "--order", "3=3",
+     "--emit-matrix"],
+    ["simulate", "F", "--seed", "3", "--trials", "2", "--order", "1,2=2,1"],
+    ["fuzz", "--vertices", "4", "--edges", "2", "--seed", "1", "--cases", "2",
+     "--max-weight", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_well_formed_argv_is_read_off_the_tables(argv):
+    quick = cli._quick_args(argv)
+    assert quick is not None
+    assert vars(quick) == parsed_or_none(argv)
+
+
+def test_a_token_that_is_no_str_is_declined():
+    assert cli._quick_args(["analyze", Path("F")]) is None
+    assert cli._quick_args(["simulate", "F", "--seed", 3]) is None
 
 
 # -- renderers ---------------------------------------------------------------------

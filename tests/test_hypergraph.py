@@ -17,7 +17,7 @@ from hyperkey import (
     entropy,
     partition_connectivity,
 )
-from hyperkey import hgio
+from hyperkey import hgio, hypergraph
 from hyperkey.capacity import region_spec
 from hyperkey.errors import GroundTooLarge
 from hyperkey.hypergraph import Edge, block_removal_counts
@@ -347,6 +347,38 @@ class TestOperations:
                 got = shared_representatives(h, block, vertex, block)
                 assert got == oracles.classes(restriction, reps, vertex, block)
             assert not _cached_views(h), h
+
+    def test_rank_and_extreme_point_build_no_view_for_a_one_vertex_block(
+        self, h1, h2, monkeypatch
+    ):
+        """rank and extreme_point_for_order read a one-vertex block off the
+        index, building no _BlockView, not even a throwaway one; a block of
+        two or more vertices still reads its view."""
+        built = []
+        init = hypergraph._BlockView.__init__
+
+        def counting_init(self, h, block):
+            built.append(block)
+            init(self, h, block)
+
+        monkeypatch.setattr(hypergraph._BlockView, "__init__", counting_init)
+        rate = Fraction(3, 2)
+        path = hgio.parse(scale_walls.path_text(60, random.Random(1)))
+        for h in (h1, h2, path):
+            for block in partition_connectivity(h).fundamental.blocks:
+                if len(block) > 1:
+                    continue
+                (vertex,) = block
+                edges_at = oracles.removal_component_counts(h, block)[1][1]
+                fn = RankFunction(h, block, rate)
+                assert rank(fn, ()) == 0
+                assert rank(fn, block) == (edges_at - 1) * rate
+                point = extreme_point_for_order(fn, (vertex,))
+                assert point.rates == ((vertex, (edges_at - 1) * rate),)
+        assert built == []
+        (core,) = [b for b in partition_connectivity(h1).fundamental.blocks if len(b) > 1]
+        extreme_point_for_order(RankFunction(h1, core, rate), sorted(core))
+        assert built == [core]
 
 
 def _cached_views(h):

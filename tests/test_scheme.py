@@ -227,6 +227,21 @@ class TestVerify:
         report = verify(DiscussionScheme(("a",), ((0, "x"),), ("1",), "a", ()))
         assert report.bad_rows == (0,) and not report.ok
 
+    def test_row_pairs_of_a_row_that_is_no_tuple_of_ints(self):
+        """row_pairs never raises: as in _row_mask, an entry that is not an
+        int, and a row that is no tuple, name no column."""
+        cases = [
+            ((0, "x"), ("a",)),
+            (("x", 1), ("b",)),
+            ((0, 1.0), ("a",)),
+            (5, ()),
+            ([0, 1], ()),
+            ((0, 1), ("a", "b")),
+        ]
+        for row, names in cases:
+            scheme = DiscussionScheme(("a", "b"), (row,), ("1",), "a", ())
+            assert scheme.row_pairs() == (names,), row
+
     def test_key_leak_breaks_secrecy(self, h1):
         scheme, _ = synthesize(h1)
         key_column = (scheme.column(scheme.key_edge),)
