@@ -31,7 +31,7 @@ from .errors import (
     UnknownVertex,
 )
 from .hypergraph import Hypergraph, _read_rational, block_removal_counts
-from .partitions import Partition, entropy, partition_connectivity
+from .partitions import Partition, partition_connectivity
 
 __all__ = [
     "RateTuple",
@@ -241,8 +241,23 @@ def outer_bound_deficit(
     if len(p) < 2:
         raise InvalidPartition("the bound needs a proper partition")
     # each block misses B, so it meets the same edges in h as in h minus B,
-    # whose entropy is the weight of the edges not inside B
-    block_sum = sum((entropy(h, c) for c in p.blocks), Fraction(0))
-    rest = sum((e.weight for e in h.edges if not e.members <= bset), Fraction(0))
-    i_p = (block_sum - rest) / (len(p) - 1)
-    return rt.over(bset) - (len(p) - 1) * (rt.key_rate - i_p)
+    # and (|P| - 1) I_P = sum over the edges not inside B of w_e (blocks met
+    # - 1): on the integer index, each vertex outside B carries its block's
+    # bit, and an edge's bits OR to the blocks it meets (none when inside B)
+    index = h._index()
+    bit = [0] * len(index.names)
+    for k, c in enumerate(p.blocks):
+        for v in c:
+            bit[index.position[v]] = 1 << k
+    scaled = 0
+    for spots, w in zip(index.members, index.weights):
+        met = 0
+        for i in spots:
+            met |= bit[i]
+        if met:
+            scaled += w * (met.bit_count() - 1)
+    return (
+        rt.over(bset)
+        - (len(p) - 1) * rt.key_rate
+        + Fraction(scaled, index.scale)
+    )

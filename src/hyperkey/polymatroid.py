@@ -45,7 +45,7 @@ __all__ = [
     "decompose",
 ]
 
-VERIFY_CAP = 10  # a failing table still gets the gated 4^|block| / 2 pair scan
+VERIFY_CAP = 10  # a table that fails a packed gate gets the 4^|block| / 2 pair scan
 EXTREME_POINTS_CAP = 8  # extreme_points walks |block|! permutations
 
 
@@ -115,9 +115,13 @@ class ContraPolymatroidReport:
 def verify_contra_polymatroid(fn: RankFunction) -> ContraPolymatroidReport:
     """Exhaustively check f(empty)=0, monotonicity, and supermodularity.
 
-    Works through bitmask-indexed subset tables, so the cost is 4^|block|
-    cheap integer operations rather than 4^|block| component searches.  A
-    block of more than VERIFY_CAP vertices raises GroundTooLarge.
+    Works on the bitmask-indexed subset table, packed into one int: each
+    law is a few big-int gate expressions, |block| for monotonicity and
+    C(|block|, 2) for supermodularity (see _packed_gates), rather than
+    4^|block| component searches.  Only a table that fails a gate is
+    walked by the ordered scans, the 4^|block| / 2 pair scan among them,
+    for its first counterexample.  A block of more than VERIFY_CAP
+    vertices raises GroundTooLarge.
     """
     return _contra_polymatroid_report(*_subset_table(fn))
 
@@ -161,15 +165,106 @@ def _contra_polymatroid_report(
     )
 
 
+def _pack(fields: Sequence[int], k: int) -> int:
+    """The ints fields, each in [0, 2^(8k)), as one int: fields[S] at bit 8k*S."""
+    if k == 1:
+        raw = bytes(fields)
+    else:
+        raw = b"".join([f.to_bytes(k, "little") for f in fields])
+    return int.from_bytes(raw, "little")
+
+
+def _coverage_values(weighted: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """The 2^n table of S -> the sum of w over the (member mask, w) pairs of
+    weighted whose mask meets S, for ints w >= 0.
+
+    It is built packed (see _pack): a pair's mark has a 1 in each field S
+    that misses its mask, grown from field 0 by one doubling per element
+    outside it, and the table is the total weight in every field less the
+    weighted sum of the marks."""
+    total = sum(w for _, w in weighted)
+    k = total.bit_length() // 8 + 1
+    width = 8 * k
+    missed = 0
+    for m, w in weighted:
+        mark = 1
+        for i in range(n):
+            if not m >> i & 1:
+                mark |= mark << (width << i)
+        missed += w * mark
+    table = total * _pack([1] * (1 << n), k) - missed
+    raw = table.to_bytes(k << n, "little")
+    if k == 1:
+        return list(raw)
+    return [int.from_bytes(raw[s : s + k], "little") for s in range(0, len(raw), k)]
+
+
+def _packed_gates(
+    values: Sequence[int], n: int
+) -> tuple[int, int, int, list[int]]:
+    """(table, width, high, clear): a 2^n table packed for the gates.
+
+    Field S, of width bits at bit width*S, holds values[S] - min(values).
+    width is the fewest whole bytes in which a four-term difference of
+    entries plus the bias 2^(width-1) lies in [0, 2^width), so a sum of
+    shifted tables plus high, the bias in every field, never carries or
+    borrows across a field: field S of it is the same sum over single
+    entries.  Such a field is below the bias, its law failing at S, exactly
+    when its top bit is clear.  clear[i] is the top bit of each field S
+    that lacks i."""
+    low = min(values)
+    k = (2 * (max(values) - low)).bit_length() // 8 + 1
+    table = _pack([v - low for v in values] if low else values, k)
+    top = bytes(k - 1) + b"\x80"
+    high = int.from_bytes(top * (1 << n), "little")
+    clear = [
+        int.from_bytes((top * (1 << i) + bytes(k << i)) * (1 << (n - 1 - i)), "little")
+        for i in range(n)
+    ]
+    return table, 8 * k, high, clear
+
+
+def _packed_monotone(values: Sequence[int], n: int) -> bool:
+    """Whether a 2^n table is nondecreasing: for each element i, one
+    big-int expression over the packed table (see _packed_gates) whose
+    field S is f(S + i) - f(S) + bias, tested at the fields S that lack i."""
+    table, width, high, clear = _packed_gates(values, n)
+    return all(
+        ((table >> (width << i)) + high - table) & m == m
+        for i, m in enumerate(clear)
+    )
+
+
+def _packed_submodular(values: Sequence[int], n: int) -> bool:
+    """Whether a 2^n table of f is submodular, by the local form of the law:
+    f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and i, j outside S
+    (Schrijver, Combinatorial Optimization, Thm 44.1).  Each pair i < j is
+    one big-int expression over the packed table (see _packed_gates) whose
+    field S is f(S+i) + f(S+j) - f(S+i+j) - f(S) + bias, tested at the
+    fields S that lack i and j.  Fewer than two elements make no pair."""
+    if n < 2:
+        return True
+    table, width, high, clear = _packed_gates(values, n)
+    up = [table >> (width << i) for i in range(n)]
+    for i in range(n - 1):
+        gain = up[i] + high - table
+        for j in range(i + 1, n):
+            m = clear[i] & clear[j]
+            if (gain + up[j] - (up[i] >> (width << j))) & m != m:
+                return False
+    return True
+
+
 def _first_decrease(values: Sequence[int], n: int) -> Optional[tuple[int, int]]:
     """The first (mask, i), masks ascending, then elements, with i outside
-    mask and values[mask | 1 << i] < values[mask], in a 2^n table; or None."""
-    for mask in range(1 << n):
-        vm = values[mask]
-        for i in range(n):
-            if not mask >> i & 1 and values[mask | 1 << i] < vm:
-                return mask, i
-    return None
+    mask and values[mask | 1 << i] < values[mask], in a 2^n table; or None.
+    Only a table that fails the packed gates is walked in order."""
+    if _packed_monotone(values, n):
+        return None
+    return next(
+        (mask, i) for mask in range(1 << n) for i in range(n)
+        if not mask >> i & 1 and values[mask | 1 << i] < values[mask]
+    )
 
 
 def _first_submodular_violation(
@@ -178,24 +273,15 @@ def _first_submodular_violation(
     """The first pair of masks s <= t (s ascending, then t) with
     f(s) + f(t) < f(s | t) + f(s & t) in a 2^n table of f; or None.
 
-    f is submodular iff f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and
-    i, j outside S (Schrijver, Combinatorial Optimization, Thm 44.1).  That
-    local form (n^2 2^n comparisons against 4^n) gates the pair scan, which
-    runs only once a local inequality, itself a pair violation, fails.
-    """
+    The 4^n / 2 pair scan runs only once a packed gate fails
+    (_packed_submodular), a local failure being itself a pair violation."""
+    if _packed_submodular(values, n):
+        return None
     full = 1 << n
-    for s in range(full):
-        vs = values[s]
-        grown = [s | 1 << i for i in range(n) if not s >> i & 1]
-        for a, si in enumerate(grown):
-            gain = values[si] - vs
-            for sj in grown[a + 1 :]:
-                if gain + values[sj] < values[si | sj]:
-                    return next(
-                        (u, t) for u in range(full) for t in range(u, full)
-                        if values[u] + values[t] < values[u | t] + values[u & t]
-                    )
-    return None
+    return next(
+        (s, t) for s in range(full) for t in range(s, full)
+        if values[s] + values[t] < values[s | t] + values[s & t]
+    )
 
 
 @dataclass(frozen=True)

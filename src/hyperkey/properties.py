@@ -15,6 +15,12 @@ it by Hypergraph._memo, under ("properties", name): the component counter
 with its memo, which lemma_violations and every
 scheme_round_trip_violations call share, and the default-order synthesize,
 which the round trips at several rates share.
+
+The set-function laws (monotone and submodular coverage entropy, the
+contra-polymatroid shape of each block's rank table) are checked on 2^n
+tables packed into one int, one big-int gate per element and per pair of
+elements (polymatroid._packed_gates); only a table that fails a gate is
+walked by the ordered scans that name its first counterexample.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .partitions import (
 from .polymatroid import (
     RankFunction,
     _contra_polymatroid_report,
+    _coverage_values,
     _first_decrease,
     _first_submodular_violation,
     _members,
@@ -67,7 +74,7 @@ def lemma_violations(
     laws, per-block rank tables (each entry against its component search)
     and their contra-polymatroid shape, redundancy of constraints on
     SUBADDITIVITY_SAMPLES vertex sets drawn from rng, entropy
-    monotonicity/submodularity (an exact scan of the coverage table over
+    monotonicity/submodularity (the packed gates of the coverage table over
     integer-scaled weights, on every ground this function accepts), and
     agreement of the weighted capacity formula with the brute-force
     partition minimum, plus the fast-path law of _fast_path_violations.
@@ -289,8 +296,9 @@ def _component_search(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...
 
 
 def _entropy_shape_violations(h: Hypergraph) -> list[str]:
-    """Coverage entropy is monotone and submodular, checked exhaustively on
-    the integer-scaled table of _coverage_table (at most 12 vertices)."""
+    """Coverage entropy is monotone and submodular, checked exhaustively by
+    the packed gates on the integer-scaled table of _coverage_table (at
+    most 12 vertices)."""
     return _table_shape_violations(*_coverage_table(h))
 
 
@@ -300,17 +308,15 @@ def _coverage_table(h: Hypergraph) -> tuple[list[str], list[int]]:
     denominators.  A positive scale keeps both laws and every comparison."""
     order = sorted(h.vertices)
     masks, _ = _scaled_edge_masks(h, order, (e.weight for e in h.edges))
-    values = [0] * (1 << len(order))
-    for mask in range(1, 1 << len(order)):
-        values[mask] = sum(w for m, w in masks if m & mask)
-    return order, values
+    return order, _coverage_values(masks, len(order))
 
 
 def _table_shape_violations(order: Sequence[str], values: Sequence[int]) -> list[str]:
     """First monotonicity violation (masks ascending, then elements), else
     first submodularity violation over pairs s <= t, of a set function given
-    as a 2^len(order) table; [] when both laws hold.  The scans are
-    polymatroid's, the pair scan gated by the local form of the law."""
+    as a 2^len(order) table; [] when both laws hold.  The laws are
+    polymatroid's packed gates; only a table that fails one is scanned in
+    order for the first violation."""
     drop = _first_decrease(values, len(order))
     if drop is not None:
         return [f"entropy not monotone at mask {drop[0]} plus {order[drop[1]]!r}"]

@@ -1,18 +1,21 @@
 """Earlier, independent implementations kept as test oracles.
 
-The library answers these questions from one incidence-graph scan, one
-GF(2) reduction or a union-find over weight-two rows, parses .hg text with
-one count of the declared names, rejection-samples MCHs on vertex bitmasks,
+The library answers these questions from one incidence-graph scan, one GF(2)
+reduction or a union-find over weight-two rows, parses .hg text with one
+count of the declared names, rejection-samples MCHs on vertex bitmasks,
 sweeps partitions with an incremental per-edge count, splits a block's rate
 vector into greedy vertices along chains of tight sets, reads region
-constraints and scheme classes off the edges meeting each block and renders
-JSON in one pass; the functions here answer them the long way (a separate
-depth-first search, one elimination per question, column-order elimination,
-a rescan of the vertex list per name, a Hypergraph and an is_mch scan per
-proposal, a recount of every edge against every block per partition, all
-|B|! extreme points and an exact phase-1 simplex, one component search of
-the whole hypergraph per removed subset, an incident-restriction Hypergraph
-per block, json.dumps) and never call the code they check.
+constraints and scheme classes off the edges meeting each block, renders
+JSON in one pass, tests set-function laws by big-int gates on a packed table
+and sums outer-bound slacks on the integer index; the functions here answer
+them the long way (a separate depth-first search, one elimination per
+question, column-order elimination, a rescan of the vertex list per name, a
+Hypergraph and an is_mch scan per proposal, a recount of every edge against
+every block per partition, all |B|! extreme points and an exact phase-1
+simplex, one component search of the whole hypergraph per removed subset, an
+incident-restriction Hypergraph per block, json.dumps, one comparison per
+set-function inequality, Fraction coverage sums) and never call the code
+they check.
 """
 
 import functools
@@ -709,6 +712,55 @@ def _census_specs() -> tuple:
                 if Hypergraph(names, edges).is_mch():
                     found.append((names, edges))
     return tuple(found)
+
+
+# -- set-function tables -----------------------------------------------------------
+
+
+def first_decrease(values, n: int):
+    """The first (mask, i), masks ascending, then elements, with i outside
+    mask and values[mask | 1 << i] < values[mask] in a 2^n table; or None.
+    One comparison per mask and element, in that order."""
+    for mask in range(1 << n):
+        vm = values[mask]
+        for i in range(n):
+            if not mask >> i & 1 and values[mask | 1 << i] < vm:
+                return mask, i
+    return None
+
+
+def first_submodular_violation(values, n: int):
+    """The first pair of masks s <= t (s ascending, then t) with
+    f(s) + f(t) < f(s | t) + f(s & t) in a 2^n table of f; or None.  The
+    local inequalities f(S+i) + f(S+j) >= f(S+i+j) + f(S), one comparison
+    each, decide whether the 4^n / 2 pair scan runs (Schrijver,
+    Combinatorial Optimization, Thm 44.1)."""
+    full = 1 << n
+    for s in range(full):
+        vs = values[s]
+        grown = [s | 1 << i for i in range(n) if not s >> i & 1]
+        for a, si in enumerate(grown):
+            gain = values[si] - vs
+            for sj in grown[a + 1 :]:
+                if gain + values[sj] < values[si | sj]:
+                    return next(
+                        (u, t) for u in range(full) for t in range(u, full)
+                        if values[u] + values[t] < values[u | t] + values[u & t]
+                    )
+    return None
+
+
+def outer_bound_deficit(h: Hypergraph, rt, b, p: Partition) -> Fraction:
+    """r(B) - (|P| - 1)(r_K - I_P) in Fractions: I_P is the coverage
+    entropy of each block of p, summed, less the weight of the edges not
+    inside B, over |P| - 1.  No argument checks."""
+    bset = frozenset(b)
+    block_sum = sum(
+        (e.weight for c in p.blocks for e in h.edges if e.members & c), Fraction(0)
+    )
+    rest = sum((e.weight for e in h.edges if not e.members <= bset), Fraction(0))
+    i_p = (block_sum - rest) / (len(p) - 1)
+    return rt.over(bset) - (len(p) - 1) * (rt.key_rate - i_p)
 
 
 # -- region ------------------------------------------------------------------------

@@ -18,7 +18,13 @@ growth of len(gc.get_objects()) after a full collection.  Another times,
 on a path of each size, `representatives` on every fundamental block and
 `RankFunction` plus `rank` of the whole block on every block, in
 microseconds per block: the fundamental-block guard both pass is one set
-lookup, so the figure should not grow with the path.  Each
+lookup, so the figure should not grow with the path.  The last row times
+the packed table gates at the largest tables the property suites scan:
+`properties._entropy_shape_violations` on a 12-vertex path (a 2^12
+coverage table) and `verify_contra_polymatroid` on the 10-vertex block
+of a cyclic core with a pendant per edge (a 2^10 rank table, at
+`polymatroid.VERIFY_CAP`), each in milliseconds, first call and best of
+three more, with its peak RSS.  Each
 call runs in a fresh interpreter and reads its peak RSS from VmHWM in
 /proc/self/status (Linux only), so the figure is its own; the time is
 taken around the `main` (or `hgio.parse`) call inside it, without the
@@ -41,6 +47,8 @@ EXPONENTS = (3, 4, 5)  # |V| = 10^3, 10^4, 10^5
 RING = 10**3  # core vertices of the ring row (|V| is twice that)
 CYCLE = 12  # vertices of the non-MCH cycle rows
 CYCLE_WEIGHTS = {"unit": lambda i: 1, "weights 1-3": lambda i: i % 3 + 1}
+GATE_PATH = 12  # vertices of the path whose coverage table the gates check
+GATE_CORE = 10  # core vertices of the ring whose rank table the gates check
 
 
 def path_text(n: int, rng: random.Random) -> str:
@@ -170,6 +178,51 @@ print(f"{(middle - start) * scale:.1f} {(end - middle) * scale:.1f}")
 """
 
 
+# With "entropy FILE" or "contra FILE": whether a violation was found, the
+# seconds of properties._entropy_shape_violations on the parsed
+# hypergraph, or of verify_contra_polymatroid on its largest fundamental
+# block at key rate 1, first call and best of three more, and the peak
+# RSS, VmHWM as in CALL.
+GATES = """\
+import sys
+from time import perf_counter
+from hyperkey import RankFunction, hgio, partition_connectivity
+from hyperkey.polymatroid import verify_contra_polymatroid
+from hyperkey.properties import _entropy_shape_violations
+kind, path = sys.argv[1:]
+with open(path, encoding="utf-8") as file:
+    h = hgio.parse(file.read())
+if kind == "contra":
+    fn = RankFunction(h, max(partition_connectivity(h).fundamental.blocks, key=len), 1)
+times = []
+for _ in range(4):
+    start = perf_counter()
+    if kind == "entropy":
+        bad = bool(_entropy_shape_violations(h))
+    else:
+        bad = not verify_contra_polymatroid(fn).ok
+    times.append(perf_counter() - start)
+with open("/proc/self/status") as status:
+    peak_kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(bad, times[0], min(times[1:]), peak_kib)
+"""
+
+
+def gate_cell(kind: str, file: Path) -> str:
+    """Packed-gate checks ("entropy" or "contra") of the source in file, in
+    a fresh interpreter, as "first ms/best later ms/peak RSS in MiB"."""
+    done = subprocess.run(
+        [sys.executable, "-c", GATES, kind, str(file)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    bad, first, later, peak_kib = done.stdout.split()
+    if bad != "False":
+        raise SystemExit(f"{kind} found a violation in {file}")
+    return f"{float(first) * 1e3:.2f}/{float(later) * 1e3:.2f}/{int(peak_kib) / 1024:.0f}"
+
+
 def per_block_micros(file: Path) -> tuple[str, str]:
     """Microseconds per fundamental block of representatives, and of
     RankFunction plus rank, counted in a fresh interpreter."""
@@ -262,6 +315,15 @@ def main_script() -> None:
             n = 10**exponent
             reps, ranks = per_block_micros(work / f"path{n}.hg")
             print(f"{'':<24} {n:>7}  {reps:>15} {ranks:>14}", flush=True)
+        print(f"{'packed table gates':<24} {'|V|':>7}  {'ms/ms/MiB':>17}")
+        file = work / "gates-path.hg"
+        file.write_text(path_text(GATE_PATH, rng))
+        cell = gate_cell("entropy", file)
+        print(f"{'entropy shape, path':<24} {GATE_PATH:>7}  {cell:>17}", flush=True)
+        file = work / "gates-ring.hg"
+        file.write_text(ring_text(GATE_CORE, rng))
+        cell = gate_cell("contra", file)
+        print(f"{'contra-polymatroid, ring':<24} {2 * GATE_CORE:>7}  {cell:>17}", flush=True)
 
 
 if __name__ == "__main__":

@@ -265,3 +265,39 @@ class TestOuterBound:
                     assert outer_bound_deficit(h, rt, b, p) == want
                     checked += 1
         assert checked > 1000
+
+    def test_integer_index_matches_the_fraction_formula(self):
+        """The deficit summed on the integer index equals the Fraction
+        formula of the oracles on the census and on seeded MCHs with weights
+        1-4 (over 1-3 on half of them) and rational rates, for every B
+        leaving two or more vertices, with its components (when proper) and
+        a random proper partition of the rest."""
+        rng = random.Random(26)
+        sources = list(oracles.census_mchs())
+        for j, g in enumerate(oracles.random_mchs(40, 26, max_vertices=8)):
+            sources.append(Hypergraph(g.vertices, [
+                (e.id, e.members, Fraction(rng.randint(1, 4), rng.randint(1, 3) if j % 2 else 1))
+                for e in g.edges
+            ]))
+        checked = 0
+        for h in sources:
+            members = sorted(h.vertices)
+            rt = RateTuple(
+                Fraction(rng.randint(0, 6), rng.randint(1, 4)),
+                {v: Fraction(rng.randint(0, 6), rng.randint(1, 4)) for v in members},
+            )
+            for mask in range(1 << len(members)):
+                b = frozenset(v for i, v in enumerate(members) if mask >> i & 1)
+                if len(b) >= len(members) - 1:
+                    continue
+                labels = sorted(h.vertices - b)
+                rng.shuffle(labels)
+                split = rng.randint(1, len(labels) - 1)
+                candidates = [Partition.from_blocks([labels[:split], labels[split:]])]
+                parts = h.remove_vertices(b).components()
+                if len(parts) > 1:
+                    candidates.append(Partition.from_blocks(parts))
+                for p in candidates:
+                    assert outer_bound_deficit(h, rt, b, p) == oracles.outer_bound_deficit(h, rt, b, p)
+                    checked += 1
+        assert checked > 5000, checked

@@ -29,6 +29,10 @@ from hyperkey.hypergraph import block_removal_counts
 from hyperkey.polymatroid import (
     ContraPolymatroidReport,
     _contra_polymatroid_report,
+    _first_decrease,
+    _first_submodular_violation,
+    _packed_monotone,
+    _packed_submodular,
     extreme_point_for_order,
     verify_contra_polymatroid,
 )
@@ -313,6 +317,92 @@ class TestIntegerScan:
                 )
             ] += 1
         assert min(kinds[k] for k in ("ok", "normalized", "nondecreasing", "supermodular")) >= 10, kinds
+
+
+def _gate_tables(rng, n):
+    """Seeded 2^n int tables with their scale.  Each starts as the coverage
+    table (monotone and submodular) of a singleton edge at about half the
+    elements and up to six random edges of 1-3 elements, scaled past 2^64
+    or not; at most 8 elements it may be negated (supermodular); it may be
+    shifted so every entry is negative.  Then up to two entries are moved
+    by one or two scale units, dipped to the largest entry one element
+    below or lifted to the smallest one element above (both still
+    monotone).  Above 8 elements there are fewer tables, and only entries
+    below mask 64 move, so a violation's pair scan stays short."""
+    out = []
+    for _ in range(10 if n <= 8 else 5):
+        scale = rng.choice((1, 3**45))
+        edges = [1 << i for i in range(n) if rng.random() < 0.5]
+        for _ in range(rng.randint(0, 6) if n else 0):
+            edges.append(sum(1 << i for i in rng.sample(range(n), rng.randint(1, min(n, 3)))))
+        values = [0] * (1 << n)
+        for m in edges:
+            w = scale * rng.randint(1, 4)
+            for mask in range(1 << n):
+                if m & mask:
+                    values[mask] += w
+        if n <= 8 and rng.random() < 0.25:
+            values = [-v for v in values]
+        if rng.random() < 0.5:  # every entry negative
+            top = max(values) + rng.choice((1, 2**70))
+            values = [v - top for v in values]
+        reach = len(values) if n <= 8 else 64
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            k = rng.randrange(reach)
+            near = [k ^ 1 << i for i in range(n)]
+            how = rng.randrange(3)
+            if how == 0 and k:
+                values[k] = max(values[m] for m in near if m < k)
+            elif how == 1 and k != len(values) - 1:
+                values[k] = min(values[m] for m in near if m > k)
+            else:
+                values[k] += scale * rng.choice((-2, -1, 1, 2))
+        out.append((values, scale))
+    return out
+
+
+class TestPackedGates:
+    """The packed gates decide a table as the ungated scans of the oracles
+    do, and a failed gate reports the scans' first counterexample."""
+
+    def test_gates_agree_with_the_scans(self):
+        rng = random.Random(26)
+        kinds = Counter()
+        for n in range(13):
+            for values, scale in _gate_tables(rng, n):
+                drop = oracles.first_decrease(values, n)
+                pair = oracles.first_submodular_violation(values, n)
+                assert _packed_monotone(values, n) == (drop is None), (n, values)
+                assert _packed_submodular(values, n) == (pair is None), (n, values)
+                assert _first_decrease(values, n) == drop, (n, values)
+                assert _first_submodular_violation(values, n) == pair, (n, values)
+                verdict = (
+                    "decrease" if drop else "not submodular" if pair else "clean"
+                )
+                kinds["above 8", n > 8, verdict] += 1
+                kinds["past 2^64", scale > 2**64, verdict] += 1
+        # every verdict occurs above and below 8 elements, and with entry
+        # differences past 2^64 and below
+        for split in ("above 8", "past 2^64"):
+            for side in (False, True):
+                for verdict in ("clean", "decrease", "not submodular"):
+                    assert kinds[split, side, verdict] >= 3, kinds
+
+    @pytest.mark.parametrize("bits", [6, 7, 8, 15, 16, 63, 64, 65, 100])
+    def test_extreme_differences_at_each_field_width(self, bits):
+        """Two-element tables whose local differences reach twice the span,
+        either sign, with the span on either side of each byte boundary of
+        the field width."""
+        for span in (2**bits - 1, 2**bits, 2**bits + 1):
+            for table in (
+                (0, span, span, 0), (span, 0, 0, span), (0, span, 0, span),
+                (span, span, 0, 0), (0, 0, span, span), (0, 0, 0, span),
+                (span, 0, 0, 0), (-span, 0, 0, 0), (0, -span, -span, 0),
+            ):
+                assert _packed_monotone(table, 2) == (oracles.first_decrease(table, 2) is None)
+                assert _packed_submodular(table, 2) == (
+                    oracles.first_submodular_violation(table, 2) is None
+                )
 
 
 KEY_RATES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))

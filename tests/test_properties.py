@@ -147,6 +147,45 @@ class TestEntropyScan:
         assert kinds["entropy not monotone"] >= 25, kinds
         assert kinds["entropy not submodular"] >= 10, kinds
 
+    def test_wide_fields_match_the_fraction_table(self):
+        """Weights over denominators whose lcm passes 2^64, so the scaled
+        entries need packed fields of more than eight bytes, on 12-vertex
+        MCHs and on small shapes with one entry moved by 1/L."""
+        rng = random.Random(10)
+        wide = (2**31 - 1, 2**61 - 1, 10**18 + 9)
+        ground = [g for g in oracles.random_mchs(60, 12, max_vertices=12)
+                  if len(g.vertices) == 12][:3]
+        assert len(ground) == 3
+        for g in ground:
+            h = Hypergraph(g.vertices, [
+                (e.id, e.members, Fraction(rng.randint(1, 4), wide[j % 3]))
+                for j, e in enumerate(g.edges)
+            ])
+            order, ints = _coverage_table(h)
+            scale = lcm(*(e.weight.denominator for e in h.edges))
+            assert scale > 2**64 and max(ints) > 2**64
+            assert (order, [Fraction(v, scale) for v in ints]) == fraction_coverage_table(h)
+            assert _entropy_shape_violations(h) == []
+        kinds = Counter()
+        for _ in range(150):
+            g = _random_weighted_hypergraph(rng, 6)
+            h = Hypergraph(g.vertices, [
+                (e.id, e.members, e.weight / wide[j % 3])
+                for j, e in enumerate(g.edges)
+            ])
+            order, ints = _coverage_table(h)
+            _, fractions = fraction_coverage_table(h)
+            scale = lcm(*(e.weight.denominator for e in h.edges))
+            assert [Fraction(v, scale) for v in ints] == fractions
+            k = rng.randrange(len(ints))
+            delta = rng.choice([-1, 1])
+            ints[k] += delta
+            fractions[k] += Fraction(delta, scale)
+            found = _table_shape_violations(order, ints)
+            assert found == fraction_shape_violations(order, fractions)
+            kinds[found[0].split(" at ")[0] if found else "clean"] += 1
+        assert min(kinds.values()) >= 10 and len(kinds) == 3, kinds
+
     @pytest.mark.parametrize("n", [11, 12])
     def test_every_accepted_ground_is_scanned(self, n, monkeypatch):
         """lemma_violations accepts up to 12 vertices, and the scan covers
