@@ -32,7 +32,10 @@ them:
   partitions  ("sweep", w), ("minimizers", w), ("connectivity", weighted)
   capacity    "fundamental blocks"
   simkit      ("shape", numerator, denominator) (quantize, per key rate)
-  properties  ("properties", "components"), ("properties", "synthesize")
+  properties  ("properties", "components") (the component search, by names
+              and by bitmask), ("properties", "synthesize") (the
+              default-order scheme, its orders and its pairing-tree
+              violations)
 
 The independent checks stay off the index, so a fault in it shows as a
 disagreement instead of being copied into both sides: removal_component_count
@@ -656,7 +659,9 @@ def block_removal_counts(
     """(order, counts) with counts[mask] = the block view's count(mask) for
     every mask, so counts[0] is 1; a block of more than 12 vertices raises
     GroundTooLarge.  A one-vertex block {v} needs no view: removing v leaves
-    one component per edge at v (see _representatives)."""
+    one component per edge at v (see _representatives).  The table of a
+    larger block is built once and kept on its cached view, so the list is
+    shared by every caller: read it, never change it."""
     if len(block) > 12:
         raise GroundTooLarge(
             f"subset enumeration over {len(block)} vertices exceeds cap 12"
@@ -666,7 +671,9 @@ def block_removal_counts(
         index = h._index()
         return (vertex,), [1, len(index.incident[index.position[vertex]])]
     view = _block_view(h, block)
-    return view.order, [view.count(removed) for removed in range(view.full + 1)]
+    if view.table is None:
+        view.table = [view.count(removed) for removed in range(view.full + 1)]
+    return view.order, view.table
 
 
 def _block_view(h: Hypergraph, block: frozenset[str]) -> "_BlockView":
@@ -727,12 +734,13 @@ class _BlockView:
     position, and reps maps each edge at the block to its representative
     (_representatives).  One search over the local edges (_component)
     serves count and classes, at a cost in the block and its local edges
-    whatever the size of h.
+    whatever the size of h.  table is count of every mask, in mask order,
+    once block_removal_counts has built it (None before).
     """
 
     __slots__ = (
         "order", "bit", "full", "hanging", "local", "adjacent", "reps",
-        "_index", "_masks",
+        "table", "_index", "_masks",
     )
 
     def __init__(self, h: Hypergraph, block: frozenset[str]):
@@ -745,6 +753,7 @@ class _BlockView:
         self._index = index = h._index()
         names = index.names
         self.reps = {j: names[p] for p, j in _representatives(h, block)}
+        self.table: Optional[list[int]] = None  # block_removal_counts, once built
         position = index.position
         spot = {position[v]: 1 << i for i, v in enumerate(order)}
         members = index.members

@@ -11,10 +11,14 @@ at most simkit.MAX_STATE_BITS bits).
 The suites read the Bell sweep's minimizers as restricted-growth codes
 (partitions._cached_sweep) and build a Partition only to word a violation.
 What does not depend on the rate is computed once per instance and kept on
-it by Hypergraph._memo, under ("properties", name): the component counter
-with its memo, which lemma_violations and every
-scheme_round_trip_violations call share, and the default-order synthesize,
-which the round trips at several rates share.
+it by Hypergraph._memo, under ("properties", name): the component search
+with its memo keyed by the removed set's bitmask, which lemma_violations
+and every scheme_round_trip_violations call share, and the default-order
+synthesize with the pairing-tree check of its rows, which the round trips
+at several rates share.  The redundancy check draws its vertex sets as
+bitmasks straight from getrandbits, as random.Random.randrange and sample
+would draw them (the way simkit._proposals draws), and counts each set and
+its block traces on that memo.
 
 The set-function laws (monotone and submodular coverage entropy, the
 contra-polymatroid shape of each block's rank table) are checked on 2^n
@@ -28,7 +32,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .capacity import (
     _as_fraction,
@@ -80,9 +84,10 @@ def lemma_violations(
     partition minimum, plus the fast-path law of _fast_path_violations.
     That the fundamental partition refines every minimizer is checked on
     the minimizers' codes (_code_refiner).  Every component count comes
-    from one _removal_counter, a generic search independent of the rank
-    tables.  The enumeration oracle refuses grounds over 12 vertices, and
-    so does this function.  The brute-force maximal-subset characterization
+    from one component search independent of the rank tables, read by
+    names (_removal_counter) or, in the redundancy check, by bitmask
+    (_mask_counter).  The enumeration oracle refuses grounds over 12
+    vertices, and so does this function.  The brute-force maximal-subset characterization
     of non-singleton fundamental blocks is too slow for every case; the
     tests check it (oracles.prop2_violations).
     """
@@ -161,7 +166,9 @@ def lemma_violations(
             )
 
     bad.extend(
-        _redundancy_violations(h, fundamental, rng, SUBADDITIVITY_SAMPLES, count)
+        _redundancy_violations(
+            h, fundamental, rng, SUBADDITIVITY_SAMPLES, _mask_counter(h)
+        )
     )
     bad.extend(_entropy_shape_violations(h))
 
@@ -215,35 +222,72 @@ def _redundancy_violations(
     fundamental: Partition,
     rng: random.Random,
     samples: int,
-    count: Callable[[Iterable[str]], int],
+    count: Callable[[int], int],
 ) -> list[str]:
     """r(B) >= (k(H/B)-1) r_K is implied blockwise: the component defect of an
     arbitrary B never exceeds the sum over blocks of the defects of B's traces.
-    count is h's component count with a proper vertex subset removed."""
+    count is h's component count with a proper vertex subset removed, given
+    as a bitmask over the sorted vertices (_mask_counter); B (drawn by
+    _vertex_samples) and its traces are such bitmasks."""
     bad: list[str] = []
     names = sorted(h.vertices)
     if len(names) < 2:
         return bad
-    for _ in range(samples):
-        size = rng.randrange(1, len(names))
-        b = frozenset(rng.sample(names, size))
+    position = {v: i for i, v in enumerate(names)}
+    blocks = [sum(1 << position[v] for v in block) for block in fundamental.blocks]
+    for b in _vertex_samples(rng, len(names), samples):
         whole = count(b) - 1
         parts = 0
-        for block in fundamental.blocks:
+        for block in blocks:
             trace = b & block
             if trace:
                 parts += count(trace) - 1
         if whole > parts:
             bad.append(
-                f"defect {whole} of {sorted(b)} exceeds blockwise sum {parts}"
+                f"defect {whole} of {sorted(_members(names, b))} exceeds "
+                f"blockwise sum {parts}"
             )
     return bad
+
+
+def _vertex_samples(rng: random.Random, n: int, samples: int) -> Iterator[int]:
+    """samples proper nonempty subsets of n >= 2 sorted names, as bitmasks:
+    each is what rng.sample(names, rng.randrange(1, n)) would pick, drawn
+    straight from getrandbits as random.py draws it (see simkit._proposals).
+    randrange(1, n) is 1 + _randbelow(n - 1), and a sample of a pool of at
+    most 21 takes pool[j], j = _randbelow(n - i), for i in range(size) and
+    moves the last unpicked item into slot j.  lemma_violations refuses
+    more than 12 vertices, so that pool path holds."""
+    getrandbits = rng.getrandbits
+    bits = [k.bit_length() for k in range(n + 1)]
+    for _ in range(samples):
+        k = bits[n - 1]
+        r = getrandbits(k)
+        while r >= n - 1:
+            r = getrandbits(k)
+        pool = list(range(n))
+        b = 0
+        for left in range(n, n - 1 - r, -1):  # left = n - i unpicked items
+            k = bits[left]
+            j = getrandbits(k)
+            while j >= left:
+                j = getrandbits(k)
+            b |= 1 << pool[j]
+            pool[j] = pool[left - 1]
+        yield b
 
 
 def _removal_counter(h: Hypergraph) -> Callable[[Iterable[str]], int]:
     """h.removal_component_count for proper vertex subsets."""
     components = _removal_components(h)
     return lambda c: len(components(c))
+
+
+def _mask_counter(h: Hypergraph) -> Callable[[int], int]:
+    """_removal_counter for a proper vertex subset given as a bitmask over
+    the sorted vertices, on the same memo."""
+    by_mask = h._memo(("properties", "components"), lambda: _component_search(h))[1]
+    return lambda removed: len(by_mask(removed))
 
 
 def _removal_components(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...]]:
@@ -253,11 +297,14 @@ def _removal_components(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, .
     It reads no block structure, so it stays an independent check of the
     block view behind block_removal_counts.  One counter and its memo are
     kept on h, so every suite run on h shares them."""
-    return h._memo(("properties", "components"), lambda: _component_search(h))
+    return h._memo(("properties", "components"), lambda: _component_search(h))[0]
 
 
-def _component_search(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...]]:
-    """A new _removal_components counter for h, with an empty memo."""
+def _component_search(
+    h: Hypergraph,
+) -> tuple[Callable[[Iterable[str]], tuple[int, ...]], Callable[[int], tuple[int, ...]]]:
+    """A new _removal_components counter for h, with an empty memo keyed by
+    the removed set's bitmask, and the same counter read by that bitmask."""
     order = sorted(h.vertices)
     bit = {v: 1 << i for i, v in enumerate(order)}
     weighted, _ = _scaled_edge_masks(h, order, (e.weight for e in h.edges))
@@ -265,10 +312,7 @@ def _component_search(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...
     full = (1 << len(order)) - 1
     memo: dict[int, tuple[int, ...]] = {}
 
-    def components(c: Iterable[str]) -> tuple[int, ...]:
-        removed = 0
-        for v in c:
-            removed |= bit[v]
+    def by_mask(removed: int) -> tuple[int, ...]:
         comps = memo.get(removed)
         if comps is None:
             kept = full ^ removed
@@ -292,7 +336,13 @@ def _component_search(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...
             comps = memo[removed] = tuple(found)
         return comps
 
-    return components
+    def components(c: Iterable[str]) -> tuple[int, ...]:
+        removed = 0
+        for v in c:
+            removed |= bit[v]
+        return by_mask(removed)
+
+    return components, by_mask
 
 
 def _entropy_shape_violations(h: Hypergraph) -> list[str]:
@@ -343,11 +393,14 @@ def scheme_round_trip_violations(
     rate = _as_fraction(key_rate)
     bad = _fast_path_violations(h)
     if orders is None:
-        # the scheme does not depend on the rate, so the round trips at
-        # several rates of one instance share the default-order synthesis
-        scheme, used = h._memo(("properties", "synthesize"), lambda: synthesize(h))
+        # neither the scheme nor its pairing-tree verdict depends on the
+        # rate, so the round trips at several rates of one instance share
+        # the default-order synthesis and its check
+        scheme, used, tree = h._memo(
+            ("properties", "synthesize"), lambda: _checked_synthesis(h, None)
+        )
     else:
-        scheme, used = synthesize(h, orders)
+        scheme, used, tree = _checked_synthesis(h, orders)
     report = verify(scheme)
     if not report.ok:
         return bad + [f"synthesized scheme failed verification: {report}"]
@@ -389,7 +442,7 @@ def scheme_round_trip_violations(
                         f"outer bound violated by {deficit} at B={sorted(b)}"
                     )
 
-    bad.extend(_pairing_tree_violations(h, scheme, used))
+    bad.extend(tree)
 
     shape = quantize(h, rate)
     if shape.total_bits() <= MAX_STATE_BITS:
@@ -412,6 +465,13 @@ def scheme_round_trip_violations(
                 f"{secrecy.conditional_entropy_bits} != key length {shape.key_length}"
             )
     return bad
+
+
+def _checked_synthesis(h: Hypergraph, orders: Optional[Mapping]):
+    """synthesize(h, orders), plus the _pairing_tree_violations of what it
+    returns (the rate plays no part in either)."""
+    scheme, used = synthesize(h, orders)
+    return scheme, used, _pairing_tree_violations(h, scheme, used)
 
 
 def _pairing_tree_violations(h: Hypergraph, scheme, used) -> list[str]:

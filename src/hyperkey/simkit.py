@@ -33,7 +33,13 @@ proposals.  It takes every integer draw straight from getrandbits, as the
 random.Random methods it stands for would take it (_proposals lists them),
 so a seed gives the instance those methods would; tests/oracles.propose
 makes the public calls and the TestRandomMCH oracle tests in
-tests/test_simkit.py compare the two.
+tests/test_simkit.py compare the two.  Most proposals of the larger
+shapes are doomed from their first draws: every edge after the first must
+introduce a vertex.  An edge that introduces none joins vertices the
+earlier edges already connect, and each later edge meets a vertex that
+was there before it, so removing that edge leaves the proposal
+connected.  Such a proposal makes the rest of its draws by counts alone
+and is never built (see _proposals).
 """
 
 from __future__ import annotations
@@ -499,8 +505,8 @@ def _proposals(
     rng: random.Random, vertex_count: int, edge_count: int, max_weight: int
 ) -> Iterator[Optional[tuple[list[int], list[int]]]]:
     """Endless connected proposals, each as (member bitmask per edge, weight
-    per edge), bit i standing for vertex i + 1, or None when an edge gets
-    fewer than two members (loops never occur in an MCH).
+    per edge), bit i standing for vertex i + 1, or None for a proposal that
+    cannot be an MCH: one with a loop or one that is doomed (below).
 
     A proposal draws what these random.Random calls would, in order: one
     shuffle of the vertices, one randrange(edge_count) per vertex after the
@@ -520,72 +526,105 @@ def _proposals(
     unpicked item into slot j.  So each seed gives the instance and attempt
     count of the public calls, which tests/oracles.propose makes;
     TestRandomMCH in tests/test_simkit.py (test_matches_the_rebuild_oracle,
-    test_rare_shapes_match_under_the_default_budget and
+    test_proposals_keep_step_with_the_oracle and
     test_multi_word_weights_match_the_oracle) compares the two.
+
+    Which draws a proposal makes depends on the counts alone: how many
+    vertices each edge introduces (fresh) and how many earlier ones it
+    takes, out of span.  Only the first edge can be a loop, when it
+    introduces one vertex: every later edge has a vertex of its own plus a
+    pick, or takes two picks out of a span of at least two.  That one is
+    yielded as None at once, as the public calls stop there too.  A
+    proposal with a later edge j that introduces no vertex is doomed:
+    edge j's members are vertices that edges 0..j-1 already connect, and
+    every later edge hangs its new vertices on what is there, so h - e_j
+    stays connected and the proposal is not minimal.  Its draws are still
+    made, to keep the generator in step, but by counts alone.  The
+    shuffle's swaps are recorded as they are drawn and applied only for a
+    proposal that survives, and only that one builds its intro lists,
+    masks and weights.
     """
     getrandbits = rng.getrandbits
     uniform = rng.random
     bits = [k.bit_length() for k in range(vertex_count + 1)]
     edge_bits = edge_count.bit_length()
     weight_bits = max_weight.bit_length()
-    edges = range(edge_count)
+    later = range(1, edge_count)
     while True:
-        pool = list(range(vertex_count))
+        swaps = []  # the shuffle's partner of x[i], i from vertex_count - 1 down
         for i in range(vertex_count - 1, 0, -1):
             k = bits[i + 1]
             r = getrandbits(k)
             while r > i:
                 r = getrandbits(k)
-            pool[i], pool[r] = pool[r], pool[i]
-        # distribute every vertex to the edge that introduces it
-        intro: list[list[int]] = [[] for _ in edges]
-        intro[0].append(pool[0])
-        for v in pool[1:]:
+            swaps.append(r)
+        owners = []  # the edge that introduces each vertex after the first
+        fresh = [0] * edge_count  # how many vertices each edge introduces
+        fresh[0] = 1
+        for _ in range(vertex_count - 1):
             r = getrandbits(edge_bits)
             while r >= edge_count:
                 r = getrandbits(edge_bits)
-            intro[r].append(v)
-        existing: list[int] = []
-        masks: list[int] = []
-        weights: list[int] = []
-        for j in edges:
+            owners.append(r)
+            fresh[r] += 1
+        if fresh[0] == 1:
+            yield None  # the first edge is a loop
+            continue
+        r = getrandbits(weight_bits)
+        while r >= max_weight:
+            r = getrandbits(weight_bits)
+        live = 0 not in fresh
+        if live:
+            pool = list(range(vertex_count))
+            for i, partner in zip(range(vertex_count - 1, 0, -1), swaps):
+                pool[i], pool[partner] = pool[partner], pool[i]
+            intro: list[list[int]] = [[] for _ in fresh]
+            intro[0].append(pool[0])
+            for v, owner in zip(pool[1:], owners):
+                intro[owner].append(v)
+            existing = intro[0][:]
             members = 0
-            for v in intro[j]:
+            for v in existing:
                 members |= 1 << v
-            if existing:
-                span = len(existing)
-                if uniform() < 0.15:
-                    k = bits[span]
+            masks = [members]
+            weights = [r + 1]
+        span = fresh[0]
+        for j in later:
+            if uniform() < 0.15:
+                k = bits[span]
+                r = getrandbits(k)
+                while r >= span:
                     r = getrandbits(k)
-                    while r >= span:
-                        r = getrandbits(k)
-                    take = r + 1
-                else:
+                take = r + 1
+            else:
+                r = getrandbits(2)
+                while r >= 3:
                     r = getrandbits(2)
-                    while r >= 3:
-                        r = getrandbits(2)
-                    take = min(r + 1, span)
-                if not members and take == 1 and span >= 2:
-                    take = 2  # avoid proposing loops, which are never minimal
+                take = min(r + 1, span)
+            if take == 1 and not fresh[j]:
+                take = 2  # avoid proposing loops, which are never minimal
+            if live:
+                members = 0
+                for v in intro[j]:
+                    members |= 1 << v
                 unpicked = existing[:]
-                for size in range(span, span - take, -1):
-                    k = bits[size]
+            for size in range(span, span - take, -1):
+                k = bits[size]
+                r = getrandbits(k)
+                while r >= size:
                     r = getrandbits(k)
-                    while r >= size:
-                        r = getrandbits(k)
+                if live:
                     members |= 1 << unpicked[r]
                     unpicked[r] = unpicked[size - 1]
-            if not members & (members - 1):
-                yield None  # loops and empty edges never occur in an MCH
-                break
             r = getrandbits(weight_bits)
             while r >= max_weight:
                 r = getrandbits(weight_bits)
-            masks.append(members)
-            weights.append(r + 1)
-            existing += intro[j]
-        else:
-            yield masks, weights
+            span += fresh[j]
+            if live:
+                masks.append(members)
+                weights.append(r + 1)
+                existing += intro[j]
+        yield (masks, weights) if live else None
 
 
 def _is_minimal(masks: list[int], full: int) -> bool:

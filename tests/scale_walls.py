@@ -24,7 +24,11 @@ the packed table gates at the largest tables the property suites scan:
 coverage table) and `verify_contra_polymatroid` on the 10-vertex block
 of a cyclic core with a pendant per edge (a 2^10 rank table, at
 `polymatroid.VERIFY_CAP`), each in milliseconds, first call and best of
-three more, with its peak RSS.  Each
+three more, with its peak RSS.  The "fuzz sampler" row times
+`simkit.random_mch_with_stats` at weight 1 on the shapes of
+SAMPLER_SHAPES, each a pass over the fixed seeds 0..SAMPLER_SEEDS-1, in
+milliseconds per case: the first pass and the best of three more, in a
+fresh interpreter per shape.  Each
 call runs in a fresh interpreter and reads its peak RSS from VmHWM in
 /proc/self/status (Linux only), so the figure is its own; the time is
 taken around the `main` (or `hgio.parse`) call inside it, without the
@@ -49,6 +53,8 @@ CYCLE = 12  # vertices of the non-MCH cycle rows
 CYCLE_WEIGHTS = {"unit": lambda i: 1, "weights 1-3": lambda i: i % 3 + 1}
 GATE_PATH = 12  # vertices of the path whose coverage table the gates check
 GATE_CORE = 10  # core vertices of the ring whose rank table the gates check
+SAMPLER_SHAPES = ((7, 5), (6, 5), (8, 6))  # (vertices, edges) the sampler row draws
+SAMPLER_SEEDS = 8  # one pass of the sampler row draws seeds 0..SAMPLER_SEEDS-1
 
 
 def path_text(n: int, rng: random.Random) -> str:
@@ -208,6 +214,36 @@ print(bad, times[0], min(times[1:]), peak_kib)
 """
 
 
+# With "VERTICES EDGES SEEDS": the seconds per case of random_mch_with_stats
+# over seeds 0..SEEDS-1 at weight 1, first pass and best of three more.
+SAMPLER = """\
+import sys
+from time import perf_counter
+from hyperkey.simkit import random_mch_with_stats
+n, m, seeds = map(int, sys.argv[1:])
+times = []
+for _ in range(4):
+    start = perf_counter()
+    for seed in range(seeds):
+        random_mch_with_stats(n, m, 1, seed)
+    times.append((perf_counter() - start) / seeds)
+print(times[0], min(times[1:]))
+"""
+
+
+def sampler_cell(n: int, m: int) -> str:
+    """random_mch_with_stats at (n, m) in a fresh interpreter, as "first
+    ms/best later ms" per case."""
+    done = subprocess.run(
+        [sys.executable, "-c", SAMPLER, str(n), str(m), str(SAMPLER_SEEDS)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    first, later = done.stdout.split()
+    return f"{float(first) * 1e3:.2f}/{float(later) * 1e3:.2f}"
+
+
 def gate_cell(kind: str, file: Path) -> str:
     """Packed-gate checks ("entropy" or "contra") of the source in file, in
     a fresh interpreter, as "first ms/best later ms/peak RSS in MiB"."""
@@ -324,6 +360,10 @@ def main_script() -> None:
         file.write_text(ring_text(GATE_CORE, rng))
         cell = gate_cell("contra", file)
         print(f"{'contra-polymatroid, ring':<24} {2 * GATE_CORE:>7}  {cell:>17}", flush=True)
+        print(f"{'fuzz sampler':<24} {'shape':>7}  {'ms/ms per case':>17}")
+        for n, m in SAMPLER_SHAPES:
+            cell = sampler_cell(n, m)
+            print(f"{'':<24} {f'({n},{m})':>7}  {cell:>17}", flush=True)
 
 
 if __name__ == "__main__":

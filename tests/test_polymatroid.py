@@ -25,7 +25,8 @@ from hyperkey import (
     verify,
 )
 from hyperkey.errors import GroundTooLarge
-from hyperkey.hypergraph import block_removal_counts
+from hyperkey.capacity import region_spec
+from hyperkey.hypergraph import _BlockView, block_removal_counts
 from hyperkey.polymatroid import (
     ContraPolymatroidReport,
     _contra_polymatroid_report,
@@ -86,6 +87,33 @@ class TestContraPolymatroid:
     def test_h3_blocks(self, h3):
         for block in ("12", "348"):
             assert verify_contra_polymatroid(RankFunction(h3, frozenset(block), Fraction(1))).ok
+
+    def test_the_rank_table_is_built_once_per_block(self, h5, monkeypatch):
+        """The block's view keeps its table: two verifications, then
+        decompose, extreme_points and region_spec, count each subset of the
+        core once, and the kept table equals one built afresh."""
+        block = frozenset("12345")
+        fn = RankFunction(h5, block, Fraction(1))
+        calls = []
+        real = _BlockView.count
+
+        def counted(view, removed):
+            calls.append(removed)
+            return real(view, removed)
+
+        monkeypatch.setattr(_BlockView, "count", counted)
+        assert verify_contra_polymatroid(fn).ok
+        assert verify_contra_polymatroid(fn).ok
+        assert sorted(calls) == list(range(2 ** len(block)))
+        decompose(fn, {v: Fraction(2) for v in block})
+        extreme_points(fn)
+        region_spec(h5)
+        assert len(calls) == 2 ** len(block)
+        monkeypatch.undo()
+        fresh = _BlockView(h5, block)
+        assert block_removal_counts(h5, block) == (
+            fresh.order, [fresh.count(m) for m in range(fresh.full + 1)]
+        )
 
     def test_block_size_guard(self):
         h, block = _cyclic_core(11)

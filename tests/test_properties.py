@@ -35,11 +35,13 @@ from hyperkey.properties import (
     _code_refiner,
     _coverage_table,
     _entropy_shape_violations,
+    _mask_counter,
     _pairing_tree_violations,
     _redundancy_violations,
     _removal_components,
     _removal_counter,
     _table_shape_violations,
+    _vertex_samples,
 )
 
 
@@ -209,12 +211,15 @@ class TestRemovalCounter:
     @staticmethod
     def _assert_matches_the_search(h):
         count = _removal_counter(h)
+        by_mask = _mask_counter(h)
         components = _removal_components(h)
         names = sorted(h.vertices)
         for size in range(len(names)):
             for c in combinations(names, size):
                 assert count(c) == h.removal_component_count(c), (h, c)
                 assert count(frozenset(c)) == h.removal_component_count(c)
+                mask = sum(1 << names.index(v) for v in c)
+                assert by_mask(mask) == h.removal_component_count(c), (h, c)
                 got = {
                     frozenset(v for i, v in enumerate(names) if m >> i & 1)
                     for m in components(c)
@@ -418,7 +423,7 @@ class TestLemmaViolations:
         of h1's core vertices splits off more than each does alone."""
         found = _redundancy_violations(
             h1, Partition.singletons(h1.vertices), random.Random(0), 50,
-            _removal_counter(h1),
+            _mask_counter(h1),
         )
         assert found and all(
             re.fullmatch(r"defect \d+ of \[.*\] exceeds blockwise sum \d+", v)
@@ -426,9 +431,62 @@ class TestLemmaViolations:
         ), found
         clean = _redundancy_violations(
             h1, partition_connectivity(h1).fundamental, random.Random(0), 50,
-            _removal_counter(h1),
+            _mask_counter(h1),
         )
         assert clean == []
+
+
+class TestRedundancyDraws:
+    def test_draws_are_randrange_then_sample(self):
+        """The sets _vertex_samples draws are those of randrange(1, n) and
+        sample(names, size) on a generator of the same seed, and the two
+        generators end in one state."""
+        for n in range(2, 13):
+            names = [f"v{i:02d}" for i in range(n)]
+            for seed in range(300):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = list(_vertex_samples(ours, n, 50))
+                want = []
+                for _ in range(50):
+                    picked = theirs.sample(names, theirs.randrange(1, n))
+                    want.append(sum(1 << names.index(v) for v in picked))
+                assert got == want, (n, seed)
+                assert ours.getstate() == theirs.getstate(), (n, seed)
+
+    @staticmethod
+    def _by_public_calls(h, fundamental, rng, samples):
+        """The redundancy check as randrange, sample and the whole-graph
+        count of Hypergraph.removal_component_count give it."""
+        names = sorted(h.vertices)
+        bad = []
+        for _ in range(samples):
+            b = frozenset(rng.sample(names, rng.randrange(1, len(names))))
+            whole = h.removal_component_count(b) - 1
+            parts = sum(
+                h.removal_component_count(b & block) - 1
+                for block in fundamental.blocks
+                if b & block
+            )
+            if whole > parts:
+                bad.append(f"defect {whole} of {sorted(b)} exceeds blockwise sum {parts}")
+        return bad
+
+    def test_same_report_as_the_public_calls(self, h1, h3, h5):
+        """Singleton blocks undercount on a core, so most of these report."""
+        reported = 0
+        for h in (h1, h3, h5):
+            for fundamental in (
+                Partition.singletons(h.vertices),
+                partition_connectivity(h).fundamental,
+            ):
+                for seed in range(20):
+                    got = _redundancy_violations(
+                        h, fundamental, random.Random(seed), 50, _mask_counter(h)
+                    )
+                    want = self._by_public_calls(h, fundamental, random.Random(seed), 50)
+                    assert got == want, (h, fundamental, seed)
+                    reported += bool(got)
+        assert reported >= 40, reported
 
 
 class TestFuzzOutputUnchanged:
@@ -496,6 +554,34 @@ class TestSchemeRoundTrips:
         # 1/8 rate needs 48 state bits; everything except the exhaustive
         # simulation still runs and must stay clean
         assert scheme_round_trip_violations(h1, Fraction(1, 8)) == []
+
+
+class TestPairingTreeOncePerSynthesis:
+    def test_a_corrupted_scheme_is_reported_at_both_rates(self, h5, monkeypatch):
+        """Every row spoken by v1, a vertex of one edge: the scheme still
+        verifies, the pairing-tree law fails, and the round trips at cap
+        and cap/2 report it from one check."""
+        real = properties.synthesize
+
+        def one_speaker(h, orders=None):
+            scheme, used = real(h, orders)
+            speakers = ("v1",) * len(scheme.speakers)
+            return dataclasses.replace(scheme, speakers=speakers), used
+
+        checks = []
+        real_check = properties._pairing_tree_violations
+
+        def counted(*args):
+            checks.append(args)
+            return real_check(*args)
+
+        monkeypatch.setattr(properties, "synthesize", one_speaker)
+        monkeypatch.setattr(properties, "_pairing_tree_violations", counted)
+        cap = unconstrained_capacity(h5)
+        for rate in (cap, cap / 2):
+            found = scheme_round_trip_violations(h5, rate)
+            assert "block ['v1'] emitted 5 rows, expected 0" in found, found
+        assert len(checks) == 1
 
 
 class TestPairingTreeLaw:

@@ -5,6 +5,7 @@ The exhaustive sweeps in hyperkey.simkit are bit-sliced; the per-word loops
 below are their test oracles and must give equal results."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from typing import Optional
 
@@ -30,7 +31,7 @@ from hyperkey import (
 )
 from hyperkey import simkit
 from hyperkey.errors import GroundTooLarge
-from hyperkey.simkit import MAX_SAMPLE_BITS, _cell_counts
+from hyperkey.simkit import MAX_SAMPLE_BITS, _cell_counts, _is_minimal, _proposals
 
 import oracles
 
@@ -509,6 +510,17 @@ class TestSchemeMismatch:
             brute_force_secrecy(h1, odd, Fraction(1))
 
 
+def _introduces_none(h: Hypergraph) -> bool:
+    """Whether an edge after the first (in id order) has every member on an
+    earlier edge."""
+    seen: set = set()
+    for j, e in enumerate(h.edges):
+        if j and e.members <= seen:
+            return True
+        seen |= e.members
+    return False
+
+
 class TestRandomMCH:
     def test_two_vertices_give_the_unique_instance(self):
         g, _ = random_mch_with_stats(2, 1, 1, seed=9)
@@ -595,6 +607,44 @@ class TestRandomMCH:
                         assert (g, stats.attempts) == expected, (n, m, w, seed)
                         outcomes["accepted"] += 1
         assert min(outcomes.values()) >= 500, outcomes
+
+    # the fuzz menu, plus the two rare shapes it leaves out
+    SHAPES = (
+        (2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 3),
+        (6, 4), (7, 4), (7, 5), (8, 4), (8, 5), (6, 5), (8, 6),
+    )
+
+    def test_proposals_keep_step_with_the_oracle(self):
+        """_proposals and oracles.propose, one proposal at a time on two
+        generators of one seed: after each, the generators' states are
+        equal and both accept (the same edges) or both reject.  A proposal
+        with an edge that introduces no vertex (every member already on an
+        earlier edge) is rejected by is_mch, and _proposals yields None for
+        it without building it."""
+        doomed = accepted_count = 0
+        for n, m in self.SHAPES:
+            names = [str(i + 1) for i in range(n)]
+            full = (1 << n) - 1
+            for w in (1, 3, 2**32 + 1):
+                for seed in range(3):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    proposals = _proposals(ours, n, m, w)
+                    for _ in range(120):
+                        got = next(proposals)
+                        want = oracles.propose(theirs, names, m, w)
+                        assert ours.getstate() == theirs.getstate(), (n, m, w, seed)
+                        accepted = want is not None and want.is_mch()
+                        assert (got is not None and _is_minimal(got[0], full)) == accepted
+                        if accepted:
+                            accepted_count += 1
+                            assert [
+                                (sum(1 << names.index(v) for v in e.members), e.weight)
+                                for e in want.edges
+                            ] == list(zip(*got))
+                        if want is not None and _introduces_none(want):
+                            assert not want.is_mch() and got is None
+                            doomed += 1
+        assert doomed >= 5000 and accepted_count >= 1500, (doomed, accepted_count)
 
     def test_seven_vertices_six_edges_fit_the_default_budget(self):
         """Seed 27 of the shape (7, 6) takes 20303 proposals, more than the
