@@ -90,8 +90,7 @@ class VertexNotInBlock(HyperkeyError):
 
 
 class RankDefect(HyperkeyError):
-    """An internally synthesized matrix failed its rank invariant, or a GF(2)
-    system handed to the payload solver is inconsistent."""
+    """An internally synthesized matrix failed its rank invariant."""
 
 
 class SchemeUnverified(HyperkeyError):

@@ -1,53 +1,43 @@
 """Exact linear algebra over GF(2) on int bitmasks: one reduction.
 
-A row is a (mask, payload) pair: bit j of the int mask is the coefficient of
-column j, and the payload is an opaque bit block (a right-hand side) that is
-XOR-combined alongside the mask.  Every question the package asks of a row
-set (its rank, whether a unit vector lies in its span, the solution of a
-system) is read off the reduced basis that `eliminate` returns.
+A row is an int mask: bit j is the coefficient of column j.  `eliminate`
+reduces a row set to its unique reduced basis, from which its rank and
+whether a unit vector lies in its span are read.  The library reduces only
+row sets that are not column pairs (scheme._verification; pair rows take a
+union-find), after scheme._row_mask has turned each row into its mask.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import RankDefect
-
 __all__ = ["eliminate"]
 
 
-def eliminate(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
-    """Reduced row echelon basis of the rows: {pivot column: (mask, payload)}.
+def eliminate(masks: Iterable[int]) -> dict[int, int]:
+    """Reduced row echelon basis of the rows: {pivot column: mask}.
 
     Incremental Gauss-Jordan with the lowest set bit as pivot.  Each basis
     mask has its pivot as lowest bit and no other pivot bit, so the basis is
-    the unique reduced form of the row span: its size is the rank, the unit
-    vector of column i lies in the span iff basis[i] has mask 1 << i, and a
-    system's solution with free columns set to zero gives column i the
-    payload of basis[i] (zero off the pivots).  A row that reduces to mask 0
-    with a nonzero payload makes the system inconsistent: RankDefect.
+    the unique reduced form of the row span: its size is the rank, and the
+    unit vector of column i lies in the span iff basis[i] is 1 << i.
     """
-    basis: dict[int, tuple[int, int]] = {}
+    basis: dict[int, int] = {}
     pivots = 0  # bit j set iff column j is a pivot
-    for mask, payload in rows:
+    for mask in masks:
         # basis masks carry no pivot bit but their own, so one pass over the
         # row's pivot bits clears them all
         hit = mask & pivots
         while hit:
             low = hit & -hit
-            bmask, bpay = basis[low.bit_length() - 1]
-            mask ^= bmask
-            payload ^= bpay
+            mask ^= basis[low.bit_length() - 1]
             hit ^= low
         if not mask:
-            if payload:
-                raise RankDefect("inconsistent linear system")
             continue
         low = mask & -mask
-        col = low.bit_length() - 1
-        for p, (bmask, bpay) in basis.items():
+        for p, bmask in basis.items():
             if bmask & low:
-                basis[p] = (bmask ^ mask, bpay ^ payload)
-        basis[col] = (mask, payload)
+                basis[p] = bmask ^ mask
+        basis[low.bit_length() - 1] = mask
         pivots |= low
     return basis

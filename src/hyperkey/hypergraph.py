@@ -519,7 +519,6 @@ class Hypergraph:
             groups.setdefault(_find(core, i), []).append(names[i])
         return _IncidenceScan(
             component_count=roots,
-            connected=roots == 1,
             every_edge_cuts=all(cut[n:]),
             cores=tuple(frozenset(g) for g in groups.values() if len(g) > 1),
             walk=walk,
@@ -546,13 +545,13 @@ class Hypergraph:
     def is_connected_and_cycle_free(self) -> bool:
         """Connected with no cycle; loops are permitted."""
         scan = self._incidence_scan()
-        return scan.connected and scan.walk is None
+        return scan.component_count == 1 and scan.walk is None
 
     def is_hypertree(self) -> bool:
         """Connected, loopless, and cycle-free."""
         self._require_two_vertices()
         scan = self._incidence_scan()
-        return scan.connected and scan.walk is None and not self.loop_edges()
+        return scan.component_count == 1 and scan.walk is None and not self.loop_edges()
 
     def is_mch(self) -> bool:
         """Connected, and removing any single edge (keeping all vertices)
@@ -564,13 +563,12 @@ class Hypergraph:
         """
         self._require_two_vertices()
         scan = self._incidence_scan()
-        return scan.connected and scan.every_edge_cuts
+        return scan.component_count == 1 and scan.every_edge_cuts
 
 
 @dataclass(frozen=True)
 class _IncidenceScan:
     component_count: int
-    connected: bool
     every_edge_cuts: bool
     cores: tuple[frozenset[str], ...]
     walk: Optional[tuple[int, ...]]  # see _walk_to_cycle

@@ -7,20 +7,21 @@ over C are exactly r(B) >= f(B).  Those blocks are the only ones a
 RankFunction accepts: on other blocks f need not be a contra-polymatroid.
 Every permutation of C telescopes f into a vertex of that region, and any
 feasible vector dominates a convex combination of at most |C| such vertices.
-The 2^|C| subset table of f is the one region_spec reads
-(hypergraph.block_removal_counts), and rank and extreme_point_for_order
-query the same block view one subset at a time, at any block size; neither
-searches all of h.  The decomposition certificate is computed on the
-table with exact rational arithmetic only (the greedy contra-polymatroid
-split: lower to a base, then peel off the vertex of a chain of tight sets at
-a time); no floats.
+A block's rank function has one form: the integer table of its 2^|C|
+component counts that region_spec reads (hypergraph.block_removal_counts,
+which refuses blocks of more than 12 vertices), scaled by r_K only where a
+rate is returned.  rank and extreme_point_for_order query the same block
+view one subset at a time, at any block size; neither searches all of h.
+The laws are checked on the counts themselves, and the decomposition
+certificate is computed with exact rational arithmetic only (the greedy
+contra-polymatroid split: lower to a base, then peel off the vertex of a
+chain of tight sets at a time); no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .capacity import _as_fraction, _canonical_masks, _require_fundamental_block
@@ -45,7 +46,6 @@ __all__ = [
     "decompose",
 ]
 
-VERIFY_CAP = 10  # a table that fails a packed gate gets the 4^|block| / 2 pair scan
 EXTREME_POINTS_CAP = 8  # extreme_points walks |block|! permutations
 
 
@@ -89,13 +89,6 @@ def rank(fn: RankFunction, b: Iterable[str]) -> Fraction:
     return (view.count(view.mask(bset)) - 1) * fn.key_rate
 
 
-def _subset_table(fn: RankFunction) -> tuple[tuple[str, ...], list[Fraction]]:
-    """(order, values) with values[mask] = f(subset of block selected by mask),
-    over the sorted block; a block of more than 12 raises GroundTooLarge."""
-    order, counts = block_removal_counts(fn.hypergraph, fn.block)
-    return order, [(c - 1) * fn.key_rate for c in counts]
-
-
 def _members(order: Sequence[str], mask: int) -> frozenset[str]:
     return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
 
@@ -115,35 +108,29 @@ class ContraPolymatroidReport:
 def verify_contra_polymatroid(fn: RankFunction) -> ContraPolymatroidReport:
     """Exhaustively check f(empty)=0, monotonicity, and supermodularity.
 
-    Works on the bitmask-indexed subset table, packed into one int: each
-    law is a few big-int gate expressions, |block| for monotonicity and
-    C(|block|, 2) for supermodularity (see _packed_gates), rather than
-    4^|block| component searches.  Only a table that fails a gate is
-    walked by the ordered scans, the 4^|block| / 2 pair scan among them,
-    for its first counterexample.  A block of more than VERIFY_CAP
-    vertices raises GroundTooLarge.
+    Works on the block's integer table of component counts less one, f / r_K
+    (a positive scale keeps every law and counterexample; at r_K = 0 f is
+    the all-zero table), packed into one int: each law is a few big-int
+    gate expressions, |block| for monotonicity and C(|block|, 2) for
+    supermodularity (see _packed_gates), rather than 4^|block| component
+    searches.  Only a table that fails a gate is walked by the ordered
+    scans for its first counterexample.  A block of more than 12 vertices
+    raises GroundTooLarge, as block_removal_counts does.
     """
-    return _contra_polymatroid_report(*_subset_table(fn))
+    order, counts = block_removal_counts(fn.hypergraph, fn.block)
+    values = [c - 1 for c in counts] if fn.key_rate else [0] * len(counts)
+    return _contra_polymatroid_report(order, values)
 
 
 def _contra_polymatroid_report(
-    order: Sequence[str], values: Sequence[Fraction]
+    order: Sequence[str], values: Sequence[int]
 ) -> ContraPolymatroidReport:
-    """The verdict on a set function given as a 2^len(order) table: the
-    first counterexample of normalization, then of monotonicity (masks
+    """The verdict on a set function given as a 2^len(order) table of ints:
+    the first counterexample of normalization, then of monotonicity (masks
     ascending, then elements), then of supermodularity (pairs s <= t).
-
-    The table is scaled to integers once, by the lcm of its denominators;
-    a positive scale keeps every comparison, so the scans run on ints and
-    give the verdict and counterexample the Fractions would.  f is
-    supermodular exactly when -f is submodular (_first_submodular_violation)."""
+    f is supermodular exactly when -f is submodular
+    (_first_submodular_violation)."""
     n = len(order)
-    if n > VERIFY_CAP:
-        raise GroundTooLarge(
-            f"verification over a block of {n} exceeds cap {VERIFY_CAP}"
-        )
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
 
     def failed(law: str, s: int, t: int) -> ContraPolymatroidReport:
         laws = {"normalized": True, "nondecreasing": True, "supermodular": True}
@@ -151,13 +138,13 @@ def _contra_polymatroid_report(
         pair = (_members(order, s), _members(order, t))
         return ContraPolymatroidReport(ok=False, counterexample=pair, **laws)
 
-    if ints[0] != 0:
+    if values[0] != 0:
         return failed("normalized", 0, 0)
-    drop = _first_decrease(ints, n)
+    drop = _first_decrease(values, n)
     if drop is not None:
         mask, i = drop
         return failed("nondecreasing", mask, mask | 1 << i)
-    pair = _first_submodular_violation([-v for v in ints], n)
+    pair = _first_submodular_violation([-v for v in values], n)
     if pair is not None:
         return failed("supermodular", *pair)
     return ContraPolymatroidReport(
@@ -319,12 +306,12 @@ def extreme_point_for_order(fn: RankFunction, order: Iterable[str]) -> ExtremePo
     view = _block_view(fn.hypergraph, fn.block)
     rates: dict[str, Fraction] = {}
     prefix = 0
-    prev = Fraction(0)
+    prev = 1  # the count with nothing removed
     for v in seq:
         prefix |= view.bit[v]
-        value = (view.count(prefix) - 1) * fn.key_rate
-        rates[v] = value - prev
-        prev = value
+        count = view.count(prefix)
+        rates[v] = (count - prev) * fn.key_rate
+        prev = count
     return ExtremePoint(order=seq, rates=tuple(sorted(rates.items())))
 
 
@@ -332,8 +319,8 @@ def extreme_points(fn: RankFunction) -> tuple[ExtremePoint, ...]:
     """All distinct extreme points, one per rate vector.
 
     Permutations are visited in lexicographic order, depth first over prefix
-    masks of the subset table; when several produce the same vector only the
-    first is kept.  Blocks larger than EXTREME_POINTS_CAP are refused
+    masks of the block's count table, whose differences times r_K are the
+    rates; when several produce the same vector only the first is kept.  Blocks larger than EXTREME_POINTS_CAP are refused
     (|block|! permutations).
     """
     if len(fn.block) > EXTREME_POINTS_CAP:
@@ -341,23 +328,25 @@ def extreme_points(fn: RankFunction) -> tuple[ExtremePoint, ...]:
             f"extreme points over a block of {len(fn.block)} exceeds cap "
             f"{EXTREME_POINTS_CAP}"
         )
-    order, values = _subset_table(fn)
+    order, counts = block_removal_counts(fn.hypergraph, fn.block)
     n = len(order)
-    seen: dict[tuple[Fraction, ...], ExtremePoint] = {}
-    rates = [Fraction(0)] * n
+    r = fn.key_rate
+    seen: dict[tuple[int, ...], ExtremePoint] = {}
+    steps = [0] * n  # count differences; the rates are r times them
     seq: list[int] = []
 
     def grow(mask: int) -> None:
         if len(seq) == n:
-            key = tuple(rates)
+            key = tuple(steps) if r else ()  # at r = 0 every vector is zero
             if key not in seen:
                 seen[key] = ExtremePoint(
-                    order=tuple(order[i] for i in seq), rates=tuple(zip(order, key))
+                    order=tuple(order[i] for i in seq),
+                    rates=tuple((v, d * r) for v, d in zip(order, steps)),
                 )
             return
         for i in range(n):
             if not mask >> i & 1:
-                rates[i] = values[mask | 1 << i] - values[mask]
+                steps[i] = counts[mask | 1 << i] - counts[mask]
                 seq.append(i)
                 grow(mask | 1 << i)
                 seq.pop()
@@ -400,7 +389,8 @@ def decompose(fn: RankFunction, target: Mapping[str, Fraction]) -> Decomposition
     if any(r < 0 for r in goal.values()):
         raise NegativeRate("target rates must be nonnegative")
 
-    order, values = _subset_table(fn)
+    order, counts = block_removal_counts(fn.hypergraph, fn.block)
+    values = [(c - 1) * fn.key_rate for c in counts]
     n = len(order)
     x = [goal[v] for v in order]
     sums = _subset_sums(x)

@@ -22,9 +22,12 @@ its block traces on that memo.
 
 The set-function laws (monotone and submodular coverage entropy, the
 contra-polymatroid shape of each block's rank table) are checked on 2^n
-tables packed into one int, one big-int gate per element and per pair of
-elements (polymatroid._packed_gates); only a table that fails a gate is
-walked by the ordered scans that name its first counterexample.
+integer tables packed into one int, one big-int gate per element and per
+pair of elements (polymatroid._packed_gates); only a table that fails a
+gate is walked by the ordered scans that name its first counterexample.
+A block's table is its integer component counts, checked entry by entry
+against the component search and then by the public
+polymatroid.verify_contra_polymatroid.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .capacity import (
     require_mch,
     unconstrained_capacity,
 )
-from .hypergraph import Hypergraph, _find
+from .hypergraph import Hypergraph, _find, block_removal_counts
 from .partitions import (
     Partition,
     _cached_sweep,
@@ -52,13 +55,12 @@ from .partitions import (
 )
 from .polymatroid import (
     RankFunction,
-    _contra_polymatroid_report,
     _coverage_values,
     _first_decrease,
     _first_submodular_violation,
     _members,
-    _subset_table,
     extreme_point_for_order,
+    verify_contra_polymatroid,
 )
 from .scheme import rates_of, synthesize, verify
 from .simkit import MAX_STATE_BITS, brute_force_secrecy, quantize, run
@@ -75,8 +77,9 @@ def lemma_violations(
 
     Covers: the component/degree identities over fundamental blocks, the
     hypertree shape of the merged hypergraph, the incident-restriction degree
-    laws, per-block rank tables (each entry against its component search)
-    and their contra-polymatroid shape, redundancy of constraints on
+    laws, per-block rank tables (each count of block_removal_counts
+    against its component search) and their contra-polymatroid shape
+    (verify_contra_polymatroid), redundancy of constraints on
     SUBADDITIVITY_SAMPLES vertex sets drawn from rng, entropy
     monotonicity/submodularity (the packed gates of the coverage table over
     integer-scaled weights, on every ground this function accepts), and
@@ -151,15 +154,15 @@ def lemma_violations(
                     )
 
     for block in fundamental.blocks:
-        order, values = _subset_table(RankFunction(h, block, Fraction(1)))
-        for mask, value in enumerate(values):
+        order, counts = block_removal_counts(h, block)
+        for mask, c in enumerate(counts):
             removed = _members(order, mask)
-            if value != count(removed) - 1:
+            if c != count(removed):
                 bad.append(
-                    f"block {sorted(block)}: rank table says {value} at "
+                    f"block {sorted(block)}: rank table says {c - 1} at "
                     f"{sorted(removed)}, the component search disagrees"
                 )
-        result = _contra_polymatroid_report(order, values)
+        result = verify_contra_polymatroid(RankFunction(h, block, Fraction(1)))
         if not result.ok:
             bad.append(
                 f"rank function on block {sorted(block)} failed: {result}"

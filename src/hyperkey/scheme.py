@@ -271,7 +271,7 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
     connected, and the key is secret iff it names a column.  Other row sets
     go through one GF(2) elimination of their masks (_row_mask): the rank is
     the size of the reduced basis, and the unit vector of column i lies in
-    the span iff basis[i] has mask 1 << i; edge i is recoverable iff rank +
+    the span iff basis[i] is 1 << i; edge i is recoverable iff rank +
     (e_i outside the span) is the edge count.
 
     The report is computed once per scheme and cached on it.
@@ -299,9 +299,9 @@ def _verification(scheme: DiscussionScheme) -> VerificationReport:
         matrix_rank = mu - _column_components(mu, scheme.rows)
         spanned = 0  # columns whose unit vector lies in the row space
     else:
-        basis = gf2.eliminate((_row_mask(row, mu), 0) for row in scheme.rows)
+        basis = gf2.eliminate(_row_mask(row, mu) for row in scheme.rows)
         matrix_rank = len(basis)
-        spanned = sum(1 << i for i, (mask, _) in basis.items() if mask == 1 << i)
+        spanned = sum(1 << i for i, mask in basis.items() if mask == 1 << i)
     rank_ok = matrix_rank == mu - 1
     unrecoverable = tuple(
         eid

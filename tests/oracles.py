@@ -905,11 +905,11 @@ def verify(scheme: DiscussionScheme) -> VerificationReport:
     bad_rows = tuple(
         idx for idx, row in enumerate(scheme.rows) if tuple(row) not in pairs
     )
-    basis = eliminate((mask, 0) for mask in row_masks(scheme.rows, mu))
+    basis = eliminate(row_masks(scheme.rows, mu))
     matrix_rank = len(basis)
 
     def outside_span(i: int) -> bool:
-        return basis.get(i, (0, 0))[0] != 1 << i
+        return basis.get(i, 0) != 1 << i
 
     unrecoverable = tuple(
         scheme.edge_order[i] for i in range(mu) if matrix_rank + outside_span(i) != mu

@@ -20,11 +20,13 @@ on a path of each size, `representatives` on every fundamental block and
 microseconds per block: the fundamental-block guard both pass is one set
 lookup, so the figure should not grow with the path.  The last row times
 the packed table gates at the largest tables the property suites scan:
-`properties._entropy_shape_violations` on a 12-vertex path (a 2^12
-coverage table) and `verify_contra_polymatroid` on the 10-vertex block
-of a cyclic core with a pendant per edge (a 2^10 rank table, at
-`polymatroid.VERIFY_CAP`), each in milliseconds, first call and best of
-three more, with its peak RSS.  The "fuzz sampler" row times
+the coverage entropy of a 12-vertex path (a 2^12 table,
+`properties._coverage_table`, checked by `_table_shape_violations`) and
+the rank table of the 12-vertex block of a cyclic core with a pendant per
+edge (a 2^12 table at the cap of `hypergraph.block_removal_counts`,
+checked by `verify_contra_polymatroid`), each in milliseconds: the table
+build once, then the check, first call and best of three more, with the
+peak RSS.  The "fuzz sampler" row times
 `simkit.random_mch_with_stats` at weight 1 on the shapes of
 SAMPLER_SHAPES, each a pass over the fixed seeds 0..SAMPLER_SEEDS-1, in
 milliseconds per case: the first pass and the best of three more, in a
@@ -52,7 +54,7 @@ RING = 10**3  # core vertices of the ring row (|V| is twice that)
 CYCLE = 12  # vertices of the non-MCH cycle rows
 CYCLE_WEIGHTS = {"unit": lambda i: 1, "weights 1-3": lambda i: i % 3 + 1}
 GATE_PATH = 12  # vertices of the path whose coverage table the gates check
-GATE_CORE = 10  # core vertices of the ring whose rank table the gates check
+GATE_CORE = 12  # core vertices of the ring whose rank table the gates check
 SAMPLER_SHAPES = ((7, 5), (6, 5), (8, 6))  # (vertices, edges) the sampler row draws
 SAMPLER_SEEDS = 8  # one pass of the sampler row draws seeds 0..SAMPLER_SEEDS-1
 
@@ -193,24 +195,32 @@ GATES = """\
 import sys
 from time import perf_counter
 from hyperkey import RankFunction, hgio, partition_connectivity
+from hyperkey.hypergraph import block_removal_counts
 from hyperkey.polymatroid import verify_contra_polymatroid
-from hyperkey.properties import _entropy_shape_violations
+from hyperkey.properties import _coverage_table, _table_shape_violations
 kind, path = sys.argv[1:]
 with open(path, encoding="utf-8") as file:
     h = hgio.parse(file.read())
-if kind == "contra":
+if kind == "entropy":
+    start = perf_counter()
+    table = _coverage_table(h)
+else:
+    # the table is kept on the block's view, so the checks below read it
     fn = RankFunction(h, max(partition_connectivity(h).fundamental.blocks, key=len), 1)
+    start = perf_counter()
+    block_removal_counts(h, fn.block)
+build = perf_counter() - start
 times = []
 for _ in range(4):
     start = perf_counter()
     if kind == "entropy":
-        bad = bool(_entropy_shape_violations(h))
+        bad = bool(_table_shape_violations(*table))
     else:
         bad = not verify_contra_polymatroid(fn).ok
     times.append(perf_counter() - start)
 with open("/proc/self/status") as status:
     peak_kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
-print(bad, times[0], min(times[1:]), peak_kib)
+print(bad, build, times[0], min(times[1:]), peak_kib)
 """
 
 
@@ -246,17 +256,19 @@ def sampler_cell(n: int, m: int) -> str:
 
 def gate_cell(kind: str, file: Path) -> str:
     """Packed-gate checks ("entropy" or "contra") of the source in file, in
-    a fresh interpreter, as "first ms/best later ms/peak RSS in MiB"."""
+    a fresh interpreter, as "table build ms/first check ms/best later check
+    ms/peak RSS in MiB"."""
     done = subprocess.run(
         [sys.executable, "-c", GATES, kind, str(file)],
         capture_output=True,
         text=True,
         check=True,
     )
-    bad, first, later, peak_kib = done.stdout.split()
+    bad, build, first, later, peak_kib = done.stdout.split()
     if bad != "False":
         raise SystemExit(f"{kind} found a violation in {file}")
-    return f"{float(first) * 1e3:.2f}/{float(later) * 1e3:.2f}/{int(peak_kib) / 1024:.0f}"
+    ms = "/".join(f"{float(t) * 1e3:.2f}" for t in (build, first, later))
+    return f"{ms}/{int(peak_kib) / 1024:.0f}"
 
 
 def per_block_micros(file: Path) -> tuple[str, str]:
@@ -351,15 +363,15 @@ def main_script() -> None:
             n = 10**exponent
             reps, ranks = per_block_micros(work / f"path{n}.hg")
             print(f"{'':<24} {n:>7}  {reps:>15} {ranks:>14}", flush=True)
-        print(f"{'packed table gates':<24} {'|V|':>7}  {'ms/ms/MiB':>17}")
+        print(f"{'packed table gates':<24} {'|V|':>7}  {'ms/ms/ms/MiB':>22}")
         file = work / "gates-path.hg"
         file.write_text(path_text(GATE_PATH, rng))
         cell = gate_cell("entropy", file)
-        print(f"{'entropy shape, path':<24} {GATE_PATH:>7}  {cell:>17}", flush=True)
+        print(f"{'entropy shape, path':<24} {GATE_PATH:>7}  {cell:>22}", flush=True)
         file = work / "gates-ring.hg"
         file.write_text(ring_text(GATE_CORE, rng))
         cell = gate_cell("contra", file)
-        print(f"{'contra-polymatroid, ring':<24} {2 * GATE_CORE:>7}  {cell:>17}", flush=True)
+        print(f"{'contra-polymatroid, ring':<24} {2 * GATE_CORE:>7}  {cell:>22}", flush=True)
         print(f"{'fuzz sampler':<24} {'shape':>7}  {'ms/ms per case':>17}")
         for n, m in SAMPLER_SHAPES:
             cell = sampler_cell(n, m)

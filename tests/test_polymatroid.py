@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -29,6 +30,7 @@ from hyperkey.capacity import region_spec
 from hyperkey.hypergraph import _BlockView, block_removal_counts
 from hyperkey.polymatroid import (
     ContraPolymatroidReport,
+    ExtremePoint,
     _contra_polymatroid_report,
     _first_decrease,
     _first_submodular_violation,
@@ -116,7 +118,18 @@ class TestContraPolymatroid:
         )
 
     def test_block_size_guard(self):
-        h, block = _cyclic_core(11)
+        """The table's cap of 12 is the only one: 11- and 12-vertex cores
+        verify, as the Fraction scan of their table at r_K = 1 (whose
+        entries are ints) says, and a 13-vertex core is refused."""
+        for k in (11, 12):
+            h, block = _cyclic_core(k)
+            report = verify_contra_polymatroid(RankFunction(h, block, Fraction(1)))
+            order, counts = oracles.removal_component_counts(h, block)
+            assert report.ok
+            assert report == fraction_contra_polymatroid_report(
+                order, [c - 1 for c in counts]
+            )
+        h, block = _cyclic_core(13)
         fn = RankFunction(h, block, Fraction(1))
         with pytest.raises(GroundTooLarge):
             verify_contra_polymatroid(fn)
@@ -132,8 +145,8 @@ class TestContraPolymatroid:
         tables = []
         for h, block in ((path, "23"), (apart, "12")):
             order, counts = oracles.removal_component_counts(h, block)
-            tables.append((order, [Fraction(c - 1) for c in counts]))
-        tables.append((("x", "y"), [Fraction(v) for v in (0, 2, 1, 1)]))
+            tables.append((order, [c - 1 for c in counts]))
+        tables.append((("x", "y"), [0, 2, 1, 1]))
         got = [_contra_polymatroid_report(order, values) for order, values in tables]
         # the gated pair scan reports what the full 4^n scan reports
         assert got == [fraction_contra_polymatroid_report(*table) for table in tables]
@@ -274,6 +287,13 @@ def fraction_contra_polymatroid_report(order, values):
 MIXED = (2, 3, 7, 10**18 + 9)  # denominators of the tables below
 
 
+def _scaled(values):
+    """A Fraction table times the lcm of its denominators: an int table
+    with every comparison of the Fraction one."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _mixed_table(h, block, rates):
     """A block's rank table at key rate 2/3 plus the nonnegative modular
     term with the given per-vertex rates: normalized, nondecreasing and
@@ -288,8 +308,9 @@ def _mixed_table(h, block, rates):
 
 
 class TestIntegerScan:
-    """_contra_polymatroid_report scales its table to integers; on tables
-    with mixed denominators it gives the Fraction scan's report."""
+    """_contra_polymatroid_report takes int tables; on a table with mixed
+    denominators scaled to ints by their lcm, it gives the Fraction scan's
+    report on the unscaled table."""
 
     def test_named_tables(self, h1, h3):
         # order is 3, 4, 8; f is 2/3 at {3}, {3, 4}, {3, 8} and 0 at {4},
@@ -309,7 +330,10 @@ class TestIntegerScan:
         raised = list(values)
         raised[0b010] += Fraction(1, 2)
         cases["non-supermodular"] = (order, raised)
-        got = {name: _contra_polymatroid_report(*table) for name, table in cases.items()}
+        got = {
+            name: _contra_polymatroid_report(order, _scaled(values))
+            for name, (order, values) in cases.items()
+        }
         assert got == {
             name: fraction_contra_polymatroid_report(*table)
             for name, table in cases.items()
@@ -336,7 +360,7 @@ class TestIntegerScan:
             order, values = _mixed_table(h, block, rates)
             k = rng.randrange(len(values))
             values[k] += Fraction(rng.choice([-3, -1, 1, 3]), rng.choice(MIXED))
-            got = _contra_polymatroid_report(order, values)
+            got = _contra_polymatroid_report(order, _scaled(values))
             assert got == fraction_contra_polymatroid_report(order, values)
             kinds[
                 "ok" if got.ok else next(
@@ -573,6 +597,51 @@ class TestGreedyDecomposition:
         apart = Hypergraph("12345", [("a", "123", 1), ("b", "124", 1)])
         with pytest.raises(NotMCH):
             RankFunction(apart, frozenset("12"), Fraction(1))
+
+
+def fraction_extreme_points(order, values):
+    """Reference: the telescoped vectors of a Fraction table along every
+    permutation of order, in lexicographic order, the first of each kept."""
+    first = {}
+    for perm in permutations(range(len(order))):
+        rates = [Fraction(0)] * len(order)
+        mask = 0
+        for i in perm:
+            rates[i] = values[mask | 1 << i] - values[mask]
+            mask |= 1 << i
+        key = tuple(rates)
+        if key not in first:
+            first[key] = ExtremePoint(
+                order=tuple(order[i] for i in perm), rates=tuple(zip(order, key))
+            )
+    return tuple(first.values())
+
+
+class TestAgainstFractionTables:
+    """verify_contra_polymatroid, extreme_points and decompose read a
+    block's integer counts and scale by r_K only where they return rates;
+    each answers as the oracles on f's Fraction table do, r_K = 0 included."""
+
+    def test_census_and_random_blocks(self):
+        rng = random.Random(29)
+        sizes = Counter()
+        for h in [*oracles.census_mchs(), *oracles.random_mchs(100, 29, max_vertices=8)]:
+            for block in partition_connectivity(h).fundamental.blocks:
+                order, counts = oracles.removal_component_counts(h, block)
+                sizes[len(block)] += 1
+                for key_rate in (Fraction(0), Fraction(1), Fraction(3, 7)):
+                    fn = RankFunction(h, block, key_rate)
+                    values = [(c - 1) * key_rate for c in counts]
+                    want = fraction_contra_polymatroid_report(order, values)
+                    assert verify_contra_polymatroid(fn) == want
+                    assert extreme_points(fn) == fraction_extreme_points(order, values)
+                    for target in _targets(fn, rng, 1):
+                        res = decompose(fn, target)
+                        ref = oracles.decompose(fn, target)
+                        assert (res.feasible, res.violated) == (ref.feasible, ref.violated)
+                        if res.feasible:
+                            _assert_certificate(fn, target, res)
+        assert all(sizes[k] >= 5 for k in (1, 2, 3, 4)), sizes
 
 
 def _searched(fn, members):

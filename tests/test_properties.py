@@ -392,19 +392,39 @@ class TestLemmaViolations:
             assert lemma_violations(g, rng=random.Random(seed)) == []
 
     def test_a_wrong_rank_table_entry_is_reported(self, h1, monkeypatch):
-        real = properties._subset_table
+        real = properties.block_removal_counts
 
-        def corrupted(fn):
-            order, values = real(fn)
-            values[-1] += 1
-            return order, values
+        def corrupted(h, block):
+            # a copy: the real list is shared, kept on the block's view
+            order, counts = real(h, block)
+            return order, [*counts[:-1], counts[-1] + 1]
 
-        monkeypatch.setattr(properties, "_subset_table", corrupted)
+        monkeypatch.setattr(properties, "block_removal_counts", corrupted)
         found = lemma_violations(h1, rng=random.Random(0))
         assert (
             "block ['1', '2', '3']: rank table says 3 at ['1', '2', '3'], "
             "the component search disagrees"
         ) in found, found
+
+    def test_the_laws_are_checked_once_per_block_by_the_public_check(
+        self, h1, h5, monkeypatch
+    ):
+        """lemma_violations checks each fundamental block's laws through
+        verify_contra_polymatroid, once per block."""
+        real = properties.verify_contra_polymatroid
+        seen = []
+
+        def counted(fn):
+            seen.append(fn.block)
+            return real(fn)
+
+        monkeypatch.setattr(properties, "verify_contra_polymatroid", counted)
+        for h in (h1, h5):
+            seen.clear()
+            assert lemma_violations(h, rng=random.Random(0)) == []
+            blocks = partition_connectivity(h).fundamental.blocks
+            assert Counter(seen) == Counter(blocks)
+            assert len(seen) == len(blocks) > 1
 
     def test_a_wrong_component_count_is_reported(self, h1, monkeypatch):
         real = properties._removal_counter
