@@ -226,10 +226,7 @@ def outer_bound_deficit(
     where I_P is the weighted partition functional of the source restricted to
     the remaining vertices.  Returns r(B) minus the right-hand side.
     """
-    bset = frozenset(str(v) for v in b)
-    foreign = bset - h.vertices
-    if foreign:
-        raise UnknownVertex(f"unknown vertices: {sorted(foreign)}")
+    bset = h._check_subset(str(v) for v in b)
     if len(bset) >= len(h.vertices) - 1:
         raise SubsetTooLarge(
             "the bound needs at least two vertices outside the subset"

@@ -136,10 +136,6 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         out.append(_quote(str(value)))
 
 
-def _emit(document: dict, as_json: bool) -> None:
-    sys.stdout.write(render_json(document) if as_json else render_text(document))
-
-
 def _load(path: str) -> Hypergraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -186,7 +182,7 @@ def _parse_rates(text: str) -> dict[str, Fraction]:
     for item in text.split(","):
         if ":" not in item:
             raise UsageError(f"--rates expects v:r pairs, got {item!r}")
-        vertex, value = item.split(":", 1)
+        vertex, value = item.rsplit(":", 1)  # a rate never contains ":"
         if vertex in rates:
             raise UsageError(f"--rates names vertex {vertex!r} twice")
         rates[vertex] = _rational_flag(value, "--rates")
@@ -637,7 +633,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HyperkeyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(doc, args.json)
+    # the whole text is rendered before a byte is written; the one error
+    # rendering raises is a number str() refuses to print
+    try:
+        text = render_json(doc) if args.json else render_text(doc)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        sys.stderr.write(
+            f"error: the answer holds a number of more than {limit} digits, "
+            "past Python's int-to-str limit\n"
+        )
+        return 1
+    sys.stdout.write(text)
     return code
 
 

@@ -27,20 +27,21 @@ What is derived from a value is kept on it, in _cache, and stored only
 through Hypergraph._memo(key, build).  The keys, by the module that owns
 them:
 
-  hypergraph  "by_id", "incident", "min_weight", "index", "components",
-              "scan" (the incidence scan), ("block", block) (a _BlockView)
+  hypergraph  "by_id", "min_weight", "index", "scan" (the incidence scan),
+              ("block", block) (a _BlockView)
   partitions  ("sweep", w), ("minimizers", w), ("connectivity", weighted)
   capacity    "fundamental blocks"
   simkit      ("shape", numerator, denominator) (quantize, per key rate)
-  properties  ("properties", "components") (the component search, by names
-              and by bitmask), ("properties", "synthesize") (the
-              default-order scheme, its orders and its pairing-tree
-              violations)
+  properties  ("properties", "components") (properties._components, the
+              bitmask component search with its per-mask memo),
+              ("properties", "synthesize") (the default-order scheme, its
+              orders and its pairing-tree violations)
 
 The independent checks stay off the index, so a fault in it shows as a
-disagreement instead of being copied into both sides: removal_component_count
-and _search (a search over the Edge objects), properties._removal_components
-and the Bell sweep in partitions (their own bitmasks, _scaled_edge_masks).
+disagreement instead of being copied into both sides: components,
+removal_component_count and _search (a union-find over the Edge objects),
+properties._components and the Bell sweep in partitions (their own
+bitmasks, _scaled_edge_masks).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .errors import (
     DuplicateEdgeId,
@@ -251,19 +252,6 @@ class Hypergraph:
     def _by_id(self) -> dict[str, Edge]:
         return self._memo("by_id", lambda: {e.id: e for e in self.edges})
 
-    @property
-    def _incident(self) -> dict[str, tuple[Edge, ...]]:
-        """Vertex id -> incident edges, in edge id order."""
-
-        def build():
-            table: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-            for e in self.edges:
-                for v in e.members:
-                    table[v].append(e)
-            return {v: tuple(es) for v, es in table.items()}
-
-        return self._memo("incident", build)
-
     def min_weight(self) -> Fraction:
         def build():
             if not self.edges:
@@ -295,14 +283,13 @@ class Hypergraph:
 
     def removal_component_count(self, c: Iterable[str]) -> int:
         """remove_vertices(c).component_count(), without building the
-        remainder (one _search with c removed), so it shares nothing with
-        the incidence scan.  Raises what remove_vertices raises."""
+        remainder: one _search with c removed (c may be empty), so it
+        shares nothing with the incidence scan.  Raises what
+        remove_vertices raises."""
         cset = self._check_subset(c)
-        if not cset:
-            return len(self.components())
         if len(cset) == len(self.vertices):
             raise EmptyResult("removing every vertex leaves no hypergraph")
-        return sum(1 for _ in self._search(cset))
+        return len(self._search(cset))
 
     def remove_vertices(self, c: Iterable[str]) -> "Hypergraph":
         """Drop the vertices in c, intersect member sets, drop emptied edges."""
@@ -371,33 +358,28 @@ class Hypergraph:
     # -- connectivity --------------------------------------------------------
 
     def components(self) -> tuple[frozenset[str], ...]:
-        """Connected components, sorted by their smallest member."""
-        return self._memo(
-            "components",
-            lambda: tuple(frozenset(comp) for comp in self._search(frozenset())),
-        )
+        """Connected components, sorted by their smallest member (one
+        _search, so it shares nothing with the incidence scan)."""
+        return tuple(frozenset(comp) for comp in self._search(frozenset()))
 
-    def _search(self, removed: frozenset[str]) -> Iterator[set[str]]:
-        """Components of h minus removed, by smallest member: one search over
-        the cached incidence table, with removed marked as seen in advance
-        so its vertices neither start nor relay a component."""
-        incident = self._incident
-        seen = set(removed)
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for e in incident[v]:
-                    for u in e.members:
-                        if u not in seen:
-                            seen.add(u)
-                            comp.add(u)
-                            queue.append(u)
-            yield comp
+    def _search(self, removed: frozenset[str]) -> list[set[str]]:
+        """Components of h minus removed, sorted by smallest member: one
+        union-find over the members of the Edge objects outside removed
+        (Tarjan 1975), reading no index."""
+        root = {v: v for v in self.vertices - removed}
+        for e in self.edges:
+            head = None
+            for v in e.members:
+                if v in root:
+                    r = _find(root, v)
+                    if head is None:
+                        head = r
+                    elif r != head:
+                        root[r] = head
+        groups: dict[str, set[str]] = {}
+        for v in root:
+            groups.setdefault(_find(root, v), set()).add(v)
+        return sorted(groups.values(), key=min)
 
     def component_count(self) -> int:
         """The roots of the incidence scan: each starts one component."""

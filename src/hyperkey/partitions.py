@@ -151,10 +151,7 @@ def crossing_count(h: Hypergraph, p: Partition) -> int:
 
 def entropy(h: Hypergraph, b: Iterable[str]) -> Fraction:
     """Coverage entropy of a vertex set: total weight of edges meeting it."""
-    bset = frozenset(b)
-    foreign = bset - h.vertices
-    if foreign:
-        raise UnknownVertex(f"unknown vertices: {sorted(foreign)}")
+    bset = h._check_subset(b)
     if not bset:
         return Fraction(0)
     return sum(

@@ -62,9 +62,7 @@ class RankFunction:
     def __post_init__(self):
         object.__setattr__(self, "block", frozenset(str(v) for v in self.block))
         object.__setattr__(self, "key_rate", _as_fraction(self.key_rate))
-        foreign = self.block - self.hypergraph.vertices
-        if foreign:
-            raise UnknownVertex(f"unknown vertices: {sorted(foreign)}")
+        self.hypergraph._check_subset(self.block)
         if not self.block:
             raise SubsetOutsideBlock("the block must be nonempty")
         if self.block == self.hypergraph.vertices:

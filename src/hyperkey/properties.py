@@ -11,9 +11,10 @@ at most simkit.MAX_STATE_BITS bits).
 The suites read the Bell sweep's minimizers as restricted-growth codes
 (partitions._cached_sweep) and build a Partition only to word a violation.
 What does not depend on the rate is computed once per instance and kept on
-it by Hypergraph._memo, under ("properties", name): the component search
-with its memo keyed by the removed set's bitmask, which lemma_violations
-and every scheme_round_trip_violations call share, and the default-order
+it by Hypergraph._memo, under ("properties", name): _components, the
+component search with its memo keyed by the removed set's bitmask and the
+scaled edge masks the coverage table reads, which lemma_violations and
+every scheme_round_trip_violations call share, and the default-order
 synthesize with the pairing-tree check of its rows, which the round trips
 at several rates share.  The redundancy check draws its vertex sets as
 bitmasks straight from getrandbits, as random.Random.randrange and sample
@@ -87,9 +88,8 @@ def lemma_violations(
     partition minimum, plus the fast-path law of _fast_path_violations.
     That the fundamental partition refines every minimizer is checked on
     the minimizers' codes (_code_refiner).  Every component count comes
-    from one component search independent of the rank tables, read by
-    names (_removal_counter) or, in the redundancy check, by bitmask
-    (_mask_counter).  The enumeration oracle refuses grounds over 12
+    from _components, one bitmask component search independent of the
+    rank tables.  The enumeration oracle refuses grounds over 12
     vertices, and so does this function.  The brute-force maximal-subset characterization
     of non-singleton fundamental blocks is too slow for every case; the
     tests check it (oracles.prop2_violations).
@@ -97,7 +97,7 @@ def lemma_violations(
     require_mch(h)
     rng = rng or random.Random(0)
     bad = _fast_path_violations(h)
-    count = _removal_counter(h)
+    components = _components(h)
     report = partition_connectivity(h)
     fundamental = report.fundamental
     edge_count = len(h.edges)
@@ -115,7 +115,7 @@ def lemma_violations(
     for block in fundamental.blocks:
         d = h.degree(block)
         degree_sum += d - 1
-        k = count(block)
+        k = len(components(components.mask(block)))
         if k != d:
             bad.append(
                 f"block {sorted(block)}: component count {k} != degree {d}"
@@ -157,7 +157,7 @@ def lemma_violations(
         order, counts = block_removal_counts(h, block)
         for mask, c in enumerate(counts):
             removed = _members(order, mask)
-            if c != count(removed):
+            if c != len(components(components.mask(removed))):
                 bad.append(
                     f"block {sorted(block)}: rank table says {c - 1} at "
                     f"{sorted(removed)}, the component search disagrees"
@@ -168,11 +168,7 @@ def lemma_violations(
                 f"rank function on block {sorted(block)} failed: {result}"
             )
 
-    bad.extend(
-        _redundancy_violations(
-            h, fundamental, rng, SUBADDITIVITY_SAMPLES, _mask_counter(h)
-        )
-    )
+    bad.extend(_redundancy_violations(h, fundamental, rng))
     bad.extend(_entropy_shape_violations(h))
 
     cap = unconstrained_capacity(h)
@@ -221,30 +217,25 @@ def _code_refiner(
 
 
 def _redundancy_violations(
-    h: Hypergraph,
-    fundamental: Partition,
-    rng: random.Random,
-    samples: int,
-    count: Callable[[int], int],
+    h: Hypergraph, fundamental: Partition, rng: random.Random
 ) -> list[str]:
     """r(B) >= (k(H/B)-1) r_K is implied blockwise: the component defect of an
     arbitrary B never exceeds the sum over blocks of the defects of B's traces.
-    count is h's component count with a proper vertex subset removed, given
-    as a bitmask over the sorted vertices (_mask_counter); B (drawn by
-    _vertex_samples) and its traces are such bitmasks."""
+    B (SUBADDITIVITY_SAMPLES sets drawn by _vertex_samples) and its traces
+    are bitmasks over the sorted vertices, counted by _components."""
     bad: list[str] = []
-    names = sorted(h.vertices)
+    components = _components(h)
+    names = components.names
     if len(names) < 2:
         return bad
-    position = {v: i for i, v in enumerate(names)}
-    blocks = [sum(1 << position[v] for v in block) for block in fundamental.blocks]
-    for b in _vertex_samples(rng, len(names), samples):
-        whole = count(b) - 1
+    blocks = [components.mask(block) for block in fundamental.blocks]
+    for b in _vertex_samples(rng, len(names), SUBADDITIVITY_SAMPLES):
+        whole = len(components(b)) - 1
         parts = 0
         for block in blocks:
             trace = b & block
             if trace:
-                parts += count(trace) - 1
+                parts += len(components(trace)) - 1
         if whole > parts:
             bad.append(
                 f"defect {whole} of {sorted(_members(names, b))} exceeds "
@@ -280,48 +271,49 @@ def _vertex_samples(rng: random.Random, n: int, samples: int) -> Iterator[int]:
         yield b
 
 
-def _removal_counter(h: Hypergraph) -> Callable[[Iterable[str]], int]:
-    """h.removal_component_count for proper vertex subsets."""
-    components = _removal_components(h)
-    return lambda c: len(components(c))
+def _components(h: Hypergraph) -> "_Components":
+    """h's _Components, built once and kept on h, so every suite run on h
+    shares it and its memo."""
+    return h._memo(("properties", "components"), lambda: _Components(h))
 
 
-def _mask_counter(h: Hypergraph) -> Callable[[int], int]:
-    """_removal_counter for a proper vertex subset given as a bitmask over
-    the sorted vertices, on the same memo."""
-    by_mask = h._memo(("properties", "components"), lambda: _component_search(h))[1]
-    return lambda removed: len(by_mask(removed))
+class _Components:
+    """The components of h minus a proper vertex subset, as bitmasks over
+    names (the sorted vertices), memoized per removed set: the edges'
+    bitmasks cut to the kept vertices, merged, plus a singleton per kept
+    vertex no edge reaches.  It reads no block structure and no index, so
+    it stays an independent check of the block view behind
+    block_removal_counts.
 
+    names  -- the vertex names, sorted; bit i stands for names[i]
+    edges  -- _scaled_edge_masks of h's weights over names, per edge
+    """
 
-def _removal_components(h: Hypergraph) -> Callable[[Iterable[str]], tuple[int, ...]]:
-    """The components of h minus a proper vertex subset as bitmasks over the
-    sorted vertices, memoized per removed set: the edges' bitmasks cut to the
-    kept vertices, merged, plus a singleton per kept vertex no edge reaches.
-    It reads no block structure, so it stays an independent check of the
-    block view behind block_removal_counts.  One counter and its memo are
-    kept on h, so every suite run on h shares them."""
-    return h._memo(("properties", "components"), lambda: _component_search(h))[0]
+    __slots__ = ("names", "edges", "_bit", "_full", "_found")
 
+    def __init__(self, h: Hypergraph):
+        self.names = names = sorted(h.vertices)
+        self.edges, _ = _scaled_edge_masks(h, names, (e.weight for e in h.edges))
+        self._bit = {v: 1 << i for i, v in enumerate(names)}
+        self._full = (1 << len(names)) - 1
+        self._found: dict[int, tuple[int, ...]] = {}
 
-def _component_search(
-    h: Hypergraph,
-) -> tuple[Callable[[Iterable[str]], tuple[int, ...]], Callable[[int], tuple[int, ...]]]:
-    """A new _removal_components counter for h, with an empty memo keyed by
-    the removed set's bitmask, and the same counter read by that bitmask."""
-    order = sorted(h.vertices)
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    weighted, _ = _scaled_edge_masks(h, order, (e.weight for e in h.edges))
-    masks = [m for m, _ in weighted]
-    full = (1 << len(order)) - 1
-    memo: dict[int, tuple[int, ...]] = {}
+    def mask(self, vertices: Iterable[str]) -> int:
+        """The bitmask of vertices, a set of h's vertex names."""
+        bit = self._bit
+        m = 0
+        for v in vertices:
+            m |= bit[v]
+        return m
 
-    def by_mask(removed: int) -> tuple[int, ...]:
-        comps = memo.get(removed)
+    def __call__(self, removed: int) -> tuple[int, ...]:
+        """The components left once the vertices of the mask removed go."""
+        comps = self._found.get(removed)
         if comps is None:
-            kept = full ^ removed
+            kept = self._full ^ removed
             found: list[int] = []
             reached = 0
-            for m in masks:
+            for m, _ in self.edges:
                 m &= kept
                 if not m:
                     continue
@@ -335,17 +327,9 @@ def _component_search(
                 apart.append(m)
                 found = apart
             lone = kept & ~reached
-            found += [1 << i for i in range(len(order)) if lone >> i & 1]
-            comps = memo[removed] = tuple(found)
+            found += [1 << i for i in range(len(self.names)) if lone >> i & 1]
+            comps = self._found[removed] = tuple(found)
         return comps
-
-    def components(c: Iterable[str]) -> tuple[int, ...]:
-        removed = 0
-        for v in c:
-            removed |= bit[v]
-        return by_mask(removed)
-
-    return components, by_mask
 
 
 def _entropy_shape_violations(h: Hypergraph) -> list[str]:
@@ -358,10 +342,10 @@ def _entropy_shape_violations(h: Hypergraph) -> list[str]:
 def _coverage_table(h: Hypergraph) -> tuple[list[str], list[int]]:
     """(order, values) with values[mask] = L times the coverage entropy of the
     vertices selected by mask over order, L being the lcm of the weights'
-    denominators.  A positive scale keeps both laws and every comparison."""
-    order = sorted(h.vertices)
-    masks, _ = _scaled_edge_masks(h, order, (e.weight for e in h.edges))
-    return order, _coverage_values(masks, len(order))
+    denominators, read off the scaled edge masks of _components.  A
+    positive scale keeps both laws and every comparison."""
+    components = _components(h)
+    return components.names, _coverage_values(components.edges, len(components.names))
 
 
 def _table_shape_violations(order: Sequence[str], values: Sequence[int]) -> list[str]:
@@ -427,18 +411,17 @@ def scheme_round_trip_violations(
     if not check.ok:
         bad.append(f"synthesized rates fall outside the region: {check}")
 
-    names = sorted(h.vertices)
-    components = _removal_components(h)
+    components = _components(h)
     for block in fundamental.blocks:
         for size in range(1, len(block) + 1):
             for combo in combinations(sorted(block), size):
                 b = frozenset(combo)
                 if len(b) >= len(h.vertices) - 1:
                     continue
-                rest = components(b)
+                rest = components(components.mask(b))
                 if len(rest) < 2:
                     continue
-                p = Partition.from_blocks(_members(names, m) for m in rest)
+                p = Partition.from_blocks(_members(components.names, m) for m in rest)
                 deficit = outer_bound_deficit(h, rates, b, p)
                 if deficit < 0:
                     bad.append(

@@ -45,6 +45,7 @@ and is never built (see _proposals).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -77,6 +78,14 @@ __all__ = [
 MAX_SAMPLE_BITS = 1 << 24  # the most source bits a run draws (2 MiB)
 MAX_STATE_BITS = 20  # the most source bits an exhaustive sweep covers
 MAX_ATTEMPTS = 200000  # proposals random_mch_with_stats draws before giving up
+
+
+def _count_text(n: int) -> str:
+    """n in decimal, or "10^limit or more" when str() would refuse it for
+    passing the int-to-str limit (a source that large is only named in an
+    error)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    return f"10^{limit} or more" if limit and n >= 10**limit else str(n)
 
 
 @dataclass(frozen=True)
@@ -263,7 +272,9 @@ def run(
     cap = MAX_STATE_BITS if exhaustive else MAX_SAMPLE_BITS
     if total > cap:
         kind = "exhaustive" if exhaustive else "sampling"
-        raise StateSpaceTooLarge(f"{total} source bits exceed the {kind} cap {cap}")
+        raise StateSpaceTooLarge(
+            f"{_count_text(total)} source bits exceed the {kind} cap {cap}"
+        )
     key_len = shape.key_length
     layout = _layout(shape)
     column = {eid: k for k, eid in enumerate(scheme.edge_order)}
@@ -339,7 +350,8 @@ def brute_force_secrecy(
     total = shape.total_bits()
     if total > MAX_STATE_BITS:
         raise StateSpaceTooLarge(
-            f"{total} source bits exceed the exhaustive cap {MAX_STATE_BITS}"
+            f"{_count_text(total)} source bits exceed the exhaustive cap "
+            f"{MAX_STATE_BITS}"
         )
     counts = _cell_counts(scheme, shape)
     key_len = shape.key_length

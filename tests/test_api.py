@@ -8,6 +8,7 @@ that nothing in the library raises fails the scan below.
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import hyperkey
@@ -169,6 +170,48 @@ def test_only_the_memo_stores_into_a_hypergraph_cache():
     """Hypergraph._memo is the one place a derived value is kept on a
     hypergraph, so every cache key goes through it."""
     assert _cache_writers() == [("hypergraph", "Hypergraph._memo")]
+
+
+def _memo_key_strings():
+    """Module -> the string constants in the key of its every `_memo` call,
+    for each module under the package that makes one."""
+    found = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_memo"
+                and node.args
+            ):
+                for part in ast.walk(node.args[0]):
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                        found.setdefault(path.stem, set()).add(part.value)
+    return found
+
+
+def _memo_key_table():
+    """Module -> the quoted strings of its rows in the hypergraph module
+    docstring's table of memo keys (from the line that introduces the
+    table to the next blank line; a row starts with the module's name, and
+    its continuation lines are indented further)."""
+    doc = ast.get_docstring(ast.parse((SOURCE / "hypergraph.py").read_text("utf-8")))
+    table = doc.split("by the module that owns\nthem:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("   "):
+            module = line.split()[0]
+        rows.setdefault(module, set()).update(re.findall(r'"([^"]+)"', line))
+    return rows
+
+
+def test_the_memo_key_table_matches_the_memo_calls():
+    """Every string in a cache key is listed in the hypergraph module's
+    table of keys, in its module's row, and every key listed there is
+    still in use by that module."""
+    table = _memo_key_table()
+    assert "index" in table["hypergraph"]  # the table was read
+    assert _memo_key_strings() == table
 
 
 def test_public_names_are_pinned():

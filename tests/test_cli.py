@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperkey import HyperkeyError, cli, hgio
+from hyperkey import HyperkeyError, cli, hgio, simkit
 from hyperkey.cli import main
 
 import oracles
@@ -160,6 +160,18 @@ class TestCheck:
 
     def test_bad_rational_is_usage_error(self, h1_path, capsys):
         assert main(["check", h1_path, "--key-rate", "x"]) == 2
+
+    def test_a_vertex_id_with_a_colon_can_be_rated(self, tmp_path, capsys):
+        """Each item splits at its last colon: a rate never holds one."""
+        path = tmp_path / "colon.hg"
+        path.write_text(
+            "vertices: a:b c d\nedge e: a:b c weight 1\nedge f: c d weight 1\n"
+        )
+        argv = ["check", str(path), "--key-rate", "1", "--rates", "a:b:1"]
+        assert main(argv) == 0
+        out = lines(capsys)
+        assert "rates.a:b = 1" in out and "rates.c = 0" in out
+        assert "violated.subset = c" in out
 
     def test_repeated_rate_vertex_is_usage_error(self, h1_path, capsys):
         # the later 2:0 used to replace the earlier 2:1 without a word
@@ -328,6 +340,56 @@ class TestSimulatePrintsEveryNumber:
         )
         message = f"the quantization scale has over {limit} digits"
         self._refused([*json_flag, "simulate", str(path), *extra], capsys, message)
+
+
+class TestAnswersPastTheDigitLimit:
+    """Weights of limit nines, the most a file may hold, sum to answers that
+    str() cannot print.  Each is one error line with exit 1 and nothing on
+    stdout, the rendered document or the bit count in a cap message alike."""
+
+    @staticmethod
+    def _files(tmp_path):
+        limit = sys.get_int_max_str_digits()
+        w = "9" * limit
+        path = tmp_path / "path.hg"
+        path.write_text(
+            "vertices: " + " ".join(f"v{i:02d}" for i in range(13)) + "\n" + "".join(
+                f"edge e{i:02d}: v{i:02d} v{i + 1:02d} weight {w}\n" for i in range(12)
+            )
+        )
+        star = tmp_path / "star.hg"
+        star.write_text(
+            "vertices: c a b x\n"
+            + "".join(f"edge e{v}: c {v} weight {w}\n" for v in "abx")
+        )
+        return limit, w, str(path), str(star)
+
+    @staticmethod
+    def _refused(argv, capsys, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_each_subcommand(self, tmp_path, capsys, json_flag):
+        limit, w, path, star = self._files(tmp_path)
+        digits = (
+            f"the answer holds a number of more than {limit} digits, "
+            "past Python's int-to-str limit"
+        )
+        for argv in (
+            ["capacity", path],  # communication_complexity = 12 w
+            ["scheme", path],  # total_rate = 12 w
+            ["check", star, "--key-rate", w],  # required = 2 w
+        ):
+            self._refused([*json_flag, *argv], capsys, digits)
+        for extra, cap in (
+            (["--seed", "1"], f"sampling cap {simkit.MAX_SAMPLE_BITS}"),
+            (["--exhaustive"], f"exhaustive cap {simkit.MAX_STATE_BITS}"),
+        ):
+            argv = [*json_flag, "simulate", path, "--key-rate", "1", *extra]
+            self._refused(argv, capsys, f"10^{limit} or more source bits exceed the {cap}")
 
 
 def _count_constructions(monkeypatch, module, name):

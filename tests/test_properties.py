@@ -34,12 +34,10 @@ from hyperkey.partitions import _cached_sweep, _partition_of_code
 from hyperkey.properties import (
     _code_refiner,
     _coverage_table,
+    _components,
     _entropy_shape_violations,
-    _mask_counter,
     _pairing_tree_violations,
     _redundancy_violations,
-    _removal_components,
-    _removal_counter,
     _table_shape_violations,
     _vertex_samples,
 )
@@ -210,21 +208,21 @@ class TestEntropyScan:
 class TestRemovalCounter:
     @staticmethod
     def _assert_matches_the_search(h):
-        count = _removal_counter(h)
-        by_mask = _mask_counter(h)
-        components = _removal_components(h)
+        components = _components(h)
         names = sorted(h.vertices)
+        assert components.names == names
         for size in range(len(names)):
             for c in combinations(names, size):
-                assert count(c) == h.removal_component_count(c), (h, c)
-                assert count(frozenset(c)) == h.removal_component_count(c)
+                want = {frozenset(comp) for comp in h._search(frozenset(c))}
                 mask = sum(1 << names.index(v) for v in c)
-                assert by_mask(mask) == h.removal_component_count(c), (h, c)
-                got = {
+                assert components.mask(c) == mask, (h, c)
+                assert components.mask(frozenset(c)) == mask, (h, c)
+                got = components(mask)
+                assert len(got) == len(want) == h.removal_component_count(c), (h, c)
+                assert {
                     frozenset(v for i, v in enumerate(names) if m >> i & 1)
-                    for m in components(c)
-                }
-                assert got == {frozenset(comp) for comp in h._search(frozenset(c))}
+                    for m in got
+                } == want, (h, c)
 
     def test_census(self):
         checked = 0
@@ -244,7 +242,7 @@ class TestRemovalCounter:
         isolated = 0
         for _ in range(100):
             h = _random_weighted_hypergraph(rng, 7)
-            isolated += any(not h._incident[v] for v in h.vertices)
+            isolated += any(h.degree({v}) == 0 for v in h.vertices)
             self._assert_matches_the_search(h)
         assert isolated >= 10
 
@@ -427,13 +425,13 @@ class TestLemmaViolations:
             assert len(seen) == len(blocks) > 1
 
     def test_a_wrong_component_count_is_reported(self, h1, monkeypatch):
-        real = properties._removal_counter
+        class OffByOne(properties._Components):
+            __slots__ = ()
 
-        def off_by_one(h):
-            count = real(h)
-            return lambda c: count(c) + 1
+            def __call__(self, removed):
+                return super().__call__(removed) + (0,)
 
-        monkeypatch.setattr(properties, "_removal_counter", off_by_one)
+        monkeypatch.setattr(properties, "_Components", OffByOne)
         found = lemma_violations(h1, rng=random.Random(0))
         assert "block ['1', '2', '3']: component count 4 != degree 3" in found
         assert "block ['4']: component count 2 != degree 1" in found, found
@@ -442,16 +440,14 @@ class TestLemmaViolations:
         """On singleton blocks the blockwise sum undercounts: removing two
         of h1's core vertices splits off more than each does alone."""
         found = _redundancy_violations(
-            h1, Partition.singletons(h1.vertices), random.Random(0), 50,
-            _mask_counter(h1),
+            h1, Partition.singletons(h1.vertices), random.Random(0)
         )
         assert found and all(
             re.fullmatch(r"defect \d+ of \[.*\] exceeds blockwise sum \d+", v)
             for v in found
         ), found
         clean = _redundancy_violations(
-            h1, partition_connectivity(h1).fundamental, random.Random(0), 50,
-            _mask_counter(h1),
+            h1, partition_connectivity(h1).fundamental, random.Random(0)
         )
         assert clean == []
 
@@ -500,9 +496,7 @@ class TestRedundancyDraws:
                 partition_connectivity(h).fundamental,
             ):
                 for seed in range(20):
-                    got = _redundancy_violations(
-                        h, fundamental, random.Random(seed), 50, _mask_counter(h)
-                    )
+                    got = _redundancy_violations(h, fundamental, random.Random(seed))
                     want = self._by_public_calls(h, fundamental, random.Random(seed), 50)
                     assert got == want, (h, fundamental, seed)
                     reported += bool(got)
@@ -529,9 +523,21 @@ class TestFuzzOutputUnchanged:
 
     def test_same_bytes_as_the_whole_graph_search_and_pairwise_scan(self, monkeypatch):
         fast = self._stdout()
-        monkeypatch.setattr(
-            properties, "_removal_counter", lambda h: h.removal_component_count
-        )
+
+        class BySearch(properties._Components):
+            """The bitmask reader's answers from Hypergraph._search."""
+
+            __slots__ = ("h",)
+
+            def __init__(self, h):
+                super().__init__(h)
+                self.h = h
+
+            def __call__(self, removed):
+                gone = frozenset(v for i, v in enumerate(self.names) if removed >> i & 1)
+                return tuple(self.mask(comp) for comp in self.h._search(gone))
+
+        monkeypatch.setattr(properties, "_Components", BySearch)
         monkeypatch.setattr(
             properties, "_table_shape_violations", fraction_shape_violations
         )
@@ -602,6 +608,29 @@ class TestPairingTreeOncePerSynthesis:
             found = scheme_round_trip_violations(h5, rate)
             assert "block ['v1'] emitted 5 rows, expected 0" in found, found
         assert len(checks) == 1
+
+
+class TestComponentsOncePerInstance:
+    def test_one_build_across_the_suites(self, h1, h5, monkeypatch):
+        """lemma_violations and the round trips at cap and cap/2 read one
+        _Components per instance: its counts, masks and coverage table."""
+        built = []
+
+        class Counted(properties._Components):
+            __slots__ = ()
+
+            def __init__(self, h):
+                built.append(h)
+                super().__init__(h)
+
+        monkeypatch.setattr(properties, "_Components", Counted)
+        for h in (h1, h5):
+            built.clear()
+            assert lemma_violations(h, rng=random.Random(0)) == []
+            cap = unconstrained_capacity(h)
+            for rate in (cap, cap / 2):
+                assert scheme_round_trip_violations(h, rate) == []
+            assert len(built) == 1 and built[0] is h, built
 
 
 class TestPairingTreeLaw:

@@ -6,6 +6,7 @@ below are their test oracles and must give equal results."""
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -284,6 +285,21 @@ class TestRun:
         for exhaustive, kind in ((False, "sampling"), (True, "exhaustive")):
             with pytest.raises(StateSpaceTooLarge, match=f"the {kind} cap"):
                 run(h, scheme, rate, exhaustive=exhaustive)
+
+    def test_a_count_past_the_digit_limit_is_named_without_str(self):
+        """Two edges of limit nines quantize to more source bits than str()
+        prints; both caps name the count as a power of ten."""
+        limit = sys.get_int_max_str_digits()
+        w = int("9" * limit)
+        h = Hypergraph("abc", [("e0", "ab", w), ("e1", "bc", w)])
+        scheme, _ = synthesize(h)
+        assert quantize(h, Fraction(1)).total_bits() >= 10**limit
+        message = f"10\\^{limit} or more source bits exceed the"
+        for exhaustive, kind in ((False, "sampling"), (True, "exhaustive")):
+            with pytest.raises(StateSpaceTooLarge, match=f"{message} {kind} cap"):
+                run(h, scheme, Fraction(1), exhaustive=exhaustive)
+        with pytest.raises(StateSpaceTooLarge, match=f"{message} exhaustive cap"):
+            brute_force_secrecy(h, scheme, Fraction(1))
 
     def test_sampling_cap_is_inclusive(self):
         h = Hypergraph("12", [("a", "12", MAX_SAMPLE_BITS)])
