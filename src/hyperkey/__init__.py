@@ -37,9 +37,7 @@ from .errors import (
     SemiLatticeViolation,
     StateSpaceTooLarge,
     SubsetOutsideBlock,
-    SubsetTooLarge,
     UnknownVertex,
-    VertexNotInBlock,
     WeightsNotConvex,
 )
 from .hypergraph import BergeCycle, Edge, Hypergraph
@@ -135,10 +133,8 @@ __all__ = [
     "SemiLatticeViolation",
     "StateSpaceTooLarge",
     "SubsetOutsideBlock",
-    "SubsetTooLarge",
     "UnknownVertex",
     "VerificationReport",
-    "VertexNotInBlock",
     "WeightsNotConvex",
     "brute_force_secrecy",
     "communication_complexity",

@@ -20,14 +20,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     InvalidPartition,
     NegativeRate,
     NotFundamentalBlock,
     NotMCH,
-    SubsetTooLarge,
     UnknownVertex,
 )
 from .hypergraph import Hypergraph, _read_rational, block_removal_counts
@@ -168,6 +167,11 @@ def _canonical_masks(k: int) -> tuple[int, ...]:
     )
 
 
+def _members(order: Sequence[str], mask: int) -> frozenset[str]:
+    """The members of order whose bits are set in mask."""
+    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+
+
 def region_spec(h: Hypergraph) -> RegionSpec:
     """The region of an MCH, from the edges meeting each fundamental block;
     a block of more than 12 vertices raises GroundTooLarge."""
@@ -180,9 +184,7 @@ def region_spec(h: Hypergraph) -> RegionSpec:
         for mask in _canonical_masks(len(order)):
             kappa = counts[mask]
             if kappa > 1:
-                subset = block
-                if mask != full:
-                    subset = frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+                subset = block if mask == full else _members(order, mask)
                 constraints.append((subset, kappa - 1))
     return RegionSpec(
         key_cap=h.min_weight(),
@@ -228,7 +230,7 @@ def outer_bound_deficit(
     """
     bset = h._check_subset(str(v) for v in b)
     if len(bset) >= len(h.vertices) - 1:
-        raise SubsetTooLarge(
+        raise InvalidPartition(
             "the bound needs at least two vertices outside the subset"
         )
     if p.ground() != h.vertices - bset:

@@ -3,8 +3,10 @@
 Every subcommand reads a .hg file (see hgio), computes with the library, and
 prints one structured document: flattened `key = value` lines by default, or
 JSON with sorted keys under --json.  All numbers are exact rational text.
-Exit codes: 0 success, 1 domain error (e.g. the hypergraph is not an MCH),
-2 usage or parse error.
+Exit codes: 0 success, 1 domain error (e.g. the hypergraph is not an MCH)
+or a document whose "ok" is false (fuzz found a counterexample), 2 usage or
+parse error.  Each handler in _HANDLERS returns its document's body; main
+stamps schema_version and command on it.
 
 `main` may be called any number of times in one process.  The argparse tree
 is built on the first call and shared by every later one; it keeps no state
@@ -35,7 +37,7 @@ from .capacity import (
     unconstrained_capacity,
 )
 from .errors import HyperkeyError, ParseError, StateSpaceTooLarge
-from .hypergraph import Hypergraph, _read_rational, _representatives
+from .hypergraph import Hypergraph, _digit_limit, _read_rational, _representatives
 from .partitions import mmi, partition_connectivity
 from .properties import lemma_violations, scheme_round_trip_violations
 from .scheme import rates_of, synthesize, verify
@@ -158,14 +160,40 @@ def _rational_flag(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag} expects a rational like 3 or 3/2, got {text!r}")
 
 
+def _split(text: str, separator: str) -> list[str]:
+    """text cut at each separator no backslash escapes; the escapes stay,
+    for _unescape to read."""
+    pieces, start, i = [], 0, 0
+    while i < len(text):
+        if text[i] == "\\":
+            i += 2
+            continue
+        if text[i] == separator:
+            pieces.append(text[start:i])
+            start = i + 1
+        i += 1
+    pieces.append(text[start:])
+    return pieces
+
+
+# the escapes of Hypergraph.merge's labels: a backslash before ",", "=" or
+# "\\" stands for that character, and is kept before any other
+_unescape = functools.partial(re.compile(r"\\([,=\\])").sub, r"\1")
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """The nonempty vertex ids of a comma list, escapes read."""
+    return tuple(_unescape(v) for v in _split(text, ",") if v)
+
+
 def _parse_orders(pairs: Sequence[str]) -> dict:
     orders = {}
     for text in pairs:
-        if "=" not in text:
+        left, *right = _split(text, "=")
+        if not right:
             raise UsageError(f"--order expects BLOCK=perm, got {text!r}")
-        left, right = text.split("=", 1)
-        block = tuple(v for v in left.split(",") if v)
-        perm = tuple(v for v in right.split(",") if v)
+        block = _names(left)
+        perm = _names("=".join(right))
         if not block or not perm:
             raise UsageError(f"--order expects BLOCK=perm, got {text!r}")
         key = frozenset(block)
@@ -179,10 +207,11 @@ def _parse_rates(text: str) -> dict[str, Fraction]:
     rates: dict[str, Fraction] = {}
     if not text:
         return rates
-    for item in text.split(","):
+    for item in _split(text, ","):
         if ":" not in item:
             raise UsageError(f"--rates expects v:r pairs, got {item!r}")
         vertex, value = item.rsplit(":", 1)  # a rate never contains ":"
+        vertex = _unescape(vertex)
         if vertex in rates:
             raise UsageError(f"--rates names vertex {vertex!r} twice")
         rates[vertex] = _rational_flag(value, "--rates")
@@ -199,8 +228,6 @@ def _edge_documents(h: Hypergraph) -> list[dict]:
 def _cmd_analyze(args) -> dict:
     h = _load(args.file)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze",
         "vertex_count": len(h.vertices),
         "edge_count": len(h.edges),
         "vertices": sorted(h.vertices),
@@ -236,8 +263,6 @@ def _cmd_analyze(args) -> dict:
 def _cmd_capacity(args) -> dict:
     h = _load(args.file)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "capacity",
         "unconstrained_capacity": unconstrained_capacity(h),
         "communication_complexity": communication_complexity(h),
     }
@@ -252,8 +277,6 @@ def _cmd_region(args) -> dict:
     h = _load(args.file)
     spec = region_spec(h)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "region",
         "key_cap": spec.key_cap,
         "generator_blocks": [" ".join(sorted(b)) for b in spec.generator_blocks],
         "constraints": [
@@ -274,8 +297,6 @@ def _cmd_check(args) -> dict:
     rt = RateTuple(key_rate=key_rate, per_user=per_user)
     outcome = in_region(h, rt)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
         "key_rate": key_rate,
         "rates": {v: per_user[v] for v in sorted(per_user)},
         "in_region": outcome.ok,
@@ -331,7 +352,10 @@ def _scheme_document(h: Hypergraph, scheme, used, key_rate: Fraction) -> dict:
     }
 
 
-def _cmd_scheme(args) -> dict:
+def _synthesized(args) -> tuple:
+    """(h, key rate, scheme, used orders) for scheme and simulate: the file,
+    --key-rate (the capacity when absent) and the scheme of the --order
+    orders."""
     h = _load(args.file)
     key_rate = (
         _rational_flag(args.key_rate, "--key-rate")
@@ -340,9 +364,13 @@ def _cmd_scheme(args) -> dict:
     )
     orders = _parse_orders(args.order or [])
     scheme, used = synthesize(h, orders or None)
+    return h, key_rate, scheme, used
+
+
+def _cmd_scheme(args) -> dict:
+    h, key_rate, scheme, used = _synthesized(args)
     simkit._require_rate_within_capacity(h, key_rate)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "scheme"}
-    doc.update(_scheme_document(h, scheme, used, key_rate))
+    doc = _scheme_document(h, scheme, used, key_rate)
     if args.emit_matrix:
         doc["matrix"] = [
             f"{a}^{b} @user={speaker}"
@@ -362,7 +390,7 @@ def _require_printable(shape, exhaustive: bool) -> None:
     words of L bits, could pass the int-to-str limit: a word reaches
     2**L - 1, so L must satisfy 2**L <= 10**limit.  A source over run's cap
     in source bits is left to run, which names that cap."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    limit = _digit_limit()
     cap = simkit.MAX_STATE_BITS if exhaustive else simkit.MAX_SAMPLE_BITS
     if not limit or shape.total_bits() > cap:
         return
@@ -380,19 +408,10 @@ def _cmd_simulate(args) -> dict:
         raise UsageError("--trials must be at least 1")
     if args.exhaustive and args.trials != 1:
         raise UsageError("--exhaustive runs one trial; --trials must be 1")
-    h = _load(args.file)
-    key_rate = (
-        _rational_flag(args.key_rate, "--key-rate")
-        if args.key_rate is not None
-        else unconstrained_capacity(h)
-    )
-    orders = _parse_orders(args.order or [])
-    scheme, _ = synthesize(h, orders or None)
+    h, key_rate, scheme, _ = _synthesized(args)
     shape = quantize(h, key_rate)
     _require_printable(shape, args.exhaustive)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
         "key_rate": key_rate,
         "scale": shape.scale,
         "key_length": shape.key_length,
@@ -401,10 +420,7 @@ def _cmd_simulate(args) -> dict:
     }
     if args.exhaustive:
         outcome = run(h, scheme, key_rate, seed=args.seed, exhaustive=True)
-        doc["trials"] = 1
-        doc["realizations_checked"] = outcome.realizations_checked
-        doc["zero_error"] = outcome.zero_error
-        doc["secrecy_rank_ok"] = verify(scheme).secrecy_ok
+        checked, all_zero = outcome.realizations_checked, outcome.zero_error
         secrecy = brute_force_secrecy(h, scheme, key_rate)
         doc["perfect_secrecy"] = secrecy.perfect
         doc["key_entropy_bits"] = secrecy.key_entropy_bits
@@ -426,15 +442,15 @@ def _cmd_simulate(args) -> dict:
                     "recovered": {v: k for v, k in outcome.recovered},
                     "key": outcome.key,
                 }
-        doc["trials"] = args.trials
-        doc["realizations_checked"] = checked
-        doc["zero_error"] = all_zero
-        doc["secrecy_rank_ok"] = verify(scheme).secrecy_ok
         doc["first_trial"] = first
+    doc["trials"] = args.trials  # --exhaustive requires 1
+    doc["realizations_checked"] = checked
+    doc["zero_error"] = all_zero
+    doc["secrecy_rank_ok"] = verify(scheme).secrecy_ok
     return doc
 
 
-def _cmd_fuzz(args) -> tuple[dict, int]:
+def _cmd_fuzz(args) -> dict:
     if not 2 <= args.vertices <= 8:
         raise UsageError("--vertices must be between 2 and 8")
     if not 1 <= args.edges <= 6:
@@ -473,8 +489,6 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
             }
             break
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fuzz",
         "cases_requested": args.cases,
         "cases_run": len(instances),
         "instances": instances,
@@ -482,7 +496,7 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
     }
     if counterexample is not None:
         doc["counterexample"] = counterexample
-    return doc, 0 if counterexample is None else 1
+    return doc
 
 
 _HANDLERS = {
@@ -492,6 +506,7 @@ _HANDLERS = {
     "check": _cmd_check,
     "scheme": _cmd_scheme,
     "simulate": _cmd_simulate,
+    "fuzz": _cmd_fuzz,
 }
 
 
@@ -622,30 +637,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        if args.subcommand == "fuzz":
-            doc, code = _cmd_fuzz(args)
-        else:
-            doc = _HANDLERS[args.subcommand](args)
-            code = 0
+        doc = _HANDLERS[args.subcommand](args)
     except (UsageError, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except HyperkeyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    doc.update({"schema_version": SCHEMA_VERSION, "command": args.subcommand})
     # the whole text is rendered before a byte is written; the one error
     # rendering raises is a number str() refuses to print
     try:
         text = render_json(doc) if args.json else render_text(doc)
     except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", int)()
         sys.stderr.write(
-            f"error: the answer holds a number of more than {limit} digits, "
+            f"error: the answer holds a number of more than {_digit_limit()} digits, "
             "past Python's int-to-str limit\n"
         )
         return 1
     sys.stdout.write(text)
-    return code
+    return 0 if doc.get("ok", True) else 1  # fuzz's verdict
 
 
 def console_main() -> None:

@@ -12,10 +12,8 @@ __all__ = [
     "SemiLatticeViolation",
     "NotMCH",
     "NegativeRate",
-    "SubsetTooLarge",
     "SubsetOutsideBlock",
     "NotFundamentalBlock",
-    "VertexNotInBlock",
     "RankDefect",
     "SchemeUnverified",
     "WeightsNotConvex",
@@ -48,7 +46,8 @@ class EmptyResult(HyperkeyError):
 
 
 class InvalidPartition(HyperkeyError):
-    """Blocks do not form a partition of the expected ground set."""
+    """Blocks do not form a partition of the expected ground set, or that
+    ground set has no proper partition (fewer than two vertices)."""
 
 
 class GroundTooLarge(HyperkeyError):
@@ -73,20 +72,14 @@ class NegativeRate(HyperkeyError):
     """A rate was negative, or not a rational at all (None, NaN, "1/0")."""
 
 
-class SubsetTooLarge(HyperkeyError):
-    """A vertex subset exceeds the size limit of the requested bound."""
-
-
 class SubsetOutsideBlock(HyperkeyError):
-    """A subset argument is not contained in the rank function's block."""
+    """A subset, vertex or order is not within the block it is given for:
+    a subset or vertex outside it, or an order that is no permutation of
+    it."""
 
 
 class NotFundamentalBlock(HyperkeyError):
     """The given set is not a block of the fundamental partition."""
-
-
-class VertexNotInBlock(HyperkeyError):
-    """The given vertex does not belong to the given block."""
 
 
 class RankDefect(HyperkeyError):

@@ -29,7 +29,7 @@ them:
 
   hypergraph  "by_id", "min_weight", "index", "scan" (the incidence scan),
               ("block", block) (a _BlockView)
-  partitions  ("sweep", w), ("minimizers", w), ("connectivity", weighted)
+  partitions  ("sweep", w), ("connectivity", weighted)
   capacity    "fundamental blocks"
   simkit      ("shape", numerator, denominator) (quantize, per key rate)
   properties  ("properties", "components") (properties._components, the
@@ -74,6 +74,12 @@ WeightLike = Union[Fraction, int, str]
 T = TypeVar("T")
 
 
+def _digit_limit() -> int:
+    """Python's int-to-str limit in digits, 0 when there is none; the one
+    reader of it in the package."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
 def _read_rational(text: str) -> Fraction:
     """text as a signed integer, p/q or decimal, else ValueError or
     ZeroDivisionError.  Exponent notation is refused before Fraction() sees
@@ -86,7 +92,7 @@ def _read_rational(text: str) -> Fraction:
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not a rational form: {text!r}")
     value = Fraction(text)
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    limit = _digit_limit()
     parts = (abs(value.numerator), value.denominator)
     if 0 < limit < len(text) and max(parts) >= 10**limit:
         raise ValueError(f"{text!r} has more than {limit} digits")

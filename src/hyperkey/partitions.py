@@ -188,22 +188,16 @@ def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerS
 
     The unit functional (weighted=False) counts each edge once, the weighted
     one counts it with its weight.  Refuses ground sets above SWEEP_CAP
-    vertices.  The sweep itself is _cached_sweep's; this wraps its codes in
-    Partitions, one per minimizer, and caches the report on the hypergraph
-    under the same key, so it is freed with its hypergraph.
+    vertices.  The sweep itself is _cached_sweep's, kept on the hypergraph;
+    each call wraps its codes in Partitions, one per minimizer.
     """
-    weighted = _sweeps_weights(h, weighted)
-
-    def build():
-        value, fundamental, codes = _cached_sweep(h, weighted)
-        elems = sorted(h.vertices)
-        return MinimizerSweep(
-            value=value,
-            fundamental=fundamental,
-            minimizers=tuple(_partition_of_code(elems, c) for c in codes),
-        )
-
-    return h._memo(("minimizers", weighted), build)
+    value, fundamental, codes = _cached_sweep(h, weighted)
+    elems = sorted(h.vertices)
+    return MinimizerSweep(
+        value=value,
+        fundamental=fundamental,
+        minimizers=tuple(_partition_of_code(elems, c) for c in codes),
+    )
 
 
 def _sweeps_weights(h: Hypergraph, weighted: bool) -> bool:

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .capacity import _as_fraction, _canonical_masks, _require_fundamental_block
+from .capacity import (
+    _as_fraction,
+    _canonical_masks,
+    _members,
+    _require_fundamental_block,
+)
 from .errors import (
     GroundTooLarge,
     NegativeRate,
@@ -85,10 +90,6 @@ def rank(fn: RankFunction, b: Iterable[str]) -> Fraction:
         return (counts[len(bset)] - 1) * fn.key_rate
     view = _block_view(fn.hypergraph, fn.block)
     return (view.count(view.mask(bset)) - 1) * fn.key_rate
-
-
-def _members(order: Sequence[str], mask: int) -> frozenset[str]:
-    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .capacity import (
     _as_fraction,
+    _members,
     in_region,
     outer_bound_deficit,
     require_mch,
@@ -59,7 +60,6 @@ from .polymatroid import (
     _coverage_values,
     _first_decrease,
     _first_submodular_violation,
-    _members,
     extreme_point_for_order,
     verify_contra_polymatroid,
 )

@@ -38,7 +38,6 @@ from .errors import (
     RankDefect,
     SchemeUnverified,
     SubsetOutsideBlock,
-    VertexNotInBlock,
     WeightsNotConvex,
 )
 from .hypergraph import Hypergraph, _block_view, _find, _representatives
@@ -154,7 +153,7 @@ def shared_representatives(
     prefix = frozenset(str(v) for v in removed)
     _require_fundamental_block(h, block)
     if vertex not in block:
-        raise VertexNotInBlock(f"{vertex!r} is not in block {sorted(block)}")
+        raise SubsetOutsideBlock(f"{vertex!r} is not in block {sorted(block)}")
     if not prefix <= block or vertex not in prefix:
         raise SubsetOutsideBlock(
             "removed must be a subset of the block containing the vertex"
@@ -185,9 +184,9 @@ def _normalize_orders(
             try:
                 perm = tuple(str(v) for v in iter(seq))
             except TypeError:
-                raise VertexNotInBlock(f"order {seq!r} is not iterable") from None
+                raise SubsetOutsideBlock(f"order {seq!r} is not iterable") from None
             if frozenset(perm) != block or len(perm) != len(block):
-                raise VertexNotInBlock(
+                raise SubsetOutsideBlock(
                     f"order {perm!r} is not a permutation of {sorted(block)}"
                 )
             table[block] = perm

@@ -45,7 +45,6 @@ and is never built (see _proposals).
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -61,7 +60,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .capacity import _as_fraction
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _digit_limit
 from .scheme import DiscussionScheme, verify
 
 __all__ = [
@@ -84,7 +83,7 @@ def _count_text(n: int) -> str:
     """n in decimal, or "10^limit or more" when str() would refuse it for
     passing the int-to-str limit (a source that large is only named in an
     error)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    limit = _digit_limit()
     return f"10^{limit} or more" if limit and n >= 10**limit else str(n)
 
 

@@ -49,19 +49,12 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(lines[number])
 
 
-@pytest.fixture
-def h1():
-    return Hypergraph("123456", [("a", "124", 1), ("b", "235", 3), ("c", "136", 2)])
-
-
-@pytest.fixture
-def h2():
-    return Hypergraph("12345", [("a", "123", 2), ("b", "34", 1), ("c", "15", 1)])
-
-
-@pytest.fixture
-def h3():
-    return Hypergraph(
+# vertices and edges of each fixture, by fixture name; the triangle is
+# connected but not minimally connected: every edge removal keeps it whole
+SOURCES = {
+    "h1": ("123456", [("a", "124", 1), ("b", "235", 3), ("c", "136", 2)]),
+    "h2": ("12345", [("a", "123", 2), ("b", "34", 1), ("c", "15", 1)]),
+    "h3": (
         "123456789",
         [
             ("a", "125", 1),
@@ -70,20 +63,12 @@ def h3():
             ("d", "3478", 1),
             ("e", "3489", 1),
         ],
-    )
-
-
-@pytest.fixture
-def h4():
-    return Hypergraph(
+    ),
+    "h4": (
         "12345",
         [("a", "123", 1), ("b", "34", 1), ("c", "15", 1), ("d", "2", 1), ("e", "5", 1)],
-    )
-
-
-@pytest.fixture
-def h5():
-    return Hypergraph(
+    ),
+    "h5": (
         ["1", "2", "3", "4", "5", "v1", "v2", "v3", "v4", "v5", "v6"],
         [
             ("e1", ["1", "2", "v1"], 1),
@@ -93,15 +78,47 @@ def h5():
             ("e5", ["3", "4", "v5"], 1),
             ("e6", ["4", "5", "v6"], 1),
         ],
-    )
+    ),
+    "triangle": ("123", [("p", "12", 1), ("q", "23", 1), ("r", "13", 1)]),
+    "single_edge": ("12", [("a", "12", 1)]),
+}
+
+
+def source(name):
+    """A fresh Hypergraph of the fixture named name."""
+    return Hypergraph(*SOURCES[name])
+
+
+@pytest.fixture
+def h1():
+    return source("h1")
+
+
+@pytest.fixture
+def h2():
+    return source("h2")
+
+
+@pytest.fixture
+def h3():
+    return source("h3")
+
+
+@pytest.fixture
+def h4():
+    return source("h4")
+
+
+@pytest.fixture
+def h5():
+    return source("h5")
 
 
 @pytest.fixture
 def triangle():
-    """Connected but not minimally connected: every edge removal keeps it whole."""
-    return Hypergraph("123", [("p", "12", 1), ("q", "23", 1), ("r", "13", 1)])
+    return source("triangle")
 
 
 @pytest.fixture
 def single_edge():
-    return Hypergraph("12", [("a", "12", 1)])
+    return source("single_edge")

@@ -54,10 +54,8 @@ PUBLIC_NAMES = [
     "SemiLatticeViolation",
     "StateSpaceTooLarge",
     "SubsetOutsideBlock",
-    "SubsetTooLarge",
     "UnknownVertex",
     "VerificationReport",
-    "VertexNotInBlock",
     "WeightsNotConvex",
     "brute_force_secrecy",
     "communication_complexity",
@@ -216,9 +214,9 @@ def test_the_memo_key_table_matches_the_memo_calls():
 
 def test_public_names_are_pinned():
     assert sorted(hyperkey.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 66
     assert all(hasattr(hyperkey, name) for name in PUBLIC_NAMES)
-    assert len(_error_classes()) == 22
+    assert len(_error_classes()) == 20
 
 
 def test_parameters_with_defaults_are_pinned():

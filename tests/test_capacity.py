@@ -8,12 +8,13 @@ import pytest
 from hyperkey import (
     GroundTooLarge,
     Hypergraph,
+    InvalidPartition,
     NegativeRate,
     NotMCH,
     Partition,
     RankFunction,
     RateTuple,
-    SubsetTooLarge,
+    RegionCheck,
     UnknownVertex,
     WeightsNotConvex,
     communication_complexity,
@@ -206,6 +207,42 @@ class TestInRegion:
         half = rates(h1, Fraction(1, 2), r2=Fraction(1, 2), r3=Fraction(1, 2))
         assert in_region(h1, half).ok
 
+    def test_matches_a_scan_of_the_per_subset_oracle(self):
+        """in_region equals an independent scan: the key cap first, then
+        the first constraint of oracles.region_spec whose subset's rates
+        sum below it.  On the census MCHs and 100 random MCHs of 2-10
+        vertices, at r_K = C and at r_K just over C, the tuples put each
+        constraint's subset exactly on it and just below it, every other
+        vertex at a rate no constraint can hold down."""
+
+        def scan(spec, rt):
+            if rt.key_rate > spec.key_cap:
+                return RegionCheck(ok=False, key_cap_violated=True)
+            for subset, coeff in spec.constraints:
+                if sum(rt.per_user[v] for v in subset) < coeff * rt.key_rate:
+                    return RegionCheck(ok=False, violated=(subset, coeff))
+            return RegionCheck(ok=True)
+
+        outcomes = set()
+        for h in [*oracles.census_mchs(), *oracles.random_mchs(100, seed=13)]:
+            spec = oracles.region_spec(h)
+            cap = spec.key_cap
+            top = cap * (1 + max((c for _, c in spec.constraints), default=0))
+            tuples = [
+                RateTuple(r_k, dict.fromkeys(h.vertices, top))
+                for r_k in (cap, cap + Fraction(1, 97))
+            ]
+            for subset, coeff in spec.constraints:
+                share = coeff * cap / len(subset)
+                on = {v: share if v in subset else top for v in h.vertices}
+                below = {**on, min(subset): share * Fraction(6, 7)}
+                tuples += [RateTuple(cap, on), RateTuple(cap, below)]
+            for rt in tuples:
+                want = scan(spec, rt)
+                assert in_region(h, rt) == want, (h, rt)
+                outcomes.add((want.ok, want.key_cap_violated))
+        assert outcomes == {(True, False), (False, True), (False, False)}
+
 
 class TestOuterBound:
     def test_scheme_point_is_tight_on_the_core_block(self, h1):
@@ -228,7 +265,7 @@ class TestOuterBound:
 
     def test_subset_leaving_one_vertex_is_refused(self, h2):
         # |B| = |V| - 1: one vertex is left, too few for a proper partition
-        with pytest.raises(SubsetTooLarge):
+        with pytest.raises(InvalidPartition, match="at least two vertices outside"):
             outer_bound_deficit(
                 h2, rates(h2, 1), frozenset("1234"), Partition.from_blocks([{"5"}])
             )

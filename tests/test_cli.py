@@ -235,6 +235,47 @@ class TestScheme:
         assert main([*flags, "scheme", h1_path, "--key-rate", "1"]) == 0
 
 
+@pytest.fixture
+def escaped_path(tmp_path):
+    """H1 with its cyclic core 1 2 3 renamed a,b a=b a\\b."""
+    p = tmp_path / "escaped.hg"
+    p.write_text(
+        "vertices: 4 5 6 a,b a=b a\\b\n"
+        "edge e1: 4 a,b a=b weight 1\n"
+        "edge e2: 5 a=b a\\b weight 3\n"
+        "edge e3: 6 a,b a\\b weight 2\n"
+    )
+    return str(p)
+
+
+# each core id of escaped_path as the flags write it
+ESCAPED = {"a,b": r"a\,b", "a=b": r"a\=b", "a\\b": r"a\\b"}
+
+
+class TestEscapedIds:
+    """--rates and --order read a backslash before ",", "=" or "\\" as that
+    character, as Hypergraph.merge writes its labels, and keep one before
+    any other character."""
+
+    @pytest.mark.parametrize(
+        "vertex, written", [*ESCAPED.items(), ("a\\b", "a\\b")]
+    )
+    def test_check_rates_the_vertex(self, escaped_path, capsys, vertex, written):
+        argv = ["--json", "check", escaped_path, "--key-rate", "1",
+                "--rates", f"{written}:2,4:1"]
+        doc = run_json(argv, capsys)
+        rated = {v: r for v, r in doc["rates"].items() if r != "0"}
+        assert rated == {vertex: "2", "4": "1"}
+
+    def test_scheme_orders_the_block(self, escaped_path, capsys):
+        order = ["a\\b", "a=b", "a,b"]
+        block = ",".join(ESCAPED[v] for v in sorted(order))
+        perm = ",".join(ESCAPED[v] for v in order)
+        argv = ["--json", "scheme", escaped_path, "--order", f"{block}={perm}"]
+        doc = run_json(argv, capsys)
+        assert [b["order"] for b in doc["blocks"] if len(b["order"]) == 3] == [order]
+
+
 class TestSimulate:
     def test_trials(self, h1_path, capsys):
         assert main(["simulate", h1_path, "--key-rate", "1", "--trials", "2", "--seed", "5"]) == 0
@@ -802,7 +843,7 @@ def fixture_documents(tmp_path, fixtures):
             except HyperkeyError:
                 pass  # not an MCH, or over a simulation cap
     for argv in (["fuzz", "--cases", "3"], ["fuzz", "--vertices", "7", "--edges", "5"]):
-        docs.append(cli._cmd_fuzz(parser.parse_args(argv))[0])
+        docs.append(cli._cmd_fuzz(parser.parse_args(argv)))
     return docs
 
 

@@ -2,6 +2,7 @@
 so an API change cannot break a demo unnoticed, and the scheme walkthrough
 prints the same narrative line for line."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -17,7 +18,9 @@ def test_demos_are_found():
     assert DEMOS
 
 
+@functools.cache
 def run_demo(demo):
+    """One run per demo and session; tests/test_golden.py reads it too."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src

@@ -496,11 +496,11 @@ class TestSweepCache:
         weights are all one sweeps once for both."""
         unit = Hypergraph(h1.vertices, [(e.id, e.members, 1) for e in h1.edges])
         assert _cached_sweep(unit, True) is _cached_sweep(unit, False)
-        assert enumerate_minimizers(unit, weighted=True) is enumerate_minimizers(unit)
+        assert enumerate_minimizers(unit, weighted=True) == enumerate_minimizers(unit)
         assert _cached_sweep(h1, True) is not _cached_sweep(h1, False)
         assert _cached_sweep(h1, True) is _cached_sweep(h1, True)
         weighted = enumerate_minimizers(h1, weighted=True)
-        assert weighted is not enumerate_minimizers(h1)
+        assert weighted != enumerate_minimizers(h1)
         assert weighted.value == _cached_sweep(h1, True)[0] == 1
 
 

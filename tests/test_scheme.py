@@ -13,7 +13,7 @@ from hyperkey import (
     NotMCH,
     RankFunction,
     SchemeUnverified,
-    VertexNotInBlock,
+    SubsetOutsideBlock,
     WeightsNotConvex,
     cli,
     compose_time_shared,
@@ -171,13 +171,13 @@ class TestSynthesize:
     def test_orders_validation(self, h1):
         with pytest.raises(NotFundamentalBlock):
             synthesize(h1, {frozenset("12"): ("1", "2")})
-        with pytest.raises(VertexNotInBlock):
+        with pytest.raises(SubsetOutsideBlock, match="is not a permutation of"):
             synthesize(h1, {frozenset("123"): ("1", "2")})
 
     def test_orders_that_are_not_iterable_are_domain_errors(self, h1):
         with pytest.raises(NotFundamentalBlock, match="order key 5 is not iterable"):
             synthesize(h1, {5: (5,)})
-        with pytest.raises(VertexNotInBlock, match="order 5 is not iterable"):
+        with pytest.raises(SubsetOutsideBlock, match="order 5 is not iterable"):
             synthesize(h1, {"123": 5})
 
 
