@@ -12,6 +12,12 @@ component_count(h minus B) > 1:
 
 Subsets with component count one would give coefficient zero and are never
 materialized.
+
+Three input rules have their one check here: a key rate (_key_rate, read
+by RateTuple, polymatroid.RankFunction, scheme.rates_of and
+simkit.quantize), a fundamental block (_require_fundamental_block) and an
+order of one (_block_order, read by scheme.synthesize and
+polymatroid.extreme_point_for_order).
 """
 
 from __future__ import annotations
@@ -27,9 +33,15 @@ from .errors import (
     NegativeRate,
     NotFundamentalBlock,
     NotMCH,
+    SubsetOutsideBlock,
     UnknownVertex,
 )
-from .hypergraph import Hypergraph, _read_rational, block_removal_counts
+from .hypergraph import (
+    Hypergraph,
+    _as_rational,
+    _partition_blocks,
+    block_removal_counts,
+)
 from .partitions import Partition, partition_connectivity
 
 __all__ = [
@@ -66,15 +78,34 @@ def _require_fundamental_block(h: Hypergraph, block: frozenset[str]) -> None:
         )
 
 
-def _as_fraction(value) -> Fraction:
-    """The one reader of rates: a Fraction as it is, a str by _read_rational,
-    anything else by Fraction(); what none of them reads is a NegativeRate."""
-    if type(value) is Fraction:
-        return value
+def _block_order(block: frozenset[str], seq) -> tuple[str, ...]:
+    """The one check of a block order: seq, each vertex through str, as a
+    tuple, when it is a permutation of block; else SubsetOutsideBlock, for
+    a seq that is not iterable too."""
     try:
-        return _read_rational(value) if isinstance(value, str) else Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise NegativeRate(f"a rate must be a rational, got {value!r}") from None
+        perm = tuple(str(v) for v in iter(seq))
+    except TypeError:
+        raise SubsetOutsideBlock(f"order {seq!r} is not iterable") from None
+    if frozenset(perm) != block or len(perm) != len(block):
+        raise SubsetOutsideBlock(
+            f"order {perm!r} is not a permutation of {sorted(block)}"
+        )
+    return perm
+
+
+def _as_fraction(value) -> Fraction:
+    """The one reader of rates (hypergraph._as_rational): what it cannot read
+    is a NegativeRate."""
+    return _as_rational(value, NegativeRate, "a rate must be a rational")
+
+
+def _key_rate(value) -> Fraction:
+    """The one reader of a key rate: a rate (_as_fraction) that is not
+    negative, else NegativeRate."""
+    rate = _as_fraction(value)
+    if rate.numerator < 0:
+        raise NegativeRate("key rate must be nonnegative")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -86,12 +117,10 @@ class RateTuple:
 
     def __post_init__(self):
         # each rate is coerced once; a Fraction is kept as it is
-        object.__setattr__(self, "key_rate", _as_fraction(self.key_rate))
+        object.__setattr__(self, "key_rate", _key_rate(self.key_rate))
         normalized = {str(v): _as_fraction(r) for v, r in dict(self.per_user).items()}
         object.__setattr__(self, "per_user", normalized)
-        if self.key_rate.numerator < 0 or any(
-            r.numerator < 0 for r in normalized.values()
-        ):
+        if any(r.numerator < 0 for r in normalized.values()):
             raise NegativeRate("rates must be nonnegative")
 
     def total(self) -> Fraction:
@@ -233,11 +262,8 @@ def outer_bound_deficit(
         raise InvalidPartition(
             "the bound needs at least two vertices outside the subset"
         )
-    if p.ground() != h.vertices - bset:
-        raise InvalidPartition(
-            "partition must cover exactly the vertices outside the subset"
-        )
-    if len(p) < 2:
+    blocks = _partition_blocks(p, h.vertices - bset)
+    if len(blocks) < 2:
         raise InvalidPartition("the bound needs a proper partition")
     # each block misses B, so it meets the same edges in h as in h minus B,
     # and (|P| - 1) I_P = sum over the edges not inside B of w_e (blocks met
@@ -245,7 +271,7 @@ def outer_bound_deficit(
     # bit, and an edge's bits OR to the blocks it meets (none when inside B)
     index = h._index()
     bit = [0] * len(index.names)
-    for k, c in enumerate(p.blocks):
+    for k, c in enumerate(blocks):
         for v in c:
             bit[index.position[v]] = 1 << k
     scaled = 0
@@ -257,6 +283,6 @@ def outer_bound_deficit(
             scaled += w * (met.bit_count() - 1)
     return (
         rt.over(bset)
-        - (len(p) - 1) * rt.key_rate
+        - (len(blocks) - 1) * rt.key_rate
         + Fraction(scaled, index.scale)
     )

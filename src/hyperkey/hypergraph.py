@@ -37,6 +37,12 @@ them:
               ("properties", "synthesize") (the default-order scheme, its
               orders and its pairing-tree violations)
 
+Two input rules are checked here for the whole package: a rational
+argument is read by _as_rational, each caller naming its error class (an
+edge weight by as_weight, a rate by capacity._as_fraction), and a
+partition by _partition_blocks (Partition.from_blocks, merge,
+partitions.crossing_count and capacity.outer_bound_deficit).
+
 The independent checks stay off the index, so a fault in it shows as a
 disagreement instead of being copied into both sides: components,
 removal_component_count and _search (a union-find over the Edge objects),
@@ -50,13 +56,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from .errors import (
     DuplicateEdgeId,
     EmptyResult,
     EmptyVertexSet,
     GroundTooLarge,
+    HyperkeyError,
     InvalidPartition,
     NonpositiveWeight,
     RankDefect,
@@ -99,16 +106,25 @@ def _read_rational(text: str) -> Fraction:
     return value
 
 
-def as_weight(value: WeightLike) -> Fraction:
-    """Coerce an int / string (_read_rational) / Fraction to a positive exact
-    rational; any value that is not one (a malformed string, a zero
-    denominator, None) raises NonpositiveWeight."""
+def _as_rational(value, error: type[HyperkeyError], message: str) -> Fraction:
+    """The one reader of a rational argument: a Fraction as it is, a str by
+    _read_rational, anything else by Fraction().  A value none of them reads
+    (a malformed string, a zero denominator, None) raises
+    error(f"{message}, got {value!r}")."""
+    if type(value) is Fraction:
+        return value
     try:
-        w = _read_rational(value) if isinstance(value, str) else Fraction(value)
+        return _read_rational(value) if isinstance(value, str) else Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise NonpositiveWeight(
-            f"edge weight must be a positive rational, got {value!r}"
-        ) from None
+        raise error(f"{message}, got {value!r}") from None
+
+
+def as_weight(value: WeightLike) -> Fraction:
+    """An int / string / Fraction (_as_rational) as a positive exact
+    rational, else NonpositiveWeight."""
+    w = _as_rational(
+        value, NonpositiveWeight, "edge weight must be a positive rational"
+    )
     if w <= 0:
         raise NonpositiveWeight(f"edge weight must be positive, got {value!r}")
     return w
@@ -344,8 +360,7 @@ class Hypergraph:
         ids, weights, and the number of edges are unchanged; member sets
         become sets of block labels.
         """
-        block_list = _as_blocks(blocks)
-        _check_partition(block_list, self.vertices)
+        block_list = _partition_blocks(blocks, self.vertices)
         label: dict[str, str] = {}
         labels: list[str] = []
         for blk in block_list:
@@ -595,13 +610,15 @@ class _Index:
         ]
 
 
-def _as_blocks(blocks) -> tuple[frozenset[str], ...]:
-    """Accept a Partition-like (has .blocks) or an iterable of vertex sets."""
+def _partition_blocks(
+    blocks, ground: Optional[frozenset[str]] = None
+) -> list[frozenset[str]]:
+    """The one check of a partition: blocks (a Partition or any iterable of
+    vertex iterables), each vertex through str, as a list of frozensets,
+    when they are nonempty, pairwise disjoint and, if ground is given, cover
+    exactly ground; else InvalidPartition."""
     raw = getattr(blocks, "blocks", blocks)
-    return tuple(frozenset(b) for b in raw)
-
-
-def _check_partition(block_list: Sequence[frozenset[str]], ground: frozenset[str]) -> None:
+    block_list = [frozenset(str(v) for v in b) for b in raw]
     if any(not b for b in block_list):
         raise InvalidPartition("partition blocks must be nonempty")
     union: set[str] = set()
@@ -609,8 +626,13 @@ def _check_partition(block_list: Sequence[frozenset[str]], ground: frozenset[str
     for b in block_list:
         union |= b
         total += len(b)
-    if union != ground or total != len(ground):
-        raise InvalidPartition("blocks must be disjoint and cover the vertex set")
+    if total != len(union):
+        raise InvalidPartition("partition blocks must be disjoint")
+    if ground is not None and union != ground:
+        raise InvalidPartition(
+            f"blocks cover {sorted(union)} but the ground set is {sorted(ground)}"
+        )
+    return block_list
 
 
 def _walk_to_cycle(

@@ -40,11 +40,10 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import (
     EmptyVertexSet,
     GroundTooLarge,
-    InvalidPartition,
     SemiLatticeViolation,
     UnknownVertex,
 )
-from .hypergraph import Hypergraph, _find
+from .hypergraph import Hypergraph, _find, _partition_blocks
 
 __all__ = [
     "Partition",
@@ -75,20 +74,7 @@ class Partition:
     def from_blocks(
         blocks: Iterable[Iterable[str]], ground: Optional[frozenset[str]] = None
     ) -> "Partition":
-        blist = [frozenset(str(v) for v in b) for b in blocks]
-        if any(not b for b in blist):
-            raise InvalidPartition("partition blocks must be nonempty")
-        union: set[str] = set()
-        total = 0
-        for b in blist:
-            union |= b
-            total += len(b)
-        if total != len(union):
-            raise InvalidPartition("partition blocks must be disjoint")
-        if ground is not None and union != ground:
-            raise InvalidPartition(
-                f"blocks cover {sorted(union)} but the ground set is {sorted(ground)}"
-            )
+        blist = _partition_blocks(blocks, ground)
         blist.sort(key=min)
         return Partition(tuple(blist))
 
@@ -131,22 +117,14 @@ class Partition:
         return [sorted(b) for b in self.blocks]
 
 
-def _require_partition_of(h: Hypergraph, p: Partition) -> None:
-    if p.ground() != h.vertices:
-        raise InvalidPartition(
-            f"partition covers {sorted(p.ground())} but the vertex set is "
-            f"{sorted(h.vertices)}"
-        )
-
-
 def crossing_count(h: Hypergraph, p: Partition) -> int:
     """Sum of block degrees minus the edge count.
 
     Each edge contributes (number of blocks it meets) - 1, so the total counts
     block crossings: it is zero exactly when no edge crosses blocks.
     """
-    _require_partition_of(h, p)
-    return sum(h.degree(b) for b in p.blocks) - len(h.edges)
+    blocks = _partition_blocks(p, h.vertices)
+    return sum(h.degree(b) for b in blocks) - len(h.edges)
 
 
 def entropy(h: Hypergraph, b: Iterable[str]) -> Fraction:

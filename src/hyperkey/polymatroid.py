@@ -26,7 +26,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .capacity import (
     _as_fraction,
+    _block_order,
     _canonical_masks,
+    _key_rate,
     _members,
     _require_fundamental_block,
 )
@@ -66,14 +68,12 @@ class RankFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "block", frozenset(str(v) for v in self.block))
-        object.__setattr__(self, "key_rate", _as_fraction(self.key_rate))
+        object.__setattr__(self, "key_rate", _key_rate(self.key_rate))
         self.hypergraph._check_subset(self.block)
         if not self.block:
             raise SubsetOutsideBlock("the block must be nonempty")
         if self.block == self.hypergraph.vertices:
             raise SubsetOutsideBlock("the block must be a proper vertex subset")
-        if self.key_rate < 0:
-            raise NegativeRate("key rate must be nonnegative")
         _require_fundamental_block(self.hypergraph, self.block)
 
 
@@ -297,9 +297,7 @@ class ExtremePoint:
 def extreme_point_for_order(fn: RankFunction, order: Iterable[str]) -> ExtremePoint:
     """Telescope f along one permutation of the block: one component count
     per prefix, read off the block's view, at any block size."""
-    seq = tuple(str(v) for v in order)
-    if frozenset(seq) != fn.block or len(seq) != len(fn.block):
-        raise SubsetOutsideBlock("order must be a permutation of the block")
+    seq = _block_order(fn.block, order)
     if len(seq) == 1:  # one step, to f of the whole block
         return ExtremePoint(order=seq, rates=((seq[0], rank(fn, seq)),))
     view = _block_view(fn.hypergraph, fn.block)

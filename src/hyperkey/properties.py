@@ -34,6 +34,7 @@ polymatroid.verify_contra_polymatroid.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -134,19 +135,21 @@ def lemma_violations(
         label = sorted(block)
         if not restriction.is_mch():
             bad.append(f"incident restriction of {label} is not an MCH")
+        # each vertex's degree in the restriction, from one pass over its edges
+        degree = Counter(v for e in restriction.edges for v in e.members)
         for v in sorted(restriction.vertices - block):
-            if restriction.degree({v}) != 1:
+            if degree[v] != 1:
                 bad.append(
                     f"outside vertex {v!r} has degree != 1 in the restriction of {label}"
                 )
         if len(block) > 1:
             for v in sorted(block):
-                if restriction.degree({v}) < 2:
+                if degree[v] < 2:
                     bad.append(
                         f"block vertex {v!r} has degree < 2 in the restriction of {label}"
                     )
             for e in restriction.edges:
-                degs = [restriction.degree({v}) for v in sorted(e.members)]
+                degs = [degree[v] for v in e.members]
                 if not any(d == 1 for d in degs) or not any(d > 1 for d in degs):
                     bad.append(
                         f"edge {e.id!r} of the restriction of {label} lacks a "

@@ -19,7 +19,10 @@ A block of two or more vertices is read through its cached view
 after each order prefix, in time linear in h when the cyclic cores are
 bounded; a one-vertex block needs no view, since each edge at it is a
 class alone.  Columns are edge indices of the hypergraph's integer index,
-which lists the edges in id order, as the columns are.
+which lists the edges in id order, as the columns are.  A row's columns
+are read by one rule, _columns, for row_pairs, verify and the scheme
+check of simkit; an orders mapping's blocks and orders are checked by
+capacity._require_fundamental_block and capacity._block_order.
 """
 
 from __future__ import annotations
@@ -31,24 +34,29 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import gf2
-from .capacity import RateTuple, _as_fraction, _require_fundamental_block, require_mch
+from .capacity import (
+    RateTuple,
+    _as_fraction,
+    _block_order,
+    _key_rate,
+    _require_fundamental_block,
+    require_mch,
+)
 from .errors import (
     NegativeRate,
     NotFundamentalBlock,
     RankDefect,
     SchemeUnverified,
-    SubsetOutsideBlock,
     WeightsNotConvex,
 )
 from .hypergraph import Hypergraph, _block_view, _find, _representatives
-from .partitions import Partition, partition_connectivity
+from .partitions import partition_connectivity
 
 __all__ = [
     "DiscussionScheme",
     "VerificationReport",
     "CompositeScheme",
     "representatives",
-    "shared_representatives",
     "synthesize",
     "verify",
     "rates_of",
@@ -83,17 +91,9 @@ class DiscussionScheme:
         return self.edge_order.index(eid)
 
     def row_pairs(self) -> tuple[tuple[str, ...], ...]:
-        """Each row's edge ids.  As in _row_mask, an entry that is no int in
-        range(mu) names none, and neither does a row that is not a tuple."""
-        mu = self.mu
-        return tuple(
-            tuple(
-                self.edge_order[j] for j in row if isinstance(j, int) and 0 <= j < mu
-            )
-            if isinstance(row, tuple)
-            else ()
-            for row in self.rows
-        )
+        """Each row's edge ids, one per column _columns reads off it."""
+        mu, order = self.mu, self.edge_order
+        return tuple(tuple(order[j] for j in _columns(row, mu)) for row in self.rows)
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.recovery)
@@ -137,59 +137,23 @@ def representatives(h: Hypergraph, c: Iterable[str]) -> frozenset[str]:
     return frozenset(names[p] for p, _ in _representatives(h, block))
 
 
-def shared_representatives(
-    h: Hypergraph,
-    c: Iterable[str],
-    i: str,
-    removed: Iterable[str],
-) -> tuple[frozenset[str], ...]:
-    """Classes of the representatives sharing an edge with i, grouped by
-    reachability once `removed` (an order prefix containing i) is deleted.
-
-    Classes are returned sorted by their least member.
-    """
-    block = frozenset(str(v) for v in c)
-    vertex = str(i)
-    prefix = frozenset(str(v) for v in removed)
-    _require_fundamental_block(h, block)
-    if vertex not in block:
-        raise SubsetOutsideBlock(f"{vertex!r} is not in block {sorted(block)}")
-    if not prefix <= block or vertex not in prefix:
-        raise SubsetOutsideBlock(
-            "removed must be a subset of the block containing the vertex"
-        )
-    view = _block_view(h, block)
-    return view.classes(vertex, view.mask(prefix))
-
-
 def _normalize_orders(
-    fundamental: Partition,
-    orders: Optional[Mapping] = None,
+    h: Hypergraph, orders: Optional[Mapping] = None
 ) -> dict[frozenset[str], tuple[str, ...]]:
+    """Every fundamental block of the MCH h with its order, in block order:
+    the one orders gives it, checked by _require_fundamental_block and
+    _block_order, else ascending."""
+    fundamental = partition_connectivity(h).fundamental
     table: dict[frozenset[str], tuple[str, ...]] = {
         block: tuple(sorted(block)) for block in fundamental.blocks
     }
-    if orders:
-        for key, seq in orders.items():
-            try:
-                block = frozenset(str(v) for v in iter(key))
-            except TypeError:
-                raise NotFundamentalBlock(
-                    f"order key {key!r} is not iterable"
-                ) from None
-            if block not in table:
-                raise NotFundamentalBlock(
-                    f"{sorted(block)} is not a block of the fundamental partition"
-                )
-            try:
-                perm = tuple(str(v) for v in iter(seq))
-            except TypeError:
-                raise SubsetOutsideBlock(f"order {seq!r} is not iterable") from None
-            if frozenset(perm) != block or len(perm) != len(block):
-                raise SubsetOutsideBlock(
-                    f"order {perm!r} is not a permutation of {sorted(block)}"
-                )
-            table[block] = perm
+    for key, seq in (orders or {}).items():
+        try:
+            block = frozenset(str(v) for v in iter(key))
+        except TypeError:
+            raise NotFundamentalBlock(f"order key {key!r} is not iterable") from None
+        _require_fundamental_block(h, block)
+        table[block] = _block_order(block, seq)
     return table
 
 
@@ -210,8 +174,7 @@ def synthesize(
     representatives(h, block).
     """
     require_mch(h)
-    fundamental = partition_connectivity(h).fundamental
-    table = _normalize_orders(fundamental, orders)
+    table = _normalize_orders(h, orders)
     # h.edges is in id order, so an edge's index is its column
     edge_order = tuple(e.id for e in h.edges)
     index = h._index()
@@ -285,13 +248,7 @@ def _verification(scheme: DiscussionScheme) -> VerificationReport:
     bad_rows = tuple(
         idx
         for idx, row in enumerate(scheme.rows)
-        if not (
-            isinstance(row, tuple)
-            and len(row) == 2
-            and isinstance(row[0], int)
-            and isinstance(row[1], int)
-            and 0 <= row[0] < row[1] < mu
-        )
+        if not (_columns(row, mu) == row and len(row) == 2 and row[0] < row[1])
     )
     row_weights_ok = not bad_rows
     if row_weights_ok:
@@ -338,15 +295,21 @@ def _column_components(mu: int, rows: Iterable[tuple[int, ...]]) -> int:
     return components
 
 
+def _columns(row, mu: int) -> tuple[int, ...]:
+    """The one reader of a scheme row: its int entries in range(mu), in row
+    order, repeats kept; any other entry names no column, and a row that is
+    not a tuple names none."""
+    if not isinstance(row, tuple):
+        return ()
+    return tuple([j for j in row if isinstance(j, int) and 0 <= j < mu])
+
+
 def _row_mask(row: tuple[int, ...], mu: int) -> int:
-    """The gf2 mask of a row: the XOR of 1 << j over its int entries j in
-    range(mu), so a repeated index cancels and any other entry names no
-    column; a row that is not a tuple names none."""
+    """The gf2 mask of a row: the XOR of 1 << j over its _columns, so a
+    repeated column cancels."""
     mask = 0
-    if isinstance(row, tuple):
-        for j in row:
-            if isinstance(j, int) and 0 <= j < mu:
-                mask ^= 1 << j
+    for j in _columns(row, mu):
+        mask ^= 1 << j
     return mask
 
 
@@ -360,7 +323,7 @@ def rates_of(scheme: DiscussionScheme, key_rate: Fraction) -> RateTuple:
                 f"a row is attributed to {speaker!r}, which is not a scheme vertex"
             )
         counts[speaker] += 1
-    rate = _as_fraction(key_rate)
+    rate = _key_rate(key_rate)
     # one Fraction per distinct row count; RateTuple keeps Fractions as they are
     scaled = {n: n * rate for n in set(counts.values())}
     return RateTuple(
@@ -379,7 +342,7 @@ class CompositeScheme:
     multipliers: tuple[int, ...]
 
     def rates(self, key_rate: Fraction) -> RateTuple:
-        rate = _as_fraction(key_rate)
+        rate = _key_rate(key_rate)
         combined: dict[str, Fraction] = {}
         for weight, scheme in self.parts:
             part = rates_of(scheme, rate)

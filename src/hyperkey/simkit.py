@@ -59,9 +59,9 @@ from .errors import (
     SchemeUnverified,
     StateSpaceTooLarge,
 )
-from .capacity import _as_fraction
+from .capacity import _key_rate
 from .hypergraph import Hypergraph, _digit_limit
-from .scheme import DiscussionScheme, verify
+from .scheme import DiscussionScheme, _columns, verify
 
 __all__ = [
     "QuantizedShape",
@@ -107,11 +107,9 @@ def quantize(h: Hypergraph, key_rate: Fraction) -> QuantizedShape:
     the lcm of the rate's denominator and L, the common denominator of the
     hypergraph's integer index, whose weights w * L give the lengths.
     Cached on h per rate, so one simulation quantizes once."""
-    rate = _as_fraction(key_rate)
+    rate = _key_rate(key_rate)
 
     def build():
-        if rate < 0:
-            raise NegativeRate("key rate must be nonnegative")
         _require_rate_within_capacity(h, rate)
         index = h._index()
         scale = lcm(rate.denominator, index.scale)
@@ -169,13 +167,11 @@ def _check_scheme_matches(h: Hypergraph, scheme: DiscussionScheme) -> None:
         raise SchemeUnverified("a recovery edge is not a column its vertex holds")
     if scheme.key_edge not in scheme.edge_order:
         raise SchemeUnverified(f"key edge {scheme.key_edge!r} is not a scheme column")
-    rows = scheme.rows
-    if not all(isinstance(row, tuple) for row in rows) or not all(
-        isinstance(j, int) for row in rows for j in row
-    ):
-        raise SchemeUnverified("a scheme row is not a tuple of column indices")
-    if any(not 0 <= j < scheme.mu for row in rows for j in row):
-        raise SchemeUnverified("a scheme row names a column outside the edge order")
+    mu = scheme.mu
+    if any(_columns(row, mu) != row for row in scheme.rows):
+        raise SchemeUnverified(
+            "a scheme row is not a tuple of column indices into the edge order"
+        )
 
 
 def _bit_plane(bit: int, total: int) -> int:

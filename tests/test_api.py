@@ -3,7 +3,8 @@ defaults over its functions, and the error classes it exports.
 
 A new public name or a new knob shows up here as a test diff, so widening
 the API is a decision someone makes on purpose.  An exported error class
-that nothing in the library raises fails the scan below.
+that nothing in the library raises fails the scan below, and so does a
+second copy of an input rule that has one owner (RULE_OWNERS).
 """
 
 import ast
@@ -210,6 +211,67 @@ def test_the_memo_key_table_matches_the_memo_calls():
     table = _memo_key_table()
     assert "index" in table["hypergraph"]  # the table was read
     assert _memo_key_strings() == table
+
+
+# each input rule -> the one function that checks it; a rule is found by a
+# string constant it raises (docstrings aside), by the except clause of the
+# rational reader, or by the isinstance test on a scheme row's entries
+RULE_OWNERS = {
+    "partition blocks must be nonempty": "hypergraph._partition_blocks",
+    "partition blocks must be disjoint": "hypergraph._partition_blocks",
+    "but the ground set is": "hypergraph._partition_blocks",
+    "is not a block of the fundamental partition": (
+        "capacity._require_fundamental_block"
+    ),
+    "is not a permutation of": "capacity._block_order",
+    "key rate must be nonnegative": "capacity._key_rate",
+    "except (TypeError, ValueError, ZeroDivisionError, OverflowError)": (
+        "hypergraph._as_rational"
+    ),
+    "isinstance(j, int)": "scheme._columns",
+}
+
+
+def _rule_sites():
+    """(module.qualified name of the innermost enclosing def, text) for every
+    string constant that is not a docstring, every except clause (as
+    "except " and its class tuple) and every isinstance call under the
+    package."""
+    found = []
+
+    def visit(node, scope):
+        body = getattr(node, "body", None)
+        docstring = None
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+            docstring = body[0]
+        for child in ast.iter_child_nodes(node):
+            if child is docstring:
+                continue
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                found.append((".".join(scope), child.value))
+            elif isinstance(child, ast.ExceptHandler) and child.type is not None:
+                found.append((".".join(scope), "except " + ast.unparse(child.type)))
+            elif isinstance(child, ast.Call):
+                call = ast.unparse(child)
+                if call.startswith("isinstance("):
+                    found.append((".".join(scope), call))
+            visit(child, inner)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    return found
+
+
+def test_each_input_rule_has_one_owner():
+    """Each input rule (a partition, a block order, a key rate, a rational,
+    a scheme row) is checked in one function; a copy that comes back
+    elsewhere fails here."""
+    sites = _rule_sites()
+    owners = {rule: {at for at, text in sites if rule in text} for rule in RULE_OWNERS}
+    assert owners == {rule: {owner} for rule, owner in RULE_OWNERS.items()}
 
 
 def test_public_names_are_pinned():

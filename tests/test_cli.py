@@ -526,6 +526,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: --") and "expects a rational" in err
 
+    @pytest.mark.parametrize("command", ["scheme", "check", "simulate"])
+    def test_negative_key_rate_is_one_domain_error(self, h1_path, capsys, command):
+        """Every subcommand that takes --key-rate refuses a negative one with
+        the same line."""
+        assert main([command, h1_path, "--key-rate", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: key rate must be nonnegative"]
+
+    def test_negative_rate_entry_keeps_its_own_line(self, h1_path, capsys):
+        argv = ["check", h1_path, "--key-rate", "1", "--rates", "1:-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: rates must be nonnegative"]
+
     def test_weight_past_the_digit_limit_is_usage(self, tmp_path, capsys):
         # it used to parse, then rendering it broke the int-to-str limit
         token = "1" * 3000 + "." + "3" * 3000

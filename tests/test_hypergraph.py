@@ -20,9 +20,9 @@ from hyperkey import (
 from hyperkey import hgio, hypergraph
 from hyperkey.capacity import region_spec
 from hyperkey.errors import GroundTooLarge
-from hyperkey.hypergraph import Edge, block_removal_counts
+from hyperkey.hypergraph import Edge, _block_view, block_removal_counts
 from hyperkey.polymatroid import RankFunction, extreme_point_for_order, rank
-from hyperkey.scheme import representatives, shared_representatives, synthesize
+from hyperkey.scheme import representatives, synthesize
 
 import oracles
 import scale_walls
@@ -304,7 +304,8 @@ class TestOperations:
                 rank(fn, order[:1])
                 extreme_point_for_order(fn, order)
                 representatives(h, block)
-                shared_representatives(h, block, order[0], order[:1])
+                view = _block_view(h, block)
+                view.classes(order[0], view.mask(order[:1]))
             views = _cached_views(h)
             assert views.keys() == {b for b in blocks if len(b) > 1}, h
             assert all(views[b] is first[b] for b in first), h
@@ -326,7 +327,7 @@ class TestOperations:
         assert not _cached_views(inputs[0]) and not _cached_views(inputs[1])
 
     def test_block_queries_keep_no_view_for_a_one_vertex_block(self, h2):
-        """rank, extreme_point_for_order and shared_representatives answer
+        """rank, extreme_point_for_order and the block view's classes answer
         every block of a hypertree (H2, a 60-vertex path), each of one
         vertex, with the values of the component search, and keep no view
         on the value."""
@@ -344,7 +345,8 @@ class TestOperations:
                 assert point.rates == ((vertex, (want[1][1] - 1) * rate),)
                 restriction = h.incident_restriction(block)
                 reps = oracles.representatives_of_restriction(restriction, block)
-                got = shared_representatives(h, block, vertex, block)
+                view = _block_view(h, block)
+                got = view.classes(vertex, view.mask(block))
                 assert got == oracles.classes(restriction, reps, vertex, block)
             assert not _cached_views(h), h
 

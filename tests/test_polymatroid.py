@@ -23,6 +23,7 @@ from hyperkey import (
     partition_connectivity,
     random_mch_with_stats,
     rank,
+    synthesize,
     verify,
 )
 from hyperkey.errors import GroundTooLarge
@@ -183,6 +184,17 @@ class TestExtremePoints:
         assert ep.order == ("3", "2", "1")
         assert dict(ep.rates) == {"1": 1, "2": 1, "3": 0}
         assert ep.rate("2") == 1
+
+    def test_bad_orders_are_refused_as_synthesize_refuses_them(self, h1, fn1):
+        """An order that is not iterable, or that misses a block vertex,
+        raises SubsetOutsideBlock with the message synthesize gives for the
+        same order of the same block."""
+        for order in (5, ("1", "2"), "124"):
+            with pytest.raises(SubsetOutsideBlock) as want:
+                synthesize(h1, {fn1.block: order})
+            with pytest.raises(SubsetOutsideBlock) as got:
+                extreme_point_for_order(fn1, order)
+            assert str(got.value) == str(want.value), order
 
     def test_rate_of_a_vertex_outside_the_block_is_a_domain_error(self, fn1):
         with pytest.raises(UnknownVertex):

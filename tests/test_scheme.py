@@ -23,7 +23,8 @@ from hyperkey import (
     synthesize,
     verify,
 )
-from hyperkey.scheme import _normalize_orders, _row_mask, shared_representatives
+from hyperkey.hypergraph import _block_view
+from hyperkey.scheme import _normalize_orders, _row_mask
 
 import oracles
 
@@ -88,7 +89,8 @@ class TestRepresentatives:
             representatives(h1, "12")
 
     def test_shared_classes_after_prefix(self, h1):
-        classes = shared_representatives(h1, "123", "2", "12")
+        view = _block_view(h1, frozenset("123"))
+        classes = view.classes("2", view.mask("12"))
         assert [sorted(c) for c in classes] == [["4"], ["5"]]
 
     def test_the_guard_takes_exactly_the_fundamental_blocks(self):
@@ -417,7 +419,7 @@ class TestAgainstOracles:
         one-vertex block never gets one from it."""
         for h, orders in scheme_inputs((h1, h2, h3, h5, single_edge)):
             fundamental = partition_connectivity(h).fundamental
-            table = _normalize_orders(fundamental, orders)
+            table = _normalize_orders(h, orders)
             for block in fundamental.blocks:
                 restriction = h.incident_restriction(block)
                 reps = oracles.representatives_of_restriction(restriction, block)
@@ -428,7 +430,8 @@ class TestAgainstOracles:
                 for k in range(1, len(order) + 1):
                     prefix = frozenset(order[:k])
                     want = oracles.classes(restriction, reps, order[k - 1], prefix)
-                    got = shared_representatives(h, block, order[k - 1], prefix)
+                    view = _block_view(h, block)
+                    got = view.classes(order[k - 1], view.mask(prefix))
                     assert got == want, (h, block, order[:k])
 
 
