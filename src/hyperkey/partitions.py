@@ -13,28 +13,26 @@ for the proof and the run-time check of the value, which it keeps in integer
 units on the hypergraph's index.  Every other input is
 swept over all Bell(|V|) partitions, up to SWEEP_CAP vertices, by one
 depth-first walk over restricted-growth codes (_minimizer_sweep); no
-partition is built per leaf.  The same sweep also lists every minimizer and
-serves as the test oracle for the fast path; it computes the finest
-minimizer as the meet of all minimizers and checks the meet-closure
-instead of assuming it, on every sweep.
+partition is built per leaf.  The same sweep serves as the test oracle
+for the fast path; it folds the finest minimizer as it walks (_MeetFold)
+and checks the meet-closure instead of assuming it, on every sweep.
 
-A sweep builds one Partition, the fundamental one, and keeps the
-minimizers as codes.  _cached_sweep caches it on the hypergraph under
-("sweep", w), with w false for the unit functional and for a hypergraph
-whose weights are all one, so such a hypergraph sweeps once for both.  The
-property suites (on the codes) and the public oracle enumerate_minimizers,
-which alone turns each code into a Partition, read that cached sweep.
-_connectivity reads it too when it is there, but otherwise sweeps and keeps
-only the value and the fundamental partition: the codes can run to
-millions, and partition_connectivity and mmi need neither.  Reports and
-sweeps go with the hypergraph.
+A sweep builds one Partition, the fundamental one, and keeps a code per
+minimizer only in a list its caller hands it.  _cached_sweep does, and
+caches the sweep on the hypergraph under ("sweep", w), w false for the
+unit functional and for a hypergraph whose weights are all one, so such a
+hypergraph sweeps once for both; the property suites (on the codes) and
+the public oracle enumerate_minimizers, which alone turns each code into a
+Partition, read it.  _connectivity hands none: the codes can run to
+millions, and partition_connectivity and mmi need only the value and the
+fundamental partition.  Reports and sweeps go with the hypergraph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -166,8 +164,8 @@ def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerS
 
     The unit functional (weighted=False) counts each edge once, the weighted
     one counts it with its weight.  Refuses ground sets above SWEEP_CAP
-    vertices.  The sweep itself is _cached_sweep's, kept on the hypergraph;
-    each call wraps its codes in Partitions, one per minimizer.
+    vertices.  The sweep is _cached_sweep's, the one that keeps its codes;
+    each call wraps them in Partitions, one per minimizer.
     """
     value, fundamental, codes = _cached_sweep(h, weighted)
     elems = sorted(h.vertices)
@@ -187,12 +185,12 @@ def _sweeps_weights(h: Hypergraph, weighted: bool) -> bool:
 def _cached_sweep(
     h: Hypergraph, weighted: bool
 ) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
-    """_minimizer_sweep's (value, fundamental, codes) for one functional,
-    kept on the hypergraph by Hypergraph._memo under ("sweep", w), w being
-    _sweeps_weights: a hypergraph whose weights are all one shares one sweep
-    between the two functionals.  Do not mutate the codes."""
+    """_minimizer_sweep's (value, fundamental, codes), the one sweep that
+    lists codes (the property suites and enumerate_minimizers read them),
+    kept by Hypergraph._memo under ("sweep", w), w being _sweeps_weights:
+    all-one weights share one sweep for both.  Do not mutate the codes."""
     weighted = _sweeps_weights(h, weighted)
-    return h._memo(("sweep", weighted), lambda: _minimizer_sweep(h, weighted))
+    return h._memo(("sweep", weighted), lambda: _minimizer_sweep(h, weighted, []))
 
 
 def _scaled_edge_masks(
@@ -201,9 +199,7 @@ def _scaled_edge_masks(
     """([(member bitmask over elems, weight * L) per edge], L), with L the lcm
     of the weights' denominators, so every scaled weight is an exact int."""
     weights = tuple(edge_weights)
-    scale = 1
-    for w in weights:
-        scale = scale * w.denominator // gcd(scale, w.denominator)
+    scale = lcm(*(w.denominator for w in weights))
     index = {v: i for i, v in enumerate(elems)}
     masks = [
         (sum(1 << index[v] for v in e.members), int(w * scale))
@@ -213,8 +209,8 @@ def _scaled_edge_masks(
 
 
 def _minimizer_sweep(
-    h: Hypergraph, weighted: bool
-) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
+    h: Hypergraph, weighted: bool, codes: Optional[list[tuple[int, ...]]] = None
+) -> tuple[Fraction, Partition, Optional[list[tuple[int, ...]]]]:
     """(value, fundamental, codes): minimize (sum of block coverage sums -
     total) / (|P| - 1) over proper partitions, where a block's coverage sum
     adds the weight of every edge meeting it (1 per edge unless weighted).
@@ -228,10 +224,9 @@ def _minimizer_sweep(
     The last vertex is only evaluated, never placed: one pass over its edges
     gives the total for each of its blocks, and a partition of the others
     whose every leaf would lose to the best so far is skipped whole.  The
-    value is kept as an integer pair, so no partition or Fraction is built
-    per leaf.  codes lists every minimizer's restricted-growth code over the
-    sorted vertices, in enumeration order; only the fundamental partition is
-    built.
+    value is kept as an integer pair, and a _MeetFold folds the finest
+    minimizer, each new meet recounted on the edge masks (hits); a list
+    given as codes gets each minimizer's code over sorted vertices, in order.
     """
     elems = sorted(h.vertices)
     n = len(elems)
@@ -250,19 +245,23 @@ def _minimizer_sweep(
         for i in range(n):
             if em >> i & 1:
                 incident[i].append((j, w))
-    met = [0] * len(weighted_masks)
-    for j, _ in incident[0]:
-        met[j] = 1
+    met = [em & 1 for em, _ in weighted_masks]  # vertex 0 sits in block 0
     code = [0] * n
     last = n - 1
     last_edges = incident[last]
     best_num: Optional[int] = None
     best_den = 1
-    opt_codes: list[tuple[int, ...]] = []
+
+    def hits(meet: tuple[int, ...]) -> bool:
+        masks = [sum(1 << i for i, k in enumerate(meet) if k == b) for b in set(meet)]
+        num = sum(w * (sum(1 for m in masks if m & em) - 1) for em, w in weighted_masks)
+        return num * best_den == best_num * (len(masks) - 1) * scale
+
+    fold = _MeetFold(hits, codes)
 
     def leaves(num: int, blocks: int) -> None:
         # the last vertex joins block k < blocks, or opens block `blocks`
-        nonlocal best_num, best_den, opt_codes
+        nonlocal best_num, best_den
         # one pass over its edges: opening a block adds the weight of every
         # edge already met (base); joining block k saves saving[k] of that
         base = num
@@ -297,9 +296,9 @@ def _minimizer_sweep(
             code[last] = k
             if best_num is None or total * best_den < best_num * den:
                 best_num, best_den = total, den
-                opt_codes = [tuple(code)]
+                fold.restart(tuple(code))
             elif total * best_den == best_num * den:
-                opt_codes.append(tuple(code))
+                fold.tie(tuple(code))
 
     def place(i: int, num: int, blocks: int) -> None:
         if i == last:
@@ -323,39 +322,42 @@ def _minimizer_sweep(
                 met[j] ^= bit
 
     place(1, 0, 1)
-    # place holds itself through its closure, and with it the codes: a
-    # cycle that only a full collection would free once this returns
+    # place holds itself through its closure: a cycle only a collection frees
     del place
-    assert best_num is not None and opt_codes
-
-    return (
-        Fraction(best_num, best_den),
-        _partition_of_code(elems, _meet_of_codes(opt_codes)),
-        opt_codes,
-    )
+    assert best_num is not None
+    return Fraction(best_num, best_den), _partition_of_code(elems, fold.finest()), codes
 
 
-def _meet_of_codes(codes: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The common refinement of partitions given as restricted-growth codes.
+class _MeetFold:
+    """The meet of a sweep's minimizers, folded leaf by leaf: a new best
+    value restarts it, a tie refines it until it is the singletons, and a
+    meet that is neither the old one nor the tie must attain the value
+    (hits), or finest() raises.  The meet labels each element by its pair
+    of labels in order of first occurrence: a restricted-growth code."""
 
-    The minimizers form a lower semi-lattice under refinement.  Fold the
-    meet across all of them and insist every intermediate meet is itself a
-    minimizer; a violation means the assumption broke, and that must fail
-    loudly rather than return a guess.  The meet of two codes labels each
-    element by its pair of labels, numbered in order of first occurrence:
-    that is again a restricted-growth code, and codes are equal exactly
-    when their partitions are.
-    """
-    members = set(codes)
-    meet = codes[0]
-    for c in codes[1:]:
-        labels: dict[tuple[int, int], int] = {}
-        meet = tuple([labels.setdefault(pair, len(labels)) for pair in zip(meet, c)])
-        if meet not in members:
+    def __init__(self, hits, codes=None):
+        self.hits, self.codes = hits, codes
+
+    def restart(self, code: tuple[int, ...]) -> None:
+        self.meet, self.broken = code, False
+        if self.codes is not None:
+            self.codes[:] = [code]
+
+    def tie(self, code: tuple[int, ...]) -> None:
+        if self.codes is not None:
+            self.codes.append(code)
+        old = self.meet
+        if old[-1] < len(old) - 1:
+            ids: dict[tuple[int, int], int] = {}
+            self.meet = tuple([ids.setdefault(p, len(ids)) for p in zip(old, code)])
+            self.broken |= self.meet not in (old, code) and not self.hits(self.meet)
+
+    def finest(self) -> tuple[int, ...]:
+        if self.broken:
             raise SemiLatticeViolation(
                 "minimizer set is not closed under common refinement"
             )
-    return meet
+        return self.meet
 
 
 def _partition_of_code(elems: list[str], code: tuple[int, ...]) -> Partition:
@@ -451,17 +453,15 @@ def _connectivity(h: Hypergraph, weighted: bool) -> ConnectivityReport:
     """The report for one functional, cached on the value; reports are
     frozen, so callers share one.  A non-MCH's weighted report is its unit
     report when _sweeps_weights says the sweeps agree, so a hypergraph whose
-    weights are all one sweeps once for both functionals; it reads a cached
-    sweep when there is one, and otherwise sweeps without caching the
-    sweep's codes."""
+    weights are all one sweeps once for both functionals, keeping no
+    minimizer codes and reading no cached sweep."""
 
     def build():
         if len(h.vertices) >= 2 and h.is_mch():
             return _mch_report(h, weighted)
         if _sweeps_weights(h, weighted) != weighted:
             return _connectivity(h, False)
-        sweep = h._cache.get(("sweep", weighted)) or _minimizer_sweep(h, weighted)
-        return ConnectivityReport(value=sweep[0], fundamental=sweep[1])
+        return ConnectivityReport(*_minimizer_sweep(h, weighted)[:2])
 
     return h._memo(("connectivity", weighted), build)
 

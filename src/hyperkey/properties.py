@@ -36,11 +36,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .capacity import (
     _as_fraction,
+    _canonical_masks,
     _members,
     in_region,
     outer_bound_deficit,
@@ -416,20 +416,18 @@ def scheme_round_trip_violations(
 
     components = _components(h)
     for block in fundamental.blocks:
-        for size in range(1, len(block) + 1):
-            for combo in combinations(sorted(block), size):
-                b = frozenset(combo)
-                if len(b) >= len(h.vertices) - 1:
-                    continue
-                rest = components(components.mask(b))
-                if len(rest) < 2:
-                    continue
-                p = Partition.from_blocks(_members(components.names, m) for m in rest)
-                deficit = outer_bound_deficit(h, rates, b, p)
-                if deficit < 0:
-                    bad.append(
-                        f"outer bound violated by {deficit} at B={sorted(b)}"
-                    )
+        order = sorted(block)
+        for mask in _canonical_masks(len(order)):
+            b = _members(order, mask)
+            if len(b) >= len(h.vertices) - 1:
+                continue
+            rest = components(components.mask(b))
+            if len(rest) < 2:
+                continue
+            p = Partition.from_blocks(_members(components.names, m) for m in rest)
+            deficit = outer_bound_deficit(h, rates, b, p)
+            if deficit < 0:
+                bad.append(f"outer bound violated by {deficit} at B={sorted(b)}")
 
     bad.extend(tree)
 

@@ -10,7 +10,11 @@ cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
 of more than 12), of a seeded `simulate` on a path of each size, and of
 `analyze` on a 12-vertex cycle, which is no MCH, so both connectivity
 functionals take the Bell(12) partition sweep: with unit weights one sweep
-serves both, with weights 1-3 each takes its own.  A last row counts, on
+serves both, with weights 1-3 each takes its own.  The "ties" row runs
+`analyze` where every proper partition is a minimizer: 11 and 12 vertices
+with no edges, and two parallel edges over 10 vertices (TIES), so the
+sweep meets Bell(|V|) - 1 tied leaves and must hold nothing per
+minimizer.  A last row counts, on
 a path of each size, the objects the cyclic garbage collector tracks per
 vertex: those the parsed hypergraph holds, and those `synthesize` adds
 and keeps (its result and what it caches on the hypergraph), each the
@@ -53,6 +57,7 @@ EXPONENTS = (3, 4, 5)  # |V| = 10^3, 10^4, 10^5
 RING = 10**3  # core vertices of the ring row (|V| is twice that)
 CYCLE = 12  # vertices of the non-MCH cycle rows
 CYCLE_WEIGHTS = {"unit": lambda i: 1, "weights 1-3": lambda i: i % 3 + 1}
+TIES = (("no edges", 11), ("no edges", 12), ("two parallel edges", 10))
 GATE_PATH = 12  # vertices of the path whose coverage table the gates check
 GATE_CORE = 12  # core vertices of the ring whose rank table the gates check
 SAMPLER_SHAPES = ((7, 5), (6, 5), (8, 6))  # (vertices, edges) the sampler row draws
@@ -110,6 +115,15 @@ def cycle_text(n: int, weight) -> str:
     for i in range(n):
         lines.append(f"edge e{i}: v{i} v{(i + 1) % n} weight {weight(i)}")
     return "\n".join(lines) + "\n"
+
+
+def ties_text(name: str, n: int) -> str:
+    """n vertices with "no edges", or "two parallel edges" a and b of weight
+    1 over all of them: either way every proper partition is a minimizer."""
+    names = " ".join(f"v{i}" for i in range(n))
+    if name == "no edges":
+        return f"vertices: {names}\n"
+    return f"vertices: {names}\nedge a: {names} weight 1\nedge b: {names} weight 1\n"
 
 
 # The child reports VmHWM, its own peak RSS: on Linux ru_maxrss carries the
@@ -353,6 +367,12 @@ def main_script() -> None:
             file.write_text(cycle_text(CYCLE, weight))
             cell = timed(["--json", "analyze", str(file)])
             print(f"{label:<24} {CYCLE:>7}  {cell:>14}", flush=True)
+        print(f"{'analyze, ties (no MCH)':<24} {'|V|':>7}  {'s/MiB/gen2':>14}")
+        for label, n in TIES:
+            file = work / "ties.hg"
+            file.write_text(ties_text(label, n))
+            cell = timed(["--json", "analyze", str(file)])
+            print(f"{label:<24} {n:>7}  {cell:>14}", flush=True)
         print(f"{'tracked objects / vertex':<24} {'|V|':>7}  {'parse':>14} {'synthesize':>14}")
         for exponent in EXPONENTS:
             n = 10**exponent

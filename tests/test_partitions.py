@@ -24,7 +24,7 @@ from hyperkey import (
 from hyperkey import hgio, partitions
 from hyperkey.cli import main
 from hyperkey.errors import GroundTooLarge, SemiLatticeViolation
-from hyperkey.partitions import _cached_sweep, _meet_of_codes
+from hyperkey.partitions import _cached_sweep, _MeetFold
 import oracles
 import scale_walls
 from oracles import propose as _propose
@@ -539,7 +539,7 @@ class TestOneSweepEntry:
         )
         assert unit.value == Fraction(10, 9)
 
-    def test_connectivity_keeps_no_codes_and_reads_a_cached_sweep(self, monkeypatch):
+    def test_connectivity_keeps_no_codes_and_reads_no_cached_sweep(self, monkeypatch):
         # value 0 on one edge {0, 1}: every partition keeping 0 and 1
         # together is a minimizer, Bell(9) - 1 = 21146 codes (2.6 MiB) at
         # 10 vertices, and Bell(7) - 1 = 876 at 8
@@ -566,7 +566,8 @@ class TestOneSweepEntry:
         assert len(oracle.minimizers) == 876
         assert partition_connectivity(h).fundamental == oracle.fundamental
         assert mmi(h) is partition_connectivity(h)
-        assert len(calls) == 1
+        # the oracle's cached sweep lists codes; connectivity sweeps apart
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("name", scale_walls.CYCLE_WEIGHTS)
     def test_analyze_prints_what_two_sweep_callers_printed(self, tmp_path, capsys, name):
@@ -580,14 +581,119 @@ class TestOneSweepEntry:
 
 
 class TestMeetOfCodes:
+    """_MeetFold on bare restricted-growth codes, as a sweep feeds it: each
+    run is the leaves at one value, better than the run before, so its first
+    code restarts the fold and the rest tie; a meet attains the value when
+    it is a code of the current run."""
+
+    @staticmethod
+    def _finest(*runs):
+        current = []
+        fold = _MeetFold(lambda meet: meet in current)
+        for run in runs:
+            current[:] = run
+            fold.restart(run[0])
+            for code in run[1:]:
+                fold.tie(code)
+        return fold.finest()
+
     def test_folds_to_the_common_refinement(self):
         # {0,1 | 2}, {0 | 1,2} and their meet, the singletons
-        assert _meet_of_codes([(0, 0, 1), (0, 1, 1), (0, 1, 2)]) == (0, 1, 2)
+        assert self._finest([(0, 0, 1), (0, 1, 1), (0, 1, 2)]) == (0, 1, 2)
         # {0,2 | 1,3} and {0,1 | 2,3} meet in {0 | 1 | 2 | 3}; {0,2 | 1 | 3} is coarser
         codes = [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 2, 3)]
-        assert _meet_of_codes(codes) == (0, 1, 2, 3)
-        assert _meet_of_codes([(0, 1, 1, 0)]) == (0, 1, 1, 0)
+        assert self._finest(codes) == (0, 1, 2, 3)
+        assert self._finest([(0, 1, 1, 0)]) == (0, 1, 1, 0)
 
     def test_a_meet_outside_the_set_raises(self):
         with pytest.raises(SemiLatticeViolation):
-            _meet_of_codes([(0, 0, 1), (0, 1, 1)])
+            self._finest([(0, 0, 1), (0, 1, 1)])
+
+    def test_a_prefix_meet_outside_the_set_raises_though_the_last_is_in(self):
+        # A ^ B = {0 | 1,2 | 3} is no minimizer; the final meet C is one
+        a, b, c = (0, 0, 0, 1), (0, 1, 1, 1), (0, 1, 2, 3)
+        with pytest.raises(SemiLatticeViolation):
+            self._finest([a, b, c])
+
+    def test_a_break_at_a_beaten_value_is_dropped(self):
+        a, b = (0, 0, 1), (0, 1, 1)
+        assert self._finest([a, b], [(0, 1, 0)]) == (0, 1, 0)
+        assert self._finest([a, b], [(0, 1, 0), (0, 1, 2)]) == (0, 1, 2)
+
+    def test_codes_are_kept_only_in_a_list_handed_over(self):
+        codes = []
+        fold = _MeetFold(lambda meet: True, codes)
+        fold.restart((0, 0, 1))
+        fold.tie((0, 1, 1))
+        assert codes == [(0, 0, 1), (0, 1, 1)]
+        fold.restart((0, 1, 0))
+        fold.tie((0, 1, 2))
+        assert codes == [(0, 1, 0), (0, 1, 2)]
+        assert fold.finest() == (0, 1, 2)
+
+
+# SHA-256 of `--json analyze` stdout on scale_walls.ties_text(name, 10),
+# recorded while the sweep still listed every minimizer for analyze
+TIES_ANALYZE_SHA256 = {
+    "no edges": "e2c38917721871c034f17cf591e8924afbb74f97c505f3c54c51b0aa940c6536",
+    "two parallel edges": (
+        "a7dc2ffa837e7b03da1db5b76367653d5579184d2d4dc21e013454f89384ecae"
+    ),
+}
+
+
+class TestTiesKeepNoCodes:
+    """partition_connectivity and mmi fold the finest minimizer as the sweep
+    walks, so the 115,974 tied proper partitions of 10 vertices with no
+    edges, or with two parallel edges over all ten, cost no memory per
+    minimizer."""
+
+    @pytest.mark.parametrize("name", TIES_ANALYZE_SHA256)
+    def test_peak_memory_stays_small(self, name):
+        h = hgio.parse(scale_walls.ties_text(name, 10))
+        tracemalloc.start()
+        try:
+            unit, weighted = partition_connectivity(h), mmi(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        singletons = Partition.singletons(h.vertices)
+        assert unit.fundamental == weighted.fundamental == singletons
+        assert unit.value == weighted.value == (2 if h.edges else 0)
+        assert not [key for key in h._cache if key[0] == "sweep"]
+
+    @pytest.mark.parametrize("name", TIES_ANALYZE_SHA256)
+    def test_analyze_prints_the_listing_sweeps_bytes(self, tmp_path, capsys, name):
+        path = tmp_path / "ties.hg"
+        path.write_text(scale_walls.ties_text(name, 10))
+        assert main(["--json", "analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == TIES_ANALYZE_SHA256[name], out
+
+
+def test_connectivity_matches_the_recount_oracle_on_weighted_non_mchs():
+    """partition_connectivity and mmi, which sweep without listing codes, on
+    fresh random weighted hypergraphs of 2-10 vertices that are no MCH."""
+    rng = random.Random(77)
+    checked = 0
+    for n, count in [(n, 10) for n in range(2, 8)] + [(8, 5), (9, 2), (10, 1)]:
+        names = [f"v{i}" for i in range(n)]
+        while count:
+            edges = [
+                (f"e{j}", rng.sample(names, rng.randint(1, min(n, 4))),
+                 Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+                for j in range(rng.randint(0, n + 1))
+            ]
+            h = Hypergraph(names, edges)
+            if h.is_mch():
+                continue
+            count -= 1
+            for report, weighted in ((partition_connectivity(h), False), (mmi(h), True)):
+                weights = tuple(e.weight if weighted else Fraction(1) for e in h.edges)
+                expected = oracles.minimizer_sweep(h, weights)
+                assert (report.value, report.fundamental) == (
+                    expected.value, expected.fundamental,
+                ), (edges, weighted)
+            checked += 1
+    assert checked == 68
