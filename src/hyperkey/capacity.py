@@ -11,7 +11,9 @@ component_count(h minus B) > 1:
     sum of r_i over B  >=  (component_count(h minus B) - 1) * r_K.
 
 Subsets with component count one would give coefficient zero and are never
-materialized.
+materialized.  Membership (in_region) lists no constraint either: it scans
+each block's table of component counts against the subset sums of the
+rates (_first_short_subset), the scan decompose shares.
 
 Three input rules have their one check here: a key rate (_key_rate, read
 by RateTuple, polymatroid.RankFunction, scheme.rates_of and
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -226,22 +229,61 @@ def in_region(h: Hypergraph, rt: RateTuple) -> RegionCheck:
     """Membership test; reports the first violated constraint if any.
 
     The key-rate cap is checked first, then the subset constraints in
-    region_spec's canonical order.  The rate tuple must carry an entry for
-    every vertex of h and for no other.
+    region_spec's canonical order, read off each block's count table
+    (block_removal_counts) by _first_short_subset without listing them.
+    The rate tuple must carry an entry for every vertex of h and for no
+    other; a block of more than 12 vertices raises GroundTooLarge first.
     """
-    spec = region_spec(h)
+    require_mch(h)
+    tables = [
+        block_removal_counts(h, block)
+        for block in partition_connectivity(h).fundamental.blocks
+    ]
     missing = h.vertices - set(rt.per_user)
     if missing:
         raise UnknownVertex(f"rate tuple missing vertices: {sorted(missing)}")
     foreign = set(rt.per_user) - h.vertices
     if foreign:
         raise UnknownVertex(f"rate tuple names unknown vertices: {sorted(foreign)}")
-    if rt.key_rate > spec.key_cap:
+    if rt.key_rate > h.min_weight():
         return RegionCheck(ok=False, key_cap_violated=True)
-    for subset, coeff in spec.constraints:
-        if rt.over(subset) < coeff * rt.key_rate:
-            return RegionCheck(ok=False, violated=(subset, coeff))
+    # every rate over one denominator, so the subset sums are ints
+    scale = math.lcm(
+        rt.key_rate.denominator, *(r.denominator for r in rt.per_user.values())
+    )
+    scaled = {v: r.numerator * (scale // r.denominator) for v, r in rt.per_user.items()}
+    key = rt.key_rate.numerator * (scale // rt.key_rate.denominator)
+    for order, counts in tables:
+        sums = _subset_sums([scaled[v] for v in order])
+        mask = _first_short_subset(counts, sums, key)
+        if mask is not None:
+            return RegionCheck(
+                ok=False, violated=(_members(order, mask), counts[mask] - 1)
+            )
     return RegionCheck(ok=True)
+
+
+def _subset_sums(x: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """sums[mask] = the sum of x[i] over the bits i of mask."""
+    sums = [0] * (1 << len(x))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + x[low.bit_length() - 1]
+    return sums
+
+
+def _first_short_subset(
+    counts: Sequence[int], sums: Sequence[Fraction | int], key_rate: Fraction | int
+) -> Optional[int]:
+    """The first mask, in _canonical_masks order, whose rates (summed in
+    sums, on key_rate's scale) fall short of (counts[mask] - 1) * key_rate:
+    the first violated constraint of the block whose count table is
+    counts; or None.  A mask with count one bounds nothing, as rates are
+    nonnegative."""
+    for m in _canonical_masks(len(counts).bit_length() - 1):
+        if sums[m] < (counts[m] - 1) * key_rate:
+            return m
+    return None
 
 
 def outer_bound_deficit(

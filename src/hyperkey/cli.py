@@ -13,8 +13,9 @@ is built on the first call and shared by every later one; it keeps no state
 between calls, so each call's output and exit code are those of a fresh
 process.  The tree is the only grammar, but a well-formed argv (exact option
 strings, every value present and of its type) is read off tables taken from
-it (_flag_tables, _quick_args) without running parse_args; anything else,
-help and every usage error included, goes to argparse, which answers it.
+it (_flag_tables, _quick_args) without running parse_args; anything else
+goes to argparse.  Its help prints and exits 0; its usage errors raise
+UsageError (_Parser), so they too are one `error:` line and exit 2.
 """
 
 from __future__ import annotations
@@ -49,7 +50,15 @@ SCHEMA_VERSION = 1
 
 
 class UsageError(Exception):
-    """Bad flag values discovered after argparse."""
+    """Bad flag values, found by argparse or after it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose usage
+    errors raise UsageError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _flatten(value, prefix: str, out: list[tuple[str, str]]) -> None:
@@ -389,10 +398,10 @@ def _require_printable(shape, exhaustive: bool) -> None:
     """Refuse before any draw a simulation whose scale, or (seeded) whose
     words of L bits, could pass the int-to-str limit: a word reaches
     2**L - 1, so L must satisfy 2**L <= 10**limit.  A source over run's cap
-    in source bits is left to run, which names that cap."""
+    in source bits gets run's error (simkit._source_bits) first."""
+    simkit._source_bits(shape, exhaustive)
     limit = _digit_limit()
-    cap = simkit.MAX_STATE_BITS if exhaustive else simkit.MAX_SAMPLE_BITS
-    if not limit or shape.total_bits() > cap:
+    if not limit:
         return
     if shape.scale >= _ten_to(limit):
         raise StateSpaceTooLarge(f"the quantization scale has over {limit} digits")
@@ -515,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use.  parse_args keeps
     nothing on it, and help and errors go to the sys.stdout and sys.stderr
     current at each call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperkey",
         description="Secret-key capacities and XOR discussion schemes for "
         "hypergraphical sources",
@@ -588,7 +597,7 @@ def _quick_args(argv: Sequence) -> Optional[argparse.Namespace]:
     _flag_tables; None for any argv outside the plain form (exact option
     strings, each value a str not starting with "-" that its type accepts,
     every positional and required option present, nothing extra), which
-    is left to argparse with its help, errors and exit codes."""
+    is left to argparse: its help, or its usage error as a UsageError."""
     tables = _flag_tables(_build_parser())
     positionals, options, defaults = tables[None]
     namespace = argparse.Namespace(**defaults)
@@ -633,8 +642,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _quick_args(argv) or _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    except SystemExit:  # -h or --help: argparse printed the help
+        return 0
+    except UsageError as exc:  # argparse's own (_Parser)
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
     try:
         doc = _HANDLERS[args.subcommand](args)

@@ -253,7 +253,9 @@ def _minimizer_sweep(
     best_den = 1
 
     def hits(meet: tuple[int, ...]) -> bool:
-        masks = [sum(1 << i for i, k in enumerate(meet) if k == b) for b in set(meet)]
+        masks = [0] * (max(meet) + 1)  # meet is a restricted-growth code
+        for i, k in enumerate(meet):
+            masks[k] |= 1 << i
         num = sum(w * (sum(1 for m in masks if m & em) - 1) for em, w in weighted_masks)
         return num * best_den == best_num * (len(masks) - 1) * scale
 

@@ -10,16 +10,20 @@ feasible vector dominates a convex combination of at most |C| such vertices.
 A block's rank function has one form: the integer table of its 2^|C|
 component counts that region_spec reads (hypergraph.block_removal_counts,
 which refuses blocks of more than 12 vertices), scaled by r_K only where a
-rate is returned.  rank and extreme_point_for_order query the same block
-view one subset at a time, at any block size; neither searches all of h.
-The laws are checked on the counts themselves, and the decomposition
-certificate is computed with exact rational arithmetic only (the greedy
-contra-polymatroid split: lower to a base, then peel off the vertex of a
-chain of tight sets at a time); no floats.
+rate is returned.  One telescope (_telescope) turns that table into the
+count differences along an order: extreme_points calls it once per
+permutation in one flat loop, and decompose once per greedy vertex.  rank
+and extreme_point_for_order query the same block view one subset at a
+time, at any block size; neither searches all of h.  The laws are
+checked on the counts themselves, and the decomposition certificate is
+computed with exact rational arithmetic only (the greedy contra-polymatroid
+split: lower to a base, then peel off the vertex of a chain of tight sets
+at a time); no floats.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -27,10 +31,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .capacity import (
     _as_fraction,
     _block_order,
-    _canonical_masks,
+    _first_short_subset,
     _key_rate,
     _members,
     _require_fundamental_block,
+    _subset_sums,
 )
 from .errors import (
     GroundTooLarge,
@@ -315,10 +320,11 @@ def extreme_point_for_order(fn: RankFunction, order: Iterable[str]) -> ExtremePo
 def extreme_points(fn: RankFunction) -> tuple[ExtremePoint, ...]:
     """All distinct extreme points, one per rate vector.
 
-    Permutations are visited in lexicographic order, depth first over prefix
-    masks of the block's count table, whose differences times r_K are the
-    rates; when several produce the same vector only the first is kept.  Blocks larger than EXTREME_POINTS_CAP are refused
-    (|block|! permutations).
+    One flat loop over the permutations of the block's count table, in
+    lexicographic order: each is telescoped (_telescope) into count
+    differences, whose products with r_K are the rates, and when several
+    produce the same vector only the first is kept.  Blocks larger than
+    EXTREME_POINTS_CAP are refused (|block|! permutations).
     """
     if len(fn.block) > EXTREME_POINTS_CAP:
         raise GroundTooLarge(
@@ -326,30 +332,29 @@ def extreme_points(fn: RankFunction) -> tuple[ExtremePoint, ...]:
             f"{EXTREME_POINTS_CAP}"
         )
     order, counts = block_removal_counts(fn.hypergraph, fn.block)
-    n = len(order)
     r = fn.key_rate
     seen: dict[tuple[int, ...], ExtremePoint] = {}
-    steps = [0] * n  # count differences; the rates are r times them
-    seq: list[int] = []
-
-    def grow(mask: int) -> None:
-        if len(seq) == n:
-            key = tuple(steps) if r else ()  # at r = 0 every vector is zero
-            if key not in seen:
-                seen[key] = ExtremePoint(
-                    order=tuple(order[i] for i in seq),
-                    rates=tuple((v, d * r) for v, d in zip(order, steps)),
-                )
-            return
-        for i in range(n):
-            if not mask >> i & 1:
-                steps[i] = counts[mask | 1 << i] - counts[mask]
-                seq.append(i)
-                grow(mask | 1 << i)
-                seq.pop()
-
-    grow(0)
+    for seq in itertools.permutations(range(len(order))):
+        steps = _telescope(counts, seq)
+        key = tuple(steps) if r else ()  # at r = 0 every vector is zero
+        if key not in seen:
+            seen[key] = ExtremePoint(
+                order=tuple(order[i] for i in seq),
+                rates=tuple((v, d * r) for v, d in zip(order, steps)),
+            )
     return tuple(seen.values())
+
+
+def _telescope(counts: Sequence[int], seq: Sequence[int]) -> list[int]:
+    """The count differences along seq, a permutation of the element
+    indices of a 2^len(seq) count table: entry i is counts[prefix + i] -
+    counts[prefix], prefix holding the elements before i in seq."""
+    steps = [0] * len(seq)
+    mask = 0
+    for i in seq:
+        steps[i] = counts[mask | 1 << i] - counts[mask]
+        mask |= 1 << i
+    return steps
 
 
 @dataclass(frozen=True)
@@ -391,11 +396,11 @@ def decompose(fn: RankFunction, target: Mapping[str, Fraction]) -> Decomposition
     n = len(order)
     x = [goal[v] for v in order]
     sums = _subset_sums(x)
-    for mask in _canonical_masks(n):
-        if sums[mask] < values[mask]:
-            return DecompositionResult(
-                feasible=False, violated=(_members(order, mask), values[mask])
-            )
+    short = _first_short_subset(counts, sums, fn.key_rate)
+    if short is not None:
+        return DecompositionResult(
+            feasible=False, violated=(_members(order, short), values[short])
+        )
 
     full = (1 << n) - 1
     slack = [s - f for s, f in zip(sums, values)]
@@ -419,11 +424,7 @@ def decompose(fn: RankFunction, target: Mapping[str, Fraction]) -> Decomposition
                 top = m
         if top != full:  # pragma: no cover
             break  # theorem guard: a base of f has a maximal tight chain
-        vertex = [Fraction(0)] * n
-        mask = 0
-        for i in chain:
-            vertex[i] = values[mask | 1 << i] - values[mask]
-            mask |= 1 << i
+        vertex = [d * fn.key_rate for d in _telescope(counts, chain)]
         point = ExtremePoint(
             order=tuple(order[i] for i in chain), rates=tuple(zip(order, vertex))
         )
@@ -443,11 +444,3 @@ def decompose(fn: RankFunction, target: Mapping[str, Fraction]) -> Decomposition
         "the rank function is not normalized and supermodular over this block"
     )
 
-
-def _subset_sums(x: list[Fraction]) -> list[Fraction]:
-    """sums[mask] = the sum of x[i] over the bits i of mask."""
-    sums = [Fraction(0)] * (1 << len(x))
-    for m in range(1, len(sums)):
-        low = m & -m
-        sums[m] = sums[m ^ low] + x[low.bit_length() - 1]
-    return sums

@@ -213,10 +213,6 @@ def synthesize(
         key_edge=edge_order[0],
         recovery=recovery,
     )
-    if len(rows) != len(edge_order) - 1:
-        raise RankDefect(
-            f"synthesized {len(rows)} rows for {len(edge_order)} edges"
-        )
     report = verify(scheme)
     if not report.ok:
         raise RankDefect(f"synthesized scheme failed verification: {report}")

@@ -87,6 +87,19 @@ def _count_text(n: int) -> str:
     return f"10^{limit} or more" if limit and n >= 10**limit else str(n)
 
 
+def _source_bits(shape: QuantizedShape, exhaustive: bool) -> int:
+    """shape's source bits; StateSpaceTooLarge past the cap of an exhaustive
+    sweep (MAX_STATE_BITS) or of a sampled run (MAX_SAMPLE_BITS)."""
+    total = shape.total_bits()
+    cap = MAX_STATE_BITS if exhaustive else MAX_SAMPLE_BITS
+    if total > cap:
+        kind = "exhaustive" if exhaustive else "sampling"
+        raise StateSpaceTooLarge(
+            f"{_count_text(total)} source bits exceed the {kind} cap {cap}"
+        )
+    return total
+
+
 @dataclass(frozen=True)
 class QuantizedShape:
     """Blocklength scale plus per-edge bit lengths and the key length."""
@@ -263,13 +276,7 @@ def run(
     if not verify(scheme).ok:
         raise SchemeUnverified("scheme failed verification")
     shape = quantize(h, key_rate)
-    total = shape.total_bits()
-    cap = MAX_STATE_BITS if exhaustive else MAX_SAMPLE_BITS
-    if total > cap:
-        kind = "exhaustive" if exhaustive else "sampling"
-        raise StateSpaceTooLarge(
-            f"{_count_text(total)} source bits exceed the {kind} cap {cap}"
-        )
+    total = _source_bits(shape, exhaustive)
     key_len = shape.key_length
     layout = _layout(shape)
     column = {eid: k for k, eid in enumerate(scheme.edge_order)}
@@ -342,12 +349,7 @@ def brute_force_secrecy(
     """
     _check_scheme_matches(h, scheme)
     shape = quantize(h, key_rate)
-    total = shape.total_bits()
-    if total > MAX_STATE_BITS:
-        raise StateSpaceTooLarge(
-            f"{_count_text(total)} source bits exceed the exhaustive cap "
-            f"{MAX_STATE_BITS}"
-        )
+    total = _source_bits(shape, exhaustive=True)
     counts = _cell_counts(scheme, shape)
     key_len = shape.key_length
     key_mask = (1 << key_len) - 1

@@ -7,8 +7,10 @@ included) on a path and on a chain of triangle cores at 10^3, 10^4 and
 10^5 vertices, of `hgio.parse` alone on the same texts (the reader's share
 of each of those calls), of `analyze` and `scheme` on one
 cyclic core of 10^3 vertices with a pendant each (`region` refuses blocks
-of more than 12), of a seeded `simulate` on a path of each size, and of
-`analyze` on a 12-vertex cycle, which is no MCH, so both connectivity
+of more than 12), of `check` in and out of the region on such a core of
+CHECK_CORE = 12 vertices, the largest block the count table serves, of a
+seeded `simulate` on a path of each size, and of `analyze` on a 12-vertex
+cycle, which is no MCH, so both connectivity
 functionals take the Bell(12) partition sweep: with unit weights one sweep
 serves both, with weights 1-3 each takes its own.  The "ties" row runs
 `analyze` where every proper partition is a minimizer: 11 and 12 vertices
@@ -60,6 +62,7 @@ CYCLE_WEIGHTS = {"unit": lambda i: 1, "weights 1-3": lambda i: i % 3 + 1}
 TIES = (("no edges", 11), ("no edges", 12), ("two parallel edges", 10))
 GATE_PATH = 12  # vertices of the path whose coverage table the gates check
 GATE_CORE = 12  # core vertices of the ring whose rank table the gates check
+CHECK_CORE = 12  # core vertices of the ring the check row tests rates on
 SAMPLER_SHAPES = ((7, 5), (6, 5), (8, 6))  # (vertices, edges) the sampler row draws
 SAMPLER_SEEDS = 8  # one pass of the sampler row draws seeds 0..SAMPLER_SEEDS-1
 
@@ -107,6 +110,13 @@ def ring_text(k: int, rng: random.Random) -> str:
             f"edge e{i}: c{i} c{(i + 1) % k} p{i} weight {rng.randint(1, 3)}"
         )
     return "\n".join(lines) + "\n"
+
+
+def ring_rates(k: int, core: str) -> str:
+    """--rates for ring_text(k): core on each core vertex, 1 on each pendant.
+    Each core subset B has coefficient |B| - 1 at key rate 1, so core "1"
+    is in the region and "9/10" is not (first at an 11-vertex subset)."""
+    return ",".join([f"c{i}:{core}" for i in range(k)] + [f"p{i}:1" for i in range(k)])
 
 
 def cycle_text(n: int, weight) -> str:
@@ -354,6 +364,15 @@ def main_script() -> None:
         file.write_text(ring_text(RING, rng))
         cells = [timed(["--json", cmd, str(file)]) for cmd in ("analyze", "scheme")]
         print(f"{'ring':<6} {2 * RING:>7}  {cells[0]:>14} {'-':>14} {cells[1]:>14}")
+        file = work / "check-ring.hg"
+        file.write_text(ring_text(CHECK_CORE, rng))
+        print(f"{'check, ring core':<24} {'|V|':>7}  {'in':>14} {'out':>14}")
+        cells = [
+            timed(["--json", "check", str(file), "--key-rate", "1",
+                   "--rates", ring_rates(CHECK_CORE, core)])
+            for core in ("1", "9/10")
+        ]
+        print(f"{'':<24} {2 * CHECK_CORE:>7}  {cells[0]:>14} {cells[1]:>14}", flush=True)
         print(f"{'simulate (seeded), path':<24} {'|V|':>7}  {'s/MiB/gen2':>14}")
         for exponent in EXPONENTS:
             n = 10**exponent

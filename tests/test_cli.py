@@ -666,7 +666,7 @@ def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
     assert [code for code, _, _ in in_process].count(2) == 2
-    assert in_process[0][2].startswith("usage: hyperkey capacity")
+    assert in_process[0][2] == "error: the following arguments are required: file\n"
 
     for (argv, fresh), got in zip(SEQUENCE, in_process):
         if not fresh:
@@ -741,13 +741,14 @@ def test_import_builds_no_parser():
 
 
 def parsed_or_none(argv):
-    """vars of parse_args(argv), or None where argparse exits."""
+    """vars of parse_args(argv), or None where argparse exits or finds a
+    usage error."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
         io.StringIO()
     ):
         try:
             return vars(cli._build_parser().parse_args(argv))
-        except SystemExit:
+        except (SystemExit, cli.UsageError):
             return None
 
 

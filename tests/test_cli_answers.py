@@ -4,15 +4,12 @@ A hypothesis test drives analyze, capacity, region, check, scheme and
 simulate in process, as text and as --json, on random MCH and non-MCH
 sources of 2-8 vertices whose ids hold ":", "," or "=", with weights of up
 to a few hundred digits and flag values that are zero, negative,
-unreadable or very long.  The exit code must be 0, 1 or 2; on 1 or 2,
-stdout is empty and stderr is one `error:` line; nothing escapes main.
-On exit 0, analyze agrees with the recount oracle (non-MCH) or the MCH
-closed forms, and capacity with its closed forms.
-
-Int flags (--seed, --trials) take only values their argparse type reads,
-so every error comes from a handler: argparse's own usage errors print a
-usage line as well, by design.  --trials stays small, since a seeded run
-costs one simulation per trial.
+unreadable or very long, the int flags (--seed, --trials) included.
+The exit code must be 0, 1 or 2; on 1 or 2, stdout is empty and stderr
+is one `error:` line; nothing escapes main.  On exit 0, analyze agrees
+with the recount oracle (non-MCH) or the MCH closed forms, capacity with
+its closed forms, and check with a scan of oracles.region_spec.
+--trials stays small, since a seeded run costs one simulation per trial.
 """
 
 import contextlib
@@ -42,7 +39,12 @@ RATIONALS = st.one_of(
     WEIGHTS.map(str),
     st.sampled_from(["9" * 5000, "1/" + "7" * 5000, "-" + "9" * 400]),
 )
-INTS = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+# values for the int flags: readable, or unreadable to argparse's int
+UNREADABLE_INTS = st.sampled_from(["x", "", "1/2", "1e3", "1.0", "9" * 5000])
+INTS = st.one_of(
+    st.integers(-3, 3).map(str), st.integers(-BIG, BIG).map(str), UNREADABLE_INTS
+)
+TRIALS = st.one_of(st.integers(-1, 3).map(str), UNREADABLE_INTS)
 MATRIX = ["--emit-matrix"]
 MANGLES = ["none"] * 4 + ["drop", "repeat", "foreign", "bare"]
 
@@ -107,7 +109,8 @@ def orders(draw, h: Hypergraph):
 
 @st.composite
 def calls(draw):
-    """(source, [argv without --json and file]) for the six subcommands."""
+    """(source, [argv without --json and file]) for the six subcommands,
+    check twice: once with drawn flag values, once near the region."""
     h = draw(sources())
     names = sorted(h.vertices)
     rates = ",".join(
@@ -121,16 +124,20 @@ def calls(draw):
     sim = draw(
         st.one_of(
             st.just(["--exhaustive"]),
-            st.tuples(INTS, st.integers(-1, 3)).map(
-                lambda p: _flag("--seed", str(p[0])) + _flag("--trials", str(p[1]))
+            st.tuples(INTS, TRIALS).map(
+                lambda p: _flag("--seed", p[0]) + _flag("--trials", p[1])
             ),
         )
     )
+    # rates near the region: every vertex at 0-3, the key at the capacity
+    near = ",".join(f"{_escaped(v)}:{draw(st.integers(0, 3))}" for v in names)
+    least = str(min((e.weight for e in h.edges), default=1))
     argvs = [
         ["analyze"],
         ["capacity"] + ([] if total is None else _flag("--total-rate", total)),
         ["region"],
         ["check"] + _flag("--key-rate", draw(RATIONALS)) + _flag("--rates", rates),
+        ["check", "--key-rate", least] + _flag("--rates", near),
         ["scheme", *key_flags, *order_flags, *draw(st.sampled_from([[], MATRIX]))],
         ["simulate"] + key_flags + order_flags + sim,
     ]
@@ -163,6 +170,24 @@ def _check_answer(h: Hypergraph, command: str, doc: dict) -> None:
         least = min(e.weight for e in h.edges)
         assert doc["unconstrained_capacity"] == str(least)
         assert doc["communication_complexity"] == str((len(h.edges) - 1) * least)
+    elif command == "check":
+        # an independent scan: the key cap first, then the first constraint
+        # of the per-subset oracle whose rates sum below it
+        key_rate = Fraction(doc["key_rate"])
+        rates = {v: Fraction(r) for v, r in doc["rates"].items()}
+        spec = oracles.region_spec(h)
+        expected = "key_cap" if key_rate > spec.key_cap else next(
+            (
+                {"subset": sorted(b), "coefficient": c}
+                for b, c in spec.constraints
+                if sum(rates[v] for v in b) < c * key_rate
+            ),
+            None,
+        )
+        got = doc.get("violated")
+        if isinstance(got, dict):
+            got = {"subset": got["subset"], "coefficient": got["coefficient"]}
+        assert (doc["in_region"], got) == (expected is None, expected)
 
 
 @settings(max_examples=250)
