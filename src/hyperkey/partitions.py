@@ -11,11 +11,19 @@ DFS of the vertex-edge incidence graph gives the fundamental partition, and
 the minimum is 1 (unit) or the least edge weight (weighted); see _mch_report
 for the proof and the run-time check of the value, which it keeps in integer
 units on the hypergraph's index.  Every other input is
-swept over all Bell(|V|) partitions, up to SWEEP_CAP vertices, by one
+swept over the Bell(|V|) partitions, up to SWEEP_CAP vertices, by one
 depth-first walk over restricted-growth codes (_minimizer_sweep); no
-partition is built per leaf.  The same sweep serves as the test oracle
-for the fast path; it folds the finest minimizer as it walks (_MeetFold)
-and checks the meet-closure instead of assuming it, on every sweep.
+partition is built per leaf.  The walk skips a subtree when no completion
+can tie the best value so far: a partial code with numerator num, whose
+blocks form comps components under the edges met so far, cannot complete
+to a numerator below num + w_min * (t + comps - whole) when it opens t more
+blocks, w_min being the least weight and whole the component count of h,
+since the quotient's cycle rank never falls as vertices are placed.  Ties
+are never skipped, so an input on which every partition ties (no edges,
+say) still costs all Bell(|V|) leaves.  The same sweep serves as the test
+oracle for the fast path; it folds the finest minimizer as it walks
+(_MeetFold) and checks the meet-closure instead of assuming it, on every
+sweep.
 
 A sweep builds one Partition, the fundamental one, and keeps a code per
 minimizer only in a list its caller hands it.  _cached_sweep does, and
@@ -79,12 +87,6 @@ class Partition:
     @staticmethod
     def singletons(ground: Iterable[str]) -> "Partition":
         return Partition.from_blocks([{v} for v in ground])
-
-    def ground(self) -> frozenset[str]:
-        out: set[str] = set()
-        for b in self.blocks:
-            out |= b
-        return frozenset(out)
 
     def __iter__(self) -> Iterator[frozenset[str]]:
         return iter(self.blocks)
@@ -222,8 +224,22 @@ def _minimizer_sweep(
     updates only the edges at i, adding an edge's scaled weight when k is new
     to it and it already met another block, and backtracking undoes that.
     The last vertex is only evaluated, never placed: one pass over its edges
-    gives the total for each of its blocks, and a partition of the others
-    whose every leaf would lose to the best so far is skipped whole.  The
+    gives the total for each of its blocks.
+
+    A child whose every completion would lose to the best so far is skipped
+    whole.  Let num be its partial numerator, nb its block count, comps the
+    count of components of its blocks joined by the edges met so far (a
+    union-find over block ids, undone on backtrack), whole the component
+    count of h and w_min the least scaled weight.  A completion opening t
+    more blocks has a numerator of at least num + w_min * (t + comps -
+    whole): the quotient's cycle rank, sum_e (c_e - 1) - blocks + comps,
+    never falls as members are placed, the final quotient has at most
+    whole components, and each further crossing weighs at least w_min.
+    That bound over nb - 1 + t is monotone in t, so the child is skipped
+    when it exceeds the best at the end where it is least.  No completion
+    that ties the best is skipped, so the leaves that reach the fold, their
+    order and the codes are those of the full walk; an input on which every
+    partition ties (no edges, say) still walks all Bell(|V|) of them.  The
     value is kept as an integer pair, and a _MeetFold folds the finest
     minimizer, each new meet recounted on the edge masks (hits); a list
     given as codes gets each minimizer's code over sorted vertices, in order.
@@ -245,7 +261,19 @@ def _minimizer_sweep(
         for i in range(n):
             if em >> i & 1:
                 incident[i].append((j, w))
+    # the bound's constants: the least scaled weight and h's component
+    # count, from the edge masks (parts: each component's vertex bitmask)
+    w_min = min((w for _, w in weighted_masks), default=0)
+    parts = [1 << i for i in range(n)]
+    for em, _ in weighted_masks:
+        merged = em
+        for part in [part for part in parts if part & em]:
+            parts.remove(part)
+            merged |= part
+        parts.append(merged)
+    whole = len(parts)
     met = [em & 1 for em, _ in weighted_masks]  # vertex 0 sits in block 0
+    up = list(range(n))  # union-find over block ids joined by met edges
     code = [0] * n
     last = n - 1
     last_edges = incident[last]
@@ -276,18 +304,6 @@ def _minimizer_sweep(
                     low = m & -m
                     saving[low.bit_length() - 1] += w
                     m ^= low
-        # no leaf here can tie or beat the best: the new block gives
-        # base / blocks, the best old block (base - max saving) / (blocks - 1)
-        if (
-            best_num is not None
-            and base * best_den > best_num * blocks * scale
-            and (
-                blocks == 1
-                or (base - max(saving)) * best_den
-                > best_num * (blocks - 1) * scale
-            )
-        ):
-            return
         for k in range(blocks + 1):
             if k < blocks:
                 if blocks == 1:
@@ -302,28 +318,54 @@ def _minimizer_sweep(
             elif total * best_den == best_num * den:
                 fold.tie(tuple(code))
 
-    def place(i: int, num: int, blocks: int) -> None:
+    def place(i: int, num: int, blocks: int, comps: int) -> None:
         if i == last:
             leaves(num, blocks)
             return
         edges = incident[i]
+        rest = last - i  # vertices the child still places
         for k in range(blocks + 1):
             bit = 1 << k
             added = 0
             touched = []
+            joined = []
             for j, w in edges:
                 m = met[j]
                 if not m & bit:
                     if m:
                         added += w
+                        # join k's component with that of the edge's blocks
+                        a = k
+                        while up[a] != a:
+                            a = up[a]
+                        b = (m & -m).bit_length() - 1
+                        while up[b] != b:
+                            b = up[b]
+                        if a != b:
+                            up[a] = b
+                            joined.append(a)
                     met[j] = m | bit
                     touched.append(j)
             code[i] = k
-            place(i + 1, num + added, blocks + 1 if k == blocks else blocks)
+            nb = blocks + 1 if k == blocks else blocks
+            c = comps + (k == blocks) - len(joined)
+            # (floor + w_min * t) / (nb - 1 + t) bounds every completion
+            # opening t more blocks; it is monotone in t, so its least is at
+            # t = rest when it falls, else at the fewest blocks a proper
+            # partition allows
+            floor = num + added + w_min * (c - whole)
+            t = rest if floor >= w_min * (nb - 1) else int(nb == 1)
+            if (
+                best_num is None
+                or (floor + w_min * t) * best_den <= best_num * (nb - 1 + t) * scale
+            ):
+                place(i + 1, num + added, nb, c)
+            for a in joined:
+                up[a] = a
             for j in touched:
                 met[j] ^= bit
 
-    place(1, 0, 1)
+    place(1, 0, 1, 1)
     # place holds itself through its closure: a cycle only a collection frees
     del place
     assert best_num is not None

@@ -8,8 +8,10 @@ them: a whole-graph component count, the Bell partition sweep, exhaustive
 simulation and the brute-force secrecy table (the last two on sources of
 at most simkit.MAX_STATE_BITS bits).
 
-The suites read the Bell sweep's minimizers as restricted-growth codes
-(partitions._cached_sweep) and build a Partition only to word a violation.
+The suites read the Bell sweep's value and finest minimizer
+(partitions._cached_sweep), never its list of minimizers: the sweep folds
+the meet of every minimizer as it walks, so comparing the fast path's
+fundamental partition with that meet covers each minimizer at once.
 What does not depend on the rate is computed once per instance and kept on
 it by Hypergraph._memo, under ("properties", name): _components, the
 component search with its memo keyed by the removed set's bitmask and the
@@ -36,7 +38,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .capacity import (
     _as_fraction,
@@ -51,7 +53,6 @@ from .hypergraph import Hypergraph, _find, block_removal_counts
 from .partitions import (
     Partition,
     _cached_sweep,
-    _partition_of_code,
     _scaled_edge_masks,
     mmi,
     partition_connectivity,
@@ -87,8 +88,10 @@ def lemma_violations(
     integer-scaled weights, on every ground this function accepts), and
     agreement of the weighted capacity formula with the brute-force
     partition minimum, plus the fast-path law of _fast_path_violations.
-    That the fundamental partition refines every minimizer is checked on
-    the minimizers' codes (_code_refiner).  Every component count comes
+    That law also covers "the fundamental partition refines every
+    minimizer": the sweep's finest minimizer is the meet of every
+    minimizer (its _MeetFold raises otherwise), so a fundamental partition
+    equal to it refines each of them.  Every component count comes
     from _components, one bitmask component search independent of the
     rank tables.  The enumeration oracle refuses grounds over 12
     vertices, and so does this function.  The brute-force maximal-subset characterization
@@ -105,12 +108,6 @@ def lemma_violations(
 
     if report.value <= 0:
         bad.append(f"I(H) = {report.value} is not positive on a connected MCH")
-    elems = sorted(h.vertices)
-    refines = _code_refiner(fundamental, elems)
-    for code in _cached_sweep(h, False)[2]:
-        if not refines(code):
-            p = _partition_of_code(elems, code)
-            bad.append(f"fundamental does not refine minimizer {p.to_sorted_lists()}")
 
     degree_sum = 0
     for block in fundamental.blocks:
@@ -203,20 +200,6 @@ def _fast_path_violations(h: Hypergraph) -> list[str]:
                 f"{value} at {fundamental.to_sorted_lists()}"
             )
     return bad
-
-
-def _code_refiner(
-    fundamental: Partition, elems: Sequence[str]
-) -> Callable[[Sequence[int]], bool]:
-    """A test of fundamental.refines(p) for the p whose restricted-growth
-    code over elems is given: every block of fundamental carries a single
-    label in it."""
-    position = {v: i for i, v in enumerate(elems)}
-    pairs = []
-    for block in fundamental.blocks:
-        first, *rest = [position[v] for v in block]
-        pairs.extend((first, i) for i in rest)
-    return lambda code: all(code[a] == code[b] for a, b in pairs)
 
 
 def _redundancy_violations(

@@ -11,12 +11,14 @@ of more than 12), of `check` in and out of the region on such a core of
 CHECK_CORE = 12 vertices, the largest block the count table serves, of a
 seeded `simulate` on a path of each size, and of `analyze` on a 12-vertex
 cycle, which is no MCH, so both connectivity
-functionals take the Bell(12) partition sweep: with unit weights one sweep
-serves both, with weights 1-3 each takes its own.  The "ties" row runs
+functionals take the partition sweep: with unit weights one sweep serves
+both, with weights 1-3 each takes its own.  On a cycle few partitions
+come near the minimum, so the sweep's bound skips most subtrees and these
+rows no longer meet Bell(12) leaves.  The "ties" row runs
 `analyze` where every proper partition is a minimizer: 11 and 12 vertices
 with no edges, and two parallel edges over 10 vertices (TIES), so the
-sweep meets Bell(|V|) - 1 tied leaves and must hold nothing per
-minimizer.  A last row counts, on
+bound skips nothing, the sweep meets all Bell(|V|) - 1 tied leaves and
+must hold nothing per minimizer.  A last row counts, on
 a path of each size, the objects the cyclic garbage collector tracks per
 vertex: those the parsed hypergraph holds, and those `synthesize` adds
 and keeps (its result and what it caches on the hypergraph), each the

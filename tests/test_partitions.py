@@ -428,6 +428,78 @@ class TestSweepMatchesRecountOracle:
         report = partition_connectivity(h)
         assert (report.value, report.fundamental) == (0, Partition.singletons(h.vertices))
 
+    # The sweep skips a subtree when no completion can tie the best so far;
+    # these inputs are where that bound cuts hardest or is closest to wrong.
+
+    @pytest.mark.parametrize(
+        "n, cycle, chords, pendants",
+        [
+            # a 7-cycle, weights 1-3, with a chord, two pendants and a
+            # three-member edge hanging a third pendant off the cycle
+            (10, 7, [((0, 3), 2)], [((1, 7), 3), ((4, 8), 1), ((5, 9, 2), 2)]),
+            # a 6-cycle with a light chord and a pendant path of two edges
+            (9, 6, [((1, 4), 1)], [((0, 6), 2), ((3, 7), 3), ((7, 8), 1)]),
+            # a 9-cycle with two crossing chords
+            (9, 9, [((0, 4), 1), ((2, 7), 3)], []),
+        ],
+        ids=["10-vertex", "9-vertex-pendant-path", "9-cycle-crossing-chords"],
+    )
+    def test_weighted_cycles_with_chords_and_pendants(self, n, cycle, chords, pendants):
+        edges = [((i, (i + 1) % cycle), i % 3 + 1) for i in range(cycle)]
+        h = Hypergraph(
+            [f"v{i}" for i in range(n)],
+            [
+                (f"e{j}", [f"v{i}" for i in members], weight)
+                for j, (members, weight) in enumerate(edges + chords + pendants)
+            ],
+        )
+        assert h.is_connected() and not h.is_mch()
+        _assert_sweep_matches_oracle(h)
+
+    def test_disconnected_host_with_a_cyclic_component(self):
+        """A weighted triangle with a pendant, a 4-cycle and an isolated
+        vertex: three components, so every minimizer is at 0."""
+        h = Hypergraph(
+            [f"v{i}" for i in range(9)],
+            [
+                ("a", ["v0", "v1"], 2), ("b", ["v1", "v2"], 3), ("c", ["v2", "v0"], 2),
+                ("d", ["v2", "v3"], Fraction(1, 2)),
+                ("e", ["v4", "v5"], 1), ("f", ["v5", "v6"], 2),
+                ("g", ["v6", "v7"], 1), ("h", ["v7", "v4"], 3),
+            ],
+        )
+        _assert_sweep_matches_oracle(h)
+        report = mmi(h)
+        assert report.value == 0 and len(report.fundamental) == 3
+
+    def test_a_loop_lighter_than_every_crossing_edge(self):
+        """The least weight is a loop's, which never crosses a block."""
+        h = Hypergraph(
+            [f"v{i}" for i in range(9)],
+            [(f"c{i}", [f"v{i}", f"v{(i + 1) % 6}"], 3 + i % 2) for i in range(6)]
+            + [
+                ("loop", ["v2"], Fraction(1, 3)),
+                ("p", ["v0", "v6"], 2), ("q", ["v3", "v7", "v8"], 5),
+            ],
+        )
+        assert h.loop_edges() == ("loop",)
+        _assert_sweep_matches_oracle(h)
+
+    def test_a_non_mch_with_many_ties_at_the_optimum(self):
+        """Every path edge doubled: each partition into runs of the path
+        ties at 2 for the unit functional."""
+        names = [f"v{i}" for i in range(9)]
+        h = Hypergraph(
+            names,
+            [
+                (f"{side}{i}", [names[i], names[i + 1]], weight)
+                for i in range(8)
+                for side, weight in (("a", 1), ("b", 1 + i % 2))
+            ],
+        )
+        _assert_sweep_matches_oracle(h)
+        assert len(enumerate_minimizers(h).minimizers) == 2**8 - 1
+
 
 DENOMINATORS = (2, 3, 7, 10**18 + 9)
 

@@ -20,7 +20,6 @@ from hyperkey import (
     Hypergraph,
     NotMCH,
     Partition,
-    enumerate_minimizers,
     lemma_violations,
     partition_connectivity,
     random_mch_with_stats,
@@ -30,9 +29,8 @@ from hyperkey import (
 )
 from hyperkey.capacity import require_mch
 from hyperkey.cli import main
-from hyperkey.partitions import _cached_sweep, _partition_of_code
+from hyperkey.partitions import _cached_sweep
 from hyperkey.properties import (
-    _code_refiner,
     _coverage_table,
     _components,
     _entropy_shape_violations,
@@ -248,70 +246,8 @@ class TestRemovalCounter:
 
 
 class TestCodeRefinement:
-    """"The fundamental partition refines every minimizer" is read off the
-    minimizers' restricted-growth codes."""
-
-    @staticmethod
-    def _agreements(h):
-        """(code test, Partition.refines) for every minimizer, against the
-        fundamental partition and against partitions that need not refine
-        it: the singletons, one block, the sorted vertices paired off from
-        the first and from the second, and the first and last minimizers."""
-        elems = sorted(h.vertices)
-        codes = _cached_sweep(h, False)[2]
-        minimizers = enumerate_minimizers(h).minimizers
-        assert tuple(_partition_of_code(elems, c) for c in codes) == minimizers
-        candidates = [
-            partition_connectivity(h).fundamental,
-            Partition.singletons(elems),
-            Partition.from_blocks([elems]),
-            Partition.from_blocks(elems[i : i + 2] for i in range(0, len(elems), 2)),
-            Partition.from_blocks(
-                [elems[:1], *(elems[i : i + 2] for i in range(1, len(elems), 2))]
-            ),
-            minimizers[0],
-            minimizers[-1],
-        ]
-        for f in candidates:
-            refines = _code_refiner(f, elems)
-            for code, p in zip(codes, minimizers):
-                yield refines(code), f.refines(p)
-
-    @pytest.mark.parametrize(
-        "inputs",
-        [oracles.census_mchs, lambda: oracles.random_mchs(200, 41, max_vertices=8)],
-        ids=["census", "random"],
-    )
-    def test_agrees_with_partition_refines(self, inputs):
-        seen = Counter()
-        for h in inputs():
-            for by_code, by_partition in self._agreements(h):
-                assert by_code == by_partition, h
-                seen[by_code] += 1
-        assert seen[True] >= 100 and seen[False] >= 100, seen
-
-    def test_a_minimizer_the_fundamental_does_not_refine_is_reported(
-        self, h1, monkeypatch
-    ):
-        """One unit-sweep code corrupted to split h1's core {1, 2, 3}: the
-        message names it as the Partition path did."""
-        real = properties._cached_sweep
-
-        def corrupted(h, weighted):
-            value, fundamental, codes = real(h, weighted)
-            if weighted:
-                return value, fundamental, codes
-            return value, fundamental, [(0, 1, 0, 0, 0, 0), *codes[1:]]
-
-        monkeypatch.setattr(properties, "_cached_sweep", corrupted)
-        found = lemma_violations(h1, rng=random.Random(0))
-        split = Partition.from_blocks([{"1", "3", "4", "5", "6"}, {"2"}])
-        assert not partition_connectivity(h1).fundamental.refines(split)
-        message = f"fundamental does not refine minimizer {split.to_sorted_lists()}"
-        assert message == (
-            "fundamental does not refine minimizer [['1', '3', '4', '5', '6'], ['2']]"
-        )
-        assert found == [message]
+    """The suites read the Bell sweep's value and finest minimizer, and
+    build no Partition per minimizer."""
 
     def test_one_partition_per_sweep_in_a_fuzz_case(self, monkeypatch):
         """lemma_violations and both round trips of one (8, 4) case build
@@ -324,9 +260,10 @@ class TestCodeRefinement:
                 return real(*args)
             return wrapper
 
-        build = counted("partitions", partitions._partition_of_code)
-        for module in (partitions, properties):
-            monkeypatch.setattr(module, "_partition_of_code", build)
+        monkeypatch.setattr(
+            partitions, "_partition_of_code",
+            counted("partitions", partitions._partition_of_code),
+        )
         monkeypatch.setattr(
             partitions, "_minimizer_sweep",
             counted("sweeps", partitions._minimizer_sweep),
@@ -543,16 +480,10 @@ class TestFuzzOutputUnchanged:
         )
         assert self._stdout() == fast
 
-    def test_same_bytes_as_partitions_per_minimizer_and_no_sharing(self, monkeypatch):
-        """The refinement law read on a Partition per minimizer, and every
-        per-instance helper rebuilt at each use, as before they were
-        shared."""
+    def test_same_bytes_with_no_sharing(self, monkeypatch):
+        """Every per-instance helper rebuilt at each use, as before they
+        were shared."""
         fast = self._stdout()
-        monkeypatch.setattr(
-            properties,
-            "_code_refiner",
-            lambda f, elems: lambda code: f.refines(_partition_of_code(elems, code)),
-        )
         memo = Hypergraph._memo
 
         def unshared(h, key, build):
