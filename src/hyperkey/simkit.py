@@ -31,15 +31,22 @@ other.
 The random MCH sampler (random_mch_with_stats) gives up after MAX_ATTEMPTS
 proposals.  It takes every integer draw straight from getrandbits, as the
 random.Random methods it stands for would take it (_proposals lists them),
-so a seed gives the instance those methods would; tests/oracles.propose
-makes the public calls and the TestRandomMCH oracle tests in
-tests/test_simkit.py compare the two.  Most proposals of the larger
-shapes are doomed from their first draws: every edge after the first must
-introduce a vertex.  An edge that introduces none joins vertices the
-earlier edges already connect, and each later edge meets a vertex that
-was there before it, so removing that edge leaves the proposal
-connected.  Such a proposal makes the rest of its draws by counts alone
-and is never built (see _proposals).
+so a seed gives the instance those methods would; tests/oracles.py makes
+the public calls and the TestRandomMCH oracle tests in
+tests/test_simkit.py compare the two.  A proposal first draws which edge
+introduces each vertex after the first, and is rejected there, before any
+other draw, if some edge introduces no vertex of its own (the first edge
+then has only the first vertex: a loop).  Such a proposal is never an MCH.
+An edge after the first that introduces none joins vertices the earlier
+edges already connect, and each later edge meets a vertex that was there
+before it, so removing that edge leaves the proposal connected.  The
+assignment and the rest of a proposal (a shuffle of the vertices, the
+weights, the earlier vertices each later edge takes) are independent
+draws, so drawing the assignment first changes which instance a seed
+gives but not the law of a proposal, and the early rejection drops only
+proposals that are never accepted: the acceptance probability, the law of
+the attempt count and the law of the accepted instance are those of
+drawing the shuffle first and building every proposal.
 """
 
 from __future__ import annotations
@@ -457,15 +464,16 @@ def random_mch_with_stats(
     """Rejection-sample random hypergraphs until one is minimally connected.
 
     vertex_count and edge_count are exact; proposals are grown connected
-    (every edge meets the earlier ones, every vertex enters through an edge)
-    so rejection only has to find minimality.  Proposals are vertex bitmasks
-    drawn from a private random.Random(seed) (see _proposals) and are tested
-    by _is_minimal; the one Hypergraph built is the accepted case, over
-    vertices "1".."n" with edge ids "a", "b", ... in proposal order.
-    attempts counts every proposal, the accepted one included.  Some shapes
-    admit no MCH at all and exhaust the budget of MAX_ATTEMPTS proposals.
+    (every edge meets the earlier ones, every vertex enters through an edge,
+    every edge introduces one) so rejection only has to find minimality.
+    Proposals are vertex bitmasks drawn from a private random.Random(seed)
+    (see _proposals) and are tested by _is_minimal; the one Hypergraph built
+    is the accepted case, over vertices "1".."n" with edge ids "a", "b", ...
+    in proposal order.  attempts counts every proposal, the accepted one and
+    those _proposals rejects on their assignment included.  A shape that
+    yields no MCH in MAX_ATTEMPTS proposals raises GenerationBudgetExhausted.
 
-    Shapes with edge_count >= vertex_count are among them, and raise
+    Shapes with edge_count >= vertex_count admit no MCH at all, and raise
     GenerationBudgetExhausted before any draw: an MCH on n vertices has at
     most n - 1 edges.  Remove the edges of an MCH h one at a time.  Each
     removal adds a component: if the members of an edge f were still
@@ -487,10 +495,7 @@ def random_mch_with_stats(
         )
     full = (1 << vertex_count) - 1
     proposals = _proposals(random.Random(seed), vertex_count, edge_count, max_weight)
-    for attempt, proposal in zip(range(1, MAX_ATTEMPTS + 1), proposals):
-        if proposal is None:
-            continue
-        masks, weights = proposal
+    for attempt, masks, weights in proposals:
         if not _is_minimal(masks, full):
             continue
         names = [str(i + 1) for i in range(vertex_count)]
@@ -502,8 +507,7 @@ def random_mch_with_stats(
             )
             for j in range(edge_count)
         ]
-        stats = GenerationStats(attempts=attempt)
-        return Hypergraph(names, edges), stats
+        return Hypergraph(names, edges), GenerationStats(attempts=attempt)
     raise GenerationBudgetExhausted(
         f"no MCH with {vertex_count} vertices and {edge_count} edges found "
         f"in {MAX_ATTEMPTS} attempts"
@@ -512,18 +516,21 @@ def random_mch_with_stats(
 
 def _proposals(
     rng: random.Random, vertex_count: int, edge_count: int, max_weight: int
-) -> Iterator[Optional[tuple[list[int], list[int]]]]:
-    """Endless connected proposals, each as (member bitmask per edge, weight
-    per edge), bit i standing for vertex i + 1, or None for a proposal that
-    cannot be an MCH: one with a loop or one that is doomed (below).
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The first MAX_ATTEMPTS proposals, each yielded as (attempt number,
+    member bitmask per edge, weight per edge), bit i standing for vertex
+    i + 1, unless its assignment leaves an edge with no vertex of its own.
 
     A proposal draws what these random.Random calls would, in order: one
-    shuffle of the vertices, one randrange(edge_count) per vertex after the
-    first to pick the edge that introduces it, then per edge a random() and
-    a randint(1, span) or randint(1, 3) choosing how many earlier vertices
+    randrange(edge_count) per vertex after the first to pick the edge that
+    introduces it (the first vertex is the first edge's); there the
+    proposal is rejected, with no further draw, if some edge is picked by
+    none.  Then one shuffle of the vertices, which says which vertex is
+    the first and which the later ones are, and per edge a random() and a
+    randint(1, span) or randint(1, 3) choosing how many earlier vertices
     to add and one sample of them (none for the first edge), and one
     randint(1, max_weight) weight.  The sample runs over the earlier
-    vertices in introduction order, so its picks depend only on that order.
+    vertices in introduction order.
 
     Every draw but random() is taken straight from getrandbits, the way
     CPython's random.py takes it.  randrange(k) is _randbelow(k), and
@@ -533,107 +540,70 @@ def _proposals(
     down to 1.  sample(pool, k) of a pool of at most 21 takes
     pool[j], j = _randbelow(n - i), for i in range(k) and moves the last
     unpicked item into slot j.  So each seed gives the instance and attempt
-    count of the public calls, which tests/oracles.propose makes;
-    TestRandomMCH in tests/test_simkit.py (test_matches_the_rebuild_oracle,
-    test_proposals_keep_step_with_the_oracle and
-    test_multi_word_weights_match_the_oracle) compares the two.
-
-    Which draws a proposal makes depends on the counts alone: how many
-    vertices each edge introduces (fresh) and how many earlier ones it
-    takes, out of span.  Only the first edge can be a loop, when it
-    introduces one vertex: every later edge has a vertex of its own plus a
-    pick, or takes two picks out of a span of at least two.  That one is
-    yielded as None at once, as the public calls stop there too.  A
-    proposal with a later edge j that introduces no vertex is doomed:
-    edge j's members are vertices that edges 0..j-1 already connect, and
-    every later edge hangs its new vertices on what is there, so h - e_j
-    stays connected and the proposal is not minimal.  Its draws are still
-    made, to keep the generator in step, but by counts alone.  The
-    shuffle's swaps are recorded as they are drawn and applied only for a
-    proposal that survives, and only that one builds its intro lists,
-    masks and weights.
+    count of the public calls, which tests/oracles.propose_assignment_first
+    makes; TestRandomMCH in tests/test_simkit.py compares the two.
     """
     getrandbits = rng.getrandbits
     uniform = rng.random
     bits = [k.bit_length() for k in range(vertex_count + 1)]
     edge_bits = edge_count.bit_length()
     weight_bits = max_weight.bit_length()
-    later = range(1, edge_count)
-    while True:
-        swaps = []  # the shuffle's partner of x[i], i from vertex_count - 1 down
+    later = range(vertex_count - 1)
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        owners = []  # the edge that introduces each vertex after the first
+        for _ in later:
+            r = getrandbits(edge_bits)
+            while r >= edge_count:
+                r = getrandbits(edge_bits)
+            owners.append(r)
+        if len(set(owners)) < edge_count:
+            continue  # an edge introduces no vertex: never an MCH
+        pool = list(range(vertex_count))
         for i in range(vertex_count - 1, 0, -1):
             k = bits[i + 1]
             r = getrandbits(k)
             while r > i:
                 r = getrandbits(k)
-            swaps.append(r)
-        owners = []  # the edge that introduces each vertex after the first
-        fresh = [0] * edge_count  # how many vertices each edge introduces
-        fresh[0] = 1
-        for _ in range(vertex_count - 1):
-            r = getrandbits(edge_bits)
-            while r >= edge_count:
-                r = getrandbits(edge_bits)
-            owners.append(r)
-            fresh[r] += 1
-        if fresh[0] == 1:
-            yield None  # the first edge is a loop
-            continue
-        r = getrandbits(weight_bits)
-        while r >= max_weight:
-            r = getrandbits(weight_bits)
-        live = 0 not in fresh
-        if live:
-            pool = list(range(vertex_count))
-            for i, partner in zip(range(vertex_count - 1, 0, -1), swaps):
-                pool[i], pool[partner] = pool[partner], pool[i]
-            intro: list[list[int]] = [[] for _ in fresh]
-            intro[0].append(pool[0])
-            for v, owner in zip(pool[1:], owners):
-                intro[owner].append(v)
-            existing = intro[0][:]
+            pool[i], pool[r] = pool[r], pool[i]
+        intro: list[list[int]] = [[] for _ in range(edge_count)]
+        intro[0].append(pool[0])
+        for v, owner in zip(pool[1:], owners):
+            intro[owner].append(v)
+        existing: list[int] = []
+        masks = []
+        weights = []
+        for fresh in intro:
             members = 0
-            for v in existing:
+            for v in fresh:
                 members |= 1 << v
-            masks = [members]
-            weights = [r + 1]
-        span = fresh[0]
-        for j in later:
-            if uniform() < 0.15:
-                k = bits[span]
-                r = getrandbits(k)
-                while r >= span:
+            span = len(existing)
+            if span:
+                if uniform() < 0.15:
+                    k = bits[span]
                     r = getrandbits(k)
-                take = r + 1
-            else:
-                r = getrandbits(2)
-                while r >= 3:
+                    while r >= span:
+                        r = getrandbits(k)
+                    take = r + 1
+                else:
                     r = getrandbits(2)
-                take = min(r + 1, span)
-            if take == 1 and not fresh[j]:
-                take = 2  # avoid proposing loops, which are never minimal
-            if live:
-                members = 0
-                for v in intro[j]:
-                    members |= 1 << v
+                    while r >= 3:
+                        r = getrandbits(2)
+                    take = min(r + 1, span)
                 unpicked = existing[:]
-            for size in range(span, span - take, -1):
-                k = bits[size]
-                r = getrandbits(k)
-                while r >= size:
+                for size in range(span, span - take, -1):
+                    k = bits[size]
                     r = getrandbits(k)
-                if live:
+                    while r >= size:
+                        r = getrandbits(k)
                     members |= 1 << unpicked[r]
                     unpicked[r] = unpicked[size - 1]
             r = getrandbits(weight_bits)
             while r >= max_weight:
                 r = getrandbits(weight_bits)
-            span += fresh[j]
-            if live:
-                masks.append(members)
-                weights.append(r + 1)
-                existing += intro[j]
-        yield (masks, weights) if live else None
+            masks.append(members)
+            weights.append(r + 1)
+            existing += fresh
+        yield attempt, masks, weights
 
 
 def _is_minimal(masks: list[int], full: int) -> bool:

@@ -343,13 +343,17 @@ def random_mch_with_stats(
     seed: int = 0,
     *,
     max_attempts: int = 200000,
+    proposer=None,
 ) -> tuple[Hypergraph, int]:
     """(first proposal that is an MCH, attempts taken): a Hypergraph built
-    and scanned by is_mch for every proposal.  Shape bounds are not checked."""
+    and scanned by is_mch for every proposal of proposer (by default
+    propose_assignment_first, simkit's draw order; propose draws the
+    shuffle first).  Shape bounds are not checked."""
+    proposer = proposer or propose_assignment_first
     rng = random.Random(seed)
     names = [str(i + 1) for i in range(vertex_count)]
     for attempt in range(1, max_attempts + 1):
-        proposal = propose(rng, names, edge_count, max_weight)
+        proposal = proposer(rng, names, edge_count, max_weight)
         if proposal is not None and proposal.is_mch():
             return proposal, attempt
     raise GenerationBudgetExhausted(
@@ -358,16 +362,54 @@ def random_mch_with_stats(
     )
 
 
+def propose_assignment_first(
+    rng: random.Random, names: list[str], edge_count: int, max_weight: int
+) -> Optional[Hypergraph]:
+    """A connected random hypergraph over names in which every edge
+    introduces a vertex, or None when the assignment leaves an edge with
+    none (such a proposal is never an MCH).
+
+    The public-API reference for simkit._proposals: it makes the
+    randrange, shuffle, randint, random and sample calls whose draws
+    simkit takes straight from getrandbits, so equal instances and
+    attempt counts pin that reduction to the running Python's random.py.
+    It draws what propose draws, the assignment first: the two have one
+    law, as a proposal's assignment and its shuffle are independent."""
+    owners = [rng.randrange(edge_count) for _ in names[1:]]
+    if set(owners) != set(range(edge_count)):
+        return None
+    pool = list(names)
+    rng.shuffle(pool)
+    intro: list[list[str]] = [[] for _ in range(edge_count)]
+    intro[0].append(pool[0])
+    for v, owner in zip(pool[1:], owners):
+        intro[owner].append(v)
+    existing: list[str] = []
+    edges = []
+    for j in range(edge_count):
+        members = set(intro[j])
+        if existing:
+            span = len(existing)
+            if rng.random() < 0.15:
+                take = rng.randint(1, span)
+            else:
+                take = min(rng.randint(1, 3), span)
+            members.update(rng.sample(existing, take))
+        weight = rng.randint(1, max_weight)
+        edges.append((ascii_lowercase[j], sorted(members), weight))
+        existing.extend(intro[j])
+    return Hypergraph(names, edges)
+
+
 def propose(
     rng: random.Random, names: list[str], edge_count: int, max_weight: int
 ) -> Optional[Hypergraph]:
     """A connected random hypergraph over names, or None when an edge would
     get fewer than two members.
 
-    The public-API reference for simkit._proposals: it makes the
-    shuffle, randrange, random, randint and sample calls whose draws
-    simkit takes straight from getrandbits, so equal instances and
-    attempt counts pin that reduction to the running Python's random.py."""
+    The law reference for propose_assignment_first: it draws the shuffle
+    before the assignment and builds every proposal, the doomed ones (an
+    edge after the first that introduces no vertex) included."""
     pool = list(names)
     rng.shuffle(pool)
     # distribute every vertex to the edge that introduces it
@@ -642,9 +684,12 @@ def random_mchs(count: int, seed: int, max_vertices: int = 10) -> list:
     (a cycle of 2-5 three-member edges, each with its own new pendant) at a
     random vertex, so cores of up to 5 vertices merge where they share
     one.  Vertex and edge ids are shuffled labels, so their sorted order is
-    unrelated to the construction."""
+    unrelated to the construction: a pool of 24, extended by "v0", "v1", ...
+    only when max_vertices is larger, so every smaller call draws as it
+    always did."""
     rng = random.Random(seed)
     labels = [*ascii_lowercase[:12], *(str(i) for i in range(4, 14)), "x1", "Z"]
+    labels += [f"v{i}" for i in range(max_vertices - len(labels))]
     out = []
     while len(out) < count:
         target = rng.randint(2, max_vertices)

@@ -10,6 +10,10 @@ is one `error:` line; nothing escapes main.  On exit 0, analyze agrees
 with the recount oracle (non-MCH) or the MCH closed forms, capacity with
 its closed forms, and check with a scan of oracles.region_spec.
 --trials stays small, since a seeded run costs one simulation per trial.
+fuzz, which reads no file, runs on a fixed list of flag values: shapes out
+of bounds or with no MCH, case counts below one, and weights and seeds
+that are negative, unreadable or thousands of digits long; its answer's
+cases_run is the number of instances it lists.
 """
 
 import contextlib
@@ -17,6 +21,7 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +149,25 @@ def calls(draw):
     return h, argvs
 
 
+def _expect_answer_or_one_error(argv) -> list:
+    """(exit code, stdout, stderr) of argv as text and as --json, after
+    checking that each is an answer (exit 0, nothing on stderr) or one
+    `error:` line (exit 1 or 2, nothing on stdout), the same both ways."""
+    results = []
+    for head in ([], ["--json"]):
+        code, out, err = _run(head + argv)
+        assert code in (0, 1, 2), argv
+        if code:
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", argv
+        results.append((code, out, err))
+    (text_code, _, text_err), (json_code, _, json_err) = results
+    assert (text_code, text_err) == (json_code, json_err), argv
+    return results
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -197,17 +221,43 @@ def test_every_call_answers_or_prints_one_error_line(tmp_path_factory, call):
     path = tmp_path_factory.mktemp("source") / "source.hg"
     path.write_text(hgio.serialize(h), encoding="utf-8")
     for argv in argvs:
-        results = []
-        for head in ([], ["--json"]):
-            full = head + [argv[0], str(path)] + argv[1:]
-            code, out, err = _run(full)
-            assert code in (0, 1, 2), full
-            if code:
-                assert out == "", full
-                assert err.startswith("error: ") and err.count("\n") == 1, (full, err)
-            else:
-                assert err == "", full
-            results.append((code, err))
-        assert results[0] == results[1], argv
-        if results[1][0] == 0:
+        _, (code, out, _) = _expect_answer_or_one_error(
+            [argv[0], str(path), *argv[1:]]
+        )
+        if code == 0:
             _check_answer(h, argv[0], json.loads(out))
+
+
+FUZZ = ["fuzz", "--vertices", "4", "--edges", "2", "--cases", "1"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--vertices", "1"],
+        ["--vertices", "9"],
+        ["--edges", "0"],
+        ["--edges", "7"],
+        ["--vertices", "5", "--edges", "5"],
+        ["--vertices", "8", "--edges", "7"],
+        ["--cases", "0"],
+        ["--cases=-3"],
+        ["--cases", "3"],
+        ["--max-weight", "0"],
+        ["--max-weight=-1"],
+        ["--max-weight", "1e3"],
+        ["--max-weight", str(2**70)],
+        ["--max-weight", "9" * 4299],
+        ["--max-weight", "9" * 5000],
+        ["--seed=-5"],
+        ["--seed", "9" * 4300],
+        ["--seed", "9" * 4300, "--cases", "2"],
+    ],
+    ids=lambda flags: " ".join(f if len(f) < 20 else f"<{len(f)} digits>" for f in flags),
+)
+def test_fuzz_answers_or_prints_one_error_line(flags):
+    """Later flags override FUZZ's, so each call changes what it names."""
+    (code, _, _), (_, out, _) = _expect_answer_or_one_error(FUZZ + flags)
+    if code == 0:
+        doc = json.loads(out)
+        assert doc["ok"] and doc["cases_run"] == len(doc["instances"]) >= 1
