@@ -43,11 +43,9 @@ from .errors import (
 from .hypergraph import BergeCycle, Edge, Hypergraph
 from .partitions import (
     ConnectivityReport,
-    MinimizerSweep,
     Partition,
     crossing_count,
     entropy,
-    enumerate_minimizers,
     mmi,
     partition_connectivity,
 )
@@ -114,7 +112,6 @@ __all__ = [
     "HyperkeyError",
     "InvalidPartition",
     "KeyRateExceedsCapacity",
-    "MinimizerSweep",
     "NegativeRate",
     "NonpositiveWeight",
     "NotFundamentalBlock",
@@ -143,7 +140,6 @@ __all__ = [
     "crossing_count",
     "decompose",
     "entropy",
-    "enumerate_minimizers",
     "extreme_points",
     "in_region",
     "lemma_violations",

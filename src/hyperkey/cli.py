@@ -162,6 +162,28 @@ def _load(path: str) -> Hypergraph:
         raise ParseError(str(exc)) from None
 
 
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # what int() reads
+
+
+def _int_flag(text: str) -> int:
+    """The type of the int flags: int(text), except that a well-formed
+    integer past Python's int-from-str limit is refused by naming the
+    limit.  int() refuses it as a ValueError, which argparse reports as
+    a malformed value, echoing every digit."""
+    try:
+        return int(text)
+    except ValueError:
+        if _INT_TEXT.fullmatch(text):
+            raise argparse.ArgumentTypeError(
+                f"the value has more than {_digit_limit()} digits, "
+                "past Python's int-from-str limit"
+            ) from None
+        raise
+
+
+_int_flag.__name__ = "int"  # argparse's "invalid int value: ..." names it
+
+
 def _rational_flag(text: str, flag: str) -> Fraction:
     try:
         return _read_rational(text)
@@ -557,16 +579,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--key-rate", default=None)
     p.add_argument("--order", action="append", help="BLOCK=perm, repeatable")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_int_flag, default=1)
 
     p = sub.add_parser("fuzz", help="random MCHs through the property suite")
-    p.add_argument("--vertices", type=int, default=6)
-    p.add_argument("--edges", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=20)
-    p.add_argument("--max-weight", type=int, default=3)
+    p.add_argument("--vertices", type=_int_flag, default=6)
+    p.add_argument("--edges", type=_int_flag, default=4)
+    p.add_argument("--seed", type=_int_flag, default=0)
+    p.add_argument("--cases", type=_int_flag, default=20)
+    p.add_argument("--max-weight", type=_int_flag, default=3)
     return parser
 
 

@@ -29,7 +29,9 @@ them:
 
   hypergraph  "by_id", "min_weight", "index", "scan" (the incidence scan),
               ("block", block) (a _BlockView)
-  partitions  ("sweep", w), ("connectivity", weighted)
+  partitions  ("sweep", w) (_cached_sweep: the Bell sweep's value and
+              finest minimizer), ("connectivity", weighted) (an MCH's
+              _mch_report, or else the "sweep" report itself)
   capacity    "fundamental blocks"
   simkit      ("shape", numerator, denominator) (quantize, per key rate)
   properties  ("properties", "components") (properties._components, the

@@ -20,20 +20,19 @@ to a numerator below num + w_min * (t + comps - whole) when it opens t more
 blocks, w_min being the least weight and whole the component count of h,
 since the quotient's cycle rank never falls as vertices are placed.  Ties
 are never skipped, so an input on which every partition ties (no edges,
-say) still costs all Bell(|V|) leaves.  The same sweep serves as the test
-oracle for the fast path; it folds the finest minimizer as it walks
-(_MeetFold) and checks the meet-closure instead of assuming it, on every
-sweep.
+say) still costs all Bell(|V|) leaves.  The walk folds the finest
+minimizer as it goes (_MeetFold) and checks the meet-closure instead of
+assuming it, on every sweep.
 
-A sweep builds one Partition, the fundamental one, and keeps a code per
-minimizer only in a list its caller hands it.  _cached_sweep does, and
-caches the sweep on the hypergraph under ("sweep", w), w false for the
-unit functional and for a hypergraph whose weights are all one, so such a
-hypergraph sweeps once for both; the property suites (on the codes) and
-the public oracle enumerate_minimizers, which alone turns each code into a
-Partition, read it.  _connectivity hands none: the codes can run to
-millions, and partition_connectivity and mmi need only the value and the
-fundamental partition.  Reports and sweeps go with the hypergraph.
+A sweep builds one Partition, the fundamental one, and keeps nothing per
+minimizer: it returns a ConnectivityReport, the value and the finest
+minimizer.  _cached_sweep is its one entry and keeps that report on the
+hypergraph under ("sweep", w), w false for the unit functional and for a
+hypergraph whose weights are all one, so such a hypergraph sweeps once for
+both.  partition_connectivity and mmi return that report on a non-MCH, and
+the property suites read it as the oracle for the MCH fast path, so the
+answers and the suites share one sweep per distinct functional.  Reports
+and sweeps go with the hypergraph.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from .hypergraph import Hypergraph, _find, _partition_blocks
 __all__ = [
     "Partition",
     "ConnectivityReport",
-    "MinimizerSweep",
-    "enumerate_minimizers",
     "crossing_count",
     "entropy",
     "partition_connectivity",
@@ -94,9 +91,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def is_singletons(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
     def block_of(self, v: str) -> frozenset[str]:
         for b in self.blocks:
             if v in b:
@@ -106,12 +100,6 @@ class Partition:
     def refines(self, other: "Partition") -> bool:
         """True when every block of self sits inside a block of other."""
         return all(any(b <= c for c in other.blocks) for b in self.blocks)
-
-    def common_refinement(self, other: "Partition") -> "Partition":
-        blocks = [
-            b & c for b in self.blocks for c in other.blocks if b & c
-        ]
-        return Partition.from_blocks(blocks)
 
     def to_sorted_lists(self) -> list[list[str]]:
         return [sorted(b) for b in self.blocks]
@@ -150,49 +138,18 @@ class ConnectivityReport:
     fundamental: Partition
 
 
-@dataclass(frozen=True)
-class MinimizerSweep(ConnectivityReport):
-    """An enumeration oracle's report: also every minimizer.
-
-    minimizers -- every proper partition attaining value, in enumeration
-                  order; fundamental is their meet
-    """
-
-    minimizers: tuple[Partition, ...]
-
-
-def enumerate_minimizers(h: Hypergraph, *, weighted: bool = False) -> MinimizerSweep:
-    """Test oracle: minimize a functional by sweeping all Bell(|V|) partitions.
-
-    The unit functional (weighted=False) counts each edge once, the weighted
-    one counts it with its weight.  Refuses ground sets above SWEEP_CAP
-    vertices.  The sweep is _cached_sweep's, the one that keeps its codes;
-    each call wraps them in Partitions, one per minimizer.
-    """
-    value, fundamental, codes = _cached_sweep(h, weighted)
-    elems = sorted(h.vertices)
-    return MinimizerSweep(
-        value=value,
-        fundamental=fundamental,
-        minimizers=tuple(_partition_of_code(elems, c) for c in codes),
-    )
-
-
 def _sweeps_weights(h: Hypergraph, weighted: bool) -> bool:
     """Whether the weighted sweep differs from the unit one: False when
     weighted is, or when every weight is one."""
     return weighted and any(e.weight != 1 for e in h.edges)
 
 
-def _cached_sweep(
-    h: Hypergraph, weighted: bool
-) -> tuple[Fraction, Partition, list[tuple[int, ...]]]:
-    """_minimizer_sweep's (value, fundamental, codes), the one sweep that
-    lists codes (the property suites and enumerate_minimizers read them),
-    kept by Hypergraph._memo under ("sweep", w), w being _sweeps_weights:
-    all-one weights share one sweep for both.  Do not mutate the codes."""
+def _cached_sweep(h: Hypergraph, weighted: bool) -> ConnectivityReport:
+    """_minimizer_sweep's report, the one entry to the sweep, kept by
+    Hypergraph._memo under ("sweep", w), w being _sweeps_weights: all-one
+    weights share one sweep for both functionals."""
     weighted = _sweeps_weights(h, weighted)
-    return h._memo(("sweep", weighted), lambda: _minimizer_sweep(h, weighted, []))
+    return h._memo(("sweep", weighted), lambda: _minimizer_sweep(h, weighted))
 
 
 def _scaled_edge_masks(
@@ -210,13 +167,12 @@ def _scaled_edge_masks(
     return masks, scale
 
 
-def _minimizer_sweep(
-    h: Hypergraph, weighted: bool, codes: Optional[list[tuple[int, ...]]] = None
-) -> tuple[Fraction, Partition, Optional[list[tuple[int, ...]]]]:
-    """(value, fundamental, codes): minimize (sum of block coverage sums -
-    total) / (|P| - 1) over proper partitions, where a block's coverage sum
-    adds the weight of every edge meeting it (1 per edge unless weighted).
-    Equivalently the numerator is sum_e w_e * (blocks met - 1).
+def _minimizer_sweep(h: Hypergraph, weighted: bool) -> ConnectivityReport:
+    """The value and the fundamental partition: minimize (sum of block
+    coverage sums - total) / (|P| - 1) over proper partitions, where a
+    block's coverage sum adds the weight of every edge meeting it (1 per
+    edge unless weighted).  Equivalently the numerator is
+    sum_e w_e * (blocks met - 1).
 
     A depth-first walk over restricted-growth codes, block choices ascending,
     so leaves come in restricted-growth order.  Each edge keeps a bitmask
@@ -237,12 +193,11 @@ def _minimizer_sweep(
     whole components, and each further crossing weighs at least w_min.
     That bound over nb - 1 + t is monotone in t, so the child is skipped
     when it exceeds the best at the end where it is least.  No completion
-    that ties the best is skipped, so the leaves that reach the fold, their
-    order and the codes are those of the full walk; an input on which every
+    that ties the best is skipped, so the leaves that reach the fold and
+    their order are those of the full walk; an input on which every
     partition ties (no edges, say) still walks all Bell(|V|) of them.  The
     value is kept as an integer pair, and a _MeetFold folds the finest
-    minimizer, each new meet recounted on the edge masks (hits); a list
-    given as codes gets each minimizer's code over sorted vertices, in order.
+    minimizer, each new meet recounted on the edge masks (hits).
     """
     elems = sorted(h.vertices)
     n = len(elems)
@@ -287,7 +242,7 @@ def _minimizer_sweep(
         num = sum(w * (sum(1 for m in masks if m & em) - 1) for em, w in weighted_masks)
         return num * best_den == best_num * (len(masks) - 1) * scale
 
-    fold = _MeetFold(hits, codes)
+    fold = _MeetFold(hits)
 
     def leaves(num: int, blocks: int) -> None:
         # the last vertex joins block k < blocks, or opens block `blocks`
@@ -369,7 +324,10 @@ def _minimizer_sweep(
     # place holds itself through its closure: a cycle only a collection frees
     del place
     assert best_num is not None
-    return Fraction(best_num, best_den), _partition_of_code(elems, fold.finest()), codes
+    return ConnectivityReport(
+        value=Fraction(best_num, best_den),
+        fundamental=_partition_of_code(elems, fold.finest()),
+    )
 
 
 class _MeetFold:
@@ -379,17 +337,13 @@ class _MeetFold:
     (hits), or finest() raises.  The meet labels each element by its pair
     of labels in order of first occurrence: a restricted-growth code."""
 
-    def __init__(self, hits, codes=None):
-        self.hits, self.codes = hits, codes
+    def __init__(self, hits):
+        self.hits = hits
 
     def restart(self, code: tuple[int, ...]) -> None:
         self.meet, self.broken = code, False
-        if self.codes is not None:
-            self.codes[:] = [code]
 
     def tie(self, code: tuple[int, ...]) -> None:
-        if self.codes is not None:
-            self.codes.append(code)
         old = self.meet
         if old[-1] < len(old) - 1:
             ids: dict[tuple[int, int], int] = {}
@@ -495,17 +449,13 @@ def _mch_report(h: Hypergraph, weighted: bool) -> ConnectivityReport:
 
 def _connectivity(h: Hypergraph, weighted: bool) -> ConnectivityReport:
     """The report for one functional, cached on the value; reports are
-    frozen, so callers share one.  A non-MCH's weighted report is its unit
-    report when _sweeps_weights says the sweeps agree, so a hypergraph whose
-    weights are all one sweeps once for both functionals, keeping no
-    minimizer codes and reading no cached sweep."""
+    frozen, so callers share one.  A non-MCH's report is its _cached_sweep
+    report, the one the property suites read."""
 
     def build():
         if len(h.vertices) >= 2 and h.is_mch():
             return _mch_report(h, weighted)
-        if _sweeps_weights(h, weighted) != weighted:
-            return _connectivity(h, False)
-        return ConnectivityReport(*_minimizer_sweep(h, weighted)[:2])
+        return _cached_sweep(h, weighted)
 
     return h._memo(("connectivity", weighted), build)
 

@@ -8,9 +8,9 @@ them: a whole-graph component count, the Bell partition sweep, exhaustive
 simulation and the brute-force secrecy table (the last two on sources of
 at most simkit.MAX_STATE_BITS bits).
 
-The suites read the Bell sweep's value and finest minimizer
-(partitions._cached_sweep), never its list of minimizers: the sweep folds
-the meet of every minimizer as it walks, so comparing the fast path's
+The suites read the Bell sweep's report (partitions._cached_sweep), its
+value and finest minimizer; the sweep lists no minimizers.  It folds the
+meet of every minimizer as it walks, so comparing the fast path's
 fundamental partition with that meet covers each minimizer at once.
 What does not depend on the rate is computed once per instance and kept on
 it by Hypergraph._memo, under ("properties", name): _components, the
@@ -172,7 +172,7 @@ def lemma_violations(
     bad.extend(_entropy_shape_violations(h))
 
     cap = unconstrained_capacity(h)
-    brute = _cached_sweep(h, True)[0]
+    brute = _cached_sweep(h, True).value
     if cap != brute:
         bad.append(f"minimum edge weight {cap} != brute-force weighted minimum {brute}")
 
@@ -192,12 +192,12 @@ def _fast_path_violations(h: Hypergraph) -> list[str]:
         ("partition connectivity", partition_connectivity(h), False),
         ("weighted minimum", mmi(h), True),
     ):
-        value, fundamental, _ = _cached_sweep(h, weighted)
-        if (fast.value, fast.fundamental) != (value, fundamental):
+        sweep = _cached_sweep(h, weighted)
+        if (fast.value, fast.fundamental) != (sweep.value, sweep.fundamental):
             bad.append(
                 f"{name}: fast path gives {fast.value} at "
                 f"{fast.fundamental.to_sorted_lists()}, enumeration gives "
-                f"{value} at {fundamental.to_sorted_lists()}"
+                f"{sweep.value} at {sweep.fundamental.to_sorted_lists()}"
             )
     return bad
 

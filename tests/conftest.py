@@ -1,4 +1,5 @@
-"""Shared fixtures: the five reference hypergraphs and a few degenerate shapes.
+"""Shared fixtures: the five reference hypergraphs, a few degenerate shapes,
+and a Bell sweep that lists its minimizers (swept_codes).
 
 H1, H2, H3, H5 are minimally connected; H4 is the connected cycle-free
 hypergraph with loops.  Derived values frozen in the test modules were
@@ -11,7 +12,7 @@ from hypothesis import settings
 
 import pytest
 
-from hyperkey import Hypergraph
+from hyperkey import Hypergraph, partitions
 
 settings.register_profile("suite", derandomize=True, max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -122,3 +123,40 @@ def triangle():
 @pytest.fixture
 def single_edge():
     return source("single_edge")
+
+
+class RecordingFold(partitions._MeetFold):
+    """A _MeetFold that also lists, in leaf order, the restricted-growth
+    code over the sorted vertices of every minimizer it folds: a new best
+    value starts the list again and a tie adds to it.  The last one built
+    is RecordingFold.last."""
+
+    last = None
+
+    def __init__(self, hits):
+        super().__init__(hits)
+        RecordingFold.last = self
+
+    def restart(self, code):
+        super().restart(code)
+        self.codes = [code]
+
+    def tie(self, code):
+        super().tie(code)
+        self.codes.append(code)
+
+
+@pytest.fixture
+def swept_codes(monkeypatch):
+    """sweep(h, weighted=False) -> (report, codes): a fresh library Bell
+    sweep (partitions._minimizer_sweep, past the cache) with RecordingFold
+    in place of its fold, and the code of each minimizer that fold saw."""
+    monkeypatch.setattr(partitions, "_MeetFold", RecordingFold)
+
+    def sweep(h, weighted=False):
+        RecordingFold.last = None
+        report = partitions._minimizer_sweep(h, weighted)
+        return report, RecordingFold.last.codes
+
+    yield sweep
+    RecordingFold.last = None

@@ -21,6 +21,7 @@ they check.
 import functools
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from itertools import combinations
@@ -29,6 +30,7 @@ from typing import Mapping, Optional
 
 from hyperkey import (
     BergeCycle,
+    ConnectivityReport,
     DecompositionResult,
     DuplicateEdgeId,
     Edge,
@@ -36,7 +38,6 @@ from hyperkey import (
     GenerationBudgetExhausted,
     GroundTooLarge,
     Hypergraph,
-    MinimizerSweep,
     NegativeRate,
     NonpositiveWeight,
     ParseError,
@@ -442,6 +443,22 @@ def propose(
 # -- partition sweep ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class MinimizerSweep(ConnectivityReport):
+    """minimizer_sweep's report: also every minimizer.
+
+    minimizers -- every proper partition attaining value, in enumeration
+                  order; fundamental is their meet
+    """
+
+    minimizers: tuple[Partition, ...]
+
+
+def common_refinement(p: Partition, q: Partition) -> Partition:
+    """The meet of p and q: every nonempty intersection of their blocks."""
+    return Partition.from_blocks([b & c for b in p.blocks for c in q.blocks if b & c])
+
+
 def minimizer_sweep(h: Hypergraph, edge_weights) -> MinimizerSweep:
     """Every proper partition in restricted-growth order, each one rebuilt
     as block bitmasks and every edge counted against every block; the
@@ -498,7 +515,7 @@ def minimizer_sweep(h: Hypergraph, edge_weights) -> MinimizerSweep:
     opt_set = set(opts)
     meet = opts[0]
     for p in opts[1:]:
-        meet = meet.common_refinement(p)
+        meet = common_refinement(meet, p)
         if meet not in opt_set:
             raise SemiLatticeViolation(
                 "minimizer set is not closed under common refinement"

@@ -67,7 +67,7 @@ def test_criterion_01_h1_connectivity(h1):
 
     triangle = partition_connectivity(h1.induced("123"))
     assert triangle.value == Fraction(3, 2)
-    assert triangle.fundamental.is_singletons()
+    assert triangle.fundamental == Partition.singletons("123")
 
     p = Partition.from_blocks([{"1", "2", "3"}, {"4", "5"}, {"6"}])
     assert Fraction(crossing_count(h1, p), len(p.blocks) - 1) == Fraction(3, 2)
@@ -128,7 +128,7 @@ def test_criterion_06_h4_loops(h4):
     assert h4.loop_edges() == ("d", "e")
     rep = partition_connectivity(h4)
     assert rep.value == 1
-    assert rep.fundamental.is_singletons()
+    assert rep.fundamental == Partition.singletons(h4.vertices)
     assert not h4.is_hypertree()
 
 
@@ -215,7 +215,8 @@ def test_criterion_09_census_equivalence():
                 if total % 97 == 0:
                     checked_library += 1
                     rep = partition_connectivity(h)
-                    assert (rep.value == 1 and rep.fundamental.is_singletons()) == right
+                    singletons = rep.fundamental == Partition.singletons(names)
+                    assert (rep.value == 1 and singletons) == right
                     assert _connected_and_forest_by_union_find(n, combo) == left
     assert total == 56601
     assert checked_library == 583

@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "HyperkeyError",
     "InvalidPartition",
     "KeyRateExceedsCapacity",
-    "MinimizerSweep",
     "NegativeRate",
     "NonpositiveWeight",
     "NotFundamentalBlock",
@@ -65,7 +64,6 @@ PUBLIC_NAMES = [
     "crossing_count",
     "decompose",
     "entropy",
-    "enumerate_minimizers",
     "extreme_points",
     "in_region",
     "lemma_violations",
@@ -88,7 +86,6 @@ PUBLIC_NAMES = [
 
 # function name -> its parameters that have a default value
 KNOBS = {
-    "enumerate_minimizers": ["weighted"],
     "lemma_violations": ["rng"],
     "random_mch_with_stats": ["max_weight", "seed"],
     "run": ["seed", "exhaustive"],
@@ -276,14 +273,14 @@ def test_each_input_rule_has_one_owner():
 
 def test_public_names_are_pinned():
     assert sorted(hyperkey.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 64
     assert all(hasattr(hyperkey, name) for name in PUBLIC_NAMES)
     assert len(_error_classes()) == 20
 
 
 def test_parameters_with_defaults_are_pinned():
     assert _knobs() == KNOBS
-    assert sum(len(names) for names in KNOBS.values()) == 8
+    assert sum(len(names) for names in KNOBS.values()) == 7
 
 
 def test_every_exported_error_is_raised():

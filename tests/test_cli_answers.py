@@ -13,12 +13,15 @@ its closed forms, and check with a scan of oracles.region_spec.
 fuzz, which reads no file, runs on a fixed list of flag values: shapes out
 of bounds or with no MCH, case counts below one, and weights and seeds
 that are negative, unreadable or thousands of digits long; its answer's
-cases_run is the number of instances it lists.
+cases_run is the number of instances it lists.  An int flag whose value
+has more digits than Python's int-from-str limit gets one short line that
+names the limit, and a malformed one argparse's own line.
 """
 
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -261,3 +264,39 @@ def test_fuzz_answers_or_prints_one_error_line(flags):
     if code == 0:
         doc = json.loads(out)
         assert doc["ok"] and doc["cases_run"] == len(doc["instances"]) >= 1
+
+
+LIMIT = sys.get_int_max_str_digits()
+PAST_LIMIT = "9" * (LIMIT + 1)
+SIMULATE = ["simulate", "source.hg"]  # argparse refuses the flag before the file
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (SIMULATE + ["--seed", PAST_LIMIT], "--seed"),
+        (SIMULATE + ["--seed=-" + "9" * 5000], "--seed"),
+        (SIMULATE + ["--trials", "9" * 5000], "--trials"),
+        (FUZZ + ["--vertices", PAST_LIMIT], "--vertices"),
+        (FUZZ + ["--edges", "+" + PAST_LIMIT], "--edges"),
+        (FUZZ + ["--seed", PAST_LIMIT], "--seed"),
+        (FUZZ + ["--cases", "9" * 5000], "--cases"),
+        (FUZZ + ["--max-weight", "9" * 5000], "--max-weight"),
+        (FUZZ + ["--max-weight", "9_" * LIMIT + "9"], "--max-weight"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else f"{x[0]} <{len(x[-1])} chars>",
+)
+def test_an_int_flag_past_the_digit_limit_is_one_short_error_line(argv, flag):
+    (code, _, err), _ = _expect_answer_or_one_error(argv)
+    assert code == 2
+    assert err == (
+        f"error: argument {flag}: the value has more than {LIMIT} digits, "
+        "past Python's int-from-str limit\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["x", "", "1e3", "1.0", "9" * 50 + "x"])
+def test_a_malformed_int_flag_keeps_argparse_s_line(value):
+    (code, _, err), _ = _expect_answer_or_one_error(FUZZ + ["--max-weight", value])
+    assert code == 2
+    assert err == f"error: argument --max-weight: invalid int value: {value!r}\n"

@@ -1,4 +1,5 @@
-"""The seeded input generators of tests/oracles.py draw what they drew.
+"""The seeded input generators of tests/oracles.py draw what they drew,
+and the oracles' own partition meet is the meet.
 
 Other tests take their random MCHs from oracles.random_mchs by seed, so a
 change to the generator would change what they check without a failure.
@@ -6,7 +7,7 @@ change to the generator would change what they check without a failure.
 
 import hashlib
 
-from hyperkey import hgio
+from hyperkey import Partition, hgio
 
 import oracles
 
@@ -38,3 +39,13 @@ def test_random_mchs_past_the_label_pool():
         assert len({e.id for e in h.edges}) == len(h.edges)
         sizes.append(len(h.vertices))
     assert max(sizes) > 24, sizes
+
+
+def test_common_refinement_is_the_meet():
+    p = Partition.from_blocks([{"1", "2"}, {"3", "4"}])
+    q = Partition.from_blocks([{"1", "3"}, {"2", "4"}])
+    assert oracles.common_refinement(p, q) == Partition.singletons("1234")
+    r = Partition.from_blocks([{"1", "2", "3"}, {"4"}])
+    assert oracles.common_refinement(p, r) == Partition.from_blocks(
+        [{"1", "2"}, {"3"}, {"4"}]
+    )

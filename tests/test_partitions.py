@@ -16,10 +16,12 @@ from hyperkey import (
     Partition,
     UnknownVertex,
     crossing_count,
-    enumerate_minimizers,
+    lemma_violations,
     mmi,
     partition_connectivity,
     quantize,
+    scheme_round_trip_violations,
+    unconstrained_capacity,
 )
 from hyperkey import hgio, partitions
 from hyperkey.cli import main
@@ -27,11 +29,24 @@ from hyperkey.errors import GroundTooLarge, SemiLatticeViolation
 from hyperkey.partitions import _cached_sweep, _MeetFold
 import oracles
 import scale_walls
+from conftest import RecordingFold
 from oracles import propose as _propose
 
 
 def blocks(partition):
     return sorted(tuple(sorted(b)) for b in partition.blocks)
+
+
+def _partitions(h, codes):
+    """The partition of each restricted-growth code over h's sorted vertices."""
+    elems = sorted(h.vertices)
+    out = []
+    for code in codes:
+        parts = [set() for _ in range(max(code) + 1)]
+        for v, k in zip(elems, code):
+            parts[k].add(v)
+        out.append(Partition.from_blocks(parts))
+    return tuple(out)
 
 
 class TestPartition:
@@ -44,8 +59,8 @@ class TestPartition:
     def test_singletons_and_refinement(self):
         s = Partition.singletons("abc")
         p = Partition.from_blocks([{"a", "b"}, {"c"}])
-        assert s.is_singletons()
-        assert not p.is_singletons()
+        assert s == Partition.from_blocks([{"c"}, {"b"}, {"a"}])
+        assert p != Partition.singletons("abc")
         assert s.refines(p)
         assert not p.refines(s)
         assert p.block_of("a") == frozenset("ab")
@@ -54,34 +69,28 @@ class TestPartition:
         with pytest.raises(UnknownVertex):
             Partition.from_blocks([{"a", "b"}, {"c"}]).block_of("d")
 
-    def test_common_refinement_is_the_meet(self):
-        p = Partition.from_blocks([{"1", "2"}, {"3", "4"}])
-        q = Partition.from_blocks([{"1", "3"}, {"2", "4"}])
-        assert blocks(p.common_refinement(q)) == [("1",), ("2",), ("3",), ("4",)]
-
     def test_to_sorted_lists(self):
         p = Partition.from_blocks([{"2", "1"}, {"3"}])
         assert p.to_sorted_lists() == [["1", "2"], ["3"]]
 
 
 class TestEnumeration:
-    """The Bell sweep behind enumerate_minimizers visits every partition
-    once: on an edgeless ground every proper partition has value zero, so
-    each one is a minimizer."""
+    """The Bell sweep visits every partition once: on an edgeless ground
+    every proper partition has value zero, so each one is a minimizer."""
 
     @pytest.mark.parametrize("n,total,proper", [(1, 1, 0), (3, 5, 4), (4, 15, 14), (5, 52, 51)])
-    def test_counts_match_bell_numbers(self, n, total, proper):
+    def test_counts_match_bell_numbers(self, swept_codes, n, total, proper):
         edgeless = Hypergraph([str(i) for i in range(n)])
         if proper == 0:  # one vertex has no proper partition to sweep
             with pytest.raises(EmptyVertexSet):
-                enumerate_minimizers(edgeless)
+                _cached_sweep(edgeless, False)
             return
-        minimizers = enumerate_minimizers(edgeless).minimizers
-        assert len(set(minimizers)) == len(minimizers) == proper == total - 1
+        _, codes = swept_codes(edgeless)
+        assert len(set(codes)) == len(codes) == proper == total - 1
 
     def test_ground_guard(self):
         with pytest.raises(GroundTooLarge):
-            enumerate_minimizers(Hypergraph([str(i) for i in range(13)]))
+            _cached_sweep(Hypergraph([str(i) for i in range(13)]), False)
 
 
 class TestCrossingCount:
@@ -100,16 +109,16 @@ class TestCrossingCount:
 
 
 class TestPartitionConnectivity:
-    def test_h1(self, h1):
+    def test_h1(self, h1, swept_codes):
         rep = partition_connectivity(h1)
         assert rep.value == 1
         assert blocks(rep.fundamental) == [("1", "2", "3"), ("4",), ("5",), ("6",)]
-        assert rep.fundamental in enumerate_minimizers(h1).minimizers
+        assert rep.fundamental in _partitions(h1, swept_codes(h1)[1])
 
     def test_h1_induced_triangle(self, h1):
         rep = partition_connectivity(h1.induced("123"))
         assert rep.value == Fraction(3, 2)
-        assert rep.fundamental.is_singletons()
+        assert rep.fundamental == Partition.singletons("123")
 
     def test_h3(self, h3):
         rep = partition_connectivity(h3)
@@ -129,13 +138,13 @@ class TestPartitionConnectivity:
     def test_h4_loops_do_not_matter(self, h4):
         rep = partition_connectivity(h4)
         assert rep.value == 1
-        assert rep.fundamental.is_singletons()
+        assert rep.fundamental == Partition.singletons(h4.vertices)
 
-    def test_every_optimizer_is_coarser_than_fundamental(self, h1, h3):
+    def test_every_optimizer_is_coarser_than_fundamental(self, h1, h3, swept_codes):
         for h in (h1, h3):
             rep = partition_connectivity(h)
-            sweep = enumerate_minimizers(h)
-            assert all(rep.fundamental.refines(p) for p in sweep.minimizers)
+            minimizers = _partitions(h, swept_codes(h)[1])
+            assert all(rep.fundamental.refines(p) for p in minimizers)
 
     def test_disconnected_value_zero_components_fundamental(self):
         h = Hypergraph("1234", [("a", "12", 1), ("b", "34", 1)])
@@ -189,7 +198,7 @@ def _is_mch_by_rebuild(h):
 
 def _assert_fast_path_matches_oracle(h):
     for fast, weighted in ((partition_connectivity(h), False), (mmi(h), True)):
-        sweep = enumerate_minimizers(h, weighted=weighted)
+        sweep = _cached_sweep(h, weighted)
         assert (fast.value, fast.fundamental) == (sweep.value, sweep.fundamental), (
             sorted((e.id, sorted(e.members), e.weight) for e in h.edges),
             weighted,
@@ -339,19 +348,21 @@ class TestMchFastPath:
             partition_connectivity(h1)
 
 
-def _assert_sweep_matches_oracle(h):
+def _assert_sweep_matches_oracle(sweep, h):
     """Both functionals: value, fundamental partition and every minimizer,
-    in enumeration order, as the per-partition recount gives them."""
+    in enumeration order, as the per-partition recount gives them; sweep is
+    the swept_codes fixture, which reads the minimizers off the sweep's
+    fold."""
     for weighted in (False, True):
         weights = tuple(e.weight if weighted else Fraction(1) for e in h.edges)
         try:
             expected = oracles.minimizer_sweep(h, weights)
         except SemiLatticeViolation:
             with pytest.raises(SemiLatticeViolation):
-                enumerate_minimizers(h, weighted=weighted)
+                sweep(h, weighted)
             continue
-        got = enumerate_minimizers(h, weighted=weighted)
-        assert (got.value, got.fundamental, got.minimizers) == (
+        got, codes = sweep(h, weighted)
+        assert (got.value, got.fundamental, _partitions(h, codes)) == (
             expected.value,
             expected.fundamental,
             expected.minimizers,
@@ -359,7 +370,7 @@ def _assert_sweep_matches_oracle(h):
 
 
 class TestSweepMatchesRecountOracle:
-    def test_census(self):
+    def test_census(self, swept_codes):
         """Every hypergraph with |V| <= 4 and |E| <= 4, every 100th with
         |V| = 5 (the whole census takes about 35 s), weights alternating
         1 and 2: disconnected, loop and parallel-edge shapes included."""
@@ -374,7 +385,7 @@ class TestSweepMatchesRecountOracle:
                 for k, combo in enumerate(combos):
                     if n == 5 and k % 100:
                         continue
-                    _assert_sweep_matches_oracle(Hypergraph(
+                    _assert_sweep_matches_oracle(swept_codes, Hypergraph(
                         names,
                         [
                             (f"e{j}", member_sets[mask], 1 + j % 2)
@@ -384,7 +395,7 @@ class TestSweepMatchesRecountOracle:
                     checked += 1
         assert checked == 4767
 
-    def test_random_weighted_hypergraphs(self):
+    def test_random_weighted_hypergraphs(self, swept_codes):
         rng = random.Random(23)
         shapes = {"disconnected": 0, "loop": 0, "parallel": 0, "mch": 0}
         for n, count in [(n, 16) for n in range(2, 8)] + [(8, 8), (9, 2), (10, 1)]:
@@ -402,13 +413,13 @@ class TestSweepMatchesRecountOracle:
                 shapes["loop"] += bool(h.loop_edges())
                 shapes["parallel"] += len({e.members for e in h.edges}) < len(h.edges)
                 shapes["mch"] += h.is_mch()
-                _assert_sweep_matches_oracle(h)
+                _assert_sweep_matches_oracle(swept_codes, h)
             for _ in range(3 if n < 9 else 0):  # fuzz sweeps MCHs
                 shapes["mch"] += 1
-                _assert_sweep_matches_oracle(_random_mch(rng, n, 3))
+                _assert_sweep_matches_oracle(swept_codes, _random_mch(rng, n, 3))
         assert min(shapes.values()) >= 5, shapes
 
-    def test_cycle(self):
+    def test_cycle(self, swept_codes):
         """A cycle is not an MCH, so both functionals take the sweep; the
         singleton partition is the unique minimizer, at n / (n - 1)."""
         n = 9
@@ -416,15 +427,15 @@ class TestSweepMatchesRecountOracle:
             [str(i) for i in range(n)],
             [(f"e{i}", [str(i), str((i + 1) % n)], 1) for i in range(n)],
         )
-        _assert_sweep_matches_oracle(cycle)
+        _assert_sweep_matches_oracle(swept_codes, cycle)
         assert partition_connectivity(cycle).value == Fraction(n, n - 1)
 
-    def test_edgeless(self):
+    def test_edgeless(self, swept_codes):
         """Every proper partition is a minimizer, at 0, so the meet folds
         over Bell(n) - 1 of them down to the singletons."""
         h = Hypergraph([f"v{i}" for i in range(7)], [])
-        _assert_sweep_matches_oracle(h)
-        assert len(enumerate_minimizers(h).minimizers) == 876
+        _assert_sweep_matches_oracle(swept_codes, h)
+        assert len(swept_codes(h)[1]) == 876
         report = partition_connectivity(h)
         assert (report.value, report.fundamental) == (0, Partition.singletons(h.vertices))
 
@@ -444,7 +455,9 @@ class TestSweepMatchesRecountOracle:
         ],
         ids=["10-vertex", "9-vertex-pendant-path", "9-cycle-crossing-chords"],
     )
-    def test_weighted_cycles_with_chords_and_pendants(self, n, cycle, chords, pendants):
+    def test_weighted_cycles_with_chords_and_pendants(
+        self, swept_codes, n, cycle, chords, pendants
+    ):
         edges = [((i, (i + 1) % cycle), i % 3 + 1) for i in range(cycle)]
         h = Hypergraph(
             [f"v{i}" for i in range(n)],
@@ -454,9 +467,9 @@ class TestSweepMatchesRecountOracle:
             ],
         )
         assert h.is_connected() and not h.is_mch()
-        _assert_sweep_matches_oracle(h)
+        _assert_sweep_matches_oracle(swept_codes, h)
 
-    def test_disconnected_host_with_a_cyclic_component(self):
+    def test_disconnected_host_with_a_cyclic_component(self, swept_codes):
         """A weighted triangle with a pendant, a 4-cycle and an isolated
         vertex: three components, so every minimizer is at 0."""
         h = Hypergraph(
@@ -468,11 +481,11 @@ class TestSweepMatchesRecountOracle:
                 ("g", ["v6", "v7"], 1), ("h", ["v7", "v4"], 3),
             ],
         )
-        _assert_sweep_matches_oracle(h)
+        _assert_sweep_matches_oracle(swept_codes, h)
         report = mmi(h)
         assert report.value == 0 and len(report.fundamental) == 3
 
-    def test_a_loop_lighter_than_every_crossing_edge(self):
+    def test_a_loop_lighter_than_every_crossing_edge(self, swept_codes):
         """The least weight is a loop's, which never crosses a block."""
         h = Hypergraph(
             [f"v{i}" for i in range(9)],
@@ -483,9 +496,9 @@ class TestSweepMatchesRecountOracle:
             ],
         )
         assert h.loop_edges() == ("loop",)
-        _assert_sweep_matches_oracle(h)
+        _assert_sweep_matches_oracle(swept_codes, h)
 
-    def test_a_non_mch_with_many_ties_at_the_optimum(self):
+    def test_a_non_mch_with_many_ties_at_the_optimum(self, swept_codes):
         """Every path edge doubled: each partition into runs of the path
         ties at 2 for the unit functional."""
         names = [f"v{i}" for i in range(9)]
@@ -497,8 +510,8 @@ class TestSweepMatchesRecountOracle:
                 for side, weight in (("a", 1), ("b", 1 + i % 2))
             ],
         )
-        _assert_sweep_matches_oracle(h)
-        assert len(enumerate_minimizers(h).minimizers) == 2**8 - 1
+        _assert_sweep_matches_oracle(swept_codes, h)
+        assert len(swept_codes(h)[1]) == 2**8 - 1
 
 
 DENOMINATORS = (2, 3, 7, 10**18 + 9)
@@ -539,7 +552,7 @@ class TestIntegerScaledWeights:
             h = _scaled_family(name, n, rng)
             assert h.is_mch()
             for fast, weighted in ((partition_connectivity(h), False), (mmi(h), True)):
-                sweep = enumerate_minimizers(h, weighted=weighted)
+                sweep = _cached_sweep(h, weighted)
                 assert (fast.value, fast.fundamental) == (sweep.value, sweep.fundamental)
 
     @pytest.mark.parametrize("name, n", [("path", 40), ("star", 41), ("core", 30)])
@@ -568,12 +581,10 @@ class TestSweepCache:
         weights are all one sweeps once for both."""
         unit = Hypergraph(h1.vertices, [(e.id, e.members, 1) for e in h1.edges])
         assert _cached_sweep(unit, True) is _cached_sweep(unit, False)
-        assert enumerate_minimizers(unit, weighted=True) == enumerate_minimizers(unit)
-        assert _cached_sweep(h1, True) is not _cached_sweep(h1, False)
-        assert _cached_sweep(h1, True) is _cached_sweep(h1, True)
-        weighted = enumerate_minimizers(h1, weighted=True)
-        assert weighted != enumerate_minimizers(h1)
-        assert weighted.value == _cached_sweep(h1, True)[0] == 1
+        weighted = _cached_sweep(h1, True)
+        assert weighted is _cached_sweep(h1, True)
+        assert weighted != _cached_sweep(h1, False)
+        assert weighted.value == 1
 
 
 # SHA-256 of `--json analyze` stdout on the 10-vertex scale_walls cycles
@@ -583,38 +594,64 @@ ANALYZE_SHA256 = {
 }
 
 
+def _counted_sweeps(monkeypatch):
+    """The list that every later _minimizer_sweep call appends its
+    arguments to."""
+    calls = []
+    real = partitions._minimizer_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partitions, "_minimizer_sweep", counted)
+    return calls
+
+
 class TestOneSweepEntry:
-    """A non-MCH sweeps once per distinct functional for partition_connectivity
-    and mmi, which keep no minimizer codes; the oracle enumerate_minimizers
-    then sweeps once more per functional to get them."""
+    """_cached_sweep is the one entry to the Bell sweep: a hypergraph sweeps
+    once per distinct functional, whether partition_connectivity and mmi
+    (on a non-MCH) or the property suites (on an MCH) ask first, and a
+    non-MCH's answer is the cached sweep's report itself."""
 
     @pytest.mark.parametrize("name, sweeps", [("unit", 1), ("weights 1-3", 2)])
     def test_a_ten_cycle_sweeps_once_per_functional(self, monkeypatch, name, sweeps):
-        calls = []
-        real = partitions._minimizer_sweep
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(partitions, "_minimizer_sweep", counted)
+        calls = _counted_sweeps(monkeypatch)
         h = hgio.parse(scale_walls.cycle_text(10, scale_walls.CYCLE_WEIGHTS[name]))
         unit = partition_connectivity(h)
         weighted = mmi(h)
         assert len(calls) == sweeps
-        oracle = enumerate_minimizers(h)
-        weighted_oracle = enumerate_minimizers(h, weighted=True)
-        assert len(calls) == 2 * sweeps
-        assert (unit.value, unit.fundamental) == (oracle.value, oracle.fundamental)
-        assert (weighted.value, weighted.fundamental) == (
-            weighted_oracle.value, weighted_oracle.fundamental,
-        )
+        assert unit is _cached_sweep(h, False)
+        assert weighted is _cached_sweep(h, True)
+        assert (weighted is unit) == (sweeps == 1)
+        assert len(calls) == sweeps
         assert unit.value == Fraction(10, 9)
 
-    def test_connectivity_keeps_no_codes_and_reads_no_cached_sweep(self, monkeypatch):
+    def test_the_suites_sweep_a_ten_vertex_mch_once_per_functional(self, monkeypatch):
+        """A 5-vertex cyclic core with a pendant on each edge, weights 1-3,
+        so the two functionals differ: the answers take the linear path,
+        and lemma_violations and the round trips at C and C/2 share one
+        sweep per functional."""
+        calls = _counted_sweeps(monkeypatch)
+        h = hgio.parse(scale_walls.ring_text(5, random.Random(1)))
+        assert h.is_mch() and len(h.vertices) == 10
+        assert len({e.weight for e in h.edges}) > 1
+        unit, weighted = partition_connectivity(h), mmi(h)
+        assert calls == []
+        assert lemma_violations(h) == []
+        cap = unconstrained_capacity(h)
+        for rate in (cap, cap / 2):
+            assert scheme_round_trip_violations(h, rate) == []
+        assert sorted(w for _, w in calls) == [False, True]  # one per functional
+        assert partition_connectivity(h) is unit and mmi(h) is weighted
+        assert _cached_sweep(h, False).fundamental == unit.fundamental
+        assert _cached_sweep(h, True).fundamental == weighted.fundamental
+        assert len(calls) == 2
+
+    def test_connectivity_is_the_cached_sweep_report(self, monkeypatch, request):
         # value 0 on one edge {0, 1}: every partition keeping 0 and 1
-        # together is a minimizer, Bell(9) - 1 = 21146 codes (2.6 MiB) at
-        # 10 vertices, and Bell(7) - 1 = 876 at 8
+        # together is a minimizer, Bell(9) - 1 = 21146 of them at 10
+        # vertices, and Bell(7) - 1 = 876 at 8
         big = Hypergraph([str(i) for i in range(10)], [("a", ["0", "1"], 1)])
         tracemalloc.start()
         try:
@@ -623,23 +660,15 @@ class TestOneSweepEntry:
         finally:
             tracemalloc.stop()
         assert held < 2**20
-        assert not [key for key in big._cache if key[0] == "sweep"]
+        assert partition_connectivity(big) is mmi(big) is _cached_sweep(big, False)
 
-        calls = []
-        real = partitions._minimizer_sweep
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(partitions, "_minimizer_sweep", counted)
         h = Hypergraph([str(i) for i in range(8)], [("a", ["0", "1"], 1)])
-        oracle = enumerate_minimizers(h)
-        assert len(oracle.minimizers) == 876
-        assert partition_connectivity(h).fundamental == oracle.fundamental
-        assert mmi(h) is partition_connectivity(h)
-        # the oracle's cached sweep lists codes; connectivity sweeps apart
-        assert len(calls) == 2
+        swept_codes = request.getfixturevalue("swept_codes")  # after the above
+        _assert_sweep_matches_oracle(swept_codes, h)
+        assert len(swept_codes(h)[1]) == 876
+        calls = _counted_sweeps(monkeypatch)
+        assert mmi(h) is partition_connectivity(h) is _cached_sweep(h, True)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", scale_walls.CYCLE_WEIGHTS)
     def test_analyze_prints_what_two_sweep_callers_printed(self, tmp_path, capsys, name):
@@ -692,15 +721,16 @@ class TestMeetOfCodes:
         assert self._finest([a, b], [(0, 1, 0)]) == (0, 1, 0)
         assert self._finest([a, b], [(0, 1, 0), (0, 1, 2)]) == (0, 1, 2)
 
-    def test_codes_are_kept_only_in_a_list_handed_over(self):
-        codes = []
-        fold = _MeetFold(lambda meet: True, codes)
+    def test_a_recording_fold_lists_the_codes_at_the_best_value(self):
+        """The tests' RecordingFold lists the codes a new best value starts
+        and its ties add, and folds the meet as _MeetFold does."""
+        fold = RecordingFold(lambda meet: True)
         fold.restart((0, 0, 1))
         fold.tie((0, 1, 1))
-        assert codes == [(0, 0, 1), (0, 1, 1)]
+        assert fold.codes == [(0, 0, 1), (0, 1, 1)]
         fold.restart((0, 1, 0))
         fold.tie((0, 1, 2))
-        assert codes == [(0, 1, 0), (0, 1, 2)]
+        assert fold.codes == [(0, 1, 0), (0, 1, 2)]
         assert fold.finest() == (0, 1, 2)
 
 
@@ -715,10 +745,10 @@ TIES_ANALYZE_SHA256 = {
 
 
 class TestTiesKeepNoCodes:
-    """partition_connectivity and mmi fold the finest minimizer as the sweep
-    walks, so the 115,974 tied proper partitions of 10 vertices with no
-    edges, or with two parallel edges over all ten, cost no memory per
-    minimizer."""
+    """The sweep folds the finest minimizer as it walks, so the 115,974
+    tied proper partitions of 10 vertices with no edges, or with two
+    parallel edges over all ten, cost no memory per minimizer, neither
+    while partition_connectivity and mmi sweep nor in the cached sweep."""
 
     @pytest.mark.parametrize("name", TIES_ANALYZE_SHA256)
     def test_peak_memory_stays_small(self, name):
@@ -733,7 +763,19 @@ class TestTiesKeepNoCodes:
         singletons = Partition.singletons(h.vertices)
         assert unit.fundamental == weighted.fundamental == singletons
         assert unit.value == weighted.value == (2 if h.edges else 0)
-        assert not [key for key in h._cache if key[0] == "sweep"]
+        assert unit is weighted is _cached_sweep(h, True)
+
+    @pytest.mark.parametrize("name", TIES_ANALYZE_SHA256)
+    def test_the_cached_sweep_holds_under_a_mebibyte(self, name):
+        h = hgio.parse(scale_walls.ties_text(name, 10))
+        tracemalloc.start()
+        try:
+            sweep = _cached_sweep(h, False)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20, held
+        assert sweep.fundamental == Partition.singletons(h.vertices)
 
     @pytest.mark.parametrize("name", TIES_ANALYZE_SHA256)
     def test_analyze_prints_the_listing_sweeps_bytes(self, tmp_path, capsys, name):

@@ -29,7 +29,6 @@ from hyperkey import (
 )
 from hyperkey.capacity import require_mch
 from hyperkey.cli import main
-from hyperkey.partitions import _cached_sweep
 from hyperkey.properties import (
     _coverage_table,
     _components,
@@ -249,9 +248,11 @@ class TestCodeRefinement:
     """The suites read the Bell sweep's value and finest minimizer, and
     build no Partition per minimizer."""
 
-    def test_one_partition_per_sweep_in_a_fuzz_case(self, monkeypatch):
+    def test_one_partition_per_sweep_in_a_fuzz_case(self, monkeypatch, swept_codes):
         """lemma_violations and both round trips of one (8, 4) case build
         no Partition per minimizer: at most one per Bell sweep."""
+        h, _ = random_mch_with_stats(8, 4, 1, seed=3)
+        assert len(swept_codes(h)[1]) > 20  # the case has many minimizers
         calls = Counter()
 
         def counted(name, real):
@@ -268,12 +269,10 @@ class TestCodeRefinement:
             partitions, "_minimizer_sweep",
             counted("sweeps", partitions._minimizer_sweep),
         )
-        h, _ = random_mch_with_stats(8, 4, 1, seed=3)
         cap = unconstrained_capacity(h)
         assert lemma_violations(h) == []
         for rate in (cap, cap / 2):
             assert scheme_round_trip_violations(h, rate) == []
-        assert len(_cached_sweep(h, False)[2]) > 20
         # every weight is one, so both functionals share one sweep
         assert calls["sweeps"] == 1
         assert calls["partitions"] <= calls["sweeps"], calls
